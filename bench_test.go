@@ -270,7 +270,7 @@ func BenchmarkReduceJoin(b *testing.B) {
 		return job, err
 	}
 	buildGrid := func() (*mr.Job, error) {
-		return core.BuildShareGridJob("rjbench-grid", []*relation.Relation{rel("C"), rel("A"), rel("B")}, gridConds, 8, 1<<12)
+		return core.BuildShareGridJob("rjbench-grid", []*relation.Relation{rel("C"), rel("A"), rel("B")}, gridConds, 8)
 	}
 	variants[0].build, variants[1].build = buildTheta, buildTheta
 	variants[2].build, variants[3].build = buildGrid, buildGrid

@@ -12,8 +12,8 @@
 // network-aware cost model. Everything the paper depends on — the
 // MapReduce runtime itself, a block-based DFS, the YSmart/Hive/Pig
 // competitor planners, the mobile CDR and TPC-H workloads — is
-// implemented in this module; see DESIGN.md for the system inventory
-// and EXPERIMENTS.md for paper-vs-measured results.
+// implemented in this module; see README.md for the package map and
+// cmd/thetabench for the paper-vs-measured tables and figures.
 //
 // Entry points:
 //

@@ -96,13 +96,3 @@ func (s *Suite) Tables(id string) ([]*Table, error) {
 		return nil, fmt.Errorf("bench: unknown experiment %q (known: %v)", id, known)
 	}
 }
-
-// RunAll executes every experiment in paper order.
-func (s *Suite) RunAll(w io.Writer) error {
-	for _, id := range Experiments() {
-		if err := s.Run(id, w); err != nil {
-			return fmt.Errorf("experiment %s: %w", id, err)
-		}
-	}
-	return nil
-}

@@ -76,7 +76,7 @@ func TestExecutionDeterminism(t *testing.T) {
 				predicate.Conjunction{
 					predicate.C("A", "a", predicate.EQ, "B", "a"),
 					predicate.C("B", "b", predicate.EQ, "C", "b"),
-				}, 6, 1<<12)
+				}, 6)
 		}},
 	}
 	workerCounts := []int{1, 2, runtime.NumCPU()}

@@ -563,7 +563,7 @@ func (pl *Planner) buildPlannedJob(pj *PlannedJob, db *DB, produced map[string]*
 	case KindHashEqui:
 		job, err = BuildHashEquiJobSkew(pj.Name, rels[0], rels[1], pj.Conds, pj.Reducers, pj.Skew)
 	case KindShareGrid:
-		job, err = BuildShareGridJobSkew(pj.Name, rels, pj.Conds, pj.Reducers, pl.Opts.MaxCells, pj.Skew)
+		job, err = BuildShareGridJobSkew(pj.Name, rels, pj.Conds, pj.Reducers, pj.Skew)
 	default:
 		job, _, err = BuildThetaJob(pj.Name, rels, pj.Conds, pj.Reducers, pl.Opts.MaxCells)
 	}

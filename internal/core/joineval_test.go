@@ -186,7 +186,7 @@ func TestJoinEvalShareGridEquivalence(t *testing.T) {
 				}
 				rels[i] = r
 			}
-			job, err := BuildShareGridJob("grid-"+tc.name, rels, q.Conditions, 8, 1<<12)
+			job, err := BuildShareGridJob("grid-"+tc.name, rels, q.Conditions, 8)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -237,7 +237,7 @@ func TestJoinEvalIndexingPrunes(t *testing.T) {
 	}
 	t.Run("share-grid", func(t *testing.T) {
 		build := func(suffix string) (*mr.Job, error) {
-			return BuildShareGridJob("grid-"+suffix, []*relation.Relation{rel("A"), rel("B"), rel("C")}, gridConds, 8, 1<<12)
+			return BuildShareGridJob("grid-"+suffix, []*relation.Relation{rel("A"), rel("B"), rel("C")}, gridConds, 8)
 		}
 		linear, indexed := run(false, build), run(true, build)
 		if got, want := resultSet(indexed.Output), resultSet(linear.Output); !want.Equal(got) {

@@ -712,12 +712,3 @@ func (pl *Planner) RunContext(ctx context.Context, q *query.Query, db *DB) (*Pla
 	}
 	return plan, res, nil
 }
-
-// CostEdgeForDebug exposes costEdge for diagnostic tools.
-func (pl *Planner) CostEdgeForDebug(q *query.Query, g *query.JoinGraph, db *DB, edgeIDs []int) (float64, int, error) {
-	c, err := pl.costEdge(q, g, db, edgeIDs)
-	if err != nil {
-		return 0, 0, err
-	}
-	return c.bestT, c.bestK, nil
-}

@@ -386,8 +386,8 @@ func buildSlotter(dim int, cl *attrClass, rels []*relation.Relation, ordinal map
 
 // BuildShareGridJob constructs the one-job share-based multiway join
 // for an equi-connected conjunction with optional theta residuals.
-func BuildShareGridJob(name string, rels []*relation.Relation, conds predicate.Conjunction, kr, maxCells int) (*mr.Job, error) {
-	return BuildShareGridJobSkew(name, rels, conds, kr, maxCells, nil)
+func BuildShareGridJob(name string, rels []*relation.Relation, conds predicate.Conjunction, kr int) (*mr.Job, error) {
+	return BuildShareGridJobSkew(name, rels, conds, kr, nil)
 }
 
 // BuildShareGridJobSkew is BuildShareGridJob with optional heavy-hitter
@@ -398,7 +398,7 @@ func BuildShareGridJob(name string, rels []*relation.Relation, conds predicate.C
 // combinations still meet in exactly one cell and the cell-ownership
 // check keeps the output duplicate-free. A nil plan reproduces
 // BuildShareGridJob exactly.
-func BuildShareGridJobSkew(name string, rels []*relation.Relation, conds predicate.Conjunction, kr, _ int, plan *skew.JobPlan) (*mr.Job, error) {
+func BuildShareGridJobSkew(name string, rels []*relation.Relation, conds predicate.Conjunction, kr int, plan *skew.JobPlan) (*mr.Job, error) {
 	if len(rels) < 2 {
 		return nil, fmt.Errorf("core: share grid needs >= 2 relations")
 	}

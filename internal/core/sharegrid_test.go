@@ -69,7 +69,7 @@ func TestShareGridNoReplicationWhenFullyLinked(t *testing.T) {
 	if rep != 1 {
 		t.Errorf("replication = %v, want 1", rep)
 	}
-	job, err := BuildShareGridJob("sg", rels, conds, 32, 0)
+	job, err := BuildShareGridJob("sg", rels, conds, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestShareGridTwoDimensions(t *testing.T) {
 	rl, _ := db.Relation("l")
 	rels := []*relation.Relation{rc, ro, rl}
 	for _, kr := range []int{1, 4, 9, 16} {
-		job, err := BuildShareGridJob("sg2", rels, conds, kr, 0)
+		job, err := BuildShareGridJob("sg2", rels, conds, kr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,7 +161,7 @@ func TestShareGridRandomQueries(t *testing.T) {
 			ordered[i], _ = db.Relation(n)
 		}
 		kr := 1 + rng.Intn(12)
-		job, err := BuildShareGridJob("sgr", ordered, conds, kr, 0)
+		job, err := BuildShareGridJob("sgr", ordered, conds, kr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,10 +203,10 @@ func TestShareGridValidation(t *testing.T) {
 	ra, _ := db.Relation("A")
 	rb, _ := db.Relation("B")
 	theta := predicate.Conjunction{predicate.C("A", "a", predicate.LT, "B", "a")}
-	if _, err := BuildShareGridJob("x", []*relation.Relation{ra, rb}, theta, 4, 0); err == nil {
+	if _, err := BuildShareGridJob("x", []*relation.Relation{ra, rb}, theta, 4); err == nil {
 		t.Error("theta-only conjunction accepted")
 	}
-	if _, err := BuildShareGridJob("x", []*relation.Relation{ra}, nil, 4, 0); err == nil {
+	if _, err := BuildShareGridJob("x", []*relation.Relation{ra}, nil, 4); err == nil {
 		t.Error("single relation accepted")
 	}
 }
@@ -219,7 +219,7 @@ func TestShareGridEmptyInput(t *testing.T) {
 	ra, _ := db.Relation("A")
 	rb, _ := db.Relation("B")
 	conds := predicate.Conjunction{predicate.C("A", "a", predicate.EQ, "B", "a")}
-	job, err := BuildShareGridJob("e", []*relation.Relation{ra, rb}, conds, 4, 0)
+	job, err := BuildShareGridJob("e", []*relation.Relation{ra, rb}, conds, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -129,7 +129,7 @@ func TestSkewShareGridBalance(t *testing.T) {
 		return rr
 	}
 	rels := []*relation.Relation{rel("L"), rel("R")}
-	base, err := BuildShareGridJob("grid-base", rels, conds, kr, 0)
+	base, err := BuildShareGridJob("grid-base", rels, conds, kr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestSkewShareGridBalance(t *testing.T) {
 	if plan == nil {
 		t.Fatal("no skew plan for the Zipf-skewed grid dimension")
 	}
-	skewed, err := BuildShareGridJobSkew("grid-skew", rels, conds, kr, 0, plan)
+	skewed, err := BuildShareGridJobSkew("grid-skew", rels, conds, kr, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestSkewExecutionDeterminism(t *testing.T) {
 			if plan == nil {
 				t.Fatal("no grid skew plan")
 			}
-			return BuildShareGridJobSkew("dgrid", []*relation.Relation{rel("L"), rel("R")}, gridConds, kr, 0, plan)
+			return BuildShareGridJobSkew("dgrid", []*relation.Relation{rel("L"), rel("R")}, gridConds, kr, plan)
 		}},
 	}
 	for _, tc := range cases {

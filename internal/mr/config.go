@@ -55,7 +55,8 @@ type Config struct {
 	// MaxTaskAttempts bounds how many times one map or reduce task may
 	// run before its first error propagates (mapred.map.max.attempts).
 	// 0 means the default (4, Hadoop's); 1 disables both retries and
-	// speculative execution, restoring the single-attempt fast paths.
+	// speculative execution — every task is then one attempt through
+	// the same machinery, with the same results.
 	// Failed attempts charge the simulated clock — the slot is held for
 	// the extra runs plus a capped doubling backoff in cluster seconds.
 	MaxTaskAttempts int

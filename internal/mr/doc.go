@@ -15,13 +15,27 @@
 // the default configuration mirrors Table 1 and those measurements so
 // simulated times land in the paper's range.
 //
+// # One path through a job
+//
+// Run is five phases over one run-state struct, in the order §4.1
+// prices them: plan tasks → map (J_M) → shuffle + reduce (J_CP, J_R) →
+// assemble → simulate and roll up metrics. Each phase is a method that
+// reads what the phases before it left and can be read, timed and
+// tested on its own. There is one input layout (a relation's
+// materialized rows, split into block-sized map tasks), one residency
+// knob (Config.SpillBudgetBytes: 0 keeps map output in memory, > 0
+// spills it as sorted runs to Config.Spill and stream-merges it back)
+// and one fault-injection mechanism (Config.Faults); output and every
+// byte-level metric are bit-identical whichever way they are set.
+//
 // # Task attempts and the idempotency contract
 //
 // MapReduce's defining runtime property — a job survives task failure
 // because tasks re-execute idempotently — is real here, not simulated.
 // Every map and reduce task runs as a sequence of ATTEMPTS, bounded by
-// Config.MaxTaskAttempts, and the engine relies on a strict
-// idempotency contract:
+// Config.MaxTaskAttempts (a budget of 1 is one attempt through the
+// same machinery, not a separate code path), and the engine relies on
+// a strict idempotency contract:
 //
 //   - Attempt isolation. An attempt derives its output only from
 //     attempt-scoped state it creates itself: its own per-reducer
@@ -35,7 +49,9 @@
 //     perturbing results.
 //   - Discard, never merge. A failed or losing attempt's partial
 //     state — spill runs included — is released without ever feeding
-//     the shuffle. Reducers only merge runs of committed map attempts.
+//     the shuffle. Reducers only merge runs of committed map attempts,
+//     and reading a run never consumes it, so a retried or backup
+//     reduce attempt re-reads exactly what the first one saw.
 //
 // Retries are charged to the simulated clock (failures occupy their
 // slot for the extra attempts plus a capped doubling backoff), never

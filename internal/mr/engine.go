@@ -65,8 +65,7 @@ type Metrics struct {
 	BalanceRatio float64
 
 	// MapFailures / ReduceFailures count failed task attempts charged
-	// to the simulated clock: the legacy per-job injected counts
-	// (Job.FailMapTasks) plus the kills a Config.Faults plan schedules
+	// to the simulated clock: the kills a Config.Faults plan schedules
 	// within the attempt budget. Both are a pure function of the job
 	// and plan — deterministic — and each failure extends the makespan
 	// by a re-attempt plus capped backoff.
@@ -134,14 +133,57 @@ type pair struct {
 	tuple relation.Tuple
 }
 
+// mapTask is one input split: a block of one input's tuples.
 type mapTask struct {
 	inputIdx   int
-	tuples     []relation.Tuple // in-memory split (nil for streamed tasks)
-	stream     ChunkSource      // chunk-streamed split (nil for in-memory)
-	chunkLo    int              // [chunkLo, chunkHi) range into stream
-	chunkHi    int
+	tuples     []relation.Tuple
 	multiplier float64
 	inputBytes int64 // modeled
+}
+
+// run is the state of one Run call. The first group is fixed when Run
+// builds it; each phase then fills the group named after it and reads
+// only the groups above its own, so the phases can be read, timed and
+// tested in order.
+type run struct {
+	cfg     Config
+	timer   Timer
+	job     *Job
+	o       *obs.Obs
+	shard   *obs.Shard // job-level spans
+	workers int
+	nRed    int
+
+	// planTasks
+	tasks      []mapTask
+	inputBytes int64 // modeled S_I
+
+	// mapPhase: what each map task's committed attempt left behind.
+	ft            *faultRuntime
+	spill         SpillStore      // nil = in-memory shuffle
+	ownedSpill    *TempSpillStore // the fallback store, when Run created it
+	replicated    *obs.Counter
+	buckets       [][][]pair     // [task][reducer] sorted bucket (in-memory shuffle)
+	spills        []*taskSpiller // [task] spilled runs (budgeted shuffle)
+	taskOutBytes  []int64        // modeled map output
+	taskRealFinal []int64        // accounted pair bytes resident after the task
+	taskRealPeak  []int64        // accounted high-water mark while mapping
+
+	// reducePhase: what each reducer's committed attempt produced.
+	keyRunLen       *obs.Histogram
+	reducerBytes    []int64 // modeled shuffle input
+	reducerPairs    []int64
+	reducerResident []int64 // accounted resident pair bytes during the merge
+	outs            [][]relation.Tuple
+	combs           []int64
+
+	// assemble
+	output          *relation.Relation
+	outputBytes     int64 // modeled
+	reducerOutBytes []int64
+	combinations    int64
+
+	wall WallTime
 }
 
 // Run executes the job and returns its output and metrics. Execution
@@ -176,44 +218,62 @@ func Run(ctx context.Context, cfg Config, timer Timer, job *Job) (*Result, error
 	if timer == nil {
 		timer = NewStdTimer(cfg)
 	}
-	o := obs.FromContext(ctx)
 	wallStart := time.Now()
-	jobShard := o.Shard("mr:" + job.Name)
-	jobSpan := jobShard.Start("job", obs.A("job", job.Name), obs.A("reducers", job.NumReducers))
+	o := obs.FromContext(ctx)
+	r := &run{cfg: cfg, timer: timer, job: job, o: o, shard: o.Shard("mr:" + job.Name),
+		workers: cfg.MaxParallelWorkers, nRed: job.NumReducers}
+	if r.workers <= 0 {
+		r.workers = runtime.NumCPU()
+	}
+	jobSpan := r.shard.Start("job", obs.A("job", job.Name), obs.A("reducers", r.nRed))
 
-	// ---- Plan map tasks ------------------------------------------------
-	// Each map task covers one DFS block of MODELED bytes (the paper's
-	// 64 MB splits), capped by tuple granularity: a relation modeling
-	// 10 GB from 2,000 physical tuples yields ~156 tasks of ~13 tuples
-	// each, so wave counts and per-task spill volumes match the modeled
-	// cluster. TuplesPerMapTask additionally bounds how many physical
-	// tuples one task may hold (the binding constraint for unscaled
-	// relations).
-	blockBytes := int64(cfg.BlockSizeMB) * 1e6
-	var tasks []mapTask
-	var inputBytes int64
-	for idx, in := range job.Inputs {
+	r.planTasks()
+	if len(r.tasks) == 0 {
+		// All inputs empty: an empty but well-formed result.
+		jobSpan.End(obs.A("empty", true))
+		return &Result{Output: relation.New(job.OutputName, job.OutputSchema), Metrics: Metrics{
+			ReduceTasks: r.nRed,
+			Wall:        WallTime{Total: time.Since(wallStart)},
+		}}, nil
+	}
+	defer r.releaseSpill()
+	if err := r.mapPhase(ctx); err != nil {
+		return nil, err
+	}
+	if err := r.reducePhase(ctx); err != nil {
+		return nil, err
+	}
+	if err := r.assemble(); err != nil {
+		return nil, err
+	}
+	res := r.metrics()
+	jobSpan.End(obs.A("shuffleBytes", res.Metrics.ShuffleBytes),
+		obs.A("outTuples", len(res.Output.Tuples)), obs.A("balance", res.Metrics.BalanceRatio))
+	res.Metrics.Wall.Total = time.Since(wallStart)
+	return res, nil
+}
+
+// planTasks splits the inputs into map tasks. Each task covers one DFS
+// block of MODELED bytes (the paper's 64 MB splits), capped by tuple
+// granularity: a relation modeling 10 GB from 2,000 physical tuples
+// yields ~156 tasks of ~13 tuples each, so wave counts and per-task
+// spill volumes match the modeled cluster. TuplesPerMapTask
+// additionally bounds how many physical tuples one task may hold (the
+// binding constraint for unscaled relations).
+func (r *run) planTasks() {
+	blockBytes := int64(r.cfg.BlockSizeMB) * 1e6
+	for idx, in := range r.job.Inputs {
+		card := in.Rel.Cardinality()
+		if card == 0 {
+			continue
+		}
 		mult := in.Rel.VolumeMultiplier
 		if mult <= 0 {
 			mult = 1
 		}
-		var card int
-		var rawTotal int64
-		if in.Stream != nil {
-			for ci := 0; ci < in.Stream.NumChunks(); ci++ {
-				card += in.Stream.ChunkRows(ci)
-				rawTotal += in.Stream.ChunkBytes(ci)
-			}
-		} else {
-			card = in.Rel.Cardinality()
-			rawTotal = in.Rel.EncodedSize()
-		}
-		if card == 0 {
-			continue
-		}
-		modeled := int64(float64(rawTotal) * mult)
+		modeled := int64(float64(in.Rel.EncodedSize()) * mult)
 		nTasks := int((modeled + blockBytes - 1) / blockBytes)
-		if byTuples := (card + cfg.TuplesPerMapTask - 1) / cfg.TuplesPerMapTask; byTuples > nTasks {
+		if byTuples := (card + r.cfg.TuplesPerMapTask - 1) / r.cfg.TuplesPerMapTask; byTuples > nTasks {
 			nTasks = byTuples
 		}
 		if nTasks < 1 {
@@ -222,454 +282,351 @@ func Run(ctx context.Context, cfg Config, timer Timer, job *Job) (*Result, error
 		if nTasks > card {
 			nTasks = card
 		}
-		per := (card + nTasks - 1) / nTasks
-		if in.Stream != nil {
-			// Tasks cover contiguous chunk ranges of ~per rows each; a
-			// chunk is never split across tasks, so a task decodes its
-			// chunks one at a time and holds at most one resident.
-			nChunks := in.Stream.NumChunks()
-			lo := 0
-			for lo < nChunks {
-				hi, rows := lo, 0
-				var raw int64
-				for hi < nChunks && (rows == 0 || rows+in.Stream.ChunkRows(hi) <= per) {
-					rows += in.Stream.ChunkRows(hi)
-					raw += in.Stream.ChunkBytes(hi)
-					hi++
-				}
-				mb := int64(float64(raw) * mult)
-				tasks = append(tasks, mapTask{inputIdx: idx, stream: in.Stream,
-					chunkLo: lo, chunkHi: hi, multiplier: mult, inputBytes: mb})
-				inputBytes += mb
-				lo = hi
-			}
-			continue
-		}
-		blocks := in.Rel.Blocks(per)
-		for _, blk := range blocks {
+		for _, blk := range in.Rel.Blocks((card + nTasks - 1) / nTasks) {
 			var raw int64
 			for _, t := range blk {
 				raw += int64(t.EncodedSize())
 			}
 			mb := int64(float64(raw) * mult)
-			tasks = append(tasks, mapTask{inputIdx: idx, tuples: blk, multiplier: mult, inputBytes: mb})
-			inputBytes += mb
+			r.tasks = append(r.tasks, mapTask{inputIdx: idx, tuples: blk, multiplier: mult, inputBytes: mb})
+			r.inputBytes += mb
 		}
 	}
-	if len(tasks) == 0 {
-		// All inputs empty: an empty but well-formed result.
-		out := relation.New(job.OutputName, job.OutputSchema)
-		jobSpan.End(obs.A("empty", true))
-		return &Result{Output: out, Metrics: Metrics{
-			ReduceTasks: job.NumReducers,
-			Wall:        WallTime{Total: time.Since(wallStart)},
-		}}, nil
-	}
+}
 
-	// ---- Map phase (real execution) ------------------------------------
-	// Each map task partitions its output locally into per-reducer
-	// buckets as it emits — the local "spill partitioning" a Hadoop
-	// mapper performs — so the shuffle never funnels all pairs through
-	// one goroutine.
-	workers := cfg.MaxParallelWorkers
-	if workers <= 0 {
-		workers = runtime.NumCPU()
+// mapPhase really executes the map tasks, each as retryable attempts.
+// A task partitions its output locally into per-reducer buckets as it
+// emits — the local "spill partitioning" a Hadoop mapper performs — so
+// the shuffle never funnels all pairs through one goroutine.
+//
+// With a spill budget, each task spills its sorted buckets to the spill
+// store whenever the buffered pair bytes exceed the budget (and once
+// more at task end), so no pairs survive the map phase in memory;
+// reducers then stream-merge the runs from the store. Without a budget
+// the buckets stay resident.
+func (r *run) mapPhase(ctx context.Context) error {
+	start := time.Now()
+	if r.cfg.SpillBudgetBytes > 0 {
+		r.spill = r.cfg.Spill
+		if r.spill == nil {
+			ts, err := NewTempSpillStore("")
+			if err != nil {
+				return err
+			}
+			r.ownedSpill, r.spill = ts, ts
+		}
 	}
+	n := len(r.tasks)
+	r.ft = newFaultRuntime(r.cfg, r.job, n, r.nRed, r.o)
+	r.replicated = r.o.Counter("mr/replicated_pairs")
+	r.buckets = make([][][]pair, n)
+	r.spills = make([]*taskSpiller, n)
+	r.taskOutBytes = make([]int64, n)
+	r.taskRealFinal = make([]int64, n)
+	r.taskRealPeak = make([]int64, n)
+	// Tracing shards are per worker goroutine: each worker owns its
+	// shard exclusively (forEach hands every index to exactly one
+	// worker), so span recording takes no lock and cannot race.
+	shards := workerShards(r.o, r.job.Name+"/map", r.workers)
+	err := forEach(ctx, r.workers, n, func(w, ti int) error {
+		return r.ft.runTask(ctx, phaseMap, ti, shards.get(r.o, w), func(actx context.Context, attempt int, sh *obs.Shard) (attemptOutcome, error) {
+			return r.mapAttempt(actx, ti, attempt, sh)
+		})
+	})
+	r.wall.Map = time.Since(start)
+	return err
+}
+
+// releaseSpill frees every committed spill run and the fallback store;
+// Run defers it so a failed or cancelled run leaks no spill file.
+func (r *run) releaseSpill() {
+	for _, ts := range r.spills {
+		if ts != nil {
+			ts.release()
+		}
+	}
+	if r.ownedSpill != nil {
+		r.ownedSpill.Close()
+	}
+}
+
+// mapAttempt runs one attempt of map task ti over attempt-scoped
+// output — its own buckets or its own spill namespace — and publishes
+// nothing until the returned outcome commits.
+func (r *run) mapAttempt(actx context.Context, ti, attempt int, sh *obs.Shard) (attemptOutcome, error) {
+	task, job, nRed := &r.tasks[ti], r.job, r.nRed
+	sp := sh.Start("map", obs.A("task", ti), obs.A("attempt", attempt), obs.A("tuples", len(task.tuples)))
+	mapFn := job.Inputs[task.inputIdx].Map
 	partition := job.Partition
 	if partition == nil {
 		partition = func(key uint64, n int) int { return int(key % uint64(n)) }
 	}
-	nRed := job.NumReducers
-
-	// Out-of-core shuffle: with a spill budget, each map task spills
-	// its sorted buckets to the spill store whenever the buffered pair
-	// bytes exceed the budget (and once more at task end), so no pairs
-	// survive the map phase in memory; reducers then stream-merge the
-	// runs from the store. Without a budget the buckets stay resident,
-	// exactly as before. The store is released when the run finishes.
-	spillStore := cfg.Spill
-	var ownedStore *TempSpillStore
-	if cfg.SpillBudgetBytes > 0 && spillStore == nil {
-		ts, err := NewTempSpillStore("")
-		if err != nil {
-			return nil, err
-		}
-		ownedStore = ts
-		spillStore = ts
+	var spiller *taskSpiller
+	var buckets [][]pair
+	if r.spill != nil {
+		spiller = newTaskSpiller(r.spill, nRed, r.cfg.SpillBudgetBytes)
+	} else {
+		buckets = make([][]pair, nRed)
 	}
-	taskBuckets := make([][][]pair, len(tasks))    // [task][reducer] bucket (in-memory path)
-	taskSpills := make([]*taskSpiller, len(tasks)) // spilled runs (budgeted path)
-	taskOutBytes := make([]int64, len(tasks))      // modeled map output per task
-	taskRealFinal := make([]int64, len(tasks))     // accounted pair bytes resident after the task
-	taskRealPeak := make([]int64, len(tasks))      // accounted high-water mark while mapping
-	defer func() {
-		for _, ts := range taskSpills {
-			if ts != nil {
-				ts.release()
-			}
+	fail := func(err error) (attemptOutcome, error) {
+		if spiller != nil {
+			spiller.release() // discard partial runs, never merge them
 		}
-		if ownedStore != nil {
-			ownedStore.Close()
+		sp.End(obs.A("error", err.Error()))
+		return attemptOutcome{}, err
+	}
+	var outBytes, realBytes int64
+	var replPairs int64
+	var emitErr error
+	var routeBuf []int
+	emit := func(key uint64, tag uint8, value relation.Tuple) {
+		if job.Partitioner != nil {
+			routeBuf = job.Partitioner.Route(routeBuf[:0], key, tag, value, nRed)
+		} else {
+			routeBuf = append(routeBuf[:0], partition(key, nRed))
 		}
-	}()
-	// Tracing shards are per worker goroutine: each worker owns its
-	// shard exclusively (forEach hands every index to exactly one
-	// worker), so span recording takes no lock and cannot race.
-	mapShards := workerShards(o, job.Name+"/map", workers)
-	replicated := o.Counter("mr/replicated_pairs")
-	// Fault-tolerance runtime: the resolved fault injector, the attempt
-	// budget, and the straggler baseline. In inert mode (one attempt,
-	// nothing injected) the engine keeps its destructive single-reader
-	// fast paths; otherwise sources read non-destructively so a retried
-	// or speculative attempt can re-read its inputs.
-	ft := newFaultRuntime(cfg, job, len(tasks), nRed, o)
-	destructive := ft.inert()
-	mapStart := time.Now()
-	err := forEach(ctx, workers, len(tasks), func(w, ti int) error {
-		task := &tasks[ti]
-		// Injected faults fire at the halfway point of the task's
-		// input, so a killed attempt leaves real partial state
-		// (buffered pairs, partial spill runs) for discard to reclaim.
-		faultAt := -1
-		if ft.inj != nil {
-			total := len(task.tuples)
-			if task.stream != nil {
-				total = 0
-				for ci := task.chunkLo; ci < task.chunkHi; ci++ {
-					total += task.stream.ChunkRows(ci)
-				}
-			}
-			faultAt = total / 2
+		if len(routeBuf) > 1 {
+			replPairs += int64(len(routeBuf) - 1)
 		}
-		return ft.runTask(ctx, phaseMap, ti, mapShards.get(o, w), func(actx context.Context, attempt int, sh *obs.Shard) (attemptOutcome, error) {
-			sp := sh.Start("map", obs.A("task", ti), obs.A("attempt", attempt), obs.A("tuples", len(task.tuples)))
-			mapFn := job.Inputs[task.inputIdx].Map
-			// Attempt-scoped output: this attempt's own buckets or its
-			// own spill namespace. Nothing is shared until commit.
-			var spiller *taskSpiller
-			var buckets [][]pair
-			if spillStore != nil {
-				spiller = newTaskSpiller(spillStore, nRed, cfg.SpillBudgetBytes)
-			} else {
-				buckets = make([][]pair, nRed)
-			}
-			fail := func(err error) (attemptOutcome, error) {
-				if spiller != nil {
-					spiller.release() // discard partial runs, never merge them
+		for _, red := range routeBuf {
+			if red < 0 || red >= nRed {
+				if emitErr == nil {
+					emitErr = fmt.Errorf("mr: job %s: partition returned %d for %d reducers", job.Name, red, nRed)
 				}
-				sp.End(obs.A("error", err.Error()))
-				return attemptOutcome{}, err
+				return
 			}
-			var outBytes, realBytes int64
-			var replPairs int64
-			var emitErr error
-			var routeBuf []int
-			route := func(key uint64, tag uint8, value relation.Tuple) []int {
-				if job.Partitioner != nil {
-					return job.Partitioner.Route(routeBuf[:0], key, tag, value, nRed)
-				}
-				routeBuf = append(routeBuf[:0], partition(key, nRed))
-				return routeBuf
-			}
-			emit := func(key uint64, tag uint8, value relation.Tuple) {
-				routeBuf = route(key, tag, value)
-				if len(routeBuf) > 1 {
-					replPairs += int64(len(routeBuf) - 1)
-				}
-				for _, r := range routeBuf {
-					if r < 0 || r >= nRed {
-						if emitErr == nil {
-							emitErr = fmt.Errorf("mr: job %s: partition returned %d for %d reducers", job.Name, r, nRed)
-						}
-						return
-					}
-					p := pair{key: key, tag: tag, tuple: value}
-					if spiller != nil {
-						if err := spiller.add(r, p); err != nil && emitErr == nil {
-							emitErr = err
-							return
-						}
-					} else {
-						buckets[r] = append(buckets[r], p)
-						realBytes += pairRealBytes(p)
-					}
-					// 8 bytes of key framing per shuffled pair; a replicated
-					// pair is copied (and charged) once per destination.
-					outBytes += int64(float64(value.EncodedSize()+8) * task.multiplier)
-				}
-			}
-			processed := 0
-			if task.stream != nil {
-				// Chunk-streamed input: decode one chunk at a time,
-				// releasing each before opening the next, so the task's
-				// input residency is a single chunk.
-				for ci := task.chunkLo; ci < task.chunkHi && emitErr == nil; ci++ {
-					c, err := task.stream.OpenChunk(ci)
-					if err != nil {
-						return fail(fmt.Errorf("mr: job %s: open chunk %d: %w", job.Name, ci, err))
-					}
-					for ri := 0; ri < c.Rows(); ri++ {
-						if processed == faultAt {
-							if err := ft.maybeFault(actx, phaseMap, ti, attempt); err != nil {
-								return fail(err)
-							}
-						}
-						processed++
-						mapFn(c.Row(ri), emit)
-						if emitErr != nil {
-							break
-						}
-					}
-				}
-			} else {
-				for _, t := range task.tuples {
-					if processed == faultAt {
-						if err := ft.maybeFault(actx, phaseMap, ti, attempt); err != nil {
-							return fail(err)
-						}
-					}
-					processed++
-					mapFn(t, emit)
-					if emitErr != nil {
-						break
-					}
-				}
-			}
-			if processed == faultAt { // empty split: fire at the end
-				if err := ft.maybeFault(actx, phaseMap, ti, attempt); err != nil {
-					return fail(err)
-				}
-			}
-			if emitErr != nil {
-				return fail(emitErr)
-			}
+			p := pair{key: key, tag: tag, tuple: value}
 			if spiller != nil {
-				// Final flush: the whole map output is on the store; the
-				// task retains no pairs.
-				sortSp := sh.Start("spill", obs.A("task", ti))
-				if err := spiller.finish(); err != nil {
-					sortSp.End(obs.A("error", err.Error()))
-					return fail(err)
-				}
-				sortSp.End(obs.A("runs", len(spiller.flushes)), obs.A("spilledBytes", spiller.spilled))
-			} else {
-				// Map-side sort: order each spill bucket by key before it is
-				// handed to the shuffle, so reducers merge pre-sorted runs
-				// instead of re-sorting their whole input. The sort is stable
-				// (emission order within a key is preserved) and skipped when
-				// the bucket is already ordered — the common case for jobs
-				// whose keys are reducer ordinals (identity partition).
-				sortSp := sh.Start("spill-sort", obs.A("task", ti))
-				for r := range buckets {
-					sortBucket(buckets[r])
-				}
-				sortSp.End()
-			}
-			sp.End(obs.A("outBytes", outBytes))
-			return attemptOutcome{
-				commit: func() {
-					if spiller != nil {
-						taskSpills[ti] = spiller
-						taskRealPeak[ti] = spiller.peak
-					} else {
-						taskBuckets[ti] = buckets
-						taskRealFinal[ti] = realBytes
-						taskRealPeak[ti] = realBytes
-					}
-					taskOutBytes[ti] = outBytes
-					replicated.Add(replPairs)
-				},
-				discard: func() {
-					if spiller != nil {
-						spiller.release()
-					}
-				},
-			}, nil
-		})
-	})
-	if err != nil {
-		return nil, err
-	}
-	mapWall := time.Since(mapStart)
-
-	// ---- Shuffle + reduce (sort-free parallel streaming merge) ---------
-	// Each reducer k-way merges its pre-sorted runs in (task, flush)
-	// order (the determinism anchor): the merged stream is key-ordered
-	// with task emission order within a key — the exact ordering the
-	// old global stable sort produced. Runs come from in-memory buckets
-	// or spilled segments interchangeably; key-runs are accumulated
-	// into a per-reducer buffer reused across keys and handed to Reduce
-	// as capacity-capped views, so a reducer's residency is its
-	// in-memory source buckets (none under a spill budget) plus one key
-	// run — never a materialized copy of its whole input. In-memory
-	// buckets release their backing arrays the moment their cursor
-	// drains, not when the whole merge completes.
-	reduceStart := time.Now()
-	reducerBytes := make([]int64, nRed)
-	reducerPairs := make([]int64, nRed)
-	reducerResident := make([]int64, nRed) // accounted resident pair bytes
-	outs := make([][]relation.Tuple, nRed)
-	combs := make([]int64, nRed)
-	reduceShards := workerShards(o, job.Name+"/reduce", workers)
-	keyRunHist := o.Histogram("mr/key_run_len")
-	err = forEach(ctx, workers, nRed, func(w, r int) error {
-		err := ft.runTask(ctx, phaseReduce, r, reduceShards.get(o, w), func(actx context.Context, attempt int, sh *obs.Shard) (attemptOutcome, error) {
-			gatherSp := sh.Start("shuffle-copy", obs.A("reducer", r), obs.A("attempt", attempt))
-			var n int
-			var memReal int64
-			srcs := make([]*pairSource, 0, len(tasks))
-			for ti := range tasks {
-				mult := tasks[ti].multiplier
-				if ts := taskSpills[ti]; ts != nil {
-					for _, fl := range ts.flushes {
-						if seg := fl.segs[r]; seg.count > 0 {
-							srcs = append(srcs, diskSource(fl.file, seg, mult, ft, ti))
-							n += seg.count
-						}
-					}
-				}
-				if taskBuckets[ti] == nil {
-					continue
-				}
-				if b := taskBuckets[ti][r]; len(b) > 0 {
-					for _, p := range b {
-						memReal += pairRealBytes(p)
-					}
-					src := memSource(b, mult)
-					// A retried or speculative attempt re-reads the same
-					// buckets, so destructive drain is only safe in inert
-					// mode; otherwise the bucket is released after the
-					// task commits (below, all attempts joined).
-					src.destructive = destructive
-					srcs = append(srcs, src)
-					n += len(b)
-					if destructive {
-						taskBuckets[ti][r] = nil // release as we go
-					}
-				}
-			}
-			gatherSp.End(obs.A("pairs", n), obs.A("runs", len(srcs)))
-			// Fault point: after the gather (partial state exists to
-			// discard), before the empty-reducer return — kills target
-			// empty reducers too.
-			if err := ft.maybeFault(actx, phaseReduce, r, attempt); err != nil {
-				return attemptOutcome{}, err
-			}
-			if n == 0 {
-				return attemptOutcome{}, nil
-			}
-			reduceSp := sh.Start("reduce", obs.A("reducer", r), obs.A("pairs", n), obs.A("runs", len(srcs)))
-			rctx := &ReduceContext{}
-			runs := 0
-			var bytes int64
-			var curKey uint64
-			var run []Tagged
-			var runReal, maxRunReal int64
-			flushRun := func() {
-				if len(run) == 0 {
+				if err := spiller.add(red, p); err != nil && emitErr == nil {
+					emitErr = err
 					return
 				}
-				keyRunHist.Observe(int64(len(run)))
-				runs++
-				// Capacity-capped view: an accidental append inside Reduce
-				// allocates instead of clobbering the reused buffer.
-				job.Reduce(curKey, run[:len(run):len(run)], rctx)
-				run = run[:0]
-				runReal = 0
+			} else {
+				buckets[red] = append(buckets[red], p)
+				realBytes += pairRealBytes(p)
 			}
-			var merged int
-			mergeErr := mergeSources(srcs, func(p pair, s *pairSource) error {
-				// Cancellation check mid-merge: a cancelled run must not
-				// finish a large merge before noticing.
-				if merged++; merged&1023 == 0 {
-					if err := actx.Err(); err != nil {
-						return err
-					}
-				}
-				// Per-pair modeled bytes convert to int64 individually, so
-				// the integer sum is independent of merge order and matches
-				// the in-memory gather accounting bit for bit.
-				bytes += int64(float64(p.tuple.EncodedSize()+8) * s.mult)
-				if len(run) > 0 && p.key != curKey {
-					flushRun()
-				}
-				curKey = p.key
-				run = append(run, Tagged{Tag: p.tag, Tuple: p.tuple})
-				runReal += pairRealBytes(p)
-				if runReal > maxRunReal {
-					maxRunReal = runReal
-				}
-				return nil
-			})
-			if mergeErr != nil {
-				reduceSp.End(obs.A("error", mergeErr.Error()))
-				return attemptOutcome{}, mergeErr
+			// 8 bytes of key framing per shuffled pair; a replicated
+			// pair is copied (and charged) once per destination.
+			outBytes += int64(float64(value.EncodedSize()+8) * task.multiplier)
+		}
+	}
+	// Injected faults fire at the halfway point of the task's input, so
+	// a killed attempt leaves real partial state (buffered pairs,
+	// partial spill runs) for discard to reclaim.
+	faultAt := -1
+	if r.ft.inj != nil {
+		faultAt = len(task.tuples) / 2
+	}
+	for i, t := range task.tuples {
+		if i == faultAt {
+			if err := r.ft.maybeFault(actx, phaseMap, ti, attempt); err != nil {
+				return fail(err)
 			}
-			flushRun()
-			reduceSp.End(obs.A("keys", runs),
-				obs.A("combinations", rctx.combinations), obs.A("outTuples", len(rctx.out)))
-			return attemptOutcome{
-				commit: func() {
-					reducerPairs[r] = int64(n)
-					reducerBytes[r] = bytes
-					reducerResident[r] = memReal + maxRunReal
-					outs[r] = rctx.out
-					combs[r] = rctx.combinations
-				},
-			}, nil
+		}
+		mapFn(t, emit)
+		if emitErr != nil {
+			return fail(emitErr)
+		}
+	}
+	if spiller != nil {
+		// Final flush: the whole map output is on the store; the task
+		// retains no pairs.
+		sortSp := sh.Start("spill", obs.A("task", ti))
+		if err := spiller.finish(); err != nil {
+			sortSp.End(obs.A("error", err.Error()))
+			return fail(err)
+		}
+		sortSp.End(obs.A("runs", len(spiller.flushes)), obs.A("spilledBytes", spiller.spilled))
+	} else {
+		// Map-side sort: order each spill bucket by key before it is
+		// handed to the shuffle, so reducers merge pre-sorted runs
+		// instead of re-sorting their whole input. The sort is stable
+		// (emission order within a key is preserved) and skipped when
+		// the bucket is already ordered — the common case for jobs
+		// whose keys are reducer ordinals (identity partition).
+		sortSp := sh.Start("spill-sort", obs.A("task", ti))
+		for red := range buckets {
+			sortBucket(buckets[red])
+		}
+		sortSp.End()
+	}
+	sp.End(obs.A("outBytes", outBytes))
+	return attemptOutcome{
+		commit: func() {
+			if spiller != nil {
+				r.spills[ti] = spiller
+				r.taskRealPeak[ti] = spiller.peak
+			} else {
+				r.buckets[ti] = buckets
+				r.taskRealFinal[ti] = realBytes
+				r.taskRealPeak[ti] = realBytes
+			}
+			r.taskOutBytes[ti] = outBytes
+			r.replicated.Add(replPairs)
+		},
+		discard: func() {
+			if spiller != nil {
+				spiller.release()
+			}
+		},
+	}, nil
+}
+
+// reducePhase is shuffle + reduce as one sort-free parallel streaming
+// merge. Each reducer k-way merges its pre-sorted runs in (task, flush)
+// order (the determinism anchor): the merged stream is key-ordered with
+// task emission order within a key — the exact ordering a global stable
+// sort would produce. Runs come from in-memory buckets or spilled
+// segments interchangeably; key-runs are accumulated into a per-reducer
+// buffer reused across keys and handed to Reduce as capacity-capped
+// views, so a reducer's residency is its in-memory source buckets (none
+// under a spill budget) plus one key run — never a materialized copy of
+// its whole input.
+func (r *run) reducePhase(ctx context.Context) error {
+	start := time.Now()
+	r.keyRunLen = r.o.Histogram("mr/key_run_len")
+	r.reducerBytes = make([]int64, r.nRed)
+	r.reducerPairs = make([]int64, r.nRed)
+	r.reducerResident = make([]int64, r.nRed)
+	r.outs = make([][]relation.Tuple, r.nRed)
+	r.combs = make([]int64, r.nRed)
+	shards := workerShards(r.o, r.job.Name+"/reduce", r.workers)
+	err := forEach(ctx, r.workers, r.nRed, func(w, red int) error {
+		err := r.ft.runTask(ctx, phaseReduce, red, shards.get(r.o, w), func(actx context.Context, attempt int, sh *obs.Shard) (attemptOutcome, error) {
+			return r.reduceAttempt(actx, red, attempt, sh)
 		})
 		if err != nil {
 			return err
 		}
-		// Non-destructive mode: the reducer's share of every bucket is
-		// only released once runTask has joined all attempts — no late
-		// speculative loser can still be reading it.
-		if !destructive {
-			for ti := range taskBuckets {
-				if tb := taskBuckets[ti]; tb != nil {
-					tb[r] = nil
-				}
+		// A retried or speculative attempt re-reads the same buckets,
+		// so the reducer's share of each is only released here, once
+		// runTask has joined every attempt — no late speculative loser
+		// can still be reading it.
+		for _, tb := range r.buckets {
+			if tb != nil {
+				tb[red] = nil
 			}
 		}
 		return nil
 	})
+	r.wall.Reduce = time.Since(start)
+	return err
+}
+
+// gather collects reducer red's key-sorted runs from every committed
+// map task, in (task, flush) order, with their pair count and the
+// accounted bytes of the in-memory ones.
+func (r *run) gather(red int) (srcs []*pairSource, n int, memReal int64) {
+	srcs = make([]*pairSource, 0, len(r.tasks))
+	for ti := range r.tasks {
+		mult := r.tasks[ti].multiplier
+		if ts := r.spills[ti]; ts != nil {
+			for _, fl := range ts.flushes {
+				if seg := fl.segs[red]; seg.count > 0 {
+					srcs = append(srcs, diskSource(fl.file, seg, mult, r.ft, ti))
+					n += seg.count
+				}
+			}
+		}
+		if r.buckets[ti] == nil {
+			continue
+		}
+		if b := r.buckets[ti][red]; len(b) > 0 {
+			for _, p := range b {
+				memReal += pairRealBytes(p)
+			}
+			srcs = append(srcs, memSource(b, mult))
+			n += len(b)
+		}
+	}
+	return srcs, n, memReal
+}
+
+// reduceAttempt runs one attempt of reducer red: gather its runs, merge
+// them, and feed each key run to Reduce. Its output stays private to
+// the attempt until the returned outcome commits.
+func (r *run) reduceAttempt(actx context.Context, red, attempt int, sh *obs.Shard) (attemptOutcome, error) {
+	gatherSp := sh.Start("shuffle-copy", obs.A("reducer", red), obs.A("attempt", attempt))
+	srcs, n, memReal := r.gather(red)
+	gatherSp.End(obs.A("pairs", n), obs.A("runs", len(srcs)))
+	// Fault point: after the gather (partial state exists to discard),
+	// before the empty-reducer return — kills target empty reducers too.
+	if err := r.ft.maybeFault(actx, phaseReduce, red, attempt); err != nil {
+		return attemptOutcome{}, err
+	}
+	if n == 0 {
+		return attemptOutcome{}, nil
+	}
+	reduceSp := sh.Start("reduce", obs.A("reducer", red), obs.A("pairs", n), obs.A("runs", len(srcs)))
+	reduce, keyRunLen := r.job.Reduce, r.keyRunLen
+	rctx := &ReduceContext{}
+	runs := 0
+	var bytes int64
+	var curKey uint64
+	var run []Tagged
+	var runReal, maxRunReal int64
+	flushRun := func() {
+		if len(run) == 0 {
+			return
+		}
+		keyRunLen.Observe(int64(len(run)))
+		runs++
+		// Capacity-capped view: an accidental append inside Reduce
+		// allocates instead of clobbering the reused buffer.
+		reduce(curKey, run[:len(run):len(run)], rctx)
+		run = run[:0]
+		runReal = 0
+	}
+	var merged int
+	err := mergeSources(srcs, func(p pair, s *pairSource) error {
+		// Cancellation check mid-merge: a cancelled run must not
+		// finish a large merge before noticing.
+		if merged++; merged&1023 == 0 {
+			if err := actx.Err(); err != nil {
+				return err
+			}
+		}
+		// Per-pair modeled bytes convert to int64 individually, so the
+		// integer sum is independent of merge order and matches the
+		// in-memory gather accounting bit for bit.
+		bytes += int64(float64(p.tuple.EncodedSize()+8) * s.mult)
+		if len(run) > 0 && p.key != curKey {
+			flushRun()
+		}
+		curKey = p.key
+		run = append(run, Tagged{Tag: p.tag, Tuple: p.tuple})
+		runReal += pairRealBytes(p)
+		if runReal > maxRunReal {
+			maxRunReal = runReal
+		}
+		return nil
+	})
 	if err != nil {
-		return nil, err
+		reduceSp.End(obs.A("error", err.Error()))
+		return attemptOutcome{}, err
 	}
-	reduceWall := time.Since(reduceStart)
-	var pairsEmitted, shuffleBytes int64
-	for r := 0; r < nRed; r++ {
-		pairsEmitted += reducerPairs[r]
-		shuffleBytes += reducerBytes[r]
-	}
+	flushRun()
+	reduceSp.End(obs.A("keys", runs),
+		obs.A("combinations", rctx.combinations), obs.A("outTuples", len(rctx.out)))
+	return attemptOutcome{
+		commit: func() {
+			r.reducerPairs[red] = int64(n)
+			r.reducerBytes[red] = bytes
+			r.reducerResident[red] = memReal + maxRunReal
+			r.outs[red] = rctx.out
+			r.combs[red] = rctx.combinations
+		},
+	}, nil
+}
 
-	// Spill metrics and the accounted live-byte peak: the pair bytes
-	// resident at the end of the map phase (zero under a budget), plus
-	// the larger of the biggest transient task buffer above that floor
-	// and the biggest reducer merge residency. See Metrics.
-	var spillBytes int64
-	var spillRuns int
-	var residentFloor, peakExtra int64
-	for ti := range tasks {
-		residentFloor += taskRealFinal[ti]
-		if extra := taskRealPeak[ti] - taskRealFinal[ti]; extra > peakExtra {
-			peakExtra = extra
-		}
-		if ts := taskSpills[ti]; ts != nil {
-			spillBytes += ts.spilled
-			spillRuns += len(ts.flushes)
-		}
-	}
-	for r := 0; r < nRed; r++ {
-		if reducerResident[r] > peakExtra {
-			peakExtra = reducerResident[r]
-		}
-	}
-	peakLiveBytes := residentFloor + peakExtra
-
-	outMult := job.OutputMultiplier
+// outputMultiplier is the VolumeMultiplier of the output relation:
+// Job.OutputMultiplier or the largest input multiplier, shrunk so the
+// modeled output stays within OutputCapRatio × modeled input (see
+// Config).
+func (r *run) outputMultiplier() float64 {
+	outMult := r.job.OutputMultiplier
 	if outMult <= 0 {
-		for _, in := range job.Inputs {
+		for _, in := range r.job.Inputs {
 			if in.Rel.VolumeMultiplier > outMult {
 				outMult = in.Rel.VolumeMultiplier
 			}
@@ -678,17 +635,14 @@ func Run(ctx context.Context, cfg Config, timer Timer, job *Job) (*Result, error
 			outMult = 1
 		}
 	}
-	// Pre-compute raw output size to apply the output-volume cap: the
-	// effective output multiplier shrinks so the modeled output stays
-	// within OutputCapRatio × modeled input (see Config).
 	var rawOut int64
-	for r := 0; r < nRed; r++ {
-		for _, t := range outs[r] {
+	for _, out := range r.outs {
+		for _, t := range out {
 			rawOut += int64(t.EncodedSize())
 		}
 	}
-	if cfg.OutputCapRatio > 0 && rawOut > 0 {
-		maxOut := cfg.OutputCapRatio * float64(inputBytes)
+	if r.cfg.OutputCapRatio > 0 && rawOut > 0 {
+		maxOut := r.cfg.OutputCapRatio * float64(r.inputBytes)
 		if float64(rawOut)*outMult > maxOut {
 			outMult = maxOut / float64(rawOut)
 			if outMult < 1 {
@@ -696,8 +650,16 @@ func Run(ctx context.Context, cfg Config, timer Timer, job *Job) (*Result, error
 			}
 		}
 	}
-	asmStart := time.Now()
-	asmSpan := jobShard.Start("assemble", obs.A("reducers", nRed))
+	return outMult
+}
+
+// assemble concatenates the per-reducer outputs, in reducer order, into
+// the output relation and prices its modeled bytes.
+func (r *run) assemble() error {
+	job := r.job
+	outMult := r.outputMultiplier()
+	start := time.Now()
+	sp := r.shard.Start("assemble", obs.A("reducers", r.nRed))
 	output := relation.New(job.OutputName, job.OutputSchema)
 	output.VolumeMultiplier = outMult
 	output.Dicts = append([]*relation.Dict(nil), job.OutputDicts...)
@@ -705,136 +667,155 @@ func Run(ctx context.Context, cfg Config, timer Timer, job *Job) (*Result, error
 	// growing append from nil, and release each reducer's buffer as
 	// soon as it is copied.
 	var totalOut int
-	for r := 0; r < nRed; r++ {
-		totalOut += len(outs[r])
+	for _, out := range r.outs {
+		totalOut += len(out)
 	}
 	if totalOut > 0 {
 		output.Tuples = make([]relation.Tuple, 0, totalOut)
 	}
-	var combinations int64
-	var outputBytes int64
-	reducerOutBytes := make([]int64, nRed)
-	for r := 0; r < nRed; r++ {
-		for _, t := range outs[r] {
+	r.reducerOutBytes = make([]int64, r.nRed)
+	for red, out := range r.outs {
+		for _, t := range out {
 			if len(t) != job.OutputSchema.Len() {
-				return nil, fmt.Errorf("mr: job %s: reducer %d emitted arity %d, schema wants %d",
-					job.Name, r, len(t), job.OutputSchema.Len())
+				return fmt.Errorf("mr: job %s: reducer %d emitted arity %d, schema wants %d",
+					job.Name, red, len(t), job.OutputSchema.Len())
 			}
 			output.Tuples = append(output.Tuples, t)
 			b := int64(float64(t.EncodedSize()) * outMult)
-			outputBytes += b
-			reducerOutBytes[r] += b
+			r.outputBytes += b
+			r.reducerOutBytes[red] += b
 		}
-		outs[r] = nil
-		combinations += combs[r]
+		r.outs[red] = nil
+		r.combinations += r.combs[red]
 	}
-	asmSpan.End(obs.A("tuples", totalOut))
-	asmWall := time.Since(asmStart)
+	r.output = output
+	sp.End(obs.A("tuples", totalOut))
+	r.wall.Assemble = time.Since(start)
+	return nil
+}
 
-	// ---- Simulated clock -------------------------------------------------
-	mapDur := make([]float64, len(tasks))
-	copyDur := make([]float64, len(tasks))
-	mapFail := make([]int, len(tasks))
-	totalMapFailures := 0
-	for ti := range tasks {
-		mapDur[ti] = timer.MapTaskTime(tasks[ti].inputBytes, taskOutBytes[ti])
-		copyDur[ti] = timer.CopyTime(taskOutBytes[ti], nRed)
-		if f, ok := job.FailMapTasks[ti]; ok && f > 0 {
-			mapFail[ti] = f
+// chargeClock prices the run on the simulated cluster clock and
+// returns the charged map and reduce failures. Injected kills charge
+// the clock from the PLAN, not from observed attempts: speculation
+// makes the observed count nondeterministic (a backup may land before a
+// targeted attempt ever runs), while the planned count is a pure
+// function of the fault plan. Retry backoff is folded into the
+// per-attempt duration so slot time = dur*(fails+1) + total backoff.
+func (r *run) chargeClock() (sim SimTime, mapFailures, reduceFailures int) {
+	charge := func(ph, task int, dur float64) (float64, int) {
+		f := r.ft.inj.plannedKills(ph, task, r.ft.maxAttempts)
+		if f > 0 {
+			dur += backoffSeconds(f) / float64(f+1)
 		}
-		// Injected kills charge the clock from the PLAN, not from
-		// observed attempts: speculation makes the observed count
-		// nondeterministic (a backup may land before a targeted attempt
-		// ever runs), while the planned count is a pure function of the
-		// fault plan. Retry backoff is folded into the per-attempt
-		// duration so slot time = dur*(fails+1) + total backoff.
-		mapFail[ti] += ft.inj.plannedKills(phaseMap, ti, ft.maxAttempts)
-		if f := mapFail[ti]; f > 0 {
-			totalMapFailures += f
-			mapDur[ti] += backoffSeconds(f) / float64(f+1)
-		}
+		return dur, f
 	}
-	reduceDur := make([]float64, nRed)
-	reduceFail := make([]int, nRed)
-	totalReduceFailures := 0
-	for r := 0; r < nRed; r++ {
-		reduceDur[r] = timer.ReduceTime(reducerBytes[r], reducerOutBytes[r])
-		if f, ok := job.FailReduceTasks[r]; ok && f > 0 {
-			reduceFail[r] = f
-		}
-		reduceFail[r] += ft.inj.plannedKills(phaseReduce, r, ft.maxAttempts)
-		if f := reduceFail[r]; f > 0 {
-			totalReduceFailures += f
-			reduceDur[r] += backoffSeconds(f) / float64(f+1)
-		}
+	mapDur := make([]float64, len(r.tasks))
+	copyDur := make([]float64, len(r.tasks))
+	mapFail := make([]int, len(r.tasks))
+	for ti := range r.tasks {
+		copyDur[ti] = r.timer.CopyTime(r.taskOutBytes[ti], r.nRed)
+		mapDur[ti], mapFail[ti] = charge(phaseMap, ti, r.timer.MapTaskTime(r.tasks[ti].inputBytes, r.taskOutBytes[ti]))
+		mapFailures += mapFail[ti]
 	}
-	sim := simulate(cfg.MapSlots, cfg.ReduceSlots, mapDur, copyDur, mapFail, reduceDur, reduceFail)
+	reduceDur := make([]float64, r.nRed)
+	reduceFail := make([]int, r.nRed)
+	for red := range reduceDur {
+		reduceDur[red], reduceFail[red] = charge(phaseReduce, red, r.timer.ReduceTime(r.reducerBytes[red], r.reducerOutBytes[red]))
+		reduceFailures += reduceFail[red]
+	}
+	sim = simulate(r.cfg.MapSlots, r.cfg.ReduceSlots, mapDur, copyDur, mapFail, reduceDur, reduceFail)
+	return sim, mapFailures, reduceFailures
+}
 
-	var maxRed int64
-	for _, b := range reducerBytes {
+// metrics runs the simulated clock and rolls the phases' per-task
+// observations up into the Result (Wall.Total is Run's to fill).
+func (r *run) metrics() *Result {
+	sim, mapFailures, reduceFailures := r.chargeClock()
+	var pairsEmitted, shuffleBytes, maxRed int64
+	for red, b := range r.reducerBytes {
+		pairsEmitted += r.reducerPairs[red]
+		shuffleBytes += b
 		if b > maxRed {
 			maxRed = b
 		}
 	}
 	balance := 0.0
-	if shuffleBytes > 0 && nRed > 0 {
-		balance = float64(maxRed) * float64(nRed) / float64(shuffleBytes)
+	if shuffleBytes > 0 {
+		balance = float64(maxRed) * float64(r.nRed) / float64(shuffleBytes)
 	}
-
-	// Registry rollups: the per-reducer byte distributions feed the
-	// -metrics export, batched once per job (no per-tuple cost).
-	if inHist := o.Histogram("mr/reducer_input_bytes"); inHist != nil {
-		outHist := o.Histogram("mr/reducer_output_bytes")
-		for r := 0; r < nRed; r++ {
-			inHist.Observe(reducerBytes[r])
-			outHist.Observe(reducerOutBytes[r])
+	// Spill metrics and the accounted live-byte peak: the pair bytes
+	// resident at the end of the map phase (zero under a budget), plus
+	// the larger of the biggest transient task buffer above that floor
+	// and the biggest reducer merge residency. See Metrics.
+	var spillBytes int64
+	var spillRuns int
+	var residentFloor, peakExtra int64
+	for ti := range r.tasks {
+		residentFloor += r.taskRealFinal[ti]
+		if extra := r.taskRealPeak[ti] - r.taskRealFinal[ti]; extra > peakExtra {
+			peakExtra = extra
+		}
+		if ts := r.spills[ti]; ts != nil {
+			spillBytes += ts.spilled
+			spillRuns += len(ts.flushes)
 		}
 	}
-	o.Counter("mr/pairs_emitted").Add(pairsEmitted)
-	o.Counter("mr/shuffle_bytes").Add(shuffleBytes)
-	o.Counter("mr/combinations_checked").Add(combinations)
-	o.Counter("mr/output_tuples").Add(int64(totalOut))
-	o.Counter("mr/spill_bytes").Add(spillBytes)
-	o.Counter("mr/spill_runs").Add(int64(spillRuns))
-	if h := o.Histogram("mr/peak_live_bytes"); h != nil {
-		h.Observe(peakLiveBytes)
+	for _, resident := range r.reducerResident {
+		if resident > peakExtra {
+			peakExtra = resident
+		}
 	}
-	if n := totalMapFailures + totalReduceFailures; n > 0 {
-		o.Counter("mr/task_retries").Add(int64(n))
-	}
-	jobSpan.End(obs.A("shuffleBytes", shuffleBytes),
-		obs.A("outTuples", totalOut), obs.A("balance", balance))
-
 	res := &Result{
-		Output: output,
+		Output: r.output,
 		Metrics: Metrics{
-			MapTasks:            len(tasks),
-			ReduceTasks:         nRed,
-			InputBytes:          inputBytes,
+			MapTasks:            len(r.tasks),
+			ReduceTasks:         r.nRed,
+			InputBytes:          r.inputBytes,
 			ShuffleBytes:        shuffleBytes,
-			OutputBytes:         outputBytes,
+			OutputBytes:         r.outputBytes,
 			PairsEmitted:        pairsEmitted,
-			CombinationsChecked: combinations,
-			ReducerInputBytes:   reducerBytes,
-			ReducerOutputBytes:  reducerOutBytes,
+			CombinationsChecked: r.combinations,
+			ReducerInputBytes:   r.reducerBytes,
+			ReducerOutputBytes:  r.reducerOutBytes,
 			MaxReducerInput:     maxRed,
 			BalanceRatio:        balance,
-			MapFailures:         totalMapFailures,
-			ReduceFailures:      totalReduceFailures,
+			MapFailures:         mapFailures,
+			ReduceFailures:      reduceFailures,
 			SpillBytes:          spillBytes,
 			SpillRuns:           spillRuns,
-			PeakLiveBytes:       peakLiveBytes,
+			PeakLiveBytes:       residentFloor + peakExtra,
 			Sim:                 sim,
-			Wall: WallTime{
-				Map:      mapWall,
-				Reduce:   reduceWall,
-				Assemble: asmWall,
-				Total:    time.Since(wallStart),
-			},
+			Wall:                r.wall,
 		},
 	}
-	ft.metricsInto(&res.Metrics)
-	return res, nil
+	r.ft.metricsInto(&res.Metrics)
+	r.export(&res.Metrics)
+	return res
+}
+
+// export feeds the registry rollups behind the -metrics export,
+// batched once per job (no per-tuple cost).
+func (r *run) export(m *Metrics) {
+	o := r.o
+	if inHist := o.Histogram("mr/reducer_input_bytes"); inHist != nil {
+		outHist := o.Histogram("mr/reducer_output_bytes")
+		for red := range m.ReducerInputBytes {
+			inHist.Observe(m.ReducerInputBytes[red])
+			outHist.Observe(m.ReducerOutputBytes[red])
+		}
+	}
+	o.Counter("mr/pairs_emitted").Add(m.PairsEmitted)
+	o.Counter("mr/shuffle_bytes").Add(m.ShuffleBytes)
+	o.Counter("mr/combinations_checked").Add(m.CombinationsChecked)
+	o.Counter("mr/output_tuples").Add(int64(len(r.output.Tuples)))
+	o.Counter("mr/spill_bytes").Add(m.SpillBytes)
+	o.Counter("mr/spill_runs").Add(int64(m.SpillRuns))
+	if h := o.Histogram("mr/peak_live_bytes"); h != nil {
+		h.Observe(m.PeakLiveBytes)
+	}
+	if n := m.MapFailures + m.ReduceFailures; n > 0 {
+		o.Counter("mr/task_retries").Add(int64(n))
+	}
 }
 
 // sortBucket stable-sorts one spill bucket by key, preserving emission

@@ -339,9 +339,13 @@ func TestFaultInjectionMapRetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	job.FailMapTasks = map[int]int{0: 2}
-	job.FailReduceTasks = map[int]int{1: 1}
-	faulty, err := Run(context.Background(), smallConfig(), nil, job)
+	cfg := smallConfig()
+	cfg.Faults = &FaultPlan{Faults: []Fault{
+		{Kind: FaultKillMap, Task: 0, Attempt: 0},
+		{Kind: FaultKillMap, Task: 0, Attempt: 1},
+		{Kind: FaultKillReduce, Task: 1, Attempt: 0},
+	}}
+	faulty, err := Run(context.Background(), cfg, nil, job)
 	if err != nil {
 		t.Fatal(err)
 	}

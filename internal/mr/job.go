@@ -56,59 +56,10 @@ type Partitioner interface {
 	Route(dst []int, key uint64, tag uint8, t relation.Tuple, numReducers int) []int
 }
 
-// ChunkSource provides chunk-granular streaming access to an input
-// relation residing out of core (e.g. a dfs.ChunkedFile backed by the
-// block store's page cache). Chunk indices are stable and chunks
-// decode to bit-identical tuples on every open, so the engine's
-// determinism contract extends to streamed inputs. Implementations
-// must be safe for concurrent OpenChunk calls — map tasks stream in
-// parallel.
-type ChunkSource interface {
-	NumChunks() int
-	// ChunkRows returns chunk i's row count.
-	ChunkRows(i int) int
-	// ChunkBytes returns chunk i's raw encoded size in
-	// relation.Tuple.EncodedSize units (pre-multiplier).
-	ChunkBytes(i int) int64
-	// OpenChunk decodes (or pages in) chunk i.
-	OpenChunk(i int) (*relation.Chunk, error)
-}
-
-// MemoryChunkSource is a ChunkSource over pre-built in-memory chunks.
-// It exists for tests, benchmarks and equivalence checks — the chunks
-// stay resident, so it bounds nothing; real out-of-core inputs come
-// from internal/dfs, whose sources decode chunks on demand from the
-// block store.
-type MemoryChunkSource struct {
-	chunks []*relation.Chunk
-}
-
-// NewMemoryChunkSource chunks r at the given granularity
-// (relation.DefaultChunkRows when rowsPerChunk <= 0).
-func NewMemoryChunkSource(r *relation.Relation, rowsPerChunk int) *MemoryChunkSource {
-	return &MemoryChunkSource{chunks: relation.ChunksOf(r, rowsPerChunk)}
-}
-
-func (s *MemoryChunkSource) NumChunks() int         { return len(s.chunks) }
-func (s *MemoryChunkSource) ChunkRows(i int) int    { return s.chunks[i].Rows() }
-func (s *MemoryChunkSource) ChunkBytes(i int) int64 { return s.chunks[i].EncodedBytes() }
-
-func (s *MemoryChunkSource) OpenChunk(i int) (*relation.Chunk, error) { return s.chunks[i], nil }
-
 // Input binds one relation to the map function applied to its tuples.
 type Input struct {
 	Rel *relation.Relation
 	Map MapFunc
-
-	// Stream, when set, feeds the map tasks from chunk streams instead
-	// of Rel.Tuples: tasks cover contiguous chunk ranges and decode one
-	// chunk at a time, releasing each as consumed, so the relation's
-	// rows never need to be resident. Rel still supplies the schema,
-	// dictionaries and VolumeMultiplier (its Tuples may be empty — an
-	// out-of-core "shell" relation). Tuple values round-trip
-	// bit-identically through the chunk codec, so output content and
-	// byte metrics match an in-memory run of the same rows.
-	Stream ChunkSource
 }
 
 // Job is a single MapReduce job specification (one MRJ in the paper's
@@ -145,13 +96,6 @@ type Job struct {
 	// relation; 0 defaults to the max input multiplier, which keeps
 	// modeled intermediate-result I/O proportional to modeled inputs.
 	OutputMultiplier float64
-
-	// Fault injection: map/reduce task ordinal → number of times the
-	// task fails before succeeding. Failed attempts cost time and are
-	// re-executed, reproducing MapReduce's re-execution fault
-	// tolerance.
-	FailMapTasks    map[int]int
-	FailReduceTasks map[int]int
 }
 
 // Validate reports specification errors.

@@ -344,18 +344,15 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 // bounds so the merge can take the sequential fast path when the
 // task-order concatenation is already globally sorted.
 //
-// A destructive source releases consumed state as it drains (the
-// single-reader fast path); a non-destructive one leaves the shared
-// bucket untouched so a retried or speculative reduce attempt can
-// re-read it — the engine picks per run.
+// Reading never mutates the run: a retried or speculative reduce
+// attempt re-reads the same committed bucket or segment, so the engine
+// releases buckets only once every attempt of the reducer has joined.
 type pairSource struct {
 	// Exactly one of bucket/seg is set.
 	bucket []pair
 	file   SpillFile
 	seg    spillSegment
 	mult   float64 // producing task's volume multiplier
-
-	destructive bool
 
 	// Integrity context for disk sources: ft carries the quarantine
 	// counters and the replica budget, task addresses the producing
@@ -372,7 +369,7 @@ type pairSource struct {
 }
 
 func memSource(bucket []pair, mult float64) *pairSource {
-	return &pairSource{bucket: bucket, mult: mult, destructive: true}
+	return &pairSource{bucket: bucket, mult: mult}
 }
 
 func diskSource(file SpillFile, seg spillSegment, mult float64, ft *faultRuntime, task int) *pairSource {
@@ -400,22 +397,13 @@ func (s *pairSource) lastKey() uint64 {
 	return s.seg.lastKey
 }
 
-// next returns the run's next pair. Destructive drained in-memory
-// sources release their bucket's backing array immediately (not at the
-// end of the whole merge) so GC can reclaim buckets while later
-// sources are still merging; disk sources decode from checksum-
-// verified frames loaded one at a time.
+// next returns the run's next pair; disk sources decode from
+// checksum-verified frames loaded one at a time.
 func (s *pairSource) next() (pair, error) {
 	if s.bucket != nil {
 		p := s.bucket[s.pos]
-		if s.destructive {
-			s.bucket[s.pos] = pair{} // drop the tuple ref as consumed
-		}
 		s.pos++
 		if s.pos == len(s.bucket) {
-			if s.destructive {
-				s.bucket = nil // release as the cursor drains
-			}
 			s.pos = -1
 		}
 		return p, nil

@@ -155,39 +155,6 @@ func TestSpillDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestChunkedInputEquivalence: a map input streamed chunk by chunk
-// produces the same result content and byte metrics as the in-memory
-// relation it was built from.
-func TestChunkedInputEquivalence(t *testing.T) {
-	in := spillProbeRelation(t, 500)
-	cfg := smallConfig()
-	base := mustRun(t, cfg, groupJob(in, 4))
-
-	job := groupJob(in, 4)
-	job.Inputs[0].Stream = NewMemoryChunkSource(in, 64)
-	streamed := mustRun(t, cfg, job)
-
-	if relation.ContentHash(streamed.Output) != relation.ContentHash(base.Output) {
-		t.Fatal("content hash differs between streamed and in-memory input")
-	}
-	bm, sm := zeroWallM(base.Metrics), zeroWallM(streamed.Metrics)
-	if bm.InputBytes != sm.InputBytes || bm.ShuffleBytes != sm.ShuffleBytes ||
-		bm.PairsEmitted != sm.PairsEmitted || bm.OutputBytes != sm.OutputBytes {
-		t.Fatalf("byte metrics diverged:\nbase:     %+v\nstreamed: %+v", bm, sm)
-	}
-
-	// Chunk streaming composes with the spill budget: fully
-	// out-of-core in and out, same content.
-	oocCfg := cfg
-	oocCfg.SpillBudgetBytes = 2048
-	oocJob := groupJob(in, 4)
-	oocJob.Inputs[0].Stream = NewMemoryChunkSource(in, 64)
-	ooc := mustRun(t, oocCfg, oocJob)
-	if relation.ContentHash(ooc.Output) != relation.ContentHash(base.Output) {
-		t.Fatal("content hash differs under streaming + spill")
-	}
-}
-
 // TestSpillBoundedMemoryLargeWorkload drives the acceptance story: a
 // shuffle several times larger than the budget completes under it,
 // produces the identical result, and the accounted peak drops by more
@@ -223,52 +190,28 @@ func TestSpillBoundedMemoryLargeWorkload(t *testing.T) {
 	}
 }
 
-// TestMemSourceReleasesOnDrain pins the reducer-merge memory fix: an
-// in-memory bucket's backing array is released the moment its cursor
-// drains, not when the whole merge completes.
-func TestMemSourceReleasesOnDrain(t *testing.T) {
-	bucket := []pair{
-		{key: 1, tuple: relation.Tuple{relation.Int(1)}},
-		{key: 2, tuple: relation.Tuple{relation.Int(2)}},
-	}
-	s := memSource(bucket, 1)
-	if _, err := s.next(); err != nil {
-		t.Fatal(err)
-	}
-	if s.bucket == nil {
-		t.Fatal("bucket released before drain")
-	}
-	if bucket[0].tuple != nil {
-		t.Fatal("consumed pair's tuple reference not dropped")
-	}
-	if _, err := s.next(); err != nil {
-		t.Fatal(err)
-	}
-	if s.bucket != nil {
-		t.Fatal("bucket not released at drain")
-	}
-	if !s.drained() {
-		t.Fatal("source not drained")
-	}
-
-	// The ordered fast path and the heap merge both release: merge two
-	// overlapping buckets and check the caller-visible slice entries.
+// TestMemSourceRereadable pins what retries rest on: merging in-memory
+// buckets yields (key, source) order and leaves the buckets untouched,
+// so a second reduce attempt over the same buckets reads the same pairs.
+func TestMemSourceRereadable(t *testing.T) {
 	a := []pair{{key: 1, tuple: relation.Tuple{relation.Int(1)}}, {key: 5, tuple: relation.Tuple{relation.Int(5)}}}
 	b := []pair{{key: 2, tuple: relation.Tuple{relation.Int(2)}}, {key: 9, tuple: relation.Tuple{relation.Int(9)}}}
-	srcs := []*pairSource{memSource(a, 1), memSource(b, 1)}
-	var got []uint64
-	if err := mergeSources(srcs, func(p pair, _ *pairSource) error {
-		got = append(got, p.key)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if want := []uint64{1, 2, 5, 9}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("merge order %v, want %v", got, want)
-	}
-	for i, s := range srcs {
-		if s.bucket != nil {
-			t.Fatalf("source %d bucket still referenced after merge", i)
+	for attempt := 0; attempt < 2; attempt++ {
+		srcs := []*pairSource{memSource(a, 1), memSource(b, 1)}
+		var got []int64
+		if err := mergeSources(srcs, func(p pair, _ *pairSource) error {
+			got = append(got, p.tuple[0].Int64())
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if want := []int64{1, 2, 5, 9}; !reflect.DeepEqual(got, want) {
+			t.Fatalf("attempt %d: merged %v, want %v", attempt, got, want)
+		}
+		for i, s := range srcs {
+			if !s.drained() {
+				t.Fatalf("attempt %d: source %d not drained", attempt, i)
+			}
 		}
 	}
 }

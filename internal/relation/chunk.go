@@ -14,15 +14,13 @@ import (
 // column's declared kind (kept exactly in a sparse exception map, so a
 // chunk round-trips any tuple a row-oriented Relation can hold).
 //
-// Chunks are the unit of out-of-core execution: the chunk codec
-// (chunkcodec.go) serializes them without materializing rows, the dfs
-// block store spills and pages them, and the mr engine streams map
-// input chunk by chunk. Row-oriented call sites consume chunks through
-// cursor views (Cursor, Chunk.Row) — a chunk never needs to be turned
-// back into a []Tuple wholesale. Key-extraction helpers (AppendIntKeys
-// and friends) read the payload arrays directly so the join
-// evaluator's key-column cache is built without re-boxing a Value per
-// row.
+// Chunks are the format of two things, not an input mode of the engine:
+// the dfs block store stores and pages relations as chunk frames
+// (chunkcodec.go serializes them without materializing rows), and the
+// join evaluator's key-column cache packs a reduce group into one so
+// the key-extraction helpers (AppendIntKeys and friends) read the
+// payload arrays directly instead of re-boxing a Value per row.
+// Row-oriented call sites read a chunk through Chunk.Row.
 //
 // DefaultChunkRows is the default chunk granularity: small enough that
 // one decoded chunk is a negligible memory commitment, large enough to
@@ -387,22 +385,6 @@ type ChunkIterator interface {
 	NextChunk() (*Chunk, error)
 }
 
-// sliceChunks adapts a built []*Chunk to the iterator interface.
-type sliceChunks struct {
-	chunks []*Chunk
-	i      int
-}
-
-func (s *sliceChunks) NextChunk() (*Chunk, error) {
-	if s.i >= len(s.chunks) {
-		return nil, io.EOF
-	}
-	c := s.chunks[s.i]
-	s.chunks[s.i] = nil // release as consumed
-	s.i++
-	return c, nil
-}
-
 // ChunkStream returns an iterator over the relation's tuples in
 // columnar chunks of rowsPerChunk rows. The chunks are built lazily,
 // one ahead of consumption, so a consumer that releases chunks as it
@@ -436,34 +418,4 @@ func (l *lazyChunks) NextChunk() (*Chunk, error) {
 	}
 	l.lo = hi
 	return b.Build(), nil
-}
-
-// Cursor is the row view over a chunk stream: row-oriented call sites
-// iterate tuples without ever materialising the full relation.
-type Cursor struct {
-	it    ChunkIterator
-	chunk *Chunk
-	row   int
-}
-
-// NewCursor returns a cursor over the iterator's rows.
-func NewCursor(it ChunkIterator) *Cursor { return &Cursor{it: it} }
-
-// Next returns the next row (a fresh Tuple safe to retain), false at
-// the end of the stream.
-func (cu *Cursor) Next() (Tuple, bool, error) {
-	for cu.chunk == nil || cu.row >= cu.chunk.Rows() {
-		c, err := cu.it.NextChunk()
-		if err == io.EOF {
-			cu.chunk = nil
-			return nil, false, nil
-		}
-		if err != nil {
-			return nil, false, err
-		}
-		cu.chunk, cu.row = c, 0
-	}
-	t := cu.chunk.Row(cu.row)
-	cu.row++
-	return t, true, nil
 }

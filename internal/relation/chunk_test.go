@@ -77,7 +77,7 @@ func requireTuplesIdentical(t *testing.T, got, want []Tuple, where string) {
 }
 
 // TestChunkRoundTrip: columnar chunks reconstruct every row
-// bit-identically through cursor views, across chunk edges, and their
+// bit-identically through row views, across chunk edges, and their
 // byte accounting matches the row representation.
 func TestChunkRoundTrip(t *testing.T) {
 	r := chunkTestRelation(t)
@@ -103,94 +103,22 @@ func TestChunkRoundTrip(t *testing.T) {
 		if bytes != want {
 			t.Fatalf("per=%d: chunk bytes %d, want %d", per, bytes, want)
 		}
-		// The cursor view over the lazy stream yields the same rows.
-		cur := NewCursor(r.ChunkStream(per))
+		// The lazy stream yields the same rows.
+		it := r.ChunkStream(per)
 		var streamed []Tuple
 		for {
-			tup, ok, err := cur.Next()
+			c, err := it.NextChunk()
+			if err == io.EOF {
+				break
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !ok {
-				break
+			for i := 0; i < c.Rows(); i++ {
+				streamed = append(streamed, c.Row(i))
 			}
-			streamed = append(streamed, tup)
 		}
-		requireTuplesIdentical(t, streamed, r.Tuples, "cursor")
-	}
-}
-
-// TestChunkedCodecRoundTrip: RELC framing loads bit-identically, with
-// values straddling chunk edges, and agrees with what the legacy RELB
-// and REL2 row framings load.
-func TestChunkedCodecRoundTrip(t *testing.T) {
-	r := chunkTestRelation(t)
-	for _, per := range []int{1, 3, 7, 10, 4096} {
-		var buf bytes.Buffer
-		if err := WriteBinaryChunked(&buf, r, per); err != nil {
-			t.Fatal(err)
-		}
-		got, err := ReadBinary(&buf, r.Name)
-		if err != nil {
-			t.Fatalf("per=%d: %v", per, err)
-		}
-		requireTuplesIdentical(t, got.Tuples, r.Tuples, "RELC")
-		if got.DictOf(2) == nil || got.DictOf(2).Len() != r.DictOf(2).Len() {
-			t.Fatalf("per=%d: dictionary not restored", per)
-		}
-		if ContentHash(got) != ContentHash(r) {
-			t.Fatalf("per=%d: content hash changed across RELC round trip", per)
-		}
-	}
-
-	// The row-framed v2 codec loads the same bits.
-	var v2buf bytes.Buffer
-	if err := WriteBinary(&v2buf, r); err != nil {
-		t.Fatal(err)
-	}
-	v2rel, err := ReadBinary(&v2buf, r.Name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cbuf bytes.Buffer
-	if err := WriteBinaryChunked(&cbuf, r, 3); err != nil {
-		t.Fatal(err)
-	}
-	crel, err := ReadBinary(&cbuf, r.Name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireTuplesIdentical(t, crel.Tuples, v2rel.Tuples, "RELC vs REL2")
-
-	// A dictionary-less relation exercises the RELB-equivalent path.
-	plainSchema, err := NewSchema(Column{Name: "a", Kind: KindInt}, Column{Name: "b", Kind: KindString})
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain := New("plain", plainSchema)
-	plain.Tuples = []Tuple{{Int(1), Str("x")}, {Null(), Str("y")}, {Int(3), Null()}}
-	var pbuf bytes.Buffer
-	if err := WriteBinaryChunked(&pbuf, plain, 2); err != nil {
-		t.Fatal(err)
-	}
-	pgot, err := ReadBinary(&pbuf, "plain")
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireTuplesIdentical(t, pgot.Tuples, plain.Tuples, "RELC plain")
-
-	// Empty relation: header + terminator only.
-	empty := New("empty", plainSchema)
-	var ebuf bytes.Buffer
-	if err := WriteBinaryChunked(&ebuf, empty, 8); err != nil {
-		t.Fatal(err)
-	}
-	egot, err := ReadBinary(&ebuf, "empty")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(egot.Tuples) != 0 {
-		t.Fatalf("empty relation loaded %d tuples", len(egot.Tuples))
+		requireTuplesIdentical(t, streamed, r.Tuples, "stream")
 	}
 }
 

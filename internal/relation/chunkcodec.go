@@ -7,18 +7,10 @@ import (
 	"io"
 )
 
-// Chunk-framed binary codec, v3 ("RELC"). The header is the v2 layout
-// (schema columns + optional per-column dictionaries); the body is a
-// sequence of self-delimiting columnar chunk frames instead of one
-// row-major tuple section, so a relation serializes and loads chunk by
-// chunk without ever materializing all rows:
-//
-//	magic "RELC" | u16 ncols |
-//	per col: u8 kindByte, u16 nameLen, name, u8 hasDict,
-//	         [uvarint nstrs, nstrs × (uvarint len, bytes)] |
-//	chunk frame* | u32 0 (terminator)
-//
-// Each chunk frame is:
+// The chunk frame is the block store's on-disk unit (dfs.ChunkedFile):
+// one self-delimiting columnar encoding of a Chunk, written and read
+// standalone by EncodeChunk / DecodeChunk against a schema and optional
+// per-column dictionaries the caller holds:
 //
 //	u32 nrows | per column:
 //	  u8 hasSkip | [ceil(nrows/64) × u64 skip bitmap] |
@@ -43,8 +35,6 @@ import (
 // strings always carry their code slot and inline bytes. The mr spill
 // path uses it to write shuffle pairs to disk and reload them
 // bit-identically.
-
-const binaryMagicChunked = "RELC"
 
 // WriteValueRaw writes v in the self-describing raw layout: kind byte,
 // then an 8-byte payload for numeric kinds, or uvarint(code slot) +
@@ -160,128 +150,10 @@ func ReadTupleRaw(br *bufio.Reader) (Tuple, error) {
 	return t, nil
 }
 
-// ChunkEncoder writes a RELC stream: header once, then one frame per
-// EncodeChunk call, terminated by Close.
-type ChunkEncoder struct {
-	bw    *bufio.Writer
-	dicts []*Dict
-	done  bool
-}
-
-// NewChunkEncoder writes the RELC header for the schema (and optional
-// per-column dictionaries; pass nil for none) and returns an encoder
-// for the chunk frames.
-func NewChunkEncoder(w io.Writer, schema *Schema, dicts []*Dict) (*ChunkEncoder, error) {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(binaryMagicChunked); err != nil {
-		return nil, err
-	}
-	var scratch [binary.MaxVarintLen64]byte
-	writeU16 := func(v uint16) error {
-		binary.LittleEndian.PutUint16(scratch[:2], v)
-		_, err := bw.Write(scratch[:2])
-		return err
-	}
-	writeUvarint := func(v uint64) error {
-		n := binary.PutUvarint(scratch[:], v)
-		_, err := bw.Write(scratch[:n])
-		return err
-	}
-	if err := writeU16(uint16(schema.Len())); err != nil {
-		return nil, err
-	}
-	for i := 0; i < schema.Len(); i++ {
-		c := schema.Column(i)
-		if err := bw.WriteByte(byte(c.Kind)); err != nil {
-			return nil, err
-		}
-		if err := writeU16(uint16(len(c.Name))); err != nil {
-			return nil, err
-		}
-		if _, err := bw.WriteString(c.Name); err != nil {
-			return nil, err
-		}
-		var d *Dict
-		if i < len(dicts) {
-			d = dicts[i]
-		}
-		if d == nil {
-			if err := bw.WriteByte(0); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		if err := bw.WriteByte(1); err != nil {
-			return nil, err
-		}
-		if err := writeUvarint(uint64(d.Len())); err != nil {
-			return nil, err
-		}
-		for c := int64(0); c < int64(d.Len()); c++ {
-			s := d.At(c)
-			if err := writeUvarint(uint64(len(s))); err != nil {
-				return nil, err
-			}
-			if _, err := bw.WriteString(s); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return &ChunkEncoder{bw: bw, dicts: dicts}, nil
-}
-
-// EncodeChunk appends one chunk frame. Empty chunks are skipped (a
-// zero row count is the stream terminator).
-func (e *ChunkEncoder) EncodeChunk(c *Chunk) error {
-	if e.done {
-		return fmt.Errorf("relation: chunk encoder already closed")
-	}
-	if c.Rows() == 0 {
-		return nil
-	}
-	return encodeChunkFrame(e.bw, c, e.dicts)
-}
-
-// Close writes the terminator frame and flushes.
-func (e *ChunkEncoder) Close() error {
-	if e.done {
-		return nil
-	}
-	e.done = true
-	var scratch [4]byte
-	binary.LittleEndian.PutUint32(scratch[:], 0)
-	if _, err := e.bw.Write(scratch[:]); err != nil {
-		return err
-	}
-	return e.bw.Flush()
-}
-
-// EncodeChunk writes a single standalone chunk frame (no header, no
-// terminator) — the dfs block store's on-disk unit. dicts provides the
-// dictionary context for slot-only string encoding and may be nil.
+// EncodeChunk writes c as one standalone chunk frame. dicts provides
+// the dictionary context for slot-only string encoding and may be nil.
 func EncodeChunk(w io.Writer, c *Chunk, dicts []*Dict) error {
 	bw := bufio.NewWriter(w)
-	if err := encodeChunkFrame(bw, c, dicts); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// DecodeChunk reads a single standalone chunk frame written by
-// EncodeChunk, against the given schema and dictionaries.
-func DecodeChunk(r io.Reader, schema *Schema, dicts []*Dict) (*Chunk, error) {
-	br := bufio.NewReader(r)
-	c, err := decodeChunkFrame(br, schema, dicts)
-	if err != nil {
-		return nil, err
-	}
-	if c == nil {
-		return nil, fmt.Errorf("relation: decode chunk: empty frame")
-	}
-	return c, nil
-}
-
-func encodeChunkFrame(bw *bufio.Writer, c *Chunk, dicts []*Dict) error {
 	var scratch [binary.MaxVarintLen64]byte
 	writeU32 := func(v uint32) error {
 		binary.LittleEndian.PutUint32(scratch[:4], v)
@@ -393,12 +265,13 @@ func encodeChunkFrame(bw *bufio.Writer, c *Chunk, dicts []*Dict) error {
 			}
 		}
 	}
-	return nil
+	return bw.Flush()
 }
 
-// decodeChunkFrame reads one frame; a zero row count (the terminator)
-// returns (nil, nil).
-func decodeChunkFrame(br *bufio.Reader, schema *Schema, dicts []*Dict) (*Chunk, error) {
+// DecodeChunk reads one chunk frame written by EncodeChunk, against
+// the given schema and dictionaries.
+func DecodeChunk(r io.Reader, schema *Schema, dicts []*Dict) (*Chunk, error) {
+	br := bufio.NewReader(r)
 	var scratch [8]byte
 	readU32 := func() (uint32, error) {
 		if _, err := io.ReadFull(br, scratch[:4]); err != nil {
@@ -418,7 +291,7 @@ func decodeChunkFrame(br *bufio.Reader, schema *Schema, dicts []*Dict) (*Chunk, 
 	}
 	n := int(nrows32)
 	if n == 0 {
-		return nil, nil
+		return nil, fmt.Errorf("relation: decode chunk: empty frame")
 	}
 	c := &Chunk{schema: schema, n: n, cols: make([]colVec, schema.Len())}
 	c.bytes = int64(n) * tupleFrameBytes
@@ -545,148 +418,6 @@ func decodeChunkFrame(br *bufio.Reader, schema *Schema, dicts []*Dict) (*Chunk, 
 		}
 	}
 	return c, nil
-}
-
-// ChunkDecoder streams a RELC file: header parsed at construction,
-// chunks decoded on demand. It implements ChunkIterator.
-type ChunkDecoder struct {
-	br     *bufio.Reader
-	schema *Schema
-	dicts  []*Dict
-	done   bool
-}
-
-// NewChunkDecoder parses the RELC header (the caller has not consumed
-// the magic) and returns a streaming decoder.
-func NewChunkDecoder(r io.Reader) (*ChunkDecoder, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("relation: read chunked magic: %w", err)
-	}
-	if string(magic) != binaryMagicChunked {
-		return nil, fmt.Errorf("relation: bad chunked magic %q", magic)
-	}
-	return newChunkDecoderAfterMagic(br)
-}
-
-func newChunkDecoderAfterMagic(br *bufio.Reader) (*ChunkDecoder, error) {
-	var scratch [8]byte
-	readU16 := func() (uint16, error) {
-		if _, err := io.ReadFull(br, scratch[:2]); err != nil {
-			return 0, err
-		}
-		return binary.LittleEndian.Uint16(scratch[:2]), nil
-	}
-	ncols, err := readU16()
-	if err != nil {
-		return nil, err
-	}
-	cols := make([]Column, ncols)
-	dicts := make([]*Dict, ncols)
-	for i := range cols {
-		kb, err := br.ReadByte()
-		if err != nil {
-			return nil, err
-		}
-		nameLen, err := readU16()
-		if err != nil {
-			return nil, err
-		}
-		nameBuf := make([]byte, nameLen)
-		if _, err := io.ReadFull(br, nameBuf); err != nil {
-			return nil, err
-		}
-		cols[i] = Column{Name: string(nameBuf), Kind: Kind(kb)}
-		hasDict, err := br.ReadByte()
-		if err != nil {
-			return nil, err
-		}
-		if hasDict == 0 {
-			continue
-		}
-		nstrs, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, err
-		}
-		strs := make([]string, nstrs)
-		for j := range strs {
-			slen, err := binary.ReadUvarint(br)
-			if err != nil {
-				return nil, err
-			}
-			buf := make([]byte, slen)
-			if _, err := io.ReadFull(br, buf); err != nil {
-				return nil, err
-			}
-			strs[j] = string(buf)
-		}
-		dicts[i] = NewDict(strs)
-	}
-	schema, err := NewSchema(cols...)
-	if err != nil {
-		return nil, err
-	}
-	return &ChunkDecoder{br: br, schema: schema, dicts: dicts}, nil
-}
-
-// Schema returns the decoded header schema.
-func (d *ChunkDecoder) Schema() *Schema { return d.schema }
-
-// Dicts returns the decoded per-column dictionaries (entries nil for
-// dictionary-less columns). The slice is all-nil when no column
-// carried a dictionary.
-func (d *ChunkDecoder) Dicts() []*Dict { return d.dicts }
-
-// HasDicts reports whether any column carries a dictionary.
-func (d *ChunkDecoder) HasDicts() bool {
-	for _, di := range d.dicts {
-		if di != nil {
-			return true
-		}
-	}
-	return false
-}
-
-// NextChunk decodes the next frame; io.EOF after the terminator.
-func (d *ChunkDecoder) NextChunk() (*Chunk, error) {
-	if d.done {
-		return nil, io.EOF
-	}
-	c, err := decodeChunkFrame(d.br, d.schema, d.dicts)
-	if err != nil {
-		return nil, err
-	}
-	if c == nil {
-		d.done = true
-		return nil, io.EOF
-	}
-	return c, nil
-}
-
-// WriteBinaryChunked writes the relation in the RELC chunk-framed
-// format with at most rowsPerChunk rows per frame (DefaultChunkRows
-// when <= 0). Rows are framed columnar-chunk by columnar-chunk, so
-// peak transient memory is one chunk regardless of relation size.
-func WriteBinaryChunked(w io.Writer, r *Relation, rowsPerChunk int) error {
-	enc, err := NewChunkEncoder(w, r.Schema, r.Dicts)
-	if err != nil {
-		return err
-	}
-	it := r.ChunkStream(rowsPerChunk)
-	for {
-		c, err := it.NextChunk()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		if err := enc.EncodeChunk(c); err != nil {
-			return err
-		}
-	}
-	return enc.Close()
 }
 
 // sortInts is a tiny insertion sort for the (rare, small) exception

@@ -1,8 +1,6 @@
 package relation
 
 import (
-	"bufio"
-	"encoding/binary"
 	"encoding/csv"
 	"fmt"
 	"io"
@@ -25,6 +23,15 @@ func WriteCSV(w io.Writer, r *Relation) error {
 	for _, t := range r.Tuples {
 		for i, v := range t {
 			rec[i] = v.String()
+		}
+		if len(rec) == 1 && rec[0] == "" {
+			// encoding/csv writes a lone empty field as an empty line,
+			// which every CSV reader skips: quote it so the row survives.
+			cw.Flush()
+			if _, err := io.WriteString(w, "\"\"\n"); err != nil {
+				return err
+			}
+			continue
 		}
 		if err := cw.Write(rec); err != nil {
 			return err
@@ -82,377 +89,4 @@ func ReadCSV(rd io.Reader, name string) (*Relation, error) {
 		rel.Tuples = append(rel.Tuples, t)
 	}
 	return rel, nil
-}
-
-// Binary codec layout, v1:
-//
-//	magic "RELB" | u16 ncols | per col: u8 kindByte, u16 nameLen, name |
-//	u32 ntuples | per tuple: per value: u8 kind, payload
-//
-// v2 adds a per-column dictionary section so interned string columns
-// (see Dict and InternStrings) serialize as varint codes instead of
-// length-prefixed bytes:
-//
-//	magic "REL2" | u16 ncols |
-//	per col: u8 kindByte, u16 nameLen, name, u8 hasDict,
-//	         [uvarint nstrs, nstrs × (uvarint len, bytes)] |
-//	u32 ntuples | per tuple: per value: u8 kind, payload
-//
-// In a v2 dictionary column a string value's payload is uvarint(code+1);
-// the reserved 0 escapes to the inline v1 string layout for values not
-// in the dictionary (a post-interning append). WriteBinary emits v1
-// when the relation carries no dictionaries — so v1 remains the format
-// of plain relations — and ReadBinary accepts both magics.
-//
-// The binary form is what the simulated DFS stores and what shuffle
-// byte accounting measures; Value.EncodedSize mirrors the per-value
-// layout chosen here.
-
-const (
-	binaryMagic   = "RELB"
-	binaryMagicV2 = "REL2"
-)
-
-// WriteBinary writes the relation in the compact binary format: v1
-// when no column has a dictionary, v2 otherwise.
-func WriteBinary(w io.Writer, r *Relation) error {
-	v2 := false
-	for _, d := range r.Dicts {
-		if d != nil {
-			v2 = true
-			break
-		}
-	}
-	bw := bufio.NewWriter(w)
-	magic := binaryMagic
-	if v2 {
-		magic = binaryMagicV2
-	}
-	if _, err := bw.WriteString(magic); err != nil {
-		return err
-	}
-	var scratch [binary.MaxVarintLen64]byte
-	writeU16 := func(v uint16) error {
-		binary.LittleEndian.PutUint16(scratch[:2], v)
-		_, err := bw.Write(scratch[:2])
-		return err
-	}
-	writeU32 := func(v uint32) error {
-		binary.LittleEndian.PutUint32(scratch[:4], v)
-		_, err := bw.Write(scratch[:4])
-		return err
-	}
-	writeUvarint := func(v uint64) error {
-		n := binary.PutUvarint(scratch[:], v)
-		_, err := bw.Write(scratch[:n])
-		return err
-	}
-	if err := writeU16(uint16(r.Schema.Len())); err != nil {
-		return err
-	}
-	for i := 0; i < r.Schema.Len(); i++ {
-		c := r.Schema.Column(i)
-		if err := bw.WriteByte(byte(c.Kind)); err != nil {
-			return err
-		}
-		if err := writeU16(uint16(len(c.Name))); err != nil {
-			return err
-		}
-		if _, err := bw.WriteString(c.Name); err != nil {
-			return err
-		}
-		if !v2 {
-			continue
-		}
-		d := r.DictOf(i)
-		if d == nil {
-			if err := bw.WriteByte(0); err != nil {
-				return err
-			}
-			continue
-		}
-		if err := bw.WriteByte(1); err != nil {
-			return err
-		}
-		if err := writeUvarint(uint64(d.Len())); err != nil {
-			return err
-		}
-		for c := int64(0); c < int64(d.Len()); c++ {
-			s := d.At(c)
-			if err := writeUvarint(uint64(len(s))); err != nil {
-				return err
-			}
-			if _, err := bw.WriteString(s); err != nil {
-				return err
-			}
-		}
-	}
-	if err := writeU32(uint32(len(r.Tuples))); err != nil {
-		return err
-	}
-	for _, t := range r.Tuples {
-		for ci, v := range t {
-			if v2 && r.DictOf(ci) != nil && v.Kind() == KindString {
-				if err := bw.WriteByte(byte(KindString)); err != nil {
-					return err
-				}
-				if code, ok := v.DictCode(); ok {
-					if err := writeUvarint(uint64(code + 1)); err != nil {
-						return err
-					}
-					continue
-				}
-				// Escape: a string appended after interning.
-				if err := writeUvarint(0); err != nil {
-					return err
-				}
-				if err := writeU32(uint32(len(v.Str()))); err != nil {
-					return err
-				}
-				if _, err := bw.WriteString(v.Str()); err != nil {
-					return err
-				}
-				continue
-			}
-			if err := writeValue(bw, scratch[:], v); err != nil {
-				return err
-			}
-		}
-	}
-	return bw.Flush()
-}
-
-func writeValue(bw *bufio.Writer, scratch []byte, v Value) error {
-	if err := bw.WriteByte(byte(v.kind)); err != nil {
-		return err
-	}
-	switch v.kind {
-	case KindNull:
-		return nil
-	case KindInt, KindTime:
-		binary.LittleEndian.PutUint64(scratch[:8], uint64(v.i))
-		_, err := bw.Write(scratch[:8])
-		return err
-	case KindFloat:
-		binary.LittleEndian.PutUint64(scratch[:8], floatBits(v.f))
-		_, err := bw.Write(scratch[:8])
-		return err
-	case KindString:
-		binary.LittleEndian.PutUint32(scratch[:4], uint32(len(v.s)))
-		if _, err := bw.Write(scratch[:4]); err != nil {
-			return err
-		}
-		_, err := bw.WriteString(v.s)
-		return err
-	default:
-		return fmt.Errorf("relation: write value: unknown kind %v", v.kind)
-	}
-}
-
-// ReadBinary reads a relation written by WriteBinary or
-// WriteBinaryChunked, accepting the v1 ("RELB"), v2 ("REL2") and
-// chunk-framed v3 ("RELC") framings; v2/v3 files restore the
-// per-column dictionaries and re-intern their string values.
-func ReadBinary(r io.Reader, name string) (*Relation, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("relation: read binary magic: %w", err)
-	}
-	if string(magic) == binaryMagicChunked {
-		dec, err := newChunkDecoderAfterMagic(br)
-		if err != nil {
-			return nil, err
-		}
-		rel := New(name, dec.Schema())
-		if dec.HasDicts() {
-			rel.Dicts = dec.Dicts()
-		}
-		cur := NewCursor(dec)
-		for {
-			t, ok, err := cur.Next()
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				break
-			}
-			rel.Tuples = append(rel.Tuples, t)
-		}
-		return rel, nil
-	}
-	v2 := string(magic) == binaryMagicV2
-	if !v2 && string(magic) != binaryMagic {
-		return nil, fmt.Errorf("relation: bad binary magic %q", magic)
-	}
-	var scratch [8]byte
-	readU16 := func() (uint16, error) {
-		if _, err := io.ReadFull(br, scratch[:2]); err != nil {
-			return 0, err
-		}
-		return binary.LittleEndian.Uint16(scratch[:2]), nil
-	}
-	readU32 := func() (uint32, error) {
-		if _, err := io.ReadFull(br, scratch[:4]); err != nil {
-			return 0, err
-		}
-		return binary.LittleEndian.Uint32(scratch[:4]), nil
-	}
-	ncols, err := readU16()
-	if err != nil {
-		return nil, err
-	}
-	cols := make([]Column, ncols)
-	dicts := make([]*Dict, ncols)
-	haveDict := false
-	for i := range cols {
-		kb, err := br.ReadByte()
-		if err != nil {
-			return nil, err
-		}
-		nameLen, err := readU16()
-		if err != nil {
-			return nil, err
-		}
-		nameBuf := make([]byte, nameLen)
-		if _, err := io.ReadFull(br, nameBuf); err != nil {
-			return nil, err
-		}
-		cols[i] = Column{Name: string(nameBuf), Kind: Kind(kb)}
-		if !v2 {
-			continue
-		}
-		hasDict, err := br.ReadByte()
-		if err != nil {
-			return nil, err
-		}
-		if hasDict == 0 {
-			continue
-		}
-		nstrs, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, err
-		}
-		strs := make([]string, nstrs)
-		for j := range strs {
-			slen, err := binary.ReadUvarint(br)
-			if err != nil {
-				return nil, err
-			}
-			buf := make([]byte, slen)
-			if _, err := io.ReadFull(br, buf); err != nil {
-				return nil, err
-			}
-			strs[j] = string(buf)
-		}
-		// The section is written in code order, which NewDict's
-		// sort-and-dedup reproduces.
-		dicts[i] = NewDict(strs)
-		haveDict = true
-	}
-	schema, err := NewSchema(cols...)
-	if err != nil {
-		return nil, err
-	}
-	rel := New(name, schema)
-	if haveDict {
-		rel.Dicts = dicts
-	}
-	ntuples, err := readU32()
-	if err != nil {
-		return nil, err
-	}
-	for i := uint32(0); i < ntuples; i++ {
-		t := make(Tuple, ncols)
-		for j := range t {
-			if v2 && dicts[j] != nil {
-				v, err := readDictValue(br, scratch[:], dicts[j])
-				if err != nil {
-					return nil, err
-				}
-				t[j] = v
-				continue
-			}
-			v, err := readValue(br, scratch[:])
-			if err != nil {
-				return nil, err
-			}
-			t[j] = v
-		}
-		rel.Tuples = append(rel.Tuples, t)
-	}
-	return rel, nil
-}
-
-// readDictValue reads one value of a v2 dictionary column: string
-// payloads are uvarint codes (0 escaping to the inline layout);
-// non-string kinds fall through to the shared reader.
-func readDictValue(br *bufio.Reader, scratch []byte, d *Dict) (Value, error) {
-	kb, err := br.ReadByte()
-	if err != nil {
-		return Null(), err
-	}
-	if Kind(kb) != KindString {
-		if err := br.UnreadByte(); err != nil {
-			return Null(), err
-		}
-		return readValue(br, scratch)
-	}
-	u, err := binary.ReadUvarint(br)
-	if err != nil {
-		return Null(), err
-	}
-	if u == 0 {
-		if _, err := io.ReadFull(br, scratch[:4]); err != nil {
-			return Null(), err
-		}
-		n := binary.LittleEndian.Uint32(scratch[:4])
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return Null(), err
-		}
-		return Str(string(buf)), nil
-	}
-	code := int64(u - 1)
-	if code >= int64(d.Len()) {
-		return Null(), fmt.Errorf("relation: read value: dict code %d out of range (dict size %d)", code, d.Len())
-	}
-	return InternedStr(d.At(code), code), nil
-}
-
-func readValue(br *bufio.Reader, scratch []byte) (Value, error) {
-	kb, err := br.ReadByte()
-	if err != nil {
-		return Null(), err
-	}
-	switch Kind(kb) {
-	case KindNull:
-		return Null(), nil
-	case KindInt, KindTime:
-		if _, err := io.ReadFull(br, scratch[:8]); err != nil {
-			return Null(), err
-		}
-		n := int64(binary.LittleEndian.Uint64(scratch[:8]))
-		if Kind(kb) == KindTime {
-			return TimeUnix(n), nil
-		}
-		return Int(n), nil
-	case KindFloat:
-		if _, err := io.ReadFull(br, scratch[:8]); err != nil {
-			return Null(), err
-		}
-		return Float(floatFromBits(binary.LittleEndian.Uint64(scratch[:8]))), nil
-	case KindString:
-		if _, err := io.ReadFull(br, scratch[:4]); err != nil {
-			return Null(), err
-		}
-		n := binary.LittleEndian.Uint32(scratch[:4])
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return Null(), err
-		}
-		return Str(string(buf)), nil
-	default:
-		return Null(), fmt.Errorf("relation: read value: unknown kind byte %d", kb)
-	}
 }

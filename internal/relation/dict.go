@@ -6,9 +6,8 @@ import "sort"
 // of one column to dense codes 0..Len()-1 assigned in lexicographic
 // order, so integer code comparison agrees with Compare on the member
 // strings. Dictionaries are built once — at Analyze time for base
-// relations (see InternStrings), at load time by the binary codec —
-// and shared by reference through job outputs; they are immutable
-// afterwards.
+// relations (see InternStrings) — and shared by reference through job
+// outputs; they are immutable afterwards.
 //
 // Normalized sort keys derived from a dictionary use an even/odd
 // scheme so that probe strings absent from the dictionary still

@@ -1,10 +1,7 @@
 package relation
 
 import (
-	"bytes"
-	"fmt"
 	"math/rand"
-	"strings"
 	"testing"
 )
 
@@ -170,77 +167,5 @@ func TestInternStrings(t *testing.T) {
 	InternStrings(r)
 	if r.DictOf(0) != d {
 		t.Fatal("re-interning replaced the dictionary")
-	}
-}
-
-// Interned relations round-trip through the v2 binary format with
-// dictionaries, codes and un-interned escape values intact; plain
-// relations keep the byte-identical v1 framing.
-func TestBinaryCodecDictRoundTrip(t *testing.T) {
-	schema := MustSchema(
-		Column{Name: "s", Kind: KindString},
-		Column{Name: "n", Kind: KindInt},
-	)
-	r := New("t", schema)
-	for i := 0; i < 50; i++ {
-		r.MustAppend(Tuple{Str(fmt.Sprintf("w%02d", i%7)), Int(int64(i))})
-	}
-	r.MustAppend(Tuple{Null(), Null()})
-	InternStrings(r)
-	// An un-interned string appended after interning exercises the
-	// escape encoding.
-	r.MustAppend(Tuple{Str("zz-late"), Int(1000)})
-
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, r); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(buf.String(), binaryMagicV2) {
-		t.Fatalf("interned relation not written as v2: %q", buf.String()[:4])
-	}
-	got, err := ReadBinary(bytes.NewReader(buf.Bytes()), "t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Cardinality() != r.Cardinality() {
-		t.Fatalf("cardinality %d, want %d", got.Cardinality(), r.Cardinality())
-	}
-	d := got.DictOf(0)
-	if d == nil || d.Len() != r.DictOf(0).Len() {
-		t.Fatalf("dict not restored: %v", d)
-	}
-	for i := range r.Tuples {
-		for ci := range r.Tuples[i] {
-			if Compare(got.Tuples[i][ci], r.Tuples[i][ci]) != 0 {
-				t.Fatalf("row %d col %d: %v != %v", i, ci, got.Tuples[i][ci], r.Tuples[i][ci])
-			}
-		}
-	}
-	// Decoded dict values are re-interned (codes usable immediately).
-	if _, ok := got.Tuples[0][0].DictCode(); !ok {
-		t.Error("decoded dict value not interned")
-	}
-	// The post-interning escape value decodes as a plain string.
-	last := got.Tuples[got.Cardinality()-1][0]
-	if last.Str() != "zz-late" {
-		t.Errorf("escape value = %q", last.Str())
-	}
-
-	// Dictionary-less relations keep the v1 magic (backward compat).
-	plain := New("p", schema)
-	plain.MustAppend(Tuple{Str("x"), Int(1)})
-	var b1 bytes.Buffer
-	if err := WriteBinary(&b1, plain); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(b1.String(), binaryMagic) || strings.HasPrefix(b1.String(), binaryMagicV2) {
-		t.Fatalf("plain relation not written as v1: %q", b1.String()[:4])
-	}
-	back, err := ReadBinary(bytes.NewReader(b1.Bytes()), "p")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.DictOf(0) != nil {
-		t.Error("v1 read invented a dictionary")
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func testSchema(t *testing.T) *Schema {
@@ -239,71 +238,6 @@ func TestCSVErrors(t *testing.T) {
 	}
 	if _, err := ReadCSV(strings.NewReader("a:bogus\n"), "x"); err == nil {
 		t.Error("bogus kind accepted")
-	}
-}
-
-func TestBinaryRoundTrip(t *testing.T) {
-	r := makeRel(t, 40)
-	r.MustAppend(Tuple{Null(), Str(""), Float(-0.5)})
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, r); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadBinary(&buf, "test")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Schema.Equal(r.Schema) {
-		t.Fatal("schema mismatch")
-	}
-	if got.Cardinality() != r.Cardinality() {
-		t.Fatalf("cardinality %d vs %d", got.Cardinality(), r.Cardinality())
-	}
-	want, have := NewResultSet(), NewResultSet()
-	want.AddAll(r.Tuples)
-	have.AddAll(got.Tuples)
-	if !want.Equal(have) {
-		t.Fatalf("tuple mismatch: %v", want.Diff(have, 3))
-	}
-}
-
-func TestBinaryRejectsGarbage(t *testing.T) {
-	if _, err := ReadBinary(strings.NewReader("NOPE"), "x"); err == nil {
-		t.Error("garbage magic accepted")
-	}
-	if _, err := ReadBinary(strings.NewReader(""), "x"); err == nil {
-		t.Error("empty input accepted")
-	}
-}
-
-func TestBinaryQuickProperty(t *testing.T) {
-	schema := MustSchema(Column{Name: "a", Kind: KindInt}, Column{Name: "b", Kind: KindString})
-	f := func(vals []int64, strs []string) bool {
-		r := New("q", schema)
-		n := len(vals)
-		if len(strs) < n {
-			n = len(strs)
-		}
-		for i := 0; i < n; i++ {
-			r.MustAppend(Tuple{Int(vals[i]), Str(strs[i])})
-		}
-		var buf bytes.Buffer
-		if err := WriteBinary(&buf, r); err != nil {
-			return false
-		}
-		got, err := ReadBinary(&buf, "q")
-		if err != nil || got.Cardinality() != n {
-			return false
-		}
-		for i := 0; i < n; i++ {
-			if got.Tuples[i][0].Int64() != vals[i] || got.Tuples[i][1].Str() != strs[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -12,8 +12,8 @@
 // # String interning
 //
 // String columns can carry an order-preserving dictionary (Dict,
-// built by InternStrings at DB.Analyze time or restored by the binary
-// codec): the column's distinct strings get dense codes assigned in
+// built by InternStrings at DB.Analyze time): the column's distinct
+// strings get dense codes assigned in
 // lexicographic order, each Value embeds its code next to the payload,
 // and join conditions over dictionary-backed columns compile to the
 // same normalized-int64 sort keys the numeric fast path uses. The
@@ -23,19 +23,19 @@
 // Dict. The generic relation.Compare fallback still applies whenever
 // the contract cannot be established: neither side of a condition
 // carries a dictionary (interning disabled, or a relation built
-// outside Analyze/the codec), the two sides have mixed kinds, or a
+// outside Analyze), the two sides have mixed kinds, or a
 // nominally-string column holds non-string values.
 //
-// # Binary codec
+// # Encodings
 //
-// WriteBinary emits interned relations in the v2 framing (magic
-// "REL2"): each column header carries a hasDict byte and, when set,
-// the dictionary's member strings; string values in dictionary columns
-// are written as uvarint(code+1), with 0 escaping to the inline string
-// layout for post-interning values absent from the dictionary.
-// Dictionary-less relations keep the v1 framing (magic "RELB"), and
-// ReadBinary accepts both magics, so files written before interning
-// existed still load. See codec.go for the exact byte layout.
+// A relation has exactly three encodings, each with one job: CSV with
+// a typed header (WriteCSV/ReadCSV, codec.go) is what users load and
+// save; the raw tuple codec (WriteTupleRaw/ReadTupleRaw) is what mr
+// writes shuffle pairs to spill runs in; the chunk frame
+// (EncodeChunk/DecodeChunk) is the dfs block store's unit. The two
+// binary ones round-trip a Value bit-identically, dictionary code slot
+// included (see chunkcodec.go for the byte layouts); CSV carries no
+// dictionaries, which DB.Analyze rebuilds after a load.
 package relation
 
 import (
@@ -285,11 +285,12 @@ func (v Value) Add(c float64) Value {
 	}
 }
 
-// EncodedSize returns the number of bytes the binary codec uses for the
-// value. The MapReduce simulator charges I/O and network cost in these
-// units. Interned strings (see InternedStr) serialize as their varint
-// dictionary code — the interning win the shuffle-byte accounting
-// measures — while plain strings keep the v1 length-prefixed layout.
+// EncodedSize returns the modeled wire size of the value: a kind byte
+// plus 8 payload bytes for numeric kinds. The MapReduce simulator
+// charges I/O and network cost in these units. Interned strings (see
+// InternedStr) count as their varint dictionary code — the interning
+// win the shuffle-byte accounting measures — while plain strings count
+// a u32 length prefix and their bytes.
 func (v Value) EncodedSize() int {
 	switch v.kind {
 	case KindNull:

@@ -10,7 +10,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/mr"
+	"repro/internal/predicate"
+	"repro/internal/query"
 )
 
 // postQuery drives the HTTP handler with one request body and returns
@@ -101,5 +104,39 @@ func TestQueryTimeoutMapsTo503(t *testing.T) {
 	s2 := newTestService(t, db, Config{QueryTimeout: 10 * time.Second})
 	if _, err := s2.Submit(context.Background(), Request{Spec: testSpec}); err != nil {
 		t.Fatalf("healthy query after timeouts: %v", err)
+	}
+}
+
+// TestExecutionErrorMapsTo500: an error out of the executor that is
+// not a classified degradation is the service's failure (500), while a
+// request that never reaches execution stays a client error (400).
+func TestExecutionErrorMapsTo500(t *testing.T) {
+	s := newTestService(t, testDB(t), Config{})
+	// A registered plan whose job names a relation the catalog lacks:
+	// it passes admission and plan resolution and fails in execution.
+	plan := &core.Plan{
+		Query: &query.Query{Name: "ghost"},
+		Jobs: []core.PlannedJob{{
+			Name: "ghost-j1", RelOrder: []string{"A", "ghost"},
+			Conds: predicate.Conjunction{predicate.C("A", "a", predicate.EQ, "ghost", "a")},
+			Kind:  core.KindHashEqui, Reducers: 2, Units: 2,
+		}},
+	}
+	if err := s.RegisterPlan("ghost", plan); err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	if rec := postQuery(t, h, `{"prepared": "ghost"}`); rec.Code != http.StatusInternalServerError {
+		t.Errorf("executor failure: status %d, want 500; body %q", rec.Code, rec.Body.String())
+	}
+	for _, body := range []string{
+		`{"spec": "FROM A, B WHERE"}`,                   // malformed spec
+		`{"spec": "FROM A, ghost WHERE A.a < ghost.a"}`, // unknown relation
+		`{"prepared": "nope"}`,
+		`{"spec": `,
+	} {
+		if rec := postQuery(t, h, body); rec.Code != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400; body %q", body, rec.Code, rec.Body.String())
+		}
 	}
 }

@@ -35,8 +35,11 @@ func ResultHash(res *core.ExecResult) string {
 //	                   retries were exhausted (mr.TaskError), or a
 //	                   query past Config.QueryTimeout.
 //	503 (no header)    shutting down — retry against another instance.
-//	400                malformed request or a query error retries
-//	                   cannot fix.
+//	500                the executor failed an accepted, planned query
+//	                   for any other reason — the service's fault.
+//	400                the request never reached execution: malformed
+//	                   body or spec, unknown relation, alias or
+//	                   prepared name, or a planning error.
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /query", s.handleQuery)
@@ -62,6 +65,7 @@ func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
 	resp, err := s.Submit(r.Context(), req)
 	if err != nil {
 		var te *mr.TaskError
+		var ee *execError
 		switch {
 		case errors.Is(err, ErrQueueFull):
 			w.Header().Set("Retry-After", "1")
@@ -79,6 +83,8 @@ func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
 			// Shutdown: no Retry-After — THIS instance won't recover;
 			// clients should fail over, not wait.
 			http.Error(w, err.Error(), http.StatusServiceUnavailable)
+		case errors.As(err, &ee) && !errors.Is(err, context.Canceled):
+			http.Error(w, err.Error(), http.StatusInternalServerError)
 		default:
 			http.Error(w, err.Error(), http.StatusBadRequest)
 		}

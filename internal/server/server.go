@@ -24,6 +24,15 @@ var (
 	ErrClosed    = errors.New("server: shutting down")
 )
 
+// execError marks an error raised by plan execution, after the query
+// was accepted and planned. Unless it is one of the classified
+// degradations (mr.TaskError, deadline, cancellation) it is the
+// service's failure — HTTP 500 — not a bad query.
+type execError struct{ err error }
+
+func (e *execError) Error() string { return e.err.Error() }
+func (e *execError) Unwrap() error { return e.err }
+
 // Config tunes a Service. Zero values take the stated defaults.
 type Config struct {
 	// KP is the machine-wide processing-unit count every concurrent
@@ -376,7 +385,7 @@ func (s *Service) Submit(ctx context.Context, req Request) (*Response, error) {
 		case errors.Is(err, context.DeadlineExceeded):
 			s.o.Counter("server.exec.deadline").Add(1)
 		}
-		return nil, err
+		return nil, &execError{err}
 	}
 	resp.ExecNs = time.Since(execStart).Nanoseconds()
 	s.o.Histogram("server.exec.ns").Observe(resp.ExecNs)
