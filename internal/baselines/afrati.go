@@ -112,11 +112,7 @@ func AfratiUllman(name string, rels []*relation.Relation, conds predicate.Conjun
 		var rec func(j int)
 		rec = func(j int) {
 			if j == m {
-				out := make(relation.Tuple, 0, 8)
-				for _, t := range partial {
-					out = append(out, t...)
-				}
-				ctx.Emit(out)
+				ctx.EmitConcat(partial...)
 				return
 			}
 			for _, t := range groups[j] {

@@ -372,7 +372,7 @@ func buildStepJob(st Strategy, name string, inter, base *relation.Relation, cond
 					}
 				}
 				if ok {
-					ctx.Emit(l.Concat(r))
+					ctx.EmitConcat(l, r)
 				}
 			}
 		}

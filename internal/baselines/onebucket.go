@@ -81,7 +81,7 @@ func OneBucketTheta(name string, left, right *relation.Relation, conds predicate
 						}
 					}
 					if ok {
-						ctx.Emit(l.Concat(r))
+						ctx.EmitConcat(l, r)
 					}
 				}
 			}

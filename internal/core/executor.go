@@ -454,14 +454,17 @@ func (pl *Planner) ExecuteContext(ctx context.Context, plan *Plan, db *DB) (*Exe
 	// output — it carries prefixed, not base-relation, rid columns and
 	// must not re-enter the merge.
 	var mergeInputs []*relation.Relation
+	var mergeSizes []int64 // each input's ModeledSize, off its job's metrics
 	for i := range plan.Jobs {
 		if !consumed[plan.Jobs[i].Name] {
 			mergeInputs = append(mergeInputs, outputs[i])
+			mergeSizes = append(mergeSizes,
+				int64(float64(results[i].Metrics.OutputRawBytes)*outputs[i].VolumeMultiplier))
 		}
 	}
 	mergeStart := time.Now()
 	mergeSpan := execShard.Start("plan-merge", obs.A("inputs", len(mergeInputs)))
-	final, steps, err := mergeAll(plan.Query.Name, mergeInputs, execShard)
+	final, steps, err := mergeAll(plan.Query.Name, mergeInputs, mergeSizes, execShard)
 	if err != nil {
 		mergeSpan.End(obs.A("error", err.Error()))
 		return nil, err
@@ -928,7 +931,6 @@ func tupleGlobalID(rid relation.Value, card int, salt uint64, dim int) uint64 {
 func makeThetaReducer(rels []*relation.Relation, bound []boundCond, part *Partitioner, ridIdx, cards []int, salt uint64) mr.ReduceFunc {
 	m := len(rels)
 	je := newJoinEval(rels, bound)
-	arity := totalArity(rels)
 	return func(key uint64, values []mr.Tagged, ctx *mr.ReduceContext) {
 		comp := int32(key)
 		groups := make([][]relation.Tuple, m)
@@ -945,6 +947,7 @@ func makeThetaReducer(rels []*relation.Relation, bound []boundCond, part *Partit
 			}
 		}
 		axes := make([]uint32, m)
+		parts := make([]relation.Tuple, m)
 		ge := je.newGroupEval(groups)
 		ge.run(ctx, func(sel []int32) {
 			// Ownership check: emit only when this component owns the
@@ -955,11 +958,10 @@ func makeThetaReducer(rels []*relation.Relation, bound []boundCond, part *Partit
 			if part.componentOfAxes(axes) != comp {
 				return
 			}
-			out := make(relation.Tuple, 0, arity)
 			for i := 0; i < m; i++ {
-				out = append(out, groups[i][sel[i]]...)
+				parts[i] = groups[i][sel[i]]
 			}
-			ctx.Emit(out)
+			ctx.EmitConcat(parts...)
 		})
 	}
 }
@@ -1203,7 +1205,7 @@ func BuildHashEquiJobSkew(name string, left, right *relation.Relation, conds pre
 				for _, l := range ls {
 					for _, r := range rs {
 						if je.matchPair(l, r) {
-							ctx.Emit(l.Concat(r))
+							ctx.EmitConcat(l, r)
 						}
 					}
 				}
@@ -1211,7 +1213,7 @@ func BuildHashEquiJobSkew(name string, left, right *relation.Relation, conds pre
 			}
 			ge := je.newGroupEval([][]relation.Tuple{ls, rs})
 			ge.run(ctx, func(sel []int32) {
-				ctx.Emit(ls[sel[0]].Concat(rs[sel[1]]))
+				ctx.EmitConcat(ls[sel[0]], rs[sel[1]])
 			})
 		},
 		NumReducers:  kr,

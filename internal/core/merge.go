@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -124,33 +125,78 @@ func MergeOutputs(name string, left, right *relation.Relation) (*relation.Relati
 		}
 	}
 
-	// Hash join on the composite rid key.
-	index := make(map[string][]int, len(right.Tuples))
-	var kb strings.Builder
-	keyOf := func(t relation.Tuple, colIdx []int) string {
-		kb.Reset()
-		for _, c := range colIdx {
-			kb.WriteString(t[c].String())
-			kb.WriteByte(0x1f)
-		}
-		return kb.String()
+	// Hash join on the composite rid key: right rows indexed by a 64-bit
+	// mix of their rids, each bucket chained in ascending row order,
+	// collisions settled by comparing the rids.
+	k := len(shared)
+	lRids, err := ridKeys(name, left, lKey)
+	if err != nil {
+		return nil, err
 	}
-	for i, t := range right.Tuples {
-		k := keyOf(t, rKey)
-		index[k] = append(index[k], i)
+	rRids, err := ridKeys(name, right, rKey)
+	if err != nil {
+		return nil, err
 	}
-	for _, lt := range left.Tuples {
-		for _, ri := range index[keyOf(lt, lKey)] {
-			rt := right.Tuples[ri]
-			row := make(relation.Tuple, 0, len(cols))
-			row = append(row, lt...)
-			for _, c := range rKeep {
-				row = append(row, rt[c])
+	head := make(map[uint64]int32, len(right.Tuples)) // hash → its first right row + 1
+	next := make([]int32, len(right.Tuples))          // right row → the bucket's next row + 1
+	for i := len(right.Tuples) - 1; i >= 0; i-- {
+		h := mixRids(rRids[i*k : (i+1)*k])
+		next[i], head[h] = head[h], int32(i+1)
+	}
+	// eachMatch visits the matching pairs: left rows in order and, per
+	// left row, right rows in order.
+	eachMatch := func(visit func(lt, rt relation.Tuple)) {
+		for li, lt := range left.Tuples {
+			lk := lRids[li*k : (li+1)*k]
+			for ri := head[mixRids(lk)]; ri != 0; ri = next[ri-1] {
+				if slices.Equal(lk, rRids[int(ri-1)*k:int(ri)*k]) {
+					visit(lt, right.Tuples[ri-1])
+				}
 			}
-			out.Tuples = append(out.Tuples, row)
 		}
 	}
+	// Count first: the rows are carved from one exactly-sized slab.
+	matches := 0
+	eachMatch(func(_, _ relation.Tuple) { matches++ })
+	lw := left.Schema.Len()
+	width := lw + len(rKeep)
+	slab := make([]relation.Value, matches*width)
+	out.Tuples = make([]relation.Tuple, 0, matches)
+	eachMatch(func(lt, rt relation.Tuple) {
+		row := slab[:width:width]
+		slab = slab[width:]
+		copy(row, lt)
+		for j, c := range rKeep {
+			row[lw+j] = rt[c]
+		}
+		out.Tuples = append(out.Tuples, row)
+	})
 	return out, nil
+}
+
+// ridKeys flattens the rid columns cols of r's rows into one int64 per
+// row and column. Row ids come from EnsureRowIDs and are ints; a NULL
+// or anything else would join rows that share nothing, so it is an error.
+func ridKeys(merge string, r *relation.Relation, cols []int) ([]int64, error) {
+	keys := make([]int64, 0, len(r.Tuples)*len(cols))
+	for i, t := range r.Tuples {
+		for _, c := range cols {
+			if t[c].Kind() != relation.KindInt {
+				return nil, fmt.Errorf("core: merge %s: %s row %d: rid column %s holds a %s",
+					merge, r.Name, i, r.Schema.Column(c).Name, t[c].Kind())
+			}
+			keys = append(keys, t[c].Int64())
+		}
+	}
+	return keys, nil
+}
+
+// mixRids hashes one composite rid key.
+func mixRids(rids []int64) (h uint64) {
+	for _, r := range rids {
+		h = (h ^ uint64(r)) * 0x9e3779b97f4a7c15
+	}
+	return h
 }
 
 // MergeStep records one pair-merge of the tree: the modeled byte
@@ -174,12 +220,13 @@ type mergeOperand struct {
 	bytes int64
 }
 
-func operandOf(r *relation.Relation) mergeOperand {
+// operandOf views a partial result of the given modeled size as a merge operand.
+func operandOf(r *relation.Relation, bytes int64) mergeOperand {
 	rels := make(map[string]bool)
 	for _, n := range relationsOfOutput(r) {
 		rels[n] = true
 	}
-	return mergeOperand{rels: rels, card: r.Cardinality(), bytes: r.ModeledSize()}
+	return mergeOperand{rels: rels, card: r.Cardinality(), bytes: bytes}
 }
 
 func sharedCount(a, b map[string]bool) int {
@@ -224,20 +271,25 @@ func pickMergePair(ops []mergeOperand) (bi, bj int, ok bool) {
 // "only output keys or data IDs involved" merge argument — not at its
 // materialized width, mirroring estimateMergeSteps' recurrence.
 func MergeAll(name string, outputs []*relation.Relation) (*relation.Relation, []MergeStep, error) {
-	return mergeAll(name, outputs, nil)
+	sizes := make([]int64, len(outputs))
+	for i, r := range outputs {
+		sizes[i] = r.ModeledSize()
+	}
+	return mergeAll(name, outputs, sizes, nil)
 }
 
-// mergeAll is MergeAll with a tracing shard: each executed pair-merge
-// records a "merge-step" span carrying operand names and sizes. The
-// executor passes its own shard; the exported MergeAll passes nil.
-func mergeAll(name string, outputs []*relation.Relation, sh *obs.Shard) (*relation.Relation, []MergeStep, error) {
+// mergeAll is MergeAll given each output's ModeledSize — the executor
+// has it from the job's metrics — and a tracing shard: each executed
+// pair-merge records a "merge-step" span carrying operand names and
+// sizes. The executor passes its own shard; the exported MergeAll nil.
+func mergeAll(name string, outputs []*relation.Relation, sizes []int64, sh *obs.Shard) (*relation.Relation, []MergeStep, error) {
 	if len(outputs) == 0 {
 		return nil, nil, fmt.Errorf("core: nothing to merge")
 	}
 	work := append([]*relation.Relation(nil), outputs...)
 	ops := make([]mergeOperand, len(work))
 	for i, r := range work {
-		ops[i] = operandOf(r)
+		ops[i] = operandOf(r, sizes[i])
 	}
 	var steps []MergeStep
 	for len(work) > 1 {
@@ -259,11 +311,7 @@ func mergeAll(name string, outputs []*relation.Relation, sh *obs.Shard) (*relati
 			return nil, steps, err
 		}
 		sp.End(obs.A("outTuples", merged.Cardinality()))
-		mergedOp := mergeOperand{
-			rels:  operandOf(merged).rels,
-			card:  merged.Cardinality(),
-			bytes: ops[bi].bytes + ops[bj].bytes,
-		}
+		mergedOp := operandOf(merged, ops[bi].bytes+ops[bj].bytes)
 		// Remove j first (j > i), then i; append merged.
 		work = append(work[:bj], work[bj+1:]...)
 		work = append(work[:bi], work[bi+1:]...)

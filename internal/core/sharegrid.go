@@ -297,12 +297,16 @@ type dimSlotter struct {
 
 // rangeOf returns the slot range of value v on this dimension.
 func (ds *dimSlotter) rangeOf(v relation.Value) slotRange {
-	if r, ok := ds.hot[v.String()]; ok {
+	// Called per candidate combination in the reducers: render into a
+	// stack buffer, not a string.
+	var scratch [32]byte
+	text := v.AppendString(scratch[:0])
+	if r, ok := ds.hot[string(text)]; ok {
 		return r
 	}
 	h := fnv.New64a()
 	h.Write([]byte{byte(ds.dim)})
-	h.Write([]byte(v.String()))
+	h.Write(text)
 	return slotRange{ds.cold.lo + int(h.Sum64()%uint64(ds.cold.w)), 1}
 }
 
@@ -476,9 +480,9 @@ func BuildShareGridJobSkew(name string, rels []*relation.Relation, conds predica
 			return nil, fmt.Errorf("core: share grid: dimension %d has no owner", d)
 		}
 	}
-	arity := totalArity(rels)
 	reduce := func(key uint64, values []mr.Tagged, ctx *mr.ReduceContext) {
 		groups := make([][]relation.Tuple, m)
+		parts := make([]relation.Tuple, m)
 		for _, v := range values {
 			groups[v.Tag] = append(groups[v.Tag], v.Tuple)
 		}
@@ -510,11 +514,10 @@ func BuildShareGridJobSkew(name string, rels []*relation.Relation, conds predica
 			if uint64(cell) != key {
 				return // another reducer owns this combination
 			}
-			out := make(relation.Tuple, 0, arity)
 			for i, g := range groups {
-				out = append(out, g[sel[i]]...)
+				parts[i] = g[sel[i]]
 			}
-			ctx.Emit(out)
+			ctx.EmitConcat(parts...)
 		})
 	}
 	return &mr.Job{

@@ -47,6 +47,9 @@ type Metrics struct {
 	InputBytes   int64 // S_I
 	ShuffleBytes int64 // S_CP: total map output copied over the network
 	OutputBytes  int64
+	// OutputRawBytes is Output.EncodedSize(), summed as the rows were
+	// emitted so that no consumer has to walk the output for it.
+	OutputRawBytes int64
 
 	PairsEmitted        int64
 	CombinationsChecked int64
@@ -173,12 +176,12 @@ type run struct {
 	keyRunLen       *obs.Histogram
 	reducerBytes    []int64 // modeled shuffle input
 	reducerPairs    []int64
-	reducerResident []int64 // accounted resident pair bytes during the merge
-	outs            [][]relation.Tuple
-	combs           []int64
+	reducerResident []int64         // accounted resident pair bytes during the merge
+	reduced         []ReduceContext // rows, row sizes and work of the committed attempt
 
 	// assemble
 	output          *relation.Relation
+	outputRawBytes  int64 // the output's EncodedSize
 	outputBytes     int64 // modeled
 	reducerOutBytes []int64
 	combinations    int64
@@ -488,8 +491,7 @@ func (r *run) reducePhase(ctx context.Context) error {
 	r.reducerBytes = make([]int64, r.nRed)
 	r.reducerPairs = make([]int64, r.nRed)
 	r.reducerResident = make([]int64, r.nRed)
-	r.outs = make([][]relation.Tuple, r.nRed)
-	r.combs = make([]int64, r.nRed)
+	r.reduced = make([]ReduceContext, r.nRed)
 	shards := workerShards(r.o, r.job.Name+"/reduce", r.workers)
 	err := forEach(ctx, r.workers, r.nRed, func(w, red int) error {
 		err := r.ft.runTask(ctx, phaseReduce, red, shards.get(r.o, w), func(actx context.Context, attempt int, sh *obs.Shard) (attemptOutcome, error) {
@@ -606,6 +608,7 @@ func (r *run) reduceAttempt(actx context.Context, red, attempt int, sh *obs.Shar
 		return attemptOutcome{}, err
 	}
 	flushRun()
+	rctx.trim()
 	reduceSp.End(obs.A("keys", runs),
 		obs.A("combinations", rctx.combinations), obs.A("outTuples", len(rctx.out)))
 	return attemptOutcome{
@@ -613,8 +616,7 @@ func (r *run) reduceAttempt(actx context.Context, red, attempt int, sh *obs.Shar
 			r.reducerPairs[red] = int64(n)
 			r.reducerBytes[red] = bytes
 			r.reducerResident[red] = memReal + maxRunReal
-			r.outs[red] = rctx.out
-			r.combs[red] = rctx.combinations
+			r.reduced[red] = *rctx
 		},
 	}, nil
 }
@@ -635,13 +637,7 @@ func (r *run) outputMultiplier() float64 {
 			outMult = 1
 		}
 	}
-	var rawOut int64
-	for _, out := range r.outs {
-		for _, t := range out {
-			rawOut += int64(t.EncodedSize())
-		}
-	}
-	if r.cfg.OutputCapRatio > 0 && rawOut > 0 {
+	if rawOut := r.outputRawBytes; r.cfg.OutputCapRatio > 0 && rawOut > 0 {
 		maxOut := r.cfg.OutputCapRatio * float64(r.inputBytes)
 		if float64(rawOut)*outMult > maxOut {
 			outMult = maxOut / float64(rawOut)
@@ -654,39 +650,42 @@ func (r *run) outputMultiplier() float64 {
 }
 
 // assemble concatenates the per-reducer outputs, in reducer order, into
-// the output relation and prices its modeled bytes.
+// the output relation and prices its modeled bytes from the reducers'
+// per-size row counts: the rows are checked for arity and handed over,
+// not measured again.
 func (r *run) assemble() error {
 	job := r.job
-	outMult := r.outputMultiplier()
 	start := time.Now()
 	sp := r.shard.Start("assemble", obs.A("reducers", r.nRed))
+	var totalOut int
+	for _, rc := range r.reduced {
+		totalOut += len(rc.out)
+		for size, rows := range rc.sizes {
+			r.outputRawBytes += int64(size) * rows
+		}
+	}
+	outMult := r.outputMultiplier()
 	output := relation.New(job.OutputName, job.OutputSchema)
 	output.VolumeMultiplier = outMult
 	output.Dicts = append([]*relation.Dict(nil), job.OutputDicts...)
-	// Pre-size the output from the known per-reducer counts instead of
-	// growing append from nil, and release each reducer's buffer as
-	// soon as it is copied.
-	var totalOut int
-	for _, out := range r.outs {
-		totalOut += len(out)
-	}
 	if totalOut > 0 {
 		output.Tuples = make([]relation.Tuple, 0, totalOut)
 	}
 	r.reducerOutBytes = make([]int64, r.nRed)
-	for red, out := range r.outs {
-		for _, t := range out {
+	for red, rc := range r.reduced {
+		for _, t := range rc.out {
 			if len(t) != job.OutputSchema.Len() {
 				return fmt.Errorf("mr: job %s: reducer %d emitted arity %d, schema wants %d",
 					job.Name, red, len(t), job.OutputSchema.Len())
 			}
-			output.Tuples = append(output.Tuples, t)
-			b := int64(float64(t.EncodedSize()) * outMult)
-			r.outputBytes += b
-			r.reducerOutBytes[red] += b
 		}
-		r.outs[red] = nil
-		r.combinations += r.combs[red]
+		output.Tuples = append(output.Tuples, rc.out...)
+		for size, rows := range rc.sizes {
+			r.reducerOutBytes[red] += int64(float64(size)*outMult) * rows
+		}
+		r.outputBytes += r.reducerOutBytes[red]
+		r.combinations += rc.combinations
+		r.reduced[red] = ReduceContext{} // release the reducer's buffers
 	}
 	r.output = output
 	sp.End(obs.A("tuples", totalOut))
@@ -773,6 +772,7 @@ func (r *run) metrics() *Result {
 			InputBytes:          r.inputBytes,
 			ShuffleBytes:        shuffleBytes,
 			OutputBytes:         r.outputBytes,
+			OutputRawBytes:      r.outputRawBytes,
 			PairsEmitted:        pairsEmitted,
 			CombinationsChecked: r.combinations,
 			ReducerInputBytes:   r.reducerBytes,

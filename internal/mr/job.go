@@ -2,6 +2,7 @@ package mr
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/relation"
 )
@@ -22,14 +23,80 @@ type Emitter func(key uint64, tag uint8, value relation.Tuple)
 type MapFunc func(t relation.Tuple, emit Emitter)
 
 // ReduceContext lets reducers report work (candidate combinations
-// checked) for the Metrics and emit output tuples.
+// checked) for the Metrics and emit output tuples. It belongs to one
+// reduce attempt; the package documentation says who owns the rows.
 type ReduceContext struct {
 	out          []relation.Tuple
 	combinations int64
+	// slab is the chunk EmitConcat carves rows from (len = values used);
+	// the rows carved from it so far are among out[slabRow0:].
+	slab     []relation.Value
+	slabRow0 int
+	// sizes counts the emitted rows by raw EncodedSize: the output is
+	// priced as Σ int64(float64(size)·multiplier) over rows, with a
+	// multiplier known only once every reducer is done, and the counts
+	// let assemble form that exact sum without walking the rows again.
+	sizes map[int]int64
 }
 
-// Emit appends an output tuple.
-func (rc *ReduceContext) Emit(t relation.Tuple) { rc.out = append(rc.out, t) }
+// Emit appends an output tuple that the caller built and will not write
+// to again.
+func (rc *ReduceContext) Emit(t relation.Tuple) {
+	rc.out = append(rc.out, t)
+	if rc.sizes == nil {
+		rc.sizes = make(map[int]int64)
+	}
+	rc.sizes[t.EncodedSize()]++
+}
+
+// EmitConcat emits the concatenation of parts, copied into the
+// attempt's slab instead of an allocation of its own. A new chunk holds
+// a sixteenth as many rows as the attempt has emitted so far (at least
+// this one, at most 2¹² values, 160 KiB): a megabyte of output is some
+// eighty allocations, and the last chunk's unused tail and trim's copy
+// of the rest of it stay at a few percent of the output however small
+// that is.
+// The row's capacity ends with the row: appending to it reallocates
+// instead of running into its neighbour.
+func (rc *ReduceContext) EmitConcat(parts ...relation.Tuple) {
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
+	if cap(rc.slab)-len(rc.slab) < n {
+		// slices.Grow rounds up to the allocator's size class, which
+		// turns its padding into room for rows.
+		rc.slab = slices.Grow([]relation.Value(nil), max(n, min(len(rc.out)/16*n, 1<<12)))
+		rc.slabRow0 = len(rc.out)
+	}
+	a := len(rc.slab)
+	for _, p := range parts {
+		rc.slab = append(rc.slab, p...)
+	}
+	rc.Emit(rc.slab[a:len(rc.slab):len(rc.slab)])
+}
+
+// trim moves the rows of the last, partly filled chunk into an exactly
+// sized one, so that a finished attempt holds no unused capacity beyond
+// the sub-row remainder of each full chunk. The attempt calls it after
+// its last Reduce call.
+func (rc *ReduceContext) trim() {
+	used := rc.slab
+	if cap(used)-len(used) <= len(used)/64 {
+		return
+	}
+	exact := slices.Clone(used)
+	// The chunk's rows are in out[slabRow0:] in slab order, possibly with
+	// caller-built rows between them.
+	off := 0
+	for i := rc.slabRow0; off < len(used); i++ {
+		if row := rc.out[i]; len(row) > 0 && &row[0] == &used[off] {
+			rc.out[i] = exact[off : off+len(row) : off+len(row)]
+			off += len(row)
+		}
+	}
+	rc.slab = exact
+}
 
 // AddWork records n candidate combinations examined; it feeds the
 // CombinationsChecked metric (the Π|R_i|/k_R term of Eq. 10).

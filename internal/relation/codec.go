@@ -5,40 +5,81 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
+// csvBufSize is WriteCSV's output buffer; it is handed to the writer
+// whenever it is half full, so a record of up to 32 KiB never grows it.
+const csvBufSize = 64 << 10
+
 // WriteCSV writes the relation with a typed header line
-// ("name:kind,...") followed by one CSV record per tuple.
+// ("name:kind,...") followed by one CSV record per tuple, in the format
+// of encoding/csv's Writer. Records are appended to one reused buffer:
+// nothing is allocated per row or per field.
 func WriteCSV(w io.Writer, r *Relation) error {
-	cw := csv.NewWriter(w)
-	header := make([]string, r.Schema.Len())
+	buf := make([]byte, 0, csvBufSize)
 	for i := 0; i < r.Schema.Len(); i++ {
-		c := r.Schema.Column(i)
-		header[i] = c.Name + ":" + c.Kind.String()
-	}
-	if err := cw.Write(header); err != nil {
-		return err
-	}
-	rec := make([]string, r.Schema.Len())
-	for _, t := range r.Tuples {
-		for i, v := range t {
-			rec[i] = v.String()
+		if i > 0 {
+			buf = append(buf, ',')
 		}
-		if len(rec) == 1 && rec[0] == "" {
-			// encoding/csv writes a lone empty field as an empty line,
-			// which every CSV reader skips: quote it so the row survives.
-			cw.Flush()
-			if _, err := io.WriteString(w, "\"\"\n"); err != nil {
+		c := r.Schema.Column(i)
+		buf = appendCSVField(buf, c.Name+":"+c.Kind.String())
+	}
+	buf = append(buf, '\n')
+	for _, t := range r.Tuples {
+		start := len(buf)
+		for i, v := range t {
+			if i > 0 {
+				buf = append(buf, ',')
+			}
+			// Only strings can need quoting: the other kinds render as
+			// digits, signs, '.', 'e', "NaN" and "Inf".
+			if v.kind == KindString {
+				buf = appendCSVField(buf, v.s)
+			} else {
+				buf = v.AppendString(buf)
+			}
+		}
+		if len(t) == 1 && len(buf) == start {
+			// A lone empty field would be an empty line, which every CSV
+			// reader skips: quote it so the row survives.
+			buf = append(buf, '"', '"')
+		}
+		buf = append(buf, '\n')
+		if len(buf) >= csvBufSize/2 {
+			if _, err := w.Write(buf); err != nil {
 				return err
 			}
-			continue
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
+			buf = buf[:0]
 		}
 	}
-	cw.Flush()
-	return cw.Error()
+	_, err := w.Write(buf)
+	return err
+}
+
+// appendCSVField appends one field the way encoding/csv's Writer writes
+// it (Comma ',', UseCRLF false). Its fieldNeedsQuotes rule: the Postgres
+// end-of-data marker, a leading space, or a delimiter, quote, CR or LF
+// anywhere; a quoted field has every quote doubled.
+func appendCSVField(dst []byte, field string) []byte {
+	r1, _ := utf8.DecodeRuneInString(field)
+	quote := field == `\.` || unicode.IsSpace(r1)
+	for i := 0; i < len(field) && !quote; i++ {
+		c := field[i]
+		quote = c == ',' || c == '"' || c == '\r' || c == '\n'
+	}
+	if !quote {
+		return append(dst, field...)
+	}
+	dst = append(dst, '"')
+	for i := 0; i < len(field); i++ {
+		if field[i] == '"' {
+			dst = append(dst, '"')
+		}
+		dst = append(dst, field[i])
+	}
+	return append(dst, '"')
 }
 
 // ReadCSV reads a relation written by WriteCSV. The relation name is

@@ -1,39 +1,67 @@
 package relation
 
 import (
-	"encoding/binary"
-	"hash/fnv"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 )
+
+// FNV-1a, 64 bit. fnvPrime64Pow8 is fnvPrime64⁸ mod 2⁶⁴.
+const (
+	fnvOffset64    = 14695981039346656037
+	fnvPrime64     = 1099511628211
+	fnvPrime64Pow8 = fnvPrime64 * fnvPrime64 * fnvPrime64 * fnvPrime64 * fnvPrime64 * fnvPrime64 * fnvPrime64 * fnvPrime64 & (1<<64 - 1)
+)
+
+func fnvBytes[T string | []byte](h uint64, s T) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime64
+	}
+	return h
+}
 
 // fpWriter accumulates an FNV-1a fingerprint over typed fields with
 // explicit separators, so adjacent fields cannot alias ("ab"+"c" vs
-// "a"+"bc") and numeric zero is distinct from absence.
-type fpWriter struct {
-	h   interface{ Sum64() uint64 }
-	w   interface{ Write([]byte) (int, error) }
-	buf [8]byte
-}
+// "a"+"bc") and numeric zero is distinct from absence. It hashes inline
+// and allocates nothing: ContentHash runs one over every value of a
+// result.
+type fpWriter struct{ h uint64 }
 
-func newFPWriter() *fpWriter {
-	h := fnv.New64a()
-	return &fpWriter{h: h, w: h}
-}
+func newFPWriter() *fpWriter { return &fpWriter{h: fnvOffset64} }
 
-func (f *fpWriter) str(s string) {
-	f.u64(uint64(len(s)))
-	f.w.Write([]byte(s))
-}
-
+// u64 hashes the eight little-endian bytes of v. Below 256 the seven
+// high bytes are zero, and a zero byte is one multiplication by the
+// prime.
 func (f *fpWriter) u64(v uint64) {
-	binary.LittleEndian.PutUint64(f.buf[:], v)
-	f.w.Write(f.buf[:])
+	if v < 256 {
+		f.h = (f.h ^ v) * fnvPrime64Pow8
+		return
+	}
+	for i := 0; i < 8; i++ {
+		f.h = (f.h ^ v&0xff) * fnvPrime64
+		v >>= 8
+	}
 }
 
+func (f *fpWriter) str(s string)  { f.u64(uint64(len(s))); f.h = fnvBytes(f.h, s) }
 func (f *fpWriter) i64(v int64)   { f.u64(uint64(v)) }
 func (f *fpWriter) f64(v float64) { f.u64(floatBits(v)) }
-func (f *fpWriter) value(v Value) { f.u64(uint64(v.Kind())); f.str(v.String()) }
-func (f *fpWriter) sum64() uint64 { return f.h.Sum64() }
+func (f *fpWriter) sum64() uint64 { return f.h }
+
+// value hashes the kind and the length-framed v.String() text, rendered
+// into a stack buffer for the kinds that are not already a string.
+func (f *fpWriter) value(v Value) {
+	f.u64(uint64(v.kind))
+	if v.kind == KindString {
+		f.str(v.s)
+		return
+	}
+	var scratch [32]byte
+	text := v.AppendString(scratch[:0])
+	f.u64(uint64(len(text)))
+	f.h = fnvBytes(f.h, text)
+}
 
 // Fingerprint returns a 64-bit content hash of the catalog: every
 // relation's schema (column names, kinds) and statistics (cardinality,
@@ -118,7 +146,9 @@ func (c *Catalog) Fingerprint() uint64 {
 // per-tuple hashes. Two relations holding the same multiset of rows
 // under the same schema hash identically regardless of row order —
 // letting a client compare a served query result against a one-shot
-// run without shipping the rows.
+// run without shipping the rows. Because the rows combine by wrapping
+// add, large relations are hashed in GOMAXPROCS shards; the value does
+// not depend on the shard count.
 func ContentHash(r *Relation) uint64 {
 	if r == nil {
 		return 0
@@ -130,18 +160,44 @@ func ContentHash(r *Relation) uint64 {
 		f.str(col.Name)
 		f.u64(uint64(col.Kind))
 	}
-	schemaHash := f.sum64()
-	var rows uint64
-	for _, t := range r.Tuples {
-		tf := newFPWriter()
-		for _, v := range t {
-			tf.value(v)
-		}
-		rows += tf.sum64() // wrapping add: order-insensitive multiset hash
-	}
 	out := newFPWriter()
-	out.u64(schemaHash)
+	out.u64(f.sum64())
 	out.u64(uint64(r.Cardinality()))
-	out.u64(rows)
+	out.u64(sumRowHashes(r.Tuples))
 	return out.sum64()
+}
+
+// hashShardRows is the fewest rows worth a goroutine of their own.
+const hashShardRows = 4096
+
+// sumRowHashes is the wrapping sum of the rows' hashes, computed over
+// contiguous shards, one goroutine each.
+func sumRowHashes(rows []Tuple) uint64 {
+	shards := min(runtime.GOMAXPROCS(0), len(rows)/hashShardRows)
+	if shards <= 1 {
+		return hashRows(rows)
+	}
+	var sum atomic.Uint64
+	var wg sync.WaitGroup
+	for w := 0; w < shards; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sum.Add(hashRows(rows[w*len(rows)/shards : (w+1)*len(rows)/shards]))
+		}()
+	}
+	wg.Wait()
+	return sum.Load()
+}
+
+func hashRows(rows []Tuple) uint64 {
+	var sum uint64
+	for _, t := range rows {
+		f := fpWriter{h: fnvOffset64}
+		for _, v := range t {
+			f.value(v)
+		}
+		sum += f.h
+	}
+	return sum
 }

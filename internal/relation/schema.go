@@ -126,14 +126,6 @@ func (t Tuple) Clone() Tuple {
 	return c
 }
 
-// Concat returns the concatenation of two tuples (a join output row).
-func (t Tuple) Concat(o Tuple) Tuple {
-	c := make(Tuple, 0, len(t)+len(o))
-	c = append(c, t...)
-	c = append(c, o...)
-	return c
-}
-
 // String renders the tuple as a parenthesised value list.
 func (t Tuple) String() string {
 	var b strings.Builder

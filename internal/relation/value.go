@@ -203,6 +203,22 @@ func (v Value) String() string {
 	}
 }
 
+// AppendString appends exactly the bytes of v.String() to dst. The
+// result hash, the CSV writer and the reducers' cell-ownership checks
+// render every value of a result through it, so it must not allocate.
+func (v Value) AppendString(dst []byte) []byte {
+	switch v.kind {
+	case KindNull:
+		return dst
+	case KindInt, KindTime:
+		return strconv.AppendInt(dst, v.i, 10)
+	case KindFloat:
+		return strconv.AppendFloat(dst, v.f, 'g', -1, 64)
+	default:
+		return append(dst, v.String()...)
+	}
+}
+
 // numericKinds reports whether both values can be compared numerically.
 func numericComparable(a, b Value) bool {
 	na := a.kind == KindInt || a.kind == KindFloat || a.kind == KindTime

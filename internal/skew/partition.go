@@ -106,6 +106,7 @@ func TupleHash(t relation.Tuple) uint64 {
 	h := fnv.New64a()
 	var kb [2]byte
 	var cb [8]byte
+	var scratch [32]byte
 	kb[1] = 0x1e
 	for _, v := range t {
 		kb[0] = byte(v.Kind())
@@ -117,7 +118,7 @@ func TupleHash(t relation.Tuple) uint64 {
 			binary.LittleEndian.PutUint64(cb[:], uint64(c))
 			h.Write(cb[:])
 		} else {
-			h.Write([]byte(v.String()))
+			h.Write(v.AppendString(scratch[:0]))
 		}
 		h.Write(kb[1:])
 	}
