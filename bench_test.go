@@ -112,8 +112,8 @@ func shuffleJob(n, fanout, reducers int) *mr.Job {
 				emit(v*31+uint64(f), 0, t)
 			}
 		}}},
-		Reduce: func(key uint64, values []mr.Tagged, ctx *mr.ReduceContext) {
-			ctx.AddWork(int64(len(values)))
+		Reduce: func(key uint64, groups [][]relation.Tuple, ctx *mr.ReduceContext) {
+			ctx.AddWork(int64(len(groups[0])))
 		},
 		NumReducers:  reducers,
 		OutputName:   "out",

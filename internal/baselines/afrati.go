@@ -98,11 +98,7 @@ func AfratiUllman(name string, rels []*relation.Relation, conds predicate.Conjun
 	// per-relation groups below.
 	_ = bound
 	outSchema := concatAll(rels)
-	reduce := func(key uint64, values []mr.Tagged, ctx *mr.ReduceContext) {
-		groups := make([][]relation.Tuple, m)
-		for _, v := range values {
-			groups[v.Tag] = append(groups[v.Tag], v.Tuple)
-		}
+	reduce := func(key uint64, groups [][]relation.Tuple, ctx *mr.ReduceContext) {
 		for _, g := range groups {
 			if len(g) == 0 {
 				return

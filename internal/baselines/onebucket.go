@@ -59,15 +59,8 @@ func OneBucketTheta(name string, left, right *relation.Relation, conds predicate
 				}
 			}},
 		},
-		Reduce: func(key uint64, values []mr.Tagged, ctx *mr.ReduceContext) {
-			var ls, rs []relation.Tuple
-			for _, v := range values {
-				if v.Tag == 0 {
-					ls = append(ls, v.Tuple)
-				} else {
-					rs = append(rs, v.Tuple)
-				}
-			}
+		Reduce: func(key uint64, groups [][]relation.Tuple, ctx *mr.ReduceContext) {
+			ls, rs := groups[0], groups[1]
 			ctx.AddWork(int64(len(ls)) * int64(len(rs)))
 			for _, l := range ls {
 				for _, r := range rs {

@@ -154,10 +154,10 @@ func selfJoinJob(in *relation.Relation, kr int) *mr.Job {
 	return &mr.Job{
 		Name:   "sample-join",
 		Inputs: []mr.Input{{Rel: in, Map: func(t relation.Tuple, emit mr.Emitter) { emit(uint64(t[0].Int64()), 0, t) }}},
-		Reduce: func(key uint64, values []mr.Tagged, ctx *mr.ReduceContext) {
-			n := int64(len(values))
+		Reduce: func(key uint64, groups [][]relation.Tuple, ctx *mr.ReduceContext) {
+			n := int64(len(groups[0]))
 			ctx.AddWork(n * n)
-			ctx.Emit(relation.Tuple{values[0].Tuple[0], relation.Int(n * n)})
+			ctx.Emit(relation.Tuple{groups[0][0][0], relation.Int(n * n)})
 		},
 		NumReducers:  kr,
 		OutputName:   "sample-out",

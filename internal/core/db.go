@@ -231,11 +231,17 @@ func EnsureRowIDs(r *relation.Relation) (*relation.Relation, error) {
 	out := relation.New(r.Name, schema)
 	out.VolumeMultiplier = r.VolumeMultiplier
 	out.Tuples = make([]relation.Tuple, len(r.Tuples))
+	// One slab for every widened row, each a capacity-limited subslice:
+	// an allocation per relation instead of one per row.
+	total := len(r.Tuples)
+	for _, t := range r.Tuples {
+		total += len(t)
+	}
+	slab := make([]relation.Value, 0, total)
 	for i, t := range r.Tuples {
-		nt := make(relation.Tuple, 0, len(t)+1)
-		nt = append(nt, t...)
-		nt = append(nt, relation.Int(int64(i)))
-		out.Tuples[i] = nt
+		a := len(slab)
+		slab = append(append(slab, t...), relation.Int(int64(i)))
+		out.Tuples[i] = slab[a:len(slab):len(slab)]
 	}
 	return out, nil
 }

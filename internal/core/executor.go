@@ -884,7 +884,7 @@ func emptyJob(name string, rels []*relation.Relation, kr int) *mr.Job {
 	return &mr.Job{
 		Name:         name,
 		Inputs:       inputs,
-		Reduce:       func(key uint64, values []mr.Tagged, ctx *mr.ReduceContext) {},
+		Reduce:       func(key uint64, groups [][]relation.Tuple, ctx *mr.ReduceContext) {},
 		NumReducers:  kr,
 		Partition:    mr.IdentityPartition,
 		OutputName:   name,
@@ -931,22 +931,27 @@ func tupleGlobalID(rid relation.Value, card int, salt uint64, dim int) uint64 {
 func makeThetaReducer(rels []*relation.Relation, bound []boundCond, part *Partitioner, ridIdx, cards []int, salt uint64) mr.ReduceFunc {
 	m := len(rels)
 	je := newJoinEval(rels, bound)
-	return func(key uint64, values []mr.Tagged, ctx *mr.ReduceContext) {
+	return func(key uint64, groups [][]relation.Tuple, ctx *mr.ReduceContext) {
 		comp := int32(key)
-		groups := make([][]relation.Tuple, m)
-		coords := make([][]uint32, m)
-		for _, v := range values {
-			dim := int(v.Tag)
-			id := tupleGlobalID(v.Tuple[ridIdx[dim]], cards[dim], salt, dim)
-			groups[dim] = append(groups[dim], v.Tuple)
-			coords[dim] = append(coords[dim], part.CellCoord(dim, id))
-		}
+		total := 0
 		for _, g := range groups {
 			if len(g) == 0 {
 				return // some dimension absent: no combination possible
 			}
+			total += len(g)
 		}
-		axes := make([]uint32, m)
+		// Cell coordinates of every tuple, one exactly sized array cut
+		// per dimension, then the ownership check's two scratch vectors.
+		flat := make([]uint32, total+2*m)
+		coords := make([][]uint32, m)
+		for dim, g := range groups {
+			coords[dim], flat = flat[:len(g):len(g)], flat[len(g):]
+			for i, t := range g {
+				id := tupleGlobalID(t[ridIdx[dim]], cards[dim], salt, dim)
+				coords[dim][i] = part.CellCoord(dim, id)
+			}
+		}
+		axes, hbuf := flat[:m], flat[m:]
 		parts := make([]relation.Tuple, m)
 		ge := je.newGroupEval(groups)
 		ge.run(ctx, func(sel []int32) {
@@ -955,7 +960,7 @@ func makeThetaReducer(rels []*relation.Relation, bound []boundCond, part *Partit
 			for i := 0; i < m; i++ {
 				axes[i] = coords[i][sel[i]]
 			}
-			if part.componentOfAxes(axes) != comp {
+			if part.componentOfAxes(axes, hbuf) != comp {
 				return
 			}
 			for i := 0; i < m; i++ {
@@ -1185,15 +1190,8 @@ func BuildHashEquiJobSkew(name string, left, right *relation.Relation, conds pre
 			{Rel: left, Map: func(t relation.Tuple, emit mr.Emitter) { emit(hashKey(t, lCols), 0, t) }},
 			{Rel: right, Map: func(t relation.Tuple, emit mr.Emitter) { emit(hashKey(t, rCols), 1, t) }},
 		},
-		Reduce: func(key uint64, values []mr.Tagged, ctx *mr.ReduceContext) {
-			var ls, rs []relation.Tuple
-			for _, v := range values {
-				if v.Tag == 0 {
-					ls = append(ls, v.Tuple)
-				} else {
-					rs = append(rs, v.Tuple)
-				}
-			}
+		Reduce: func(key uint64, groups [][]relation.Tuple, ctx *mr.ReduceContext) {
+			ls, rs := groups[0], groups[1]
 			if len(ls) == 0 || len(rs) == 0 {
 				return
 			}
@@ -1211,7 +1209,7 @@ func BuildHashEquiJobSkew(name string, left, right *relation.Relation, conds pre
 				}
 				return
 			}
-			ge := je.newGroupEval([][]relation.Tuple{ls, rs})
+			ge := je.newGroupEval(groups)
 			ge.run(ctx, func(sel []int32) {
 				ctx.EmitConcat(ls[sel[0]], rs[sel[1]])
 			})

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"sort"
 	"testing"
 
+	"repro/internal/mr"
 	"repro/internal/predicate"
 	"repro/internal/relation"
 )
@@ -115,4 +117,43 @@ func TestAnchorRangeNEFullRange(t *testing.T) {
 	if lo, hi := anchorRange(vals, predicate.NE, relation.Int(2)); lo != 0 || hi != len(vals) {
 		t.Errorf("NE anchor returned [%d, %d), want full range", lo, hi)
 	}
+}
+
+// BenchmarkThetaBandJob runs the shuffle-bound case end to end through
+// the engine: a 60 k-row relation band-joined with itself (t1.bt < t2.bt
+// < t1.bt+5) as one Hilbert job on 16 reducers, where nearly all the
+// work is carrying the ~390 k replicated pairs from emit to the
+// reducers' range probes.
+func BenchmarkThetaBandJob(b *testing.B) {
+	schema := relation.MustSchema(
+		relation.Column{Name: "bt", Kind: relation.KindInt},
+		relation.Column{Name: "l", Kind: relation.KindInt},
+		relation.Column{Name: RowIDColumn, Kind: relation.KindInt},
+	)
+	rng := rand.New(rand.NewSource(17))
+	t1, t2 := relation.New("t1", schema), relation.New("t2", schema)
+	for i := 0; i < 60000; i++ {
+		row := relation.Tuple{relation.Int(rng.Int63n(61 * 86400)), relation.Int(rng.Int63n(3600)), relation.Int(int64(i))}
+		t1.MustAppend(row)
+		t2.MustAppend(row)
+	}
+	conds := predicate.Conjunction{
+		predicate.C("t1", "bt", predicate.LT, "t2", "bt"),
+		predicate.C("t1", "bt", predicate.GT, "t2", "bt").WithOffsets(5, 0),
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var pairs int64
+	for i := 0; i < b.N; i++ {
+		job, _, err := BuildThetaJob("band", []*relation.Relation{t1, t2}, conds, 16, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := mr.Run(context.Background(), mr.DefaultConfig(), nil, job)
+		if err != nil {
+			b.Fatal(err)
+		}
+		pairs += res.Metrics.PairsEmitted
+	}
+	b.ReportMetric(float64(pairs)/b.Elapsed().Seconds(), "pairs/s")
 }

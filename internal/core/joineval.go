@@ -1,6 +1,8 @@
 package core
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"repro/internal/mr"
@@ -377,20 +379,14 @@ func (ge *groupEval) buildStep(j int) {
 		}
 		si.hash = h
 	case len(st.rng) > 0:
-		si.order = stableKeyOrder(si.rngKeys[0])
-		si.skeys = make([]int64, n)
-		for x, i := range si.order {
-			si.skeys[x] = si.rngKeys[0][i]
-		}
+		si.order, si.skeys = sortedByKey(si.rngKeys[0])
 	case st.genAnchor >= 0:
 		vals := si.genVals[st.genAnchor]
 		order := make([]int32, n)
 		for i := range order {
 			order[i] = int32(i)
 		}
-		sort.SliceStable(order, func(a, b int) bool {
-			return relation.Compare(vals[order[a]], vals[order[b]]) < 0
-		})
+		slices.SortStableFunc(order, func(a, b int32) int { return relation.Compare(vals[a], vals[b]) })
 		si.gorder = order
 		si.gsorted = make([]relation.Value, n)
 		for x, i := range order {
@@ -399,15 +395,30 @@ func (ge *groupEval) buildStep(j int) {
 	}
 }
 
-// stableKeyOrder returns the candidate permutation sorted ascending by
-// key, equal keys keeping their original order.
-func stableKeyOrder(keys []int64) []int32 {
-	order := make([]int32, len(keys))
-	for i := range order {
-		order[i] = int32(i)
+// sortedByKey returns the candidate permutation sorted ascending by key,
+// equal keys keeping their original order, and the keys in that order.
+// It sorts (key, ordinal) pairs: the ordinal as tie-break makes an
+// unstable sort produce the stable permutation.
+func sortedByKey(keys []int64) (order []int32, sorted []int64) {
+	type keyOrd struct {
+		key int64
+		ord int32
 	}
-	sort.SliceStable(order, func(a, b int) bool { return keys[order[a]] < keys[order[b]] })
-	return order
+	ks := make([]keyOrd, len(keys))
+	for i, k := range keys {
+		ks[i] = keyOrd{k, int32(i)}
+	}
+	slices.SortFunc(ks, func(a, b keyOrd) int {
+		if c := cmp.Compare(a.key, b.key); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.ord, b.ord)
+	})
+	order, sorted = make([]int32, len(ks)), make([]int64, len(ks))
+	for x, k := range ks {
+		order[x], sorted[x] = k.ord, k.key
+	}
+	return order, sorted
 }
 
 // candidates returns the ordinals of the step-j candidates compatible

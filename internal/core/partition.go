@@ -99,10 +99,10 @@ func (p *Partitioner) buildMapping() {
 	for i := range p.comps {
 		p.comps[i] = make([][]int32, side)
 	}
+	axes := make([]uint32, m)
 	for h := uint64(0); h < p.nCells; h++ {
 		comp := p.componentOfIndex(h)
-		axes := p.curve.IndexToAxes(h)
-		for i, v := range axes {
+		for i, v := range p.curve.IndexToAxes(h, axes) {
 			// The curve is contiguous per component; avoid duplicate
 			// appends by remembering the last component seen per (i,v).
 			if seen[i][v] != comp {
@@ -146,16 +146,19 @@ func (p *Partitioner) ComponentsOf(dim int, globalID uint64) []int32 {
 // ComponentOfCombination returns the unique component owning the cell
 // addressed by the given per-dimension global IDs.
 func (p *Partitioner) ComponentOfCombination(globalIDs []uint64) int32 {
-	axes := make([]uint32, len(globalIDs))
+	m := len(globalIDs)
+	axes := make([]uint32, 2*m)
 	for i, g := range globalIDs {
 		axes[i] = p.CellCoord(i, g)
 	}
-	return p.componentOfIndex(p.curve.AxesToIndex(axes))
+	return p.componentOfAxes(axes[:m], axes[m:])
 }
 
-// componentOfAxes is ComponentOfCombination on precomputed coordinates.
-func (p *Partitioner) componentOfAxes(axes []uint32) int32 {
-	return p.componentOfIndex(p.curve.AxesToIndex(axes))
+// componentOfAxes is ComponentOfCombination on precomputed coordinates;
+// buf is the curve transform's scratch, as long as axes. The reducers
+// call it once per verified combination.
+func (p *Partitioner) componentOfAxes(axes, buf []uint32) int32 {
+	return p.componentOfIndex(p.curve.AxesToIndex(axes, buf))
 }
 
 // Score computes the partition score of Eq. 7: the total number of

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -63,7 +64,7 @@ func TestPartitionCoverage(t *testing.T) {
 			t.Fatalf("cell %d in component %d", h, comp)
 		}
 		counts[comp]++
-		axes := p.curve.IndexToAxes(h)
+		axes := p.curve.IndexToAxes(h, make([]uint32, p.curve.Dims()))
 		for i, v := range axes {
 			found := false
 			for _, c := range p.comps[i][v] {
@@ -248,5 +249,22 @@ func TestTupleGlobalIDUniform(t *testing.T) {
 	}
 	if tupleGlobalID(relation.Int(5), 1, 0, 0) != 0 {
 		t.Error("card=1 id != 0")
+	}
+}
+
+// BenchmarkBuildMapping times what every theta job pays before its first
+// map task: enumerating the 2¹⁸ cells of the default cube (two and three
+// relations) to find which components touch each coordinate.
+func BenchmarkBuildMapping(b *testing.B) {
+	for _, cards := range [][]int{{60000, 60000}, {400, 400, 400}} {
+		b.Run(fmt.Sprintf("dims=%d", len(cards)), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := NewPartitioner(cards, 96, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(MaxCellsDefault)*float64(b.N)/b.Elapsed().Seconds(), "cells/s")
+		})
 	}
 }

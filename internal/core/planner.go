@@ -382,6 +382,13 @@ type costSweepInputs struct {
 func (pl *Planner) sweepReducers(in costSweepInputs, maxK int) ([]float64, int, float64, error) {
 	profile := make([]float64, maxK)
 	bestK, bestT := 1, math.Inf(1)
+	var grid *shareGrid
+	if in.kind == KindShareGrid {
+		var err error
+		if grid, err = newShareGrid(in.conds, in.rels); err != nil {
+			return nil, 0, 0, err
+		}
+	}
 	for k := 1; k <= maxK; k++ {
 		var shuffle float64
 		effectiveN := k
@@ -389,16 +396,9 @@ func (pl *Planner) sweepReducers(in costSweepInputs, maxK int) ([]float64, int, 
 		case KindHashEqui:
 			shuffle = float64(in.inputBytes)
 		case KindShareGrid:
-			rep, err := ReplicationFactor(in.conds, in.rels, k)
-			if err != nil {
-				return nil, 0, 0, err
-			}
-			shuffle = float64(in.inputBytes) * rep
-			grid, err := ShareGridSize(in.conds, in.rels, k)
-			if err != nil {
-				return nil, 0, 0, err
-			}
-			effectiveN = grid
+			grid.assign(k)
+			shuffle = float64(in.inputBytes) * grid.replication()
+			effectiveN = grid.cells()
 		default:
 			// Hilbert duplication: each tuple is copied ~k^((m-1)/m)
 			// times (Eq. 9's fair-duplication factor).

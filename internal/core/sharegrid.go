@@ -155,37 +155,59 @@ func buildAttrClasses(conds predicate.Conjunction, rels []*relation.Relation) ([
 	return classes, nil
 }
 
-// assignShares distributes the reducer budget over grid dimensions.
+// shareGrid is a share-grid job's geometry: its attribute classes and
+// the modeled size of each relation, which do not depend on the reducer
+// count, so the planner's k = 1..K_P sweep builds them once per
+// candidate (sizing a relation walks every tuple of it) and re-runs
+// only assign.
+type shareGrid struct {
+	classes []*attrClass
+	rels    []*relation.Relation
+	sizes   []float64 // per relation: max(1, ModeledSize)
+}
+
+func newShareGrid(conds predicate.Conjunction, rels []*relation.Relation) (*shareGrid, error) {
+	classes, err := buildAttrClasses(conds, rels)
+	if err != nil {
+		return nil, err
+	}
+	g := &shareGrid{classes: classes, rels: rels, sizes: make([]float64, len(rels))}
+	for i, r := range rels {
+		g.sizes[i] = math.Max(1, float64(r.ModeledSize()))
+	}
+	return g, nil
+}
+
+// communication is Σ_r size_r · Π_{d unknown to r} s_d, the shuffle
+// volume of [2] under the current shares.
+func (g *shareGrid) communication() float64 {
+	total := 0.0
+	for i, r := range g.rels {
+		rep := 1.0
+		for _, cl := range g.classes {
+			if _, knows := cl.members[r.Name]; !knows {
+				rep *= float64(cl.share)
+			}
+		}
+		total += g.sizes[i] * rep
+	}
+	return total
+}
+
+// assign distributes a budget of kr reducers over the grid dimensions.
 // A class known by every relation of the job is "free": growing its
 // share adds parallelism without replicating anyone, so one free
 // dimension absorbs the entire remaining budget exactly. Replication-
 // carrying dimensions grow by greedy factor steps, charging the
-// Σ_r size_r · Π_{d unknown to r} s_d communication of [2]'s
-// Lagrangean solution.
-func assignShares(classes []*attrClass, rels []*relation.Relation, kr int) {
+// communication cost of [2]'s Lagrangean solution.
+func (g *shareGrid) assign(kr int) {
+	classes := g.classes
 	for _, cl := range classes {
 		cl.share = 1
 	}
-	sizes := make(map[string]float64, len(rels))
-	for _, r := range rels {
-		sizes[r.Name] = math.Max(1, float64(r.ModeledSize()))
-	}
-	replication := func() float64 {
-		total := 0.0
-		for _, r := range rels {
-			rep := 1.0
-			for _, cl := range classes {
-				if _, knows := cl.members[r.Name]; !knows {
-					rep *= float64(cl.share)
-				}
-			}
-			total += sizes[r.Name] * rep
-		}
-		return total
-	}
 	freeDim := -1
 	for d, cl := range classes {
-		if len(cl.members) == len(rels) {
+		if len(cl.members) == len(g.rels) {
 			freeDim = d
 			break
 		}
@@ -208,14 +230,14 @@ func assignShares(classes []*attrClass, rels []*relation.Relation, kr int) {
 					continue
 				}
 				cl.share *= f
-				cost := replication() / float64(f)
+				cost := g.communication() / float64(f)
 				cl.share /= f
 				if cost < bestCost {
 					bestCost, bestDim, bestFactor = cost, d, f
 				}
 			}
 		}
-		if bestDim < 0 || bestCost >= replication() {
+		if bestDim < 0 || bestCost >= g.communication() {
 			break
 		}
 		classes[bestDim].share *= bestFactor
@@ -234,45 +256,26 @@ func assignShares(classes []*attrClass, rels []*relation.Relation, kr int) {
 	}
 }
 
-// ReplicationFactor predicts the share-grid duplication for the
-// planner's α estimate: the weighted mean over relations of the
-// product of unknown-dimension shares, given kr reducers.
-func ReplicationFactor(conds predicate.Conjunction, rels []*relation.Relation, kr int) (float64, error) {
-	classes, err := buildAttrClasses(conds, rels)
-	if err != nil {
-		return 0, err
-	}
-	assignShares(classes, rels, kr)
-	var total, weighted float64
-	for _, r := range rels {
-		size := math.Max(1, float64(r.ModeledSize()))
-		rep := 1.0
-		for _, cl := range classes {
-			if _, knows := cl.members[r.Name]; !knows {
-				rep *= float64(cl.share)
-			}
-		}
+// replication is the share-grid duplication under the assigned shares,
+// the planner's α estimate: the size-weighted mean over relations of the
+// product of unknown-dimension shares.
+func (g *shareGrid) replication() float64 {
+	total := 0.0
+	for _, size := range g.sizes {
 		total += size
-		weighted += size * rep
 	}
-	return weighted / total, nil
+	return g.communication() / total
 }
 
-// ShareGridSize returns the reducer-grid cardinality (product of
-// assigned shares) the share-grid operator will actually use when
-// granted kr reducers — the planner estimates with this effective
-// parallelism rather than the raw allotment.
-func ShareGridSize(conds predicate.Conjunction, rels []*relation.Relation, kr int) (int, error) {
-	classes, err := buildAttrClasses(conds, rels)
-	if err != nil {
-		return 0, err
-	}
-	assignShares(classes, rels, kr)
+// cells is the reducer-grid cardinality (product of assigned shares) the
+// operator actually uses of its allotment — the planner estimates with
+// this effective parallelism rather than the raw allotment.
+func (g *shareGrid) cells() int {
 	grid := 1
-	for _, cl := range classes {
+	for _, cl := range g.classes {
 		grid *= cl.share
 	}
-	return grid, nil
+	return grid
 }
 
 // slotRange is the contiguous run of slots a value occupies along one
@@ -414,11 +417,12 @@ func BuildShareGridJobSkew(name string, rels []*relation.Relation, conds predica
 			return emptyJob(name, rels, kr), nil
 		}
 	}
-	classes, err := buildAttrClasses(conds, rels)
+	geom, err := newShareGrid(conds, rels)
 	if err != nil {
 		return nil, err
 	}
-	assignShares(classes, rels, kr)
+	geom.assign(kr)
+	classes := geom.classes
 	nDims := len(classes)
 	strides := make([]int, nDims)
 	grid := 1
@@ -480,12 +484,8 @@ func BuildShareGridJobSkew(name string, rels []*relation.Relation, conds predica
 			return nil, fmt.Errorf("core: share grid: dimension %d has no owner", d)
 		}
 	}
-	reduce := func(key uint64, values []mr.Tagged, ctx *mr.ReduceContext) {
-		groups := make([][]relation.Tuple, m)
+	reduce := func(key uint64, groups [][]relation.Tuple, ctx *mr.ReduceContext) {
 		parts := make([]relation.Tuple, m)
-		for _, v := range values {
-			groups[v.Tag] = append(groups[v.Tag], v.Tuple)
-		}
 		for _, g := range groups {
 			if len(g) == 0 {
 				return

@@ -62,11 +62,12 @@ func TestShareGridNoReplicationWhenFullyLinked(t *testing.T) {
 	rp, _ := db.Relation("p")
 	rl2, _ := db.Relation("l2")
 	rels := []*relation.Relation{rl, rp, rl2}
-	rep, err := ReplicationFactor(conds, rels, 32)
+	grid, err := newShareGrid(conds, rels)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep != 1 {
+	grid.assign(32)
+	if rep := grid.replication(); rep != 1 {
 		t.Errorf("replication = %v, want 1", rep)
 	}
 	job, err := BuildShareGridJob("sg", rels, conds, 32)

@@ -169,9 +169,9 @@ func TestModelTracksSimulator(t *testing.T) {
 	job := &mr.Job{
 		Name:   "selfjoin-sample",
 		Inputs: []mr.Input{{Rel: in, Map: func(t relation.Tuple, emit mr.Emitter) { emit(uint64(t[0].Int64()), 0, t) }}},
-		Reduce: func(key uint64, values []mr.Tagged, ctx *mr.ReduceContext) {
-			ctx.AddWork(int64(len(values)) * int64(len(values)))
-			ctx.Emit(relation.Tuple{values[0].Tuple[0]})
+		Reduce: func(key uint64, groups [][]relation.Tuple, ctx *mr.ReduceContext) {
+			ctx.AddWork(int64(len(groups[0])) * int64(len(groups[0])))
+			ctx.Emit(relation.Tuple{groups[0][0][0]})
 		},
 		NumReducers:  8,
 		OutputName:   "out",

@@ -21,6 +21,10 @@ import (
 // budget.
 const DefaultPageSize = 64 << 10
 
+// freePageBufs bounds a store's list of idle page buffers: one each for
+// a few concurrent readers, half a megabyte at most.
+const freePageBufs = 8
+
 // BlockStore is the real (non-modeled) storage substrate of the
 // package: a directory of append-then-sealed files whose reads are
 // served through an in-memory LRU page cache with a byte budget. It is
@@ -56,6 +60,10 @@ type BlockStore struct {
 	pages       map[pageKey]*list.Element
 	hits        int64
 	misses      int64
+	// free holds idle page buffers, what a miss fills instead of
+	// allocating (and zeroing) a page of its own. Every buffer has pageSize
+	// capacity, and that is what a cached page counts against the budget.
+	free [][]byte
 
 	// Integrity: every sealed page carries a CRC32 computed at write
 	// time and verified on every cache fill; a mismatch triggers up to
@@ -171,6 +179,7 @@ func (s *BlockStore) Close() error {
 	s.lru.Init()
 	s.pages = make(map[pageKey]*list.Element)
 	s.cacheBytes = 0
+	s.free = nil
 	dir, owned := s.dir, s.owned
 	s.mu.Unlock()
 	if owned {
@@ -191,11 +200,11 @@ func (s *BlockStore) readThrough(b *blockFile, off int64, p []byte) (int, error)
 	for n < len(p) && off+int64(n) < size {
 		pos := off + int64(n)
 		pageIdx := pos / s.pageSize
-		data, err := s.page(pageKey{file: b.id, page: pageIdx}, b)
+		c, err := s.copyPage(pageKey{file: b.id, page: pageIdx}, b, pos-pageIdx*s.pageSize, p[n:])
 		if err != nil {
 			return n, err
 		}
-		n += copy(p[n:], data[pos-pageIdx*s.pageSize:])
+		n += c
 	}
 	if n < len(p) {
 		return n, io.EOF
@@ -203,72 +212,97 @@ func (s *BlockStore) readThrough(b *blockFile, off int64, p []byte) (int, error)
 	return n, nil
 }
 
-// page returns the cached page, filling (and checksum-verifying) it
-// from disk on a miss.
-func (s *BlockStore) page(k pageKey, b *blockFile) ([]byte, error) {
+// copyPage copies the page's bytes from offset `from` on into dst,
+// filling (and checksum-verifying) the page from disk on a miss. Page
+// buffers are recycled — an evicted or uncached page's buffer serves the
+// next fill, unzeroed, since ReadAt overwrites all of it — so no reader
+// may hold one outside the lock: a hit copies under s.mu, a miss copies
+// from the buffer it filled before any other reader can reach it.
+func (s *BlockStore) copyPage(k pageKey, b *blockFile, from int64, dst []byte) (int, error) {
+	pageOff := k.page * s.pageSize
+	pageLen := min(s.pageSize, b.size-pageOff)
 	s.mu.Lock()
 	if el, ok := s.pages[k]; ok {
 		s.hits++
 		s.lru.MoveToFront(el)
-		data := el.Value.(*cachePage).data
+		n := copy(dst, el.Value.(*cachePage).data[from:])
 		s.mu.Unlock()
-		return data, nil
+		return n, nil
 	}
 	s.misses++
 	replicas, o, hook := s.replicas, s.o, s.corruptFill
+	var data []byte
+	if n := len(s.free); n > 0 {
+		data, s.free = s.free[n-1][:pageLen], s.free[:n-1]
+	} else {
+		data = make([]byte, pageLen, s.pageSize)
+	}
 	s.mu.Unlock()
 
 	// Fill outside the lock; a racing reader of the same page just
 	// fills it twice, and the second insert finds it already cached.
-	pageOff := k.page * s.pageSize
-	pageLen := s.pageSize
-	if pageOff+pageLen > b.size {
-		pageLen = b.size - pageOff
+	err := s.fillPage(k, b, data, pageOff, replicas, o, hook)
+	n := 0
+	if err == nil {
+		n = copy(dst, data[from:])
 	}
-	data := make([]byte, pageLen)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, cached := s.pages[k]; err != nil || cached || s.cacheBudget == 0 || s.closed {
+		s.recycle(data)
+		return n, err
+	}
+	s.pages[k] = s.lru.PushFront(&cachePage{key: k, data: data})
+	s.cacheBytes += int64(cap(data))
+	for s.cacheBytes > s.cacheBudget && s.lru.Back() != nil {
+		s.evict(s.lru.Back())
+	}
+	return n, nil
+}
+
+// fillPage reads the page into data and verifies it against the sealed
+// CRC, failing over to replica re-reads while any remain.
+func (s *BlockStore) fillPage(k pageKey, b *blockFile, data []byte, pageOff int64, replicas int, o *obs.Obs,
+	hook func(file int, page int64, attempt int, data []byte)) error {
 	want, verify := b.pageCRC(k.page)
 	for attempt := 1; ; attempt++ {
 		if _, err := b.f.ReadAt(data, pageOff); err != nil {
-			return nil, err
+			return err
 		}
 		if hook != nil {
 			hook(k.file, k.page, attempt, data)
 		}
 		if !verify || crc32.ChecksumIEEE(data) == want {
-			break
+			return nil
 		}
 		// Corrupted page: count it, then fail over to a replica
 		// re-read while any remain.
 		s.checksumFailures.Add(1)
 		o.Counter("dfs/checksum_failures").Add(1)
 		if attempt >= replicas {
-			return nil, fmt.Errorf("dfs: file %d page %d: checksum mismatch on all %d replicas",
+			return fmt.Errorf("dfs: file %d page %d: checksum mismatch on all %d replicas",
 				k.file, k.page, replicas)
 		}
 		s.failoverReads.Add(1)
 		o.Counter("dfs/failover_reads").Add(1)
 	}
+}
 
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.pages[k]; ok {
-		return el.Value.(*cachePage).data, nil
+// evict drops one cached page and recycles its buffer. Caller holds s.mu.
+func (s *BlockStore) evict(el *list.Element) {
+	pg := el.Value.(*cachePage)
+	s.lru.Remove(el)
+	delete(s.pages, pg.key)
+	s.cacheBytes -= int64(cap(pg.data))
+	s.recycle(pg.data)
+}
+
+// recycle keeps an idle page buffer for the next fill, up to
+// freePageBufs of them. Caller holds s.mu.
+func (s *BlockStore) recycle(data []byte) {
+	if len(s.free) < freePageBufs {
+		s.free = append(s.free, data)
 	}
-	if s.cacheBudget > 0 && !s.closed {
-		s.pages[k] = s.lru.PushFront(&cachePage{key: k, data: data})
-		s.cacheBytes += int64(len(data))
-		for s.cacheBytes > s.cacheBudget {
-			back := s.lru.Back()
-			if back == nil {
-				break
-			}
-			pg := back.Value.(*cachePage)
-			s.lru.Remove(back)
-			delete(s.pages, pg.key)
-			s.cacheBytes -= int64(len(pg.data))
-		}
-	}
-	return data, nil
 }
 
 // dropFile evicts every cached page of a released file.
@@ -277,11 +311,8 @@ func (s *BlockStore) dropFile(id int) {
 	defer s.mu.Unlock()
 	for el := s.lru.Front(); el != nil; {
 		next := el.Next()
-		pg := el.Value.(*cachePage)
-		if pg.key.file == id {
-			s.lru.Remove(el)
-			delete(s.pages, pg.key)
-			s.cacheBytes -= int64(len(pg.data))
+		if el.Value.(*cachePage).key.file == id {
+			s.evict(el)
 		}
 		el = next
 	}

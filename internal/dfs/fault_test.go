@@ -2,8 +2,11 @@ package dfs
 
 import (
 	"bytes"
+	"io"
 	"math/rand"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/obs"
@@ -140,5 +143,86 @@ func TestCheckpointStoreRoundTrip(t *testing.T) {
 	}
 	if _, ok, _ := cp.LoadIntermediate("plan-a", "j1"); ok {
 		t.Error("dropped checkpoint still loads")
+	}
+}
+
+// TestRecycledPagesNeverAlias: page buffers are refilled, unzeroed, for
+// whatever page misses next, so a reader holding one past its eviction
+// would see another page's bytes. Concurrent readers over a cache of one
+// page and over no cache at all — every fill a recycled buffer, every
+// third one corrupted on its first disk read so that failover re-reads
+// into it as well — must read exactly the file.
+func TestRecycledPagesNeverAlias(t *testing.T) {
+	for _, budget := range []int64{DefaultPageSize, 0} {
+		store, err := NewBlockStore("", budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fills atomic.Int64
+		store.corruptFill = func(file int, page int64, attempt int, data []byte) {
+			if attempt == 1 && fills.Add(1)%3 == 0 {
+				data[len(data)/2] ^= 0xFF
+			}
+		}
+		// Three files of pages that each repeat their own tag byte: bytes
+		// from any other page are recognisable wherever they land.
+		const pages = 5
+		files := make([]*blockFile, 3)
+		for fi := range files {
+			f, err := store.CreateSpillFile()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for pg := 0; pg < pages; pg++ {
+				n := DefaultPageSize
+				if pg == pages-1 {
+					n = 777 // a short last page reuses a buffer that held a full one
+				}
+				if _, err := f.Write(bytes.Repeat([]byte{byte(fi*pages + pg + 1)}, n)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := f.Seal(); err != nil {
+				t.Fatal(err)
+			}
+			files[fi] = f.(*blockFile)
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func(seed int64) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(seed))
+				buf := make([]byte, 3*DefaultPageSize/2)
+				for i := 0; i < 300; i++ {
+					fi := rng.Intn(len(files))
+					f := files[fi]
+					off := rng.Int63n(f.size)
+					p := buf[:1+rng.Intn(len(buf)-1)]
+					n, err := f.ReadAt(p, off)
+					if err != nil && err != io.EOF {
+						t.Errorf("budget %d: read file %d at %d: %v", budget, fi, off, err)
+						return
+					}
+					for j, b := range p[:n] {
+						if want := byte(fi*pages + int((off+int64(j))/DefaultPageSize) + 1); b != want {
+							t.Errorf("budget %d: file %d offset %d reads %d, the page there holds %d",
+								budget, fi, off+int64(j), b, want)
+							return
+						}
+					}
+				}
+			}(int64(g + 1))
+		}
+		wg.Wait()
+		if cs, fo := store.IntegrityStats(); cs == 0 || cs != fo {
+			t.Errorf("budget %d: %d checksum failures, %d failover reads: every corrupted fill should fail over once", budget, cs, fo)
+		}
+		if _, _, resident := store.CacheStats(); resident > budget {
+			t.Errorf("budget %d exceeded: %d resident", budget, resident)
+		}
+		if err := store.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

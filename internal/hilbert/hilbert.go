@@ -61,20 +61,24 @@ func (c *Curve) CellsPerDim() uint32 { return 1 << uint(c.bits) }
 func (c *Curve) NumCells() uint64 { return 1 << uint(c.dims*c.bits) }
 
 // AxesToIndex maps grid coordinates (each < 2^bits) to the Hilbert
-// index along the curve. The axes slice is not modified.
-func (c *Curve) AxesToIndex(axes []uint32) uint64 {
+// index along the curve. The axes slice is not modified; buf is the
+// caller's scratch of at least dims elements, so that a caller mapping
+// a million cells allocates nothing.
+func (c *Curve) AxesToIndex(axes, buf []uint32) uint64 {
 	if len(axes) != c.dims {
 		panic(fmt.Sprintf("hilbert: got %d axes for %d-dim curve", len(axes), c.dims))
 	}
-	x := make([]uint32, c.dims)
+	x := buf[:c.dims]
 	copy(x, axes)
 	c.axesToTranspose(x)
 	return c.interleave(x)
 }
 
-// IndexToAxes maps a Hilbert index back to grid coordinates.
-func (c *Curve) IndexToAxes(h uint64) []uint32 {
-	x := c.deinterleave(h)
+// IndexToAxes maps a Hilbert index back to grid coordinates, written
+// into axes (at least dims elements) and returned as axes[:dims].
+func (c *Curve) IndexToAxes(h uint64, axes []uint32) []uint32 {
+	x := axes[:c.dims]
+	c.deinterleave(h, x)
 	c.transposeToAxes(x)
 	return x
 }
@@ -116,24 +120,23 @@ func (c *Curve) axesToTranspose(x []uint32) {
 // coordinates in place (Skilling's TransposetoAxes).
 func (c *Curve) transposeToAxes(x []uint32) {
 	n := c.dims
-	nBig := uint32(2) << uint(c.bits-1)
 	// Gray decode by H ^ (H/2).
 	t := x[n-1] >> 1
 	for i := n - 1; i > 0; i-- {
 		x[i] ^= x[i-1]
 	}
 	x[0] ^= t
-	// Undo excess work.
-	for q := uint32(2); q != nBig; q <<= 1 {
-		p := q - 1
+	// Undo excess work: where x[i] has bit q, invert x[0]'s low bits,
+	// otherwise exchange the low bits of x[0] and x[i]. The bit is as good
+	// as random from one cell to the next, so it selects by mask, not by
+	// branch.
+	for k := uint(1); k < uint(c.bits); k++ {
+		p := uint32(1)<<k - 1
 		for i := n - 1; i >= 0; i-- {
-			if x[i]&q != 0 {
-				x[0] ^= p
-			} else {
-				t := (x[0] ^ x[i]) & p
-				x[0] ^= t
-				x[i] ^= t
-			}
+			set := -(x[i] >> k & 1) // all ones when x[i] has bit q
+			t := (x[0] ^ x[i]) & p &^ set
+			x[0] ^= t | p&set
+			x[i] ^= t
 		}
 	}
 }
@@ -153,16 +156,15 @@ func (c *Curve) interleave(x []uint32) uint64 {
 	return h
 }
 
-// deinterleave unpacks an index into transposed form.
-func (c *Curve) deinterleave(h uint64) []uint32 {
-	x := make([]uint32, c.dims)
-	total := c.dims * c.bits
-	for pos := 0; pos < total; pos++ {
-		// pos counts from msb of h.
-		bit := (h >> uint(total-1-pos)) & 1
-		j := c.bits - 1 - pos/c.dims // bit position within the axis
-		i := pos % c.dims            // axis
-		x[i] |= uint32(bit) << uint(j)
+// deinterleave unpacks an index into transposed form in x: interleave's
+// inverse, walking h from its most significant used bit down.
+func (c *Curve) deinterleave(h uint64, x []uint32) {
+	clear(x)
+	shift := uint(c.dims * c.bits)
+	for j := c.bits - 1; j >= 0; j-- {
+		for i := 0; i < c.dims; i++ {
+			shift--
+			x[i] |= uint32((h>>shift)&1) << uint(j)
+		}
 	}
-	return x
 }

@@ -6,6 +6,16 @@ import (
 	"testing/quick"
 )
 
+// indexToAxes and axesToIndex are the transforms with a buffer of their
+// own per call, which the tests want and no caller outside them does.
+func indexToAxes(c *Curve, h uint64) []uint32 {
+	return c.IndexToAxes(h, make([]uint32, c.Dims()))
+}
+
+func axesToIndex(c *Curve, axes []uint32) uint64 {
+	return c.AxesToIndex(axes, make([]uint32, c.Dims()))
+}
+
 func TestNewValidation(t *testing.T) {
 	if _, err := New(0, 4); err == nil {
 		t.Error("dims=0 accepted")
@@ -38,7 +48,7 @@ func TestKnown2DOrder1(t *testing.T) {
 	c := MustNew(2, 1)
 	var visited [][]uint32
 	for h := uint64(0); h < 4; h++ {
-		visited = append(visited, c.IndexToAxes(h))
+		visited = append(visited, indexToAxes(c, h))
 	}
 	// Each consecutive pair must differ by exactly 1 in exactly one axis.
 	for i := 1; i < len(visited); i++ {
@@ -68,13 +78,13 @@ func TestRoundTripExhaustive(t *testing.T) {
 		n := c.NumCells()
 		seen := make(map[uint64]bool, n)
 		for h := uint64(0); h < n; h++ {
-			axes := c.IndexToAxes(h)
+			axes := indexToAxes(c, h)
 			for i, a := range axes {
 				if a >= c.CellsPerDim() {
 					t.Fatalf("%d/%d: axis %d out of range: %d", cfg.dims, cfg.bits, i, a)
 				}
 			}
-			back := c.AxesToIndex(axes)
+			back := axesToIndex(c, axes)
 			if back != h {
 				t.Fatalf("%d/%d: roundtrip %d → %v → %d", cfg.dims, cfg.bits, h, axes, back)
 			}
@@ -96,9 +106,9 @@ func TestUnitStepContinuity(t *testing.T) {
 		{2, 5}, {3, 4}, {4, 3}, {5, 2},
 	} {
 		c := MustNew(cfg.dims, cfg.bits)
-		prev := c.IndexToAxes(0)
+		prev := indexToAxes(c, 0)
 		for h := uint64(1); h < c.NumCells(); h++ {
-			cur := c.IndexToAxes(h)
+			cur := indexToAxes(c, h)
 			if manhattan(prev, cur) != 1 {
 				t.Fatalf("%d/%d: step at %d has distance %d (%v → %v)",
 					cfg.dims, cfg.bits, h, manhattan(prev, cur), prev, cur)
@@ -112,7 +122,7 @@ func TestRoundTripQuick(t *testing.T) {
 	c := MustNew(4, 4)
 	f := func(raw uint64) bool {
 		h := raw % c.NumCells()
-		return c.AxesToIndex(c.IndexToAxes(h)) == h
+		return axesToIndex(c, indexToAxes(c, h)) == h
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
 		t.Error(err)
@@ -123,7 +133,7 @@ func TestAxesRoundTripQuick(t *testing.T) {
 	c := MustNew(3, 5)
 	f := func(a, b, cc uint32) bool {
 		axes := []uint32{a % 32, b % 32, cc % 32}
-		got := c.IndexToAxes(c.AxesToIndex(axes))
+		got := indexToAxes(c, axesToIndex(c, axes))
 		return got[0] == axes[0] && got[1] == axes[1] && got[2] == axes[2]
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
@@ -134,7 +144,7 @@ func TestAxesRoundTripQuick(t *testing.T) {
 func TestAxesToIndexDoesNotMutate(t *testing.T) {
 	c := MustNew(3, 3)
 	axes := []uint32{1, 2, 3}
-	c.AxesToIndex(axes)
+	axesToIndex(c, axes)
 	if axes[0] != 1 || axes[1] != 2 || axes[2] != 3 {
 		t.Errorf("input mutated: %v", axes)
 	}
@@ -146,7 +156,7 @@ func TestAxesToIndexPanicsOnArity(t *testing.T) {
 			t.Error("no panic on wrong arity")
 		}
 	}()
-	MustNew(3, 3).AxesToIndex([]uint32{1, 2})
+	axesToIndex(MustNew(3, 3), []uint32{1, 2})
 }
 
 // Theorem 2 fairness: a contiguous segment of the curve of length
@@ -166,7 +176,7 @@ func TestSegmentFairness(t *testing.T) {
 			distinct[i] = make(map[uint32]bool)
 		}
 		for h := lo; h < lo+segLen; h++ {
-			axes := c.IndexToAxes(h)
+			axes := indexToAxes(c, h)
 			for i, a := range axes {
 				distinct[i][a] = true
 			}
@@ -226,7 +236,8 @@ func TestInterleaveRoundTrip(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		x := []uint32{uint32(rng.Intn(16)), uint32(rng.Intn(16)), uint32(rng.Intn(16))}
 		h := c.interleave(x)
-		back := c.deinterleave(h)
+		back := []uint32{99, 99, 99} // stale contents must not survive
+		c.deinterleave(h, back)
 		for j := range x {
 			if x[j] != back[j] {
 				t.Fatalf("interleave roundtrip: %v → %d → %v", x, h, back)
@@ -238,7 +249,7 @@ func TestInterleaveRoundTrip(t *testing.T) {
 func Test1DCurveIsIdentityLike(t *testing.T) {
 	c := MustNew(1, 8)
 	for h := uint64(0); h < 256; h++ {
-		axes := c.IndexToAxes(h)
+		axes := indexToAxes(c, h)
 		if uint64(axes[0]) != h {
 			// A 1-D Hilbert curve is the identity mapping.
 			t.Fatalf("1-D curve not identity at %d: %v", h, axes)

@@ -64,6 +64,24 @@
 // attempt duration, one backup attempt launches, the first to finish
 // commits, and the loser is discarded atomically.
 //
+// # A pair from emit to Reduce
+//
+// A pair is measured once: emit takes its tuple's EncodedSize, once
+// however many reducers the pair is routed to (a spilled pair is
+// measured again when it is decoded), and the spill budget, the shuffle
+// bytes and the residency accounting all read that number. It is copied
+// once on each side. A map attempt appends routed pairs to one flat
+// buffer the run lends it, then deals them, stably, into a single
+// exactly sized block whose subslices are the per-reducer buckets. A
+// reduce attempt merges its runs and copies each tuple header into the
+// buffer of its tag, and that is what a ReduceFunc receives:
+// groups[tag] holds the key's values from input tag, in task order and
+// emission order within a task — the slices every join reducer used to
+// build for itself. The buffers are the attempt's, reused for its next
+// key and sized from what the shuffle already knows, so groups are valid
+// only during the call and are capacity-limited; whatever a reducer does
+// to them reaches neither the next key run nor another attempt.
+//
 // # Output rows
 //
 // A reducer emits a row either with Emit, handing over a tuple it built

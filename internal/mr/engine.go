@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -130,11 +131,25 @@ type Result struct {
 	Metrics Metrics
 }
 
+// pair is one shuffled (key, tagged tuple). size is the tuple's
+// EncodedSize, measured once — at emit, or when a spilled pair is
+// decoded — and read by every byte count from there to the reducer. It
+// sits in the padding after tag: the struct stays 40 bytes.
 type pair struct {
 	key   uint64
 	tag   uint8
+	size  uint32
 	tuple relation.Tuple
 }
+
+// realBytes is the accounted in-memory size of the pair: its tuple plus
+// 8 bytes of key framing — the raw quantity the modeled byte accounting
+// multiplies, so budget and metrics speak one unit.
+func (p pair) realBytes() int64 { return int64(p.size) + 8 }
+
+// modeledBytes is the pair's shuffle volume under its task's multiplier,
+// converted to int64 pair by pair so that sums are order-independent.
+func (p pair) modeledBytes(mult float64) int64 { return int64(float64(p.realBytes()) * mult) }
 
 // mapTask is one input split: a block of one input's tuples.
 type mapTask struct {
@@ -166,11 +181,12 @@ type run struct {
 	spill         SpillStore      // nil = in-memory shuffle
 	ownedSpill    *TempSpillStore // the fallback store, when Run created it
 	replicated    *obs.Counter
-	buckets       [][][]pair     // [task][reducer] sorted bucket (in-memory shuffle)
-	spills        []*taskSpiller // [task] spilled runs (budgeted shuffle)
-	taskOutBytes  []int64        // modeled map output
-	taskRealFinal []int64        // accounted pair bytes resident after the task
-	taskRealPeak  []int64        // accounted high-water mark while mapping
+	buckets       [][][]pair       // [task][reducer] sorted bucket (in-memory shuffle)
+	scratch       chan *mapScratch // idle routed-pair buffers, handed from map attempt to map attempt
+	spills        []*taskSpiller   // [task] spilled runs (budgeted shuffle)
+	taskOutBytes  []int64          // modeled map output
+	taskRealFinal []int64          // accounted pair bytes resident after the task
+	taskRealPeak  []int64          // accounted high-water mark while mapping
 
 	// reducePhase: what each reducer's committed attempt produced.
 	keyRunLen       *obs.Histogram
@@ -322,6 +338,9 @@ func (r *run) mapPhase(ctx context.Context) error {
 	n := len(r.tasks)
 	r.ft = newFaultRuntime(r.cfg, r.job, n, r.nRed, r.o)
 	r.replicated = r.o.Counter("mr/replicated_pairs")
+	// A worker runs at most two attempts at a time, one a speculative
+	// backup, so this many buffers are ever in use.
+	r.scratch = make(chan *mapScratch, 2*r.workers)
 	r.buckets = make([][][]pair, n)
 	r.spills = make([]*taskSpiller, n)
 	r.taskOutBytes = make([]int64, n)
@@ -336,6 +355,7 @@ func (r *run) mapPhase(ctx context.Context) error {
 			return r.mapAttempt(actx, ti, attempt, sh)
 		})
 	})
+	r.scratch = nil // the map phase's buffers are not needed past it
 	r.wall.Map = time.Since(start)
 	return err
 }
@@ -365,11 +385,18 @@ func (r *run) mapAttempt(actx context.Context, ti, attempt int, sh *obs.Shard) (
 		partition = func(key uint64, n int) int { return int(key % uint64(n)) }
 	}
 	var spiller *taskSpiller
-	var buckets [][]pair
+	var routed *mapScratch
 	if r.spill != nil {
 		spiller = newTaskSpiller(r.spill, nRed, r.cfg.SpillBudgetBytes)
 	} else {
-		buckets = make([][]pair, nRed)
+		idle := r.scratch
+		select {
+		case routed = <-idle:
+			routed.pairs, routed.dest = routed.pairs[:0], routed.dest[:0]
+		default:
+			routed = &mapScratch{}
+		}
+		defer func() { idle <- routed }()
 	}
 	fail := func(err error) (attemptOutcome, error) {
 		if spiller != nil {
@@ -383,6 +410,12 @@ func (r *run) mapAttempt(actx context.Context, ti, attempt int, sh *obs.Shard) (
 	var emitErr error
 	var routeBuf []int
 	emit := func(key uint64, tag uint8, value relation.Tuple) {
+		if int(tag) >= len(job.Inputs) {
+			if emitErr == nil {
+				emitErr = fmt.Errorf("mr: job %s: map emitted tag %d, the job has %d inputs", job.Name, tag, len(job.Inputs))
+			}
+			return
+		}
 		if job.Partitioner != nil {
 			routeBuf = job.Partitioner.Route(routeBuf[:0], key, tag, value, nRed)
 		} else {
@@ -391,6 +424,10 @@ func (r *run) mapAttempt(actx context.Context, ti, attempt int, sh *obs.Shard) (
 		if len(routeBuf) > 1 {
 			replPairs += int64(len(routeBuf) - 1)
 		}
+		// The tuple is measured here, once, however many reducers it is
+		// routed to.
+		p := pair{key: key, tag: tag, size: uint32(value.EncodedSize()), tuple: value}
+		modeled := p.modeledBytes(task.multiplier)
 		for _, red := range routeBuf {
 			if red < 0 || red >= nRed {
 				if emitErr == nil {
@@ -398,19 +435,18 @@ func (r *run) mapAttempt(actx context.Context, ti, attempt int, sh *obs.Shard) (
 				}
 				return
 			}
-			p := pair{key: key, tag: tag, tuple: value}
 			if spiller != nil {
 				if err := spiller.add(red, p); err != nil && emitErr == nil {
 					emitErr = err
 					return
 				}
 			} else {
-				buckets[red] = append(buckets[red], p)
-				realBytes += pairRealBytes(p)
+				routed.add(red, p)
+				realBytes += p.realBytes()
 			}
 			// 8 bytes of key framing per shuffled pair; a replicated
 			// pair is copied (and charged) once per destination.
-			outBytes += int64(float64(value.EncodedSize()+8) * task.multiplier)
+			outBytes += modeled
 		}
 	}
 	// Injected faults fire at the halfway point of the task's input, so
@@ -431,6 +467,7 @@ func (r *run) mapAttempt(actx context.Context, ti, attempt int, sh *obs.Shard) (
 			return fail(emitErr)
 		}
 	}
+	var buckets [][]pair
 	if spiller != nil {
 		// Final flush: the whole map output is on the store; the task
 		// retains no pairs.
@@ -448,6 +485,7 @@ func (r *run) mapAttempt(actx context.Context, ti, attempt int, sh *obs.Shard) (
 		// the bucket is already ordered — the common case for jobs
 		// whose keys are reducer ordinals (identity partition).
 		sortSp := sh.Start("spill-sort", obs.A("task", ti))
+		buckets = routed.partition(nRed)
 		for red := range buckets {
 			sortBucket(buckets[red])
 		}
@@ -516,16 +554,18 @@ func (r *run) reducePhase(ctx context.Context) error {
 }
 
 // gather collects reducer red's key-sorted runs from every committed
-// map task, in (task, flush) order, with their pair count and the
-// accounted bytes of the in-memory ones.
-func (r *run) gather(red int) (srcs []*pairSource, n int, memReal int64) {
+// map task, in (task, flush) order, with their pair count, the
+// accounted bytes of the in-memory ones and how many of those carry
+// each tag. Spilled runs pass their read buffer on through spare.
+func (r *run) gather(red int, spare *[]byte) (srcs []*pairSource, n int, memReal int64, memTags []int) {
 	srcs = make([]*pairSource, 0, len(r.tasks))
+	memTags = make([]int, len(r.job.Inputs))
 	for ti := range r.tasks {
 		mult := r.tasks[ti].multiplier
 		if ts := r.spills[ti]; ts != nil {
 			for _, fl := range ts.flushes {
 				if seg := fl.segs[red]; seg.count > 0 {
-					srcs = append(srcs, diskSource(fl.file, seg, mult, r.ft, ti))
+					srcs = append(srcs, diskSource(fl.file, seg, mult, r.ft, ti, spare))
 					n += seg.count
 				}
 			}
@@ -535,21 +575,26 @@ func (r *run) gather(red int) (srcs []*pairSource, n int, memReal int64) {
 		}
 		if b := r.buckets[ti][red]; len(b) > 0 {
 			for _, p := range b {
-				memReal += pairRealBytes(p)
+				memReal += p.realBytes()
+				memTags[p.tag]++
 			}
 			srcs = append(srcs, memSource(b, mult))
 			n += len(b)
 		}
 	}
-	return srcs, n, memReal
+	return srcs, n, memReal, memTags
 }
 
 // reduceAttempt runs one attempt of reducer red: gather its runs, merge
-// them, and feed each key run to Reduce. Its output stays private to
-// the attempt until the returned outcome commits.
+// them, and feed each key run to Reduce split by tag. The split is the
+// one copy a pair's tuple header makes on the reduce side: it goes from
+// its source into the attempt's buffer for its tag, which every key run
+// reuses. Output stays private to the attempt until the returned outcome
+// commits.
 func (r *run) reduceAttempt(actx context.Context, red, attempt int, sh *obs.Shard) (attemptOutcome, error) {
 	gatherSp := sh.Start("shuffle-copy", obs.A("reducer", red), obs.A("attempt", attempt))
-	srcs, n, memReal := r.gather(red)
+	var spare []byte
+	srcs, n, memReal, memTags := r.gather(red, &spare)
 	gatherSp.End(obs.A("pairs", n), obs.A("runs", len(srcs)))
 	// Fault point: after the gather (partial state exists to discard),
 	// before the empty-reducer return — kills target empty reducers too.
@@ -562,22 +607,40 @@ func (r *run) reduceAttempt(actx context.Context, red, attempt int, sh *obs.Shar
 	reduceSp := sh.Start("reduce", obs.A("reducer", red), obs.A("pairs", n), obs.A("runs", len(srcs)))
 	reduce, keyRunLen := r.job.Reduce, r.keyRunLen
 	rctx := &ReduceContext{}
+	// bufs[tag] collects the current key run's tuples; groups are the
+	// views of them Reduce is handed. When every run holds the same single
+	// key — any Hilbert component — the input is one key run and the
+	// gathered tag counts size the buffers exactly (spilled pairs, whose
+	// tags are unknown until read, grow them); otherwise a buffer doubles
+	// until it fits the reducer's longest run.
+	nTags := len(memTags)
+	both := make([][]relation.Tuple, 2*nTags)
+	bufs, groups := both[:nTags], both[nTags:]
+	key := srcs[0].firstKey()
+	if !slices.ContainsFunc(srcs, func(s *pairSource) bool { return s.firstKey() != key || s.lastKey() != key }) {
+		for tag, c := range memTags {
+			bufs[tag] = make([]relation.Tuple, 0, c)
+		}
+	}
 	runs := 0
 	var bytes int64
 	var curKey uint64
-	var run []Tagged
+	var runLen int
 	var runReal, maxRunReal int64
 	flushRun := func() {
-		if len(run) == 0 {
+		if runLen == 0 {
 			return
 		}
-		keyRunLen.Observe(int64(len(run)))
+		keyRunLen.Observe(int64(runLen))
 		runs++
-		// Capacity-capped view: an accidental append inside Reduce
-		// allocates instead of clobbering the reused buffer.
-		reduce(curKey, run[:len(run):len(run)], rctx)
-		run = run[:0]
-		runReal = 0
+		for tag, b := range bufs {
+			// Capacity-capped views: an append inside Reduce allocates
+			// instead of writing into the reused buffer.
+			groups[tag] = b[:len(b):len(b)]
+			bufs[tag] = b[:0]
+		}
+		reduce(curKey, groups, rctx)
+		runLen, runReal = 0, 0
 	}
 	var merged int
 	err := mergeSources(srcs, func(p pair, s *pairSource) error {
@@ -588,17 +651,14 @@ func (r *run) reduceAttempt(actx context.Context, red, attempt int, sh *obs.Shar
 				return err
 			}
 		}
-		// Per-pair modeled bytes convert to int64 individually, so the
-		// integer sum is independent of merge order and matches the
-		// in-memory gather accounting bit for bit.
-		bytes += int64(float64(p.tuple.EncodedSize()+8) * s.mult)
-		if len(run) > 0 && p.key != curKey {
+		bytes += p.modeledBytes(s.mult)
+		if runLen > 0 && p.key != curKey {
 			flushRun()
 		}
 		curKey = p.key
-		run = append(run, Tagged{Tag: p.tag, Tuple: p.tuple})
-		runReal += pairRealBytes(p)
-		if runReal > maxRunReal {
+		bufs[p.tag] = appendDoubling(bufs[p.tag], p.tuple)
+		runLen++
+		if runReal += p.realBytes(); runReal > maxRunReal {
 			maxRunReal = runReal
 		}
 		return nil
@@ -816,6 +876,55 @@ func (r *run) export(m *Metrics) {
 	if n := m.MapFailures + m.ReduceFailures; n > 0 {
 		o.Counter("mr/task_retries").Add(int64(n))
 	}
+}
+
+// mapScratch is where an in-memory map attempt collects its routed
+// pairs, in emission order with each pair's destination beside it, until
+// partition deals them out. The run hands these buffers from attempt to
+// attempt, so after the first few tasks a map attempt's only shuffle
+// allocation is its partitioned block.
+type mapScratch struct {
+	pairs []pair
+	dest  []int32
+	count []int // pairs per reducer
+}
+
+func (sc *mapScratch) add(red int, p pair) {
+	sc.pairs = appendDoubling(sc.pairs, p)
+	sc.dest = appendDoubling(sc.dest, int32(red))
+}
+
+// partition stable-partitions the collected pairs by destination into
+// one exactly sized block and returns the per-reducer buckets, each a
+// capacity-limited subslice of it holding that reducer's pairs in
+// emission order.
+func (sc *mapScratch) partition(nRed int) [][]pair {
+	sc.count = slices.Grow(sc.count[:0], nRed)[:nRed]
+	clear(sc.count)
+	for _, d := range sc.dest {
+		sc.count[d]++
+	}
+	buckets := make([][]pair, nRed)
+	block := make([]pair, len(sc.pairs))
+	off := 0
+	for red, n := range sc.count {
+		buckets[red] = block[off : off : off+n]
+		off += n
+	}
+	for i, p := range sc.pairs {
+		buckets[sc.dest[i]] = append(buckets[sc.dest[i]], p) // within its capacity
+	}
+	return buckets
+}
+
+// appendDoubling is append that at least doubles a full slice at every
+// size: a large buffer is copied log₂ n times, not through append's 1.25×
+// steps.
+func appendDoubling[T any](s []T, v T) []T {
+	if len(s) == cap(s) {
+		s = slices.Grow(s, max(len(s), 16))
+	}
+	return append(s, v)
 }
 
 // sortBucket stable-sorts one spill bucket by key, preserving emission

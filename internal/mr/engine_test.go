@@ -39,8 +39,8 @@ func countJob(in *relation.Relation, reducers int) *Job {
 	return &Job{
 		Name:   "count",
 		Inputs: []Input{{Rel: in, Map: func(t relation.Tuple, emit Emitter) { emit(uint64(t[0].Int64()), 0, t) }}},
-		Reduce: func(key uint64, values []Tagged, ctx *ReduceContext) {
-			ctx.Emit(relation.Tuple{values[0].Tuple[0], relation.Int(int64(len(values)))})
+		Reduce: func(key uint64, groups [][]relation.Tuple, ctx *ReduceContext) {
+			ctx.Emit(relation.Tuple{groups[0][0][0], relation.Int(int64(len(groups[0])))})
 		},
 		NumReducers:  reducers,
 		OutputName:   "counts",
@@ -134,16 +134,17 @@ func TestMergeOrderingContract(t *testing.T) {
 	job := &Job{
 		Name:   "ordering",
 		Inputs: []Input{{Rel: in, Map: func(t relation.Tuple, emit Emitter) { emit(uint64(t[0].Int64()), 0, t) }}},
-		Reduce: func(key uint64, values []Tagged, ctx *ReduceContext) {
+		Reduce: func(key uint64, byTag [][]relation.Tuple, ctx *ReduceContext) {
+			values := byTag[0]
 			g := group{key: key}
 			for _, v := range values {
-				g.pos = append(g.pos, v.Tuple[1].Int64())
+				g.pos = append(g.pos, v[1].Int64())
 			}
 			groups = append(groups, g)
-			ctx.Emit(relation.Tuple{values[0].Tuple[0], relation.Int(int64(len(values)))})
+			ctx.Emit(relation.Tuple{values[0][0], relation.Int(int64(len(values)))})
 		},
-		NumReducers:  1, // single reducer: observe the full merged run
-		OutputName:   "out",
+		NumReducers: 1, // single reducer: observe the full merged run
+		OutputName:  "out",
 		OutputSchema: relation.MustSchema(
 			relation.Column{Name: "k", Kind: relation.KindInt},
 			relation.Column{Name: "n", Kind: relation.KindInt},
@@ -194,15 +195,8 @@ func TestRunEquiJoin(t *testing.T) {
 			{Rel: left, Map: func(t relation.Tuple, emit Emitter) { emit(uint64(t[0].Int64()), 0, t) }},
 			{Rel: right, Map: func(t relation.Tuple, emit Emitter) { emit(uint64(t[0].Int64()), 1, t) }},
 		},
-		Reduce: func(key uint64, values []Tagged, ctx *ReduceContext) {
-			var ls, rs []relation.Tuple
-			for _, v := range values {
-				if v.Tag == 0 {
-					ls = append(ls, v.Tuple)
-				} else {
-					rs = append(rs, v.Tuple)
-				}
-			}
+		Reduce: func(key uint64, groups [][]relation.Tuple, ctx *ReduceContext) {
+			ls, rs := groups[0], groups[1]
 			ctx.AddWork(int64(len(ls) * len(rs)))
 			for _, l := range ls {
 				for _, r := range rs {
@@ -295,7 +289,7 @@ func TestBadPartitionRejected(t *testing.T) {
 func TestArityMismatchRejected(t *testing.T) {
 	in := intsRelation("in", 1)
 	job := countJob(in, 1)
-	job.Reduce = func(key uint64, values []Tagged, ctx *ReduceContext) {
+	job.Reduce = func(key uint64, groups [][]relation.Tuple, ctx *ReduceContext) {
 		ctx.Emit(relation.Tuple{relation.Int(1)}) // schema wants 2 columns
 	}
 	if _, err := Run(context.Background(), smallConfig(), nil, job); err == nil {
@@ -501,11 +495,11 @@ func TestStringKeysViaHash(t *testing.T) {
 	job := &Job{
 		Name:   "strcount",
 		Inputs: []Input{{Rel: in, Map: func(t relation.Tuple, emit Emitter) { emit(hashString(t[0].Str()), 0, t) }}},
-		Reduce: func(key uint64, values []Tagged, ctx *ReduceContext) {
+		Reduce: func(key uint64, groups [][]relation.Tuple, ctx *ReduceContext) {
 			// Hash collisions are possible in principle: re-group by value.
 			byVal := map[string]int64{}
-			for _, v := range values {
-				byVal[v.Tuple[0].Str()]++
+			for _, v := range groups[0] {
+				byVal[v[0].Str()]++
 			}
 			for s, n := range byVal {
 				ctx.Emit(relation.Tuple{relation.Str(s), relation.Int(n)})
@@ -573,9 +567,9 @@ func TestOutputCapRatio(t *testing.T) {
 	job := &Job{
 		Name:   "explode",
 		Inputs: []Input{{Rel: in, Map: func(t relation.Tuple, emit Emitter) { emit(7, 0, t) }}},
-		Reduce: func(key uint64, values []Tagged, ctx *ReduceContext) {
-			for range values {
-				for range values {
+		Reduce: func(key uint64, groups [][]relation.Tuple, ctx *ReduceContext) {
+			for range groups[0] {
+				for range groups[0] {
 					ctx.Emit(relation.Tuple{relation.Int(1)})
 				}
 			}

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/relation"
 )
 
 // faultProbePlan is the CI smoke plan: two map kills, one reduce kill,
@@ -233,9 +234,9 @@ func TestCancellationMidMerge(t *testing.T) {
 	defer cancel()
 	job := groupJob(in, 2)
 	orig := job.Reduce
-	job.Reduce = func(key uint64, values []Tagged, rctx *ReduceContext) {
+	job.Reduce = func(key uint64, groups [][]relation.Tuple, rctx *ReduceContext) {
 		cancel() // fire mid-merge, with sources still open
-		orig(key, values, rctx)
+		orig(key, groups, rctx)
 	}
 
 	before := runtime.NumGoroutine()

@@ -7,15 +7,10 @@ import (
 	"repro/internal/relation"
 )
 
-// Tagged is a shuffled value: the tuple plus the ordinal of the input
-// that produced it, so join reducers can separate sides.
-type Tagged struct {
-	Tag   uint8
-	Tuple relation.Tuple
-}
-
-// Emitter receives map output. Key routing is by the job's Partition
-// function (default key mod numReducers).
+// Emitter receives map output. tag is the ordinal of the input that
+// produced the value (below len(Job.Inputs)), so join reducers get their
+// sides apart. Key routing is by the job's Partition function (default
+// key mod numReducers).
 type Emitter func(key uint64, tag uint8, value relation.Tuple)
 
 // MapFunc transforms one input tuple into zero or more (key, tagged
@@ -104,11 +99,15 @@ func (rc *ReduceContext) AddWork(n int64) { rc.combinations += n }
 
 // ReduceFunc processes all values grouped under one key.
 //
-// values is a zero-copy view into the reducer's merged run: it is valid
-// only for the duration of the call and must not be mutated or retained
-// (copy what outlives the call). Values appear in task order and, within
-// a task, map emission order — the engine's determinism contract.
-type ReduceFunc func(key uint64, values []Tagged, ctx *ReduceContext)
+// groups has one entry per job input: groups[tag] holds the key's values
+// emitted with that tag (empty when there are none), in task order and,
+// within a task, map emission order — the engine's determinism contract.
+// The engine splits the merged run by tag because every join reducer
+// starts that way. The slices are views into buffers the attempt reuses
+// for its next key: valid only for the duration of the call, not to be
+// retained (copy what outlives it), and capacity-limited, so an append
+// allocates instead of reaching the buffer.
+type ReduceFunc func(key uint64, groups [][]relation.Tuple, ctx *ReduceContext)
 
 // Partitioner routes one map-emitted pair to one or more reducers. It
 // generalises the Partition function for skew-resilient shuffles: a

@@ -123,15 +123,14 @@ func concatJoinJob(left, right *relation.Relation, reducers int) *Job {
 			{Rel: left, Map: func(t relation.Tuple, emit Emitter) { emit(uint64(t[0].Int64()), 0, t) }},
 			{Rel: right, Map: func(t relation.Tuple, emit Emitter) { emit(uint64(t[0].Int64()), 1, t) }},
 		},
-		Reduce: func(key uint64, values []Tagged, ctx *ReduceContext) {
-			for _, a := range values {
-				for _, b := range values {
-					if a.Tag == 0 && b.Tag == 1 {
-						ctx.EmitConcat(a.Tuple, b.Tuple)
-					}
+		Reduce: func(key uint64, groups [][]relation.Tuple, ctx *ReduceContext) {
+			for _, a := range groups[0] {
+				for _, b := range groups[1] {
+					ctx.EmitConcat(a, b)
 				}
 			}
-			ctx.Emit(append(values[0].Tuple.Clone(), values[0].Tuple...))
+			first := append(groups[0], groups[1]...)[0]
+			ctx.Emit(append(first.Clone(), first...))
 		},
 		NumReducers:  reducers,
 		OutputName:   "joined",

@@ -2,7 +2,6 @@ package mr
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -26,7 +25,7 @@ import (
 // layer preserves it because runs are merged in (key, source ordinal)
 // order with sources ordered (task, flush), exactly the global stable
 // sort order of the in-memory path, and because the pair codec
-// (relation.WriteTupleRaw) round-trips values bit-identically,
+// (relation.AppendTupleRaw) round-trips values bit-identically,
 // dictionary code slots included.
 
 // SpillFile is one spill target: append-only while writing, random
@@ -123,37 +122,24 @@ func (t *tempSpillFile) Release() error {
 // ---- Pair codec -------------------------------------------------------
 
 // Spilled pair layout: u64 key (LE), u8 tag, tuple in the raw
-// self-describing layout (relation.WriteTupleRaw), which preserves
+// self-describing layout (relation.AppendTupleRaw), which preserves
 // interned-string code slots so EncodedSize — and with it every
 // modeled byte metric — is unchanged by a disk round trip.
 
-func writePair(bw *bufio.Writer, p pair) error {
-	var scratch [9]byte
-	binary.LittleEndian.PutUint64(scratch[:8], p.key)
-	scratch[8] = p.tag
-	if _, err := bw.Write(scratch[:9]); err != nil {
-		return err
-	}
-	return relation.WriteTupleRaw(bw, p.tuple)
+func appendPair(dst []byte, p pair) []byte {
+	dst = append(binary.LittleEndian.AppendUint64(dst, p.key), p.tag)
+	return relation.AppendTupleRaw(dst, p.tuple)
 }
 
-func readPair(br *bufio.Reader) (pair, error) {
-	var scratch [9]byte
-	if _, err := io.ReadFull(br, scratch[:9]); err != nil {
-		return pair{}, err
+// decodePair decodes the pair at the front of a verified frame payload
+// and returns it, measured, with the rest of the payload.
+func decodePair(b []byte) (pair, []byte, error) {
+	if len(b) < 9 {
+		return pair{}, nil, io.ErrUnexpectedEOF
 	}
-	t, err := relation.ReadTupleRaw(br)
-	if err != nil {
-		return pair{}, err
-	}
-	return pair{key: binary.LittleEndian.Uint64(scratch[:8]), tag: scratch[8], tuple: t}, nil
+	t, rest, err := relation.DecodeTupleRaw(b[9:])
+	return pair{key: binary.LittleEndian.Uint64(b), tag: b[8], size: uint32(t.EncodedSize()), tuple: t}, rest, err
 }
-
-// pairRealBytes is the accounted in-memory size of one buffered pair:
-// the tuple's encoded size plus 8 bytes of key framing — the same raw
-// quantity the modeled byte accounting multiplies, so budget and
-// metrics speak one unit.
-func pairRealBytes(p pair) int64 { return int64(p.tuple.EncodedSize() + 8) }
 
 // ---- Checksummed frames -----------------------------------------------
 
@@ -172,50 +158,37 @@ const (
 	spillFrameHeader = 8
 )
 
-// frameWriter buffers pairs into frames and emits each with its
-// length+CRC header to dst.
+// frameWriter appends pairs to the open frame and emits each frame with
+// its length+CRC header to dst.
 type frameWriter struct {
 	dst    io.Writer
-	buf    bytes.Buffer
-	bw     *bufio.Writer
+	buf    []byte // the open frame's payload
 	frames int
 }
 
-func newFrameWriter(dst io.Writer) *frameWriter {
-	fw := &frameWriter{dst: dst}
-	fw.bw = bufio.NewWriter(&fw.buf)
-	return fw
-}
-
 func (fw *frameWriter) writePair(p pair) error {
-	if err := writePair(fw.bw, p); err != nil {
-		return err
-	}
-	if err := fw.bw.Flush(); err != nil {
-		return err
-	}
-	if fw.buf.Len() >= spillFrameSize {
+	fw.buf = appendPair(fw.buf, p)
+	if len(fw.buf) >= spillFrameSize {
 		return fw.emit()
 	}
 	return nil
 }
 
 func (fw *frameWriter) emit() error {
-	if fw.buf.Len() == 0 {
+	if len(fw.buf) == 0 {
 		return nil
 	}
-	payload := fw.buf.Bytes()
 	var hdr [spillFrameHeader]byte
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
+	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(fw.buf)))
+	binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(fw.buf))
 	if _, err := fw.dst.Write(hdr[:]); err != nil {
 		return err
 	}
-	if _, err := fw.dst.Write(payload); err != nil {
+	if _, err := fw.dst.Write(fw.buf); err != nil {
 		return err
 	}
 	fw.frames++
-	fw.buf.Reset()
+	fw.buf = fw.buf[:0]
 	return nil
 }
 
@@ -246,8 +219,9 @@ type taskSpiller struct {
 	store    SpillStore
 	budget   int64
 	buckets  [][]pair
-	buffered int64 // accounted bytes currently buffered
-	peak     int64 // high-water mark of buffered
+	frame    []byte // frame buffer, reused from flush to flush
+	buffered int64  // accounted bytes currently buffered
+	peak     int64  // high-water mark of buffered
 	flushes  []spillFlush
 	spilled  int64 // total bytes written to the store
 }
@@ -260,7 +234,7 @@ func newTaskSpiller(store SpillStore, nRed int, budget int64) *taskSpiller {
 // exhausted. Flushing before (not after) appending keeps the buffer at
 // most one pair over budget.
 func (ts *taskSpiller) add(r int, p pair) error {
-	b := pairRealBytes(p)
+	b := p.realBytes()
 	if ts.buffered > 0 && ts.buffered+b > ts.budget {
 		if err := ts.flush(); err != nil {
 			return err
@@ -275,7 +249,7 @@ func (ts *taskSpiller) add(r int, p pair) error {
 }
 
 // flush sorts every non-empty bucket and writes one spill file with a
-// segment per reducer, then drops the buffered pairs.
+// segment per reducer, then empties the buckets.
 func (ts *taskSpiller) flush() error {
 	if ts.buffered == 0 {
 		return nil
@@ -285,7 +259,7 @@ func (ts *taskSpiller) flush() error {
 		return err
 	}
 	cw := &countingWriter{w: f}
-	fw := newFrameWriter(cw)
+	fw := &frameWriter{dst: cw, buf: ts.frame[:0]}
 	segs := make([]spillSegment, len(ts.buckets))
 	for r, b := range ts.buckets {
 		if len(b) == 0 {
@@ -303,20 +277,25 @@ func (ts *taskSpiller) flush() error {
 		}
 		seg.n = cw.n - seg.off
 		segs[r] = seg
-		ts.buckets[r] = nil
+		ts.buckets[r] = b[:0] // the next flush fills the same capacity
 	}
 	if err := f.Seal(); err != nil {
 		return err
 	}
+	ts.frame = fw.buf
 	ts.flushes = append(ts.flushes, spillFlush{file: f, segs: segs})
 	ts.spilled += cw.n
 	ts.buffered = 0
 	return nil
 }
 
-// finish flushes the remaining buffer so the task retains no pairs in
-// memory; every run is on the store.
-func (ts *taskSpiller) finish() error { return ts.flush() }
+// finish flushes the remaining buffer and drops the buckets, so the task
+// retains no pairs in memory; every run is on the store.
+func (ts *taskSpiller) finish() error {
+	err := ts.flush()
+	ts.buckets, ts.frame = nil, nil
+	return err
+}
 
 // release frees every spill file of the task.
 func (ts *taskSpiller) release() {
@@ -362,18 +341,21 @@ type pairSource struct {
 
 	// cursor state
 	pos     int
-	frOff   int64 // next unread file offset (frame-aligned)
-	payload []byte
-	rd      *bytes.Reader
-	br      *bufio.Reader
+	frOff   int64  // next unread file offset (frame-aligned)
+	payload []byte // the loaded frame
+	rest    []byte // its undecoded tail
+	// spare is the attempt's idle frame buffer: a drained run leaves its
+	// own here for the next run to load into, so a sequential merge reads
+	// every run through one buffer.
+	spare *[]byte
 }
 
 func memSource(bucket []pair, mult float64) *pairSource {
 	return &pairSource{bucket: bucket, mult: mult}
 }
 
-func diskSource(file SpillFile, seg spillSegment, mult float64, ft *faultRuntime, task int) *pairSource {
-	return &pairSource{file: file, seg: seg, mult: mult, ft: ft, task: task}
+func diskSource(file SpillFile, seg spillSegment, mult float64, ft *faultRuntime, task int, spare *[]byte) *pairSource {
+	return &pairSource{file: file, seg: seg, mult: mult, ft: ft, task: task, spare: spare}
 }
 
 func (s *pairSource) count() int {
@@ -408,18 +390,19 @@ func (s *pairSource) next() (pair, error) {
 		}
 		return p, nil
 	}
-	if s.br == nil || (s.br.Buffered() == 0 && s.rd.Len() == 0) {
+	if len(s.rest) == 0 {
 		if err := s.loadFrame(); err != nil {
 			return pair{}, fmt.Errorf("mr: read spilled pair: %w", err)
 		}
 	}
-	p, err := readPair(s.br)
+	p, rest, err := decodePair(s.rest)
 	if err != nil {
 		return pair{}, fmt.Errorf("mr: read spilled pair: %w", err)
 	}
+	s.rest = rest
 	s.pos++
 	if s.pos == s.seg.count {
-		s.br, s.rd, s.payload = nil, nil, nil // release the read buffers
+		*s.spare, s.payload, s.rest = s.payload, nil, nil // hand the read buffer on
 		s.pos = -1
 	}
 	return p, nil
@@ -447,6 +430,9 @@ func (s *pairSource) loadFrame() error {
 	if n <= 0 || s.frOff+spillFrameHeader+n > end {
 		return retryable(fmt.Errorf("spill frame header corrupt at offset %d (len %d)", s.frOff, n))
 	}
+	if s.payload == nil {
+		s.payload, *s.spare = *s.spare, nil
+	}
 	if int64(cap(s.payload)) < n {
 		s.payload = make([]byte, n)
 	}
@@ -472,13 +458,7 @@ func (s *pairSource) loadFrame() error {
 		s.ft.failoverRead()
 	}
 	s.frOff += spillFrameHeader + n
-	if s.rd == nil {
-		s.rd = bytes.NewReader(s.payload)
-		s.br = bufio.NewReaderSize(s.rd, 4096)
-	} else {
-		s.rd.Reset(s.payload)
-		s.br.Reset(s.rd)
-	}
+	s.rest = s.payload
 	return nil
 }
 

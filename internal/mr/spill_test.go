@@ -59,15 +59,16 @@ func groupJob(in *relation.Relation, reducers int) *Job {
 	return &Job{
 		Name:   "group",
 		Inputs: []Input{{Rel: in, Map: func(t relation.Tuple, emit Emitter) { emit(uint64(t[0].Int64()), 0, t) }}},
-		Reduce: func(key uint64, values []Tagged, ctx *ReduceContext) {
+		Reduce: func(key uint64, groups [][]relation.Tuple, ctx *ReduceContext) {
+			values := groups[0]
 			var city relation.Value
 			for _, v := range values {
-				if !v.Tuple[1].IsNull() {
-					city = v.Tuple[1]
+				if !v[1].IsNull() {
+					city = v[1]
 					break
 				}
 			}
-			ctx.Emit(relation.Tuple{values[0].Tuple[0], city, relation.Int(int64(len(values)))})
+			ctx.Emit(relation.Tuple{values[0][0], city, relation.Int(int64(len(values)))})
 		},
 		NumReducers:  reducers,
 		OutputName:   "groups",

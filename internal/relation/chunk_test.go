@@ -161,17 +161,11 @@ func TestRawValueCodec(t *testing.T) {
 		InternedStr("member", 0), InternedStr("big-code", 1<<20),
 		TimeUnix(0), TimeUnix(-12345),
 	}
-	var buf bytes.Buffer
-	bw := bufio.NewWriter(&buf)
+	var raw []byte
 	for _, v := range vals {
-		if err := WriteValueRaw(bw, v); err != nil {
-			t.Fatal(err)
-		}
+		raw = AppendValueRaw(raw, v)
 	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	br := bufio.NewReader(&buf)
+	br := bufio.NewReader(bytes.NewReader(raw))
 	for _, want := range vals {
 		got, err := ReadValueRaw(br)
 		if err != nil {
@@ -184,17 +178,9 @@ func TestRawValueCodec(t *testing.T) {
 	}
 
 	tup := Tuple{Int(7), InternedStr("x", 3), Null(), Float(1.25)}
-	var tbuf bytes.Buffer
-	tw := bufio.NewWriter(&tbuf)
-	if err := WriteTupleRaw(tw, tup); err != nil {
-		t.Fatal(err)
-	}
-	if err := tw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	gotTup, err := ReadTupleRaw(bufio.NewReader(&tbuf))
-	if err != nil {
-		t.Fatal(err)
+	gotTup, rest, err := DecodeTupleRaw(AppendTupleRaw(nil, tup))
+	if err != nil || len(rest) != 0 {
+		t.Fatalf("decode: %v, %d bytes left", err, len(rest))
 	}
 	requireTuplesIdentical(t, []Tuple{gotTup}, []Tuple{tup}, "raw tuple")
 }

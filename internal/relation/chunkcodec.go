@@ -3,6 +3,7 @@ package relation
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 )
@@ -30,51 +31,34 @@ import (
 // bit-identity — dictionary code slots included — so EncodedSize, sort
 // keys and content hashes are unchanged by a round trip.
 //
-// The raw value layout (WriteValueRaw/ReadValueRaw) is a
+// The raw value layout (AppendValueRaw/ReadValueRaw) is a
 // self-describing per-value encoding that needs no dictionary context:
 // strings always carry their code slot and inline bytes. The mr spill
 // path uses it to write shuffle pairs to disk and reload them
 // bit-identically.
 
-// WriteValueRaw writes v in the self-describing raw layout: kind byte,
+// AppendValueRaw appends v in the self-describing raw layout: kind byte,
 // then an 8-byte payload for numeric kinds, or uvarint(code slot) +
 // u32 length + bytes for strings. Unlike the relation codecs it
 // preserves interned-string code slots without dictionary context, so
 // a reloaded value is bit-identical to the original (EncodedSize
 // included).
-func WriteValueRaw(bw *bufio.Writer, v Value) error {
-	if err := bw.WriteByte(byte(v.kind)); err != nil {
-		return err
-	}
-	var scratch [binary.MaxVarintLen64]byte
+func AppendValueRaw(dst []byte, v Value) []byte {
+	dst = append(dst, byte(v.kind))
 	switch v.kind {
-	case KindNull:
-		return nil
 	case KindInt, KindTime:
-		binary.LittleEndian.PutUint64(scratch[:8], uint64(v.i))
-		_, err := bw.Write(scratch[:8])
-		return err
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(v.i))
 	case KindFloat:
-		binary.LittleEndian.PutUint64(scratch[:8], floatBits(v.f))
-		_, err := bw.Write(scratch[:8])
-		return err
+		dst = binary.LittleEndian.AppendUint64(dst, floatBits(v.f))
 	case KindString:
-		n := binary.PutUvarint(scratch[:], uint64(v.i)) // code slot (0 = not interned)
-		if _, err := bw.Write(scratch[:n]); err != nil {
-			return err
-		}
-		binary.LittleEndian.PutUint32(scratch[:4], uint32(len(v.s)))
-		if _, err := bw.Write(scratch[:4]); err != nil {
-			return err
-		}
-		_, err := bw.WriteString(v.s)
-		return err
-	default:
-		return fmt.Errorf("relation: write raw value: unknown kind %v", v.kind)
+		dst = binary.AppendUvarint(dst, uint64(v.i)) // code slot (0 = not interned)
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(v.s)))
+		dst = append(dst, v.s...)
 	}
+	return dst
 }
 
-// ReadValueRaw reads a value written by WriteValueRaw.
+// ReadValueRaw reads a value written by AppendValueRaw.
 func ReadValueRaw(br *bufio.Reader) (Value, error) {
 	kb, err := br.ReadByte()
 	if err != nil {
@@ -117,38 +101,62 @@ func ReadValueRaw(br *bufio.Reader) (Value, error) {
 	}
 }
 
-// WriteTupleRaw writes a tuple as uvarint(arity) followed by its
+// AppendTupleRaw appends a tuple as uvarint(arity) followed by its
 // values in the raw layout.
-func WriteTupleRaw(bw *bufio.Writer, t Tuple) error {
-	var scratch [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(scratch[:], uint64(len(t)))
-	if _, err := bw.Write(scratch[:n]); err != nil {
-		return err
-	}
+func AppendTupleRaw(dst []byte, t Tuple) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(t)))
 	for _, v := range t {
-		if err := WriteValueRaw(bw, v); err != nil {
-			return err
-		}
+		dst = AppendValueRaw(dst, v)
 	}
-	return nil
+	return dst
 }
 
-// ReadTupleRaw reads a tuple written by WriteTupleRaw.
-func ReadTupleRaw(br *bufio.Reader) (Tuple, error) {
-	n, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, err
+// DecodeTupleRaw decodes the tuple AppendTupleRaw wrote at the front of
+// b and returns it with the rest of b. It is the spill path's reader:
+// the frame payload is already in memory, so values are sliced out of it
+// with no reader in between. It never reads past b; truncated or
+// malformed bytes are an error.
+func DecodeTupleRaw(b []byte) (Tuple, []byte, error) {
+	arity, w := binary.Uvarint(b)
+	// A value is at least its kind byte, so an arity beyond the bytes
+	// left is corrupt; checked before it sizes an allocation.
+	if w <= 0 || arity > uint64(len(b)-w) {
+		return nil, nil, errRawTuple
 	}
-	t := make(Tuple, n)
+	b = b[w:]
+	t := make(Tuple, arity)
 	for i := range t {
-		v, err := ReadValueRaw(br)
-		if err != nil {
-			return nil, err
+		if len(b) == 0 {
+			return nil, nil, errRawTuple
 		}
-		t[i] = v
+		kind := Kind(b[0])
+		b = b[1:]
+		switch {
+		case kind == KindNull:
+		case kind == KindString:
+			slot, w := binary.Uvarint(b)
+			if w <= 0 || len(b)-w < 4 {
+				return nil, nil, errRawTuple
+			}
+			n := binary.LittleEndian.Uint32(b[w:])
+			if b = b[w+4:]; uint64(n) > uint64(len(b)) {
+				return nil, nil, errRawTuple
+			}
+			t[i], b = Value{kind: KindString, s: string(b[:n]), i: int64(slot)}, b[n:]
+		case kind <= KindTime && len(b) >= 8: // int, float, time: 8 payload bytes
+			u := binary.LittleEndian.Uint64(b)
+			if t[i] = (Value{kind: kind, i: int64(u)}); kind == KindFloat {
+				t[i] = Float(floatFromBits(u))
+			}
+			b = b[8:]
+		default:
+			return nil, nil, errRawTuple
+		}
 	}
-	return t, nil
+	return t, b, nil
 }
+
+var errRawTuple = errors.New("relation: raw tuple truncated or malformed")
 
 // EncodeChunk writes c as one standalone chunk frame. dicts provides
 // the dictionary context for slot-only string encoding and may be nil.
@@ -259,7 +267,7 @@ func EncodeChunk(w io.Writer, c *Chunk, dicts []*Dict) error {
 				if err := writeUvarint(uint64(r)); err != nil {
 					return err
 				}
-				if err := WriteValueRaw(bw, cv.exc[r]); err != nil {
+				if _, err := bw.Write(AppendValueRaw(scratch[:0], cv.exc[r])); err != nil {
 					return err
 				}
 			}

@@ -30,7 +30,7 @@
 //
 // A relation has exactly three encodings, each with one job: CSV with
 // a typed header (WriteCSV/ReadCSV, codec.go) is what users load and
-// save; the raw tuple codec (WriteTupleRaw/ReadTupleRaw) is what mr
+// save; the raw tuple codec (AppendTupleRaw/DecodeTupleRaw) is what mr
 // writes shuffle pairs to spill runs in; the chunk frame
 // (EncodeChunk/DecodeChunk) is the dfs block store's unit. The two
 // binary ones round-trip a Value bit-identically, dictionary code slot

@@ -287,25 +287,25 @@ func TestAdmissionControl(t *testing.T) {
 }
 
 // TestCloseDrains: Close waits for in-flight queries and rejects new
-// ones.
+// ones. What Close guarantees is that no query still holds an execution
+// slot when it returns — Submit itself returns to its caller a moment
+// later, so the test does not ask whether that has happened yet.
 func TestCloseDrains(t *testing.T) {
 	db := testDB(t)
 	s := New(db, Config{KP: 8, MR: testMRConfig()})
-	var finished atomic.Bool
 	started := make(chan struct{})
 	done := make(chan error, 1)
 	go func() {
 		close(started)
 		_, err := s.Submit(context.Background(), Request{Spec: testSpec})
-		finished.Store(true)
 		done <- err
 	}()
 	<-started
 	// Give the submission a moment to pass admission before closing.
 	time.Sleep(5 * time.Millisecond)
 	s.Close()
-	if !finished.Load() {
-		t.Error("Close returned before the in-flight query finished")
+	if n := len(s.sem); n != 0 {
+		t.Errorf("Close returned with %d queries still executing", n)
 	}
 	if err := <-done; err != nil && err != ErrClosed {
 		t.Errorf("in-flight query failed: %v", err)
