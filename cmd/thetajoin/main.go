@@ -231,13 +231,9 @@ func run() error {
 		shown++
 	}
 	if *outPath != "" {
-		f, err := os.Create(*outPath)
+		err := writeFileWith(*outPath, func(w io.Writer) error { return relation.WriteCSV(w, res.Output) })
 		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := relation.WriteCSV(f, res.Output); err != nil {
-			return err
+			return fmt.Errorf("-out: %w", err)
 		}
 		fmt.Println("full result written to", *outPath)
 	}

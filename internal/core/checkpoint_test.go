@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"strings"
@@ -8,8 +9,10 @@ import (
 
 	"repro/internal/dfs"
 	"repro/internal/mr"
+	"repro/internal/obs"
 	"repro/internal/predicate"
 	"repro/internal/query"
+	"repro/internal/relation"
 )
 
 // checkpointCascadePlan builds the two-job cascade of the
@@ -92,6 +95,65 @@ func TestCheckpointResume(t *testing.T) {
 	}
 	if rep := res.Report(); !strings.Contains(rep, "checkpoint restore: 1 jobs skipped (casc-j1)") {
 		t.Errorf("report missing restore line:\n%s", rep)
+	}
+}
+
+// failingLoads is a Checkpointer whose load of one job errors, as a
+// checkpoint corrupt on every replica does.
+type failingLoads struct {
+	Checkpointer
+	job string
+}
+
+func (f failingLoads) LoadIntermediate(plan, job string) (*relation.Relation, bool, error) {
+	if job == f.job {
+		return nil, false, errors.New("checksum mismatch on all replicas")
+	}
+	return f.Checkpointer.LoadIntermediate(plan, job)
+}
+
+// TestCheckpointLoadErrorIsAMiss: a checkpoint that fails to load must
+// not fail the resumed query — the job it would have skipped runs
+// again, and the error is counted.
+func TestCheckpointLoadErrorIsAMiss(t *testing.T) {
+	plan, db := checkpointCascadePlan(t)
+	store, err := dfs.NewBlockStore("", 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	cp := dfs.NewCheckpointStore(store)
+	pl := testPlanner(8)
+	pl.Opts.Checkpoint = cp
+	clean, err := pl.Execute(plan, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(clean.CheckpointSaved) != 1 || clean.CheckpointSaved[0] != "casc-j1" {
+		t.Fatalf("CheckpointSaved = %v, want [casc-j1]", clean.CheckpointSaved)
+	}
+
+	pl2 := testPlanner(8)
+	pl2.Opts.Checkpoint = failingLoads{Checkpointer: cp, job: "casc-j1"}
+	pl2.Opts.ResumeFrom = "casc"
+	o := &obs.Obs{Metrics: obs.NewRegistry()}
+	res, err := pl2.ExecuteContext(obs.NewContext(context.Background(), o), plan, db)
+	if err != nil {
+		t.Fatalf("resume over an unloadable checkpoint failed: %v", err)
+	}
+	if len(res.CheckpointRestored) != 0 {
+		t.Errorf("CheckpointRestored = %v, want none", res.CheckpointRestored)
+	}
+	for _, job := range []string{"casc-j1", "casc-j2"} {
+		if m := res.JobMetrics[job]; m.MapTasks == 0 {
+			t.Errorf("%s did not run: %+v", job, m)
+		}
+	}
+	if !resultSet(clean.Output).Equal(resultSet(res.Output)) {
+		t.Error("output differs from the clean run")
+	}
+	if n := o.Counter("core/checkpoint_errors").Value(); n != 1 {
+		t.Errorf("core/checkpoint_errors = %d, want 1", n)
 	}
 }
 

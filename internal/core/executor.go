@@ -59,9 +59,9 @@ type ExecResult struct {
 	// totals map+reduce attempts launched (wall-clock dependent — retry
 	// and speculation scheduling follow real time — so determinism
 	// assertions must ignore it, like Wall); TaskFailures totals the
-	// deterministically charged task failures (legacy sim injection plus
-	// planned fault-plan kills); SpeculativeLaunched/SpeculativeWins
-	// count straggler backups (also wall-clock dependent).
+	// deterministically charged task failures (the fault plan's planned
+	// kills); SpeculativeLaunched/SpeculativeWins count straggler
+	// backups (also wall-clock dependent).
 	// ChecksumFailures and FailoverReads count detected spill-frame
 	// corruptions and the replica re-reads that absorbed them — both
 	// deterministic.
@@ -238,7 +238,8 @@ func (pl *Planner) ExecuteContext(ctx context.Context, plan *Plan, db *DB) (*Exe
 	// so only un-checkpointed jobs re-execute. A restored job completes
 	// instantly with synthetic zero metrics and a nil trace; only
 	// consumed intermediates are ever checkpointed, so terminal jobs
-	// always re-run.
+	// always re-run. A checkpoint that fails to load is a miss, as one
+	// that fails to save is no checkpoint: the job re-executes.
 	var restoredJobs, savedJobs []string
 	if pl.Opts.Checkpoint != nil && pl.Opts.ResumeFrom != "" {
 		for i := range plan.Jobs {
@@ -248,7 +249,9 @@ func (pl *Planner) ExecuteContext(ctx context.Context, plan *Plan, db *DB) (*Exe
 			}
 			r, ok, err := pl.Opts.Checkpoint.LoadIntermediate(pl.Opts.ResumeFrom, pj.Name)
 			if err != nil {
-				return nil, fmt.Errorf("core: restore checkpoint %s/%s: %w", pl.Opts.ResumeFrom, pj.Name, err)
+				o.Counter("core/checkpoint_errors").Add(1)
+				execShard.Instant("checkpoint-error", obs.A("job", pj.Name), obs.A("error", err.Error()))
+				continue
 			}
 			if !ok {
 				continue

@@ -108,10 +108,6 @@ type joinStep struct {
 	// ccond.hiSlot indexes into them (and into the per-group key
 	// columns built from them).
 	exts []keyExtractor
-	// schema is the step relation's schema, kept so large candidate
-	// groups can be unboxed into a chunk view for vectorized key
-	// extraction (see buildStep).
-	schema *relation.Schema
 }
 
 func (st *joinStep) empty() bool {
@@ -148,7 +144,6 @@ func newJoinEval(rels []*relation.Relation, bound []boundCond) *joinEval {
 	je := &joinEval{m: len(rels), steps: make([]joinStep, len(rels)), indexed: IndexedJoinEval}
 	for i := range je.steps {
 		je.steps[i].genAnchor = -1
-		je.steps[i].schema = rels[i].Schema
 	}
 	for _, bc := range bound {
 		st := &je.steps[bc.hi]
@@ -258,12 +253,6 @@ type stepIndex struct {
 // sorted run costs more than linear scans over the extracted keys.
 const indexMinSize = 8
 
-// chunkKeyMinRows is the candidate-group size from which buildStep
-// unboxes the group into a chunk view before key extraction: below it
-// the single columnar pass costs more than it saves across the step's
-// extractors.
-const chunkKeyMinRows = 256
-
 // directPairVerify is the |ls|×|rs| bound below which a two-relation
 // reduce group verifies pairs directly (matchPair) instead of paying
 // groupEval's per-group slice setup.
@@ -328,18 +317,8 @@ func (ge *groupEval) buildStep(j int) {
 		return
 	}
 	// Materialise each distinct extractor once (keycolumns.go), then
-	// alias the per-condition views into the shared columns. Groups
-	// large enough to amortise the unbox go through a chunk view: one
-	// columnar pass over the tuples, then every extractor reads dense
-	// arrays instead of re-deriving keys from boxed values. Key values
-	// are bit-identical either way.
-	if len(st.exts) >= 2 && n >= chunkKeyMinRows &&
-		st.schema != nil && st.schema.Len() == len(cands[0]) {
-		chunk := relation.PackChunk(st.schema, cands)
-		si.cols = buildKeyColumnsChunks(st.exts, []*relation.Chunk{chunk})
-	} else {
-		si.cols = buildKeyColumns(st.exts, cands)
-	}
+	// alias the per-condition views into the shared columns.
+	si.cols = buildKeyColumns(st.exts, cands)
 	view := func(cs []ccond) [][]int64 {
 		if len(cs) == 0 {
 			return nil

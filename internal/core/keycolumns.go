@@ -99,55 +99,3 @@ func buildKeyColumns(exts []keyExtractor, cands []relation.Tuple) [][]int64 {
 	}
 	return cols
 }
-
-// buildKeyColumnsChunks materialises every extractor's keys over a
-// sequence of chunk views into per-slot columns sharing one backing
-// array — the chunk-view counterpart of buildKeyColumns. Instead of
-// re-boxing each row into a Tuple and deriving keys value by value, it
-// drives the chunks' vectorized extractors (AppendIntKeys /
-// AppendFloatKeys / AppendDictKeys), which read the columnar arrays
-// directly; rows that fell off a column's dense path fall back to the
-// scalar key derivation inside the chunk. Key values are bit-identical
-// to the tuple path.
-func buildKeyColumnsChunks(exts []keyExtractor, chunks []*relation.Chunk) [][]int64 {
-	if len(exts) == 0 {
-		return nil
-	}
-	n := 0
-	for _, c := range chunks {
-		n += c.Rows()
-	}
-	flat := make([]int64, 0, len(exts)*n)
-	cols := make([][]int64, len(exts))
-	var directKeys, probeKeys int64
-	for x := range exts {
-		e := &exts[x]
-		start := len(flat)
-		for _, c := range chunks {
-			switch e.mode {
-			case predicate.KeyInt:
-				flat = c.AppendIntKeys(e.col, e.off, flat)
-			case predicate.KeyFloat:
-				flat = c.AppendFloatKeys(e.col, e.off, flat)
-			default:
-				flat = c.AppendDictKeys(e.col, e.dict, e.direct, flat)
-			}
-		}
-		cols[x] = flat[start:len(flat):len(flat)]
-		if e.mode == predicate.KeyDict {
-			if e.direct {
-				directKeys += int64(n)
-			} else {
-				probeKeys += int64(n)
-			}
-		}
-	}
-	obs.Default().Counter("joineval/key_columns_built").Add(int64(len(exts)))
-	if directKeys > 0 {
-		obs.Default().Counter("joineval/dict_code_keys").Add(directKeys)
-	}
-	if probeKeys > 0 {
-		obs.Default().Counter("joineval/dict_probe_keys").Add(probeKeys)
-	}
-	return cols
-}

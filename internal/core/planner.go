@@ -59,10 +59,11 @@ type PlanOptions struct {
 	// failed run) whose checkpoints ExecuteContext should restore
 	// before dispatching: intermediates found in Checkpoint are not
 	// re-executed — their jobs complete instantly with synthetic zero
-	// metrics — and only un-checkpointed jobs run. Empty disables
-	// restore. Restored jobs bypass the feedback loop (there are no
-	// measured statistics), so downstream replanning falls back to the
-	// static plan.
+	// metrics — and only un-checkpointed jobs run; a checkpoint that
+	// fails to load counts under core/checkpoint_errors and its job
+	// runs again. Empty disables restore. Restored jobs bypass the
+	// feedback loop (there are no measured statistics), so downstream
+	// replanning falls back to the static plan.
 	ResumeFrom string
 }
 

@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/mr"
 	"repro/internal/obs"
-	"repro/internal/relation"
 )
 
 // DefaultPageSize is the page-cache granularity of a BlockStore: reads
@@ -32,15 +31,12 @@ const freePageBufs = 8
 // Store prices I/O in simulated seconds, BlockStore actually holds
 // bytes on disk and bounds how many of them sit in memory.
 //
-// It serves two roles:
-//
-//   - a spill target: it implements mr.SpillStore, so an engine run
-//     with Config.SpillBudgetBytes set writes its sorted shuffle runs
-//     here and reducers stream-merge them back through the page cache;
-//   - a chunk source: WriteChunked stores a relation as chunk-framed
-//     columnar blocks and returns a ChunkedFile whose chunks decode on
-//     demand, so map tasks stream inputs without the relation's rows
-//     ever being resident.
+// It implements mr.SpillStore, and has two users: an engine run with
+// Config.SpillBudgetBytes set writes its sorted shuffle runs here and
+// reducers stream-merge them back through the page cache, and
+// CheckpointStore keeps a plan's intermediate relations in its files.
+// Both write rows in the raw tuple codec; job inputs never come from
+// here — they are always materialized relations.
 //
 // The cache is transparent: every read returns exactly the sealed
 // bytes regardless of budget, page size, eviction order or
@@ -393,107 +389,4 @@ func (b *blockFile) Release() error {
 		return err
 	}
 	return os.Remove(name)
-}
-
-// chunkMeta locates one encoded chunk frame inside a block file.
-type chunkMeta struct {
-	off  int64 // frame start in the file
-	len  int64 // frame length in bytes
-	rows int
-}
-
-// ChunkedFile is a relation stored as chunk-framed columnar blocks in
-// a BlockStore — the CheckpointStore's backing. Chunks decode on demand
-// through the store's page cache, to bit-identical tuples on every
-// open; OpenChunk is safe for concurrent use.
-type ChunkedFile struct {
-	name   string
-	schema *relation.Schema
-	dicts  []*relation.Dict
-	file   mr.SpillFile
-	chunks []chunkMeta
-	rows   int
-}
-
-// WriteChunked stores r's rows as encoded chunks of rowsPerChunk rows
-// (relation.DefaultChunkRows when <= 0) and returns the readable
-// ChunkedFile. The schema and dictionaries are held by reference; the
-// rows themselves live only in the store.
-func (s *BlockStore) WriteChunked(r *relation.Relation, rowsPerChunk int) (*ChunkedFile, error) {
-	f, err := s.CreateSpillFile()
-	if err != nil {
-		return nil, err
-	}
-	cf := &ChunkedFile{
-		name:   r.Name,
-		schema: r.Schema,
-		dicts:  append([]*relation.Dict(nil), r.Dicts...),
-		file:   f,
-	}
-	var off int64
-	it := r.ChunkStream(rowsPerChunk)
-	for {
-		c, err := it.NextChunk()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		cw := countingWriter{w: f}
-		if err := relation.EncodeChunk(&cw, c, cf.dicts); err != nil {
-			return nil, err
-		}
-		cf.chunks = append(cf.chunks, chunkMeta{off: off, len: cw.n, rows: c.Rows()})
-		off += cw.n
-		cf.rows += c.Rows()
-	}
-	if err := f.Seal(); err != nil {
-		return nil, err
-	}
-	return cf, nil
-}
-
-// Rows returns the total stored row count.
-func (cf *ChunkedFile) Rows() int { return cf.rows }
-
-// NumChunks returns the number of stored chunks.
-func (cf *ChunkedFile) NumChunks() int { return len(cf.chunks) }
-
-// OpenChunk decodes chunk i from the store.
-func (cf *ChunkedFile) OpenChunk(i int) (*relation.Chunk, error) {
-	m := cf.chunks[i]
-	sr := io.NewSectionReader(cf.file, m.off, m.len)
-	c, err := relation.DecodeChunk(bufio.NewReaderSize(sr, 32<<10), cf.schema, cf.dicts)
-	if err != nil {
-		return nil, fmt.Errorf("dfs: chunk %d of %q: %w", i, cf.name, err)
-	}
-	if c == nil || c.Rows() != m.rows {
-		return nil, fmt.Errorf("dfs: chunk %d of %q decoded wrong shape", i, cf.name)
-	}
-	return c, nil
-}
-
-// Shell returns an empty relation carrying the stored name, schema,
-// dictionaries and the given volume multiplier, for the caller to fill
-// from the chunks.
-func (cf *ChunkedFile) Shell(mult float64) *relation.Relation {
-	r := relation.New(cf.name, cf.schema)
-	r.Dicts = append([]*relation.Dict(nil), cf.dicts...)
-	r.VolumeMultiplier = mult
-	return r
-}
-
-// Release drops the file's blocks and cached pages.
-func (cf *ChunkedFile) Release() error { return cf.file.Release() }
-
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (cw *countingWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.n += int64(n)
-	return n, err
 }

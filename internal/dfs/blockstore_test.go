@@ -91,9 +91,9 @@ func TestBlockStoreRoundTrip(t *testing.T) {
 	}
 }
 
-// chunkProbeRelation mirrors the mr spill tests' fixture: interned
-// strings, NULLs and floats, so chunks carry dict slots through disk.
-func chunkProbeRelation(rows int) *relation.Relation {
+// probeRelation mirrors the mr spill tests' fixture: interned strings,
+// NULLs and floats, so dictionary code slots go through disk.
+func probeRelation(rows int) *relation.Relation {
 	r := relation.New("probe", relation.MustSchema(
 		relation.Column{Name: "k", Kind: relation.KindInt},
 		relation.Column{Name: "city", Kind: relation.KindString},
@@ -115,66 +115,12 @@ func chunkProbeRelation(rows int) *relation.Relation {
 	return r
 }
 
-// TestChunkedFileRoundTrip: rows stored as chunk frames decode back
-// bit-identically, chunk by chunk, through a tiny page cache.
-func TestChunkedFileRoundTrip(t *testing.T) {
-	r := chunkProbeRelation(700)
-	store, err := NewBlockStore(t.TempDir(), 4096)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store.Close()
-	cf, err := store.WriteChunked(r, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cf.Rows() != len(r.Tuples) || cf.NumChunks() != (700+63)/64 {
-		t.Fatalf("shape: rows=%d chunks=%d", cf.Rows(), cf.NumChunks())
-	}
-	row := 0
-	var rawTotal int64
-	for i := 0; i < cf.NumChunks(); i++ {
-		c, err := cf.OpenChunk(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if c.Rows() <= 0 {
-			t.Fatalf("chunk %d empty", i)
-		}
-		rawTotal += c.EncodedBytes()
-		for ri := 0; ri < c.Rows(); ri++ {
-			got := c.Row(ri)
-			for j, v := range got {
-				if v != r.Tuples[row][j] {
-					t.Fatalf("row %d col %d: %#v vs %#v", row, j, v, r.Tuples[row][j])
-				}
-			}
-			row++
-		}
-	}
-	var want int64
-	for _, tp := range r.Tuples {
-		want += int64(tp.EncodedSize())
-	}
-	if rawTotal != want {
-		t.Fatalf("raw bytes %d, want %d", rawTotal, want)
-	}
-	// The shell carries schema + dicts but no rows.
-	shell := cf.Shell(2.5)
-	if shell.Schema != r.Schema || len(shell.Tuples) != 0 || shell.VolumeMultiplier != 2.5 {
-		t.Fatal("shell shape wrong")
-	}
-	if shell.DictOf(1) == nil {
-		t.Fatal("shell lost the dictionary")
-	}
-}
-
 // TestFullyOutOfCoreJob is the package's end-to-end acceptance check
 // of BlockStore as the engine's SpillStore: the shuffle spilled to it
 // under a tiny budget and a tiny page cache — and the result is
 // bit-identical to the fully in-memory run.
 func TestFullyOutOfCoreJob(t *testing.T) {
-	in := chunkProbeRelation(1200)
+	in := probeRelation(1200)
 	job := func(rel *relation.Relation) *mr.Job {
 		return &mr.Job{
 			Name:   "count",

@@ -29,22 +29,23 @@
 //     the reducers k-way stream-merge them back through the page
 //     cache, so resident pair memory is bounded by the budget instead
 //     of proportional to the shuffle volume.
-//   - Checkpoint backing. WriteChunked stores a relation as chunk
-//     frames (internal/relation's EncodeChunk) and returns a
-//     ChunkedFile whose chunks decode on demand; CheckpointStore
-//     saves and reloads a plan's intermediate relations through it.
+//   - Checkpoint backing. CheckpointStore saves a plan's intermediate
+//     relations into the store's files and reloads them, a block of
+//     rows at a time.
 //
-// Job inputs are always materialized relations; the engine has no
-// chunk-streamed input mode.
+// Both write rows in internal/relation's raw tuple codec
+// (AppendTupleRaw/DecodeTupleRaw), the one binary encoding in the tree.
+// Job inputs are always materialized relations: nothing is read from
+// the store as a job's input.
 //
 // # Bounded-memory contract and knobs
 //
 // The contract: results are bit-identical whether execution is
-// in-memory or out-of-core. Spilled pairs round-trip through the raw
-// tuple codec (dictionary code slots included), chunks decode to
-// bit-identical tuples on every open, and the page cache is
-// transparent — budget, page size, eviction order and concurrency
-// affect only CacheStats, never a returned byte. mr.Metrics reports
+// in-memory or out-of-core. Spilled pairs and checkpointed rows
+// round-trip through the raw tuple codec bit-identically (dictionary
+// code slots included), and the page cache is transparent — budget,
+// page size, eviction order and concurrency affect only CacheStats,
+// never a returned byte. mr.Metrics reports
 // the difference instead: SpillBytes/SpillRuns count what went to
 // disk, PeakLiveBytes the accounted resident high-water mark.
 //
@@ -71,10 +72,12 @@
 // that with a fresh task attempt.
 //
 // CheckpointStore layers cascade recovery on the same substrate: a
-// plan executor saves each completed intermediate relation as
-// checksummed chunk-framed blocks and, on resume, reloads exactly the
-// jobs that finished instead of re-executing them (see internal/core's
-// PlanOptions.ResumeFrom).
+// plan executor saves each completed intermediate relation into a
+// page-checksummed file and, on resume, reloads exactly the jobs that
+// finished instead of re-executing them (see internal/core's
+// PlanOptions.ResumeFrom); a checkpoint that fails to load — every
+// replica of a page corrupt — is an error the executor answers by
+// running the job again.
 //
 // # Determinism
 //

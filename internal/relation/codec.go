@@ -1,7 +1,9 @@
 package relation
 
 import (
+	"encoding/binary"
 	"encoding/csv"
+	"errors"
 	"fmt"
 	"io"
 	"strings"
@@ -131,3 +133,83 @@ func ReadCSV(rd io.Reader, name string) (*Relation, error) {
 	}
 	return rel, nil
 }
+
+// The raw tuple codec is the one binary encoding, used for everything
+// the engine itself writes to disk: mr's spill runs and dfs's
+// checkpoints. A tuple is uvarint(arity) followed by its values, each
+// self-describing and needing no dictionary context:
+//
+//	u8 kind | int, time → u64 payload
+//	        | float     → u64 bits
+//	        | string    → uvarint code slot (0 = not interned),
+//	                      u32 length, bytes
+//
+// so a reloaded Value is bit-identical to the one written — kind,
+// payload and dictionary code slot, and with them EncodedSize, sort keys
+// and content hashes.
+
+// AppendTupleRaw appends t in the raw layout.
+func AppendTupleRaw(dst []byte, t Tuple) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(t)))
+	for _, v := range t {
+		dst = append(dst, byte(v.kind))
+		switch v.kind {
+		case KindInt, KindTime:
+			dst = binary.LittleEndian.AppendUint64(dst, uint64(v.i))
+		case KindFloat:
+			dst = binary.LittleEndian.AppendUint64(dst, floatBits(v.f))
+		case KindString:
+			dst = binary.AppendUvarint(dst, uint64(v.i))
+			dst = binary.LittleEndian.AppendUint32(dst, uint32(len(v.s)))
+			dst = append(dst, v.s...)
+		}
+	}
+	return dst
+}
+
+// DecodeTupleRaw decodes the tuple AppendTupleRaw wrote at the front of
+// b and returns it with the rest of b. Its callers hold the encoded
+// bytes in memory already (a spill frame's payload, a checkpoint block),
+// so values are sliced out of them with no reader in between. It never
+// reads past b; truncated or malformed bytes are an error.
+func DecodeTupleRaw(b []byte) (Tuple, []byte, error) {
+	arity, w := binary.Uvarint(b)
+	// A value is at least its kind byte, so an arity beyond the bytes
+	// left is corrupt; checked before it sizes an allocation.
+	if w <= 0 || arity > uint64(len(b)-w) {
+		return nil, nil, errRawTuple
+	}
+	b = b[w:]
+	t := make(Tuple, arity)
+	for i := range t {
+		if len(b) == 0 {
+			return nil, nil, errRawTuple
+		}
+		kind := Kind(b[0])
+		b = b[1:]
+		switch {
+		case kind == KindNull:
+		case kind == KindString:
+			slot, w := binary.Uvarint(b)
+			if w <= 0 || len(b)-w < 4 {
+				return nil, nil, errRawTuple
+			}
+			n := binary.LittleEndian.Uint32(b[w:])
+			if b = b[w+4:]; uint64(n) > uint64(len(b)) {
+				return nil, nil, errRawTuple
+			}
+			t[i], b = Value{kind: KindString, s: string(b[:n]), i: int64(slot)}, b[n:]
+		case kind <= KindTime && len(b) >= 8: // int, float, time: 8 payload bytes
+			u := binary.LittleEndian.Uint64(b)
+			if t[i] = (Value{kind: kind, i: int64(u)}); kind == KindFloat {
+				t[i] = Float(floatFromBits(u))
+			}
+			b = b[8:]
+		default:
+			return nil, nil, errRawTuple
+		}
+	}
+	return t, b, nil
+}
+
+var errRawTuple = errors.New("relation: raw tuple truncated or malformed")

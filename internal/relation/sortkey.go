@@ -46,8 +46,7 @@ func SortKeyFloat(v Value, off float64) int64 {
 
 // floatKeyBits is the order-preserving bit remap at the core of
 // SortKeyFloat: float order on f equals int64 order on the result,
-// with -0 and +0 sharing a key. Columnar key extraction
-// (Chunk.AppendFloatKeys) uses it directly on payload arrays.
+// with -0 and +0 sharing a key.
 func floatKeyBits(f float64) int64 {
 	if f == 0 {
 		f = 0 // canonicalize -0.0

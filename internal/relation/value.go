@@ -28,14 +28,13 @@
 //
 // # Encodings
 //
-// A relation has exactly three encodings, each with one job: CSV with
-// a typed header (WriteCSV/ReadCSV, codec.go) is what users load and
-// save; the raw tuple codec (AppendTupleRaw/DecodeTupleRaw) is what mr
-// writes shuffle pairs to spill runs in; the chunk frame
-// (EncodeChunk/DecodeChunk) is the dfs block store's unit. The two
-// binary ones round-trip a Value bit-identically, dictionary code slot
-// included (see chunkcodec.go for the byte layouts); CSV carries no
-// dictionaries, which DB.Analyze rebuilds after a load.
+// Rows ([]Tuple) are the only in-memory representation of a relation,
+// and it has exactly two encodings, both in codec.go: CSV with a typed
+// header (WriteCSV/ReadCSV) is what users load and save; the raw tuple
+// codec (AppendTupleRaw/DecodeTupleRaw) is what the engine writes to
+// disk — mr's spill runs, dfs's checkpoints. The raw codec round-trips
+// a Value bit-identically, dictionary code slot included; CSV carries
+// no dictionaries, which DB.Analyze rebuilds after a load.
 package relation
 
 import (

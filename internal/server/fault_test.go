@@ -140,3 +140,16 @@ func TestExecutionErrorMapsTo500(t *testing.T) {
 		}
 	}
 }
+
+// TestRequestBodyLimit: a body past maxRequestBytes is refused with 413
+// however well-formed it is, and the service keeps serving.
+func TestRequestBodyLimit(t *testing.T) {
+	h := newTestService(t, testDB(t), Config{}).Handler()
+	huge := `{"spec": "FROM A, B WHERE A.a < B.a", "name": "` + strings.Repeat("x", 2*maxRequestBytes) + `"}`
+	if rec := postQuery(t, h, huge); rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("2 MiB body: status %d, want 413; body %q", rec.Code, rec.Body.String())
+	}
+	if rec := postQuery(t, h, `{"spec": "FROM A, B WHERE A.a < B.a"}`); rec.Code != http.StatusOK {
+		t.Fatalf("well-formed request after it: status %d, body %q", rec.Code, rec.Body.String())
+	}
+}

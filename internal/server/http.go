@@ -40,6 +40,8 @@ func ResultHash(res *core.ExecResult) string {
 //	400                the request never reached execution: malformed
 //	                   body or spec, unknown relation, alias or
 //	                   prepared name, or a planning error.
+//	413                the request body is larger than maxRequestBytes
+//	                   (1 MiB); it is not read further.
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /query", s.handleQuery)
@@ -56,10 +58,20 @@ func (s *Service) Handler() http.Handler {
 	return mux
 }
 
+// maxRequestBytes bounds a POST /query body. A request is a name and a
+// query spec — a few hundred bytes — so the bound only stops a client
+// from making the daemon buffer whatever it chooses to send.
+const maxRequestBytes = 1 << 20
+
 func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req Request
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(&req); err != nil {
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, "bad request body: "+err.Error(), status)
 		return
 	}
 	resp, err := s.Submit(r.Context(), req)
