@@ -210,12 +210,10 @@ func BenchmarkSkewedShuffle(b *testing.B) {
 
 // BenchmarkReduceJoin measures reducer-local join evaluation on
 // reduce-heavy configurations: few reducers, large per-group candidate
-// lists, so the inner loops dominate over map/shuffle. The indexed
+// lists, so the inner loops dominate over map/shuffle. Both
 // sub-benchmarks run the compiled evaluator (hash probes on
-// equalities, intersected sorted-run ranges on band predicates); the
-// linear sub-benchmarks are the nested-loop ablation
-// (core.IndexedJoinEval=false) over the same jobs. Each reports the
-// CombinationsChecked metric alongside ns/op and allocs/op.
+// equalities, intersected sorted-run ranges on band predicates) and
+// report the CombinationsChecked metric alongside ns/op and allocs/op.
 func BenchmarkReduceJoin(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	mk := func(name string, n, domain int) *relation.Relation {
@@ -255,31 +253,20 @@ func BenchmarkReduceJoin(b *testing.B) {
 		predicate.C("B", "b", predicate.EQ, "C", "b"),
 		predicate.C("A", "a", predicate.LT, "B", "a"),
 	}
-	variants := []struct {
-		name    string
-		indexed bool
-		build   func() (*mr.Job, error)
+	for _, v := range []struct {
+		name  string
+		build func() (*mr.Job, error)
 	}{
-		{"theta-band/indexed", true, nil},
-		{"theta-band/linear", false, nil},
-		{"share-grid/indexed", true, nil},
-		{"share-grid/linear", false, nil},
-	}
-	buildTheta := func() (*mr.Job, error) {
-		job, _, err := core.BuildThetaJob("rjbench-theta", []*relation.Relation{rel("A"), rel("B")}, thetaConds, 4, 1<<12)
-		return job, err
-	}
-	buildGrid := func() (*mr.Job, error) {
-		return core.BuildShareGridJob("rjbench-grid", []*relation.Relation{rel("C"), rel("A"), rel("B")}, gridConds, 8)
-	}
-	variants[0].build, variants[1].build = buildTheta, buildTheta
-	variants[2].build, variants[3].build = buildGrid, buildGrid
-	for _, v := range variants {
+		{"theta-band/indexed", func() (*mr.Job, error) {
+			job, _, err := core.BuildThetaJob("rjbench-theta", []*relation.Relation{rel("A"), rel("B")}, thetaConds, 4, 1<<12)
+			return job, err
+		}},
+		{"share-grid/indexed", func() (*mr.Job, error) {
+			return core.BuildShareGridJob("rjbench-grid", []*relation.Relation{rel("C"), rel("A"), rel("B")}, gridConds, 8)
+		}},
+	} {
 		b.Run(v.name, func(b *testing.B) {
-			prev := core.IndexedJoinEval
-			core.IndexedJoinEval = v.indexed
-			defer func() { core.IndexedJoinEval = prev }()
-			job, err := v.build() // the evaluator snapshots the flag here
+			job, err := v.build()
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -377,25 +364,42 @@ func BenchmarkConcurrentPlan(b *testing.B) {
 
 // BenchmarkStringJoinJob is the end-to-end companion of
 // internal/core's BenchmarkStringJoin: the same interned vs Compare
-// fallback ablation run as whole MapReduce jobs on the mobile
+// fallback comparison run as whole MapReduce jobs on the mobile
 // workload, so the shuffle-byte win shows up alongside the reducer
 // speedup (shuffle-MB/op reports the per-iteration network volume).
+// The fallback legs join the generated table before any Analyze has
+// interned it.
 // Job ns/op mixes map, shuffle and output materialisation with the
 // condition evaluation; the reducer-only factor is what
 // BenchmarkStringJoin isolates.
 func BenchmarkStringJoinJob(b *testing.B) {
-	mkDB := func(interned bool, tuples int) *core.DB {
-		prev := core.StringInterning
-		core.StringInterning = interned
-		defer func() { core.StringInterning = prev }()
+	inputs := func(interned bool, tuples int, names []string) []*relation.Relation {
 		cfg := workloads.DefaultMobileConfig()
 		cfg.Tuples = tuples
 		cfg.Stations = 200
+		rels := make([]*relation.Relation, len(names))
+		if !interned {
+			table, err := core.EnsureRowIDs(workloads.MobileTable(cfg))
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i, name := range names {
+				alias := *table
+				alias.Name = name
+				rels[i] = &alias
+			}
+			return rels
+		}
 		db, err := workloads.MobileDB(cfg, 1000)
 		if err != nil {
 			b.Fatal(err)
 		}
-		return db
+		for i, name := range names {
+			if rels[i], err = db.Relation(name); err != nil {
+				b.Fatal(err)
+			}
+		}
+		return rels
 	}
 	equiConds := predicate.Conjunction{
 		predicate.C("t1", "bs", predicate.EQ, "t2", "bs"),
@@ -421,16 +425,7 @@ func BenchmarkStringJoinJob(b *testing.B) {
 		{"string-band/fallback", false, 240, []string{"t1", "t2", "t3"}, bandConds},
 	} {
 		b.Run(v.name, func(b *testing.B) {
-			db := mkDB(v.interned, v.tuples)
-			rels := make([]*relation.Relation, len(v.rels))
-			for i, name := range v.rels {
-				r, err := db.Relation(name)
-				if err != nil {
-					b.Fatal(err)
-				}
-				rels[i] = r
-			}
-			job, _, err := core.BuildThetaJob("sjbench", rels, v.conds, 4, 1<<12)
+			job, _, err := core.BuildThetaJob("sjbench", inputs(v.interned, v.tuples, v.rels), v.conds, 4, 1<<12)
 			if err != nil {
 				b.Fatal(err)
 			}

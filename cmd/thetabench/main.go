@@ -91,11 +91,10 @@ func main() {
 	}
 	suite := bench.NewSuite(*quick)
 	suite.Seed = *seed
-	// Observability sinks: the tracer is per-run; metrics accumulate in
-	// the process-wide registry so hot-path components without context
-	// access (dictionary probes, key-column builds) land in the export.
+	// Observability sinks: one tracer and one metrics registry for the
+	// whole run, so the export totals every selected experiment.
 	if *traceOut != "" || *metricsOut != "" {
-		suite.Obs = &obs.Obs{Metrics: obs.Default()}
+		suite.Obs = &obs.Obs{Metrics: obs.NewRegistry()}
 		if *traceOut != "" {
 			suite.Obs.Tracer = obs.NewTracer()
 		}

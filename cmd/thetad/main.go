@@ -1,13 +1,12 @@
 // Command thetad serves multi-way theta-joins as a long-lived HTTP
 // daemon: relations load once, then concurrent clients submit queries
-// that share one K_P-unit processing pool, one plan cache, and one
-// warm-start statistics catalog.
+// that share one K_P-unit processing pool and one plan cache.
 //
 // Usage:
 //
 //	thetad -rel A=a.csv -rel B=b.csv [-addr :7077] [-kp 96] \
 //	       [-max-concurrent 4] [-max-queue 16] [-queue-timeout 10s] \
-//	       [-query-timeout 0] [-min-budget 1] [-no-warm] [-trace f] [-metrics f]
+//	       [-query-timeout 0] [-min-budget 1] [-trace f] [-metrics f]
 //
 // Endpoints (see internal/server):
 //
@@ -57,11 +56,10 @@ func run() error {
 	addr := flag.String("addr", ":7077", "listen address")
 	kp := flag.Int("kp", 96, "shared processing units across all queries")
 	maxConcurrent := flag.Int("max-concurrent", 4, "queries admitted to execution at once")
-	maxQueue := flag.Int("max-queue", 16, "queued admissions before rejecting with 429")
+	maxQueue := flag.Int("max-queue", 16, "queued admissions before rejecting with 429 (-1 = no queue)")
 	queueTimeout := flag.Duration("queue-timeout", 10*time.Second, "max time a submission waits for admission")
 	queryTimeout := flag.Duration("query-timeout", 0, "per-query execution deadline after admission (0 = none); expiry degrades that query to 503 + Retry-After")
 	minBudget := flag.Int("min-budget", 1, "floor for a query's unit budget")
-	noWarm := flag.Bool("no-warm", false, "disable warm-start plan revision from measured statistics")
 	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON of all executions to `file` on shutdown")
 	metricsOut := flag.String("metrics", "", "write the metrics registry as JSON to `file` on shutdown")
 	flag.Parse()
@@ -98,14 +96,13 @@ func run() error {
 		o.Tracer = obs.NewTracer()
 	}
 	svc := server.New(db, server.Config{
-		KP:               *kp,
-		MaxConcurrent:    *maxConcurrent,
-		MaxQueue:         *maxQueue,
-		QueueTimeout:     *queueTimeout,
-		QueryTimeout:     *queryTimeout,
-		MinBudget:        *minBudget,
-		Obs:              o,
-		DisableWarmStart: *noWarm,
+		KP:            *kp,
+		MaxConcurrent: *maxConcurrent,
+		MaxQueue:      *maxQueue,
+		QueueTimeout:  *queueTimeout,
+		QueryTimeout:  *queryTimeout,
+		MinBudget:     *minBudget,
+		Obs:           o,
 	})
 
 	httpSrv := &http.Server{Addr: *addr, Handler: svc.Handler()}

@@ -195,11 +195,10 @@ func run() error {
 		return err
 	}
 	fmt.Println(plan)
-	// Observability sinks; metrics use the process-wide registry so
-	// context-free hot paths (dictionary probes) land in the export.
+	// Observability sinks, both scoped to this one execution.
 	var o *obs.Obs
 	if *traceOut != "" || *metricsOut != "" {
-		o = &obs.Obs{Metrics: obs.Default()}
+		o = &obs.Obs{Metrics: obs.NewRegistry()}
 		if *traceOut != "" {
 			o.Tracer = obs.NewTracer()
 		}
@@ -262,11 +261,7 @@ func submitRemote(base, spec string, limit int) error {
 		return err
 	}
 	fmt.Printf("query %s: canonical %q\n", resp.Name, resp.Canonical)
-	fmt.Printf("plan: cache hit %v, planned in %.2fms, budget %d units", resp.CacheHit, float64(resp.PlanNs)/1e6, resp.Budget)
-	if len(resp.WarmRevised) > 0 {
-		fmt.Printf(", warm-revised %v", resp.WarmRevised)
-	}
-	fmt.Println()
+	fmt.Printf("plan: cache hit %v, planned in %.2fms, budget %d units\n", resp.CacheHit, float64(resp.PlanNs)/1e6, resp.Budget)
 	fmt.Printf("result: %d rows, simulated makespan %.1fs, %.2f GB shuffled\n",
 		resp.Rows, resp.Makespan, float64(resp.ShuffleBytes)/1e9)
 	fmt.Println("result hash:", resp.ResultHash)

@@ -220,40 +220,6 @@ func TestPigSlowerThanHive(t *testing.T) {
 	}
 }
 
-func TestOneBucketThetaMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(83))
-	a := randRelation("A", 45, 15, rng)
-	b := randRelation("B", 55, 15, rng)
-	db := newDB(t, a, b)
-	q := query.MustNew("ob", []string{"A", "B"}, []predicate.Condition{
-		predicate.C("A", "a", predicate.LT, "B", "a"),
-		predicate.C("A", "b", predicate.NE, "B", "b"),
-	})
-	want, err := core.Naive(q, db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantRS := resultSet(want)
-	ra, _ := db.Relation("A")
-	rb, _ := db.Relation("B")
-	for _, kr := range []int{1, 4, 6, 9, 16} {
-		job, err := OneBucketTheta("ob", ra, rb, q.Conditions, kr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := mr.Run(context.Background(), testConfig(), nil, job)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := resultSet(res.Output); !wantRS.Equal(got) {
-			t.Errorf("kr=%d: 1-bucket mismatch %d vs %d", kr, got.Len(), wantRS.Len())
-		}
-	}
-	if _, err := OneBucketTheta("ob", ra, rb, q.Conditions, 0); err == nil {
-		t.Error("kr=0 accepted")
-	}
-}
-
 func TestSquarish(t *testing.T) {
 	cases := []struct{ kr, rows, cols int }{
 		{1, 1, 1}, {4, 2, 2}, {6, 2, 3}, {9, 3, 3}, {16, 4, 4}, {12, 3, 4},
@@ -268,74 +234,6 @@ func TestSquarish(t *testing.T) {
 	r, c := squarish(97)
 	if r != 9 || c != 9 {
 		t.Errorf("squarish(97) = %d,%d, want 9,9", r, c)
-	}
-}
-
-func TestAfratiUllmanMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(89))
-	a := randRelation("A", 40, 8, rng)
-	b := randRelation("B", 35, 8, rng)
-	c := randRelation("C", 30, 8, rng)
-	db := newDB(t, a, b, c)
-	q := query.MustNew("au", []string{"A", "B", "C"}, []predicate.Condition{
-		predicate.C("A", "a", predicate.EQ, "B", "a"),
-		predicate.C("B", "b", predicate.EQ, "C", "b"),
-	})
-	want, err := core.Naive(q, db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantRS := resultSet(want)
-	ra, _ := db.Relation("A")
-	rb, _ := db.Relation("B")
-	rc, _ := db.Relation("C")
-	for _, kr := range []int{1, 4, 8, 16} {
-		job, err := AfratiUllman("au", []*relation.Relation{ra, rb, rc}, q.Conditions, kr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := mr.Run(context.Background(), testConfig(), nil, job)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := resultSet(res.Output); !wantRS.Equal(got) {
-			t.Errorf("kr=%d: afrati-ullman mismatch %d vs %d rows", kr, got.Len(), wantRS.Len())
-		}
-	}
-}
-
-func TestAfratiUllmanRejectsTheta(t *testing.T) {
-	rng := rand.New(rand.NewSource(97))
-	db := newDB(t, randRelation("A", 5, 5, rng), randRelation("B", 5, 5, rng))
-	ra, _ := db.Relation("A")
-	rb, _ := db.Relation("B")
-	conds := predicate.Conjunction{predicate.C("A", "a", predicate.LT, "B", "a")}
-	if _, err := AfratiUllman("x", []*relation.Relation{ra, rb}, conds, 4); err == nil {
-		t.Error("theta condition accepted")
-	}
-	if _, err := AfratiUllman("x", []*relation.Relation{ra}, nil, 4); err == nil {
-		t.Error("single relation accepted")
-	}
-}
-
-func TestComputeShares(t *testing.T) {
-	rng := rand.New(rand.NewSource(101))
-	a := randRelation("A", 100, 5, rng)
-	b := randRelation("B", 100, 5, rng)
-	c := randRelation("C", 100, 5, rng)
-	shares := computeShares([]*relation.Relation{a, b, c}, 16)
-	prod := 1
-	for _, s := range shares {
-		if s < 1 {
-			t.Fatalf("share < 1: %v", shares)
-		}
-		prod *= s
-	}
-	if prod > 16 {
-		t.Errorf("share product %d exceeds kr", prod)
-	}
-	if prod < 4 {
-		t.Errorf("shares %v underuse the grid", shares)
 	}
 }
 

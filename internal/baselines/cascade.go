@@ -1,8 +1,8 @@
 // Package baselines implements the competitor systems of the paper's
-// evaluation (§6): HIVE- and PIG-style pairwise-join cascades, a
-// YSMART-style correlation-aware variant [23], the 1-Bucket-Theta
-// pairwise theta-join of Okcan & Riedewald [25], and the Afrati–Ullman
-// share-based one-job multiway equi-join [2].
+// evaluation (§6): HIVE- and PIG-style pairwise-join cascades and a
+// YSMART-style correlation-aware variant [23]. A cascade step with no
+// equality condition partitions like the 1-Bucket-Theta join of Okcan
+// & Riedewald [25].
 //
 // Every baseline executes on the same MapReduce simulator as the
 // paper's method, so comparisons reflect plan structure — number of
@@ -16,7 +16,7 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
-	"sort"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/cost"
@@ -427,6 +427,30 @@ func concatPrefixed(inter, base *relation.Relation) *relation.Schema {
 	return relation.MustSchema(cols...)
 }
 
+// squarish factors kr into rows×cols with rows·cols ≤ kr and the
+// shape as square as possible (maximising rectangle area balance,
+// minimising total replication rows+cols).
+func squarish(kr int) (rows, cols int) {
+	best := 1
+	for f := 1; f*f <= kr; f++ {
+		if kr%f == 0 {
+			best = f
+		}
+	}
+	rows = best
+	cols = kr / best
+	// Highly non-square factorizations (primes) replicate badly; fall
+	// back to floor(sqrt) grid that may waste a few reducers.
+	if cols > 4*rows {
+		s := int(math.Sqrt(float64(kr)))
+		if s < 1 {
+			s = 1
+		}
+		return s, s
+	}
+	return rows, cols
+}
+
 func hashCols(t relation.Tuple, conds []stepCond, leftSide bool) uint64 {
 	h := fnv.New64a()
 	for _, bc := range conds {
@@ -476,8 +500,3 @@ func intersects(a, b map[string]bool) bool {
 
 // Names returns the standard comparison set, in the paper's plot order.
 func Names() []string { return []string{"Our Method", "YSmart", "Hive", "Pig"} }
-
-// sortSteps is exposed for deterministic reporting in tests.
-func sortSteps(steps []StepMetrics) {
-	sort.Slice(steps, func(i, j int) bool { return steps[i].Name < steps[j].Name })
-}

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strings"
 
 	"repro/internal/cost"
@@ -293,10 +292,4 @@ func (s *Suite) Fig8() (*Table, error) {
 		t.AddRow(fmtGB(gb), fmtSec(sim), fmtSec(est.T), fmt.Sprintf("%.2f", est.T/sim))
 	}
 	return t, nil
-}
-
-// sortRowsByFirst orders rows for deterministic output when built from
-// maps.
-func sortRowsByFirst(rows [][]string) {
-	sort.Slice(rows, func(i, j int) bool { return rows[i][0] < rows[j][0] })
 }

@@ -64,22 +64,13 @@ func NewDB(sampleSize int, seed int64, rels ...*relation.Relation) (*DB, error) 
 	return db, nil
 }
 
-// StringInterning toggles order-preserving dictionary construction for
-// string columns at DB.Analyze time (relation.InternStrings). When
-// false, string values stay plain, string conditions take the generic
-// relation.Compare path and the shuffle carries full string bytes —
-// the ablation baseline for benchmarks and tests. Like
-// IndexedJoinEval, the setting is consumed when a DB is built; both
-// settings produce the same join results.
-var StringInterning = true
-
 // Analyze (re)builds the statistics catalog, including the per-column
 // heavy-hitter reports the skew subsystem consumes. The explicit seed
 // makes sampling — and therefore the hot-key reports and every plan
 // derived from them — deterministic across runs. String columns are
-// interned first (see StringInterning), so the retained sample rows
-// and hot-key values carry dictionary codes consistent with the
-// relation's.
+// interned first (relation.InternStrings builds their order-preserving
+// dictionaries), so the retained sample rows and hot-key values carry
+// dictionary codes consistent with the relation's.
 func (db *DB) Analyze(sampleSize int, seed int64) {
 	all := make([]*relation.Relation, 0, len(db.rels))
 	for _, r := range db.rels {
@@ -89,10 +80,8 @@ func (db *DB) Analyze(sampleSize int, seed int64) {
 	// by name so each relation draws the same sample every run (map
 	// iteration order would otherwise leak into the statistics).
 	sort.Slice(all, func(i, j int) bool { return all[i].Name < all[j].Name })
-	if StringInterning {
-		for _, r := range all {
-			relation.InternStrings(r)
-		}
+	for _, r := range all {
+		relation.InternStrings(r)
 	}
 	db.Catalog = relation.NewCatalog(all, sampleSize, rand.New(rand.NewSource(seed)))
 	skew.AnnotateCatalog(db.Catalog, all, skew.DefaultOptions())

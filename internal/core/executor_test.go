@@ -2,14 +2,136 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math/rand"
+	"runtime"
 	"sort"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/mr"
 	"repro/internal/predicate"
+	"repro/internal/query"
 	"repro/internal/relation"
+	"repro/internal/schedule"
 )
+
+// TestExecuteErrorPaths pins the executor's failure control flow over
+// a shared pool: whichever phase the error surfaces in — schedule
+// validation, dispatch, a running job, a stalled plan — the call
+// returns a nil result and that error, every unit it acquired is back
+// in the pool, and no goroutine it started outlives it.
+func TestExecuteErrorPaths(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	db := newTestDB(t, randRelation("A", 40, 12, rng), randRelation("B", 30, 12, rng))
+	job := func(name string, rels ...string) PlannedJob {
+		return PlannedJob{
+			Name:     name,
+			Conds:    predicate.Conjunction{predicate.C(rels[0], "a", predicate.EQ, rels[1], "a")},
+			RelOrder: rels,
+			Kind:     KindHashEqui,
+			Reducers: 2,
+			Units:    4,
+		}
+	}
+	twoJobs := []PlannedJob{job("err-j1", "A", "B"), job("err-j2", "B", "A")}
+	sched := func(ids ...string) *schedule.Plan {
+		tasks := make([]schedule.Task, len(ids))
+		for i, id := range ids {
+			tasks[i] = schedule.Task{ID: id, Profile: []float64{1}}
+		}
+		p, err := schedule.Schedule(tasks, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	mapKills, err := mr.ParseFaultPlan("seed=7,map-kills=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cases := []struct {
+		name  string
+		ctx   context.Context
+		jobs  []PlannedJob
+		sched *schedule.Plan
+		setup func(pl *Planner)
+		check func(err error) bool
+		want  string
+	}{
+		{
+			// err-j1 is already running when err-j2 fails to build: the
+			// call must drain it before returning.
+			name: "unknown relation beside a running sibling",
+			jobs: []PlannedJob{twoJobs[0], job("err-j2", "nosuch", "B")},
+			want: `no relation "nosuch"`,
+		},
+		{
+			name: "dependency cycle",
+			jobs: []PlannedJob{job("err-j1", "err-j2", "A"), job("err-j2", "err-j1", "B")},
+			want: "stalled with 0/2 jobs done",
+		},
+		{name: "schedule short of a job", jobs: twoJobs, sched: sched("err-j1"),
+			want: "schedule places 1 tasks for 2 planned jobs"},
+		{name: "schedule names an unknown job", jobs: twoJobs, sched: sched("err-j1", "ghost"),
+			want: `schedule places unknown job "ghost"`},
+		{name: "context cancelled before the call", ctx: cancelled, jobs: twoJobs,
+			check: func(err error) bool { return errors.Is(err, context.Canceled) }, want: "context.Canceled"},
+		{
+			name: "task out of attempts",
+			jobs: twoJobs[:1],
+			setup: func(pl *Planner) {
+				pl.Config.MaxTaskAttempts = 1
+				pl.Config.Faults = mapKills
+			},
+			check: func(err error) bool { var te *mr.TaskError; return errors.As(err, &te) },
+			want:  "*mr.TaskError",
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			pool := NewSharedUnitPool(8, nil)
+			pl := testPlanner(8)
+			pl.Pool = pool
+			if tc.setup != nil {
+				tc.setup(pl)
+			}
+			ctx := tc.ctx
+			if ctx == nil {
+				ctx = context.Background()
+			}
+			before := runtime.NumGoroutine()
+			res, err := pl.ExecuteContext(ctx, &Plan{Query: &query.Query{Name: "err"}, Jobs: tc.jobs, Schedule: tc.sched}, db)
+			if res != nil {
+				t.Errorf("result = %+v, want nil", res)
+			}
+			switch {
+			case err == nil:
+				t.Fatalf("no error, want %s", tc.want)
+			case tc.check != nil && !tc.check(err):
+				t.Errorf("error = %v, want %s", err, tc.want)
+			case tc.check == nil && !strings.Contains(err.Error(), tc.want):
+				t.Errorf("error = %v, want it to contain %q", err, tc.want)
+			}
+			if n := pool.InUse(); n != 0 {
+				t.Errorf("%d units still held after the failed call", n)
+			}
+			// A job goroutine hands its result to the dispatch loop and
+			// then exits; give the scheduler a moment to retire it.
+			deadline := time.Now().Add(2 * time.Second)
+			for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			if n := runtime.NumGoroutine(); n > before {
+				t.Errorf("%d goroutines before the call, %d after", before, n)
+			}
+		})
+	}
+}
 
 // anchorVals builds the Compare-sorted value list anchorRange expects:
 // candidate values with the anchor's offset already applied.

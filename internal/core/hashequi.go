@@ -1,0 +1,233 @@
+package core
+
+import (
+	"encoding/binary"
+	"fmt"
+	"hash"
+	"hash/fnv"
+
+	"repro/internal/mr"
+	"repro/internal/predicate"
+	"repro/internal/relation"
+	"repro/internal/skew"
+)
+
+// BuildHashEquiJob constructs the classic repartition equi-join for a
+// conjunction of equalities between exactly two relations: tuples hash
+// on the composite key, no duplication.
+func BuildHashEquiJob(name string, left, right *relation.Relation, conds predicate.Conjunction, kr int) (*mr.Job, error) {
+	return BuildHashEquiJobSkew(name, left, right, conds, kr, nil)
+}
+
+// BuildHashEquiJobSkew is BuildHashEquiJob with optional heavy-hitter
+// handling: for each hot join-key value in the plan, the left side's
+// tuples split across a Rows sub-grid of reducers by content hash and
+// the right side replicates across it (and symmetrically with Cols
+// when the right side is hot), per SharesSkew. Reducer-side logic is
+// unchanged — each sub-reducer joins its fragment against the
+// replicated side, and fragments are disjoint, so the output is the
+// same set of tuples with the hot key's work spread evenly.
+// Single-condition keys take their splits from the plan's per-column
+// reports; composite (multi-condition) keys from its joint HotGroups,
+// hashed with the same composite key the map side shuffles on. A nil
+// plan reproduces BuildHashEquiJob exactly.
+func BuildHashEquiJobSkew(name string, left, right *relation.Relation, conds predicate.Conjunction, kr int, plan *skew.JobPlan) (*mr.Job, error) {
+	if !AllEquiSamePair(conds) {
+		return nil, fmt.Errorf("core: conditions %s are not a two-relation equi conjunction", conds)
+	}
+	// Orient every condition left→right.
+	type keyCol struct {
+		col int
+		off float64
+	}
+	var lCols, rCols []keyCol
+	var codeKeys []bool
+	var oriented []predicate.Condition
+	for _, c := range conds {
+		oc := c
+		if oc.Left != left.Name {
+			oc = c.Reversed()
+		}
+		lc, ok := resolveColumn(left, oc.Left, oc.LeftColumn)
+		if !ok {
+			return nil, fmt.Errorf("core: no column %s.%s", oc.Left, oc.LeftColumn)
+		}
+		rc, ok := resolveColumn(right, oc.Right, oc.RightColumn)
+		if !ok {
+			return nil, fmt.Errorf("core: no column %s.%s", oc.Right, oc.RightColumn)
+		}
+		lCols = append(lCols, keyCol{lc, oc.LeftOffset})
+		rCols = append(rCols, keyCol{rc, oc.RightOffset})
+		// Interned shuffle keys: when both sides of a condition share
+		// the same dictionary (self-join aliases do), the 8-byte code
+		// replaces the string bytes in the composite hash. Distinct
+		// dictionaries assign unrelated codes to equal strings, so the
+		// fast path is gated on pointer identity.
+		lD, rD := left.DictOf(lc), right.DictOf(rc)
+		codeKeys = append(codeKeys, lD != nil && lD == rD)
+		oriented = append(oriented, oc)
+	}
+	// writeKeyPart appends one key column's contribution to the
+	// composite FNV hash: the dictionary code when the shared-dict fast
+	// path applies and the value is interned, the textual form
+	// otherwise. Map-side hashKey and the hot-key groupKey must agree
+	// byte-for-byte, so both go through here.
+	writeKeyPart := func(h hash.Hash64, v relation.Value, code bool) {
+		if code {
+			if c, ok := v.DictCode(); ok {
+				var cb [8]byte
+				binary.LittleEndian.PutUint64(cb[:], uint64(c))
+				h.Write(cb[:])
+				h.Write([]byte{0x1f})
+				return
+			}
+		}
+		h.Write([]byte(v.String()))
+		h.Write([]byte{0x1f})
+	}
+	hashKey := func(t relation.Tuple, cols []keyCol) uint64 {
+		h := fnv.New64a()
+		for i, kc := range cols {
+			writeKeyPart(h, t[kc.col].Add(kc.off), codeKeys[i])
+		}
+		return h.Sum64()
+	}
+	var partitioner mr.Partitioner
+	if plan != nil {
+		// A hot value combination's shuffle key: the same composite
+		// hash the map side emits (hashKey over the condition-ordered
+		// columns with their offsets applied).
+		groupKey := func(vals []relation.Value, leftSide bool) uint64 {
+			cols := rCols
+			if leftSide {
+				cols = lCols
+			}
+			h := fnv.New64a()
+			for i, kc := range cols {
+				writeKeyPart(h, vals[i].Add(kc.off), codeKeys[i])
+			}
+			return h.Sum64()
+		}
+		if splits := equiSplits(plan, left.Name, right.Name, oriented, kr, groupKey); len(splits) > 0 {
+			partitioner = &skew.EquiPartitioner{Splits: splits}
+		}
+	}
+	rels := []*relation.Relation{left, right}
+	// Reducer-side verification through the shared indexed evaluator:
+	// within a reduce group (one composite key hash) the equality
+	// conditions compare normalized sort keys — or probe a per-group
+	// hash index when hash collisions mix several key values — instead
+	// of boxed Compare(Value.Add(...)) per (l, r) pair.
+	bound, err := bindConditions(oriented, rels)
+	if err != nil {
+		return nil, err
+	}
+	je := newJoinEval(rels, bound)
+	return &mr.Job{
+		Name: name,
+		Inputs: []mr.Input{
+			{Rel: left, Map: func(t relation.Tuple, emit mr.Emitter) { emit(hashKey(t, lCols), 0, t) }},
+			{Rel: right, Map: func(t relation.Tuple, emit mr.Emitter) { emit(hashKey(t, rCols), 1, t) }},
+		},
+		Reduce: func(key uint64, groups [][]relation.Tuple, ctx *mr.ReduceContext) {
+			ls, rs := groups[0], groups[1]
+			if len(ls) == 0 || len(rs) == 0 {
+				return
+			}
+			// Tiny groups (the common case when keys are near-unique)
+			// verify pair-by-pair on normalized keys with zero group
+			// setup; larger groups get the per-group indexes.
+			if len(ls)*len(rs) <= directPairVerify {
+				ctx.AddWork(int64(len(ls)) * int64(len(rs)))
+				for _, l := range ls {
+					for _, r := range rs {
+						if je.matchPair(l, r) {
+							ctx.EmitConcat(l, r)
+						}
+					}
+				}
+				return
+			}
+			ge := je.newGroupEval(groups)
+			ge.run(ctx, func(sel []int32) {
+				ctx.EmitConcat(ls[sel[0]], rs[sel[1]])
+			})
+		},
+		NumReducers:  kr,
+		Partitioner:  partitioner,
+		OutputName:   name,
+		OutputSchema: prefixedSchema(rels),
+		OutputDicts:  prefixedDicts(rels),
+	}, nil
+}
+
+// equiSplits turns the plan's hot join-key values into the sub-grid
+// each one spreads over, keyed by the composite hash the map side
+// shuffles on (keyOf, over one side's values in condition order).
+// Single-condition keys come from the per-column reports, composite
+// keys from the joint HotGroups the planner stored under the
+// condition-ordered column vectors.
+func equiSplits(plan *skew.JobPlan, left, right string, oriented []predicate.Condition, kr int, keyOf func(vals []relation.Value, leftSide bool) uint64) map[uint64]skew.Split {
+	type frac2 struct{ l, r float64 }
+	hot := make(map[uint64]frac2)
+	// raise records one side's fraction for a hot key, keeping the
+	// larger when two reported values hash to the same key.
+	raise := func(vals []relation.Value, frac float64, leftSide bool) {
+		if len(vals) != len(oriented) {
+			return
+		}
+		k := keyOf(vals, leftSide)
+		f := hot[k]
+		side := &f.r
+		if leftSide {
+			side = &f.l
+		}
+		if frac > *side {
+			*side = frac
+		}
+		hot[k] = f
+	}
+	if len(oriented) == 1 {
+		oc := oriented[0]
+		for _, hk := range plan.Hot(oc.Left, oc.LeftColumn) {
+			raise([]relation.Value{hk.Value}, hk.Frac, true)
+		}
+		for _, hk := range plan.Hot(oc.Right, oc.RightColumn) {
+			raise([]relation.Value{hk.Value}, hk.Frac, false)
+		}
+	} else {
+		lNames := make([]string, len(oriented))
+		rNames := make([]string, len(oriented))
+		for i, oc := range oriented {
+			lNames[i] = oc.LeftColumn
+			rNames[i] = oc.RightColumn
+		}
+		for _, g := range plan.HotJoint(left, lNames) {
+			raise(g.Values, g.Frac, true)
+		}
+		for _, g := range plan.HotJoint(right, rNames) {
+			raise(g.Values, g.Frac, false)
+		}
+	}
+	splits := make(map[uint64]skew.Split)
+	for k, f := range hot {
+		sp := skew.Split{
+			Rows: skew.SplitFactor(f.l, kr, plan.Threshold),
+			Cols: skew.SplitFactor(f.r, kr, plan.Threshold),
+		}
+		// Shrink the larger axis until the sub-grid fits in kr.
+		for sp.Cells() > kr {
+			if sp.Rows >= sp.Cols && sp.Rows > 1 {
+				sp.Rows--
+			} else if sp.Cols > 1 {
+				sp.Cols--
+			} else {
+				break
+			}
+		}
+		if sp.Cells() > 1 && sp.Cells() <= kr {
+			splits[k] = sp
+		}
+	}
+	return splits
+}

@@ -55,15 +55,6 @@ import (
 // CombinationsChecked whenever it prunes candidates the nested loop
 // used to enumerate.
 
-// IndexedJoinEval toggles the per-group indexes (hash tables, sorted
-// runs, subrange intersection). When false, every step scans its full
-// candidate list and verifies conditions tuple-by-tuple — the nested-
-// loop baseline, kept as an ablation for benchmarks and tests. The
-// flag is snapshotted when a job is built (newJoinEval); flipping it
-// while jobs run has no effect on them. Both settings produce the same
-// output combinations.
-var IndexedJoinEval = true
-
 // ccond is one compiled condition: a boundCond, its key mode and the
 // two key-extraction recipes (probe side lo, candidate side hi). hiSlot
 // indexes the candidate extractor within its step's shared key-column
@@ -129,9 +120,8 @@ func (st *joinStep) slotFor(e keyExtractor) int {
 // joinEval is the per-job compiled plan: one joinStep per relation
 // ordinal. It is immutable and shared by all reduce calls of the job.
 type joinEval struct {
-	m       int
-	steps   []joinStep
-	indexed bool
+	m     int
+	steps []joinStep
 }
 
 // newJoinEval compiles the bound conditions of a job over its ordered
@@ -141,7 +131,7 @@ type joinEval struct {
 // (which then covers that whole side, making it a sound reference for
 // both), and everything else goes through the generic path.
 func newJoinEval(rels []*relation.Relation, bound []boundCond) *joinEval {
-	je := &joinEval{m: len(rels), steps: make([]joinStep, len(rels)), indexed: IndexedJoinEval}
+	je := &joinEval{m: len(rels), steps: make([]joinStep, len(rels))}
 	for i := range je.steps {
 		je.steps[i].genAnchor = -1
 	}
@@ -347,7 +337,7 @@ func (ge *groupEval) buildStep(j int) {
 	si.pkRng = make([]int64, len(st.rng))
 	si.pkNe = make([]int64, len(st.ne))
 	si.pvGen = make([]relation.Value, len(st.gen))
-	if !ge.je.indexed || n < indexMinSize {
+	if n < indexMinSize {
 		return
 	}
 	switch {
@@ -563,5 +553,31 @@ func keyRange(keys []int64, op predicate.Op, pk int64) (int, int) {
 		return 0, sort.Search(n, func(i int) bool { return keys[i] >= pk })
 	default: // GE
 		return 0, sort.Search(n, func(i int) bool { return keys[i] > pk })
+	}
+}
+
+// anchorRange narrows a Compare-sorted candidate value list (each with
+// the anchor condition's offset already applied) to the subrange
+// satisfying "pv op vals[i]" (op oriented lo→hi). It is the generic-
+// path counterpart of keyRange, used when a step's only range handle
+// is a non-numeric condition.
+func anchorRange(vals []relation.Value, op predicate.Op, pv relation.Value) (int, int) {
+	cmpAt := func(i int) int { return relation.Compare(pv, vals[i]) }
+	n := len(vals)
+	switch op {
+	case predicate.LT: // pv < cand: suffix where cand > pv
+		return sort.Search(n, func(i int) bool { return cmpAt(i) < 0 }), n
+	case predicate.LE:
+		return sort.Search(n, func(i int) bool { return cmpAt(i) <= 0 }), n
+	case predicate.GT: // pv > cand: prefix where cand < pv
+		return 0, sort.Search(n, func(i int) bool { return cmpAt(i) <= 0 })
+	case predicate.GE:
+		return 0, sort.Search(n, func(i int) bool { return cmpAt(i) < 0 })
+	case predicate.EQ:
+		lo := sort.Search(n, func(i int) bool { return cmpAt(i) <= 0 })
+		hi := sort.Search(n, func(i int) bool { return cmpAt(i) < 0 })
+		return lo, hi
+	default: // NE is never installed as an anchor
+		return 0, n
 	}
 }

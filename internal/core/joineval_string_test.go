@@ -38,9 +38,9 @@ func stringRelation(name string, n, lo, hi int, rng *rand.Rand) *relation.Relati
 // TestJoinEvalStringEquivalence checks the dictionary-keyed string
 // fast path against the Naive oracle for every condition kind the
 // KeyDict mode compiles — equality, inequality, range and a 3-way
-// band — and repeats each case with interning disabled, so the
-// KeyDict path and the generic Compare fallback provably agree.
-// Flips the global StringInterning, so no t.Parallel.
+// band — and repeats each case over copies of the same rows that no
+// Analyze has interned, so the KeyDict path and the generic Compare
+// fallback provably agree.
 func TestJoinEvalStringEquivalence(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -69,18 +69,27 @@ func TestJoinEvalStringEquivalence(t *testing.T) {
 			predicate.C("A", "d", predicate.EQ, "B", "d"),
 		}},
 	}
+	rng := rand.New(rand.NewSource(99))
+	plain := map[string]*relation.Relation{
+		"A": stringRelation("A", 60, 0, 10, rng),
+		"B": stringRelation("B", 50, 5, 16, rng), // overlaps A on pool[5:10]
+		"C": stringRelation("C", 40, 2, 13, rng),
+	}
+	db := newTestDB(t, plain["A"], plain["B"], plain["C"])
 	for _, interned := range []bool{true, false} {
-		prev := StringInterning
-		StringInterning = interned
-		rng := rand.New(rand.NewSource(99))
-		a := stringRelation("A", 60, 0, 10, rng)
-		b := stringRelation("B", 50, 5, 16, rng) // overlaps A on pool[5:10]
-		c := stringRelation("C", 40, 2, 13, rng)
-		db := newTestDB(t, a, b, c)
-		StringInterning = prev
-
-		ra, _ := db.Relation("A")
-		if got := ra.DictOf(0) != nil; got != interned {
+		// NewDB interned its own row-id-widened copies; widening the
+		// originals again yields the same rows and rids, dictionary-less.
+		input := func(name string) *relation.Relation {
+			r, err := db.Relation(name)
+			if !interned {
+				r, err = EnsureRowIDs(plain[name])
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			return r
+		}
+		if got := input("A").DictOf(0) != nil; got != interned {
 			t.Fatalf("interned=%v but dict present=%v", interned, got)
 		}
 		label := "interned"
@@ -96,11 +105,7 @@ func TestJoinEvalStringEquivalence(t *testing.T) {
 				}
 				rels := make([]*relation.Relation, len(tc.rels))
 				for i, name := range tc.rels {
-					r, err := db.Relation(name)
-					if err != nil {
-						t.Fatal(err)
-					}
-					rels[i] = r
+					rels[i] = input(name)
 				}
 				job, _, err := BuildThetaJob("theta-"+tc.name, rels, q.Conditions, 5, 1<<12)
 				if err != nil {

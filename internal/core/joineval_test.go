@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -200,10 +199,11 @@ func TestJoinEvalShareGridEquivalence(t *testing.T) {
 	}
 }
 
-// TestJoinEvalIndexingPrunes runs the same jobs with and without the
-// per-group indexes: the output multiset must be identical, and on the
-// share-grid workload the indexed evaluator must examine strictly
-// fewer candidate combinations than the nested-loop baseline.
+// TestJoinEvalIndexingPrunes runs each operator on one reducer, where
+// the single reduce group holds every tuple: a nested loop would
+// examine all |A|·|B| pairs at the second step alone, so the per-group
+// indexes must bring CombinationsChecked below that. (Result equality
+// against core.Naive is TestJoinEval{Theta,ShareGrid}Equivalence's.)
 func TestJoinEvalIndexingPrunes(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	a := randRelation("A", 120, 15, rng)
@@ -217,49 +217,30 @@ func TestJoinEvalIndexingPrunes(t *testing.T) {
 		}
 		return r
 	}
-	gridConds := predicate.Conjunction{
-		predicate.C("A", "a", predicate.EQ, "B", "a"),
-		predicate.C("B", "b", predicate.EQ, "C", "b"),
-	}
-	thetaConds := predicate.Conjunction{
-		predicate.C("A", "a", predicate.LT, "B", "a"),
-		predicate.C("A", "a", predicate.GT, "B", "a").WithOffsets(0, -5),
-	}
-	run := func(indexed bool, build func(suffix string) (*mr.Job, error)) *mr.Result {
+	nested := int64(a.Cardinality() * b.Cardinality())
+	check := func(t *testing.T, job *mr.Job, err error) {
 		t.Helper()
-		defer func(prev bool) { IndexedJoinEval = prev }(IndexedJoinEval)
-		IndexedJoinEval = indexed
-		job, err := build(fmt.Sprintf("idx=%v", indexed))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return runEvalJob(t, job)
+		got := runEvalJob(t, job).Metrics.CombinationsChecked
+		if got <= 0 || got >= nested {
+			t.Errorf("indexing did not prune: %d combinations checked, a nested loop checks >= %d", got, nested)
+		}
+		t.Logf("%d combinations checked, nested loop >= %d", got, nested)
 	}
 	t.Run("share-grid", func(t *testing.T) {
-		build := func(suffix string) (*mr.Job, error) {
-			return BuildShareGridJob("grid-"+suffix, []*relation.Relation{rel("A"), rel("B"), rel("C")}, gridConds, 8)
-		}
-		linear, indexed := run(false, build), run(true, build)
-		if got, want := resultSet(indexed.Output), resultSet(linear.Output); !want.Equal(got) {
-			t.Errorf("indexing changed the result: %d vs %d rows", got.Len(), want.Len())
-		}
-		li, ix := linear.Metrics.CombinationsChecked, indexed.Metrics.CombinationsChecked
-		if ix >= li {
-			t.Errorf("indexing did not prune: %d checked with indexes, %d without", ix, li)
-		}
+		job, err := BuildShareGridJob("grid", []*relation.Relation{rel("A"), rel("B"), rel("C")}, predicate.Conjunction{
+			predicate.C("A", "a", predicate.EQ, "B", "a"),
+			predicate.C("B", "b", predicate.EQ, "C", "b"),
+		}, 1)
+		check(t, job, err)
 	})
 	t.Run("theta-band", func(t *testing.T) {
-		build := func(suffix string) (*mr.Job, error) {
-			job, _, err := BuildThetaJob("theta-"+suffix, []*relation.Relation{rel("A"), rel("B")}, thetaConds, 5, 1<<12)
-			return job, err
-		}
-		linear, indexed := run(false, build), run(true, build)
-		if got, want := resultSet(indexed.Output), resultSet(linear.Output); !want.Equal(got) {
-			t.Errorf("indexing changed the result: %d vs %d rows", got.Len(), want.Len())
-		}
-		li, ix := linear.Metrics.CombinationsChecked, indexed.Metrics.CombinationsChecked
-		if ix >= li {
-			t.Errorf("indexing did not prune: %d checked with indexes, %d without", ix, li)
-		}
+		job, _, err := BuildThetaJob("theta", []*relation.Relation{rel("A"), rel("B")}, predicate.Conjunction{
+			predicate.C("A", "a", predicate.LT, "B", "a"),
+			predicate.C("A", "a", predicate.GT, "B", "a").WithOffsets(0, -5),
+		}, 1, 1<<12)
+		check(t, job, err)
 	})
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"repro/internal/obs"
 	"repro/internal/predicate"
 	"repro/internal/relation"
 )
@@ -63,10 +62,7 @@ func (e *keyExtractor) sameKey(o *keyExtractor) bool {
 
 // buildKeyColumns materialises every extractor's keys over the
 // candidate list into per-slot columns sharing one contiguous backing
-// array. Dictionary-mode extraction counts into the process-wide
-// metrics registry (obs.Default), batched per column so the per-tuple
-// loop stays atomic-free: "direct" hits read the embedded code,
-// "probe" extractions fall back to a string lookup in the dictionary.
+// array.
 func buildKeyColumns(exts []keyExtractor, cands []relation.Tuple) [][]int64 {
 	if len(exts) == 0 {
 		return nil
@@ -74,7 +70,6 @@ func buildKeyColumns(exts []keyExtractor, cands []relation.Tuple) [][]int64 {
 	n := len(cands)
 	flat := make([]int64, len(exts)*n)
 	cols := make([][]int64, len(exts))
-	var directKeys, probeKeys int64
 	for x := range exts {
 		col := flat[x*n : (x+1)*n : (x+1)*n]
 		e := &exts[x]
@@ -82,20 +77,6 @@ func buildKeyColumns(exts []keyExtractor, cands []relation.Tuple) [][]int64 {
 			col[i] = e.key(t)
 		}
 		cols[x] = col
-		if e.mode == predicate.KeyDict {
-			if e.direct {
-				directKeys += int64(n)
-			} else {
-				probeKeys += int64(n)
-			}
-		}
-	}
-	obs.Default().Counter("joineval/key_columns_built").Add(int64(len(exts)))
-	if directKeys > 0 {
-		obs.Default().Counter("joineval/dict_code_keys").Add(directKeys)
-	}
-	if probeKeys > 0 {
-		obs.Default().Counter("joineval/dict_probe_keys").Add(probeKeys)
 	}
 	return cols
 }

@@ -42,7 +42,7 @@ func Naive(q *query.Query, db *DB) (*relation.Relation, error) {
 	var rec func(j int)
 	rec = func(j int) {
 		if j == m {
-			row := make(relation.Tuple, 0, totalArity(rels))
+			row := make(relation.Tuple, 0, out.Schema.Len())
 			for _, t := range partial {
 				row = append(row, t...)
 			}

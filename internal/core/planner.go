@@ -19,30 +19,14 @@ import (
 
 // PlanOptions tune the planner.
 type PlanOptions struct {
-	// Lambda is the Δ(k_R) mixing coefficient of Eq. 10 (default 0.4,
-	// the paper's calibrated value).
-	Lambda float64
 	// MaxPathLen caps candidate path lengths in G'_JP (0 = all).
 	MaxPathLen int
 	// MaxCells bounds the Hilbert grid (0 = MaxCellsDefault).
 	MaxCells int
-	// ExhaustiveCover additionally evaluates the exhaustive minimum-
-	// weight cover when G'_JP is small, picking whichever cover
-	// schedules faster.
-	ExhaustiveCover bool
 	// ForceSingleJob restricts the cover to the single candidate
 	// evaluating every condition in one MapReduce job (used by the
 	// single-vs-multi ablation; errors if no such candidate survives).
 	ForceSingleJob bool
-	// SkewThreshold triggers hot-key handling: a join-key value is
-	// treated as hot when its estimated tuple fraction times the job's
-	// reducer count exceeds it (its load passes Threshold × the mean
-	// reducer load). <= 0 uses skew.DefaultThreshold.
-	SkewThreshold float64
-	// DisableSkew turns off heavy-hitter-aware costing and routing,
-	// reverting to the constant sigma fudge factors and plain hash
-	// partitioning (the pre-skew baseline, kept for ablations).
-	DisableSkew bool
 	// DisableReplan turns off the runtime feedback loop: jobs that
 	// consume produced intermediates keep the reducer count and skew
 	// handling the static plan chose instead of re-deriving them from
@@ -65,14 +49,6 @@ type PlanOptions struct {
 	// feedback loop (there are no measured statistics), so downstream
 	// replanning falls back to the static plan.
 	ResumeFrom string
-}
-
-// skewThreshold resolves the effective hot-key trigger.
-func (pl *Planner) skewThreshold() float64 {
-	if pl.Opts.SkewThreshold > 0 {
-		return pl.Opts.SkewThreshold
-	}
-	return skew.DefaultThreshold
 }
 
 // Planner maps an N-join query onto a scheduled set of MapReduce jobs
@@ -98,7 +74,6 @@ func NewPlanner(cfg mr.Config, kp int) *Planner {
 		Config: cfg,
 		Params: cost.FromConfig(cfg),
 		KP:     kp,
-		Opts:   PlanOptions{Lambda: 0.4, ExhaustiveCover: true},
 	}
 }
 
@@ -121,9 +96,9 @@ type PlannedJob struct {
 	SigmaFrac float64
 
 	// Skew is the hot-key handling chosen for this job from the
-	// catalog's heavy-hitter reports; nil when no key is hot enough
-	// (or skew handling is disabled). The physical operators derive
-	// their split layout from it at build time.
+	// catalog's heavy-hitter reports; nil when no key is hot enough.
+	// The physical operators derive their split layout from it at build
+	// time.
 	Skew *skew.JobPlan
 }
 
@@ -218,7 +193,9 @@ func (pl *Planner) Plan(q *query.Query, db *DB) (*Plan, error) {
 			return nil, err
 		}
 		covers = append(covers, greedyIDs)
-		if pl.Opts.ExhaustiveCover && len(sets) <= 16 {
+		// When G'_JP is small, also evaluate the exhaustive minimum-
+		// weight cover and keep whichever cover schedules faster.
+		if len(sets) <= 16 {
 			if exIDs, _, err := setcover.Exhaustive(universe, sets, 16); err == nil {
 				covers = append(covers, exIDs)
 			}
@@ -288,7 +265,7 @@ func (pl *Planner) costEdge(q *query.Query, g *query.JoinGraph, db *DB, edgeIDs 
 	// which the runtime splits the key across sub-reducers); without a
 	// report the historical constants apply.
 	pmax, skewKnown := 0.0, false
-	if !pl.Opts.DisableSkew && kind != KindHilbertTheta {
+	if kind != KindHilbertTheta {
 		pmax, skewKnown = maxJoinHotFrac(db.Catalog, conds, kind)
 	}
 	profile, bestK, bestT, err := pl.sweepReducers(costSweepInputs{
@@ -422,7 +399,7 @@ func (pl *Planner) sweepReducers(in costSweepInputs, maxK int) ([]float64, int, 
 			MapSlots: minInt(pl.Config.MapSlots, k),
 			Alpha:    alpha,
 			Beta:     beta,
-			Sigma:    pl.sigmaFracFor(in.kind, effectiveN, in.pmax, in.skewKnown) * shuffle / float64(effectiveN),
+			Sigma:    sigmaFracFor(in.kind, effectiveN, in.pmax, in.skewKnown) * shuffle / float64(effectiveN),
 		}
 		est, err := pl.Params.Estimate(prof, effectiveN)
 		if err != nil {
@@ -439,16 +416,16 @@ func (pl *Planner) sweepReducers(in costSweepInputs, maxK int) ([]float64, int, 
 // sigmaFracFor resolves the reducer-input variation coefficient: the
 // measured-skew estimate when a heavy-hitter report exists, else the
 // historical per-kind constants.
-func (pl *Planner) sigmaFracFor(kind JobKind, parallelism int, pmax float64, known bool) float64 {
+func sigmaFracFor(kind JobKind, parallelism int, pmax float64, known bool) float64 {
 	switch kind {
 	case KindHashEqui:
 		if known {
-			return skew.SigmaFrac(pmax, parallelism, pl.skewThreshold())
+			return skew.SigmaFrac(pmax, parallelism, skew.DefaultThreshold)
 		}
 		return 0.3 // key-value hash distribution skews
 	case KindShareGrid:
 		if known {
-			return skew.SigmaFrac(pmax, parallelism, pl.skewThreshold())
+			return skew.SigmaFrac(pmax, parallelism, skew.DefaultThreshold)
 		}
 		return 0.15 // attribute-class hashing, moderate skew
 	default:
@@ -663,9 +640,9 @@ func (pl *Planner) scheduleCover(q *query.Query, jp *joinpath.Graph, cands map[s
 	}
 	// With the reducer counts final, decide per-job hot-key handling
 	// from the catalog's heavy-hitter reports.
-	if !pl.Opts.DisableSkew && db != nil {
+	if db != nil {
 		for i := range jobs {
-			jobs[i].Skew = SkewPlanFor(db.Catalog, jobs[i].Kind, jobs[i].Conds, jobs[i].Reducers, pl.skewThreshold())
+			jobs[i].Skew = SkewPlanFor(db.Catalog, jobs[i].Kind, jobs[i].Conds, jobs[i].Reducers, skew.DefaultThreshold)
 		}
 	}
 	// Record the σ fraction the cost model charged at the final reducer
@@ -673,10 +650,10 @@ func (pl *Planner) scheduleCover(q *query.Query, jp *joinpath.Graph, cands map[s
 	// measured balance ratio.
 	for i := range jobs {
 		pmax, known := 0.0, false
-		if !pl.Opts.DisableSkew && db != nil && jobs[i].Kind != KindHilbertTheta {
+		if db != nil && jobs[i].Kind != KindHilbertTheta {
 			pmax, known = maxJoinHotFrac(db.Catalog, jobs[i].Conds, jobs[i].Kind)
 		}
-		jobs[i].SigmaFrac = pl.sigmaFracFor(jobs[i].Kind, jobs[i].Reducers, pmax, known)
+		jobs[i].SigmaFrac = sigmaFracFor(jobs[i].Kind, jobs[i].Reducers, pmax, known)
 	}
 	return &Plan{
 		Query:             q,

@@ -38,18 +38,6 @@ const replanMinThreshold = 1.05
 // rather than sketched.
 const feedbackStatsSample = 4096
 
-// MeasuredStat is one produced intermediate's measured execution
-// statistics in portable form: the synthesized table statistics (with
-// skew annotations), the observed reducer balance of the job that
-// produced it, and the relation's volume multiplier. ExecResult
-// exports these so a resident server can persist them across
-// executions and warm-start later plans (Planner.WarmRevise).
-type MeasuredStat struct {
-	Stats            *relation.TableStats
-	BalanceRatio     float64
-	VolumeMultiplier float64
-}
-
 // feedback accumulates the measured statistics of completed jobs: the
 // per-execution stats overlay plus each job's observed reducer
 // balance and volume multiplier, consumed by replan when a downstream
@@ -70,37 +58,6 @@ func newFeedback(pl *Planner, db *DB) *feedback {
 		ratio: make(map[string]float64),
 		mult:  make(map[string]float64),
 	}
-}
-
-// seed pre-loads the feedback with statistics measured by earlier
-// executions, so replan can revise jobs statically — before anything
-// has run — exactly as the dispatch-time loop would have.
-func (fb *feedback) seed(warm map[string]MeasuredStat) {
-	for name, m := range warm {
-		if m.Stats == nil {
-			continue
-		}
-		fb.stats[name] = m.Stats
-		fb.ratio[name] = m.BalanceRatio
-		fb.mult[name] = m.VolumeMultiplier
-	}
-}
-
-// measured exports the accumulated per-job statistics; nil when this
-// execution observed nothing (no cascades, or replan disabled).
-func (fb *feedback) measured() map[string]MeasuredStat {
-	if len(fb.stats) == 0 {
-		return nil
-	}
-	out := make(map[string]MeasuredStat, len(fb.stats))
-	for name, ts := range fb.stats {
-		out[name] = MeasuredStat{
-			Stats:            ts,
-			BalanceRatio:     fb.ratio[name],
-			VolumeMultiplier: fb.mult[name],
-		}
-	}
-	return out
 }
 
 // observe ingests a completed job: the statistics pass and the skew
@@ -127,7 +84,7 @@ func (fb *feedback) observe(jobName string, res *mr.Result) {
 // the corresponding static choice.
 func (fb *feedback) replan(pj *PlannedJob) (*PlannedJob, bool) {
 	overlay := make(map[string]*relation.TableStats)
-	threshold := fb.pl.skewThreshold()
+	threshold := skew.DefaultThreshold
 	for _, name := range pj.RelOrder {
 		ts, ok := fb.stats[name]
 		if !ok {
@@ -155,17 +112,15 @@ func (fb *feedback) replan(pj *PlannedJob) (*PlannedJob, bool) {
 	if k, err := fb.rederiveReducers(&rj, cat); err == nil && k > 0 {
 		rj.Reducers = k
 	}
-	if !fb.pl.Opts.DisableSkew {
-		rj.Skew = SkewPlanFor(cat, rj.Kind, rj.Conds, rj.Reducers, threshold)
-	}
+	rj.Skew = SkewPlanFor(cat, rj.Kind, rj.Conds, rj.Reducers, threshold)
 	// Refresh the recorded σ fraction from the measured distribution,
 	// so the execution report shows the re-derived model, not the
 	// static one it replaced.
 	pmax, known := 0.0, false
-	if !fb.pl.Opts.DisableSkew && rj.Kind != KindHilbertTheta {
+	if rj.Kind != KindHilbertTheta {
 		pmax, known = maxJoinHotFrac(cat, rj.Conds, rj.Kind)
 	}
-	rj.SigmaFrac = fb.pl.sigmaFracFor(rj.Kind, rj.Reducers, pmax, known)
+	rj.SigmaFrac = sigmaFracFor(rj.Kind, rj.Reducers, pmax, known)
 	return &rj, true
 }
 
@@ -186,8 +141,8 @@ func (fb *feedback) rederiveReducers(pj *PlannedJob, cat *relation.Catalog) (int
 	inputBytes, mapTasks, outBytes, _, err := pl.sizeJob(cat, pj.RelOrder, pj.Conds,
 		func(name string) float64 {
 			// Measured intermediates carry their observed multiplier
-			// (recorded at observe time or seeded from a warm store);
-			// base relations answer from the db.
+			// (recorded at observe time); base relations answer from
+			// the db.
 			if m, ok := fb.mult[name]; ok {
 				return m
 			}
@@ -200,7 +155,7 @@ func (fb *feedback) rederiveReducers(pj *PlannedJob, cat *relation.Catalog) (int
 		return 0, err
 	}
 	pmax, skewKnown := 0.0, false
-	if !pl.Opts.DisableSkew && pj.Kind != KindHilbertTheta {
+	if pj.Kind != KindHilbertTheta {
 		pmax, skewKnown = maxJoinHotFrac(cat, pj.Conds, pj.Kind)
 	}
 	_, bestK, _, err := pl.sweepReducers(costSweepInputs{
@@ -217,40 +172,4 @@ func (fb *feedback) rederiveReducers(pj *PlannedJob, cat *relation.Catalog) (int
 		return 0, err
 	}
 	return bestK, nil
-}
-
-// WarmRevise applies persisted measured statistics to a plan before
-// execution: every job whose inputs include a warm-known intermediate
-// gets its reducer count, σ model and hot-key handling re-derived from
-// the measured TableStats — the static counterpart of the dispatch-time
-// feedback loop, using the same replan machinery. It returns the
-// revised plan copy (the input plan is never mutated) and the names of
-// the revised jobs; with an empty warm store (the cold first run) the
-// plan is returned unchanged, so one-shot behavior is untouched.
-//
-// A resident server persists ExecResult.Measured across executions and
-// feeds it back here, so the second submission of a cascade plans its
-// downstream jobs from observed rather than modeled cardinalities even
-// before anything dispatches.
-func (pl *Planner) WarmRevise(plan *Plan, db *DB, warm map[string]MeasuredStat) (*Plan, []string) {
-	if plan == nil || len(warm) == 0 {
-		return plan, nil
-	}
-	fb := newFeedback(pl, db)
-	fb.seed(warm)
-	jobs := make([]PlannedJob, len(plan.Jobs))
-	copy(jobs, plan.Jobs)
-	var revised []string
-	for i := range jobs {
-		if rj, ok := fb.replan(&jobs[i]); ok {
-			jobs[i] = *rj
-			revised = append(revised, jobs[i].Name)
-		}
-	}
-	if len(revised) == 0 {
-		return plan, nil
-	}
-	out := *plan
-	out.Jobs = jobs
-	return &out, revised
 }

@@ -137,75 +137,6 @@ func TestFeedbackReplanDeterminism(t *testing.T) {
 	}
 }
 
-// TestWarmReviseFromMeasured covers the warm-start path end to end: an
-// execution exports its measured intermediate statistics, WarmRevise
-// layers them under a fresh static plan, and the revised plan — run
-// with the dispatch-time feedback loop disabled — reaches the same
-// downstream balance improvement the live loop achieves. An empty warm
-// store must leave the plan untouched (cold first runs are unchanged).
-func TestWarmReviseFromMeasured(t *testing.T) {
-	const kr = 16
-	db := cascadeDB(t)
-
-	// Cold feedback run: measure the cascade intermediate.
-	pl := testPlanner(kr)
-	cold, err := pl.Execute(cascadePlan(t, db, kr), db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := cold.Measured["casc-j1"]; !ok || len(cold.Measured) != 1 {
-		t.Fatalf("Measured = %v, want exactly casc-j1", cold.Measured)
-	}
-	if m := cold.Measured["casc-j1"]; m.Stats == nil || m.VolumeMultiplier <= 0 {
-		t.Fatalf("casc-j1 measured stat incomplete: %+v", m)
-	}
-
-	// Empty warm store: identity, same plan pointer.
-	static := cascadePlan(t, db, kr)
-	if got, names := pl.WarmRevise(static, db, nil); got != static || names != nil {
-		t.Errorf("WarmRevise(nil warm) revised %v", names)
-	}
-
-	// Warm revision: the downstream job is revised statically.
-	warmPlan, names := pl.WarmRevise(static, db, cold.Measured)
-	if len(names) != 1 || names[0] != "casc-j2" {
-		t.Fatalf("WarmRevise revised %v, want [casc-j2]", names)
-	}
-	if warmPlan == static {
-		t.Fatal("WarmRevise mutated the input plan instead of copying")
-	}
-	if reflect.DeepEqual(warmPlan.Jobs[1], static.Jobs[1]) {
-		t.Error("revised casc-j2 identical to static job")
-	}
-	if static.Jobs[1].Skew != nil {
-		t.Error("WarmRevise mutated the static plan's jobs")
-	}
-
-	// A warm-revised plan executed WITHOUT the runtime loop must beat
-	// the static plan's downstream balance the way the live loop does.
-	runStatic := func(p *Plan) *ExecResult {
-		spl := testPlanner(kr)
-		spl.Opts.DisableReplan = true
-		res, err := spl.Execute(p, db)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	staticRes := runStatic(cascadePlan(t, db, kr))
-	warmRes := runStatic(warmPlan)
-	if !reflect.DeepEqual(sortedTuples(staticRes.Output), sortedTuples(warmRes.Output)) {
-		t.Errorf("outputs differ: static %d tuples, warm %d tuples",
-			len(staticRes.Output.Tuples), len(warmRes.Output.Tuples))
-	}
-	sRatio := staticRes.JobMetrics["casc-j2"].BalanceRatio
-	wRatio := warmRes.JobMetrics["casc-j2"].BalanceRatio
-	if sRatio < 1.5*wRatio {
-		t.Errorf("downstream balance: static %.2f vs warm %.2f — want >= 1.5x reduction", sRatio, wRatio)
-	}
-	t.Logf("downstream balance ratio: static %.2f → warm-start %.2f", sRatio, wRatio)
-}
-
 // compositeKeyRelation: tuples whose (k1, k2) combination is hot with
 // fraction hotFrac; the rest draw both keys uniformly from [0, 50).
 func compositeKeyRelation(name string, n int, hotFrac float64, seed int64) *relation.Relation {

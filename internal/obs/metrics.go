@@ -27,15 +27,6 @@ func NewRegistry() *Registry {
 	}
 }
 
-// defaultRegistry is the process-wide registry hot-path components
-// without context access (the join evaluator's key-column cache, the
-// string-dictionary probes) record into; the driver commands export
-// it behind -metrics.
-var defaultRegistry = NewRegistry()
-
-// Default returns the process-wide registry.
-func Default() *Registry { return defaultRegistry }
-
 // Counter returns (creating on first use) the named counter. Nil-safe.
 func (r *Registry) Counter(name string) *Counter {
 	if r == nil {

@@ -3,8 +3,8 @@
 // submissions, compiles them through core.Planner and executes their
 // jobs against one machine-wide K_P-unit scheduler.
 //
-// Three concerns distinguish serving from batch execution, and the
-// Service owns all three:
+// Two concerns distinguish serving from batch execution, and the
+// Service owns both:
 //
 //   - Cross-plan scheduling. A one-shot run gives its plan a private
 //     K_P-unit semaphore; two such runs side by side would oversubscribe
@@ -26,13 +26,9 @@
 //     statistics it was planned from: re-analyzing or reloading
 //     relations invalidates the cache wholesale.
 //
-//   - Warm-start statistics. Each execution exports the measured
-//     statistics of its cascade intermediates (core.ExecResult.Measured);
-//     the Service persists them across executions — keyed to the
-//     catalog version — and layers them under later plans via
-//     core.Planner.WarmRevise, so the second run of a cascade derives
-//     downstream reducer counts and skew handling from observed rather
-//     than modeled cardinalities before anything dispatches.
+// Nothing measured during an execution outlives it: a prepared cascade
+// plan (RegisterPlan) is re-planned at dispatch from its own run's
+// statistics on every submission, exactly as in a one-shot run.
 //
 // cmd/thetad wraps the Service in an HTTP/JSON daemon; cmd/thetajoin's
 // -server flag is the matching client.

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -43,7 +42,7 @@ type Config struct {
 	MaxConcurrent int
 	// MaxQueue bounds the queries waiting for an execution slot beyond
 	// MaxConcurrent; submissions past it are rejected with
-	// ErrQueueFull. Default 16; negative means 0 (no queue).
+	// ErrQueueFull. Default 16; negative means no queue at all.
 	MaxQueue int
 	// QueueTimeout bounds how long a queued query waits before
 	// rejection with ErrTimedOut. Default 10s.
@@ -66,9 +65,6 @@ type Config struct {
 	// the shared pool's in-use histogram). Nil allocates a private
 	// metrics registry — Service.Obs exposes it.
 	Obs *obs.Obs
-	// DisableWarmStart turns off the measured-statistics store:
-	// every submission plans purely from catalog statistics.
-	DisableWarmStart bool
 }
 
 func (c Config) withDefaults() Config {
@@ -78,11 +74,11 @@ func (c Config) withDefaults() Config {
 	if c.MaxConcurrent <= 0 {
 		c.MaxConcurrent = 4
 	}
-	if c.MaxQueue < 0 {
-		c.MaxQueue = 0
-	}
 	if c.MaxQueue == 0 {
 		c.MaxQueue = 16
+	}
+	if c.MaxQueue < 0 {
+		c.MaxQueue = 0
 	}
 	if c.QueueTimeout <= 0 {
 		c.QueueTimeout = 10 * time.Second
@@ -141,9 +137,6 @@ type Response struct {
 	ShuffleBytes      int64    `json:"shuffleBytes"`
 	MaxConcurrentJobs int      `json:"maxConcurrentJobs"`
 	Replanned         []string `json:"replanned,omitempty"`
-	// WarmRevised lists jobs revised before execution from persisted
-	// measured statistics (empty on cold runs).
-	WarmRevised []string `json:"warmRevised,omitempty"`
 	// JobBalance maps job name → measured reducer balance ratio.
 	JobBalance map[string]float64 `json:"jobBalance,omitempty"`
 	// Tuples renders up to Request.Limit result rows.
@@ -167,7 +160,6 @@ type Service struct {
 	wg     sync.WaitGroup
 
 	cache    *planCache
-	stats    *statsStore
 	prepared map[string]*core.Plan
 	submits  int64 // monotone label for unnamed submissions (under mu)
 }
@@ -185,7 +177,6 @@ func New(db *core.DB, cfg Config) *Service {
 		o:        cfg.Obs,
 		sem:      make(chan struct{}, cfg.MaxConcurrent),
 		cache:    newPlanCache(cfg.Obs),
-		stats:    newStatsStore(),
 		prepared: make(map[string]*core.Plan),
 	}
 	return s
@@ -198,7 +189,7 @@ func (s *Service) Obs() *obs.Obs { return s.o }
 // RegisterPlan installs a pre-built plan under a name, submittable as
 // Request.Prepared. This is the entry point for cascade plans — shapes
 // the spec grammar cannot express — and therefore the path that
-// exercises warm-started re-planning end to end.
+// exercises dispatch-time re-planning under the service.
 func (s *Service) RegisterPlan(name string, plan *core.Plan) error {
 	if name == "" || plan == nil || len(plan.Jobs) == 0 {
 		return fmt.Errorf("server: RegisterPlan needs a name and a non-empty plan")
@@ -269,8 +260,8 @@ func (s *Service) admit(ctx context.Context) error {
 }
 
 // Submit runs one query to completion: admission, plan (cached),
-// warm-start revision, execution on the shared pool under the
-// arbiter's budget. Safe for concurrent use.
+// execution on the shared pool under the arbiter's budget. Safe for
+// concurrent use.
 func (s *Service) Submit(ctx context.Context, req Request) (*Response, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -344,25 +335,11 @@ func (s *Service) Submit(ctx context.Context, req Request) (*Response, error) {
 	resp.PlanNs = time.Since(planStart).Nanoseconds()
 	s.o.Histogram("server.plan.ns").Observe(resp.PlanNs)
 
-	// Warm-start: layer persisted measured statistics (same catalog
-	// version only) under the plan before execution.
-	pl := s.newPlanner()
-	if !s.cfg.DisableWarmStart {
-		if warm := s.stats.snapshot(version); len(warm) > 0 {
-			var revised []string
-			plan, revised = pl.WarmRevise(plan, execDB, warm)
-			resp.WarmRevised = revised
-			if len(revised) > 0 {
-				s.o.Counter("server.warm.revised").Add(int64(len(revised)))
-				shard.Instant("warm-revise", obs.A("jobs", strings.Join(revised, ",")))
-			}
-		}
-	}
-
 	// Execute under the shared pool, budget-capped by the arbiter.
 	budget := s.arbiter.Admit()
 	defer s.arbiter.Done()
 	resp.Budget = budget
+	pl := s.newPlanner()
 	pl.Pool = core.WithBudget(s.pool, budget)
 	shard.Instant("execute", obs.A("budget", budget), obs.A("cacheHit", resp.CacheHit))
 	execStart := time.Now()
@@ -389,9 +366,6 @@ func (s *Service) Submit(ctx context.Context, req Request) (*Response, error) {
 	}
 	resp.ExecNs = time.Since(execStart).Nanoseconds()
 	s.o.Histogram("server.exec.ns").Observe(resp.ExecNs)
-	if !s.cfg.DisableWarmStart && len(res.Measured) > 0 {
-		s.stats.ingest(version, res.Measured)
-	}
 
 	fillResult(resp, res, req.Limit)
 	shard.Instant("complete", obs.A("rows", resp.Rows), obs.A("hash", resp.ResultHash))

@@ -387,20 +387,28 @@ func TestZipfSkewKnobs(t *testing.T) {
 // mobile workload's shuffle volume by at least 30% — the varint
 // station-name codes replace ~29-byte strings in every shuffled tuple.
 // NominalGB stays 0 so VolumeMultiplier is 1 and the metric reflects
-// real encoded bytes. Flips core.StringInterning, so no t.Parallel.
+// real encoded bytes. The plain leg shuffles the same generated table,
+// row ids added, that no Analyze has interned.
 func TestMobileInternedShuffleBytes(t *testing.T) {
+	cfg := DefaultMobileConfig()
+	cfg.Tuples = 400
+	db, err := MobileDB(cfg, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	table, err := core.EnsureRowIDs(MobileTable(cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
 	run := func(interned bool) int64 {
-		prev := core.StringInterning
-		core.StringInterning = interned
-		defer func() { core.StringInterning = prev }()
-		cfg := DefaultMobileConfig()
-		cfg.Tuples = 400
-		db, err := MobileDB(cfg, 100)
-		if err != nil {
-			t.Fatal(err)
-		}
 		rels := make([]*relation.Relation, 2)
 		for i, name := range []string{"t1", "t2"} {
+			if !interned {
+				alias := *table
+				alias.Name = name
+				rels[i] = &alias
+				continue
+			}
 			r, err := db.Relation(name)
 			if err != nil {
 				t.Fatal(err)
