@@ -103,7 +103,7 @@ func TestExecutionDeterminism(t *testing.T) {
 					t.Fatalf("workers=%d vs %d: %d vs %d output tuples", w, refWorkers, got, want)
 				}
 				for i := range res.Output.Tuples {
-					if !reflect.DeepEqual(res.Output.Tuples[i], ref.Output.Tuples[i]) {
+					if !sameRow(res.Output.Tuples[i], ref.Output.Tuples[i]) {
 						t.Fatalf("workers=%d vs %d: tuple %d differs: %v vs %v",
 							w, refWorkers, i, res.Output.Tuples[i], ref.Output.Tuples[i])
 					}
@@ -188,7 +188,7 @@ func TestExecutionDeterminismSpill(t *testing.T) {
 					t.Fatalf("workers=%d: %d vs %d output tuples vs in-memory", w, got, want)
 				}
 				for i := range res.Output.Tuples {
-					if !reflect.DeepEqual(res.Output.Tuples[i], inMem.Output.Tuples[i]) {
+					if !sameRow(res.Output.Tuples[i], inMem.Output.Tuples[i]) {
 						t.Fatalf("workers=%d: tuple %d differs from in-memory run", w, i)
 					}
 				}

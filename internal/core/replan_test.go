@@ -90,7 +90,7 @@ func TestFeedbackReplanCascade(t *testing.T) {
 	if got := feedback.Replanned; len(got) != 1 || got[0] != "casc-j2" {
 		t.Errorf("feedback run replanned %v, want [casc-j2]", got)
 	}
-	if !reflect.DeepEqual(sortedTuples(static.Output), sortedTuples(feedback.Output)) {
+	if !sameRows(sortedTuples(static.Output), sortedTuples(feedback.Output)) {
 		t.Errorf("outputs differ: static %d tuples, feedback %d tuples",
 			len(static.Output.Tuples), len(feedback.Output.Tuples))
 	}
@@ -122,7 +122,7 @@ func TestFeedbackReplanDeterminism(t *testing.T) {
 			ref = res
 			continue
 		}
-		if !reflect.DeepEqual(res.Output.Tuples, ref.Output.Tuples) {
+		if !sameRows(res.Output.Tuples, ref.Output.Tuples) {
 			t.Fatalf("workers=%d: output tuples differ from reference", w)
 		}
 		if !reflect.DeepEqual(zeroWallMap(res.JobMetrics), zeroWallMap(ref.JobMetrics)) {
@@ -195,7 +195,7 @@ func TestCompositeSkewSplit(t *testing.T) {
 		t.Fatal("composite skew plan produced no partitioner")
 	}
 	bres, sres := runJob(t, base), runJob(t, skewed)
-	if !reflect.DeepEqual(sortedTuples(bres.Output), sortedTuples(sres.Output)) {
+	if !sameRows(sortedTuples(bres.Output), sortedTuples(sres.Output)) {
 		t.Errorf("outputs differ: baseline %d tuples, skew-aware %d tuples",
 			len(bres.Output.Tuples), len(sres.Output.Tuples))
 	}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 
@@ -49,6 +50,13 @@ func sortedTuples(r *relation.Relation) []relation.Tuple {
 	})
 	return out
 }
+
+// sameRow and sameRows report bit identity of rows, value by value
+// (relation.Identical). reflect.DeepEqual and == on a Value compare
+// where a string's bytes live, and DeepEqual then only their first.
+func sameRow(a, b relation.Tuple) bool { return slices.EqualFunc(a, b, relation.Identical) }
+
+func sameRows(a, b []relation.Tuple) bool { return slices.EqualFunc(a, b, sameRow) }
 
 func runJob(t *testing.T, job *mr.Job) *mr.Result {
 	t.Helper()
@@ -99,7 +107,7 @@ func TestSkewEquiJoinBalance(t *testing.T) {
 		t.Errorf("balance ratio: baseline %.2f vs skew-aware %.2f — want >= 2x reduction",
 			bres.Metrics.BalanceRatio, sres.Metrics.BalanceRatio)
 	}
-	if !reflect.DeepEqual(sortedTuples(bres.Output), sortedTuples(sres.Output)) {
+	if !sameRows(sortedTuples(bres.Output), sortedTuples(sres.Output)) {
 		t.Errorf("outputs differ: baseline %d tuples, skew-aware %d tuples",
 			len(bres.Output.Tuples), len(sres.Output.Tuples))
 	}
@@ -147,7 +155,7 @@ func TestSkewShareGridBalance(t *testing.T) {
 		t.Errorf("balance ratio: baseline %.2f vs skew-aware %.2f — want >= 2x reduction",
 			bres.Metrics.BalanceRatio, sres.Metrics.BalanceRatio)
 	}
-	if !reflect.DeepEqual(sortedTuples(bres.Output), sortedTuples(sres.Output)) {
+	if !sameRows(sortedTuples(bres.Output), sortedTuples(sres.Output)) {
 		t.Errorf("outputs differ: baseline %d tuples, skew-aware %d tuples",
 			len(bres.Output.Tuples), len(sres.Output.Tuples))
 	}
@@ -212,7 +220,7 @@ func TestSkewExecutionDeterminism(t *testing.T) {
 					ref = res
 					continue
 				}
-				if !reflect.DeepEqual(res.Output.Tuples, ref.Output.Tuples) {
+				if !sameRows(res.Output.Tuples, ref.Output.Tuples) {
 					t.Fatalf("workers=%d: output tuples differ from reference", w)
 				}
 				if !reflect.DeepEqual(zeroWall(res.Metrics), zeroWall(ref.Metrics)) {

@@ -69,7 +69,7 @@ func TestTracedExecutionDeterminism(t *testing.T) {
 				t.Fatalf("workers=%d vs %d: %d vs %d output tuples", w, refWorkers, got, want)
 			}
 			for i := range res.Output.Tuples {
-				if !reflect.DeepEqual(res.Output.Tuples[i], ref.Output.Tuples[i]) {
+				if !sameRow(res.Output.Tuples[i], ref.Output.Tuples[i]) {
 					t.Fatalf("workers=%d vs %d: tuple %d differs: %v vs %v",
 						w, refWorkers, i, res.Output.Tuples[i], ref.Output.Tuples[i])
 				}
@@ -135,7 +135,7 @@ func TestTracedExecutionDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(plain.Output.Tuples, ref.Output.Tuples) {
+	if !sameRows(plain.Output.Tuples, ref.Output.Tuples) {
 		t.Errorf("tracing changed the relation output")
 	}
 }

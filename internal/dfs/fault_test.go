@@ -102,17 +102,6 @@ func TestPageChecksumExhaustsReplicas(t *testing.T) {
 	}
 }
 
-// sameValue reports bit-identity of two values through the exported
-// accessors: kind, payload bits (so -0 and NaN count) and, for strings,
-// the dictionary code slot.
-func sameValue(a, b relation.Value) bool {
-	ac, aok := a.DictCode()
-	bc, bok := b.DictCode()
-	return a.Kind() == b.Kind() && a.Int64() == b.Int64() && a.Str() == b.Str() &&
-		math.Float64bits(a.Float64()) == math.Float64bits(b.Float64()) &&
-		ac == bc && aok == bok
-}
-
 // requireRestored asserts got is want as a checkpoint must restore it:
 // name, multiplier, schema and dictionaries by reference, and every row
 // Value by Value.
@@ -134,7 +123,7 @@ func requireRestored(t *testing.T, got, want *relation.Relation) {
 			t.Fatalf("%s: row %d arity %d, want %d", want.Name, i, len(got.Tuples[i]), len(wt))
 		}
 		for j, wv := range wt {
-			if gv := got.Tuples[i][j]; !sameValue(gv, wv) {
+			if gv := got.Tuples[i][j]; !relation.Identical(gv, wv) {
 				t.Fatalf("%s: row %d col %d: %#v, want %#v", want.Name, i, j, gv, wv)
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime/debug"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -35,8 +36,8 @@ func (e *TaskError) Unwrap() error { return e.Err }
 
 // retryableError marks a failure worth re-attempting: injected kills
 // and spill-integrity errors. User-code errors (bad partitions, emit
-// failures) and context cancellation are deliberately NOT retryable —
-// they are deterministic, so a retry would only repeat them.
+// failures, panics) and context cancellation are deliberately NOT
+// retryable — they are deterministic, so a retry would only repeat them.
 type retryableError struct{ err error }
 
 func (e retryableError) Error() string { return e.err.Error() }
@@ -287,8 +288,21 @@ func (ft *faultRuntime) race(ctx context.Context, ph, task, first int, sh *obs.S
 		ft.attempts[ph].Add(1)
 		go func() {
 			start := time.Now()
-			out, err := fn(ctx, ord, shard)
-			done <- attemptDone{ord: ord, out: out, err: err, dur: time.Since(start)}
+			d := attemptDone{ord: ord}
+			// A panic in a Map, Reduce or Partitioner function would take
+			// the whole process down from this goroutine. It becomes the
+			// attempt's error instead — not retryable, since the same
+			// input would panic again — and the round drains as on any
+			// other failed attempt.
+			defer func() {
+				if p := recover(); p != nil {
+					d.err = fmt.Errorf("mr: job %s: %s task %d attempt %d panicked: %v\n%s",
+						ft.job, phaseName(ph), task, ord, p, debug.Stack())
+				}
+				d.dur = time.Since(start)
+				done <- d
+			}()
+			d.out, d.err = fn(ctx, ord, shard)
 		}()
 	}
 	launch(first, sh)

@@ -386,8 +386,17 @@ func (r *run) mapAttempt(actx context.Context, ti, attempt int, sh *obs.Shard) (
 	}
 	var spiller *taskSpiller
 	var routed *mapScratch
+	committable := false
 	if r.spill != nil {
 		spiller = newTaskSpiller(r.spill, nRed, r.cfg.SpillBudgetBytes)
+		// An attempt that ends any other way than by handing back its
+		// outcome — an error below, or a panic in the Map function —
+		// discards its partial runs; they are never merged.
+		defer func() {
+			if !committable {
+				spiller.release()
+			}
+		}()
 	} else {
 		idle := r.scratch
 		select {
@@ -399,9 +408,6 @@ func (r *run) mapAttempt(actx context.Context, ti, attempt int, sh *obs.Shard) (
 		defer func() { idle <- routed }()
 	}
 	fail := func(err error) (attemptOutcome, error) {
-		if spiller != nil {
-			spiller.release() // discard partial runs, never merge them
-		}
 		sp.End(obs.A("error", err.Error()))
 		return attemptOutcome{}, err
 	}
@@ -492,6 +498,7 @@ func (r *run) mapAttempt(actx context.Context, ti, attempt int, sh *obs.Shard) (
 		sortSp.End()
 	}
 	sp.End(obs.A("outBytes", outBytes))
+	committable = true
 	return attemptOutcome{
 		commit: func() {
 			if spiller != nil {

@@ -3,6 +3,7 @@ package mr
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"runtime"
 	"strings"
@@ -255,5 +256,83 @@ func TestCancellationMidMerge(t *testing.T) {
 	}
 	if now := runtime.NumGoroutine(); now > before {
 		t.Errorf("goroutines leaked: %d before Run, %d after", before, now)
+	}
+}
+
+// TestPanickingTaskFailsTheRun: a panic in a Reduce (or Map) function
+// is the attempt's error, not the process's end. It names job, phase,
+// task and attempt and carries the panic value and stack; it is not
+// retried (one attempt of the panicking task however large the budget);
+// and the run winds down as on any attempt error — every goroutine
+// joined, every spill file released — at any worker count, in memory
+// and out of core.
+func TestPanickingTaskFailsTheRun(t *testing.T) {
+	in := spillProbeRelation(t, 4000)
+	for _, phase := range []string{"reduce", "map"} {
+		for _, workers := range []int{1, runtime.NumCPU()} {
+			for _, budget := range []int64{0, 1 << 10} {
+				store, err := NewTempSpillStore("")
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg := smallConfig()
+				cfg.MaxParallelWorkers = workers
+				cfg.SpillBudgetBytes = budget
+				cfg.Spill = store
+				cfg.MaxTaskAttempts = 4
+
+				job := groupJob(in, 3)
+				var calls atomic.Int64
+				if phase == "reduce" {
+					orig := job.Reduce
+					job.Reduce = func(key uint64, groups [][]relation.Tuple, rctx *ReduceContext) {
+						if key == 17 {
+							calls.Add(1)
+							panic("reducer bug on key 17")
+						}
+						orig(key, groups, rctx)
+					}
+				} else {
+					// Late in a large task, so that under a budget the attempt
+					// has partial spill runs of its own to discard.
+					cfg.TuplesPerMapTask = 1000
+					job.Inputs[0].Map = func(tu relation.Tuple, emit Emitter) {
+						if tu[2].Float64() == 3500*0.75 {
+							calls.Add(1)
+							relation.MustSchema().MustLookup("no such column")
+						}
+						emit(uint64(tu[0].Int64()), 0, tu)
+					}
+				}
+
+				before := runtime.NumGoroutine()
+				res, err := Run(context.Background(), cfg, nil, job)
+				where := fmt.Sprintf("%s panic, workers=%d budget=%d", phase, workers, budget)
+				if err == nil || res != nil {
+					t.Fatalf("%s: Run returned %v, %v; want the panic as an error", where, res, err)
+				}
+				msg := err.Error()
+				for _, want := range []string{"mr: job group: " + phase + " task ", " attempt 0 panicked: ", "fault_test.go"} {
+					if !strings.Contains(msg, want) {
+						t.Errorf("%s: error lacks %q:\n%s", where, want, msg)
+					}
+				}
+				var te *TaskError
+				if errors.As(err, &te) || isRetryable(err) || calls.Load() != 1 {
+					t.Errorf("%s: the panic was retried (%d calls, retryable=%v)", where, calls.Load(), isRetryable(err))
+				}
+				if live := store.Live(); live != 0 {
+					t.Errorf("%s: %d spill files left", where, live)
+				}
+				deadline := time.Now().Add(5 * time.Second)
+				for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+					time.Sleep(5 * time.Millisecond)
+				}
+				if now := runtime.NumGoroutine(); now > before {
+					t.Errorf("%s: goroutines leaked: %d before Run, %d after", where, before, now)
+				}
+				store.Close()
+			}
+		}
 	}
 }

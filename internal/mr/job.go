@@ -47,8 +47,8 @@ func (rc *ReduceContext) Emit(t relation.Tuple) {
 // EmitConcat emits the concatenation of parts, copied into the
 // attempt's slab instead of an allocation of its own. A new chunk holds
 // a sixteenth as many rows as the attempt has emitted so far (at least
-// this one, at most 2¹² values, 160 KiB): a megabyte of output is some
-// eighty allocations, and the last chunk's unused tail and trim's copy
+// this one, at most 2¹² values, 96 KiB): a megabyte of output is about
+// a hundred allocations, and the last chunk's unused tail and trim's copy
 // of the rest of it stay at a few percent of the output however small
 // that is.
 // The row's capacity ends with the row: appending to it reallocates

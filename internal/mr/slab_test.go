@@ -41,7 +41,7 @@ func TestEmitConcatRowsAreIsolated(t *testing.T) {
 		want := emitMixed(rc, rows)
 		check := func(when string) {
 			t.Helper()
-			if !reflect.DeepEqual(rc.out, want) {
+			if !sameRows(rc.out, want) {
 				t.Fatalf("%d rows, %s: emitted rows changed", rows, when)
 			}
 		}
@@ -86,8 +86,8 @@ func TestEmitConcatRowsAreIsolated(t *testing.T) {
 }
 
 // pageValues is the allocator's rounding on a large block (8 KiB) in
-// 40-byte values: the one amount of padding trim cannot give back.
-const pageValues = 8192/40 + 1
+// 24-byte values: the one amount of padding trim cannot give back.
+const pageValues = 8192/24 + 1
 
 // TestSlabSlackBounded: what a finished attempt keeps allocated for its
 // rows stays within 2% (plus one page) of what the rows hold, for small

@@ -3,6 +3,7 @@ package mr
 import (
 	"context"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/relation"
@@ -86,6 +87,15 @@ func mustRun(t *testing.T, cfg Config, job *Job) *Result {
 	return res
 }
 
+// sameRows reports whether two row sets are bit-identical, value by
+// value (relation.Identical): == and reflect.DeepEqual on a Value
+// compare where a string lives, not what it says.
+func sameRows(a, b []relation.Tuple) bool {
+	return slices.EqualFunc(a, b, func(x, y relation.Tuple) bool {
+		return slices.EqualFunc(x, y, relation.Identical)
+	})
+}
+
 func requireSameOutput(t *testing.T, a, b *relation.Relation, where string) {
 	t.Helper()
 	if len(a.Tuples) != len(b.Tuples) {
@@ -96,7 +106,7 @@ func requireSameOutput(t *testing.T, a, b *relation.Relation, where string) {
 			t.Fatalf("%s: row %d arity differs", where, i)
 		}
 		for j := range a.Tuples[i] {
-			if a.Tuples[i][j] != b.Tuples[i][j] {
+			if !relation.Identical(a.Tuples[i][j], b.Tuples[i][j]) {
 				t.Fatalf("%s: row %d col %d: %#v vs %#v", where, i, j, a.Tuples[i][j], b.Tuples[i][j])
 			}
 		}

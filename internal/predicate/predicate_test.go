@@ -412,3 +412,32 @@ func TestCondKeyModeDict(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkSampleSelectivity is the planner's pricing kernel on its own:
+// one offset range condition over two 1 000-row samples, a million
+// Add+Compare pairs per op. relation.Value is laid out to stay in
+// registers through that loop (see its type comment); a layout that
+// loses that reads about 3× slower on the pairs/s line.
+func BenchmarkSampleSelectivity(b *testing.B) {
+	rng := rand.New(rand.NewSource(9))
+	s := relation.MustSchema(
+		relation.Column{Name: "id", Kind: relation.KindInt},
+		relation.Column{Name: "v", Kind: relation.KindInt})
+	l, r := relation.New("L", s), relation.New("R", s)
+	for i := 0; i < 1000; i++ {
+		l.MustAppend(relation.Tuple{relation.Int(int64(i)), relation.Int(int64(rng.Intn(10000)))})
+		r.MustAppend(relation.Tuple{relation.Int(int64(i)), relation.Int(int64(rng.Intn(10000)))})
+	}
+	cat := relation.NewCatalog([]*relation.Relation{l, r}, 1000, rng)
+	ls, _ := cat.Stats("L")
+	rs, _ := cat.Stats("R")
+	c := C("L", "v", LT, "R", "v").WithOffsets(250, 0)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if sel, ok := sampleSelectivity(c, ls, rs); !ok || sel <= 0 || sel >= 1 {
+			b.Fatalf("selectivity %v, %v", sel, ok)
+		}
+	}
+	pairs := float64(len(ls.SampleRows)) * float64(len(rs.SampleRows))
+	b.ReportMetric(pairs*float64(b.N)/b.Elapsed().Seconds(), "pairs/s")
+}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"unicode"
 	"unicode/utf8"
@@ -38,7 +39,7 @@ func WriteCSV(w io.Writer, r *Relation) error {
 			// Only strings can need quoting: the other kinds render as
 			// digits, signs, '.', 'e', "NaN" and "Inf".
 			if v.kind == KindString {
-				buf = appendCSVField(buf, v.s)
+				buf = appendCSVField(buf, v.Str())
 			} else {
 				buf = v.AppendString(buf)
 			}
@@ -86,9 +87,17 @@ func appendCSVField(dst []byte, field string) []byte {
 
 // ReadCSV reads a relation written by WriteCSV. The relation name is
 // supplied by the caller (CSV files do not carry one).
+//
+// Rows are built the way mr.ReduceContext.EmitConcat builds output
+// rows: carved from chunks of Values that hold a sixteenth as many rows
+// as have been read so far (at most 2¹² values), each row's capacity
+// ending with the row so that an append to it reallocates instead of
+// reaching its neighbour. With the reader's record reused, a row costs
+// one allocation: the string its fields are cut from.
 func ReadCSV(rd io.Reader, name string) (*Relation, error) {
 	cr := csv.NewReader(rd)
 	cr.FieldsPerRecord = -1
+	cr.ReuseRecord = true
 	header, err := cr.Read()
 	if err != nil {
 		return nil, fmt.Errorf("relation: read csv header: %w", err)
@@ -110,6 +119,7 @@ func ReadCSV(rd io.Reader, name string) (*Relation, error) {
 		return nil, err
 	}
 	rel := New(name, schema)
+	var slab []Value
 	for {
 		rec, err := cr.Read()
 		if err == io.EOF {
@@ -121,15 +131,18 @@ func ReadCSV(rd io.Reader, name string) (*Relation, error) {
 		if len(rec) != len(cols) {
 			return nil, fmt.Errorf("relation: csv record has %d fields, want %d", len(rec), len(cols))
 		}
-		t := make(Tuple, len(cols))
+		if n := len(cols); cap(slab)-len(slab) < n {
+			slab = slices.Grow([]Value(nil), max(n, min(len(rel.Tuples)/16*n, 1<<12)))
+		}
+		a := len(slab)
 		for i, field := range rec {
 			v, err := ParseValue(cols[i].Kind, field)
 			if err != nil {
 				return nil, err
 			}
-			t[i] = v
+			slab = append(slab, v)
 		}
-		rel.Tuples = append(rel.Tuples, t)
+		rel.Tuples = append(rel.Tuples, slab[a:len(slab):len(slab)])
 	}
 	return rel, nil
 }
@@ -154,14 +167,12 @@ func AppendTupleRaw(dst []byte, t Tuple) []byte {
 	for _, v := range t {
 		dst = append(dst, byte(v.kind))
 		switch v.kind {
-		case KindInt, KindTime:
-			dst = binary.LittleEndian.AppendUint64(dst, uint64(v.i))
-		case KindFloat:
-			dst = binary.LittleEndian.AppendUint64(dst, floatBits(v.f))
+		case KindInt, KindTime, KindFloat:
+			dst = binary.LittleEndian.AppendUint64(dst, v.w)
 		case KindString:
-			dst = binary.AppendUvarint(dst, uint64(v.i))
-			dst = binary.LittleEndian.AppendUint32(dst, uint32(len(v.s)))
-			dst = append(dst, v.s...)
+			dst = binary.AppendUvarint(dst, v.w)
+			dst = binary.LittleEndian.AppendUint32(dst, v.n)
+			dst = append(dst, v.Str()...)
 		}
 	}
 	return dst
@@ -198,13 +209,10 @@ func DecodeTupleRaw(b []byte) (Tuple, []byte, error) {
 			if b = b[w+4:]; uint64(n) > uint64(len(b)) {
 				return nil, nil, errRawTuple
 			}
-			t[i], b = Value{kind: KindString, s: string(b[:n]), i: int64(slot)}, b[n:]
+			// string(...) copies: a Value never views its caller's buffer.
+			t[i], b = strValue(string(b[:n]), slot), b[n:]
 		case kind <= KindTime && len(b) >= 8: // int, float, time: 8 payload bytes
-			u := binary.LittleEndian.Uint64(b)
-			if t[i] = (Value{kind: kind, i: int64(u)}); kind == KindFloat {
-				t[i] = Float(floatFromBits(u))
-			}
-			b = b[8:]
+			t[i], b = Value{kind: kind, w: binary.LittleEndian.Uint64(b)}, b[8:]
 		default:
 			return nil, nil, errRawTuple
 		}

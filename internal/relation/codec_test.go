@@ -1,24 +1,15 @@
 package relation
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
+	"slices"
+	"strings"
 	"testing"
 )
-
-// requireValueIdentical asserts bit-identity: same kind, same payload
-// bits (so -0 and NaN count), same dictionary code slot — and therefore
-// same EncodedSize.
-func requireValueIdentical(t *testing.T, got, want Value, where string) {
-	t.Helper()
-	if got.kind != want.kind || got.i != want.i || got.s != want.s ||
-		math.Float64bits(got.f) != math.Float64bits(want.f) {
-		t.Fatalf("%s: value %#v != %#v", where, got, want)
-	}
-	if got.EncodedSize() != want.EncodedSize() {
-		t.Fatalf("%s: EncodedSize %d != %d", where, got.EncodedSize(), want.EncodedSize())
-	}
-}
 
 // TestRawValueCodec: the self-describing raw layout preserves every
 // kind of value, dictionary code slots included, without dictionary
@@ -42,7 +33,10 @@ func TestRawValueCodec(t *testing.T) {
 		t.Fatalf("decoded %d values, want %d", len(got), len(vals))
 	}
 	for i, want := range vals {
-		requireValueIdentical(t, got[i], want, "raw value")
+		if !Identical(got[i], want) || got[i].EncodedSize() != want.EncodedSize() {
+			t.Fatalf("raw value %d: %q %#v (%d B) != %q %#v (%d B)", i,
+				got[i], got[i], got[i].EncodedSize(), want, want, want.EncodedSize())
+		}
 	}
 
 	// Truncation: nothing after the last value, and every other proper
@@ -67,9 +61,68 @@ func TestRawValueCodec(t *testing.T) {
 		t.Fatalf("decode: %v, arity %d, %d bytes left", err, len(first), len(rest))
 	}
 	for i, want := range tup {
-		requireValueIdentical(t, first[i], want, "raw tuple")
+		if !Identical(first[i], want) {
+			t.Fatalf("raw tuple value %d: %q %#v != %q %#v", i, first[i], first[i], want, want)
+		}
 	}
 	if empty, rest, err := DecodeTupleRaw(rest); err != nil || len(empty) != 0 || len(rest) != 0 {
 		t.Fatalf("empty tuple: %v, arity %d, %d bytes left", err, len(empty), len(rest))
+	}
+}
+
+// TestReadCSVRowsAreIsolated: ReadCSV carves rows from shared chunks
+// the way mr's EmitConcat does, so the same must hold of them — a row's
+// capacity ends with the row, and an append to one reallocates instead
+// of overwriting the next.
+func TestReadCSVRowsAreIsolated(t *testing.T) {
+	for _, rows := range []int{1, 40, 5000} {
+		var in strings.Builder
+		in.WriteString("id:int,name:string,score:float\n")
+		for i := 0; i < rows; i++ {
+			fmt.Fprintf(&in, "%d,n%d,%d.5\n", i, i%97, i)
+		}
+		rel, err := ReadCSV(strings.NewReader(in.String()), "R")
+		if err != nil || len(rel.Tuples) != rows {
+			t.Fatalf("%d rows: read %d, %v", rows, len(rel.Tuples), err)
+		}
+		check := func(when string) {
+			t.Helper()
+			for i, row := range rel.Tuples {
+				want := Tuple{Int(int64(i)), Str(fmt.Sprintf("n%d", i%97)), Float(float64(i) + 0.5)}
+				if !slices.EqualFunc(row, want, Identical) {
+					t.Fatalf("%d rows, %s: row %d is %v, want %v", rows, when, i, row, want)
+				}
+			}
+		}
+		check("as read")
+		for i, row := range rel.Tuples {
+			if cap(row) != len(row) {
+				t.Fatalf("%d rows: row %d has cap %d, len %d", rows, i, cap(row), len(row))
+			}
+			grown := append(row, Str("clobber"))
+			grown[len(grown)-1] = Str("clobber again")
+		}
+		check("after appending to every row")
+	}
+}
+
+// TestRawCodeSlotKeepsSignedReading: the code slot is stored as the
+// word the frame carried, but read as signed — a slot above MaxInt64
+// (no Dict assigns one; only foreign bytes hold it) is "not interned"
+// to DictCode and EncodedSize, and is written back unchanged.
+func TestRawCodeSlotKeepsSignedReading(t *testing.T) {
+	raw := []byte{1, byte(KindString)}
+	raw = binary.AppendUvarint(raw, math.MaxInt64+2)
+	raw = append(binary.LittleEndian.AppendUint32(raw, 2), "hi"...)
+	got, rest, err := DecodeTupleRaw(raw)
+	if err != nil || len(rest) != 0 || len(got) != 1 {
+		t.Fatalf("decode: %v, %d values, %d bytes left", err, len(got), len(rest))
+	}
+	v := got[0]
+	if code, ok := v.DictCode(); ok || v.Str() != "hi" || v.EncodedSize() != 1+4+2 || Identical(v, Str("hi")) {
+		t.Errorf("slot above MaxInt64: DictCode %d, %v; %q of %d modeled bytes", code, ok, v.Str(), v.EncodedSize())
+	}
+	if back := AppendTupleRaw(nil, got); !bytes.Equal(back, raw) {
+		t.Errorf("re-encoded as % x, want % x", back, raw)
 	}
 }

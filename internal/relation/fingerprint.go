@@ -54,7 +54,7 @@ func (f *fpWriter) sum64() uint64 { return f.h }
 func (f *fpWriter) value(v Value) {
 	f.u64(uint64(v.kind))
 	if v.kind == KindString {
-		f.str(v.s)
+		f.str(v.Str())
 		return
 	}
 	var scratch [32]byte

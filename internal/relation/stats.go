@@ -6,8 +6,7 @@ import (
 	"math/rand"
 )
 
-func floatBits(f float64) uint64     { return math.Float64bits(f) }
-func floatFromBits(b uint64) float64 { return math.Float64frombits(b) }
+func floatBits(f float64) uint64 { return math.Float64bits(f) }
 
 // ColumnStats summarises one attribute: min/max, an approximate
 // distinct count, and an equi-width histogram. The optimizer uses these

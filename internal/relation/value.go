@@ -41,7 +41,9 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+	"strings"
 	"time"
+	"unsafe"
 )
 
 // Kind identifies the dynamic type of a Value.
@@ -94,44 +96,83 @@ func ParseKind(s string) (Kind, error) {
 
 // Value is a dynamically typed scalar. The zero Value is the SQL NULL.
 //
-// Values are compact (no interface boxing) because the simulator keeps
-// millions of them in memory during an experiment sweep.
+// Layout: 24 bytes in four fields. One payload word w holds the int64
+// of an int or time, the IEEE bits of a float, or a string's dictionary
+// code slot (code+1, 0 = not interned); a string's bytes are the n
+// bytes at p; the kind sits in the padding after n.
+//
+// The shape is load-bearing, not only the size. The Go compiler keeps a
+// struct in registers through Add, Compare and every tuple copy only if
+// it is at most 32 bytes in at most four fields; the former 40-byte
+// {kind, i, f, s} went through memory at each of those. A fifth field
+// of any width loses it again: with a zero-width `_ [0]func()` guard
+// added to this layout, Planner.Plan on the benchmark's plan_bound
+// inputs read 415 ms against 125 ms (342 ms for the 40-byte form), and
+// predicate's BenchmarkSampleSelectivity 10.1 ms/op against 2.4 (6.4).
+// TestValueLayout pins the shape, that benchmark shows its loss.
+//
+// Because p is a pointer, == on two Values compares string addresses,
+// not string contents, and reflect.DeepEqual compares one byte. No
+// product code compares Values that way (CI type-checks the tree with
+// Value made non-comparable, since the guard cannot live here): use
+// Compare or Equal for join semantics, Identical for bit identity.
+//
+// The string is kept as pointer and length rather than a 16-byte string
+// header so that the length can share a word with the kind. The two
+// unsafe calls that take a string apart and put it back are strValue
+// and Value.Str below, and nothing else in the tree imports unsafe. p
+// is whatever unsafe.StringData returned, which for an empty string is
+// unspecified; it is never dereferenced then, because unsafe.String
+// and every loop over the bytes read exactly n of them.
 type Value struct {
+	w    uint64
+	p    *byte
+	n    uint32
 	kind Kind
-	i    int64 // KindInt and KindTime (unix seconds)
-	f    float64
-	s    string
 }
+
+// maxStringLen is the longest string a Value can hold: the layout keeps
+// the length in 32 bits, as the raw codec's u32 prefix always has.
+const maxStringLen = math.MaxUint32
 
 // Null returns the NULL value.
 func Null() Value { return Value{} }
 
 // Int returns an integer value.
-func Int(v int64) Value { return Value{kind: KindInt, i: v} }
+func Int(v int64) Value { return Value{kind: KindInt, w: uint64(v)} }
 
 // Float returns a float value.
-func Float(v float64) Value { return Value{kind: KindFloat, f: v} }
+func Float(v float64) Value { return Value{kind: KindFloat, w: math.Float64bits(v)} }
 
 // Str returns a string value. (The name avoids a clash with the
 // fmt.Stringer method on Value; the accessor counterpart is Value.Str.)
-func Str(v string) Value { return Value{kind: KindString, s: v} }
+// It panics if v is longer than 4 GiB − 1, the most the layout's length
+// field holds; ParseValue, and so ReadCSV, the one source of strings the
+// program does not make itself, reports such a field as an error.
+func Str(v string) Value { return strValue(v, 0) }
 
 // InternedStr returns a string value carrying its order-preserving
-// dictionary code (see Dict). The code rides in the otherwise unused
-// integer payload as code+1, so the zero payload still means "not
-// interned" and the struct does not grow. Interned and plain string
-// values compare identically (Compare, Equal and String use the string
-// payload); the code only changes EncodedSize and enables the
-// dictionary key fast path.
-func InternedStr(s string, code int64) Value {
-	return Value{kind: KindString, s: s, i: code + 1}
+// dictionary code (see Dict). The code rides in the payload word as
+// code+1, so the zero payload still means "not interned". Interned and
+// plain string values compare identically (Compare, Equal and String
+// use the string bytes); the code only changes EncodedSize and enables
+// the dictionary key fast path.
+func InternedStr(s string, code int64) Value { return strValue(s, uint64(code)+1) }
+
+// strValue is the one place a string becomes a Value: s with the code
+// slot as the raw codec stores it.
+func strValue(s string, slot uint64) Value {
+	if uint64(len(s)) > maxStringLen {
+		panic("relation: string value longer than 4 GiB - 1")
+	}
+	return Value{kind: KindString, w: slot, p: unsafe.StringData(s), n: uint32(len(s))}
 }
 
 // Time returns a time value with second precision.
-func Time(t time.Time) Value { return Value{kind: KindTime, i: t.Unix()} }
+func Time(t time.Time) Value { return TimeUnix(t.Unix()) }
 
 // TimeUnix returns a time value from unix seconds.
-func TimeUnix(sec int64) Value { return Value{kind: KindTime, i: sec} }
+func TimeUnix(sec int64) Value { return Value{kind: KindTime, w: uint64(sec)} }
 
 // Kind reports the value's dynamic kind.
 func (v Value) Kind() Kind { return v.kind }
@@ -141,17 +182,21 @@ func (v Value) IsNull() bool { return v.kind == KindNull }
 
 // Int64 returns the integer payload. It is valid for KindInt and
 // KindTime, and truncates KindFloat. String values return 0 (their
-// integer payload is the dictionary code slot, see InternedStr).
+// payload word is the dictionary code slot, see InternedStr).
 func (v Value) Int64() int64 {
 	switch v.kind {
 	case KindFloat:
-		return int64(v.f)
+		return int64(v.float())
 	case KindString:
 		return 0
 	default:
-		return v.i
+		return v.int()
 	}
 }
+
+// int and float read the payload word as the kind stores it.
+func (v Value) int() int64     { return int64(v.w) }
+func (v Value) float() float64 { return math.Float64frombits(v.w) }
 
 // DictCode returns the dictionary code an interned string value
 // carries (see InternedStr and Dict), or false for NULL, non-string
@@ -159,8 +204,8 @@ func (v Value) Int64() int64 {
 // dictionary of the column the value came from; callers must verify
 // dictionary identity before comparing codes across relations.
 func (v Value) DictCode() (int64, bool) {
-	if v.kind == KindString && v.i > 0 {
-		return v.i - 1, true
+	if v.kind == KindString && v.int() > 0 {
+		return v.int() - 1, true
 	}
 	return 0, false
 }
@@ -170,33 +215,31 @@ func (v Value) DictCode() (int64, bool) {
 func (v Value) Float64() float64 {
 	switch v.kind {
 	case KindFloat:
-		return v.f
+		return v.float()
 	case KindInt, KindTime:
-		return float64(v.i)
+		return float64(v.int())
 	default:
 		return 0
 	}
 }
 
 // Str returns the string payload (empty for non-string kinds).
-func (v Value) Str() string { return v.s }
+func (v Value) Str() string { return unsafe.String(v.p, v.n) }
 
 // AsTime returns the time payload for KindTime values.
-func (v Value) AsTime() time.Time { return time.Unix(v.i, 0).UTC() }
+func (v Value) AsTime() time.Time { return time.Unix(v.int(), 0).UTC() }
 
 // String renders the value the way the CSV codec writes it.
 func (v Value) String() string {
 	switch v.kind {
 	case KindNull:
 		return ""
-	case KindInt:
-		return strconv.FormatInt(v.i, 10)
+	case KindInt, KindTime:
+		return strconv.FormatInt(v.int(), 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.float(), 'g', -1, 64)
 	case KindString:
-		return v.s
-	case KindTime:
-		return strconv.FormatInt(v.i, 10)
+		return v.Str()
 	default:
 		return fmt.Sprintf("value(kind=%d)", uint8(v.kind))
 	}
@@ -210,9 +253,9 @@ func (v Value) AppendString(dst []byte) []byte {
 	case KindNull:
 		return dst
 	case KindInt, KindTime:
-		return strconv.AppendInt(dst, v.i, 10)
+		return strconv.AppendInt(dst, v.int(), 10)
 	case KindFloat:
-		return strconv.AppendFloat(dst, v.f, 'g', -1, 64)
+		return strconv.AppendFloat(dst, v.float(), 'g', -1, 64)
 	default:
 		return append(dst, v.String()...)
 	}
@@ -243,9 +286,9 @@ func Compare(a, b Value) int {
 		// Exact path when neither side is a float.
 		if a.kind != KindFloat && b.kind != KindFloat {
 			switch {
-			case a.i < b.i:
+			case a.int() < b.int():
 				return -1
-			case a.i > b.i:
+			case a.int() > b.int():
 				return 1
 			default:
 				return 0
@@ -262,14 +305,7 @@ func Compare(a, b Value) int {
 		}
 	}
 	if a.kind == KindString && b.kind == KindString {
-		switch {
-		case a.s < b.s:
-			return -1
-		case a.s > b.s:
-			return 1
-		default:
-			return 0
-		}
+		return strings.Compare(a.Str(), b.Str())
 	}
 	// Mixed string/numeric: numeric first.
 	if a.kind == KindString {
@@ -281,6 +317,15 @@ func Compare(a, b Value) int {
 // Equal reports whether two values are equal under Compare semantics.
 func Equal(a, b Value) bool { return Compare(a, b) == 0 }
 
+// Identical reports bit identity, which is stricter than Equal: the same
+// kind, the same payload word (so -0 is not +0, and a NaN is itself),
+// the same dictionary code slot (interned is not plain) and the same
+// string bytes, wherever each copy of them lives. It is what tests
+// compare rows with; == would compare the strings' addresses.
+func Identical(a, b Value) bool {
+	return a.kind == b.kind && a.w == b.w && a.Str() == b.Str()
+}
+
 // Add returns a numeric value shifted by the given constant. It is used
 // to evaluate conditions of the form "R.a + c < S.b". String values are
 // returned unchanged.
@@ -288,13 +333,13 @@ func (v Value) Add(c float64) Value {
 	switch v.kind {
 	case KindInt:
 		if c == math.Trunc(c) {
-			return Int(v.i + int64(c))
+			return Int(v.int() + int64(c))
 		}
-		return Float(float64(v.i) + c)
+		return Float(float64(v.int()) + c)
 	case KindFloat:
-		return Float(v.f + c)
+		return Float(v.float() + c)
 	case KindTime:
-		return TimeUnix(v.i + int64(c))
+		return TimeUnix(v.int() + int64(c))
 	default:
 		return v
 	}
@@ -313,10 +358,10 @@ func (v Value) EncodedSize() int {
 	case KindInt, KindFloat, KindTime:
 		return 1 + 8
 	case KindString:
-		if v.i > 0 {
-			return 1 + uvarintLen(uint64(v.i))
+		if v.int() > 0 {
+			return 1 + uvarintLen(v.w)
 		}
-		return 1 + 4 + len(v.s)
+		return 1 + 4 + int(v.n)
 	default:
 		return 1
 	}
@@ -354,6 +399,9 @@ func ParseValue(kind Kind, text string) (Value, error) {
 		}
 		return Float(f), nil
 	case KindString:
+		if uint64(len(text)) > maxStringLen {
+			return Null(), fmt.Errorf("relation: string of %d bytes is longer than a value holds (%d)", len(text), uint64(maxStringLen))
+		}
 		return Str(text), nil
 	case KindTime:
 		n, err := strconv.ParseInt(text, 10, 64)

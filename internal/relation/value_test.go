@@ -1,7 +1,12 @@
 package relation
 
 import (
+	"bytes"
+	"fmt"
+	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -218,5 +223,93 @@ func TestIntCompareQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestValueLayout pins the shape the type comment argues for: 24 bytes
+// in at most four fields (what keeps a Value in registers), NULL as the
+// zero value, and the empty string — whose data pointer is unspecified
+// — surviving both codecs.
+func TestValueLayout(t *testing.T) {
+	typ := reflect.TypeOf(Value{})
+	if typ.Size() != 24 || typ.NumField() > 4 {
+		t.Errorf("Value is %d bytes in %d fields, want 24 in at most 4", typ.Size(), typ.NumField())
+	}
+	var zero Value
+	if !zero.IsNull() || !Identical(zero, Null()) || zero.Str() != "" || zero.EncodedSize() != 1 {
+		t.Errorf("the zero Value is %#v, want NULL", zero)
+	}
+
+	empties := Tuple{Str(""), InternedStr("", 0), InternedStr("", 41), Str(string([]byte{})), Str("x"[1:])}
+	got, rest, err := DecodeTupleRaw(AppendTupleRaw(nil, empties))
+	if err != nil || len(rest) != 0 || !slices.EqualFunc(got, empties, Identical) {
+		t.Errorf("raw codec: empty strings came back as %#v (%v, %d bytes left)", got, err, len(rest))
+	}
+	for _, cols := range []int{1, 3} {
+		columns := make([]Column, cols)
+		row := make(Tuple, cols)
+		for i := range columns {
+			columns[i], row[i] = Column{Name: fmt.Sprintf("c%d", i), Kind: KindString}, empties[i]
+		}
+		rel := New("E", MustSchema(columns...))
+		rel.Tuples = []Tuple{row, row}
+		var buf bytes.Buffer
+		if err := WriteCSV(&buf, rel); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadCSV(&buf, "E")
+		if err != nil || len(back.Tuples) != 2 {
+			t.Fatalf("%d columns: csv round trip: %v, %d rows", cols, err, len(back.Tuples))
+		}
+		for _, r := range back.Tuples {
+			for _, v := range r { // CSV carries no dictionary: every cell reads back plain
+				if !Identical(v, Str("")) {
+					t.Errorf("%d columns: csv round trip of an empty string: %#v", cols, v)
+				}
+			}
+		}
+	}
+}
+
+// TestIdentical: bit identity is stricter than Equal and looks at
+// string contents, not addresses. The last case is the one == and
+// reflect.DeepEqual get wrong on this layout: DeepEqual follows the
+// data pointer and compares the one byte it points at.
+func TestIdentical(t *testing.T) {
+	nan := Float(math.NaN())
+	same := [][2]Value{
+		{Null(), Value{}},
+		{Int(-3), Int(-3)},
+		{nan, nan},
+		{Str("abc"), Str(string([]byte("abc")))}, // equal bytes at two addresses
+		{InternedStr("abc", 7), InternedStr(string([]byte("abc")), 7)},
+		{Str(""), Str("abc"[3:])},
+	}
+	for _, c := range same {
+		if !Identical(c[0], c[1]) || !Identical(c[1], c[0]) {
+			t.Errorf("Identical(%#v, %#v) = false", c[0], c[1])
+		}
+	}
+	differ := [][2]Value{
+		{Float(0), Float(math.Copysign(0, -1))}, // Equal, but not the same bits
+		{Int(1), TimeUnix(1)},
+		{Int(0), Null()},
+		{Str("abc"), InternedStr("abc", 0)},
+		{InternedStr("abc", 1), InternedStr("abc", 2)},
+		{Str("abc"), Str("abcd")},
+		{Str("abc"), Str("abd")},
+	}
+	for _, c := range differ {
+		if Identical(c[0], c[1]) || Identical(c[1], c[0]) {
+			t.Errorf("Identical(%#v, %#v) = true", c[0], c[1])
+		}
+	}
+	// Same length, same first byte, same code slot.
+	if a, b := InternedStr("abc", 5), InternedStr("abd", 5); Identical(a, b) || !reflect.DeepEqual(a, b) {
+		t.Errorf("abc vs abd: Identical %v (want false), reflect.DeepEqual %v (true: why tests must not use it)",
+			Identical(a, b), reflect.DeepEqual(a, b))
+	}
+	if !Equal(differ[0][0], differ[0][1]) || !Equal(differ[3][0], differ[3][1]) {
+		t.Error("-0 vs +0 and interned vs plain must stay Equal under Compare")
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -151,5 +152,53 @@ func TestRequestBodyLimit(t *testing.T) {
 	}
 	if rec := postQuery(t, h, `{"spec": "FROM A, B WHERE A.a < B.a"}`); rec.Code != http.StatusOK {
 		t.Fatalf("well-formed request after it: status %d, body %q", rec.Code, rec.Body.String())
+	}
+}
+
+// panicOnceStore is a spill store with a bug: its first CreateSpillFile
+// panics, inside whichever map attempt spills first.
+type panicOnceStore struct {
+	mr.SpillStore
+	fired atomic.Bool
+}
+
+func (p *panicOnceStore) CreateSpillFile() (mr.SpillFile, error) {
+	if p.fired.CompareAndSwap(false, true) {
+		panic("spill store bug")
+	}
+	return p.SpillStore.CreateSpillFile()
+}
+
+// TestTaskPanicMapsTo500: a panic inside a task attempt fails that
+// query (500, the panic named in the body) and nothing else — the
+// daemon survives it, the shared pool gets its units back, and the next
+// request is served.
+func TestTaskPanicMapsTo500(t *testing.T) {
+	files, err := mr.NewTempSpillStore("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer files.Close()
+	cfg := testMRConfig()
+	cfg.SpillBudgetBytes = 1 << 10
+	cfg.Spill = &panicOnceStore{SpillStore: files}
+	s := newTestService(t, testDB(t), Config{MR: cfg})
+	h := s.Handler()
+
+	rec := postQuery(t, h, `{"spec": "FROM A, B WHERE A.a < B.a"}`)
+	if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), "panicked: spill store bug") {
+		t.Fatalf("panicking attempt: status %d, want 500 naming the panic; body %q", rec.Code, rec.Body.String())
+	}
+	if n := s.pool.InUse(); n != 0 {
+		t.Errorf("%d units still held after the failed query", n)
+	}
+	if live := files.Live(); live != 0 {
+		t.Errorf("%d spill files left by the failed query", live)
+	}
+	if rec := postQuery(t, h, `{"spec": "FROM A, B WHERE A.a < B.a"}`); rec.Code != http.StatusOK {
+		t.Fatalf("request after the panic: status %d, body %q", rec.Code, rec.Body.String())
+	}
+	if n := s.pool.InUse(); n != 0 {
+		t.Errorf("%d units still held after the served query", n)
 	}
 }

@@ -91,7 +91,7 @@ func TestAnnotateDeterministic(t *testing.T) {
 		t.Fatalf("report lengths differ: %d vs %d", len(ha), len(hb))
 	}
 	for i := range ha {
-		if ha[i] != hb[i] {
+		if x, y := ha[i], hb[i]; !relation.Identical(x.Value, y.Value) || x.Count != y.Count || x.Frac != y.Frac {
 			t.Errorf("entry %d differs: %+v vs %+v", i, ha[i], hb[i])
 		}
 	}
