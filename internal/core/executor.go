@@ -77,6 +77,11 @@ type ExecResult struct {
 	// MergeWall is the measured wall-clock share of Wall spent in the
 	// final merge tree (modeled counterpart: MergeTime).
 	MergeWall time.Duration
+	// BuildWall is the measured time each job took to construct before
+	// its mr.Run began — partitioner or share grid, compiled join
+	// evaluator — on the executor's own goroutine, so it delays every
+	// job dispatched after it. Part of Wall, outside JobMetrics[name].Wall.
+	BuildWall map[string]time.Duration
 
 	// plan is the executed plan, retained so Report can print planned
 	// vs. measured values side by side. Nil for hand-built results;
@@ -160,6 +165,8 @@ type planRun struct {
 	done    chan jobDone
 	results []*mr.Result // by plan position
 	started []bool       // by plan position
+	// buildWall[name] is what startJob spent building the job.
+	buildWall map[string]time.Duration
 	// produced holds the output of every finished (or restored) job by
 	// name: what a dependent waits for and then reads.
 	produced map[string]*relation.Relation
@@ -259,6 +266,7 @@ func newPlanRun(ctx context.Context, pl *Planner, plan *Plan, db *DB) (*planRun,
 		done:      make(chan jobDone),
 		results:   make([]*mr.Result, n),
 		started:   make([]bool, n),
+		buildWall: make(map[string]time.Duration, n),
 		produced:  make(map[string]*relation.Relation, n),
 	}
 	if r.pool == nil {
@@ -378,10 +386,15 @@ func (r *planRun) startJob(s execSlot, units int) error {
 				obs.A("reducers", pj.Reducers), obs.A("newReducers", rj.Reducers))
 		}
 	}
+	buildStart := time.Now()
+	span := r.shard.Start("build-job", obs.A("job", pj.Name), obs.A("kind", runJob.Kind.String()))
 	job, cfg, err := r.pl.buildPlannedJob(runJob, r.db, r.produced)
 	if err != nil {
+		span.End(obs.A("error", err.Error()))
 		return err
 	}
+	span.End()
+	r.buildWall[pj.Name] = time.Since(buildStart)
 	// Hot-key routing decisions surface on the partitioner's own shard:
 	// the lazy grid layout runs under sync.Once inside one mr worker, so
 	// a dedicated shard stays single-writer (see skew.EquiPartitioner.Obs).
@@ -486,6 +499,7 @@ func (r *planRun) retime() (*ExecResult, error) {
 	plan, kp := r.plan, r.pl.KP
 	res := &ExecResult{
 		JobMetrics:         make(map[string]mr.Metrics, len(plan.Jobs)),
+		BuildWall:          r.buildWall,
 		MaxConcurrentJobs:  r.maxInflight,
 		CheckpointSaved:    r.saved,
 		CheckpointRestored: r.restored,

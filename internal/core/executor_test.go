@@ -279,3 +279,39 @@ func BenchmarkThetaBandJob(b *testing.B) {
 	}
 	b.ReportMetric(float64(pairs)/b.Elapsed().Seconds(), "pairs/s")
 }
+
+// BenchmarkSmallJob is the fixed cost of a job on one line: a 2 000-row
+// relation share-grid joined with itself on 96 reducers by one worker,
+// through ExecuteContext — about a hundred task attempts over a few
+// thousand pairs and two thousand result rows, so building the job,
+// scheduling its attempts and assembling the output outweigh the join.
+func BenchmarkSmallJob(b *testing.B) {
+	t1 := randRelation("t1", 2000, 2000, rand.New(rand.NewSource(23)))
+	t2 := randRelation("t2", 2000, 2000, rand.New(rand.NewSource(23)))
+	db, err := NewDB(500, 1, t1, t2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	q := query.MustNew("small", []string{"t1", "t2"}, []predicate.Condition{
+		predicate.C("t1", "a", predicate.EQ, "t2", "a"),
+		predicate.C("t1", "b", predicate.LT, "t2", "b"),
+	})
+	cfg := mr.DefaultConfig()
+	cfg.MaxParallelWorkers = 1
+	pl := NewPlanner(cfg, 96)
+	plan := &Plan{Query: q, Jobs: []PlannedJob{{
+		Name: "small-j1", Conds: q.Conditions, RelOrder: []string{"t1", "t2"},
+		Kind: KindShareGrid, Reducers: 96, Units: 96,
+	}}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := pl.ExecuteContext(context.Background(), plan, db)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Output.Cardinality() == 0 {
+			b.Fatal("empty join")
+		}
+	}
+}

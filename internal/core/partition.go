@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"math/bits"
 
 	"repro/internal/hilbert"
 	"repro/internal/relation"
@@ -18,13 +19,19 @@ import (
 // Partitioner maps the m-dimensional hyper-cube S = R_1 × … × R_m onto
 // kR components, each a contiguous segment of a Hilbert curve over the
 // η-times-recursively-halved cube (Theorem 2's perfect partition
-// function f). It provides the two operations Algorithm 1 needs:
+// function f): component s owns the curve indices [⌈s·N/kR⌉,
+// ⌈(s+1)·N/kR⌉) of the N = 2^(m·η) cells. It provides the two
+// operations Algorithm 1 needs:
 //
 //   - ComponentsOf(dim, globalID): the set of components a tuple must
 //     be replicated to (every component containing at least one cell
 //     whose dim-th coordinate equals the tuple's cell coordinate);
 //   - ComponentOfCell(axes): the single component owning a full
 //     combination, so exactly one reducer emits each join result.
+//
+// The first is a table built once per job, from the segments' shapes
+// rather than their cells (buildMapping); the second is one curve
+// transform and a multiply.
 type Partitioner struct {
 	curve  *hilbert.Curve
 	cards  []int // relation cardinalities (hyper-cube side lengths)
@@ -36,8 +43,11 @@ type Partitioner struct {
 	comps [][][]int32
 }
 
-// MaxCellsDefault bounds the enumerated cell count; η is chosen as the
-// largest recursion depth with 2^(m·η) ≤ MaxCells.
+// MaxCellsDefault bounds the cube's resolution; η is chosen as the
+// largest recursion depth with 2^(m·η) ≤ MaxCells. No cell is ever
+// visited, so what η costs is the width of comps — m·2^η coordinate
+// lists — and what it buys is how finely a component's boundary follows
+// the curve.
 const MaxCellsDefault = 1 << 18
 
 // NewPartitioner builds the partition for the given relation
@@ -83,10 +93,19 @@ func etaFor(m, maxCells int) int {
 	return eta
 }
 
-// buildMapping enumerates every cell once, recording for each
-// (dimension, coordinate) the components that touch it.
+// buildMapping fills comps from the shape of each component rather than
+// from its cells. Any aligned block of 2^(m·k) curve indices is an
+// axis-aligned sub-cube of side 2^k (the curve's recursion; pinned by
+// hilbert's TestAlignedBlocksAreCubes), so component s's index range
+// is cut greedily into maximal aligned blocks — at most 2·(2^m − 1) per
+// level k — and each block marks the coordinate range [c, c + 2^k) of
+// its corner in every dimension: O(kR·2^m·η) curve transforms where
+// visiting the cells took 2^(m·η). Components are walked in ascending
+// order and `seen` drops a coordinate's repeat visits by the same
+// component, so every list comes out ascending and duplicate-free —
+// the lists, and their growth steps, that a walk over the cells appends.
 func (p *Partitioner) buildMapping() {
-	m := p.curve.Dims()
+	m, eta := p.curve.Dims(), p.curve.Bits()
 	side := int(p.curve.CellsPerDim())
 	seen := make([][]int32, m)
 	for i := range seen {
@@ -100,24 +119,48 @@ func (p *Partitioner) buildMapping() {
 		p.comps[i] = make([][]int32, side)
 	}
 	axes := make([]uint32, m)
-	for h := uint64(0); h < p.nCells; h++ {
-		comp := p.componentOfIndex(h)
-		for i, v := range p.curve.IndexToAxes(h, axes) {
-			// The curve is contiguous per component; avoid duplicate
-			// appends by remembering the last component seen per (i,v).
-			if seen[i][v] != comp {
-				seen[i][v] = comp
-				p.comps[i][v] = append(p.comps[i][v], comp)
+	lo := uint64(0)
+	for s := 0; s < p.kr; s++ {
+		comp, hi := int32(s), p.componentStart(s+1)
+		for lo < hi {
+			// The largest block that starts at lo and ends by hi.
+			k, size := 0, uint64(1)
+			for k < eta && lo&(size<<m-1) == 0 && hi-lo >= size<<m {
+				k, size = k+1, size<<m
 			}
+			for i, c := range p.curve.IndexToAxes(lo, axes) {
+				c &^= 1<<uint(k) - 1
+				for v := c; v < c+1<<uint(k); v++ {
+					if seen[i][v] != comp {
+						seen[i][v] = comp
+						p.comps[i][v] = append(p.comps[i][v], comp)
+					}
+				}
+			}
+			lo += size
 		}
 	}
 }
 
+// componentStart is the first curve index of component s, ⌈s·N/kR⌉; s
+// = kR gives N. The product takes 128 bits: a cube may have 2^62 cells.
+func (p *Partitioner) componentStart(s int) uint64 {
+	hi, lo := bits.Mul64(uint64(s), p.nCells)
+	q, r := bits.Div64(hi, lo, uint64(p.kr))
+	if r > 0 {
+		q++
+	}
+	return q
+}
+
 // componentOfIndex assigns Hilbert position h to one of kr balanced
-// contiguous segments.
+// contiguous segments: ⌊h·kR/N⌋, the s with componentStart(s) ≤ h <
+// componentStart(s+1). N is a power of two, so the division is a shift
+// of the 128-bit product.
 func (p *Partitioner) componentOfIndex(h uint64) int32 {
-	// Balanced split: component s owns [s·N/kr, (s+1)·N/kr).
-	return int32(h * uint64(p.kr) / p.nCells)
+	hi, lo := bits.Mul64(h, uint64(p.kr))
+	shift := uint(bits.TrailingZeros64(p.nCells))
+	return int32(hi<<(64-shift) | lo>>shift)
 }
 
 // Components returns the number of components (= reduce tasks).
@@ -177,10 +220,9 @@ func (p *Partitioner) Score() float64 {
 	return total
 }
 
-// ScoreForKR estimates Eq. 7's score for a hypothetical component
-// count without materialising the mapping: it re-scans the cells and
-// counts distinct segments per (dimension, coordinate). Used by the
-// Δ(k_R) sweep of Eq. 10.
+// ScoreForKR is Eq. 7's score for a hypothetical component count: it
+// builds that partition and scores it. Used by the Δ(k_R) sweep of
+// Eq. 10.
 func ScoreForKR(cards []int, kr int, maxCells int) (float64, error) {
 	p, err := NewPartitioner(cards, kr, maxCells)
 	if err != nil {

@@ -2,7 +2,10 @@ package core
 
 import (
 	"fmt"
+	"math/big"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/relation"
@@ -252,9 +255,126 @@ func TestTupleGlobalIDUniform(t *testing.T) {
 	}
 }
 
+// cellAxes lists the coordinates of every cell in curve order, m per
+// cell: the walk the component map is defined by, made once per cube so
+// that the oracle below can be asked about many component counts.
+func cellAxes(p *Partitioner) []uint32 {
+	m := p.curve.Dims()
+	cells := make([]uint32, p.nCells*uint64(m))
+	for h := uint64(0); h < p.nCells; h++ {
+		p.curve.IndexToAxes(h, cells[h*uint64(m):])
+	}
+	return cells
+}
+
+// enumerateMapping is the definition buildMapping must equal: visit
+// every cell in curve order and record, per (dimension, coordinate), each
+// component the first time it touches it.
+func enumerateMapping(p *Partitioner, cells []uint32) [][][]int32 {
+	m := p.curve.Dims()
+	side := int(p.curve.CellsPerDim())
+	seen := make([][]int32, m)
+	comps := make([][][]int32, m)
+	for i := range seen {
+		seen[i] = make([]int32, side)
+		for v := range seen[i] {
+			seen[i][v] = -1
+		}
+		comps[i] = make([][]int32, side)
+	}
+	for h := uint64(0); h < p.nCells; h++ {
+		comp := int32(h * uint64(p.kr) / p.nCells)
+		for i, v := range cells[h*uint64(m) : (h+1)*uint64(m)] {
+			if seen[i][v] != comp {
+				seen[i][v] = comp
+				comps[i][v] = append(comps[i][v], comp)
+			}
+		}
+	}
+	return comps
+}
+
+// TestMappingEqualsEnumeration: the closed-form component map is the
+// enumerated one, list for list — also where components outnumber cells
+// and most are empty.
+func TestMappingEqualsEnumeration(t *testing.T) {
+	krs := []int{1, 2, 3, 5, 6, 7, 16, 31, 64, 77, 96, 255, 1000, 5000, 1 << 21}
+	for dims := 1; dims <= 5; dims++ {
+		t.Run(fmt.Sprintf("dims=%d", dims), func(t *testing.T) {
+			t.Parallel()
+			cards := make([]int, dims)
+			for i := range cards {
+				cards[i] = 1000 + 37*i
+			}
+			for _, maxCells := range []int{0, 1 << 10, 1 << 14, 1 << 20} {
+				var cells []uint32
+				for _, kr := range krs {
+					p, err := NewPartitioner(cards, kr, maxCells)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if cells == nil {
+						cells = cellAxes(p)
+					}
+					if want := enumerateMapping(p, cells); !reflect.DeepEqual(p.comps, want) {
+						t.Fatalf("maxCells=%d kr=%d (eta %d): mapping differs from the enumeration", maxCells, kr, p.Eta())
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestComponentBoundariesIn128Bits: at dims 4, η 15 the cube has 2^60
+// cells and h·kR overflows 64 bits for most of the curve. Boundaries must
+// still fall at ⌈s·N/kR⌉, and a cell's owner must still be among the
+// components each of its coordinates is routed to.
+func TestComponentBoundariesIn128Bits(t *testing.T) {
+	const kr = 96
+	p, err := NewPartitioner([]int{1 << 20, 1 << 20, 1 << 20, 1 << 20}, kr, 1<<62)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Eta() != 15 || p.nCells != 1<<60 {
+		t.Fatalf("eta %d, %d cells; want 15 and 2^60", p.Eta(), p.nCells)
+	}
+	n := new(big.Int).SetUint64(p.nCells)
+	for s := 1; s < kr; s++ {
+		// ⌈s·N/kR⌉ in arbitrary precision.
+		b := new(big.Int).Mul(big.NewInt(int64(s)), n)
+		b.Add(b, big.NewInt(kr-1)).Div(b, big.NewInt(kr))
+		start := b.Uint64()
+		if got := p.componentStart(s); got != start {
+			t.Fatalf("componentStart(%d) = %d, want %d", s, got, start)
+		}
+		if got := p.componentOfIndex(start); got != int32(s) {
+			t.Errorf("index %d (start of %d) in component %d", start, s, got)
+		}
+		if got := p.componentOfIndex(start - 1); got != int32(s-1) {
+			t.Errorf("index %d (end of %d) in component %d", start-1, s-1, got)
+		}
+	}
+	rng := rand.New(rand.NewSource(15))
+	axes, buf := make([]uint32, 4), make([]uint32, 4)
+	for trial := 0; trial < 20000; trial++ {
+		for i := range axes {
+			axes[i] = uint32(rng.Intn(1 << 15))
+		}
+		owner := p.componentOfAxes(axes, buf)
+		if owner < 0 || owner >= kr {
+			t.Fatalf("cell %v in component %d", axes, owner)
+		}
+		for dim, v := range axes {
+			if !slices.Contains(p.comps[dim][v], owner) {
+				t.Fatalf("cell %v: owner %d not in comps[%d][%d] = %v", axes, owner, dim, v, p.comps[dim][v])
+			}
+		}
+	}
+}
+
 // BenchmarkBuildMapping times what every theta job pays before its first
-// map task: enumerating the 2¹⁸ cells of the default cube (two and three
-// relations) to find which components touch each coordinate.
+// map task: the component map of the default cube (two and three
+// relations) at k_R 96, built from the components' aligned blocks.
 func BenchmarkBuildMapping(b *testing.B) {
 	for _, cards := range [][]int{{60000, 60000}, {400, 400, 400}} {
 		b.Run(fmt.Sprintf("dims=%d", len(cards)), func(b *testing.B) {
@@ -264,7 +384,7 @@ func BenchmarkBuildMapping(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			b.ReportMetric(float64(MaxCellsDefault)*float64(b.N)/b.Elapsed().Seconds(), "cells/s")
+			b.ReportMetric(96*float64(b.N)/b.Elapsed().Seconds(), "components/s")
 		})
 	}
 }

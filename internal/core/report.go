@@ -9,12 +9,13 @@ import (
 
 // Report renders a human-readable per-job execution report: planned
 // values (reducer count, σ fraction, estimated time) next to measured
-// ones (reduce tasks run, simulated makespan, real wall time, shuffle
-// bytes, balance ratio), with replan deltas where the runtime feedback
-// loop revised a job. The footer separates the MODELED makespan (the
-// paper's simulated cluster seconds) from the MEASURED wall time (real
-// seconds on this machine) explicitly — the two answer different
-// questions and must never be read as one number.
+// ones (reduce tasks run, simulated makespan, real wall time — what
+// the executor spent building the job, then its map and reduce phases
+// and the whole run — shuffle bytes, balance ratio), with replan deltas
+// where the runtime feedback loop revised a job. The footer separates
+// the MODELED makespan (the paper's simulated cluster seconds) from the
+// MEASURED wall time (real seconds on this machine) explicitly — the two
+// answer different questions and must never be read as one number.
 //
 // A result built without ExecuteContext (no retained plan) degrades to
 // the measured-only columns.
@@ -46,8 +47,8 @@ func (r *ExecResult) Report() string {
 			w = len(n)
 		}
 	}
-	fmt.Fprintf(&b, "  %-*s  %-13s  %9s  %9s  %9s  %10s  %8s  %7s\n",
-		w, "job", "kind", "plan kR", "ran kR", "model(s)", "wall", "shuffle", "balance")
+	fmt.Fprintf(&b, "  %-*s  %-13s  %9s  %9s  %9s  %9s  %9s  %9s  %10s  %8s  %7s\n",
+		w, "job", "kind", "plan kR", "ran kR", "model(s)", "build", "map", "reduce", "wall", "shuffle", "balance")
 	for _, name := range names {
 		m, ok := r.JobMetrics[name]
 		if !ok {
@@ -59,9 +60,10 @@ func (r *ExecResult) Report() string {
 			planKR = fmt.Sprintf("%d", pj.Reducers)
 			sigma = fmt.Sprintf("  σ=%.2f", pj.SigmaFrac)
 		}
-		fmt.Fprintf(&b, "  %-*s  %-13s  %9s  %9d  %9.1f  %10s  %8s  %7.2f%s\n",
+		fmt.Fprintf(&b, "  %-*s  %-13s  %9s  %9d  %9.1f  %9s  %9s  %9s  %10s  %8s  %7.2f%s\n",
 			w, name, kind, planKR, m.ReduceTasks, m.Sim.Total,
-			fmtDur(m.Wall.Total), fmtBytes(m.ShuffleBytes), m.BalanceRatio, sigma)
+			fmtDur(r.BuildWall[name]), fmtDur(m.Wall.Map), fmtDur(m.Wall.Reduce), fmtDur(m.Wall.Total),
+			fmtBytes(m.ShuffleBytes), m.BalanceRatio, sigma)
 		if rj := r.replanJobs[name]; rj != nil && planned[name] != nil {
 			pj := planned[name]
 			fmt.Fprintf(&b, "  %-*s  replanned: kR %d -> %d, σ %.2f -> %.2f\n",

@@ -49,6 +49,9 @@ func TestReportModeledVsMeasured(t *testing.T) {
 		if m.Wall.Map <= 0 || m.Wall.Reduce <= 0 {
 			t.Errorf("job %s: phase walls not populated: %+v", name, m.Wall)
 		}
+		if res.BuildWall[name] <= 0 {
+			t.Errorf("job %s: build wall not populated: %v", name, res.BuildWall)
+		}
 	}
 
 	rep := res.Report()
@@ -59,7 +62,7 @@ func TestReportModeledVsMeasured(t *testing.T) {
 	if !strings.Contains(rep, "MEASURED") {
 		t.Errorf("report does not mark the measured wall time:\n%s", rep)
 	}
-	for _, col := range []string{"plan kR", "ran kR", "model(s)", "wall", "shuffle", "balance"} {
+	for _, col := range []string{"plan kR", "ran kR", "model(s)", "build", "map", "reduce", "wall", "shuffle", "balance"} {
 		if !strings.Contains(rep, col) {
 			t.Errorf("report lacks column %q:\n%s", col, rep)
 		}

@@ -102,7 +102,7 @@ func TestTracedExecutionDeterminism(t *testing.T) {
 		// Phase coverage: every pipeline stage must have traced.
 		// (the streaming shuffle merge traces inside the "reduce" span;
 		// the gather is "shuffle-copy")
-		for _, want := range []string{"execute", "dispatch", "map", "shuffle-copy", "reduce", "assemble", "plan-merge", "merge-step"} {
+		for _, want := range []string{"execute", "build-job", "dispatch", "map", "shuffle-copy", "reduce", "assemble", "plan-merge", "merge-step"} {
 			if !seen[want] {
 				t.Errorf("workers=%d: no %q span in trace", w, want)
 			}

@@ -118,6 +118,35 @@ func TestUnitStepContinuity(t *testing.T) {
 	}
 }
 
+// The curve's recursion, as the partitioner uses it: any aligned block
+// of 2^(dims·k) consecutive indices fills exactly one axis-aligned cube
+// of side 2^k — the one holding the block's first cell. Every index of
+// the block is checked to fall inside that cube; the block has as many
+// indices as the cube has cells and the transform is a bijection, so
+// inside is onto.
+func TestAlignedBlocksAreCubes(t *testing.T) {
+	for _, cfg := range []struct{ dims, bits int }{
+		{1, 8}, {2, 6}, {3, 4}, {4, 3},
+	} {
+		c := MustNew(cfg.dims, cfg.bits)
+		axes := make([]uint32, cfg.dims)
+		for k := 0; k <= cfg.bits; k++ {
+			size := uint64(1) << uint(cfg.dims*k)
+			for first := uint64(0); first < c.NumCells(); first += size {
+				corner := indexToAxes(c, first)
+				for h := first; h < first+size; h++ {
+					for i, a := range c.IndexToAxes(h, axes) {
+						if a>>uint(k) != corner[i]>>uint(k) {
+							t.Fatalf("%d/%d: index %d leaves the side-2^%d cube of block %d: axis %d is %d, corner %v",
+								cfg.dims, cfg.bits, h, k, first, i, a, corner)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestRoundTripQuick(t *testing.T) {
 	c := MustNew(4, 4)
 	f := func(raw uint64) bool {

@@ -1,6 +1,7 @@
 package mr
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -117,6 +118,7 @@ type faultRuntime struct {
 
 	mu   sync.Mutex
 	durs [numPhases][]time.Duration // completed attempt durations
+	idle []*taskRound               // rounds (and their timers) between tasks
 
 	attempts         [numPhases]atomic.Int64
 	specLaunched     atomic.Int64
@@ -237,12 +239,37 @@ func (ft *faultRuntime) failoverRead() {
 	ft.o.Counter("mr/failover_reads").Add(1)
 }
 
-// attemptDone is one attempt's report back to the race loop.
-type attemptDone struct {
-	ord int
-	out attemptOutcome
-	err error
-	dur time.Duration
+// taskRound is the state one round of a task's attempts shares between
+// the worker running the primary, the straggler timer and the backup the
+// timer may launch. A worker borrows one from the runtime per task, timer
+// included, so arming the timer costs no allocation.
+type taskRound struct {
+	ft         *faultRuntime
+	timer      *time.Timer   // runs straggle; made on first arming
+	backupDone chan struct{} // the backup's exit, buffered: it never waits
+
+	// The round's task, set by race before any attempt can start.
+	ctx             context.Context
+	ph, task, first int // first is the primary's ordinal; the backup is first+1
+	fn              attemptFn
+	errs            [2]error // primary's, backup's; read once both are back
+
+	mu        sync.Mutex
+	deadline  time.Time // a backup may launch from here on; zero when none may
+	backup    bool      // launched this round
+	committed bool
+}
+
+// borrowRound takes an idle round or makes the worker's first.
+func (ft *faultRuntime) borrowRound() *taskRound {
+	ft.mu.Lock()
+	defer ft.mu.Unlock()
+	if n := len(ft.idle); n > 0 {
+		r := ft.idle[n-1]
+		ft.idle = ft.idle[:n-1]
+		return r
+	}
+	return &taskRound{ft: ft, backupDone: make(chan struct{}, 1)}
 }
 
 // runTask executes one task as a sequence of attempt rounds until an
@@ -250,13 +277,19 @@ type attemptDone struct {
 // serial attempt against (at most) one speculative backup launched
 // when the attempt outlives the phase's straggler threshold; the first
 // success commits, every other outcome is discarded, and — crucially —
-// the round joins every goroutine it launched before returning, so no
+// the round joins the backup it launched before returning, so no
 // attempt ever outlives the task and races the engine's shared state.
 func (ft *faultRuntime) runTask(ctx context.Context, ph, task int, sh *obs.Shard, fn attemptFn) error {
+	r := ft.borrowRound()
+	defer func() {
+		ft.mu.Lock()
+		ft.idle = append(ft.idle, r)
+		ft.mu.Unlock()
+	}()
 	next := 0
 	var firstErr error
 	for {
-		committed, launched, err := ft.race(ctx, ph, task, next, sh, fn)
+		committed, launched, err := r.race(ctx, ph, task, next, sh, fn)
 		next += launched
 		if committed {
 			return nil
@@ -276,77 +309,118 @@ func (ft *faultRuntime) runTask(ctx context.Context, ph, task int, sh *obs.Shard
 	}
 }
 
-// race runs one attempt round: launch attempt ordinal `first`, arm the
-// speculation timer when the phase has a baseline, launch at most one
-// backup on expiry, and wait for every launched attempt. The first
-// success commits (a backup winning counts as a speculative win);
-// later successes are discarded. With no success, the lowest ordinal's
-// error is returned so propagation order is deterministic.
-func (ft *faultRuntime) race(ctx context.Context, ph, task, first int, sh *obs.Shard, fn attemptFn) (committed bool, launched int, err error) {
-	done := make(chan attemptDone, 2)
-	launch := func(ord int, shard *obs.Shard) {
-		ft.attempts[ph].Add(1)
-		go func() {
-			start := time.Now()
-			d := attemptDone{ord: ord}
-			// A panic in a Map, Reduce or Partitioner function would take
-			// the whole process down from this goroutine. It becomes the
-			// attempt's error instead — not retryable, since the same
-			// input would panic again — and the round drains as on any
-			// other failed attempt.
-			defer func() {
-				if p := recover(); p != nil {
-					d.err = fmt.Errorf("mr: job %s: %s task %d attempt %d panicked: %v\n%s",
-						ft.job, phaseName(ph), task, ord, p, debug.Stack())
-				}
-				d.dur = time.Since(start)
-				done <- d
-			}()
-			d.out, d.err = fn(ctx, ord, shard)
-		}()
+// race runs one attempt round. The primary attempt, ordinal `first`,
+// runs here, on the calling worker's goroutine; when the phase has a
+// straggler baseline the round's timer is armed first, and should it
+// expire while the primary is still running, straggle launches the one
+// backup on a goroutine of its own. Whichever attempt succeeds first
+// commits (a backup winning counts as a speculative win); a later
+// success is discarded. With no success, the lowest ordinal's error is
+// returned so propagation order is deterministic.
+func (r *taskRound) race(ctx context.Context, ph, task, first int, sh *obs.Shard, fn attemptFn) (committed bool, launched int, err error) {
+	ft := r.ft
+	r.ctx, r.ph, r.task, r.first, r.fn = ctx, ph, task, first, fn
+	r.errs = [2]error{}
+	th := ft.specThreshold(ph)
+	if first+1 >= ft.maxAttempts {
+		th = 0
 	}
-	launch(first, sh)
-	launched = 1
-	var specC <-chan time.Time
-	if th := ft.specThreshold(ph); th > 0 && first+1 < ft.maxAttempts {
-		t := time.NewTimer(th)
-		defer t.Stop()
-		specC = t.C
-	}
-	var errOrd int
-	var reported int
-	for reported < launched {
-		select {
-		case d := <-done:
-			reported++
-			if d.err == nil {
-				ft.recordDur(ph, d.dur)
-				if !committed {
-					committed = true
-					if d.out.commit != nil {
-						d.out.commit()
-					}
-					if d.ord > first {
-						ft.specWins.Add(1)
-					}
-				} else if d.out.discard != nil {
-					d.out.discard()
-				}
-			} else if err == nil || d.ord < errOrd {
-				err, errOrd = d.err, d.ord
-			}
-		case <-specC:
-			specC = nil
-			if !committed && launched == 1 && first+1 < ft.maxAttempts {
-				ft.specLaunched.Add(1)
-				ft.o.Counter("mr/speculative_launched").Add(1)
-				launch(first+1, nil)
-				launched++
-			}
+	r.mu.Lock()
+	r.backup, r.committed = false, false
+	if th > 0 {
+		r.deadline = time.Now().Add(th)
+		if r.timer == nil {
+			r.timer = time.AfterFunc(th, r.straggle)
+		} else {
+			r.timer.Reset(th)
 		}
 	}
-	if committed {
+	r.mu.Unlock()
+
+	ft.attempts[ph].Add(1)
+	r.run(first, sh)
+
+	r.mu.Lock()
+	r.deadline = time.Time{} // the primary is back: no backup from here on
+	backup := r.backup
+	r.mu.Unlock()
+	if th > 0 {
+		r.timer.Stop()
+	}
+	launched = 1
+	if backup {
+		<-r.backupDone
+		launched = 2
+	}
+	if r.committed {
 		return true, launched, nil
 	}
-	return false, launched, err
+	return false, launched, cmp.Or(r.errs[0], r.errs[1])
+}
+
+// straggle is the round's timer firing: the primary has outlived the
+// straggler threshold, so its backup starts. A firing that lost the
+// race with the primary's return — even one delayed into the worker's
+// next task, whose deadline is still ahead — finds nothing to do.
+func (r *taskRound) straggle() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.deadline.IsZero() || time.Now().Before(r.deadline) {
+		return
+	}
+	r.deadline = time.Time{}
+	r.backup = true
+	r.ft.specLaunched.Add(1)
+	r.ft.o.Counter("mr/speculative_launched").Add(1)
+	r.ft.attempts[r.ph].Add(1)
+	go func() {
+		// No tracing shard: shards are single-writer, and the worker's is
+		// the primary's.
+		r.run(r.first+1, nil)
+		r.backupDone <- struct{}{}
+	}()
+}
+
+// run executes attempt ord on the calling goroutine and settles it in
+// the round: the round's first success commits, the other discards, and
+// a failure is kept for the round's verdict.
+func (r *taskRound) run(ord int, sh *obs.Shard) {
+	start := time.Now()
+	out, err := r.call(ord, sh)
+	if err != nil {
+		r.errs[ord-r.first] = err
+		return
+	}
+	r.ft.recordDur(r.ph, time.Since(start))
+	r.mu.Lock()
+	won := !r.committed
+	r.committed = true
+	r.mu.Unlock()
+	if !won {
+		if out.discard != nil {
+			out.discard()
+		}
+		return
+	}
+	if out.commit != nil {
+		out.commit()
+	}
+	if ord > r.first {
+		r.ft.specWins.Add(1)
+	}
+}
+
+// call is the attempt function under a recover: a panic in a Map, Reduce
+// or Partitioner function would take the whole process down from this
+// goroutine. It becomes the attempt's error instead — not retryable,
+// since the same input would panic again — and the round settles as on
+// any other failed attempt.
+func (r *taskRound) call(ord int, sh *obs.Shard) (out attemptOutcome, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("mr: job %s: %s task %d attempt %d panicked: %v\n%s",
+				r.ft.job, phaseName(r.ph), r.task, ord, p, debug.Stack())
+		}
+	}()
+	return r.fn(r.ctx, ord, sh)
 }

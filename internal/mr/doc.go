@@ -59,10 +59,19 @@
 // under any Config.Faults plan whose faults are all retryable, at any
 // worker count.
 //
+// An attempt runs where its task was scheduled: on the goroutine of the
+// phase's worker that drew the task, as a plain call under a recover
+// that turns a panic in user code into the attempt's error. A job of a
+// thousand one-tuple tasks therefore starts as many goroutines as it has
+// workers, and a task costs the attempt layer no allocation.
+//
 // Speculative execution backs up stragglers: when a running attempt
 // exceeds Config.SpeculativeFactor times the phase's median completed
-// attempt duration, one backup attempt launches, the first to finish
-// commits, and the loser is discarded atomically.
+// attempt duration, one backup attempt launches — the only attempt that
+// gets a goroutine of its own, started by the worker's straggler timer,
+// which the worker re-arms for each task — the first to finish commits
+// on the goroutine it ran on, and the loser is discarded atomically.
+// The worker does not leave the task until the backup has exited too.
 //
 // # A pair from emit to Reduce
 //
