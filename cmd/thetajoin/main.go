@@ -268,7 +268,7 @@ func submitRemote(base, spec string, limit int) error {
 	for _, t := range resp.Tuples {
 		fmt.Println(t)
 	}
-	if rest := resp.Rows - len(resp.Tuples); rest > 0 && limit >= 0 {
+	if rest := resp.Rows - len(resp.Tuples); rest > 0 {
 		fmt.Printf("... (%d more rows)\n", rest)
 	}
 	return nil

@@ -152,7 +152,7 @@ func TestCheckpointLoadErrorIsAMiss(t *testing.T) {
 	if !resultSet(clean.Output).Equal(resultSet(res.Output)) {
 		t.Error("output differs from the clean run")
 	}
-	if n := o.Counter("core/checkpoint_errors").Value(); n != 1 {
+	if n := o.Counter("core.checkpoint_errors").Value(); n != 1 {
 		t.Errorf("core/checkpoint_errors = %d, want 1", n)
 	}
 }

@@ -84,7 +84,7 @@ func (db *DB) Analyze(sampleSize int, seed int64) {
 		relation.InternStrings(r)
 	}
 	db.Catalog = relation.NewCatalog(all, sampleSize, rand.New(rand.NewSource(seed)))
-	skew.AnnotateCatalog(db.Catalog, all, skew.DefaultOptions())
+	skew.AnnotateCatalog(db.Catalog, all)
 	db.analyzeGen++
 	db.version = catalogVersion(db.Catalog.Fingerprint(), db.analyzeGen)
 }
@@ -100,8 +100,8 @@ func catalogVersion(fingerprint, gen uint64) uint64 {
 }
 
 // CatalogVersion identifies the statistics state plans are built from:
-// a content fingerprint of the catalog (schemas, cardinalities,
-// histograms, hot keys, samples — see relation.Catalog.Fingerprint)
+// a content fingerprint of the catalog (column names, cardinalities,
+// hot keys, samples — see relation.Catalog.Fingerprint)
 // mixed with the analyze generation. Any Analyze re-run bumps it, and
 // reloading relations with different content changes the fingerprint —
 // either way, plan-cache entries keyed on the old version stop

@@ -319,7 +319,7 @@ func (r *planRun) restore() {
 }
 
 func (r *planRun) checkpointError(job string, err error) {
-	r.o.Counter("core/checkpoint_errors").Add(1)
+	r.o.Counter("core.checkpoint_errors").Add(1)
 	r.shard.Instant("checkpoint-error", obs.A("job", job), obs.A("error", err.Error()))
 }
 

@@ -26,11 +26,10 @@ func BuildHashEquiJob(name string, left, right *relation.Relation, conds predica
 // when the right side is hot), per SharesSkew. Reducer-side logic is
 // unchanged — each sub-reducer joins its fragment against the
 // replicated side, and fragments are disjoint, so the output is the
-// same set of tuples with the hot key's work spread evenly.
-// Single-condition keys take their splits from the plan's per-column
-// reports; composite (multi-condition) keys from its joint HotGroups,
-// hashed with the same composite key the map side shuffles on. A nil
-// plan reproduces BuildHashEquiJob exactly.
+// same set of tuples with the hot key's work spread evenly. Splits come
+// from the plan's reports over each side's key columns, hashed with
+// the same composite key the map side shuffles on. A nil plan
+// reproduces BuildHashEquiJob exactly.
 func BuildHashEquiJobSkew(name string, left, right *relation.Relation, conds predicate.Conjunction, kr int, plan *skew.JobPlan) (*mr.Job, error) {
 	if !AllEquiSamePair(conds) {
 		return nil, fmt.Errorf("core: conditions %s are not a two-relation equi conjunction", conds)
@@ -163,52 +162,37 @@ func BuildHashEquiJobSkew(name string, left, right *relation.Relation, conds pre
 
 // equiSplits turns the plan's hot join-key values into the sub-grid
 // each one spreads over, keyed by the composite hash the map side
-// shuffles on (keyOf, over one side's values in condition order).
-// Single-condition keys come from the per-column reports, composite
-// keys from the joint HotGroups the planner stored under the
-// condition-ordered column vectors.
+// shuffles on (keyOf, over one side's values in condition order): the
+// planner stored each side's report under its condition-ordered column
+// vector.
 func equiSplits(plan *skew.JobPlan, left, right string, oriented []predicate.Condition, kr int, keyOf func(vals []relation.Value, leftSide bool) uint64) map[uint64]skew.Split {
 	type frac2 struct{ l, r float64 }
 	hot := make(map[uint64]frac2)
-	// raise records one side's fraction for a hot key, keeping the
-	// larger when two reported values hash to the same key.
-	raise := func(vals []relation.Value, frac float64, leftSide bool) {
-		if len(vals) != len(oriented) {
-			return
-		}
-		k := keyOf(vals, leftSide)
-		f := hot[k]
-		side := &f.r
-		if leftSide {
-			side = &f.l
-		}
-		if frac > *side {
-			*side = frac
-		}
-		hot[k] = f
+	lNames := make([]string, len(oriented))
+	rNames := make([]string, len(oriented))
+	for i, oc := range oriented {
+		lNames[i] = oc.LeftColumn
+		rNames[i] = oc.RightColumn
 	}
-	if len(oriented) == 1 {
-		oc := oriented[0]
-		for _, hk := range plan.Hot(oc.Left, oc.LeftColumn) {
-			raise([]relation.Value{hk.Value}, hk.Frac, true)
-		}
-		for _, hk := range plan.Hot(oc.Right, oc.RightColumn) {
-			raise([]relation.Value{hk.Value}, hk.Frac, false)
-		}
-	} else {
-		lNames := make([]string, len(oriented))
-		rNames := make([]string, len(oriented))
-		for i, oc := range oriented {
-			lNames[i] = oc.LeftColumn
-			rNames[i] = oc.RightColumn
-		}
-		for _, g := range plan.HotJoint(left, lNames) {
-			raise(g.Values, g.Frac, true)
-		}
-		for _, g := range plan.HotJoint(right, rNames) {
-			raise(g.Values, g.Frac, false)
+	// raise records one side's fractions per hot key, keeping the larger
+	// when two reported values hash to the same key.
+	raise := func(rel string, cols []string, leftSide bool) {
+		for _, hk := range plan.Hot(rel, cols) {
+			if len(hk.Values) != len(oriented) {
+				continue
+			}
+			k := keyOf(hk.Values, leftSide)
+			f := hot[k]
+			if leftSide {
+				f.l = max(f.l, hk.Frac)
+			} else {
+				f.r = max(f.r, hk.Frac)
+			}
+			hot[k] = f
 		}
 	}
+	raise(left, lNames, true)
+	raise(right, rNames, false)
 	splits := make(map[uint64]skew.Split)
 	for k, f := range hot {
 		sp := skew.Split{

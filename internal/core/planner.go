@@ -478,95 +478,58 @@ func maxJoinHotFrac(cat *relation.Catalog, conds predicate.Conjunction, kind Job
 // SkewPlanFor consults the catalog's heavy-hitter reports and returns
 // the hot-key handling a job of this kind should run with, or nil when
 // no join-key value is hot enough at the given reducer count (or the
-// kind is skew-immune). Hash-equi jobs split single-column keys from
-// the per-column reports and composite (multi-condition) keys from
-// joint detection over the column set; share-grid jobs refine any
-// grid dimension whose class columns carry hot keys.
+// kind is skew-immune). Per SharesSkew, what overloads a reducer is a
+// hot value COMBINATION of the columns it is keyed on: a hash-equi job
+// reports each side's key columns as one set, in condition order — the
+// order the operator hashes them, so BuildHashEquiJobSkew can derive
+// splits from the composite key hash it already shuffles on — and a
+// share-grid job reports every column that forms a grid dimension.
 func SkewPlanFor(cat *relation.Catalog, kind JobKind, conds predicate.Conjunction, reducers int, threshold float64) *skew.JobPlan {
 	if cat == nil || reducers < 2 {
 		return nil
 	}
-	if threshold <= 0 {
-		threshold = skew.DefaultThreshold
+	plan := skew.NewJobPlan(threshold)
+	hotEnough := false
+	add := func(rel string, cols []string) {
+		ts, err := cat.Stats(rel)
+		if err != nil {
+			return
+		}
+		hot := skew.Report(ts, cols)
+		if len(hot) == 0 {
+			return
+		}
+		plan.Add(rel, cols, hot)
+		if hot[0].Frac*float64(reducers) > plan.Threshold {
+			hotEnough = true
+		}
 	}
 	switch kind {
 	case KindHashEqui:
-		if len(conds) != 1 {
-			return compositeSkewPlan(cat, conds, reducers, threshold)
-		}
-	case KindShareGrid:
-	default:
-		return nil // the Hilbert cube routes by salted random IDs
-	}
-	plan := skew.NewJobPlan(threshold)
-	hotEnough := false
-	for _, c := range conds {
-		if !c.Op.IsEquality() {
-			continue
-		}
-		if kind == KindShareGrid && (c.LeftOffset != 0 || c.RightOffset != 0) {
-			continue
-		}
-		for _, end := range [][2]string{{c.Left, c.LeftColumn}, {c.Right, c.RightColumn}} {
-			ts, err := cat.Stats(end[0])
-			if err != nil || len(ts.HotKeys[end[1]]) == 0 {
-				continue
-			}
-			hks := ts.HotKeys[end[1]]
-			plan.Add(end[0], end[1], hks)
-			if hks[0].Frac*float64(reducers) > threshold {
-				hotEnough = true
-			}
-		}
-	}
-	if !hotEnough {
-		return nil
-	}
-	return plan
-}
-
-// compositeSkewPlan is SkewPlanFor's multi-condition hash-equi path:
-// per SharesSkew, what overloads a reducer under a composite key is a
-// hot value COMBINATION, which per-column reports cannot see (two
-// individually near-uniform columns can still share one dominant
-// pair). Each side's column vector — in condition order, the order
-// the operator hashes them — runs joint heavy-hitter detection over
-// the catalog's retained sample (exactly, when the sample holds the
-// whole relation), and the resulting HotGroups are stored on the
-// plan for BuildHashEquiJobSkew to derive splits from the composite
-// key hash it already shuffles on.
-func compositeSkewPlan(cat *relation.Catalog, conds predicate.Conjunction, reducers int, threshold float64) *skew.JobPlan {
-	if !AllEquiSamePair(conds) {
-		return nil
-	}
-	rels := conds.Relations()
-	cols := make(map[string][]string, 2)
-	for _, c := range conds {
-		oc := c
-		if oc.Left != rels[0] {
-			oc = c.Reversed()
-		}
-		if oc.Left != rels[0] || oc.Right != rels[1] {
+		if !AllEquiSamePair(conds) {
 			return nil
 		}
-		cols[rels[0]] = append(cols[rels[0]], oc.LeftColumn)
-		cols[rels[1]] = append(cols[rels[1]], oc.RightColumn)
-	}
-	plan := skew.NewJobPlan(threshold)
-	hotEnough := false
-	for _, rel := range rels {
-		ts, err := cat.Stats(rel)
-		if err != nil {
-			continue
+		rels := conds.Relations()
+		var lCols, rCols []string
+		for _, c := range conds {
+			if c.Left != rels[0] {
+				c = c.Reversed()
+			}
+			lCols = append(lCols, c.LeftColumn)
+			rCols = append(rCols, c.RightColumn)
 		}
-		hot := skew.JointHotKeys(ts, nil, cols[rel], skew.DefaultOptions())
-		if len(hot) == 0 {
-			continue
+		add(rels[0], lCols)
+		add(rels[1], rCols)
+	case KindShareGrid:
+		for _, c := range conds {
+			// Only zero-offset equalities form grid dimensions.
+			if c.Op.IsEquality() && c.LeftOffset == 0 && c.RightOffset == 0 {
+				add(c.Left, []string{c.LeftColumn})
+				add(c.Right, []string{c.RightColumn})
+			}
 		}
-		plan.AddJoint(rel, cols[rel], hot)
-		if hot[0].Frac*float64(reducers) > threshold {
-			hotEnough = true
-		}
+	default:
+		return nil // the Hilbert cube routes by salted random IDs
 	}
 	if !hotEnough {
 		return nil

@@ -62,15 +62,15 @@ func newFeedback(pl *Planner, db *DB) *feedback {
 
 // observe ingests a completed job: the statistics pass and the skew
 // sketch run over its output relation (exactly, when it is at most
-// skew.Options.ExactThreshold tuples) and the synthesized TableStats
-// is installed in the overlay under the job's name. The sampling rng
-// is seeded from the job name, so the overlay's content is a pure
-// function of the job's (deterministic) output.
+// skew.ExactThreshold tuples) and the synthesized TableStats is
+// installed in the overlay under the job's name. The sampling rng is
+// seeded from the job name, so the overlay's content is a pure function
+// of the job's (deterministic) output.
 func (fb *feedback) observe(jobName string, res *mr.Result) {
 	out := res.Output
 	rng := rand.New(rand.NewSource(int64(jobSalt(jobName))))
 	ts := relation.Analyze(out, feedbackStatsSample, rng)
-	skew.AnnotateTable(ts, out, skew.DefaultOptions())
+	skew.AnnotateTable(ts, out)
 	fb.stats[jobName] = ts
 	fb.ratio[jobName] = res.Metrics.BalanceRatio
 	fb.mult[jobName] = out.VolumeMultiplier

@@ -333,8 +333,8 @@ func buildSlotter(dim int, cl *attrClass, rels []*relation.Relation, ordinal map
 			continue
 		}
 		colName := rels[i].Schema.Column(col).Name
-		for _, hk := range plan.Hot(relName, colName) {
-			k := hk.Value.String()
+		for _, hk := range plan.Hot(relName, []string{colName}) {
+			k := hk.Values[0].String()
 			if hk.Frac > agg[k] {
 				agg[k] = hk.Frac
 			}

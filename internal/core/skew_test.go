@@ -298,3 +298,20 @@ func TestSkewPlanForGates(t *testing.T) {
 		t.Error("hot single-condition equi job got no plan")
 	}
 }
+
+// TestMaxJoinHotFracKnown: "measured uniform" and "never analysed" are
+// different inputs to the σ model — an annotated catalog's empty report
+// is known with pmax 0, a catalog without reports is not known.
+func TestMaxJoinHotFracKnown(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	u := randRelation("U", 400, 390, rng) // near-unique keys
+	v := randRelation("V", 400, 390, rng)
+	conds := predicate.Conjunction{predicate.C("U", "a", predicate.EQ, "V", "a")}
+	if pmax, known := maxJoinHotFrac(newTestDB(t, u, v).Catalog, conds, KindHashEqui); !known || pmax != 0 {
+		t.Errorf("annotated uniform catalog: pmax %v known %v, want 0 true", pmax, known)
+	}
+	bare := relation.NewCatalog([]*relation.Relation{u, v}, 100, nil)
+	if pmax, known := maxJoinHotFrac(bare, conds, KindHashEqui); known || pmax != 0 {
+		t.Errorf("never-analysed catalog: pmax %v known %v, want 0 false", pmax, known)
+	}
+}

@@ -70,10 +70,20 @@ func TestCatalogFingerprintSensitivity(t *testing.T) {
 	}
 	c3 := base()
 	c3.Tables["R"].HotKeys = map[string][]relation.HotKey{
-		"a": {{Value: relation.Int(7), Count: 10, Frac: 0.3}},
+		"a": {{Values: []relation.Value{relation.Int(7)}, Count: 10, Frac: 0.3}},
 	}
 	if c1.Fingerprint() == c3.Fingerprint() {
 		t.Error("hot-key change not reflected")
+	}
+	// The report is framed: the same two keys split 2+0 and 1+1 over two
+	// columns' reports are different catalogs.
+	k1 := relation.HotKey{Values: []relation.Value{relation.Int(7)}, Count: 10, Frac: 0.3}
+	k2 := relation.HotKey{Values: []relation.Value{relation.Int(8)}, Count: 9, Frac: 0.2}
+	c5, c6 := base(), base()
+	c5.Tables["R"].HotKeys = map[string][]relation.HotKey{"a": {k1, k2}, "b": {}}
+	c6.Tables["R"].HotKeys = map[string][]relation.HotKey{"a": {k1}, "b": {k2}}
+	if c5.Fingerprint() == c6.Fingerprint() {
+		t.Error("a key moved between two columns' reports not reflected")
 	}
 	c4 := base()
 	c4.Tables["S"] = c4.Tables["R"]

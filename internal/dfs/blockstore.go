@@ -274,13 +274,13 @@ func (s *BlockStore) fillPage(k pageKey, b *blockFile, data []byte, pageOff int6
 		// Corrupted page: count it, then fail over to a replica
 		// re-read while any remain.
 		s.checksumFailures.Add(1)
-		o.Counter("dfs/checksum_failures").Add(1)
+		o.Counter("dfs.checksum_failures").Add(1)
 		if attempt >= replicas {
 			return fmt.Errorf("dfs: file %d page %d: checksum mismatch on all %d replicas",
 				k.file, k.page, replicas)
 		}
 		s.failoverReads.Add(1)
-		o.Counter("dfs/failover_reads").Add(1)
+		o.Counter("dfs.failover_reads").Add(1)
 	}
 }
 

@@ -16,7 +16,7 @@ type LoadMethod uint8
 const (
 	LoadPlain LoadMethod = iota // plain Hadoop upload
 	LoadHive                    // Hive warehouse load
-	LoadOurs                    // upload + sampling + index build
+	LoadOurs                    // upload + sampling pass + statistics build
 )
 
 // String names the method as plotted in Fig. 11.
@@ -164,15 +164,16 @@ func (s *Store) Upload(r *relation.Relation, method LoadMethod, sampleSize int, 
 		// format: a CPU-bound extra 0.6 read-pass across the nodes.
 		seconds += 0.6 * float64(bytes) / readBps / float64(s.nodes)
 	case LoadOurs:
-		// Sampling pass: read a bounded sample (cheap) + histogram and
-		// index build, then write the (small) index back.
+		// Sampling pass: read a bounded sample (cheap), build the
+		// statistics the planner reads — the retained sample and its
+		// heavy-hitter report — then write the (small) index back.
 		stats := relation.Analyze(r, sampleSize, rand.New(rand.NewSource(seed)))
 		file.Stats = stats
 		sampleBytes := float64(sampleSize) * stats.AvgTuple
 		if sampleBytes > float64(bytes) {
 			sampleBytes = float64(bytes)
 		}
-		// Sampling reads a bounded subset of blocks, and the index
+		// Sampling reads a bounded subset of blocks, and the statistics
 		// build adds a 0.45 read-pass across the nodes — a little more
 		// than plain uploading, converging towards Hive's cost at
 		// large volumes (§6.3, Fig. 11).

@@ -67,10 +67,10 @@ func TestPageChecksumFailover(t *testing.T) {
 	if cs != 1 || fo != 1 {
 		t.Errorf("IntegrityStats = (%d, %d), want (1, 1)", cs, fo)
 	}
-	if n := o.Counter("dfs/checksum_failures").Value(); n != 1 {
+	if n := o.Counter("dfs.checksum_failures").Value(); n != 1 {
 		t.Errorf("obs checksum counter = %d", n)
 	}
-	if n := o.Counter("dfs/failover_reads").Value(); n != 1 {
+	if n := o.Counter("dfs.failover_reads").Value(); n != 1 {
 		t.Errorf("obs failover counter = %d", n)
 	}
 }

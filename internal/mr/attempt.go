@@ -226,7 +226,7 @@ func (ft *faultRuntime) checksumFailure() {
 		return
 	}
 	ft.checksumFailures.Add(1)
-	ft.o.Counter("mr/checksum_failures").Add(1)
+	ft.o.Counter("mr.checksum_failures").Add(1)
 }
 
 // failoverRead records one successful replica re-read after a
@@ -236,7 +236,7 @@ func (ft *faultRuntime) failoverRead() {
 		return
 	}
 	ft.failoverReads.Add(1)
-	ft.o.Counter("mr/failover_reads").Add(1)
+	ft.o.Counter("mr.failover_reads").Add(1)
 }
 
 // taskRound is the state one round of a task's attempts shares between
@@ -371,7 +371,7 @@ func (r *taskRound) straggle() {
 	r.deadline = time.Time{}
 	r.backup = true
 	r.ft.specLaunched.Add(1)
-	r.ft.o.Counter("mr/speculative_launched").Add(1)
+	r.ft.o.Counter("mr.speculative_launched").Add(1)
 	r.ft.attempts[r.ph].Add(1)
 	go func() {
 		// No tracing shard: shards are single-writer, and the worker's is

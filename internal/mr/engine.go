@@ -337,7 +337,7 @@ func (r *run) mapPhase(ctx context.Context) error {
 	}
 	n := len(r.tasks)
 	r.ft = newFaultRuntime(r.cfg, r.job, n, r.nRed, r.o)
-	r.replicated = r.o.Counter("mr/replicated_pairs")
+	r.replicated = r.o.Counter("mr.replicated_pairs")
 	// A worker runs at most two attempts at a time, one a speculative
 	// backup, so this many buffers are ever in use.
 	r.scratch = make(chan *mapScratch, 2*r.workers)
@@ -532,7 +532,7 @@ func (r *run) mapAttempt(actx context.Context, ti, attempt int, sh *obs.Shard) (
 // its whole input.
 func (r *run) reducePhase(ctx context.Context) error {
 	start := time.Now()
-	r.keyRunLen = r.o.Histogram("mr/key_run_len")
+	r.keyRunLen = r.o.Histogram("mr.key_run_len")
 	r.reducerBytes = make([]int64, r.nRed)
 	r.reducerPairs = make([]int64, r.nRed)
 	r.reducerResident = make([]int64, r.nRed)
@@ -864,24 +864,24 @@ func (r *run) metrics() *Result {
 // batched once per job (no per-tuple cost).
 func (r *run) export(m *Metrics) {
 	o := r.o
-	if inHist := o.Histogram("mr/reducer_input_bytes"); inHist != nil {
-		outHist := o.Histogram("mr/reducer_output_bytes")
+	if inHist := o.Histogram("mr.reducer_input_bytes"); inHist != nil {
+		outHist := o.Histogram("mr.reducer_output_bytes")
 		for red := range m.ReducerInputBytes {
 			inHist.Observe(m.ReducerInputBytes[red])
 			outHist.Observe(m.ReducerOutputBytes[red])
 		}
 	}
-	o.Counter("mr/pairs_emitted").Add(m.PairsEmitted)
-	o.Counter("mr/shuffle_bytes").Add(m.ShuffleBytes)
-	o.Counter("mr/combinations_checked").Add(m.CombinationsChecked)
-	o.Counter("mr/output_tuples").Add(int64(len(r.output.Tuples)))
-	o.Counter("mr/spill_bytes").Add(m.SpillBytes)
-	o.Counter("mr/spill_runs").Add(int64(m.SpillRuns))
-	if h := o.Histogram("mr/peak_live_bytes"); h != nil {
+	o.Counter("mr.pairs_emitted").Add(m.PairsEmitted)
+	o.Counter("mr.shuffle_bytes").Add(m.ShuffleBytes)
+	o.Counter("mr.combinations_checked").Add(m.CombinationsChecked)
+	o.Counter("mr.output_tuples").Add(int64(len(r.output.Tuples)))
+	o.Counter("mr.spill_bytes").Add(m.SpillBytes)
+	o.Counter("mr.spill_runs").Add(int64(m.SpillRuns))
+	if h := o.Histogram("mr.peak_live_bytes"); h != nil {
 		h.Observe(m.PeakLiveBytes)
 	}
 	if n := m.MapFailures + m.ReduceFailures; n > 0 {
-		o.Counter("mr/task_retries").Add(int64(n))
+		o.Counter("mr.task_retries").Add(int64(n))
 	}
 }
 

@@ -10,8 +10,8 @@
 //	sh := o.Shard("job/map-w0")      // nil *Shard
 //	sp := sh.Start("map")            // nil *Span
 //	sp.End()                         // no-op
-//	o.Counter("mr/pairs").Add(1)     // no-op
-//	o.Histogram("mr/run").Observe(3) // no-op
+//	o.Counter("mr.pairs").Add(1)     // no-op
+//	o.Histogram("mr.run").Observe(3) // no-op
 //
 // Instrumented code therefore never branches on "is tracing on": it
 // unconditionally calls Start/End/Instant/Add/Observe, and a disabled

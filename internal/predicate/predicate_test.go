@@ -2,6 +2,7 @@ package predicate
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -316,6 +317,21 @@ func TestEstimateSelectivityErrors(t *testing.T) {
 	}
 	if _, err := EstimateSelectivity(C("Z", "v", LT, "A", "v"), cat); err == nil {
 		t.Error("missing left relation accepted")
+	}
+	// The inputs the sample cannot answer from: an unknown column is an
+	// error on either side; an empty relation has no pair that could
+	// match.
+	empty := relation.New("E", sa)
+	cat = relation.NewCatalog([]*relation.Relation{a, empty}, 10, rng)
+	for _, c := range []Condition{C("A", "nope", EQ, "A", "v"), C("A", "v", LT, "E", "nope")} {
+		if _, err := EstimateSelectivity(c, cat); err == nil || !strings.Contains(err.Error(), "no stats for") {
+			t.Errorf("%s: err = %v, want a \"no stats for\" error", c, err)
+		}
+	}
+	for _, c := range []Condition{C("E", "v", EQ, "A", "v"), C("A", "v", GE, "E", "v")} {
+		if sel, err := EstimateSelectivity(c, cat); err != nil || sel != 0 {
+			t.Errorf("%s over an empty relation = %v, %v; want 0", c, sel, err)
+		}
 	}
 }
 

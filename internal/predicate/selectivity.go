@@ -11,11 +11,12 @@ import (
 // statistics") and uses selectivities to derive the Map/Reduce output
 // ratios α and β of the cost model (§4.1). We estimate a condition's
 // selectivity by evaluating it over the cross product of the retained
-// sample rows of both relations; histogram-based closed forms back the
-// estimate up when samples are unavailable.
+// sample rows of both relations, which relation.Analyze keeps for every
+// non-empty relation.
 
 // EstimateSelectivity returns the estimated fraction of the cross
-// product |L|×|R| satisfying the condition, in [0,1].
+// product |L|×|R| satisfying the condition, in [0,1]. An empty relation
+// has no pair to sample and none that could match: 0.
 func EstimateSelectivity(c Condition, cat *relation.Catalog) (float64, error) {
 	ls, err := cat.Stats(c.Left)
 	if err != nil {
@@ -28,7 +29,14 @@ func EstimateSelectivity(c Condition, cat *relation.Catalog) (float64, error) {
 	if sel, ok := sampleSelectivity(c, ls, rs); ok {
 		return sel, nil
 	}
-	return histogramSelectivity(c, ls, rs)
+	// The sample could not answer: it lacks a column, or it has no rows.
+	if columnOrdinal(ls, c.LeftColumn) < 0 {
+		return 0, fmt.Errorf("predicate: no stats for %s.%s", c.Left, c.LeftColumn)
+	}
+	if columnOrdinal(rs, c.RightColumn) < 0 {
+		return 0, fmt.Errorf("predicate: no stats for %s.%s", c.Right, c.RightColumn)
+	}
+	return 0, nil
 }
 
 // sampleSelectivity evaluates c over sample row pairs. It caps the pair
@@ -71,98 +79,15 @@ func sampleSelectivity(c Condition, ls, rs *relation.TableStats) (float64, bool)
 	return float64(match) / float64(total), true
 }
 
-// columnOrdinal finds the position of a named column within the sample
-// rows by consulting the per-column stats map; sample rows follow the
-// relation's schema order, which Analyze preserves. Returns -1 when the
-// column is unknown.
+// columnOrdinal returns the position of the named column within the
+// sample rows (schema order), or -1 when the column is unknown.
 func columnOrdinal(ts *relation.TableStats, name string) int {
-	// TableStats does not retain the schema, but SampleRows tuples are
-	// in schema order and ColumnStats knows the set of names. We locate
-	// the ordinal by probing the stats map's insertion invariants: the
-	// histogram carries no ordinal, so we fall back to matching values.
-	// To keep this robust, Analyze stores columns keyed by name and we
-	// recover ordinals via ColumnOrder.
 	for i, n := range ts.ColumnOrder() {
 		if n == name {
 			return i
 		}
 	}
 	return -1
-}
-
-// histogramSelectivity combines per-column histograms under an
-// independence assumption. For EQ it uses 1/max(distinct); for NE the
-// complement; for range operators it integrates P[L θ R] assuming
-// uniform bucketed distributions.
-func histogramSelectivity(c Condition, ls, rs *relation.TableStats) (float64, error) {
-	lcs, ok := ls.Columns[c.LeftColumn]
-	if !ok {
-		return 0, fmt.Errorf("predicate: no stats for %s.%s", c.Left, c.LeftColumn)
-	}
-	rcs, ok := rs.Columns[c.RightColumn]
-	if !ok {
-		return 0, fmt.Errorf("predicate: no stats for %s.%s", c.Right, c.RightColumn)
-	}
-	switch c.Op {
-	case EQ:
-		d := lcs.Distinct
-		if rcs.Distinct > d {
-			d = rcs.Distinct
-		}
-		if d <= 0 {
-			return 0.5, nil
-		}
-		return 1 / float64(d), nil
-	case NE:
-		d := lcs.Distinct
-		if rcs.Distinct > d {
-			d = rcs.Distinct
-		}
-		if d <= 0 {
-			return 0.5, nil
-		}
-		return 1 - 1/float64(d), nil
-	}
-	// Range operator: P[L+lo θ R+ro]. Sample the left histogram domain
-	// at bucket midpoints and integrate the right CDF.
-	if len(rcs.BucketCount) == 0 || len(lcs.BucketCount) == 0 {
-		return 0.5, nil
-	}
-	lw := (lcs.HistMax - lcs.HistMin)
-	steps := len(lcs.BucketCount)
-	if lw <= 0 || steps == 0 {
-		// Degenerate single-point distribution.
-		v := lcs.HistMin + c.LeftOffset - c.RightOffset
-		p := rcs.FracLess(v)
-		switch c.Op {
-		case LT, LE:
-			return 1 - p, nil
-		default:
-			return p, nil
-		}
-	}
-	totalL := 0
-	for _, b := range lcs.BucketCount {
-		totalL += b
-	}
-	if totalL == 0 {
-		return 0.5, nil
-	}
-	acc := 0.0
-	bw := lw / float64(steps)
-	for i, cnt := range lcs.BucketCount {
-		mid := lcs.HistMin + (float64(i)+0.5)*bw + c.LeftOffset - c.RightOffset
-		pLess := rcs.FracLess(mid) // P[R' < mid]
-		var p float64
-		switch c.Op {
-		case LT, LE:
-			p = 1 - pLess // P[mid < R']
-		case GT, GE:
-			p = pLess
-		}
-		acc += p * float64(cnt)
-	}
-	return acc / float64(totalL), nil
 }
 
 // EstimateConjunction multiplies member selectivities under the

@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -46,7 +47,7 @@ func (f *fpWriter) u64(v uint64) {
 
 func (f *fpWriter) str(s string)  { f.u64(uint64(len(s))); f.h = fnvBytes(f.h, s) }
 func (f *fpWriter) i64(v int64)   { f.u64(uint64(v)) }
-func (f *fpWriter) f64(v float64) { f.u64(floatBits(v)) }
+func (f *fpWriter) f64(v float64) { f.u64(math.Float64bits(v)) }
 func (f *fpWriter) sum64() uint64 { return f.h }
 
 // value hashes the kind and the length-framed v.String() text, rendered
@@ -64,13 +65,13 @@ func (f *fpWriter) value(v Value) {
 }
 
 // Fingerprint returns a 64-bit content hash of the catalog: every
-// relation's schema (column names, kinds) and statistics (cardinality,
-// sizes, min/max, distinct counts, histograms, hot-key reports, sample
-// rows). Two catalogs with identical fingerprints plan identically, so
-// the fingerprint — combined with an analyze generation, see
-// core.DB.CatalogVersion — keys plan caches: reloading a relation or
-// re-analyzing with a different sample changes the fingerprint and
-// invalidates every cached plan built on the old statistics.
+// relation's column names and statistics (cardinality, sizes, hot-key
+// reports, and the sample rows, each value with its kind). Two catalogs
+// with identical fingerprints plan identically, so the fingerprint —
+// combined with an analyze generation, see core.DB.CatalogVersion —
+// keys plan caches: reloading a relation or re-analyzing with a
+// different sample changes the fingerprint and invalidates every
+// cached plan built on the old statistics.
 func (c *Catalog) Fingerprint() uint64 {
 	if c == nil {
 		return 0
@@ -93,30 +94,6 @@ func (c *Catalog) Fingerprint() uint64 {
 		for _, col := range ts.colOrder {
 			f.str(col)
 		}
-		// Columns in deterministic (sorted) order; colOrder may not cover
-		// map entries for hand-built stats.
-		cols := make([]string, 0, len(ts.Columns))
-		for cn := range ts.Columns {
-			cols = append(cols, cn)
-		}
-		sort.Strings(cols)
-		for _, cn := range cols {
-			cs := ts.Columns[cn]
-			f.str(cn)
-			f.str(cs.Name)
-			f.u64(uint64(cs.Kind))
-			f.i64(int64(cs.Count))
-			f.i64(int64(cs.NullCnt))
-			f.value(cs.Min)
-			f.value(cs.Max)
-			f.i64(int64(cs.Distinct))
-			f.f64(cs.HistMin)
-			f.f64(cs.HistMax)
-			f.u64(uint64(len(cs.BucketCount)))
-			for _, b := range cs.BucketCount {
-				f.i64(int64(b))
-			}
-		}
 		hkCols := make([]string, 0, len(ts.HotKeys))
 		for cn := range ts.HotKeys {
 			hkCols = append(hkCols, cn)
@@ -125,8 +102,15 @@ func (c *Catalog) Fingerprint() uint64 {
 		f.u64(uint64(len(hkCols)))
 		for _, cn := range hkCols {
 			f.str(cn)
+			// Framed: the key count per column and the value count per
+			// key, so a key moved from one column's report to the next
+			// (or a value from one key to the next) changes the hash.
+			f.u64(uint64(len(ts.HotKeys[cn])))
 			for _, hk := range ts.HotKeys[cn] {
-				f.value(hk.Value)
+				f.u64(uint64(len(hk.Values)))
+				for _, v := range hk.Values {
+					f.value(v)
+				}
 				f.i64(hk.Count)
 				f.f64(hk.Frac)
 			}

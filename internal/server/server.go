@@ -112,8 +112,9 @@ type Request struct {
 	Spec string `json:"spec,omitempty"`
 	// Prepared names a registered plan instead of a Spec.
 	Prepared string `json:"prepared,omitempty"`
-	// Limit bounds the rendered result rows returned inline; 0 returns
-	// none (the content hash always identifies the full result).
+	// Limit bounds the rendered result rows returned inline: 0 returns
+	// none (the content hash always identifies the full result), a
+	// negative value every row — thetajoin's "-limit -1".
 	Limit int `json:"limit,omitempty"`
 }
 
@@ -399,9 +400,9 @@ func fillResult(resp *Response, res *core.ExecResult, limit int) {
 			resp.JobBalance[n] = res.JobMetrics[n].BalanceRatio
 		}
 	}
-	if limit > 0 {
+	if limit != 0 {
 		n := len(res.Output.Tuples)
-		if n > limit {
+		if limit > 0 && n > limit {
 			n = limit
 		}
 		resp.Tuples = make([]string, n)

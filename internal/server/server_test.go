@@ -2,6 +2,8 @@ package server
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
 	"math/rand"
 	"net/http"
 	"sync"
@@ -114,6 +116,34 @@ func TestSubmitMatchesOneShot(t *testing.T) {
 	// The self-join aliases must not have leaked into the shared DB.
 	if _, err := db.Relation("t1"); err == nil {
 		t.Error("alias t1 leaked into the shared DB")
+	}
+}
+
+// TestResultRowLimit: through the HTTP handler, "limit" 0 renders no
+// rows, a positive limit that many, and a negative one — thetajoin's
+// "-limit -1" — every row.
+func TestResultRowLimit(t *testing.T) {
+	h := newTestService(t, testDB(t), Config{}).Handler()
+	post := func(limit int) Response {
+		t.Helper()
+		rec := postQuery(t, h, fmt.Sprintf(`{"spec": %q, "limit": %d}`, testSpec, limit))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("limit %d: status %d, body %q", limit, rec.Code, rec.Body.String())
+		}
+		var resp Response
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	rows := post(0).Rows
+	if rows <= 2 {
+		t.Fatalf("test query returns %d rows, want more than 2", rows)
+	}
+	for _, tc := range []struct{ limit, want int }{{0, 0}, {2, 2}, {-1, rows}} {
+		if got := len(post(tc.limit).Tuples); got != tc.want {
+			t.Errorf("limit %d rendered %d of %d rows, want %d", tc.limit, got, rows, tc.want)
+		}
 	}
 }
 

@@ -8,70 +8,44 @@ import (
 	"repro/internal/relation"
 )
 
-// countKey is the map key heavy-hitter counting buckets a value under.
-// Interned strings (relation.InternedStr) count by their fixed-width
-// dictionary code instead of the full string bytes: within one column
-// every value shares the same dictionary, so the code is a unique and
-// allocation-cheap stand-in. The 0x02 tag byte keeps code keys
-// disjoint from the textual keys of un-interned values in other
-// columns of a joint report (a raw string starting with 0x02 would
-// need the identical 9-byte layout to collide, and per column the
-// representation is uniform anyway).
-func countKey(v relation.Value) string {
-	if c, ok := v.DictCode(); ok {
-		var b [9]byte
-		b[0] = 0x02
-		binary.LittleEndian.PutUint64(b[1:], uint64(c))
-		return string(b[:])
-	}
-	return v.String()
-}
-
-// Options tune heavy-hitter detection.
-type Options struct {
-	// MaxKeys bounds the heavy hitters retained per column (default 8).
-	MaxKeys int
-	// MinFrac is the smallest estimated tuple fraction reported
-	// (default 0.05): values below it cannot overload a reducer at any
-	// realistic parallelism.
-	MinFrac float64
+// Detection constants.
+const (
+	// MaxKeys bounds the heavy hitters retained per report.
+	MaxKeys = 8
+	// MinFrac is the smallest estimated tuple fraction reported: values
+	// below it cannot overload a reducer at any realistic parallelism.
+	MinFrac = 0.05
 	// ExactThreshold: relations with at most this many tuples are
-	// counted exactly instead of sketched from the sample (default
-	// 4096).
-	ExactThreshold int
-	// SketchCapacity sets the Misra–Gries counter budget for the
-	// sampled path (default 64); the undercount is then at most
-	// sample/65, far below MinFrac × sample.
-	SketchCapacity int
-}
+	// counted exactly instead of sketched from the sample.
+	ExactThreshold = 4096
+	// SketchCapacity is the Misra–Gries counter budget of the sampled
+	// path; the undercount is then at most sample/65, far below
+	// MinFrac × sample.
+	SketchCapacity = 64
+)
 
-// DefaultOptions returns the detection defaults.
-func DefaultOptions() Options {
-	return Options{MaxKeys: 8, MinFrac: 0.05, ExactThreshold: 4096, SketchCapacity: 64}
-}
-
-func (o Options) withDefaults() Options {
-	d := DefaultOptions()
-	if o.MaxKeys <= 0 {
-		o.MaxKeys = d.MaxKeys
+// appendCountKey appends the bytes heavy-hitter counting buckets v
+// under. Interned strings (relation.InternedStr) count by their
+// fixed-width dictionary code instead of the full string bytes: within
+// one column every value shares the same dictionary, so the code is a
+// unique and allocation-free stand-in. The 0x02 tag byte keeps code
+// keys disjoint from the textual keys of un-interned values in other
+// columns of the set (a raw string starting with 0x02 would need the
+// identical 9-byte layout to collide, and per column the
+// representation is uniform anyway).
+func appendCountKey(kb []byte, v relation.Value) []byte {
+	if c, ok := v.DictCode(); ok {
+		kb = append(kb, 0x02)
+		return binary.LittleEndian.AppendUint64(kb, uint64(c))
 	}
-	if o.MinFrac <= 0 {
-		o.MinFrac = d.MinFrac
-	}
-	if o.ExactThreshold <= 0 {
-		o.ExactThreshold = d.ExactThreshold
-	}
-	if o.SketchCapacity <= 0 {
-		o.SketchCapacity = d.SketchCapacity
-	}
-	return o
+	return v.AppendString(kb)
 }
 
 // AnnotateCatalog fills the HotKeys report of every table in the
 // catalog for which a relation is supplied (matched by name). Tables
-// without a matching relation are sketched from their retained sample
+// without a matching relation are detected from their retained sample
 // rows alone.
-func AnnotateCatalog(cat *relation.Catalog, rels []*relation.Relation, opts Options) {
+func AnnotateCatalog(cat *relation.Catalog, rels []*relation.Relation) {
 	byName := make(map[string]*relation.Relation, len(rels))
 	for _, r := range rels {
 		if r != nil {
@@ -79,54 +53,51 @@ func AnnotateCatalog(cat *relation.Catalog, rels []*relation.Relation, opts Opti
 		}
 	}
 	for name, ts := range cat.Tables {
-		AnnotateTable(ts, byName[name], opts)
+		AnnotateTable(ts, byName[name])
 	}
 }
 
-// AnnotateTable computes ts.HotKeys: per column, the values estimated
-// to carry at least MinFrac of the relation's tuples, ordered by
-// estimated count descending. Small relations (and any relation passed
-// with r != nil and at most ExactThreshold tuples) are counted
-// exactly; larger ones run the Misra–Gries sketch over the seeded
-// statistics sample, so the report is deterministic across runs.
-func AnnotateTable(ts *relation.TableStats, r *relation.Relation, opts Options) {
-	opts = opts.withDefaults()
+// AnnotateTable computes ts.HotKeys, the catalog's cache of
+// single-column reports: HotKeys over each column as a set of one.
+func AnnotateTable(ts *relation.TableStats, r *relation.Relation) {
 	ts.HotKeys = make(map[string][]relation.HotKey, len(ts.ColumnOrder()))
-	var rows []relation.Tuple
-	exact := false
-	if r != nil && r.Cardinality() <= opts.ExactThreshold {
-		rows, exact = r.Tuples, true
-	} else {
-		rows = ts.SampleRows
-	}
-	for ci, col := range ts.ColumnOrder() {
-		ts.HotKeys[col] = detectColumn(rows, ci, ts.Cardinality, exact, opts)
+	for _, col := range ts.ColumnOrder() {
+		hot := HotKeys(ts, r, []string{col})
+		if hot == nil {
+			// Non-nil marks "measured, found uniform" — distinct from a
+			// table that was never analyzed, whose map is nil.
+			hot = []relation.HotKey{}
+		}
+		ts.HotKeys[col] = hot
 	}
 }
 
-// HotGroup is one joint heavy hitter over a column set: a value
-// combination estimated to carry at least MinFrac of the relation's
-// tuples. Values are ordered as the detection columns were given.
-type HotGroup struct {
-	Values []relation.Value
-	Count  int64   // estimated occurrences in the full relation
-	Frac   float64 // estimated fraction of tuples carrying Values
+// Report returns the heavy hitters of ts over cols: the catalog's
+// cached report for one column, a detection over the retained sample
+// for any larger set.
+func Report(ts *relation.TableStats, cols []string) []relation.HotKey {
+	if len(cols) == 1 {
+		return ts.HotKeys[cols[0]]
+	}
+	return HotKeys(ts, nil, cols)
 }
 
-// JointHotKeys detects joint heavy hitters over the named columns of
-// ts — the composite-key analogue of AnnotateTable's per-column
-// report, computed on demand for the column sets the planner joins
-// on. Per-column reports cannot see composite skew: two individually
-// near-uniform columns can still share one dominant value combination
+// HotKeys detects the heavy hitters of ts over the named columns: the
+// value combinations estimated to carry at least MinFrac of the
+// relation's tuples, at most MaxKeys of them, ordered by estimated
+// count descending. Per SharesSkew, what overloads a reducer is a hot
+// value COMBINATION; a single hot value is the one-column instance,
+// and per-column reports cannot stand in for a larger set — two
+// individually near-uniform columns can still share one dominant pair
 // that overloads the reducer hashing their composite key.
 //
 // When r is non-nil with at most ExactThreshold tuples — or the
 // retained sample already holds the whole relation — combinations are
 // counted exactly; otherwise the Misra–Gries sketch runs over the
 // seeded sample rows, so the report is deterministic across runs
-// either way. Unknown column names yield nil.
-func JointHotKeys(ts *relation.TableStats, r *relation.Relation, cols []string, opts Options) []HotGroup {
-	opts = opts.withDefaults()
+// either way. A row with a NULL in any of the columns carries no key.
+// Unknown column names and an empty set yield nil.
+func HotKeys(ts *relation.TableStats, r *relation.Relation, cols []string) []relation.HotKey {
 	if ts == nil || len(cols) == 0 {
 		return nil
 	}
@@ -144,167 +115,86 @@ func JointHotKeys(ts *relation.TableStats, r *relation.Relation, cols []string, 
 		}
 	}
 	rows, exact := ts.SampleRows, len(ts.SampleRows) == ts.Cardinality
-	if r != nil && r.Cardinality() <= opts.ExactThreshold {
+	if r != nil && r.Cardinality() <= ExactThreshold {
 		rows, exact = r.Tuples, true
 	}
 	if len(rows) == 0 || ts.Cardinality <= 0 {
 		return nil
 	}
+	// seen is one distinct key: its interned bytes, the first row
+	// carrying it and, on the exact path, its count. Indexing with
+	// string(kb) allocates only on a key's first occurrence; every
+	// later row reuses the interned string.
+	type seen struct {
+		key string
+		row int32
+		n   int64
+	}
+	index := make(map[string]int32)
+	var keys []seen
+	var sk *Sketch
+	if !exact {
+		sk = NewSketch(SketchCapacity)
+	}
 	var kb []byte
-	keyOf := func(t relation.Tuple) (string, bool) {
+rows:
+	for ri, t := range rows {
 		kb = kb[:0]
 		for _, ci := range ords {
 			if ci >= len(t) || t[ci].IsNull() {
-				return "", false
+				continue rows
 			}
-			kb = append(kb, countKey(t[ci])...)
-			kb = append(kb, 0x1f)
+			kb = append(appendCountKey(kb, t[ci]), 0x1f)
 		}
-		return string(kb), true
+		i, ok := index[string(kb)]
+		if !ok {
+			i = int32(len(keys))
+			keys = append(keys, seen{key: string(kb), row: int32(ri)})
+			index[keys[i].key] = i
+		}
+		if exact {
+			keys[i].n++
+		} else {
+			sk.Add(keys[i].key)
+		}
 	}
-	valuesOf := func(t relation.Tuple) []relation.Value {
+	n := float64(len(rows))
+	var hot []relation.HotKey
+	for _, s := range keys {
+		c := s.n
+		if !exact {
+			c, _ = sk.Estimate(s.key)
+		}
+		frac := float64(c) / n
+		if frac < MinFrac || c < 2 {
+			continue
+		}
+		if !exact {
+			c = int64(math.Round(frac * float64(ts.Cardinality)))
+		}
 		vs := make([]relation.Value, len(ords))
 		for i, ci := range ords {
-			vs[i] = t[ci]
+			vs[i] = rows[s.row][ci]
 		}
-		return vs
-	}
-	type acc struct {
-		vs []relation.Value
-		n  int64
-	}
-	counts := make(map[string]*acc)
-	if exact {
-		for _, t := range rows {
-			k, ok := keyOf(t)
-			if !ok {
-				continue
-			}
-			if a, ok := counts[k]; ok {
-				a.n++
-			} else {
-				counts[k] = &acc{vs: valuesOf(t), n: 1}
-			}
-		}
-	} else {
-		sk := NewSketch(opts.SketchCapacity)
-		rep := make(map[string][]relation.Value, opts.SketchCapacity)
-		for _, t := range rows {
-			k, ok := keyOf(t)
-			if !ok {
-				continue
-			}
-			if _, seen := rep[k]; !seen {
-				rep[k] = valuesOf(t)
-			}
-			sk.Add(k)
-		}
-		for _, e := range sk.Entries() {
-			counts[e.Key] = &acc{vs: rep[e.Key], n: e.Count}
-		}
-	}
-	n := int64(len(rows))
-	var hot []HotGroup
-	for _, a := range counts {
-		frac := float64(a.n) / float64(n)
-		if frac < opts.MinFrac || a.n < 2 {
-			continue
-		}
-		est := a.n
-		if !exact {
-			est = int64(math.Round(frac * float64(ts.Cardinality)))
-		}
-		hot = append(hot, HotGroup{Values: a.vs, Count: est, Frac: frac})
+		hot = append(hot, relation.HotKey{Values: vs, Count: c, Frac: frac})
 	}
 	sort.Slice(hot, func(i, j int) bool {
 		if hot[i].Count != hot[j].Count {
 			return hot[i].Count > hot[j].Count
 		}
-		return groupKeyString(hot[i].Values) < groupKeyString(hot[j].Values)
+		return valuesKey(hot[i].Values) < valuesKey(hot[j].Values)
 	})
-	if len(hot) > opts.MaxKeys {
-		hot = hot[:opts.MaxKeys]
+	if len(hot) > MaxKeys {
+		hot = hot[:MaxKeys]
 	}
 	return hot
 }
 
-// groupKeyString is the canonical tie-break string of a value vector.
-func groupKeyString(vs []relation.Value) string {
+// valuesKey is the canonical tie-break string of a value vector.
+func valuesKey(vs []relation.Value) string {
 	var b []byte
 	for _, v := range vs {
-		b = append(b, v.String()...)
-		b = append(b, 0x1f)
+		b = append(v.AppendString(b), 0x1f)
 	}
 	return string(b)
-}
-
-// detectColumn finds the heavy hitters of column ci over rows. When
-// exact is false, rows are a uniform sample of a relation with `card`
-// tuples and counts are scaled up accordingly.
-func detectColumn(rows []relation.Tuple, ci, card int, exact bool, opts Options) []relation.HotKey {
-	if len(rows) == 0 || card <= 0 {
-		return nil
-	}
-	type acc struct {
-		v relation.Value
-		n int64
-	}
-	counts := make(map[string]*acc)
-	if exact {
-		for _, t := range rows {
-			if ci >= len(t) || t[ci].IsNull() {
-				continue
-			}
-			k := countKey(t[ci])
-			if a, ok := counts[k]; ok {
-				a.n++
-			} else {
-				counts[k] = &acc{v: t[ci], n: 1}
-			}
-		}
-	} else {
-		sk := NewSketch(opts.SketchCapacity)
-		rep := make(map[string]relation.Value, opts.SketchCapacity)
-		for _, t := range rows {
-			if ci >= len(t) || t[ci].IsNull() {
-				continue
-			}
-			k := countKey(t[ci])
-			if _, seen := rep[k]; !seen {
-				rep[k] = t[ci]
-			}
-			sk.Add(k)
-		}
-		for _, e := range sk.Entries() {
-			counts[e.Key] = &acc{v: rep[e.Key], n: e.Count}
-		}
-	}
-	n := int64(len(rows))
-	var hot []relation.HotKey
-	for _, a := range counts {
-		frac := float64(a.n) / float64(n)
-		if frac < opts.MinFrac || a.n < 2 {
-			continue
-		}
-		est := a.n
-		if !exact {
-			est = int64(math.Round(frac * float64(card)))
-		}
-		hot = append(hot, relation.HotKey{Value: a.v, Count: est, Frac: frac})
-	}
-	sort.Slice(hot, func(i, j int) bool {
-		if hot[i].Count != hot[j].Count {
-			return hot[i].Count > hot[j].Count
-		}
-		return hot[i].Value.String() < hot[j].Value.String()
-	})
-	if len(hot) > opts.MaxKeys {
-		hot = hot[:opts.MaxKeys]
-	}
-	if len(hot) == 0 {
-		// Non-nil marks "measured, found uniform" — distinct from a
-		// column that was never analyzed.
-		return []relation.HotKey{}
-	}
-	return hot
 }

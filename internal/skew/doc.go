@@ -11,28 +11,30 @@
 //
 // The subsystem has three layers:
 //
-//   - Detection: a Misra–Gries summary (Sketch) fed from the sampled
-//     statistics pass — with an exact counting pass for relations small
-//     enough to scan — produces a per-attribute heavy-hitter report
-//     ([]relation.HotKey) stored in the stats catalog
-//     (AnnotateCatalog). Because the sampling RNG is seeded, the report
-//     is deterministic across runs. Composite equi keys get joint
-//     detection on demand (JointHotKeys): the planner names a column
-//     set and receives the hot value COMBINATIONS ([]HotGroup), which
-//     per-column reports cannot see — two individually near-uniform
-//     columns can still share one dominant pair.
+//   - Detection: one detector (HotKeys) reports the heavy hitters of
+//     a column set as []relation.HotKey — hot value COMBINATIONS, a
+//     single column being a set of one. It counts exactly when the
+//     relation is small enough to scan (ExactThreshold) or the sample
+//     holds every row, and otherwise feeds a Misra–Gries summary
+//     (Sketch) from the sampled statistics pass; because the sampling
+//     RNG is seeded, the report is deterministic across runs.
+//     AnnotateCatalog runs it once per column and caches the results in
+//     the stats catalog; Report answers from that cache for one column
+//     and detects over the retained sample for any larger set, which
+//     per-column reports cannot stand in for — two individually
+//     near-uniform columns can still share one dominant pair.
 //
 //   - Planning: core.Planner consults the report when costing candidate
 //     jobs (SigmaFrac turns the hottest key's share into the reducer
 //     input-variance estimate the cost model consumes) and attaches a
-//     JobPlan — per-column HotKeys plus joint HotGroups for composite
-//     keys — to planned jobs whose hottest key would overload a
-//     reducer past Threshold × the mean load. At execution time the
-//     runtime feedback loop (core's replan step) re-derives the
-//     JobPlan of cascade jobs from a statistics overlay measured on
-//     their actual intermediate inputs, escalating to a tighter
-//     threshold when an upstream job's observed BalanceRatio exceeded
-//     the bound its threshold modeled.
+//     JobPlan — the reports of the job's key column sets, one map keyed
+//     by relation and JointKey — to planned jobs whose hottest key
+//     would overload a reducer past Threshold × the mean load. At
+//     execution time the runtime feedback loop (core's replan step)
+//     re-derives the JobPlan of cascade jobs from a statistics overlay
+//     measured on their actual intermediate inputs, escalating to a
+//     tighter threshold when an upstream job's observed BalanceRatio
+//     exceeded the bound its threshold modeled.
 //
 //   - Routing: per SharesSkew (Afrati/Ullman et al.), a heavy hitter's
 //     tuples on one side are split across a Rows×Cols sub-grid of

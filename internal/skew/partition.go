@@ -25,13 +25,9 @@ const DefaultThreshold = 1.5
 // build time (hash-equi sub-grids, share-grid hot-row refinement).
 type JobPlan struct {
 	Threshold float64
-	// Cols holds heavy hitters per relation per column.
-	Cols map[string]map[string][]relation.HotKey
-	// Joint holds joint heavy hitters per relation per canonical
-	// column-set key (JointKey of the column names in join-condition
-	// order) — the composite-key analogue of Cols, filled when a job
-	// equi-joins on more than one column pair.
-	Joint map[string]map[string][]HotGroup
+	// Reports holds heavy hitters per relation per column set, keyed by
+	// JointKey of the column names.
+	Reports map[string]map[string][]relation.HotKey
 }
 
 // NewJobPlan builds an empty plan with the given threshold (<= 0 uses
@@ -40,62 +36,34 @@ func NewJobPlan(threshold float64) *JobPlan {
 	if threshold <= 0 {
 		threshold = DefaultThreshold
 	}
-	return &JobPlan{
-		Threshold: threshold,
-		Cols:      make(map[string]map[string][]relation.HotKey),
-		Joint:     make(map[string]map[string][]HotGroup),
-	}
+	return &JobPlan{Threshold: threshold, Reports: make(map[string]map[string][]relation.HotKey)}
 }
 
-// JointKey canonicalises a column list for Joint lookups. Order
+// JointKey canonicalises a column list for report lookups. Order
 // matters: callers must pass the columns in join-condition order on
 // both the planning and the operator side, so the stored value vectors
 // align with the composite shuffle key.
 func JointKey(cols []string) string { return strings.Join(cols, "\x1f") }
 
-// AddJoint registers the joint heavy hitters of rel over cols.
-func (p *JobPlan) AddJoint(rel string, cols []string, hot []HotGroup) {
+// Add registers the heavy hitters of rel over cols.
+func (p *JobPlan) Add(rel string, cols []string, hot []relation.HotKey) {
 	if len(hot) == 0 {
 		return
 	}
-	if p.Joint == nil {
-		p.Joint = make(map[string]map[string][]HotGroup)
-	}
-	m, ok := p.Joint[rel]
+	m, ok := p.Reports[rel]
 	if !ok {
-		m = make(map[string][]HotGroup)
-		p.Joint[rel] = m
+		m = make(map[string][]relation.HotKey)
+		p.Reports[rel] = m
 	}
 	m[JointKey(cols)] = hot
 }
 
-// HotJoint returns the joint heavy hitters of rel over cols (nil-safe).
-func (p *JobPlan) HotJoint(rel string, cols []string) []HotGroup {
+// Hot returns the heavy hitters of rel over cols (nil-safe).
+func (p *JobPlan) Hot(rel string, cols []string) []relation.HotKey {
 	if p == nil {
 		return nil
 	}
-	return p.Joint[rel][JointKey(cols)]
-}
-
-// Add registers the heavy hitters of rel.col.
-func (p *JobPlan) Add(rel, col string, hot []relation.HotKey) {
-	if len(hot) == 0 {
-		return
-	}
-	m, ok := p.Cols[rel]
-	if !ok {
-		m = make(map[string][]relation.HotKey)
-		p.Cols[rel] = m
-	}
-	m[col] = hot
-}
-
-// Hot returns the heavy hitters of rel.col (nil-safe).
-func (p *JobPlan) Hot(rel, col string) []relation.HotKey {
-	if p == nil {
-		return nil
-	}
-	return p.Cols[rel][col]
+	return p.Reports[rel][JointKey(cols)]
 }
 
 // TupleHash is the deterministic content hash that spreads a hot key's

@@ -244,27 +244,27 @@ func TestGridLayoutOverCapacity(t *testing.T) {
 	}
 }
 
-// TestJobPlanJointRoundTrip: AddJoint/HotJoint key on the ordered
-// column vector and are nil-safe.
+// TestJobPlanJointRoundTrip: Add/Hot key on the ordered column vector
+// and are nil-safe.
 func TestJobPlanJointRoundTrip(t *testing.T) {
 	p := NewJobPlan(0)
-	g := []HotGroup{{Values: []relation.Value{relation.Int(7), relation.Int(8)}, Count: 10, Frac: 0.4}}
-	p.AddJoint("L", []string{"a", "b"}, g)
-	if got := p.HotJoint("L", []string{"a", "b"}); len(got) != 1 || got[0].Frac != 0.4 {
-		t.Errorf("HotJoint round trip failed: %v", got)
+	g := []relation.HotKey{{Values: []relation.Value{relation.Int(7), relation.Int(8)}, Count: 10, Frac: 0.4}}
+	p.Add("L", []string{"a", "b"}, g)
+	if got := p.Hot("L", []string{"a", "b"}); len(got) != 1 || got[0].Frac != 0.4 {
+		t.Errorf("Hot round trip failed: %v", got)
 	}
-	if got := p.HotJoint("L", []string{"b", "a"}); got != nil {
+	if got := p.Hot("L", []string{"b", "a"}); got != nil {
 		t.Errorf("column order ignored: %v", got)
 	}
-	if got := p.HotJoint("R", []string{"a", "b"}); got != nil {
+	if got := p.Hot("R", []string{"a", "b"}); got != nil {
 		t.Errorf("unknown relation returned %v", got)
 	}
 	var nilPlan *JobPlan
-	if got := nilPlan.HotJoint("L", []string{"a"}); got != nil {
+	if got := nilPlan.Hot("L", []string{"a"}); got != nil {
 		t.Errorf("nil plan returned %v", got)
 	}
-	p.AddJoint("L", []string{"a", "b"}, nil) // no-op, must not clobber
-	if got := p.HotJoint("L", []string{"a", "b"}); len(got) != 1 {
-		t.Errorf("empty AddJoint clobbered existing groups: %v", got)
+	p.Add("L", []string{"a", "b"}, nil) // no-op, must not clobber
+	if got := p.Hot("L", []string{"a", "b"}); len(got) != 1 {
+		t.Errorf("empty Add clobbered existing groups: %v", got)
 	}
 }
