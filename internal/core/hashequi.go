@@ -1,10 +1,7 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash"
-	"hash/fnv"
 
 	"repro/internal/mr"
 	"repro/internal/predicate"
@@ -66,30 +63,14 @@ func BuildHashEquiJobSkew(name string, left, right *relation.Relation, conds pre
 		codeKeys = append(codeKeys, lD != nil && lD == rD)
 		oriented = append(oriented, oc)
 	}
-	// writeKeyPart appends one key column's contribution to the
-	// composite FNV hash: the dictionary code when the shared-dict fast
-	// path applies and the value is interned, the textual form
-	// otherwise. Map-side hashKey and the hot-key groupKey must agree
-	// byte-for-byte, so both go through here.
-	writeKeyPart := func(h hash.Hash64, v relation.Value, code bool) {
-		if code {
-			if c, ok := v.DictCode(); ok {
-				var cb [8]byte
-				binary.LittleEndian.PutUint64(cb[:], uint64(c))
-				h.Write(cb[:])
-				h.Write([]byte{0x1f})
-				return
-			}
-		}
-		h.Write([]byte(v.String()))
-		h.Write([]byte{0x1f})
-	}
+	// Map-side hashKey and the hot-key groupKey must agree byte for
+	// byte, so both fold their columns through foldKeyPart.
 	hashKey := func(t relation.Tuple, cols []keyCol) uint64 {
-		h := fnv.New64a()
+		h := uint64(fnvOffset64)
 		for i, kc := range cols {
-			writeKeyPart(h, t[kc.col].Add(kc.off), codeKeys[i])
+			h = foldKeyPart(h, t[kc.col].Add(kc.off), codeKeys[i])
 		}
-		return h.Sum64()
+		return h
 	}
 	var partitioner mr.Partitioner
 	if plan != nil {
@@ -101,11 +82,11 @@ func BuildHashEquiJobSkew(name string, left, right *relation.Relation, conds pre
 			if leftSide {
 				cols = lCols
 			}
-			h := fnv.New64a()
+			h := uint64(fnvOffset64)
 			for i, kc := range cols {
-				writeKeyPart(h, vals[i].Add(kc.off), codeKeys[i])
+				h = foldKeyPart(h, vals[i].Add(kc.off), codeKeys[i])
 			}
-			return h.Sum64()
+			return h
 		}
 		if splits := equiSplits(plan, left.Name, right.Name, oriented, kr, groupKey); len(splits) > 0 {
 			partitioner = &skew.EquiPartitioner{Splits: splits}
@@ -158,6 +139,36 @@ func BuildHashEquiJobSkew(name string, left, right *relation.Relation, conds pre
 		OutputSchema: prefixedSchema(rels),
 		OutputDicts:  prefixedDicts(rels),
 	}, nil
+}
+
+// FNV-1a, 64 bit, as hash/fnv computes it.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// foldKeyPart folds one key column's contribution into the composite
+// FNV-1a shuffle key h: the eight little-endian bytes of the dictionary
+// code when the shared-dictionary fast path applies (code) and the value
+// is interned, the bytes of its textual form otherwise, and a 0x1f
+// separator. It runs once per key column of every mapped tuple, so it
+// allocates nothing: numbers are rendered into a stack buffer.
+func foldKeyPart(h uint64, v relation.Value, code bool) uint64 {
+	if c, ok := v.DictCode(); code && ok {
+		for i := 0; i < 8; i++ {
+			h = (h ^ uint64(c)>>(8*i)&0xff) * fnvPrime64
+		}
+	} else if v.Kind() == relation.KindString {
+		for s, i := v.Str(), 0; i < len(s); i++ {
+			h = (h ^ uint64(s[i])) * fnvPrime64
+		}
+	} else {
+		var scratch [32]byte
+		for _, b := range v.AppendString(scratch[:0]) {
+			h = (h ^ uint64(b)) * fnvPrime64
+		}
+	}
+	return (h ^ 0x1f) * fnvPrime64
 }
 
 // equiSplits turns the plan's hot join-key values into the sub-grid

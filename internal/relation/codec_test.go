@@ -70,10 +70,10 @@ func TestRawValueCodec(t *testing.T) {
 	}
 }
 
-// TestReadCSVRowsAreIsolated: ReadCSV carves rows from shared chunks
-// the way mr's EmitConcat does, so the same must hold of them — a row's
-// capacity ends with the row, and an append to one reallocates instead
-// of overwriting the next.
+// TestReadCSVRowsAreIsolated: ReadCSV carves a block's rows from one
+// slab, as mr's EmitConcat carves output rows from chunks, so the same
+// must hold of them — a row's capacity ends with the row, and an append
+// to one reallocates instead of overwriting the next.
 func TestReadCSVRowsAreIsolated(t *testing.T) {
 	for _, rows := range []int{1, 40, 5000} {
 		var in strings.Builder

@@ -1,6 +1,9 @@
 package relation
 
-import "sort"
+import (
+	"sort"
+	"strings"
+)
 
 // Order-preserving string dictionary. A Dict maps the distinct strings
 // of one column to dense codes 0..Len()-1 assigned in lexicographic
@@ -31,20 +34,31 @@ type Dict struct {
 	code map[string]int64
 }
 
-// NewDict builds a dictionary over the given strings (copied, sorted,
-// deduplicated).
+// NewDict builds a dictionary over the given strings (sorted,
+// deduplicated). The members' bytes are copied too, end to end into one
+// string of the dictionary's own: InternStrings points every value of a
+// column at its member, and a member cut from a larger string — ReadCSV
+// cuts a block's values from one — would keep all of that alive.
 func NewDict(strs []string) *Dict {
 	sorted := append([]string(nil), strs...)
 	sort.Strings(sorted)
-	uniq := sorted[:0]
+	uniq, size := sorted[:0], 0
 	for i, s := range sorted {
 		if i == 0 || s != sorted[i-1] {
 			uniq = append(uniq, s)
+			size += len(s)
 		}
 	}
+	var packed strings.Builder
+	packed.Grow(size)
+	for _, s := range uniq {
+		packed.WriteString(s)
+	}
 	d := &Dict{strs: uniq, code: make(map[string]int64, len(uniq))}
+	rest := packed.String()
 	for i, s := range uniq {
-		d.code[s] = int64(i)
+		uniq[i], rest = rest[:len(s)], rest[len(s):]
+		d.code[uniq[i]] = int64(i)
 	}
 	return d
 }

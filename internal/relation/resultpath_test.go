@@ -306,3 +306,20 @@ func BenchmarkWriteCSV(b *testing.B) {
 	}
 	b.ReportMetric(float64(benchRows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
 }
+
+func BenchmarkReadCSV(b *testing.B) {
+	var csvText bytes.Buffer
+	if err := relation.WriteCSV(&csvText, mobileRows(benchRows)); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(csvText.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r, err := relation.ReadCSV(bytes.NewReader(csvText.Bytes()), "wide")
+		if err != nil || r.Cardinality() != benchRows {
+			b.Fatal(r.Cardinality(), err)
+		}
+	}
+	b.ReportMetric(float64(benchRows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
+}

@@ -34,7 +34,12 @@
 // codec (AppendTupleRaw/DecodeTupleRaw) is what the engine writes to
 // disk — mr's spill runs, dfs's checkpoints. The raw codec round-trips
 // a Value bit-identically, dictionary code slot included; CSV carries
-// no dictionaries, which DB.Analyze rebuilds after a load.
+// no dictionaries, which DB.Analyze rebuilds after a load. The CSV
+// codec works on bytes, in both directions a block at a time on up to
+// GOMAXPROCS workers with the blocks kept in order, and is encoding/csv's
+// format exactly: that package is imported by the tests only, as the
+// reference the writer is held to byte for byte and the reader value
+// for value.
 package relation
 
 import (
