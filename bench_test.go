@@ -1,22 +1,20 @@
 package repro
 
-// One testing.B benchmark per table and figure of the paper's
-// evaluation section (§6). Each iteration regenerates the experiment's
-// data series on the simulated cluster in quick mode (trimmed sweeps);
-// `go run ./cmd/thetabench` produces the full series.
-//
-// The reported ns/op measures the wall-clock cost of reproducing the
-// experiment, not the simulated cluster time (which the tables print).
+// Engine-level micro-benchmarks: the parallel partitioned shuffle
+// inside one job, skew-aware partitioning, reducer-local join
+// evaluation, concurrent plan execution across jobs and string joins.
+// The paper's tables and figures are not benchmarked here:
+// internal/bench's TestQuickTablesGolden regenerates every one of them
+// on each `go test`, and `go run ./cmd/thetabench` prints the full
+// series.
 
 import (
 	"context"
 	"fmt"
-	"io"
 	"math/rand"
 	"runtime"
 	"testing"
 
-	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/mr"
 	"repro/internal/predicate"
@@ -24,77 +22,6 @@ import (
 	"repro/internal/relation"
 	"repro/internal/workloads"
 )
-
-func runExperiment(b *testing.B, id string) {
-	b.Helper()
-	suite := bench.NewSuite(true)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := suite.Run(id, io.Discard); err != nil {
-			b.Fatalf("%s: %v", id, err)
-		}
-	}
-}
-
-// BenchmarkTable1Config regenerates Table 1 (Hadoop parameter
-// configuration).
-func BenchmarkTable1Config(b *testing.B) { runExperiment(b, bench.ExpTable1) }
-
-// BenchmarkFig6ReduceSweep regenerates Fig. 6: sample join execution
-// time across reduce-task counts at several input volumes.
-func BenchmarkFig6ReduceSweep(b *testing.B) { runExperiment(b, bench.ExpFig6) }
-
-// BenchmarkFig7aBestKR regenerates Fig. 7a: the model's optimal
-// reducer count as a function of map output volume.
-func BenchmarkFig7aBestKR(b *testing.B) { runExperiment(b, bench.ExpFig7a) }
-
-// BenchmarkFig7bPQ regenerates Fig. 7b: the calibrated p (spill) and q
-// (connection) cost variables across map output volumes.
-func BenchmarkFig7bPQ(b *testing.B) { runExperiment(b, bench.ExpFig7b) }
-
-// BenchmarkFig8CostModel regenerates Fig. 8: analytic Eq. 1–6 estimate
-// vs the event-driven simulated execution time of a real self-join.
-func BenchmarkFig8CostModel(b *testing.B) { runExperiment(b, bench.ExpFig8) }
-
-// BenchmarkTable2QueryStats regenerates Table 2: mobile benchmark
-// query statistics including measured result selectivities.
-func BenchmarkTable2QueryStats(b *testing.B) { runExperiment(b, bench.ExpTable2) }
-
-// BenchmarkFig9Mobile96 regenerates Fig. 9: mobile queries Q1–Q4, our
-// method vs YSmart/Hive/Pig, kP ≤ 96.
-func BenchmarkFig9Mobile96(b *testing.B) { runExperiment(b, bench.ExpFig9) }
-
-// BenchmarkFig10Mobile64 regenerates Fig. 10: the same comparison with
-// kP ≤ 64, where the baselines' fixed 96-reducer requests run in
-// multiple waves.
-func BenchmarkFig10Mobile64(b *testing.B) { runExperiment(b, bench.ExpFig10) }
-
-// BenchmarkFig11Loading regenerates Fig. 11: data loading time of
-// Hive vs plain upload vs our sampling+index load.
-func BenchmarkFig11Loading(b *testing.B) { runExperiment(b, bench.ExpFig11) }
-
-// BenchmarkTable3TPCHStats regenerates Table 3: TPC-H query statistics.
-func BenchmarkTable3TPCHStats(b *testing.B) { runExperiment(b, bench.ExpTable3) }
-
-// BenchmarkFig12TPCH96 regenerates Fig. 12: TPC-H Q7/Q17/Q18/Q21,
-// kP ≤ 96.
-func BenchmarkFig12TPCH96(b *testing.B) { runExperiment(b, bench.ExpFig12) }
-
-// BenchmarkFig13TPCH64 regenerates Fig. 13: the same with kP ≤ 64.
-func BenchmarkFig13TPCH64(b *testing.B) { runExperiment(b, bench.ExpFig13) }
-
-// BenchmarkAblations regenerates the four design-choice ablations:
-// Hilbert vs row-major vs random partitioning, one-job multiway vs
-// pairwise+merge vs cascade, model-chosen kR vs max reducers, and
-// kP-aware scheduling vs oblivious serial execution.
-func BenchmarkAblations(b *testing.B) { runExperiment(b, bench.ExpAblation) }
-
-// ---- Engine-level benchmarks (not paper figures) --------------------
-//
-// BenchmarkShuffle and BenchmarkConcurrentPlan track the wall-clock
-// effect of the pipelined executor: the parallel partitioned shuffle
-// inside one job, and concurrent plan execution across jobs. Compare
-// the workers=1 / serial sub-benchmarks against the parallel ones.
 
 func shuffleJob(n, fanout, reducers int) *mr.Job {
 	in := relation.New("S", relation.MustSchema(

@@ -166,6 +166,14 @@ func run() error {
 			return err
 		}
 	}
+	// Observability sinks, both scoped to this one execution.
+	var o *obs.Obs
+	if *traceOut != "" || *metricsOut != "" {
+		o = &obs.Obs{Metrics: obs.NewRegistry()}
+		if *traceOut != "" {
+			o.Tracer = obs.NewTracer()
+		}
+	}
 	cfg := mr.DefaultConfig()
 	if cfg.MapSlots > *kp {
 		cfg.MapSlots = *kp
@@ -180,6 +188,7 @@ func run() error {
 			return err
 		}
 		defer store.Close()
+		store.AttachObs(o)
 		cfg.Spill = store
 	}
 	if *faultSpec != "" {
@@ -195,14 +204,6 @@ func run() error {
 		return err
 	}
 	fmt.Println(plan)
-	// Observability sinks, both scoped to this one execution.
-	var o *obs.Obs
-	if *traceOut != "" || *metricsOut != "" {
-		o = &obs.Obs{Metrics: obs.NewRegistry()}
-		if *traceOut != "" {
-			o.Tracer = obs.NewTracer()
-		}
-	}
 	res, err := pl.ExecuteContext(obs.NewContext(context.Background(), o), plan, db)
 	if werr := writeObs(o, *traceOut, *metricsOut); werr != nil && err == nil {
 		err = werr

@@ -22,6 +22,7 @@
 //   - cmd/thetajoin: plan and run a query over CSV relations
 //   - examples/: quickstart, travelplan, mobilecalls, tpch
 //
-// The top-level bench_test.go exposes one testing.B benchmark per
-// table/figure of the paper's evaluation section.
+// The top-level bench_test.go holds engine micro-benchmarks; the
+// evaluation's tables and figures are regenerated by cmd/thetabench and
+// pinned by internal/bench's golden test.
 package repro

@@ -5,6 +5,9 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/mr"
+	"repro/internal/relation"
 )
 
 func quickSuite() *Suite { return NewSuite(true) }
@@ -197,13 +200,66 @@ func TestFig11Ordering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, row := range tbl.Rows {
+	for i, row := range tbl.Rows {
 		hive := parseSeconds(t, row[1])
 		plain := parseSeconds(t, row[2])
 		ours := parseSeconds(t, row[3])
 		if !(plain < ours && ours < hive) {
 			t.Errorf("%s: ordering violated: plain %v, ours %v, hive %v", row[0], plain, ours, hive)
 		}
+		if i == 0 {
+			continue
+		}
+		// Every method scales linearly with volume: k× the gigabytes
+		// costs between k/2× and 3k/2× the seconds.
+		prev := tbl.Rows[i-1]
+		gb := func(cell string) float64 { return parseSeconds(t, strings.TrimSuffix(cell, "GB")) }
+		k := gb(row[0]) / gb(prev[0])
+		for c := 1; c <= 3; c++ {
+			if r := parseSeconds(t, row[c]) / parseSeconds(t, prev[c]); r < k/2 || r > 1.5*k {
+				t.Errorf("%s: %s → %s (%.0f× volume) took %.1f× the time", tbl.Columns[c], prev[0], row[0], k, r)
+			}
+		}
+	}
+}
+
+func loadRelation(n int, mult float64) *relation.Relation {
+	r := relation.New("data", relation.MustSchema(
+		relation.Column{Name: "id", Kind: relation.KindInt},
+		relation.Column{Name: "v", Kind: relation.KindFloat},
+	))
+	for i := 0; i < n; i++ {
+		r.MustAppend(relation.Tuple{relation.Int(int64(i)), relation.Float(float64(i) / 3)})
+	}
+	r.VolumeMultiplier = mult
+	return r
+}
+
+// loadSeconds orders the methods as Fig. 11 does at every volume, not
+// only at the table's: plain upload is cheapest, our method adds the
+// sampling pass, Hive's full parse costs the most.
+func TestLoadMethodOrdering(t *testing.T) {
+	cfg := mr.DefaultConfig()
+	for _, mult := range []float64{1e6, 1e7, 5e7} {
+		r := loadRelation(2000, mult)
+		plain := loadSeconds(cfg, 12, r, loadPlain, 500, 1)
+		hive := loadSeconds(cfg, 12, r, loadHive, 500, 1)
+		ours := loadSeconds(cfg, 12, r, loadOurs, 500, 1)
+		if !(plain < ours) {
+			t.Errorf("mult %g: plain (%v) not cheaper than ours (%v)", mult, plain, ours)
+		}
+		if !(ours < hive) {
+			t.Errorf("mult %g: ours (%v) not cheaper than hive (%v)", mult, ours, hive)
+		}
+	}
+}
+
+func TestLoadScalesLinearly(t *testing.T) {
+	cfg := mr.DefaultConfig()
+	small := loadSeconds(cfg, 12, loadRelation(2000, 1e6), loadOurs, 500, 1)
+	big := loadSeconds(cfg, 12, loadRelation(2000, 1e7), loadOurs, 500, 1)
+	if ratio := big / small; ratio < 5 || ratio > 15 {
+		t.Errorf("10x volume gave %.1fx time", ratio)
 	}
 }
 

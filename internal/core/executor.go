@@ -355,7 +355,7 @@ func (r *planRun) dispatch() {
 		if r.started[s.idx] || !r.ready(s) {
 			continue
 		}
-		units := minInt(s.units, r.pool.Capacity())
+		units := min(s.units, r.pool.Capacity())
 		if !r.pool.TryAcquire(units) {
 			continue
 		}
@@ -667,8 +667,8 @@ func (pl *Planner) buildPlannedJob(pj *PlannedJob, db *DB, produced map[string]*
 	}
 	cfg := pl.Config
 	units := pj.effectiveUnits()
-	cfg.MapSlots = minInt(cfg.MapSlots, units)
-	cfg.ReduceSlots = minInt(cfg.ReduceSlots, units)
+	cfg.MapSlots = min(cfg.MapSlots, units)
+	cfg.ReduceSlots = min(cfg.ReduceSlots, units)
 	// Real goroutine budget: the job's share of the machine, scaled by
 	// its share of the K_P units, so concurrent jobs split the CPUs the
 	// way the schedule splits the cluster.
@@ -678,7 +678,7 @@ func (pl *Planner) buildPlannedJob(pj *PlannedJob, db *DB, produced map[string]*
 	}
 	if pl.KP > 0 && units < pl.KP {
 		if w := base * units / pl.KP; w < base {
-			base = maxIntc(1, w)
+			base = max(1, w)
 		}
 	}
 	cfg.MaxParallelWorkers = base

@@ -221,8 +221,8 @@ func (p *Partitioner) Score() float64 {
 }
 
 // ScoreForKR is Eq. 7's score for a hypothetical component count: it
-// builds that partition and scores it. Used by the Δ(k_R) sweep of
-// Eq. 10.
+// builds that partition and scores it. Used by the partition-score
+// ablation.
 func ScoreForKR(cards []int, kr int, maxCells int) (float64, error) {
 	p, err := NewPartitioner(cards, kr, maxCells)
 	if err != nil {

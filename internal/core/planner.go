@@ -109,7 +109,6 @@ type Plan struct {
 	EstimatedMakespan float64
 	MergeEstimate     float64 // estimated total merge time appended after jobs
 	CandidateEdges    int     // |G'_JP.E|
-	PrunedCandidates  int
 
 	// Schedule is the executable K_P placement of the jobs: dispatch
 	// order, unit assignments, waves and dependencies. Execute drives
@@ -158,26 +157,22 @@ func (pl *Planner) Plan(q *query.Query, db *DB) (*Plan, error) {
 		cands[keyOfIDs(edgeIDs)] = c
 		return c.bestT, c.bestK, nil
 	}
-	// Lemma 2 is disabled: with the mixed operator family (hash-equi,
-	// share-grid, Hilbert cube) a superset candidate can be cheaper
-	// than its pruned subset, which breaks the lemma's monotonicity
-	// assumption (see joinpath.Options.DisableLemma2).
-	jp, err := joinpath.Build(g, costFn, joinpath.Options{MaxPathLen: pl.Opts.MaxPathLen, DisableLemma2: true})
+	edges, err := joinpath.Build(g, costFn, pl.Opts.MaxPathLen)
 	if err != nil {
 		return nil, err
 	}
 
 	// Weighted set cover over the surviving candidates.
 	universe := q.ConditionIDs()
-	sets := make([]setcover.Set, len(jp.Edges))
-	for i, e := range jp.Edges {
+	sets := make([]setcover.Set, len(edges))
+	for i, e := range edges {
 		sets[i] = setcover.Set{ID: i, Elems: e.EdgeIDs, Weight: e.Weight}
 	}
 	var covers [][]int
 	if pl.Opts.ForceSingleJob {
 		full := joinpath.IDsToMask(universe)
 		found := -1
-		for i, e := range jp.Edges {
+		for i, e := range edges {
 			if joinpath.IDsToMask(e.EdgeIDs) == full {
 				found = i
 				break
@@ -204,7 +199,7 @@ func (pl *Planner) Plan(q *query.Query, db *DB) (*Plan, error) {
 
 	var best *Plan
 	for _, cover := range covers {
-		plan, err := pl.scheduleCover(q, jp, cands, cover, db)
+		plan, err := pl.scheduleCover(q, edges, cands, cover, db)
 		if err != nil {
 			return nil, err
 		}
@@ -212,8 +207,7 @@ func (pl *Planner) Plan(q *query.Query, db *DB) (*Plan, error) {
 			best = plan
 		}
 	}
-	best.CandidateEdges = len(jp.Edges)
-	best.PrunedCandidates = jp.PrunedCount
+	best.CandidateEdges = len(edges)
 	return best, nil
 }
 
@@ -396,7 +390,7 @@ func (pl *Planner) sweepReducers(in costSweepInputs, maxK int) ([]float64, int, 
 			MapTasks:   in.mapTasks,
 			// k allotted units run map AND reduce tasks (§3.1), so the
 			// map wave width shrinks with the allotment too.
-			MapSlots: minInt(pl.Config.MapSlots, k),
+			MapSlots: min(pl.Config.MapSlots, k),
 			Alpha:    alpha,
 			Beta:     beta,
 			Sigma:    sigmaFracFor(in.kind, effectiveN, in.pmax, in.skewKnown) * shuffle / float64(effectiveN),
@@ -431,13 +425,6 @@ func sigmaFracFor(kind JobKind, parallelism int, pmax float64, known bool) float
 	default:
 		return 0.08
 	}
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // maxJoinHotFrac scans the heavy-hitter reports of the conjunction's
@@ -538,12 +525,12 @@ func SkewPlanFor(cat *relation.Catalog, kind JobKind, conds predicate.Conjunctio
 }
 
 // scheduleCover turns one sufficient cover into a scheduled plan.
-func (pl *Planner) scheduleCover(q *query.Query, jp *joinpath.Graph, cands map[string]*candidate, cover []int, db *DB) (*Plan, error) {
+func (pl *Planner) scheduleCover(q *query.Query, edges []joinpath.PathEdge, cands map[string]*candidate, cover []int, db *DB) (*Plan, error) {
 	var jobs []PlannedJob
 	var tasks []schedule.Task
 	var mergeOps []mergeOperand
 	for i, setID := range cover {
-		e := jp.Edges[setID]
+		e := edges[setID]
 		c, ok := cands[keyOfIDs(e.EdgeIDs)]
 		if !ok {
 			return nil, fmt.Errorf("core: no costing cached for edge %v", e.EdgeIDs)
@@ -625,13 +612,6 @@ func (pl *Planner) scheduleCover(q *query.Query, jp *joinpath.Graph, cands map[s
 		MergeEstimate:     mergeEst,
 		Schedule:          sched,
 	}, nil
-}
-
-func maxIntc(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Run is the one-call convenience: plan then execute.

@@ -1,7 +1,8 @@
 // Package cost implements the paper's I/O- and network-aware cost
 // model (§4): the closed-form execution-time estimate of a single
-// MapReduce job (Eq. 1–6), the partition score of Eq. 7, and the
-// Δ(k_R) trade-off of Eq. 10 used to pick the number of reduce tasks.
+// MapReduce job (Eq. 1–6) and the partition score of Eq. 7. The
+// planner picks a job's reducer count as the argmin of T(k) over
+// k = 1..K_P, so Eq. 10's λ-weighted Δ(k_R) trade-off is not used.
 //
 // The same primitive rates drive both this analytic model and the
 // discrete-event simulator (internal/mr), so comparing "estimated" vs
@@ -29,7 +30,6 @@ type Params struct {
 	SortFactor   int     // io.sort.factor: runs merged per pass
 	QBase        float64 // seconds per connection at n=1 (base of q)
 	TaskOverhead float64 // fixed per-task seconds (scheduling, JVM)
-	Lambda       float64 // λ of Eq. 10; the paper observes λ≈0.4
 }
 
 // FromConfig derives model parameters from the cluster configuration,
@@ -44,7 +44,6 @@ func FromConfig(cfg mr.Config) Params {
 		SortFactor:   t.SortFactor,
 		QBase:        t.QBase,
 		TaskOverhead: t.TaskOverhead,
-		Lambda:       0.4,
 	}
 }
 
@@ -201,19 +200,12 @@ func ProfileFromMetrics(m mr.Metrics, cfg mr.Config) JobProfile {
 	}
 	return JobProfile{
 		InputBytes: m.InputBytes,
-		MapTasks:   maxInt(m.MapTasks, 1),
+		MapTasks:   max(m.MapTasks, 1),
 		MapSlots:   cfg.MapSlots,
 		Alpha:      alpha,
 		Beta:       beta,
 		Sigma:      stddevInt64(m.ReducerInputBytes),
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func stddevInt64(xs []int64) float64 {
@@ -231,56 +223,6 @@ func stddevInt64(xs []int64) float64 {
 		ss += d * d
 	}
 	return math.Sqrt(ss / float64(len(xs)))
-}
-
-// ChooseKR minimises Δ(k_R) = λ·Score(k) + (1−λ)·Work(k) over the
-// candidate reducer counts (Eq. 10). Score(k) is the partition score
-// (total tuple duplication, Eq. 7 — the network volume side) and
-// Work(k) is the per-reducer combination workload Π|R_i|/k. The two
-// factors are normalised to [0,1] over the candidates before mixing,
-// since they carry different units; λ≈0.4 per the paper's calibration.
-func ChooseKR(lambda float64, candidates []int, score func(k int) float64, work func(k int) float64) (int, error) {
-	if len(candidates) == 0 {
-		return 0, fmt.Errorf("cost: no candidate reducer counts")
-	}
-	if lambda < 0 || lambda > 1 {
-		return 0, fmt.Errorf("cost: lambda %v outside [0,1]", lambda)
-	}
-	scores := make([]float64, len(candidates))
-	works := make([]float64, len(candidates))
-	var sMin, sMax, wMin, wMax float64
-	for i, k := range candidates {
-		if k < 1 {
-			return 0, fmt.Errorf("cost: candidate reducer count %d < 1", k)
-		}
-		scores[i] = score(k)
-		works[i] = work(k)
-		if i == 0 {
-			sMin, sMax = scores[i], scores[i]
-			wMin, wMax = works[i], works[i]
-			continue
-		}
-		sMin = math.Min(sMin, scores[i])
-		sMax = math.Max(sMax, scores[i])
-		wMin = math.Min(wMin, works[i])
-		wMax = math.Max(wMax, works[i])
-	}
-	norm := func(v, lo, hi float64) float64 {
-		if hi <= lo {
-			return 0
-		}
-		return (v - lo) / (hi - lo)
-	}
-	bestIdx := 0
-	bestDelta := math.Inf(1)
-	for i := range candidates {
-		delta := lambda*norm(scores[i], sMin, sMax) + (1-lambda)*norm(works[i], wMin, wMax)
-		if delta < bestDelta {
-			bestDelta = delta
-			bestIdx = i
-		}
-	}
-	return candidates[bestIdx], nil
 }
 
 // MergeCost estimates the time of the ID-keyed merge step combining

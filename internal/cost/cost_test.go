@@ -220,42 +220,6 @@ func TestProfileFromMetrics(t *testing.T) {
 	}
 }
 
-func TestChooseKR(t *testing.T) {
-	// Score grows linearly with k, work shrinks as 1/k: Δ has an
-	// interior optimum that moves down as λ (score weight) grows.
-	candidates := []int{1, 2, 4, 8, 16, 32, 64}
-	score := func(k int) float64 { return float64(k) }
-	work := func(k int) float64 { return 1000.0 / float64(k) }
-	lo, err := ChooseKR(0.1, candidates, score, work)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hi, err := ChooseKR(0.9, candidates, score, work)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lo < hi {
-		t.Errorf("low lambda (%d) should allow more reducers than high lambda (%d)", lo, hi)
-	}
-	if _, err := ChooseKR(0.4, nil, score, work); err == nil {
-		t.Error("empty candidates accepted")
-	}
-	if _, err := ChooseKR(-0.1, candidates, score, work); err == nil {
-		t.Error("negative lambda accepted")
-	}
-	if _, err := ChooseKR(0.4, []int{0}, score, work); err == nil {
-		t.Error("candidate 0 accepted")
-	}
-}
-
-func TestChooseKRConstantFactors(t *testing.T) {
-	// Degenerate: both factors constant → first candidate wins, no NaN.
-	got, err := ChooseKR(0.4, []int{3, 5, 7}, func(int) float64 { return 1 }, func(int) float64 { return 2 })
-	if err != nil || got != 3 {
-		t.Errorf("constant factors: got %d, %v", got, err)
-	}
-}
-
 func TestMergeCostSmall(t *testing.T) {
 	p := params()
 	mc := p.MergeCost(1e9, 1e9)

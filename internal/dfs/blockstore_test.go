@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -169,72 +168,6 @@ func TestFullyOutOfCoreJob(t *testing.T) {
 	if base.Metrics.InputBytes != ooc.Metrics.InputBytes ||
 		base.Metrics.PairsEmitted != ooc.Metrics.PairsEmitted {
 		t.Fatalf("input accounting differs:\nbase: %+v\nooc:  %+v", base.Metrics, ooc.Metrics)
-	}
-}
-
-// TestPlacementStability pins the determinism contract: equal store
-// configurations place blocks identically, placements are valid, and
-// replicas of one block land on distinct nodes.
-func TestPlacementStability(t *testing.T) {
-	upload := func(t *testing.T) []*File {
-		t.Helper()
-		s := newStore(t)
-		var files []*File
-		for _, mult := range []float64{5e8, 2e9, 8e8} {
-			r := sampleRelation(1000, mult)
-			r.Name = r.Name + string(rune('a'+len(files)))
-			if _, err := s.Upload(r, LoadPlain, 100, 1); err != nil {
-				t.Fatal(err)
-			}
-			f, err := s.File(r.Name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			files = append(files, f)
-		}
-		return files
-	}
-	first, second := upload(t), upload(t)
-	for i := range first {
-		if len(first[i].Placement) != first[i].Blocks {
-			t.Fatalf("file %d: %d placements for %d blocks", i, len(first[i].Placement), first[i].Blocks)
-		}
-		if !reflect.DeepEqual(first[i].Placement, second[i].Placement) {
-			t.Fatalf("file %d: placement not stable across equal stores", i)
-		}
-		for b, nodes := range first[i].Placement {
-			if len(nodes) != first[i].Replicas {
-				t.Fatalf("file %d block %d: %d replicas, want %d", i, b, len(nodes), first[i].Replicas)
-			}
-			seen := map[int]bool{}
-			for _, n := range nodes {
-				if n < 0 || n >= 12 {
-					t.Fatalf("file %d block %d: node %d out of range", i, b, n)
-				}
-				if seen[n] {
-					t.Fatalf("file %d block %d: duplicate replica node %d", i, b, n)
-				}
-				seen[n] = true
-			}
-		}
-	}
-
-	// A different cluster geometry reseeds the RNG: the placement
-	// stream must still be internally deterministic.
-	s13a, _ := NewStore(mr.DefaultConfig(), 13)
-	s13b, _ := NewStore(mr.DefaultConfig(), 13)
-	ra := sampleRelation(1000, 2e9)
-	rb := sampleRelation(1000, 2e9)
-	if _, err := s13a.Upload(ra, LoadPlain, 100, 1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s13b.Upload(rb, LoadPlain, 100, 1); err != nil {
-		t.Fatal(err)
-	}
-	fa, _ := s13a.File("data")
-	fb, _ := s13b.File("data")
-	if !reflect.DeepEqual(fa.Placement, fb.Placement) {
-		t.Fatal("13-node placement not stable")
 	}
 }
 

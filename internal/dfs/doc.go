@@ -1,22 +1,9 @@
-// Package dfs is the storage layer under the MapReduce runtime. It has
-// two halves: a simulated HDFS namespace that prices data loading, and
-// a real block store that holds bytes on disk so executions can run
-// out of core.
+// Package dfs is the storage layer under the MapReduce runtime: a real
+// block store that holds bytes on disk so executions can run out of
+// core. (The paper's Fig. 11 load-time model is pure arithmetic and
+// lives beside the figure in internal/bench.)
 //
-// # Simulated namespace
-//
-// Store models block-based storage with replication and the three
-// data-loading paths compared in Fig. 11 of the paper — plain Hadoop
-// upload, Hive-style load (schema validation into the warehouse), and
-// the paper's method, which additionally runs the sampling pass and
-// builds the per-attribute index structures the optimizer later
-// exploits ("In addition to simply upload the data to HDFS, we run a
-// sampling algorithm to collect rough data statistics and build the
-// index structure", §6.3). Upload assigns every block a replica
-// placement, HDFS-style: a pseudo-random primary node plus the
-// following distinct nodes.
-//
-// # Real block store
+// # Block store
 //
 // BlockStore is the out-of-core substrate: a directory of write-once,
 // seal-then-read files whose reads are served through an in-memory LRU
@@ -82,14 +69,8 @@
 // # Determinism
 //
 // Everything the package returns is a pure function of its inputs and
-// configuration. The block-placement RNG is math/rand seeded from the
-// store configuration (block size, replication, node count) — never
-// from wall clock or the global RNG — so two stores built from equal
-// configurations produce identical File.Placement for the same upload
-// sequence, and a placement-sensitive simulation is reproducible
-// run-to-run. Upload's sampling pass (LoadOurs) draws from a rand
-// seeded by its explicit seed argument. BlockStore assigns file IDs in
-// creation order and serves reads byte-identically under any cache
-// state, so the engine's determinism guarantee (same results at any
-// worker count, spill on or off) extends through this package.
+// configuration. BlockStore assigns file IDs in creation order and
+// serves reads byte-identically under any cache state, so the engine's
+// determinism guarantee (same results at any worker count, spill on or
+// off) extends through this package.
 package dfs

@@ -8,8 +8,11 @@
 // trails), so Algorithm 2 builds a sufficient subgraph by enumerating
 // L-hop paths in increasing length and pruning candidates that are
 // dominated under Lemma 1 (a cheaper group of already-accepted edges
-// covers the same conditions with fewer processing units) and Lemma 2
-// (any superset of a pruned label set is pruned too).
+// covers the same conditions with fewer processing units). Lemma 2
+// (prune every superset of a pruned label set) is not applied: it
+// assumes every candidate uses one partitioning scheme, and with the
+// planner's three operators a superset can turn hash-equi or share-grid
+// and cost less than the subset Lemma 1 pruned.
 package joinpath
 
 import (
@@ -41,52 +44,13 @@ func (e PathEdge) Label() string {
 // The planner supplies this from the Eq. 1–6 model.
 type CostFunc func(edgeIDs []int) (weight float64, reducers int, err error)
 
-// Options bound the enumeration.
-type Options struct {
-	// MaxPathLen caps L, the number of conditions per candidate;
-	// 0 means the total condition count (all lengths).
-	MaxPathLen int
-	// MaxCandidates aborts pathological enumerations; 0 means 100000.
-	MaxCandidates int
-	// DisablePruning keeps every enumerated candidate (used by tests
-	// and the exhaustive small-query planner to compare against the
-	// pruned graph).
-	DisablePruning bool
-	// DisableLemma2 keeps Lemma 1's per-candidate domination check but
-	// skips the superset propagation of Lemma 2. Lemma 2 assumes the
-	// conditions beyond a pruned subset can be evaluated separately at
-	// no extra cost — sound when every candidate uses the same
-	// partitioning scheme (the paper's pure-Hilbert setting), but
-	// wrong when a superset can switch to a cheaper physical operator
-	// (e.g. equality conditions making an entire candidate share-grid
-	// partitionable while the pruned equi subset looked replaceable).
-	DisableLemma2 bool
-}
+// maxCandidates aborts pathological enumerations.
+const maxCandidates = 100000
 
-// Graph is G'_JP: the retained candidate jobs.
-type Graph struct {
-	Edges []PathEdge
-	// PrunedCount reports how many enumerated candidates the lemmas
-	// discarded (observability for the ablation experiments).
-	PrunedCount int
-}
-
-// Sufficient reports whether choosing the edges indexed by idxs covers
-// every condition of the join graph (Definition 4).
-func (g *Graph) Sufficient(idxs []int, totalConditions int) bool {
-	var mask uint64
-	for _, i := range idxs {
-		if i < 0 || i >= len(g.Edges) {
-			return false
-		}
-		mask |= g.Edges[i].mask
-	}
-	want := fullMask(totalConditions)
-	return mask == want
-}
-
-// Build runs Algorithm 2 on the join graph.
-func Build(g *query.JoinGraph, cost CostFunc, opts Options) (*Graph, error) {
+// Build runs Algorithm 2 on the join graph and returns G'_JP.E, the
+// retained candidate jobs. maxPathLen caps L, the number of conditions
+// per candidate; 0 means the total condition count (all lengths).
+func Build(g *query.JoinGraph, cost CostFunc, maxPathLen int) ([]PathEdge, error) {
 	n := len(g.Edges)
 	if n == 0 {
 		return nil, fmt.Errorf("joinpath: join graph has no edges")
@@ -94,16 +58,12 @@ func Build(g *query.JoinGraph, cost CostFunc, opts Options) (*Graph, error) {
 	if n > 63 {
 		return nil, fmt.Errorf("joinpath: %d conditions exceed the 63-condition limit", n)
 	}
-	maxLen := opts.MaxPathLen
+	maxLen := maxPathLen
 	if maxLen <= 0 || maxLen > n {
 		maxLen = n
 	}
-	maxCand := opts.MaxCandidates
-	if maxCand <= 0 {
-		maxCand = 100000
-	}
 
-	cands, err := enumerate(g, maxLen, maxCand)
+	cands, err := enumerate(g, maxLen, maxCandidates)
 	if err != nil {
 		return nil, err
 	}
@@ -123,35 +83,25 @@ func Build(g *query.JoinGraph, cost CostFunc, opts Options) (*Graph, error) {
 		return cands[a].mask < cands[b].mask
 	})
 
-	out := &Graph{}
 	// WL: accepted edges sorted ascending by weight (Alg. 2's sorted list).
-	var wl []PathEdge
-	var prunedMasks []uint64
+	var out, wl []PathEdge
 	for _, c := range cands {
-		if !opts.DisablePruning && !opts.DisableLemma2 && supersetOfPruned(c.mask, prunedMasks) {
-			// Lemma 2: contains a pruned label set.
-			out.PrunedCount++
-			continue
-		}
 		w, s, err := cost(c.EdgeIDs)
 		if err != nil {
 			return nil, fmt.Errorf("joinpath: costing %v: %w", c.EdgeIDs, err)
 		}
 		c.Weight, c.Reducers = w, s
-		if !opts.DisablePruning && dominatedByGroup(c, wl) {
-			// Lemma 1: a cheaper accepted group covers these conditions.
-			out.PrunedCount++
-			prunedMasks = append(prunedMasks, c.mask)
-			continue
+		if dominatedByGroup(c, wl) {
+			continue // Lemma 1: a cheaper accepted group covers these conditions
 		}
-		out.Edges = append(out.Edges, c)
+		out = append(out, c)
 		// Insert into WL keeping ascending weight order.
 		pos := sort.Search(len(wl), func(i int) bool { return wl[i].Weight >= c.Weight })
 		wl = append(wl, PathEdge{})
 		copy(wl[pos+1:], wl[pos:])
 		wl[pos] = c
 	}
-	if len(out.Edges) == 0 {
+	if len(out) == 0 {
 		return nil, fmt.Errorf("joinpath: pruning removed every candidate")
 	}
 	return out, nil
@@ -185,15 +135,6 @@ func dominatedByGroup(c PathEdge, wl []PathEdge) bool {
 	return false
 }
 
-func supersetOfPruned(mask uint64, pruned []uint64) bool {
-	for _, p := range pruned {
-		if mask&p == p && mask != p {
-			return true
-		}
-	}
-	return false
-}
-
 type dfsState struct {
 	g        *query.JoinGraph
 	maxLen   int
@@ -213,7 +154,7 @@ func enumerate(g *query.JoinGraph, maxLen, maxCand int) ([]PathEdge, error) {
 	for _, v := range starts {
 		st.dfs(v, v, 0, 0)
 		if st.overflow {
-			return nil, fmt.Errorf("joinpath: candidate explosion beyond %d; raise Options.MaxCandidates", maxCand)
+			return nil, fmt.Errorf("joinpath: candidate explosion beyond %d", maxCand)
 		}
 	}
 	return st.cands, nil
@@ -267,13 +208,6 @@ func maskToIDs(mask uint64) []int {
 		mask &^= 1 << uint(b)
 	}
 	return ids
-}
-
-func fullMask(n int) uint64 {
-	if n >= 64 {
-		return ^uint64(0)
-	}
-	return (uint64(1) << uint(n)) - 1
 }
 
 // IDsToMask converts condition IDs (1-based) to a bitmask; exported

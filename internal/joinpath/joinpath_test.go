@@ -35,9 +35,19 @@ func unitCost(ids []int) (float64, int, error) {
 	return float64(len(ids)), len(ids), nil
 }
 
-func edgeSet(g *Graph) map[string]PathEdge {
-	m := make(map[string]PathEdge, len(g.Edges))
-	for _, e := range g.Edges {
+// allPaths enumerates every candidate of g without pruning.
+func allPaths(t *testing.T, g *query.JoinGraph, maxLen int) []PathEdge {
+	t.Helper()
+	cands, err := enumerate(g, maxLen, maxCandidates)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cands
+}
+
+func edgeSet(edges []PathEdge) map[string]PathEdge {
+	m := make(map[string]PathEdge, len(edges))
+	for _, e := range edges {
 		key := e.U + "-" + e.V + ":" + e.Label()
 		m[key] = e
 	}
@@ -45,10 +55,7 @@ func edgeSet(g *Graph) map[string]PathEdge {
 }
 
 func TestEnumerateNoPruning(t *testing.T) {
-	g, err := Build(fig1(t), unitCost, Options{DisablePruning: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := allPaths(t, fig1(t), 6)
 	set := edgeSet(g)
 	// Fig. 1's adjacency matrix lists specific paths; spot-check a few.
 	// R1–R2 direct: {1}.
@@ -76,7 +83,7 @@ func TestEnumerateNoPruning(t *testing.T) {
 	// (as a self-path at some vertex) — one MRJ can evaluate a cyclic
 	// condition set.
 	foundTriangle := false
-	for _, e := range g.Edges {
+	for _, e := range g {
 		if e.Label() == "[1 2 3]" {
 			foundTriangle = true
 		}
@@ -86,7 +93,7 @@ func TestEnumerateNoPruning(t *testing.T) {
 	}
 	// Every label set must be a connected path: at minimum non-empty
 	// and with ≤ 6 conditions.
-	for _, e := range g.Edges {
+	for _, e := range g {
 		if len(e.EdgeIDs) == 0 || len(e.EdgeIDs) > 6 {
 			t.Errorf("bad label set %v", e.EdgeIDs)
 		}
@@ -94,11 +101,7 @@ func TestEnumerateNoPruning(t *testing.T) {
 }
 
 func TestNoEdgeRepeating(t *testing.T) {
-	g, err := Build(fig1(t), unitCost, Options{DisablePruning: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range g.Edges {
+	for _, e := range allPaths(t, fig1(t), 6) {
 		seen := map[int]bool{}
 		for _, id := range e.EdgeIDs {
 			if seen[id] {
@@ -110,18 +113,15 @@ func TestNoEdgeRepeating(t *testing.T) {
 }
 
 func TestMaxPathLen(t *testing.T) {
-	g, err := Build(fig1(t), unitCost, Options{MaxPathLen: 2, DisablePruning: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range g.Edges {
+	g := allPaths(t, fig1(t), 2)
+	for _, e := range g {
 		if len(e.EdgeIDs) > 2 {
 			t.Errorf("path %v longer than MaxPathLen", e.EdgeIDs)
 		}
 	}
 	// All six single edges must be present.
 	count1 := 0
-	for _, e := range g.Edges {
+	for _, e := range g {
 		if len(e.EdgeIDs) == 1 {
 			count1++
 		}
@@ -141,21 +141,21 @@ func TestLemma1Pruning(t *testing.T) {
 		}
 		return 1000 * float64(len(ids)), 64, nil
 	}
-	g, err := Build(fig1(t), expensive, Options{})
+	g, err := Build(fig1(t), expensive, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range g.Edges {
+	for _, e := range g {
 		if len(e.EdgeIDs) > 2 {
 			t.Errorf("expensive path %v survived pruning", e.EdgeIDs)
 		}
 	}
-	if g.PrunedCount == 0 {
+	if len(g) == len(allPaths(t, fig1(t), 6)) {
 		t.Error("no candidates pruned")
 	}
 	// Single conditions must all survive (they are the cheapest cover).
 	count1 := 0
-	for _, e := range g.Edges {
+	for _, e := range g {
 		if len(e.EdgeIDs) == 1 {
 			count1++
 		}
@@ -172,41 +172,18 @@ func TestCheapMultiEdgesSurvive(t *testing.T) {
 	economies := func(ids []int) (float64, int, error) {
 		return 10 / float64(len(ids)), 1, nil
 	}
-	g, err := Build(fig1(t), economies, Options{})
+	g, err := Build(fig1(t), economies, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	maxLen := 0
-	for _, e := range g.Edges {
+	for _, e := range g {
 		if len(e.EdgeIDs) > maxLen {
 			maxLen = len(e.EdgeIDs)
 		}
 	}
 	if maxLen < 3 {
 		t.Errorf("longest surviving path %d, want >= 3", maxLen)
-	}
-}
-
-func TestSufficient(t *testing.T) {
-	g, err := Build(fig1(t), unitCost, Options{DisablePruning: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Collect the six single-condition edges: together sufficient.
-	var idx []int
-	for i, e := range g.Edges {
-		if len(e.EdgeIDs) == 1 {
-			idx = append(idx, i)
-		}
-	}
-	if !g.Sufficient(idx, 6) {
-		t.Error("six singles not sufficient")
-	}
-	if g.Sufficient(idx[:5], 6) {
-		t.Error("five singles reported sufficient")
-	}
-	if g.Sufficient([]int{-1}, 6) {
-		t.Error("invalid index reported sufficient")
 	}
 }
 
@@ -223,17 +200,14 @@ func TestChainGraphPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := Build(q.JoinGraph(), unitCost, Options{DisablePruning: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(g.Edges) != 6 {
+	g := allPaths(t, q.JoinGraph(), 3)
+	if len(g) != 6 {
 		var labels []string
-		for _, e := range g.Edges {
+		for _, e := range g {
 			labels = append(labels, e.U+"-"+e.V+":"+e.Label())
 		}
 		sort.Strings(labels)
-		t.Errorf("chain candidates = %d, want 6: %s", len(g.Edges), strings.Join(labels, " "))
+		t.Errorf("chain candidates = %d, want 6: %s", len(g), strings.Join(labels, " "))
 	}
 }
 
@@ -242,11 +216,11 @@ func TestBuildErrors(t *testing.T) {
 		[]predicate.Condition{predicate.C("A", "x", predicate.LT, "B", "x")})
 	if _, err := Build(q.JoinGraph(), func(ids []int) (float64, int, error) {
 		return 0, 0, errFake
-	}, Options{}); err == nil {
+	}, 0); err == nil {
 		t.Error("cost error not propagated")
 	}
 	empty := &query.JoinGraph{Vertices: []string{"A"}}
-	if _, err := Build(empty, unitCost, Options{}); err == nil {
+	if _, err := Build(empty, unitCost, 0); err == nil {
 		t.Error("empty graph accepted")
 	}
 }
@@ -269,12 +243,12 @@ func TestIDsToMask(t *testing.T) {
 func TestDeterministicOutput(t *testing.T) {
 	var prev []string
 	for trial := 0; trial < 3; trial++ {
-		g, err := Build(fig1(t), unitCost, Options{})
+		g, err := Build(fig1(t), unitCost, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var labels []string
-		for _, e := range g.Edges {
+		for _, e := range g {
 			labels = append(labels, e.U+e.V+e.Label())
 		}
 		if prev != nil {
@@ -292,8 +266,7 @@ func TestDeterministicOutput(t *testing.T) {
 }
 
 func TestCandidateOverflow(t *testing.T) {
-	g := fig1(t)
-	if _, err := Build(g, unitCost, Options{MaxCandidates: 3, DisablePruning: true}); err == nil {
+	if _, err := enumerate(fig1(t), 6, 3); err == nil {
 		t.Error("overflow not reported")
 	}
 }
@@ -303,12 +276,8 @@ func TestCandidateOverflow(t *testing.T) {
 // matrix entries the figure lists, including the Eulerian circuit
 // {1..6} (the graph has all-even degrees, so E(G_JP) exists).
 func TestFig1JoinPathGraph(t *testing.T) {
-	g, err := Build(fig1(t), unitCost, Options{DisablePruning: true})
-	if err != nil {
-		t.Fatal(err)
-	}
 	set := map[string]bool{}
-	for _, e := range g.Edges {
+	for _, e := range allPaths(t, fig1(t), 6) {
 		set[e.Label()] = true
 	}
 	// Entries read off Fig. 1's matrix (as condition-ID sets).

@@ -168,9 +168,6 @@ func (c Condition) Reversed() Condition {
 	}
 }
 
-// Touches reports whether the condition references the relation name.
-func (c Condition) Touches(rel string) bool { return c.Left == rel || c.Right == rel }
-
 // Other returns the opposite relation of the condition given one
 // endpoint, and whether rel is an endpoint at all.
 func (c Condition) Other(rel string) (string, bool) {

@@ -157,9 +157,6 @@ func TestConditionReversedEquivalent(t *testing.T) {
 
 func TestConditionHelpers(t *testing.T) {
 	c := C("A", "x", LT, "B", "y")
-	if !c.Touches("A") || !c.Touches("B") || c.Touches("C") {
-		t.Error("Touches wrong")
-	}
 	if o, ok := c.Other("A"); !ok || o != "B" {
 		t.Error("Other(A) wrong")
 	}

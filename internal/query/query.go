@@ -9,7 +9,6 @@ package query
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/predicate"
@@ -146,9 +145,6 @@ type JoinGraph struct {
 // Adjacent returns the edges incident to a vertex.
 func (g *JoinGraph) Adjacent(v string) []Edge { return g.adj[v] }
 
-// Degree returns the number of incident edges (parallel edges counted).
-func (g *JoinGraph) Degree(v string) int { return len(g.adj[v]) }
-
 // Connected reports whether the graph is connected.
 func (g *JoinGraph) Connected() bool {
 	if len(g.Vertices) == 0 {
@@ -168,110 +164,6 @@ func (g *JoinGraph) Connected() bool {
 		}
 	}
 	return len(seen) == len(g.Vertices)
-}
-
-// OddDegreeVertices returns vertices of odd degree sorted by name. A
-// connected graph has an Eulerian trail iff 0 or 2 such vertices exist
-// (used by the G_JP hardness discussion, §3.2).
-func (g *JoinGraph) OddDegreeVertices() []string {
-	var odd []string
-	for _, v := range g.Vertices {
-		if g.Degree(v)%2 == 1 {
-			odd = append(odd, v)
-		}
-	}
-	sort.Strings(odd)
-	return odd
-}
-
-// HasEulerianTrail reports whether a trail visiting every edge exactly
-// once exists.
-func (g *JoinGraph) HasEulerianTrail() bool {
-	if !g.Connected() {
-		return false
-	}
-	n := len(g.OddDegreeVertices())
-	return n == 0 || n == 2
-}
-
-// HasEulerianCircuit reports whether a closed trail covering all edges
-// exists (every vertex has even degree), as in the Fig. 1 example.
-func (g *JoinGraph) HasEulerianCircuit() bool {
-	return g.Connected() && len(g.OddDegreeVertices()) == 0
-}
-
-// IsChain reports whether the edge subset given by ids forms a simple
-// chain (path) in the join graph: the induced multigraph is connected,
-// has no repeated edges, and every vertex has degree ≤ 2 with exactly
-// two degree-1 endpoints (or is a single edge). Chains are the queries
-// Algorithm 1 evaluates in one MapReduce job (§5.1: "we only consider
-// the case of chain joins").
-//
-// The returned order lists the relations along the chain when ok.
-func (g *JoinGraph) IsChain(ids []int) (order []string, ok bool) {
-	if len(ids) == 0 {
-		return nil, false
-	}
-	edges := make([]Edge, 0, len(ids))
-	seen := make(map[int]bool, len(ids))
-	byID := make(map[int]Edge, len(g.Edges))
-	for _, e := range g.Edges {
-		byID[e.ID] = e
-	}
-	deg := make(map[string]int)
-	adj := make(map[string][]Edge)
-	for _, id := range ids {
-		if seen[id] {
-			return nil, false
-		}
-		seen[id] = true
-		e, exists := byID[id]
-		if !exists {
-			return nil, false
-		}
-		edges = append(edges, e)
-		deg[e.U]++
-		deg[e.V]++
-		adj[e.U] = append(adj[e.U], e)
-		adj[e.V] = append(adj[e.V], e)
-	}
-	var ends []string
-	for v, d := range deg {
-		switch {
-		case d == 1:
-			ends = append(ends, v)
-		case d > 2:
-			return nil, false
-		}
-	}
-	if len(ends) != 2 {
-		return nil, false
-	}
-	sort.Strings(ends)
-	// Walk from the lexicographically first endpoint.
-	cur := ends[0]
-	used := make(map[int]bool, len(edges))
-	order = []string{cur}
-	for len(used) < len(edges) {
-		var next *Edge
-		for i := range adj[cur] {
-			e := adj[cur][i]
-			if !used[e.ID] {
-				next = &e
-				break
-			}
-		}
-		if next == nil {
-			return nil, false // disconnected
-		}
-		used[next.ID] = true
-		cur = next.Other(cur)
-		order = append(order, cur)
-	}
-	if len(order) != len(edges)+1 {
-		return nil, false
-	}
-	return order, true
 }
 
 // SubgraphConditions returns the conditions for the edge IDs in input

@@ -94,98 +94,14 @@ func TestJoinGraphStructure(t *testing.T) {
 	if len(g.Vertices) != 5 || len(g.Edges) != 6 {
 		t.Fatalf("graph shape %d vertices %d edges", len(g.Vertices), len(g.Edges))
 	}
-	if g.Degree("R3") != 4 {
-		t.Errorf("deg(R3) = %d, want 4", g.Degree("R3"))
+	if d := len(g.Adjacent("R3")); d != 4 {
+		t.Errorf("deg(R3) = %d, want 4", d)
 	}
-	if g.Degree("R1") != 2 {
-		t.Errorf("deg(R1) = %d, want 2", g.Degree("R1"))
+	if d := len(g.Adjacent("R1")); d != 2 {
+		t.Errorf("deg(R1) = %d, want 2", d)
 	}
 	if !g.Connected() {
 		t.Error("fig1 graph not connected")
-	}
-}
-
-func TestEulerianProperties(t *testing.T) {
-	g := fig1Graph(t).JoinGraph()
-	// All degrees even (2,2,4,2,2) → Eulerian circuit, as the paper
-	// notes for Fig. 1.
-	if !g.HasEulerianCircuit() {
-		t.Error("fig1 graph should have an Eulerian circuit")
-	}
-	if !g.HasEulerianTrail() {
-		t.Error("fig1 graph should have an Eulerian trail")
-	}
-	if odd := g.OddDegreeVertices(); len(odd) != 0 {
-		t.Errorf("odd vertices = %v", odd)
-	}
-	// chain3: endpoints odd.
-	g2 := chain3(t).JoinGraph()
-	odd := g2.OddDegreeVertices()
-	if len(odd) != 2 || odd[0] != "A" || odd[1] != "C" {
-		t.Errorf("chain odd vertices = %v", odd)
-	}
-	if !g2.HasEulerianTrail() || g2.HasEulerianCircuit() {
-		t.Error("chain Eulerian classification wrong")
-	}
-}
-
-func TestIsChain(t *testing.T) {
-	g := fig1Graph(t).JoinGraph()
-	// θ1(R1,R2), θ2(R2,R3): chain R1-R2-R3.
-	order, ok := g.IsChain([]int{1, 2})
-	if !ok {
-		t.Fatal("1,2 not recognized as chain")
-	}
-	if len(order) != 3 {
-		t.Fatalf("order = %v", order)
-	}
-	// θ1, θ2, θ4: chain R1-R2-R3-R4.
-	if order, ok := g.IsChain([]int{1, 2, 4}); !ok || len(order) != 4 {
-		t.Errorf("1,2,4 chain = %v, %v", order, ok)
-	}
-	// θ1, θ4 disconnected → not a chain.
-	if _, ok := g.IsChain([]int{1, 4}); ok {
-		t.Error("disconnected edges accepted as chain")
-	}
-	// θ4, θ5, θ6 triangle → not a chain (no endpoints).
-	if _, ok := g.IsChain([]int{4, 5, 6}); ok {
-		t.Error("cycle accepted as chain")
-	}
-	// θ1, θ2, θ3 triangle → not a chain.
-	if _, ok := g.IsChain([]int{1, 2, 3}); ok {
-		t.Error("triangle accepted as chain")
-	}
-	// θ2, θ4, θ5: star at R3 → degree 3 → not a chain.
-	if _, ok := g.IsChain([]int{2, 4, 5}); ok {
-		t.Error("star accepted as chain")
-	}
-	// Repeated edge id.
-	if _, ok := g.IsChain([]int{1, 1}); ok {
-		t.Error("repeated edge accepted")
-	}
-	// Unknown id.
-	if _, ok := g.IsChain([]int{42}); ok {
-		t.Error("unknown edge accepted")
-	}
-	// Single edge is a chain.
-	if order, ok := g.IsChain([]int{6}); !ok || len(order) != 2 {
-		t.Errorf("single edge chain = %v, %v", order, ok)
-	}
-	// Empty.
-	if _, ok := g.IsChain(nil); ok {
-		t.Error("empty chain accepted")
-	}
-}
-
-func TestChainOrderEndpoints(t *testing.T) {
-	g := fig1Graph(t).JoinGraph()
-	order, ok := g.IsChain([]int{1, 2, 4, 6})
-	// R1-θ1-R2-θ2-R3-θ4-R4-θ6-R5
-	if !ok || len(order) != 5 {
-		t.Fatalf("chain = %v, %v", order, ok)
-	}
-	if order[0] != "R1" || order[4] != "R5" {
-		t.Errorf("endpoints %v", order)
 	}
 }
 

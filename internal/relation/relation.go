@@ -103,65 +103,6 @@ func (r *Relation) Clone() *Relation {
 	return &c
 }
 
-// Project returns a new relation with only the named columns.
-func (r *Relation) Project(name string, columns ...string) (*Relation, error) {
-	idx := make([]int, len(columns))
-	cols := make([]Column, len(columns))
-	for i, c := range columns {
-		j, ok := r.Schema.Lookup(c)
-		if !ok {
-			return nil, fmt.Errorf("relation %s: project: no column %q", r.Name, c)
-		}
-		idx[i] = j
-		cols[i] = r.Schema.Column(j)
-	}
-	schema, err := NewSchema(cols...)
-	if err != nil {
-		return nil, err
-	}
-	out := New(name, schema)
-	out.VolumeMultiplier = r.VolumeMultiplier
-	if len(r.Dicts) > 0 {
-		out.Dicts = make([]*Dict, len(idx))
-		for i, j := range idx {
-			out.Dicts[i] = r.DictOf(j)
-		}
-	}
-	for _, t := range r.Tuples {
-		p := make(Tuple, len(idx))
-		for i, j := range idx {
-			p[i] = t[j]
-		}
-		out.Tuples = append(out.Tuples, p)
-	}
-	return out, nil
-}
-
-// Filter returns a new relation keeping only tuples where keep returns true.
-func (r *Relation) Filter(name string, keep func(Tuple) bool) *Relation {
-	out := New(name, r.Schema)
-	out.VolumeMultiplier = r.VolumeMultiplier
-	out.Dicts = append([]*Dict(nil), r.Dicts...)
-	for _, t := range r.Tuples {
-		if keep(t) {
-			out.Tuples = append(out.Tuples, t)
-		}
-	}
-	return out
-}
-
-// SortBy sorts tuples in place by the named column ascending.
-func (r *Relation) SortBy(column string) error {
-	j, ok := r.Schema.Lookup(column)
-	if !ok {
-		return fmt.Errorf("relation %s: sort: no column %q", r.Name, column)
-	}
-	sort.SliceStable(r.Tuples, func(a, b int) bool {
-		return Compare(r.Tuples[a][j], r.Tuples[b][j]) < 0
-	})
-	return nil
-}
-
 // Sample draws k tuples by reservoir sampling with the given rng,
 // returning fewer if the relation is smaller. The relation order is
 // untouched.

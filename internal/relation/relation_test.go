@@ -82,48 +82,6 @@ func TestRelationAppendArity(t *testing.T) {
 	}
 }
 
-func TestRelationProject(t *testing.T) {
-	r := makeRel(t, 5)
-	p, err := r.Project("p", "score", "id")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Schema.Len() != 2 || p.Schema.Column(0).Name != "score" {
-		t.Fatalf("bad projected schema %v", p.Schema)
-	}
-	if p.Cardinality() != 5 {
-		t.Fatalf("projected cardinality %d", p.Cardinality())
-	}
-	if p.Tuples[2][1].Int64() != 2 {
-		t.Errorf("projected value mismatch: %v", p.Tuples[2])
-	}
-	if _, err := r.Project("p", "nope"); err == nil {
-		t.Error("project on missing column succeeded")
-	}
-}
-
-func TestRelationFilterSort(t *testing.T) {
-	r := makeRel(t, 10)
-	f := r.Filter("f", func(tp Tuple) bool { return tp[0].Int64()%2 == 0 })
-	if f.Cardinality() != 5 {
-		t.Fatalf("filter cardinality %d", f.Cardinality())
-	}
-	// Shuffle then sort.
-	rng := rand.New(rand.NewSource(3))
-	rng.Shuffle(len(r.Tuples), func(i, j int) { r.Tuples[i], r.Tuples[j] = r.Tuples[j], r.Tuples[i] })
-	if err := r.SortBy("id"); err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i < len(r.Tuples); i++ {
-		if r.Tuples[i-1][0].Int64() > r.Tuples[i][0].Int64() {
-			t.Fatalf("not sorted at %d", i)
-		}
-	}
-	if err := r.SortBy("nope"); err == nil {
-		t.Error("sort by missing column succeeded")
-	}
-}
-
 func TestRelationSample(t *testing.T) {
 	r := makeRel(t, 100)
 	rng := rand.New(rand.NewSource(1))

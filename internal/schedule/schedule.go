@@ -124,21 +124,6 @@ func (p *Plan) ExecutionOrder() []Placement {
 	return out
 }
 
-// Waves groups the placements by wave ordinal: Waves()[0] holds every
-// task starting at t=0, and so on. Within a wave, placements are in
-// task-ID order.
-func (p *Plan) Waves() [][]Placement {
-	order := p.ExecutionOrder()
-	var waves [][]Placement
-	for _, pl := range order {
-		for pl.Wave >= len(waves) {
-			waves = append(waves, nil)
-		}
-		waves[pl.Wave] = append(waves[pl.Wave], pl)
-	}
-	return waves
-}
-
 // finalize annotates a freshly computed plan with the executable
 // structure: dependency lists from the task specs and wave ordinals
 // from the distinct start times, then orders placements for dispatch.
@@ -289,12 +274,6 @@ func tryDeadline(tasks []Task, byID map[string]*Task, kP int, deadline float64) 
 		}
 		items = append(items, allotted{task: t, units: u, time: t.Profile[min(u, len(t.Profile))-1]})
 	}
-	// Priority: longer tasks first (LPT) among ready tasks.
-	idx := make(map[string]int, len(items))
-	for i, it := range items {
-		idx[it.task.ID] = i
-	}
-
 	done := make(map[string]float64, len(items)) // finish times
 	scheduled := make(map[string]bool, len(items))
 	var placements []Placement
@@ -378,16 +357,8 @@ func tryDeadline(tasks []Task, byID map[string]*Task, kP int, deadline float64) 
 			}
 		}
 		running = still
-		_ = idx
 	}
 	return &Plan{Placements: placements, Makespan: makespan}, true
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // LowerBound returns max(critical-path, total-work/kP): no schedule

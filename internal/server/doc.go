@@ -26,10 +26,6 @@
 //     statistics it was planned from: re-analyzing or reloading
 //     relations invalidates the cache wholesale.
 //
-// Nothing measured during an execution outlives it: a prepared cascade
-// plan (RegisterPlan) is re-planned at dispatch from its own run's
-// statistics on every submission, exactly as in a one-shot run.
-//
 // cmd/thetad wraps the Service in an HTTP/JSON daemon; cmd/thetajoin's
 // -server flag is the matching client.
 package server

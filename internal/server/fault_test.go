@@ -11,10 +11,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/mr"
-	"repro/internal/predicate"
-	"repro/internal/query"
 )
 
 // postQuery drives the HTTP handler with one request body and returns
@@ -108,32 +105,35 @@ func TestQueryTimeoutMapsTo503(t *testing.T) {
 	}
 }
 
+// failingSpillStore is a spill store whose disk is gone: every
+// CreateSpillFile fails, which no retry can cure.
+type failingSpillStore struct{ mr.SpillStore }
+
+func (failingSpillStore) CreateSpillFile() (mr.SpillFile, error) {
+	return nil, errors.New("spill disk unavailable")
+}
+
 // TestExecutionErrorMapsTo500: an error out of the executor that is
 // not a classified degradation is the service's failure (500), while a
 // request that never reaches execution stays a client error (400).
 func TestExecutionErrorMapsTo500(t *testing.T) {
-	s := newTestService(t, testDB(t), Config{})
-	// A registered plan whose job names a relation the catalog lacks:
-	// it passes admission and plan resolution and fails in execution.
-	plan := &core.Plan{
-		Query: &query.Query{Name: "ghost"},
-		Jobs: []core.PlannedJob{{
-			Name: "ghost-j1", RelOrder: []string{"A", "ghost"},
-			Conds: predicate.Conjunction{predicate.C("A", "a", predicate.EQ, "ghost", "a")},
-			Kind:  core.KindHashEqui, Reducers: 2, Units: 2,
-		}},
-	}
-	if err := s.RegisterPlan("ghost", plan); err != nil {
-		t.Fatal(err)
-	}
+	cfg := testMRConfig()
+	cfg.SpillBudgetBytes = 1 << 10
+	cfg.Spill = failingSpillStore{}
+	s := newTestService(t, testDB(t), Config{MR: cfg})
 	h := s.Handler()
-	if rec := postQuery(t, h, `{"prepared": "ghost"}`); rec.Code != http.StatusInternalServerError {
-		t.Errorf("executor failure: status %d, want 500; body %q", rec.Code, rec.Body.String())
+	// The query parses and plans; its first map task to spill fails.
+	if rec := postQuery(t, h, `{"spec": "FROM A, B WHERE A.a < B.a"}`); rec.Code != http.StatusInternalServerError ||
+		!strings.Contains(rec.Body.String(), "spill disk unavailable") {
+		t.Errorf("executor failure: status %d, want 500 naming the error; body %q", rec.Code, rec.Body.String())
+	}
+	if n := s.pool.InUse(); n != 0 {
+		t.Errorf("%d units still held after the failed query", n)
 	}
 	for _, body := range []string{
 		`{"spec": "FROM A, B WHERE"}`,                   // malformed spec
 		`{"spec": "FROM A, ghost WHERE A.a < ghost.a"}`, // unknown relation
-		`{"prepared": "nope"}`,
+		`{"name": "no spec"}`,
 		`{"spec": `,
 	} {
 		if rec := postQuery(t, h, body); rec.Code != http.StatusBadRequest {

@@ -21,7 +21,7 @@ func ResultHash(res *core.ExecResult) string {
 
 // Handler returns the service's HTTP API:
 //
-//	POST /query    {"name","spec"|"prepared","limit"} → Response JSON
+//	POST /query    {"name","spec","limit"} → Response JSON
 //	GET  /healthz  liveness (200 "ok")
 //	GET  /metrics  the obs metrics registry as JSON
 //
@@ -38,8 +38,8 @@ func ResultHash(res *core.ExecResult) string {
 //	500                the executor failed an accepted, planned query
 //	                   for any other reason — the service's fault.
 //	400                the request never reached execution: malformed
-//	                   body or spec, unknown relation, alias or
-//	                   prepared name, or a planning error.
+//	                   body or spec, unknown relation or alias, or a
+//	                   planning error.
 //	413                the request body is larger than maxRequestBytes
 //	                   (1 MiB); it is not read further.
 func (s *Service) Handler() http.Handler {

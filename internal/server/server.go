@@ -100,18 +100,14 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Request is one query submission: either a Spec in the
-// internal/query.Parse grammar, or the name of a plan previously
-// registered with RegisterPlan (cascade plans the spec language cannot
-// express).
+// Request is one query submission: a Spec in the internal/query.Parse
+// grammar.
 type Request struct {
 	// Name labels the query in spans and reports; empty derives one.
 	Name string `json:"name,omitempty"`
 	// Spec is the query text, e.g.
 	// "FROM calls t1, calls t2 WHERE t1.bt <= t2.bt".
 	Spec string `json:"spec,omitempty"`
-	// Prepared names a registered plan instead of a Spec.
-	Prepared string `json:"prepared,omitempty"`
 	// Limit bounds the rendered result rows returned inline: 0 returns
 	// none (the content hash always identifies the full result), a
 	// negative value every row — thetajoin's "-limit -1".
@@ -160,9 +156,8 @@ type Service struct {
 	closed bool
 	wg     sync.WaitGroup
 
-	cache    *planCache
-	prepared map[string]*core.Plan
-	submits  int64 // monotone label for unnamed submissions (under mu)
+	cache   *planCache
+	submits int64 // monotone label for unnamed submissions (under mu)
 }
 
 // New builds a Service over the database. The db's relations and
@@ -170,39 +165,20 @@ type Service struct {
 // through per-query views, never the shared DB.
 func New(db *core.DB, cfg Config) *Service {
 	cfg = cfg.withDefaults()
-	s := &Service{
-		cfg:      cfg,
-		db:       db,
-		pool:     core.NewSharedUnitPool(cfg.KP, cfg.Obs),
-		arbiter:  schedule.NewArbiter(cfg.KP, cfg.MinBudget),
-		o:        cfg.Obs,
-		sem:      make(chan struct{}, cfg.MaxConcurrent),
-		cache:    newPlanCache(cfg.Obs),
-		prepared: make(map[string]*core.Plan),
+	return &Service{
+		cfg:     cfg,
+		db:      db,
+		pool:    core.NewSharedUnitPool(cfg.KP, cfg.Obs),
+		arbiter: schedule.NewArbiter(cfg.KP, cfg.MinBudget),
+		o:       cfg.Obs,
+		sem:     make(chan struct{}, cfg.MaxConcurrent),
+		cache:   newPlanCache(cfg.Obs),
 	}
-	return s
 }
 
 // Obs exposes the service's observability sinks (metrics registry,
 // tracer) for export endpoints and tests.
 func (s *Service) Obs() *obs.Obs { return s.o }
-
-// RegisterPlan installs a pre-built plan under a name, submittable as
-// Request.Prepared. This is the entry point for cascade plans — shapes
-// the spec grammar cannot express — and therefore the path that
-// exercises dispatch-time re-planning under the service.
-func (s *Service) RegisterPlan(name string, plan *core.Plan) error {
-	if name == "" || plan == nil || len(plan.Jobs) == 0 {
-		return fmt.Errorf("server: RegisterPlan needs a name and a non-empty plan")
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, dup := s.prepared[name]; dup {
-		return fmt.Errorf("server: plan %q already registered", name)
-	}
-	s.prepared[name] = plan
-	return nil
-}
 
 // Close stops admission and drains: it returns once every in-flight
 // query has finished. Subsequent Submits fail with ErrClosed.
@@ -267,8 +243,8 @@ func (s *Service) Submit(ctx context.Context, req Request) (*Response, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if (req.Spec == "") == (req.Prepared == "") {
-		return nil, fmt.Errorf("server: exactly one of spec or prepared required")
+	if req.Spec == "" {
+		return nil, fmt.Errorf("server: spec required")
 	}
 	name := req.Name
 	if name == "" {
@@ -292,47 +268,35 @@ func (s *Service) Submit(ctx context.Context, req Request) (*Response, error) {
 	version := s.db.CatalogVersion()
 	resp := &Response{Name: name}
 
-	// Resolve the plan: prepared registry, or parse + plan cache.
-	var plan *core.Plan
-	var execDB *core.DB
+	// Resolve the plan: parse + plan cache.
 	planStart := time.Now()
-	if req.Prepared != "" {
-		s.mu.Lock()
-		plan = s.prepared[req.Prepared]
-		s.mu.Unlock()
-		if plan == nil {
-			return nil, fmt.Errorf("server: no prepared plan %q", req.Prepared)
-		}
-		execDB = s.db
-	} else {
-		q, aliases, err := query.Parse(name, req.Spec)
-		if err != nil {
-			return nil, err
-		}
-		canonical := query.Canonical(q, aliases)
-		resp.Canonical = canonical
-		plan, execDB, resp.CacheHit, err = s.cache.get(canonical, version, func() (*core.Plan, *core.DB, error) {
-			// Compile from the canonical form, so every spec mapping to
-			// this key gets the identical plan.
-			cq, caliases, err := query.Parse(name, canonical)
-			if err != nil {
-				return nil, nil, fmt.Errorf("server: canonical re-parse: %w", err)
-			}
-			view, err := s.db.View(caliases)
-			if err != nil {
-				return nil, nil, err
-			}
-			pl := s.newPlanner()
-			p, err := pl.Plan(cq, view)
-			if err != nil {
-				return nil, nil, err
-			}
-			return p, view, nil
-		})
-		if err != nil {
-			return nil, err
-		}
+	q, aliases, err := query.Parse(name, req.Spec)
+	if err != nil {
+		return nil, err
 	}
+	canonical := query.Canonical(q, aliases)
+	resp.Canonical = canonical
+	plan, execDB, hit, err := s.cache.get(canonical, version, func() (*core.Plan, *core.DB, error) {
+		// Compile from the canonical form, so every spec mapping to
+		// this key gets the identical plan.
+		cq, caliases, err := query.Parse(name, canonical)
+		if err != nil {
+			return nil, nil, fmt.Errorf("server: canonical re-parse: %w", err)
+		}
+		view, err := s.db.View(caliases)
+		if err != nil {
+			return nil, nil, err
+		}
+		p, err := s.newPlanner().Plan(cq, view)
+		if err != nil {
+			return nil, nil, err
+		}
+		return p, view, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	resp.CacheHit = hit
 	resp.PlanNs = time.Since(planStart).Nanoseconds()
 	s.o.Histogram("server.plan.ns").Observe(resp.PlanNs)
 

@@ -13,10 +13,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/mr"
-	"repro/internal/predicate"
 	"repro/internal/query"
 	"repro/internal/relation"
-	"repro/internal/skew"
 )
 
 func randRel(name string, n, domain int, seed int64) *relation.Relation {
@@ -364,91 +362,6 @@ func TestCloseDrains(t *testing.T) {
 	if _, err := s.Submit(context.Background(), Request{Spec: testSpec}); err != ErrClosed {
 		t.Errorf("post-Close submit: err = %v, want ErrClosed", err)
 	}
-}
-
-// zipfRel mirrors the core replan fixture: Zipf(s) join keys whose
-// equi-join amplifies the hot key in the intermediate.
-func zipfRel(name string, n int, zs float64, domain int, seed int64) *relation.Relation {
-	r := relation.New(name, relation.MustSchema(
-		relation.Column{Name: "k", Kind: relation.KindInt},
-		relation.Column{Name: "v", Kind: relation.KindInt},
-	))
-	rng := rand.New(rand.NewSource(seed))
-	z := rand.NewZipf(rng, zs, 1, uint64(domain-1))
-	for i := 0; i < n; i++ {
-		r.MustAppend(relation.Tuple{
-			relation.Int(int64(z.Uint64())),
-			relation.Int(int64(rng.Intn(1000))),
-		})
-	}
-	return r
-}
-
-// cascadeService builds a service over the Zipf cascade fixture with a
-// registered two-stage prepared plan (the spec grammar cannot express
-// cascades; the server's prepared-plan registry can).
-func cascadeService(t *testing.T, cfg Config) *Service {
-	t.Helper()
-	const kr = 16
-	l := zipfRel("L", 1500, 1.2, 500, 71)
-	r := zipfRel("R", 400, 1.2, 500, 72)
-	sRel := randRel("S", 400, 500, 73)
-	l.VolumeMultiplier = 4e9 / float64(l.EncodedSize())
-	r.VolumeMultiplier = 1e9 / float64(r.EncodedSize())
-	sRel.VolumeMultiplier = 1e9 / float64(sRel.EncodedSize())
-	db, err := core.NewDB(500, 1, l, r, sRel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.KP = kr
-	s := newTestService(t, db, cfg)
-	j1Conds := predicate.Conjunction{predicate.C("L", "k", predicate.EQ, "R", "k")}
-	j2Conds := predicate.Conjunction{predicate.C("casc-j1", "L.k", predicate.EQ, "S", "a")}
-	plan := &core.Plan{
-		Query: &query.Query{Name: "casc"},
-		Jobs: []core.PlannedJob{
-			{Name: "casc-j1", Conds: j1Conds, RelOrder: []string{"L", "R"},
-				Kind: core.KindHashEqui, Reducers: kr, Units: kr,
-				Skew: core.SkewPlanFor(db.Catalog, core.KindHashEqui, j1Conds, kr, skew.DefaultThreshold)},
-			{Name: "casc-j2", Conds: j2Conds, RelOrder: []string{"casc-j1", "S"},
-				Kind: core.KindHashEqui, Reducers: kr, Units: kr},
-		},
-	}
-	if err := s.RegisterPlan("casc", plan); err != nil {
-		t.Fatal(err)
-	}
-	return s
-}
-
-// TestServedCascadeReplans: the service keeps no statistics between
-// runs, so every submission of a prepared cascade is re-planned at
-// dispatch from that run's own measurements — and, those being
-// deterministic, reports the same outcome each time.
-func TestServedCascadeReplans(t *testing.T) {
-	s := cascadeService(t, Config{})
-	var first *Response
-	for i := 0; i < 2; i++ {
-		resp, err := s.Submit(context.Background(), Request{Prepared: "casc"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(resp.Replanned) != 1 || resp.Replanned[0] != "casc-j2" {
-			t.Errorf("submission %d replanned %v, want [casc-j2]", i+1, resp.Replanned)
-		}
-		if first == nil {
-			first = resp
-			continue
-		}
-		if resp.ResultHash != first.ResultHash || resp.Makespan != first.Makespan ||
-			resp.ShuffleBytes != first.ShuffleBytes ||
-			resp.JobBalance["casc-j2"] != first.JobBalance["casc-j2"] {
-			t.Errorf("resubmission differs: hash %s makespan %v shuffle %d balance %v, first %s %v %d %v",
-				resp.ResultHash, resp.Makespan, resp.ShuffleBytes, resp.JobBalance["casc-j2"],
-				first.ResultHash, first.Makespan, first.ShuffleBytes, first.JobBalance["casc-j2"])
-		}
-	}
-	t.Logf("hash %s makespan %v shuffle %d casc-j2 balance %v",
-		first.ResultHash, first.Makespan, first.ShuffleBytes, first.JobBalance["casc-j2"])
 }
 
 // BenchmarkConcurrentQueries drives the full serving path — admission,
