@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -205,10 +206,10 @@ func TestExecutionDeterminismSpill(t *testing.T) {
 	}
 }
 
-// TestExecutionDeterminismUnitPools asserts the UnitPool extraction
-// changed nothing observable: a full planned execution produces
-// bit-identical output and byte-level metrics whether the units come
-// from the default plan-private pool, a SharedUnitPool, or a
+// TestExecutionDeterminismUnitPools asserts the unit pool changes
+// nothing observable: a full planned execution produces bit-identical
+// output and byte-level metrics whether the units come from the
+// default pool (Planner.Pool nil), a SharedUnitPool passed in, or a
 // budget-capped view of a shared pool (which forces different dispatch
 // interleavings by admitting fewer jobs at once).
 func TestExecutionDeterminismUnitPools(t *testing.T) {
@@ -230,7 +231,7 @@ func TestExecutionDeterminismUnitPools(t *testing.T) {
 		name string
 		pool UnitPool
 	}{
-		{"private", nil},
+		{"default", nil},
 		{"shared", NewSharedUnitPool(kp, nil)},
 		{"budget", WithBudget(NewSharedUnitPool(kp, nil), kp/2)},
 	}
@@ -371,10 +372,11 @@ func TestExecuteConcurrentIndependentJobs(t *testing.T) {
 	}
 }
 
-// TestExecuteDependentJobsGate asserts that a job reading another
-// planned job's output is gated on its completion and consumes the
-// produced intermediate relation.
-func TestExecuteDependentJobsGate(t *testing.T) {
+// dependentCascade builds a two-job cascade: casc-j2 joins casc-j1's output
+// back against B, so its step can only run once the intermediate
+// relation exists.
+func dependentCascade(t *testing.T) (*Plan, *DB) {
+	t.Helper()
 	rng := rand.New(rand.NewSource(11))
 	a := randRelation("A", 40, 12, rng)
 	b := randRelation("B", 30, 12, rng)
@@ -382,10 +384,7 @@ func TestExecuteDependentJobsGate(t *testing.T) {
 	q := query.MustNew("casc", []string{"A", "B"}, []predicate.Condition{
 		predicate.C("A", "a", predicate.LT, "B", "a"),
 	})
-	pl := testPlanner(8)
-	// Job 2 joins job 1's output back against B — a cascade whose
-	// second step can only run once the intermediate relation exists.
-	plan := &Plan{
+	return &Plan{
 		Query: q,
 		Jobs: []PlannedJob{
 			{Name: "casc-j1", Conds: predicate.Conjunction{q.Conditions[0]}, RelOrder: []string{"A", "B"},
@@ -394,8 +393,15 @@ func TestExecuteDependentJobsGate(t *testing.T) {
 				predicate.C("casc-j1", "A.a", predicate.LE, "B", "b"),
 			}, RelOrder: []string{"casc-j1", "B"}, Kind: KindHilbertTheta, Reducers: 2, Units: 8},
 		},
-	}
-	res, err := pl.Execute(plan, db)
+	}, db
+}
+
+// TestExecuteDependentJobsGate asserts that a job reading another
+// planned job's output is gated on its completion and consumes the
+// produced intermediate relation.
+func TestExecuteDependentJobsGate(t *testing.T) {
+	plan, db := dependentCascade(t)
+	res, err := testPlanner(8).Execute(plan, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,5 +410,44 @@ func TestExecuteDependentJobsGate(t *testing.T) {
 	}
 	if len(res.JobMetrics) != 2 {
 		t.Fatalf("expected 2 job metrics, got %d", len(res.JobMetrics))
+	}
+}
+
+// TestExecutePlanWithFaultPlan: a retryable fault plan threaded through
+// the planner config (kills, corruption, stragglers across the
+// cascade's jobs) never changes the plan's output, and the fault
+// telemetry aggregates into ExecResult and its Report.
+func TestExecutePlanWithFaultPlan(t *testing.T) {
+	plan, db := dependentCascade(t)
+	clean, err := testPlanner(8).Execute(plan, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	pl := testPlanner(8)
+	pl.Config.SpillBudgetBytes = 1 << 10
+	faults, err := mr.ParseFaultPlan("seed=3,map-kills=1,reduce-kills=1,corrupt-frames=1,stragglers=1,delay=5ms")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl.Config.Faults = faults
+	res, err := pl.Execute(plan, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !resultSet(clean.Output).Equal(resultSet(res.Output)) {
+		t.Error("fault plan changed the plan output")
+	}
+	if res.TaskFailures == 0 {
+		t.Error("planned kills not charged into TaskFailures")
+	}
+	if res.ChecksumFailures != 2 || res.FailoverReads != 2 {
+		// One corruption consumed once per job (each job resolves its
+		// own injector from the shared plan).
+		t.Errorf("corruption telemetry: checksum=%d failover=%d, want 2/2",
+			res.ChecksumFailures, res.FailoverReads)
+	}
+	if rep := res.Report(); !strings.Contains(rep, "fault tolerance:") {
+		t.Errorf("report missing fault line:\n%s", rep)
 	}
 }

@@ -62,12 +62,6 @@ type ExecResult struct {
 	SpeculativeWins     int
 	ChecksumFailures    int64
 	FailoverReads       int64
-	// CheckpointSaved lists (sorted) the intermediates persisted via
-	// PlanOptions.Checkpoint; CheckpointRestored lists the jobs that
-	// were NOT executed because PlanOptions.ResumeFrom found their
-	// checkpoint. A restored job's JobMetrics entry is synthetic zero.
-	CheckpointSaved    []string
-	CheckpointRestored []string
 	// Wall is the MEASURED wall-clock duration of the whole execution
 	// (jobs + merge) on this machine — the real-time counterpart of the
 	// modeled Makespan. Per-job measured breakdowns live in
@@ -147,16 +141,14 @@ type planRun struct {
 	shard *obs.Shard
 	start time.Time
 
-	// pool arbitrates the K_P processing units. The default is
-	// plan-private; a server installs a SharedUnitPool so concurrent
-	// plans contend for one machine-wide K_P budget.
+	// pool arbitrates the K_P processing units: Planner.Pool, or a
+	// one-plan SharedUnitPool of K_P units when that is nil.
 	pool  UnitPool
 	order []execSlot
 	// consumed[name] marks a planned job whose output another planned
 	// job reads (a cascade intermediate): the only jobs worth measuring
-	// for feedback re-planning or checkpointing, and the outputs that
-	// must not re-enter the final merge (their consumer's output
-	// subsumes them).
+	// for feedback re-planning, and the outputs that must not re-enter
+	// the final merge (their consumer's output subsumes them).
 	consumed map[string]bool
 	fb       *feedback
 	// replanned holds the feedback-revised copy of each replanned job.
@@ -167,24 +159,22 @@ type planRun struct {
 	started []bool       // by plan position
 	// buildWall[name] is what startJob spent building the job.
 	buildWall map[string]time.Duration
-	// produced holds the output of every finished (or restored) job by
-	// name: what a dependent waits for and then reads.
+	// produced holds the output of every finished job by name: what a
+	// dependent waits for and then reads.
 	produced map[string]*relation.Relation
 
 	inflight, maxInflight, nDone int
 	firstErr                     error
-	restored, saved              []string
 }
 
 // ExecuteContext drives the planned jobs through the schedule
-// placement for real, concurrently, as phases over one planRun:
-// restore brings back checkpointed intermediates; then, until every
-// job is done, dispatch starts each placement whose dependencies have
-// completed and whose unit allotment fits the free capacity of the
-// K_P-unit pool — on its own goroutine, with map/reduce slot budgets
-// and a proportional share of the machine's real workers taken from
-// its units — await blocks for a finished job or freed capacity and
-// complete books the job's output, statistics and checkpoint; retime
+// placement for real, concurrently, as phases over one planRun: until
+// every job is done, dispatch starts each placement whose dependencies
+// have completed and whose unit allotment fits the free capacity of
+// the K_P-unit pool — on its own goroutine, with map/reduce slot
+// budgets and a proportional share of the machine's real workers taken
+// from its units — await blocks for a finished job or freed capacity
+// and complete books the job's output and statistics; retime
 // re-schedules the measured durations and merge joins the partial
 // results. The first job error cancels the context, the jobs still in
 // flight are drained, and that error is returned.
@@ -208,12 +198,10 @@ func (pl *Planner) ExecuteContext(ctx context.Context, plan *Plan, db *DB) (*Exe
 	defer r.cancel()
 	span := r.shard.Start("execute",
 		obs.A("query", plan.Query.Name), obs.A("jobs", len(plan.Jobs)))
-	r.restore()
 	for r.nDone < len(r.order) {
 		// Fetch the pool's wake-up channel BEFORE scanning: any release
 		// by another plan after this point closes exactly this channel,
-		// so waiting on it below cannot miss a freed unit. Nil for
-		// private pools (capacity only frees via our own done channel).
+		// so waiting on it below cannot miss a freed unit.
 		freed := r.pool.Freed()
 		if r.firstErr == nil {
 			r.dispatch()
@@ -270,7 +258,7 @@ func newPlanRun(ctx context.Context, pl *Planner, plan *Plan, db *DB) (*planRun,
 		produced:  make(map[string]*relation.Relation, n),
 	}
 	if r.pool == nil {
-		r.pool = newPrivatePool(pl.KP)
+		r.pool = NewSharedUnitPool(pl.KP, nil)
 	}
 	for i := range plan.Jobs {
 		for _, rel := range plan.Jobs[i].RelOrder {
@@ -281,46 +269,6 @@ func newPlanRun(ctx context.Context, pl *Planner, plan *Plan, db *DB) (*planRun,
 	}
 	r.ctx, r.cancel = context.WithCancel(ctx)
 	return r, nil
-}
-
-// restore is the cascade resume: it brings back whatever intermediates
-// the checkpoint store still holds for the failed run before anything
-// dispatches, so only un-checkpointed jobs re-execute. A restored job
-// completes instantly with synthetic zero metrics and a nil trace;
-// only consumed intermediates are ever checkpointed, so terminal jobs
-// always re-run. A checkpoint that fails to load is a miss, as one
-// that fails to save is no checkpoint: the job re-executes.
-func (r *planRun) restore() {
-	opts := &r.pl.Opts
-	if opts.Checkpoint == nil || opts.ResumeFrom == "" {
-		return
-	}
-	for i := range r.plan.Jobs {
-		pj := &r.plan.Jobs[i]
-		if !r.consumed[pj.Name] {
-			continue
-		}
-		rel, ok, err := opts.Checkpoint.LoadIntermediate(opts.ResumeFrom, pj.Name)
-		if err != nil {
-			r.checkpointError(pj.Name, err)
-			continue
-		}
-		if !ok {
-			continue
-		}
-		r.results[i] = &mr.Result{Output: rel}
-		r.started[i] = true
-		r.produced[pj.Name] = rel
-		r.restored = append(r.restored, pj.Name)
-		r.nDone++
-		r.shard.Instant("checkpoint-restore", obs.A("job", pj.Name),
-			obs.A("tuples", rel.Cardinality()))
-	}
-}
-
-func (r *planRun) checkpointError(job string, err error) {
-	r.o.Counter("core.checkpoint_errors").Add(1)
-	r.shard.Instant("checkpoint-error", obs.A("job", job), obs.A("error", err.Error()))
 }
 
 // ready reports whether every dependency of the slot has completed.
@@ -415,21 +363,21 @@ func (r *planRun) startJob(s execSlot, units int) error {
 	return nil
 }
 
-// await blocks until a job of this run finishes (ok) or the shared
-// pool frees capacity (!ok: rescan). With nothing in flight it returns
-// the run's first error if there is one; otherwise the plan is either
-// waiting on other plans' units or cannot make progress at all.
+// await blocks until a job of this run finishes (ok) or the pool frees
+// capacity (!ok: rescan). With nothing in flight it returns the run's
+// first error if there is one; otherwise the plan is either waiting on
+// other plans' units or cannot make progress at all.
 func (r *planRun) await(freed <-chan struct{}) (msg jobDone, ok bool, err error) {
 	if r.inflight == 0 {
 		if r.firstErr != nil {
 			return msg, false, r.firstErr
 		}
 		// A ready-but-undispatched job with nothing of ours in flight
-		// means a shared pool's capacity is held by other plans: wait
-		// for any release, then rescan. A private pool can't get here
-		// with a ready job (idle capacity always admits the clamped
-		// allotment), so freed == nil falls through to the stall error.
-		if freed != nil && r.anyReady() {
+		// means the pool's capacity is held by other plans: wait for any
+		// release, then rescan. A pool only this plan draws on can't get
+		// here with a ready job (idle capacity always admits the clamped
+		// allotment), so it falls through to the stall error.
+		if r.anyReady() {
 			select {
 			case <-freed:
 				return msg, false, nil
@@ -444,16 +392,15 @@ func (r *planRun) await(freed <-chan struct{}) (msg jobDone, ok bool, err error)
 	case msg = <-r.done:
 		return msg, true, nil
 	case <-freed:
-		// Another plan released units (freed is nil — blocking forever
-		// — for private pools): rescan for newly admissible jobs.
+		// Units were released: rescan for newly admissible jobs.
 		return msg, false, nil
 	}
 }
 
 // complete returns a finished job's units and books its outcome: the
 // first error cancels the run (the loop then only drains); a result is
-// recorded at its plan position, measured for the feedback loop and
-// checkpointed when a downstream job will read it.
+// recorded at its plan position and measured for the feedback loop
+// when a downstream job will read it.
 func (r *planRun) complete(msg jobDone) {
 	r.inflight--
 	r.pool.Release(msg.units)
@@ -479,17 +426,6 @@ func (r *planRun) complete(msg jobDone) {
 	if !r.pl.Opts.DisableReplan {
 		r.fb.observe(pj.Name, msg.res)
 	}
-	// Checkpoint completed intermediates so a later failure in the
-	// cascade can resume from here. Save errors degrade gracefully: the
-	// run proceeds un-checkpointed (resume just re-executes).
-	if cp := r.pl.Opts.Checkpoint; cp != nil {
-		if err := cp.SaveIntermediate(r.plan.Query.Name, pj.Name, msg.res.Output); err != nil {
-			r.checkpointError(pj.Name, err)
-		} else {
-			r.saved = append(r.saved, pj.Name)
-			r.shard.Instant("checkpoint-save", obs.A("job", pj.Name))
-		}
-	}
 }
 
 // retime assembles the jobs' metrics deterministically in plan order
@@ -498,20 +434,16 @@ func (r *planRun) complete(msg jobDone) {
 func (r *planRun) retime() (*ExecResult, error) {
 	plan, kp := r.plan, r.pl.KP
 	res := &ExecResult{
-		JobMetrics:         make(map[string]mr.Metrics, len(plan.Jobs)),
-		BuildWall:          r.buildWall,
-		MaxConcurrentJobs:  r.maxInflight,
-		CheckpointSaved:    r.saved,
-		CheckpointRestored: r.restored,
-		plan:               plan,
-		replanJobs:         r.replanned,
+		JobMetrics:        make(map[string]mr.Metrics, len(plan.Jobs)),
+		BuildWall:         r.buildWall,
+		MaxConcurrentJobs: r.maxInflight,
+		plan:              plan,
+		replanJobs:        r.replanned,
 	}
 	for name := range r.replanned {
 		res.Replanned = append(res.Replanned, name)
 	}
 	sort.Strings(res.Replanned)
-	sort.Strings(res.CheckpointSaved)
-	sort.Strings(res.CheckpointRestored)
 	depsOf := make(map[string][]string, len(r.order))
 	for _, s := range r.order {
 		depsOf[plan.Jobs[s.idx].Name] = s.deps

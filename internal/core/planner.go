@@ -33,22 +33,6 @@ type PlanOptions struct {
 	// measured statistics at dispatch time (see replan.go; kept for
 	// the static-vs-feedback ablation).
 	DisableReplan bool
-	// Checkpoint, when set, persists every completed cascade
-	// intermediate under (query name, job name) so a failed plan can be
-	// resumed (see Checkpointer). Save failures degrade gracefully: the
-	// run continues un-checkpointed and counts the error under
-	// core/checkpoint_errors.
-	Checkpoint Checkpointer
-	// ResumeFrom names the plan key (normally the query name of the
-	// failed run) whose checkpoints ExecuteContext should restore
-	// before dispatching: intermediates found in Checkpoint are not
-	// re-executed — their jobs complete instantly with synthetic zero
-	// metrics — and only un-checkpointed jobs run; a checkpoint that
-	// fails to load counts under core/checkpoint_errors and its job
-	// runs again. Empty disables restore. Restored jobs bypass the
-	// feedback loop (there are no measured statistics), so downstream
-	// replanning falls back to the static plan.
-	ResumeFrom string
 }
 
 // Planner maps an N-join query onto a scheduled set of MapReduce jobs
@@ -60,8 +44,8 @@ type Planner struct {
 	Opts   PlanOptions
 
 	// Pool arbitrates the processing units at execution time. Nil (the
-	// default) gives the plan a private K_P-unit pool — the one-shot
-	// batch behavior. A server installs a SharedUnitPool (optionally
+	// default) gives each execution a SharedUnitPool of its own K_P units
+	// — the one-shot batch behavior. A server installs a SharedUnitPool (optionally
 	// budget-capped per query via WithBudget) so concurrent plans
 	// contend for one machine-wide K_P instead of each assuming it owns
 	// the cluster.

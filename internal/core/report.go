@@ -82,13 +82,6 @@ func (r *ExecResult) Report() string {
 			r.TaskAttempts, r.TaskFailures, r.SpeculativeLaunched, r.SpeculativeWins,
 			r.ChecksumFailures, r.FailoverReads)
 	}
-	if len(r.CheckpointRestored) > 0 {
-		fmt.Fprintf(&b, "  checkpoint restore: %d jobs skipped (%s)\n",
-			len(r.CheckpointRestored), strings.Join(r.CheckpointRestored, ", "))
-	}
-	if len(r.CheckpointSaved) > 0 {
-		fmt.Fprintf(&b, "  checkpoints saved: %s\n", strings.Join(r.CheckpointSaved, ", "))
-	}
 	fmt.Fprintf(&b, "  makespan (MODELED cluster seconds): %.1f\n", r.Makespan)
 	fmt.Fprintf(&b, "  wall time (MEASURED on this machine): %s\n", fmtDur(r.Wall))
 	return b.String()

@@ -11,21 +11,20 @@ import (
 // starting it and releases it on completion, so the units in flight
 // never exceed the pool's capacity.
 //
-// A plan-private pool (the default when Planner.Pool is nil) scopes
-// the K_P budget to one plan, reproducing the historical semaphore
-// bit-for-bit. A SharedUnitPool spans plans: a resident service hands
-// the same pool to every concurrent query so their combined holdings
-// respect one machine-wide K_P, and WithBudget further caps a single
-// query's share.
+// Every pool is a SharedUnitPool, or a WithBudget view of one. With
+// Planner.Pool nil each execution gets a pool of its own K_P units; a
+// resident service hands the same pool to every concurrent query so
+// their combined holdings respect one machine-wide K_P, and WithBudget
+// further caps a single query's share.
 //
 // The executor's dispatch loop is all-or-nothing and non-blocking: it
 // calls TryAcquire once per ready job and never holds a partial
 // allotment while waiting, so pools cannot deadlock against each
-// other. Freed exists because a shared pool's capacity can be
-// returned by a *different* plan's completion: the executor fetches
-// the channel before a dispatch scan and waits on it when nothing
-// could start, guaranteeing a release between the fetch and the wait
-// is never missed.
+// other. Freed exists because a pool's capacity can be returned by a
+// *different* plan's completion: the executor fetches the channel
+// before a dispatch scan and waits on it when nothing could start,
+// guaranteeing a release between the fetch and the wait is never
+// missed.
 type UnitPool interface {
 	// Capacity is the total unit count; dispatch clamps a job's
 	// allotment to it so every job is eventually admissible.
@@ -34,34 +33,9 @@ type UnitPool interface {
 	TryAcquire(n int) bool
 	// Release returns n previously acquired units.
 	Release(n int)
-	// Freed returns a channel closed after the next Release, or nil
-	// when external releases cannot occur (plan-private pools): the
-	// executor then waits only on its own jobs.
+	// Freed returns a channel closed after the next Release.
 	Freed() <-chan struct{}
 }
-
-// privatePool is the plan-scoped default: plain integer accounting,
-// touched only by the dispatch goroutine. Its capacity can only free
-// when one of the plan's own jobs completes, which wakes the dispatch
-// loop through the done channel, so Freed is nil.
-type privatePool struct{ capacity, free int }
-
-func newPrivatePool(capacity int) *privatePool {
-	return &privatePool{capacity: capacity, free: capacity}
-}
-
-func (p *privatePool) Capacity() int { return p.capacity }
-
-func (p *privatePool) TryAcquire(n int) bool {
-	if n > p.free {
-		return false
-	}
-	p.free -= n
-	return true
-}
-
-func (p *privatePool) Release(n int)          { p.free += n }
-func (p *privatePool) Freed() <-chan struct{} { return nil }
 
 // SharedUnitPool is a cross-plan K_P semaphore: every concurrent
 // query's executor acquires from the same instance, so two plans on a

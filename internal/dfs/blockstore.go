@@ -24,19 +24,20 @@ const DefaultPageSize = 64 << 10
 // a few concurrent readers, half a megabyte at most.
 const freePageBufs = 8
 
+// pageReplicas is how many total disk reads a checksum-failed page fill
+// may attempt: the dfs.replication default of Table 1.
+const pageReplicas = 3
+
 // BlockStore is the real (non-modeled) storage substrate of the
 // package: a directory of append-then-sealed files whose reads are
-// served through an in-memory LRU page cache with a byte budget. It is
-// the out-of-core counterpart of the simulated Store namespace —
-// Store prices I/O in simulated seconds, BlockStore actually holds
-// bytes on disk and bounds how many of them sit in memory.
+// served through an in-memory LRU page cache with a byte budget, so it
+// holds bytes on disk and bounds how many of them sit in memory.
 //
-// It implements mr.SpillStore, and has two users: an engine run with
-// Config.SpillBudgetBytes set writes its sorted shuffle runs here and
-// reducers stream-merge them back through the page cache, and
-// CheckpointStore keeps a plan's intermediate relations in its files.
-// Both write rows in the raw tuple codec; job inputs never come from
-// here — they are always materialized relations.
+// It implements mr.SpillStore, and has one user: an engine run with
+// Config.SpillBudgetBytes set writes its sorted shuffle runs here, in
+// the raw tuple codec, and reducers stream-merge them back through the
+// page cache. Job inputs never come from here — they are always
+// materialized relations.
 //
 // The cache is transparent: every read returns exactly the sealed
 // bytes regardless of budget, page size, eviction order or
@@ -63,9 +64,8 @@ type BlockStore struct {
 
 	// Integrity: every sealed page carries a CRC32 computed at write
 	// time and verified on every cache fill; a mismatch triggers up to
-	// `replicas` total disk reads (failover to a surviving replica)
+	// pageReplicas total disk reads (failover to a surviving replica)
 	// before the read fails. Counters are quarantine telemetry.
-	replicas         int
 	o                *obs.Obs
 	checksumFailures atomic.Int64
 	failoverReads    atomic.Int64
@@ -107,22 +107,9 @@ func NewBlockStore(dir string, cacheBudgetBytes int64) (*BlockStore, error) {
 		owned:       owned,
 		pageSize:    DefaultPageSize,
 		cacheBudget: cacheBudgetBytes,
-		replicas:    3, // dfs.replication default (Table 1)
 		lru:         list.New(),
 		pages:       make(map[pageKey]*list.Element),
 	}, nil
-}
-
-// SetReplication sets how many total disk reads a checksum-failed page
-// fill may attempt (the replica count read failover can fall back on).
-// Values below 1 are clamped to 1 — verify once, never fail over.
-func (s *BlockStore) SetReplication(n int) {
-	if n < 1 {
-		n = 1
-	}
-	s.mu.Lock()
-	s.replicas = n
-	s.mu.Unlock()
 }
 
 // AttachObs routes the store's quarantine counters
@@ -226,7 +213,7 @@ func (s *BlockStore) copyPage(k pageKey, b *blockFile, from int64, dst []byte) (
 		return n, nil
 	}
 	s.misses++
-	replicas, o, hook := s.replicas, s.o, s.corruptFill
+	o, hook := s.o, s.corruptFill
 	var data []byte
 	if n := len(s.free); n > 0 {
 		data, s.free = s.free[n-1][:pageLen], s.free[:n-1]
@@ -237,7 +224,7 @@ func (s *BlockStore) copyPage(k pageKey, b *blockFile, from int64, dst []byte) (
 
 	// Fill outside the lock; a racing reader of the same page just
 	// fills it twice, and the second insert finds it already cached.
-	err := s.fillPage(k, b, data, pageOff, replicas, o, hook)
+	err := s.fillPage(k, b, data, pageOff, o, hook)
 	n := 0
 	if err == nil {
 		n = copy(dst, data[from:])
@@ -258,7 +245,7 @@ func (s *BlockStore) copyPage(k pageKey, b *blockFile, from int64, dst []byte) (
 
 // fillPage reads the page into data and verifies it against the sealed
 // CRC, failing over to replica re-reads while any remain.
-func (s *BlockStore) fillPage(k pageKey, b *blockFile, data []byte, pageOff int64, replicas int, o *obs.Obs,
+func (s *BlockStore) fillPage(k pageKey, b *blockFile, data []byte, pageOff int64, o *obs.Obs,
 	hook func(file int, page int64, attempt int, data []byte)) error {
 	want, verify := b.pageCRC(k.page)
 	for attempt := 1; ; attempt++ {
@@ -275,9 +262,9 @@ func (s *BlockStore) fillPage(k pageKey, b *blockFile, data []byte, pageOff int6
 		// re-read while any remain.
 		s.checksumFailures.Add(1)
 		o.Counter("dfs.checksum_failures").Add(1)
-		if attempt >= replicas {
+		if attempt >= pageReplicas {
 			return fmt.Errorf("dfs: file %d page %d: checksum mismatch on all %d replicas",
-				k.file, k.page, replicas)
+				k.file, k.page, pageReplicas)
 		}
 		s.failoverReads.Add(1)
 		o.Counter("dfs.failover_reads").Add(1)

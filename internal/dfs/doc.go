@@ -7,20 +7,15 @@
 //
 // BlockStore is the out-of-core substrate: a directory of write-once,
 // seal-then-read files whose reads are served through an in-memory LRU
-// page cache with a byte budget (DefaultPageSize pages). It has two
-// users:
+// page cache with a byte budget (DefaultPageSize pages). It has one
+// user, the shuffle spill: BlockStore implements mr.SpillStore, and a
+// job run with mr.Config.SpillBudgetBytes > 0 and Config.Spill set to a
+// BlockStore writes every map task's sorted shuffle runs here and the
+// reducers k-way stream-merge them back through the page cache, so
+// resident pair memory is bounded by the budget instead of
+// proportional to the shuffle volume.
 //
-//   - Spill target. BlockStore implements mr.SpillStore. A job run
-//     with mr.Config.SpillBudgetBytes > 0 and Config.Spill set to a
-//     BlockStore writes every map task's sorted shuffle runs here and
-//     the reducers k-way stream-merge them back through the page
-//     cache, so resident pair memory is bounded by the budget instead
-//     of proportional to the shuffle volume.
-//   - Checkpoint backing. CheckpointStore saves a plan's intermediate
-//     relations into the store's files and reloads them, a block of
-//     rows at a time.
-//
-// Both write rows in internal/relation's raw tuple codec
+// Spilled pairs are written in internal/relation's raw tuple codec
 // (AppendTupleRaw/DecodeTupleRaw), the one binary encoding in the tree.
 // Job inputs are always materialized relations: nothing is read from
 // the store as a job's input.
@@ -28,13 +23,13 @@
 // # Bounded-memory contract and knobs
 //
 // The contract: results are bit-identical whether execution is
-// in-memory or out-of-core. Spilled pairs and checkpointed rows
-// round-trip through the raw tuple codec bit-identically (dictionary
-// code slots included), and the page cache is transparent — budget,
-// page size, eviction order and concurrency affect only CacheStats,
-// never a returned byte. mr.Metrics reports
-// the difference instead: SpillBytes/SpillRuns count what went to
-// disk, PeakLiveBytes the accounted resident high-water mark.
+// in-memory or out-of-core. Spilled pairs round-trip through the raw
+// tuple codec bit-identically (dictionary code slots included), and
+// the page cache is transparent — budget, page size, eviction order
+// and concurrency affect only CacheStats, never a returned byte.
+// mr.Metrics reports the difference instead: SpillBytes/SpillRuns
+// count what went to disk, PeakLiveBytes the accounted resident
+// high-water mark.
 //
 // Two knobs force or bound out-of-core execution:
 //
@@ -51,20 +46,13 @@
 // fill — a read from disk, never a cache hit. A mismatch is counted
 // (IntegrityStats, the dfs/checksum_failures quarantine counter of an
 // attached obs registry) and the fill falls back to a replica re-read,
-// up to SetReplication total reads, before the read fails. The failover
-// contract mirrors the spill-frame checksums in internal/mr: transient
-// corruption costs a counter tick and a dfs/failover_reads re-read and
-// is otherwise invisible; only corruption of every replica surfaces an
-// error, and a caller running under mr's attempt machinery retries even
-// that with a fresh task attempt.
-//
-// CheckpointStore layers cascade recovery on the same substrate: a
-// plan executor saves each completed intermediate relation into a
-// page-checksummed file and, on resume, reloads exactly the jobs that
-// finished instead of re-executing them (see internal/core's
-// PlanOptions.ResumeFrom); a checkpoint that fails to load — every
-// replica of a page corrupt — is an error the executor answers by
-// running the job again.
+// up to three total reads (the Table 1 dfs.replication), before the
+// read fails. The failover contract mirrors the spill-frame checksums
+// in internal/mr: transient corruption costs a counter tick and a
+// dfs/failover_reads re-read and is otherwise invisible; only
+// corruption of every replica surfaces an error, and a caller running
+// under mr's attempt machinery retries even that with a fresh task
+// attempt.
 //
 // # Determinism
 //

@@ -585,8 +585,8 @@ func (p *csvParser) quoted(s string, pos int) (string, int, error) {
 }
 
 // The raw tuple codec is the one binary encoding, used for everything
-// the engine itself writes to disk: mr's spill runs and dfs's
-// checkpoints. A tuple is uvarint(arity) followed by its values, each
+// the engine itself writes to disk: mr's spill runs. A tuple is
+// uvarint(arity) followed by its values, each
 // self-describing and needing no dictionary context:
 //
 //	u8 kind | int, time → u64 payload
@@ -617,8 +617,8 @@ func AppendTupleRaw(dst []byte, t Tuple) []byte {
 
 // DecodeTupleRaw decodes the tuple AppendTupleRaw wrote at the front of
 // b and returns it with the rest of b. Its callers hold the encoded
-// bytes in memory already (a spill frame's payload, a checkpoint block),
-// so values are sliced out of them with no reader in between. It never
+// bytes in memory already (a spill frame's payload), so values are
+// sliced out of them with no reader in between. It never
 // reads past b; truncated or malformed bytes are an error.
 func DecodeTupleRaw(b []byte) (Tuple, []byte, error) {
 	arity, w := binary.Uvarint(b)

@@ -32,7 +32,7 @@
 // and it has exactly two encodings, both in codec.go: CSV with a typed
 // header (WriteCSV/ReadCSV) is what users load and save; the raw tuple
 // codec (AppendTupleRaw/DecodeTupleRaw) is what the engine writes to
-// disk — mr's spill runs, dfs's checkpoints. The raw codec round-trips
+// disk, mr's spill runs. The raw codec round-trips
 // a Value bit-identically, dictionary code slot included; CSV carries
 // no dictionaries, which DB.Analyze rebuilds after a load. The CSV
 // codec works on bytes, in both directions a block at a time on up to

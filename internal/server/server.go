@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -355,13 +354,8 @@ func fillResult(resp *Response, res *core.ExecResult, limit int) {
 	resp.Replanned = res.Replanned
 	if len(res.JobMetrics) > 0 {
 		resp.JobBalance = make(map[string]float64, len(res.JobMetrics))
-		names := make([]string, 0, len(res.JobMetrics))
-		for n := range res.JobMetrics {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, n := range names {
-			resp.JobBalance[n] = res.JobMetrics[n].BalanceRatio
+		for n, m := range res.JobMetrics {
+			resp.JobBalance[n] = m.BalanceRatio
 		}
 	}
 	if limit != 0 {

@@ -66,7 +66,7 @@ func newTestService(t *testing.T, db *core.DB, cfg Config) *Service {
 const testSpec = "FROM A, B WHERE A.a < B.a"
 
 // oneShotHash runs the same query through the batch path (its own
-// private pool, fresh planner) and returns the result hash.
+// unit pool, fresh planner) and returns the result hash.
 func oneShotHash(t *testing.T, db *core.DB, spec string) string {
 	t.Helper()
 	q, aliases, err := query.Parse("oneshot", spec)
