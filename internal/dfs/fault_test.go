@@ -16,27 +16,14 @@ import (
 // file plus its bytes.
 func sealedProbeFile(t *testing.T, store *BlockStore) ([]byte, *blockFile) {
 	t.Helper()
-	payload := make([]byte, 2*DefaultPageSize+333)
-	rng := rand.New(rand.NewSource(3))
-	for i := range payload {
-		payload[i] = byte(rng.Intn(256))
-	}
-	f, err := store.CreateSpillFile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write(payload); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Seal(); err != nil {
-		t.Fatal(err)
-	}
-	return payload, f.(*blockFile)
+	payload := patterned(3, 2*DefaultPageSize+333)
+	return payload, writeSealed(t, store, payload)
 }
 
-// TestPageChecksumFailover: a transient page corruption (one bad disk
-// read) is detected by the page CRC, absorbed by a replica re-read, and
-// counted in both the store stats and the attached obs registry.
+// TestPageChecksumFailover: a transient corruption of the middle page of
+// a run fill (one bad disk read) is detected by the page CRC, absorbed
+// by a re-read of that page alone, and counted in both the store stats
+// and the attached obs registry.
 func TestPageChecksumFailover(t *testing.T) {
 	store, err := NewBlockStore("", 1<<20)
 	if err != nil {
@@ -69,31 +56,41 @@ func TestPageChecksumFailover(t *testing.T) {
 	if n := o.Counter("dfs.failover_reads").Value(); n != 1 {
 		t.Errorf("obs failover counter = %d", n)
 	}
+	if n := o.Counter("dfs.disk_reads").Value(); n != 2 {
+		t.Errorf("%d disk reads, want 2: the run's and the bad page's replica", n)
+	}
 }
 
 // TestPageChecksumExhaustsReplicas: persistent corruption (every
-// replica read bad) must surface an error after pageReplicas reads,
-// never silently decode bad bytes.
+// replica read bad) of the first or a middle page of a run must surface
+// an error after pageReplicas reads, never silently decode bad bytes.
 func TestPageChecksumExhaustsReplicas(t *testing.T) {
-	store, err := NewBlockStore("", 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store.Close()
-	payload, f := sealedProbeFile(t, store)
-
-	store.corruptFill = func(file int, page int64, attempt int, data []byte) {
-		if page == 0 {
-			data[0] ^= 0xFF
+	for _, bad := range []int64{0, 1} {
+		store, err := NewBlockStore("", 1<<20)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	_, err = f.ReadAt(make([]byte, len(payload)), 0)
-	if err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
-		t.Fatalf("persistent corruption not surfaced: %v", err)
-	}
-	cs, fo := store.IntegrityStats()
-	if cs != 3 || fo != 2 {
-		t.Errorf("IntegrityStats = (%d, %d), want (3, 2)", cs, fo)
+		payload, f := sealedProbeFile(t, store)
+
+		store.corruptFill = func(file int, page int64, attempt int, data []byte) {
+			if page == bad {
+				data[0] ^= 0xFF
+			}
+		}
+		_, err = f.ReadAt(make([]byte, len(payload)), 0)
+		if err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
+			t.Fatalf("page %d: persistent corruption not surfaced: %v", bad, err)
+		}
+		cs, fo := store.IntegrityStats()
+		if cs != 3 || fo != 2 {
+			t.Errorf("page %d: IntegrityStats = (%d, %d), want (3, 2)", bad, cs, fo)
+		}
+		if _, _, resident := store.CacheStats(); resident != 0 {
+			t.Errorf("page %d: a failed run left %d bytes cached", bad, resident)
+		}
+		if err := store.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -108,7 +108,7 @@
 // Spilled runs are written as checksummed frames (~32 KiB of pairs,
 // each with a CRC32 header; a pair never spans frames). Readers verify
 // every frame before decoding; a mismatch is counted
-// (Metrics.ChecksumFailures, the mr/checksum_failures quarantine
+// (Metrics.ChecksumFailures, the mr.checksum_failures quarantine
 // counter) and the frame is re-read — failover to a surviving replica,
 // priced by Config.DFSReplication — before the attempt fails with a
 // retryable error. A transient corruption therefore costs a counter

@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -156,6 +157,11 @@ func decodePair(b []byte) (pair, []byte, error) {
 const (
 	spillFrameSize   = 32 << 10
 	spillFrameHeader = 8
+	// spillFrameSlack is how far past a full frame a reader's first read
+	// reaches. A frame closes on the pair that takes it to spillFrameSize,
+	// so it overshoots by that pair less a byte; only a frame whose last
+	// pair is longer than the slack needs a second read for its tail.
+	spillFrameSlack = 1 << 10
 )
 
 // frameWriter appends pairs to the open frame and emits each frame with
@@ -249,8 +255,9 @@ func (ts *taskSpiller) add(r int, p pair) error {
 }
 
 // flush sorts every non-empty bucket and writes one spill file with a
-// segment per reducer, then empties the buckets.
-func (ts *taskSpiller) flush() error {
+// segment per reducer, then empties the buckets. A file that fails to
+// be written is released at once.
+func (ts *taskSpiller) flush() (err error) {
 	if ts.buffered == 0 {
 		return nil
 	}
@@ -258,6 +265,11 @@ func (ts *taskSpiller) flush() error {
 	if err != nil {
 		return err
 	}
+	defer func() {
+		if err != nil {
+			f.Release()
+		}
+	}()
 	cw := &countingWriter{w: f}
 	fw := &frameWriter{dst: cw, buf: ts.frame[:0]}
 	segs := make([]spillSegment, len(ts.buckets))
@@ -340,10 +352,10 @@ type pairSource struct {
 	task int
 
 	// cursor state
-	pos     int
-	frOff   int64  // next unread file offset (frame-aligned)
-	payload []byte // the loaded frame
-	rest    []byte // its undecoded tail
+	pos   int
+	frOff int64  // next unread file offset (frame-aligned)
+	frame []byte // the loaded frame, header included
+	rest  []byte // its undecoded tail
 	// spare is the attempt's idle frame buffer: a drained run leaves its
 	// own here for the next run to load into, so a sequential merge reads
 	// every run through one buffer.
@@ -402,63 +414,69 @@ func (s *pairSource) next() (pair, error) {
 	s.rest = rest
 	s.pos++
 	if s.pos == s.seg.count {
-		*s.spare, s.payload, s.rest = s.payload, nil, nil // hand the read buffer on
+		*s.spare, s.frame, s.rest = s.frame, nil, nil // hand the read buffer on
 		s.pos = -1
 	}
 	return p, nil
 }
 
-// loadFrame reads and verifies the segment's next frame. A checksum
-// mismatch (real corruption or an injected one) is counted and the
-// frame re-read up to the replica budget; only when every replica
-// fails verification does the frame surface a retryable error that
-// fails — and re-runs — the whole reduce attempt.
+// loadFrame reads and verifies the segment's next frame: one read takes
+// the header and the payload, unless the payload runs past the slack
+// and its tail takes a second. A checksum mismatch (real corruption or
+// an injected one) is counted and the payload re-read up to the replica
+// budget; only when every replica fails verification does the frame
+// surface a retryable error that fails — and re-runs — the whole reduce
+// attempt.
 func (s *pairSource) loadFrame() error {
 	if s.frOff == 0 {
 		s.frOff = s.seg.off
 	}
 	end := s.seg.off + s.seg.n
-	var hdr [spillFrameHeader]byte
 	if s.frOff+spillFrameHeader > end {
 		return fmt.Errorf("spill segment truncated at offset %d", s.frOff)
 	}
-	if _, err := s.file.ReadAt(hdr[:], s.frOff); err != nil {
+	if s.frame == nil {
+		s.frame, *s.spare = *s.spare, nil
+	}
+	got := min(end-s.frOff, spillFrameHeader+spillFrameSize+spillFrameSlack)
+	if int64(cap(s.frame)) < got {
+		s.frame = make([]byte, got)
+	}
+	s.frame = s.frame[:got]
+	if _, err := s.file.ReadAt(s.frame, s.frOff); err != nil {
 		return err
 	}
-	n := int64(binary.LittleEndian.Uint32(hdr[:4]))
-	want := binary.LittleEndian.Uint32(hdr[4:])
+	n := int64(binary.LittleEndian.Uint32(s.frame[:4]))
+	want := binary.LittleEndian.Uint32(s.frame[4:])
 	if n <= 0 || s.frOff+spillFrameHeader+n > end {
 		return retryable(fmt.Errorf("spill frame header corrupt at offset %d (len %d)", s.frOff, n))
 	}
-	if s.payload == nil {
-		s.payload, *s.spare = *s.spare, nil
+	if total := spillFrameHeader + n; total > got {
+		s.frame = slices.Grow(s.frame, int(total-got))[:total]
+		if _, err := s.file.ReadAt(s.frame[got:], s.frOff+got); err != nil {
+			return err
+		}
 	}
-	if int64(cap(s.payload)) < n {
-		s.payload = make([]byte, n)
-	}
-	s.payload = s.payload[:n]
-	if _, err := s.file.ReadAt(s.payload, s.frOff+spillFrameHeader); err != nil {
-		return err
-	}
+	payload := s.frame[spillFrameHeader : spillFrameHeader+n]
 	if s.ft != nil && s.ft.inj.corruptSpill(s.task) {
-		s.payload[0] ^= 0xFF // injected bit rot, caught below
+		payload[0] ^= 0xFF // injected bit rot, caught below
 	}
 	maxReads := 1
 	if s.ft != nil {
 		maxReads = s.ft.replicas
 	}
-	for tries := 1; crc32.ChecksumIEEE(s.payload) != want; tries++ {
+	for tries := 1; crc32.ChecksumIEEE(payload) != want; tries++ {
 		s.ft.checksumFailure()
 		if tries >= maxReads {
 			return retryable(fmt.Errorf("spill frame checksum mismatch at offset %d after %d replica reads", s.frOff, tries))
 		}
-		if _, err := s.file.ReadAt(s.payload, s.frOff+spillFrameHeader); err != nil {
+		if _, err := s.file.ReadAt(payload, s.frOff+spillFrameHeader); err != nil {
 			return err
 		}
 		s.ft.failoverRead()
 	}
 	s.frOff += spillFrameHeader + n
-	s.rest = s.payload
+	s.rest = payload
 	return nil
 }
 

@@ -1,9 +1,14 @@
 package mr
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
+	"errors"
+	"fmt"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/relation"
@@ -224,6 +229,194 @@ func TestMemSourceRereadable(t *testing.T) {
 				t.Fatalf("attempt %d: source %d not drained", attempt, i)
 			}
 		}
+	}
+}
+
+// countingSpillFile counts the reads a spill file serves.
+type countingSpillFile struct {
+	SpillFile
+	reads int
+}
+
+func (c *countingSpillFile) ReadAt(p []byte, off int64) (int, error) {
+	c.reads++
+	return c.SpillFile.ReadAt(p, off)
+}
+
+// spilledSegment writes ps as one segment of checksummed frames, behind
+// another segment's bytes, to a temp spill file, with edit free to
+// alter the segment's bytes first. It returns the file, counting its
+// reads, the segment and how many frames it holds.
+func spilledSegment(t *testing.T, ps []pair, edit func(seg []byte)) (*countingSpillFile, spillSegment, int) {
+	t.Helper()
+	var buf bytes.Buffer
+	buf.WriteString("the previous reducer's segment")
+	off := int64(buf.Len())
+	fw := &frameWriter{dst: &buf}
+	for _, p := range ps {
+		if err := fw.writePair(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fw.finish(); err != nil {
+		t.Fatal(err)
+	}
+	if edit != nil {
+		edit(buf.Bytes()[off:])
+	}
+	store, err := NewTempSpillStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := store.CreateSpillFile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		f.Release()
+		store.Close()
+	})
+	if _, err := f.Write(buf.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	seg := spillSegment{off: off, n: int64(buf.Len()) - off, count: len(ps), firstKey: ps[0].key, lastKey: ps[len(ps)-1].key}
+	return &countingSpillFile{SpillFile: f}, seg, fw.frames
+}
+
+// drainSegment reads a segment's pairs back through a disk source.
+func drainSegment(f SpillFile, seg spillSegment) ([]pair, error) {
+	var spare []byte
+	src := diskSource(f, seg, 1, nil, 0, &spare)
+	var got []pair
+	for !src.drained() {
+		p, err := src.next()
+		if err != nil {
+			return got, err
+		}
+		got = append(got, p)
+	}
+	return got, nil
+}
+
+// framePairs returns n pairs of some 60 encoded bytes each, then, when
+// tail > 0, one pair carrying a tail-byte string placed so that it is
+// the pair that takes its frame past spillFrameSize, then n more.
+func framePairs(n, tail int) []pair {
+	var ps []pair
+	open := 0 // bytes of the frame a frameWriter would have open
+	add := func(tp relation.Tuple) {
+		p := pair{key: uint64(len(ps)), size: uint32(tp.EncodedSize()), tuple: tp}
+		ps = append(ps, p)
+		if open += len(appendPair(nil, p)); open >= spillFrameSize {
+			open = 0
+		}
+	}
+	small := func() {
+		i := len(ps)
+		add(relation.Tuple{relation.Int(int64(i)), relation.Str(fmt.Sprintf("city-%08d", i)), relation.Float(float64(i) / 3)})
+	}
+	for i := 0; i < n; i++ {
+		small()
+	}
+	if tail > 0 {
+		for open < spillFrameSize-100 {
+			small()
+		}
+		add(relation.Tuple{relation.Str(strings.Repeat("t", tail))})
+		for i := 0; i < n; i++ {
+			small()
+		}
+	}
+	return ps
+}
+
+// TestSpillFrameReads: a segment costs one read per frame, header and
+// payload together — and one more for a frame whose last pair runs past
+// the slack a first read allows — and decodes exactly.
+func TestSpillFrameReads(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		ps         []pair
+		extraReads int
+	}{
+		{"small frames", framePairs(2000, 0), 0},
+		{"small frames, one short", framePairs(30, 0), 0},
+		{"a long last pair", framePairs(300, 3*spillFrameSlack), 1},
+	} {
+		f, seg, frames := spilledSegment(t, tc.ps, nil)
+		got, err := drainSegment(f, seg)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !samePairs(got, tc.ps) {
+			t.Fatalf("%s: the segment decodes to other pairs", tc.name)
+		}
+		if f.reads != frames+tc.extraReads {
+			t.Errorf("%s: %d frames took %d reads, want %d", tc.name, frames, f.reads, frames+tc.extraReads)
+		}
+	}
+}
+
+// TestSpillFrameCorruptRetryable: a corrupt frame header or payload
+// fails the read with an error the attempt layer retries.
+func TestSpillFrameCorruptRetryable(t *testing.T) {
+	for _, tc := range []struct {
+		name, want string
+		edit       func(seg []byte)
+	}{
+		{"length past the segment", "header corrupt", func(seg []byte) { binary.LittleEndian.PutUint32(seg, 1<<30) }},
+		{"zero length", "header corrupt", func(seg []byte) { binary.LittleEndian.PutUint32(seg, 0) }},
+		{"payload bit rot", "checksum mismatch", func(seg []byte) { seg[spillFrameHeader+5] ^= 0x10 }},
+	} {
+		f, seg, _ := spilledSegment(t, framePairs(50, 0), tc.edit)
+		_, err := drainSegment(f, seg)
+		if err == nil || !isRetryable(err) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want a retryable %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// failingSpillStore hands out temp spill files whose writes fail once
+// they have taken a few frames.
+type failingSpillStore struct{ *TempSpillStore }
+
+func (s failingSpillStore) CreateSpillFile() (SpillFile, error) {
+	f, err := s.TempSpillStore.CreateSpillFile()
+	return &failingSpillFile{SpillFile: f}, err
+}
+
+type failingSpillFile struct {
+	SpillFile
+	written int
+}
+
+func (f *failingSpillFile) Write(p []byte) (int, error) {
+	if f.written += len(p); f.written > 3*spillFrameSize {
+		return 0, errors.New("disk full")
+	}
+	return f.SpillFile.Write(p)
+}
+
+// TestSpillWriteFailureReleasesFile: a spill file that fails to be
+// written fails the job and is released, not left holding its storage.
+func TestSpillWriteFailureReleasesFile(t *testing.T) {
+	store, err := NewTempSpillStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	cfg := smallConfig()
+	cfg.TuplesPerMapTask = 4000
+	cfg.SpillBudgetBytes = 1 << 20
+	cfg.Spill = failingSpillStore{store}
+	if _, err := Run(context.Background(), cfg, nil, groupJob(spillProbeRelation(t, 4000), 4)); err == nil || !strings.Contains(err.Error(), "disk full") {
+		t.Fatalf("Run error = %v, want the write failure", err)
+	}
+	if live := store.Live(); live != 0 {
+		t.Errorf("%d spill files left after a failed write", live)
 	}
 }
 
