@@ -59,7 +59,7 @@ func BenchmarkShuffle(b *testing.B) {
 			job := shuffleJob(60000, 4, 32) // mr.Run never mutates the job
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := mr.Run(context.Background(), cfg, nil, job); err != nil {
+				if _, err := mr.Run(context.Background(), cfg, job); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -102,7 +102,7 @@ func BenchmarkSkewedShuffle(b *testing.B) {
 		return r
 	}
 	conds := predicate.Conjunction{predicate.C("L", "k", predicate.EQ, "R", "k")}
-	baseJob, err := core.BuildHashEquiJob("skewbench-base", rel("L"), rel("R"), conds, kr)
+	baseJob, err := core.BuildHashEquiJob("skewbench-base", rel("L"), rel("R"), conds, kr, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func BenchmarkSkewedShuffle(b *testing.B) {
 	if plan == nil {
 		b.Fatal("no skew plan on Zipf(1.2) keys")
 	}
-	skewJob, err := core.BuildHashEquiJobSkew("skewbench-skew", rel("L"), rel("R"), conds, kr, plan)
+	skewJob, err := core.BuildHashEquiJob("skewbench-skew", rel("L"), rel("R"), conds, kr, plan)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func BenchmarkSkewedShuffle(b *testing.B) {
 			var balance float64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := mr.Run(context.Background(), cfg, nil, mode.job)
+				res, err := mr.Run(context.Background(), cfg, mode.job)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -185,11 +185,11 @@ func BenchmarkReduceJoin(b *testing.B) {
 		build func() (*mr.Job, error)
 	}{
 		{"theta-band/indexed", func() (*mr.Job, error) {
-			job, _, err := core.BuildThetaJob("rjbench-theta", []*relation.Relation{rel("A"), rel("B")}, thetaConds, 4, 1<<12)
+			job, err := core.BuildThetaJob("rjbench-theta", []*relation.Relation{rel("A"), rel("B")}, thetaConds, 4, 1<<12)
 			return job, err
 		}},
 		{"share-grid/indexed", func() (*mr.Job, error) {
-			return core.BuildShareGridJob("rjbench-grid", []*relation.Relation{rel("C"), rel("A"), rel("B")}, gridConds, 8)
+			return core.BuildShareGridJob("rjbench-grid", []*relation.Relation{rel("C"), rel("A"), rel("B")}, gridConds, 8, nil)
 		}},
 	} {
 		b.Run(v.name, func(b *testing.B) {
@@ -203,7 +203,7 @@ func BenchmarkReduceJoin(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := mr.Run(context.Background(), cfg, nil, job)
+				res, err := mr.Run(context.Background(), cfg, job)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -352,7 +352,7 @@ func BenchmarkStringJoinJob(b *testing.B) {
 		{"string-band/fallback", false, 240, []string{"t1", "t2", "t3"}, bandConds},
 	} {
 		b.Run(v.name, func(b *testing.B) {
-			job, _, err := core.BuildThetaJob("sjbench", inputs(v.interned, v.tuples, v.rels), v.conds, 4, 1<<12)
+			job, err := core.BuildThetaJob("sjbench", inputs(v.interned, v.tuples, v.rels), v.conds, 4, 1<<12)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -362,7 +362,7 @@ func BenchmarkStringJoinJob(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := mr.Run(context.Background(), cfg, nil, job)
+				res, err := mr.Run(context.Background(), cfg, job)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
+	"os"
 
 	"repro/internal/core"
 	"repro/internal/mr"
@@ -79,6 +80,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("naive oracle agrees: %v (%d rows)\n",
-		naive.Cardinality() == res.Output.Cardinality(), naive.Cardinality())
+	agrees := naive.Cardinality() == res.Output.Cardinality()
+	fmt.Printf("naive oracle agrees: %v (%d rows)\n", agrees, naive.Cardinality())
+	if !agrees {
+		os.Exit(1)
+	}
 }

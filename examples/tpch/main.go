@@ -66,7 +66,7 @@ func main() {
 		}
 		fmt.Printf("  our method : %8.1fs (%d rows)\n", res.Makespan, res.Output.Cardinality())
 		for _, st := range []baselines.Strategy{baselines.YSmart(), baselines.Hive(), baselines.Pig()} {
-			bres, err := baselines.Run(context.Background(), st, cfg, planner.Params, q, db, fullReducers)
+			bres, err := baselines.Run(context.Background(), st, cfg, q, db, fullReducers)
 			if err != nil {
 				log.Fatal(err)
 			}

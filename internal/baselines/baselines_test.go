@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/cost"
 	"repro/internal/mr"
 	"repro/internal/predicate"
 	"repro/internal/query"
@@ -71,9 +70,8 @@ func TestCascadesMatchNaive(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantRS := resultSet(want)
-	params := cost.FromConfig(testConfig())
 	for _, st := range []Strategy{Hive(), Pig(), YSmart()} {
-		res, err := Run(context.Background(), st, testConfig(), params, q, db, 0)
+		res, err := Run(context.Background(), st, testConfig(), q, db, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", st.Name, err)
 		}
@@ -104,9 +102,8 @@ func TestCascadeEquiAndMixed(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantRS := resultSet(want)
-	params := cost.FromConfig(testConfig())
 	for _, st := range []Strategy{Hive(), Pig(), YSmart()} {
-		res, err := Run(context.Background(), st, testConfig(), params, q, db, 0)
+		res, err := Run(context.Background(), st, testConfig(), q, db, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", st.Name, err)
 		}
@@ -120,7 +117,6 @@ func TestCascadeEquiAndMixed(t *testing.T) {
 func TestCascadesRandomQueries(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	ops := []predicate.Op{predicate.LT, predicate.LE, predicate.EQ, predicate.GE, predicate.GT, predicate.NE}
-	params := cost.FromConfig(testConfig())
 	for trial := 0; trial < 12; trial++ {
 		m := 2 + rng.Intn(2)
 		names := []string{"A", "B", "C"}[:m]
@@ -146,7 +142,7 @@ func TestCascadesRandomQueries(t *testing.T) {
 		}
 		wantRS := resultSet(want)
 		for _, st := range []Strategy{Hive(), Pig(), YSmart()} {
-			res, err := Run(context.Background(), st, testConfig(), params, q, db, 0)
+			res, err := Run(context.Background(), st, testConfig(), q, db, 0)
 			if err != nil {
 				t.Fatalf("trial %d %s: %v", trial, st.Name, err)
 			}
@@ -178,12 +174,11 @@ func TestYSmartFasterThanHiveOnSelfJoins(t *testing.T) {
 		predicate.C("t1", "a", predicate.EQ, "t2", "a"),
 		predicate.C("t2", "b", predicate.EQ, "t3", "b"),
 	})
-	params := cost.FromConfig(testConfig())
-	hive, err := Run(context.Background(), Hive(), testConfig(), params, q, db, 0)
+	hive, err := Run(context.Background(), Hive(), testConfig(), q, db, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ysmart, err := Run(context.Background(), YSmart(), testConfig(), params, q, db, 0)
+	ysmart, err := Run(context.Background(), YSmart(), testConfig(), q, db, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,12 +201,11 @@ func TestPigSlowerThanHive(t *testing.T) {
 	q := query.MustNew("pq", []string{"A", "B"}, []predicate.Condition{
 		predicate.C("A", "a", predicate.EQ, "B", "a"),
 	})
-	params := cost.FromConfig(testConfig())
-	hive, err := Run(context.Background(), Hive(), testConfig(), params, q, db, 0)
+	hive, err := Run(context.Background(), Hive(), testConfig(), q, db, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pig, err := Run(context.Background(), Pig(), testConfig(), params, q, db, 0)
+	pig, err := Run(context.Background(), Pig(), testConfig(), q, db, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

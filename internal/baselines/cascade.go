@@ -19,7 +19,6 @@ import (
 	"math"
 
 	"repro/internal/core"
-	"repro/internal/cost"
 	"repro/internal/mr"
 	"repro/internal/predicate"
 	"repro/internal/query"
@@ -105,7 +104,7 @@ type Result struct {
 // request), the reduce phase runs in multiple waves — the k_P
 // obliviousness the paper's scheduler exploits. Pass 0 to default to
 // cfg.ReduceSlots.
-func Run(ctx context.Context, st Strategy, cfg mr.Config, params cost.Params, q *query.Query, db *core.DB, requestedReducers int) (*Result, error) {
+func Run(ctx context.Context, st Strategy, cfg mr.Config, q *query.Query, db *core.DB, requestedReducers int) (*Result, error) {
 	if st.MaterializeFactor <= 0 {
 		st.MaterializeFactor = 1
 	}
@@ -119,7 +118,9 @@ func Run(ctx context.Context, st Strategy, cfg mr.Config, params cost.Params, q 
 	}
 	res := &Result{Strategy: st.Name}
 	scanned := map[string]bool{}
-	timer := params.Timer()
+	// Discounts price a skipped sequential read plus write per byte.
+	rates := cfg.Rates()
+	readWrite := 1/rates.ReadBps + 1/rates.WriteBps
 
 	left, err := db.Relation(order[0])
 	if err != nil {
@@ -146,7 +147,7 @@ func Run(ctx context.Context, st Strategy, cfg mr.Config, params cost.Params, q 
 		if err != nil {
 			return nil, err
 		}
-		run, err := mr.Run(ctx, cfg, timer, job)
+		run, err := mr.Run(ctx, cfg, job)
 		if err != nil {
 			return nil, err
 		}
@@ -167,7 +168,7 @@ func Run(ctx context.Context, st Strategy, cfg mr.Config, params cost.Params, q 
 				// workloads (the mobile queries read the same physical
 				// table three or four times) are where YSmart's ~2×
 				// advantage over Hive comes from.
-				discount += float64(ts.ModeledSize) * (params.C1 + params.WriteCost)
+				discount += float64(ts.ModeledSize) * readWrite
 			}
 		}
 		scanned[base] = true
@@ -178,7 +179,7 @@ func Run(ctx context.Context, st Strategy, cfg mr.Config, params cost.Params, q 
 		// suppkey → orderkey → custkey chain) gets no discount.
 		keySig := equiKeySignature(conds)
 		if st.TransitDiscount > 0 && step > 1 && intersects(keySig, prevKeySig) {
-			discount += float64(prevOutBytes) * (params.C1 + params.WriteCost) * st.TransitDiscount
+			discount += float64(prevOutBytes) * readWrite * st.TransitDiscount
 		}
 		if max := 0.5 * simT; discount > max {
 			discount = max
@@ -411,7 +412,6 @@ func buildStepJob(st Strategy, name string, inter, base *relation.Relation, cond
 		},
 		Reduce:       reduce,
 		NumReducers:  grid,
-		Partition:    mr.IdentityPartition,
 		OutputName:   name,
 		OutputSchema: outSchema,
 	}, nil

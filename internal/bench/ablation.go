@@ -199,7 +199,7 @@ func (s *Suite) AblationSingleVsCascade() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		cascade, err := baselines.Run(s.ctx(), baselines.Hive(), cfg, s.params(), q, db, 0)
+		cascade, err := baselines.Run(s.ctx(), baselines.Hive(), cfg, q, db, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -342,7 +342,6 @@ func (s *Suite) AblationKR() (*Table, error) {
 	kp := 96
 	cfg := s.Cfg
 	cfg.ReduceSlots = kp
-	params := s.params()
 	for _, gb := range volumes {
 		rng := rand.New(rand.NewSource(int64(gb) + 7))
 		a := chainRel("A", 200, rng)
@@ -358,12 +357,12 @@ func (s *Suite) AblationKR() (*Table, error) {
 		conds := predicate.Conjunction{predicate.C("A", "v", predicate.LT, "B", "v")}
 
 		timeFor := func(kr int) (float64, error) {
-			job, _, err := core.BuildThetaJob(fmt.Sprintf("krab-%d", kr),
+			job, err := core.BuildThetaJob(fmt.Sprintf("krab-%d", kr),
 				[]*relation.Relation{ra, rb}, conds, kr, 1<<14)
 			if err != nil {
 				return 0, err
 			}
-			res, err := mr.Run(s.ctx(), cfg, params.Timer(), job)
+			res, err := mr.Run(s.ctx(), cfg, job)
 			if err != nil {
 				return 0, err
 			}

@@ -95,8 +95,6 @@ func NewSuite(quick bool) *Suite {
 // other suite seed shifts every experiment deterministically.
 func (s *Suite) seedFor(x int64) int64 { return x + (s.Seed-1)*1_000_003 }
 
-func (s *Suite) params() cost.Params { return cost.FromConfig(s.Cfg) }
-
 // fmtSec formats seconds the way the paper's axes read.
 func fmtSec(v float64) string { return fmt.Sprintf("%.1f", v) }
 
@@ -177,11 +175,10 @@ func (s *Suite) Fig6() (*Table, error) {
 		volumes = []float64{100, 1}
 		krs = []int{2, 8, 32, 64}
 	}
-	timer := s.params().Timer()
 	for _, gb := range volumes {
 		in := sampleJoinInput("sample", 2048, 512, gb)
 		for _, kr := range krs {
-			res, err := mr.Run(s.ctx(), s.Cfg, timer, selfJoinJob(in, kr))
+			res, err := mr.Run(s.ctx(), s.Cfg, selfJoinJob(in, kr))
 			if err != nil {
 				return nil, err
 			}
@@ -198,20 +195,20 @@ func (s *Suite) Fig7a() (*Table, error) {
 		Title:   "Fig 7a: best kR vs map output volume",
 		Columns: []string{"mapOutput", "best kR", "fit kR"},
 	}
-	p := s.params()
+	r := s.Cfg.Rates()
 	volumes := []float64{1, 5, 10, 25, 50, 100, 150, 200}
 	if s.Quick {
 		volumes = []float64{1, 25, 200}
 	}
 	// Calibrate the fit constant on the largest volume.
 	largest := volumes[len(volumes)-1]
-	bigBest, err := p.BestReducers(fig7Profile(s.Cfg, largest), 512)
+	bigBest, err := cost.BestReducers(r, fig7Profile(s.Cfg, largest), 512)
 	if err != nil {
 		return nil, err
 	}
 	fitC := float64(bigBest.N) / sqrt(largest)
 	for _, gb := range volumes {
-		best, err := p.BestReducers(fig7Profile(s.Cfg, gb), 512)
+		best, err := cost.BestReducers(r, fig7Profile(s.Cfg, gb), 512)
 		if err != nil {
 			return nil, err
 		}
@@ -244,20 +241,20 @@ func (s *Suite) Fig7b() (*Table, error) {
 		Title:   "Fig 7b: p and q vs map output volume",
 		Columns: []string{"mapOutput", "p (s/MB)", "q (s/conn)"},
 	}
-	p := s.params()
+	r := s.Cfg.Rates()
 	volumes := []float64{0.1, 0.5, 1, 5, 10, 50, 100, 500}
 	if s.Quick {
 		volumes = []float64{0.1, 10, 500}
 	}
 	for _, gb := range volumes {
 		bytes := int64(gb * 1e9)
-		best, err := p.BestReducers(fig7Profile(s.Cfg, gb), 512)
+		best, err := cost.BestReducers(r, fig7Profile(s.Cfg, gb), 512)
 		if err != nil {
 			return nil, err
 		}
 		t.AddRow(fmtGB(gb),
-			fmt.Sprintf("%.4f", p.P(bytes)*1e6),
-			fmt.Sprintf("%.4f", p.Q(best.N)))
+			fmt.Sprintf("%.4f", r.P(bytes)*1e6),
+			fmt.Sprintf("%.4f", r.Q(best.N)))
 	}
 	return t, nil
 }
@@ -270,8 +267,7 @@ func (s *Suite) Fig8() (*Table, error) {
 		Title:   "Fig 8: cost model validation (self-join)",
 		Columns: []string{"mapOutput", "simulated(s)", "estimated(s)", "ratio"},
 	}
-	p := s.params()
-	timer := p.Timer()
+	r := s.Cfg.Rates()
 	volumes := []float64{0.1, 0.5, 1, 5, 10, 50, 100}
 	if s.Quick {
 		volumes = []float64{0.5, 10, 100}
@@ -279,12 +275,12 @@ func (s *Suite) Fig8() (*Table, error) {
 	for _, gb := range volumes {
 		in := sampleJoinInput("mob-self", 2048, 256, gb)
 		kr := 16
-		res, err := mr.Run(s.ctx(), s.Cfg, timer, selfJoinJob(in, kr))
+		res, err := mr.Run(s.ctx(), s.Cfg, selfJoinJob(in, kr))
 		if err != nil {
 			return nil, err
 		}
 		prof := cost.ProfileFromMetrics(res.Metrics, s.Cfg)
-		est, err := p.Estimate(prof, kr)
+		est, err := cost.Evaluate(r, prof, kr)
 		if err != nil {
 			return nil, err
 		}

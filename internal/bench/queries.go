@@ -114,13 +114,12 @@ func (s *Suite) comparisonRow(q *query.Query, db *core.DB, kp int) ([]float64, i
 		return nil, 0, fmt.Errorf("our method on %s: %w", q.Name, err)
 	}
 	times := []float64{res.Makespan}
-	params := pl.Params
 	// Baselines request the cluster's configured reducer capacity (the
 	// "as many reduce tasks as possible" policy) even when the
 	// available units kP are fewer — the k_P obliviousness the paper's
 	// Fig. 10/13 exposes.
 	for _, st := range []baselines.Strategy{baselines.YSmart(), baselines.Hive(), baselines.Pig()} {
-		bres, err := baselines.Run(s.ctx(), st, cfg, params, q, db, s.Cfg.ReduceSlots)
+		bres, err := baselines.Run(s.ctx(), st, cfg, q, db, s.Cfg.ReduceSlots)
 		if err != nil {
 			return nil, 0, fmt.Errorf("%s on %s: %w", st.Name, q.Name, err)
 		}

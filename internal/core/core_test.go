@@ -188,11 +188,11 @@ func TestThetaJobMatchesNaive(t *testing.T) {
 		for i, n := range []string{"A", "B", "C"} {
 			rels[i], _ = db.Relation(n)
 		}
-		job, _, err := BuildThetaJob("t", rels, q.Conditions, kr, 1<<12)
+		job, err := BuildThetaJob("t", rels, q.Conditions, kr, 1<<12)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := mr.Run(context.Background(), testConfig(), nil, job)
+		res, err := mr.Run(context.Background(), testConfig(), job)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -251,11 +251,11 @@ func TestThetaJobRandomQueries(t *testing.T) {
 			ordered[i], _ = db.Relation(n)
 		}
 		kr := 1 + rng.Intn(12)
-		job, _, err := BuildThetaJob("t", ordered, q.Conditions, kr, 1<<10)
+		job, err := BuildThetaJob("t", ordered, q.Conditions, kr, 1<<10)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := mr.Run(context.Background(), testConfig(), nil, job)
+		res, err := mr.Run(context.Background(), testConfig(), job)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -275,11 +275,11 @@ func TestThetaJobEmptyInput(t *testing.T) {
 	ra, _ := db.Relation("A")
 	rb, _ := db.Relation("B")
 	conds := predicate.Conjunction{predicate.C("A", "a", predicate.LT, "B", "a")}
-	job, _, err := BuildThetaJob("t", []*relation.Relation{ra, rb}, conds, 4, 1<<10)
+	job, err := BuildThetaJob("t", []*relation.Relation{ra, rb}, conds, 4, 1<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := mr.Run(context.Background(), testConfig(), nil, job)
+	res, err := mr.Run(context.Background(), testConfig(), job)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,11 +303,11 @@ func TestHashEquiJobMatchesNaive(t *testing.T) {
 	}
 	ra, _ := db.Relation("A")
 	rb, _ := db.Relation("B")
-	job, err := BuildHashEquiJob("he", ra, rb, q.Conditions, 6)
+	job, err := BuildHashEquiJob("he", ra, rb, q.Conditions, 6, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := mr.Run(context.Background(), testConfig(), nil, job)
+	res, err := mr.Run(context.Background(), testConfig(), job)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +327,7 @@ func TestHashEquiJobRejectsTheta(t *testing.T) {
 	ra, _ := db.Relation("A")
 	rb, _ := db.Relation("B")
 	if _, err := BuildHashEquiJob("he", ra, rb,
-		predicate.Conjunction{predicate.C("A", "a", predicate.LT, "B", "a")}, 2); err == nil {
+		predicate.Conjunction{predicate.C("A", "a", predicate.LT, "B", "a")}, 2, nil); err == nil {
 		t.Error("theta condition accepted by hash equi join")
 	}
 }
@@ -350,21 +350,21 @@ func TestMergeOutputs(t *testing.T) {
 	ra, _ := db.Relation("A")
 	rb, _ := db.Relation("B")
 	rc, _ := db.Relation("C")
-	j1, _, err := BuildThetaJob("j1", []*relation.Relation{ra, rb},
+	j1, err := BuildThetaJob("j1", []*relation.Relation{ra, rb},
 		predicate.Conjunction{q.Conditions[0]}, 4, 1<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	j2, _, err := BuildThetaJob("j2", []*relation.Relation{rb, rc},
+	j2, err := BuildThetaJob("j2", []*relation.Relation{rb, rc},
 		predicate.Conjunction{q.Conditions[1]}, 4, 1<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, err := mr.Run(context.Background(), testConfig(), nil, j1)
+	r1, err := mr.Run(context.Background(), testConfig(), j1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := mr.Run(context.Background(), testConfig(), nil, j2)
+	r2, err := mr.Run(context.Background(), testConfig(), j2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,11 +421,11 @@ func TestNaiveDuplicateTuples(t *testing.T) {
 	}
 	ra, _ := db.Relation("A")
 	rb, _ := db.Relation("B")
-	job, _, err := BuildThetaJob("dup", []*relation.Relation{ra, rb}, q.Conditions, 3, 1<<10)
+	job, err := BuildThetaJob("dup", []*relation.Relation{ra, rb}, q.Conditions, 3, 1<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := mr.Run(context.Background(), testConfig(), nil, job)
+	res, err := mr.Run(context.Background(), testConfig(), job)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,20 +64,20 @@ func TestExecutionDeterminism(t *testing.T) {
 		build func() (*mr.Job, error)
 	}{
 		{"theta", func() (*mr.Job, error) {
-			job, _, err := BuildThetaJob("theta", []*relation.Relation{rel("A"), rel("B")},
+			job, err := BuildThetaJob("theta", []*relation.Relation{rel("A"), rel("B")},
 				predicate.Conjunction{predicate.C("A", "a", predicate.LT, "B", "a")}, 6, 1<<12)
 			return job, err
 		}},
 		{"hash-equi", func() (*mr.Job, error) {
 			return BuildHashEquiJob("hashequi", rel("A"), rel("B"),
-				predicate.Conjunction{predicate.C("A", "a", predicate.EQ, "B", "a")}, 6)
+				predicate.Conjunction{predicate.C("A", "a", predicate.EQ, "B", "a")}, 6, nil)
 		}},
 		{"share-grid", func() (*mr.Job, error) {
 			return BuildShareGridJob("sharegrid", []*relation.Relation{rel("A"), rel("B"), rel("C")},
 				predicate.Conjunction{
 					predicate.C("A", "a", predicate.EQ, "B", "a"),
 					predicate.C("B", "b", predicate.EQ, "C", "b"),
-				}, 6)
+				}, 6, nil)
 		}},
 	}
 	workerCounts := []int{1, 2, runtime.NumCPU()}
@@ -92,7 +92,7 @@ func TestExecutionDeterminism(t *testing.T) {
 				}
 				cfg := testConfig()
 				cfg.MaxParallelWorkers = w
-				res, err := mr.Run(context.Background(), cfg, nil, job)
+				res, err := mr.Run(context.Background(), cfg, job)
 				if err != nil {
 					t.Fatalf("workers=%d: %v", w, err)
 				}
@@ -149,13 +149,13 @@ func TestExecutionDeterminismSpill(t *testing.T) {
 		build func() (*mr.Job, error)
 	}{
 		{"theta", func() (*mr.Job, error) {
-			job, _, err := BuildThetaJob("theta-sp", []*relation.Relation{rel("A"), rel("B")},
+			job, err := BuildThetaJob("theta-sp", []*relation.Relation{rel("A"), rel("B")},
 				predicate.Conjunction{predicate.C("A", "a", predicate.LT, "B", "a")}, 6, 1<<12)
 			return job, err
 		}},
 		{"hash-equi", func() (*mr.Job, error) {
 			return BuildHashEquiJob("hashequi-sp", rel("A"), rel("B"),
-				predicate.Conjunction{predicate.C("A", "a", predicate.EQ, "B", "a")}, 6)
+				predicate.Conjunction{predicate.C("A", "a", predicate.EQ, "B", "a")}, 6, nil)
 		}},
 	}
 	for _, tc := range cases {
@@ -164,7 +164,7 @@ func TestExecutionDeterminismSpill(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			inMem, err := mr.Run(context.Background(), testConfig(), nil, job)
+			inMem, err := mr.Run(context.Background(), testConfig(), job)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -177,7 +177,7 @@ func TestExecutionDeterminismSpill(t *testing.T) {
 				cfg := testConfig()
 				cfg.MaxParallelWorkers = w
 				cfg.SpillBudgetBytes = 2048
-				res, err := mr.Run(context.Background(), cfg, nil, job)
+				res, err := mr.Run(context.Background(), cfg, job)
 				if err != nil {
 					t.Fatalf("workers=%d: %v", w, err)
 				}

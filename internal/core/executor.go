@@ -7,6 +7,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/cost"
 	"repro/internal/mr"
 	"repro/internal/obs"
 	"repro/internal/relation"
@@ -357,7 +358,7 @@ func (r *planRun) startJob(s execSlot, units int) error {
 		r.maxInflight = r.inflight
 	}
 	go func() {
-		res, err := mr.Run(r.ctx, cfg, r.pl.Params.Timer(), job)
+		res, err := mr.Run(r.ctx, cfg, job)
 		r.done <- jobDone{idx: idx, units: units, res: res, err: err}
 	}()
 	return nil
@@ -512,8 +513,9 @@ func (r *planRun) merge(res *ExecResult) error {
 	// Charge the merge off the tree MergeAll actually performed, step
 	// by step over the real operand sizes — matching the planner's
 	// estimateMergeSteps policy rather than a plan-order chain.
+	rates := r.pl.Config.Rates()
 	for _, st := range steps {
-		res.MergeTime += r.pl.Params.MergeCost(st.LeftBytes, st.RightBytes)
+		res.MergeTime += cost.MergeCost(rates, st.LeftBytes, st.RightBytes)
 	}
 	res.Output = final
 	res.MergeCount = len(steps)
@@ -588,11 +590,11 @@ func (pl *Planner) buildPlannedJob(pj *PlannedJob, db *DB, produced map[string]*
 	var err error
 	switch pj.Kind {
 	case KindHashEqui:
-		job, err = BuildHashEquiJobSkew(pj.Name, rels[0], rels[1], pj.Conds, pj.Reducers, pj.Skew)
+		job, err = BuildHashEquiJob(pj.Name, rels[0], rels[1], pj.Conds, pj.Reducers, pj.Skew)
 	case KindShareGrid:
-		job, err = BuildShareGridJobSkew(pj.Name, rels, pj.Conds, pj.Reducers, pj.Skew)
+		job, err = BuildShareGridJob(pj.Name, rels, pj.Conds, pj.Reducers, pj.Skew)
 	default:
-		job, _, err = BuildThetaJob(pj.Name, rels, pj.Conds, pj.Reducers, pl.Opts.MaxCells)
+		job, err = BuildThetaJob(pj.Name, rels, pj.Conds, pj.Reducers, pl.Opts.MaxCells)
 	}
 	if err != nil {
 		return nil, mr.Config{}, err

@@ -267,11 +267,11 @@ func BenchmarkThetaBandJob(b *testing.B) {
 	b.ResetTimer()
 	var pairs int64
 	for i := 0; i < b.N; i++ {
-		job, _, err := BuildThetaJob("band", []*relation.Relation{t1, t2}, conds, 16, 0)
+		job, err := BuildThetaJob("band", []*relation.Relation{t1, t2}, conds, 16, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := mr.Run(context.Background(), mr.DefaultConfig(), nil, job)
+		res, err := mr.Run(context.Background(), mr.DefaultConfig(), job)
 		if err != nil {
 			b.Fatal(err)
 		}

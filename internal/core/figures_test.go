@@ -91,11 +91,11 @@ func TestFig4MergePlan(t *testing.T) {
 		for i, n := range relNames {
 			rels[i], _ = db.Relation(n)
 		}
-		job, _, err := BuildThetaJob(name, rels, conds, 4, 1<<10)
+		job, err := BuildThetaJob(name, rels, conds, 4, 1<<10)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := mr.Run(context.Background(), cfg, nil, job)
+		res, err := mr.Run(context.Background(), cfg, job)
 		if err != nil {
 			t.Fatal(err)
 		}

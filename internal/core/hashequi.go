@@ -11,23 +11,18 @@ import (
 
 // BuildHashEquiJob constructs the classic repartition equi-join for a
 // conjunction of equalities between exactly two relations: tuples hash
-// on the composite key, no duplication.
-func BuildHashEquiJob(name string, left, right *relation.Relation, conds predicate.Conjunction, kr int) (*mr.Job, error) {
-	return BuildHashEquiJobSkew(name, left, right, conds, kr, nil)
-}
-
-// BuildHashEquiJobSkew is BuildHashEquiJob with optional heavy-hitter
-// handling: for each hot join-key value in the plan, the left side's
-// tuples split across a Rows sub-grid of reducers by content hash and
-// the right side replicates across it (and symmetrically with Cols
-// when the right side is hot), per SharesSkew. Reducer-side logic is
+// on the composite key, no duplication. A non-nil plan adds
+// heavy-hitter handling: for each hot join-key value in the plan, the
+// left side's tuples split across a Rows sub-grid of reducers by
+// content hash and the right side replicates across it (and
+// symmetrically with Cols when the right side is hot), per SharesSkew. Reducer-side logic is
 // unchanged — each sub-reducer joins its fragment against the
 // replicated side, and fragments are disjoint, so the output is the
 // same set of tuples with the hot key's work spread evenly. Splits come
 // from the plan's reports over each side's key columns, hashed with
-// the same composite key the map side shuffles on. A nil plan
-// reproduces BuildHashEquiJob exactly.
-func BuildHashEquiJobSkew(name string, left, right *relation.Relation, conds predicate.Conjunction, kr int, plan *skew.JobPlan) (*mr.Job, error) {
+// the same composite key the map side shuffles on. A nil plan means no
+// hot-key handling.
+func BuildHashEquiJob(name string, left, right *relation.Relation, conds predicate.Conjunction, kr int, plan *skew.JobPlan) (*mr.Job, error) {
 	if !AllEquiSamePair(conds) {
 		return nil, fmt.Errorf("core: conditions %s are not a two-relation equi conjunction", conds)
 	}

@@ -118,7 +118,7 @@ func TestHashEquiMapKeys(t *testing.T) {
 	} {
 		l, r := mk("L", 200, 1), mk("R", 200, 2)
 		tc.intern(l, r)
-		job, err := BuildHashEquiJob("j", l, r, conds, 8)
+		job, err := BuildHashEquiJob("j", l, r, conds, 8, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

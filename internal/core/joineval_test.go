@@ -34,7 +34,7 @@ func mixedRelation(name string, n, domain int, rng *rand.Rand) *relation.Relatio
 // runJob executes a job single-threaded with the shared test config.
 func runEvalJob(t *testing.T, job *mr.Job) *mr.Result {
 	t.Helper()
-	res, err := mr.Run(context.Background(), testConfig(), nil, job)
+	res, err := mr.Run(context.Background(), testConfig(), job)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestJoinEvalThetaEquivalence(t *testing.T) {
 				}
 				rels[i] = r
 			}
-			job, _, err := BuildThetaJob("theta-"+tc.name, rels, q.Conditions, 5, 1<<12)
+			job, err := BuildThetaJob("theta-"+tc.name, rels, q.Conditions, 5, 1<<12)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -185,7 +185,7 @@ func TestJoinEvalShareGridEquivalence(t *testing.T) {
 				}
 				rels[i] = r
 			}
-			job, err := BuildShareGridJob("grid-"+tc.name, rels, q.Conditions, 8)
+			job, err := BuildShareGridJob("grid-"+tc.name, rels, q.Conditions, 8, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -233,11 +233,11 @@ func TestJoinEvalIndexingPrunes(t *testing.T) {
 		job, err := BuildShareGridJob("grid", []*relation.Relation{rel("A"), rel("B"), rel("C")}, predicate.Conjunction{
 			predicate.C("A", "a", predicate.EQ, "B", "a"),
 			predicate.C("B", "b", predicate.EQ, "C", "b"),
-		}, 1)
+		}, 1, nil)
 		check(t, job, err)
 	})
 	t.Run("theta-band", func(t *testing.T) {
-		job, _, err := BuildThetaJob("theta", []*relation.Relation{rel("A"), rel("B")}, predicate.Conjunction{
+		job, err := BuildThetaJob("theta", []*relation.Relation{rel("A"), rel("B")}, predicate.Conjunction{
 			predicate.C("A", "a", predicate.LT, "B", "a"),
 			predicate.C("A", "a", predicate.GT, "B", "a").WithOffsets(0, -5),
 		}, 1, 1<<12)

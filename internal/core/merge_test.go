@@ -196,11 +196,11 @@ func TestJobMetricsGiveModeledSize(t *testing.T) {
 	db := newTestDB(t, a, b)
 	ra, _ := db.Relation("A")
 	rb, _ := db.Relation("B")
-	job, err := BuildHashEquiJob("he", ra, rb, predicate.Conjunction{predicate.C("A", "a", predicate.EQ, "B", "a")}, 8)
+	job, err := BuildHashEquiJob("he", ra, rb, predicate.Conjunction{predicate.C("A", "a", predicate.EQ, "B", "a")}, 8, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := mr.Run(context.Background(), testConfig(), nil, job)
+	res, err := mr.Run(context.Background(), testConfig(), job)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -245,7 +245,6 @@ func emptyJob(name string, rels []*relation.Relation, kr int) *mr.Job {
 		Inputs:       inputs,
 		Reduce:       func(key uint64, groups [][]relation.Tuple, ctx *mr.ReduceContext) {},
 		NumReducers:  kr,
-		Partition:    mr.IdentityPartition,
 		OutputName:   name,
 		OutputSchema: prefixedSchema(rels),
 		OutputDicts:  prefixedDicts(rels),

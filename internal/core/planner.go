@@ -36,10 +36,11 @@ type PlanOptions struct {
 }
 
 // Planner maps an N-join query onto a scheduled set of MapReduce jobs
-// (the paper's T_opt and execution plan P).
+// (the paper's T_opt and execution plan P). Its jobs run with Config and
+// its cost model prices with Config.Rates, so the two cannot disagree
+// on a rate.
 type Planner struct {
 	Config mr.Config
-	Params cost.Params
 	KP     int // available processing units
 	Opts   PlanOptions
 
@@ -54,11 +55,7 @@ type Planner struct {
 
 // NewPlanner builds a planner with kP processing units.
 func NewPlanner(cfg mr.Config, kp int) *Planner {
-	return &Planner{
-		Config: cfg,
-		Params: cost.FromConfig(cfg),
-		KP:     kp,
-	}
+	return &Planner{Config: cfg, KP: kp}
 }
 
 // PlannedJob is one selected MRJ(e′).
@@ -338,6 +335,7 @@ type costSweepInputs struct {
 func (pl *Planner) sweepReducers(in costSweepInputs, maxK int) ([]float64, int, float64, error) {
 	profile := make([]float64, maxK)
 	bestK, bestT := 1, math.Inf(1)
+	rates := pl.Config.Rates()
 	var grid *shareGrid
 	if in.kind == KindShareGrid {
 		var err error
@@ -379,7 +377,7 @@ func (pl *Planner) sweepReducers(in costSweepInputs, maxK int) ([]float64, int, 
 			Beta:     beta,
 			Sigma:    sigmaFracFor(in.kind, effectiveN, in.pmax, in.skewKnown) * shuffle / float64(effectiveN),
 		}
-		est, err := pl.Params.Estimate(prof, effectiveN)
+		est, err := cost.Evaluate(rates, prof, effectiveN)
 		if err != nil {
 			return nil, 0, 0, err
 		}
@@ -452,7 +450,7 @@ func maxJoinHotFrac(cat *relation.Catalog, conds predicate.Conjunction, kind Job
 // kind is skew-immune). Per SharesSkew, what overloads a reducer is a
 // hot value COMBINATION of the columns it is keyed on: a hash-equi job
 // reports each side's key columns as one set, in condition order — the
-// order the operator hashes them, so BuildHashEquiJobSkew can derive
+// order the operator hashes them, so BuildHashEquiJob can derive
 // splits from the composite key hash it already shuffles on — and a
 // share-grid job reports every column that forms a grid dimension.
 func SkewPlanFor(cat *relation.Catalog, kind JobKind, conds predicate.Conjunction, reducers int, threshold float64) *skew.JobPlan {
@@ -541,8 +539,9 @@ func (pl *Planner) scheduleCover(q *query.Query, edges []joinpath.PathEdge, cand
 	// Estimate the merge phase over the same pair-selection tree the
 	// executor's MergeAll will walk, rather than a plan-order chain.
 	var mergeEst float64
+	rates := pl.Config.Rates()
 	for _, st := range estimateMergeSteps(mergeOps) {
-		mergeEst += pl.Params.MergeCost(st.LeftBytes, st.RightBytes)
+		mergeEst += cost.MergeCost(rates, st.LeftBytes, st.RightBytes)
 	}
 	sched, err := schedule.Schedule(tasks, pl.KP)
 	if err != nil {

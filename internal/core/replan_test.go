@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/cost"
 	"repro/internal/mr"
 	"repro/internal/predicate"
 	"repro/internal/query"
@@ -183,11 +184,11 @@ func TestCompositeSkewSplit(t *testing.T) {
 	if plan == nil {
 		t.Fatal("composite-key equi join got no skew plan — still falling back to plain hashing")
 	}
-	base, err := BuildHashEquiJob("comp-base", rel("L"), rel("R"), conds, kr)
+	base, err := BuildHashEquiJob("comp-base", rel("L"), rel("R"), conds, kr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	skewed, err := BuildHashEquiJobSkew("comp-skew", rel("L"), rel("R"), conds, kr, plan)
+	skewed, err := BuildHashEquiJob("comp-skew", rel("L"), rel("R"), conds, kr, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,11 +267,11 @@ func TestMergeTreeAccounting(t *testing.T) {
 	// for a fixed job spec) and walk MergeAll's tree.
 	var outputs []*relation.Relation
 	for _, pj := range plan.Jobs {
-		job, err := BuildHashEquiJob(pj.Name, rel(pj.RelOrder[0]), rel(pj.RelOrder[1]), pj.Conds, pj.Reducers)
+		job, err := BuildHashEquiJob(pj.Name, rel(pj.RelOrder[0]), rel(pj.RelOrder[1]), pj.Conds, pj.Reducers, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		run, err := mr.Run(context.Background(), testConfig(), nil, job)
+		run, err := mr.Run(context.Background(), testConfig(), job)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -285,7 +286,7 @@ func TestMergeTreeAccounting(t *testing.T) {
 	}
 	var want float64
 	for _, st := range steps {
-		want += pl.Params.MergeCost(st.LeftBytes, st.RightBytes)
+		want += cost.MergeCost(pl.Config.Rates(), st.LeftBytes, st.RightBytes)
 	}
 	if res.MergeCount != len(steps) {
 		t.Errorf("MergeCount = %d, want %d", res.MergeCount, len(steps))

@@ -392,20 +392,15 @@ func buildSlotter(dim int, cl *attrClass, rels []*relation.Relation, ordinal map
 }
 
 // BuildShareGridJob constructs the one-job share-based multiway join
-// for an equi-connected conjunction with optional theta residuals.
-func BuildShareGridJob(name string, rels []*relation.Relation, conds predicate.Conjunction, kr int) (*mr.Job, error) {
-	return BuildShareGridJobSkew(name, rels, conds, kr, nil)
-}
-
-// BuildShareGridJobSkew is BuildShareGridJob with optional heavy-hitter
-// handling: grid dimensions whose attribute classes carry hot keys give
-// those keys dedicated slot sub-ranges ("hot rows get finer cells") —
-// the largest member relation's hot tuples spread over the sub-range by
-// content hash while smaller members replicate across it, so matching
-// combinations still meet in exactly one cell and the cell-ownership
-// check keeps the output duplicate-free. A nil plan reproduces
-// BuildShareGridJob exactly.
-func BuildShareGridJobSkew(name string, rels []*relation.Relation, conds predicate.Conjunction, kr int, plan *skew.JobPlan) (*mr.Job, error) {
+// for an equi-connected conjunction with optional theta residuals. A
+// non-nil plan adds heavy-hitter handling: grid dimensions whose
+// attribute classes carry hot keys give those keys dedicated slot
+// sub-ranges ("hot rows get finer cells") — the largest member
+// relation's hot tuples spread over the sub-range by content hash while
+// smaller members replicate across it, so matching combinations still
+// meet in exactly one cell and the cell-ownership check keeps the
+// output duplicate-free. A nil plan means no hot-key handling.
+func BuildShareGridJob(name string, rels []*relation.Relation, conds predicate.Conjunction, kr int, plan *skew.JobPlan) (*mr.Job, error) {
 	if len(rels) < 2 {
 		return nil, fmt.Errorf("core: share grid needs >= 2 relations")
 	}
@@ -525,7 +520,6 @@ func BuildShareGridJobSkew(name string, rels []*relation.Relation, conds predica
 		Inputs:       inputs,
 		Reduce:       reduce,
 		NumReducers:  grid,
-		Partition:    mr.IdentityPartition,
 		OutputName:   name,
 		OutputSchema: prefixedSchema(rels),
 		OutputDicts:  prefixedDicts(rels),

@@ -70,11 +70,11 @@ func TestShareGridNoReplicationWhenFullyLinked(t *testing.T) {
 	if rep := grid.replication(); rep != 1 {
 		t.Errorf("replication = %v, want 1", rep)
 	}
-	job, err := BuildShareGridJob("sg", rels, conds, 32)
+	job, err := BuildShareGridJob("sg", rels, conds, 32, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := mr.Run(context.Background(), testConfig(), nil, job)
+	res, err := mr.Run(context.Background(), testConfig(), job)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,11 +113,11 @@ func TestShareGridTwoDimensions(t *testing.T) {
 	rl, _ := db.Relation("l")
 	rels := []*relation.Relation{rc, ro, rl}
 	for _, kr := range []int{1, 4, 9, 16} {
-		job, err := BuildShareGridJob("sg2", rels, conds, kr)
+		job, err := BuildShareGridJob("sg2", rels, conds, kr, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := mr.Run(context.Background(), testConfig(), nil, job)
+		res, err := mr.Run(context.Background(), testConfig(), job)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,11 +162,11 @@ func TestShareGridRandomQueries(t *testing.T) {
 			ordered[i], _ = db.Relation(n)
 		}
 		kr := 1 + rng.Intn(12)
-		job, err := BuildShareGridJob("sgr", ordered, conds, kr)
+		job, err := BuildShareGridJob("sgr", ordered, conds, kr, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := mr.Run(context.Background(), testConfig(), nil, job)
+		res, err := mr.Run(context.Background(), testConfig(), job)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,10 +204,10 @@ func TestShareGridValidation(t *testing.T) {
 	ra, _ := db.Relation("A")
 	rb, _ := db.Relation("B")
 	theta := predicate.Conjunction{predicate.C("A", "a", predicate.LT, "B", "a")}
-	if _, err := BuildShareGridJob("x", []*relation.Relation{ra, rb}, theta, 4); err == nil {
+	if _, err := BuildShareGridJob("x", []*relation.Relation{ra, rb}, theta, 4, nil); err == nil {
 		t.Error("theta-only conjunction accepted")
 	}
-	if _, err := BuildShareGridJob("x", []*relation.Relation{ra}, nil, 4); err == nil {
+	if _, err := BuildShareGridJob("x", []*relation.Relation{ra}, nil, 4, nil); err == nil {
 		t.Error("single relation accepted")
 	}
 }
@@ -220,11 +220,11 @@ func TestShareGridEmptyInput(t *testing.T) {
 	ra, _ := db.Relation("A")
 	rb, _ := db.Relation("B")
 	conds := predicate.Conjunction{predicate.C("A", "a", predicate.EQ, "B", "a")}
-	job, err := BuildShareGridJob("e", []*relation.Relation{ra, rb}, conds, 4)
+	job, err := BuildShareGridJob("e", []*relation.Relation{ra, rb}, conds, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := mr.Run(context.Background(), testConfig(), nil, job)
+	res, err := mr.Run(context.Background(), testConfig(), job)
 	if err != nil {
 		t.Fatal(err)
 	}

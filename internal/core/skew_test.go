@@ -60,7 +60,7 @@ func sameRows(a, b []relation.Tuple) bool { return slices.EqualFunc(a, b, sameRo
 
 func runJob(t *testing.T, job *mr.Job) *mr.Result {
 	t.Helper()
-	res, err := mr.Run(context.Background(), testConfig(), nil, job)
+	res, err := mr.Run(context.Background(), testConfig(), job)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestSkewEquiJoinBalance(t *testing.T) {
 		}
 		return rr
 	}
-	base, err := BuildHashEquiJob("equi-base", rel("L"), rel("R"), conds, kr)
+	base, err := BuildHashEquiJob("equi-base", rel("L"), rel("R"), conds, kr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestSkewEquiJoinBalance(t *testing.T) {
 	if plan == nil {
 		t.Fatal("no skew plan for a Zipf(1.2) key — detection or planning broken")
 	}
-	skewed, err := BuildHashEquiJobSkew("equi-skew", rel("L"), rel("R"), conds, kr, plan)
+	skewed, err := BuildHashEquiJob("equi-skew", rel("L"), rel("R"), conds, kr, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestSkewShareGridBalance(t *testing.T) {
 		return rr
 	}
 	rels := []*relation.Relation{rel("L"), rel("R")}
-	base, err := BuildShareGridJob("grid-base", rels, conds, kr)
+	base, err := BuildShareGridJob("grid-base", rels, conds, kr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestSkewShareGridBalance(t *testing.T) {
 	if plan == nil {
 		t.Fatal("no skew plan for the Zipf-skewed grid dimension")
 	}
-	skewed, err := BuildShareGridJobSkew("grid-skew", rels, conds, kr, plan)
+	skewed, err := BuildShareGridJob("grid-skew", rels, conds, kr, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,14 +192,14 @@ func TestSkewExecutionDeterminism(t *testing.T) {
 			if plan == nil {
 				t.Fatal("no equi skew plan")
 			}
-			return BuildHashEquiJobSkew("dequi", rel("L"), rel("R"), equiConds, kr, plan)
+			return BuildHashEquiJob("dequi", rel("L"), rel("R"), equiConds, kr, plan)
 		}},
 		{"grid-skew", func() (*mr.Job, error) {
 			plan := SkewPlanFor(db.Catalog, KindShareGrid, gridConds, kr, skew.DefaultThreshold)
 			if plan == nil {
 				t.Fatal("no grid skew plan")
 			}
-			return BuildShareGridJobSkew("dgrid", []*relation.Relation{rel("L"), rel("R")}, gridConds, kr, plan)
+			return BuildShareGridJob("dgrid", []*relation.Relation{rel("L"), rel("R")}, gridConds, kr, plan)
 		}},
 	}
 	for _, tc := range cases {
@@ -212,7 +212,7 @@ func TestSkewExecutionDeterminism(t *testing.T) {
 				}
 				cfg := testConfig()
 				cfg.MaxParallelWorkers = w
-				res, err := mr.Run(context.Background(), cfg, nil, job)
+				res, err := mr.Run(context.Background(), cfg, job)
 				if err != nil {
 					t.Fatalf("workers=%d: %v", w, err)
 				}

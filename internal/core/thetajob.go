@@ -14,31 +14,31 @@ import (
 // backtrack over the per-relation groups, verify the conditions, and
 // emit exactly the combinations whose hyper-cube cell falls inside
 // their own component.
-func BuildThetaJob(name string, rels []*relation.Relation, conds predicate.Conjunction, kr, maxCells int) (*mr.Job, *Partitioner, error) {
+func BuildThetaJob(name string, rels []*relation.Relation, conds predicate.Conjunction, kr, maxCells int) (*mr.Job, error) {
 	if len(rels) < 2 {
-		return nil, nil, fmt.Errorf("core: theta job needs >= 2 relations")
+		return nil, fmt.Errorf("core: theta job needs >= 2 relations")
 	}
 	cards := make([]int, len(rels))
 	ridIdx := make([]int, len(rels))
 	for i, r := range rels {
 		if r.Cardinality() == 0 {
 			// An empty input empties the join; return a trivial job.
-			return emptyJob(name, rels, kr), nil, nil
+			return emptyJob(name, rels, kr), nil
 		}
 		cards[i] = r.Cardinality()
 		ri, err := ridOrdinal(r)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		ridIdx[i] = ri
 	}
 	part, err := NewPartitioner(cards, kr, maxCells)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	bound, err := bindConditions(conds, rels)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	salt := jobSalt(name)
 
@@ -63,11 +63,10 @@ func BuildThetaJob(name string, rels []*relation.Relation, conds predicate.Conju
 		Inputs:       inputs,
 		Reduce:       reduce,
 		NumReducers:  kr,
-		Partition:    mr.IdentityPartition,
 		OutputName:   name,
 		OutputSchema: prefixedSchema(rels),
 		OutputDicts:  prefixedDicts(rels),
-	}, part, nil
+	}, nil
 }
 
 // jobSalt derives the ID-randomisation salt from the job name.

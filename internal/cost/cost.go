@@ -4,9 +4,10 @@
 // planner picks a job's reducer count as the argmin of T(k) over
 // k = 1..K_P, so Eq. 10's λ-weighted Δ(k_R) trade-off is not used.
 //
-// The same primitive rates drive both this analytic model and the
-// discrete-event simulator (internal/mr), so comparing "estimated" vs
-// "simulated" execution time is a genuine model-validation experiment
+// The model prices from mr.Rates, the price list the discrete-event
+// simulator (internal/mr) charges: C1 = 1/ReadBps, C2 = 1/NetBps, and
+// p and q are Rates.P and Rates.Q. Comparing "estimated" vs "simulated"
+// execution time is therefore a genuine model-validation experiment
 // (Fig. 8): the simulator sees wave quantisation, actual reducer skew
 // and copy/compute overlap that the closed form only approximates.
 package cost
@@ -17,75 +18,6 @@ import (
 
 	"repro/internal/mr"
 )
-
-// Params are the system-dependent constants of §4.1. C1 and C2 are the
-// per-byte sequential-read and network-copy costs; the spill variable p
-// and connection variable q are parametric functions calibrated from
-// observed job executions (Fig. 7b).
-type Params struct {
-	C1           float64 // seconds per byte, sequential disk read
-	C2           float64 // seconds per byte, network copy
-	WriteCost    float64 // seconds per byte, disk write (base of p)
-	SortBufBytes int64   // io.sort.mb: spill inflation threshold
-	SortFactor   int     // io.sort.factor: runs merged per pass
-	QBase        float64 // seconds per connection at n=1 (base of q)
-	TaskOverhead float64 // fixed per-task seconds (scheduling, JVM)
-}
-
-// FromConfig derives model parameters from the cluster configuration,
-// mirroring mr.NewStdTimer so that model and simulator share rates.
-func FromConfig(cfg mr.Config) Params {
-	t := mr.NewStdTimer(cfg)
-	return Params{
-		C1:           1 / t.ReadBps,
-		C2:           1 / t.NetBps,
-		WriteCost:    1 / t.WriteBps,
-		SortBufBytes: t.SortBuf,
-		SortFactor:   t.SortFactor,
-		QBase:        t.QBase,
-		TaskOverhead: t.TaskOverhead,
-	}
-}
-
-// Timer returns the mr.Timer sharing these rates, for running jobs
-// under the same constants the model assumes.
-func (p Params) Timer() mr.Timer {
-	return &mr.StdTimer{
-		ReadBps:      1 / p.C1,
-		WriteBps:     1 / p.WriteCost,
-		NetBps:       1 / p.C2,
-		SortBuf:      p.SortBufBytes,
-		SortFactor:   p.SortFactor,
-		QBase:        p.QBase,
-		TaskOverhead: p.TaskOverhead,
-	}
-}
-
-// P is the spill cost variable: per-byte write cost inflated once the
-// spilled volume exceeds the sort buffer, growing with the
-// io.sort.factor-ary merge depth (mirrors mr.StdTimer.SpillFactor so
-// estimate and simulation stay aligned).
-func (p Params) P(spillBytes int64) float64 {
-	if spillBytes <= p.SortBufBytes || p.SortBufBytes <= 0 {
-		return p.WriteCost
-	}
-	runs := float64(spillBytes) / float64(p.SortBufBytes)
-	factor := float64(p.SortFactor)
-	if factor < 2 {
-		factor = 300
-	}
-	return p.WriteCost * (1 + 0.3*(1+math.Log(runs)/math.Log(factor)))
-}
-
-// Q is the connection-service cost variable for n reduce tasks. q is
-// linear in n so the q·n term of Eq. 3 grows quadratically ("rapid
-// growth of q while n gets larger").
-func (p Params) Q(n int) float64 {
-	if n < 1 {
-		n = 1
-	}
-	return p.QBase * float64(n)
-}
 
 // JobProfile characterises one MapReduce job for estimation: total
 // input S_I, map task count m and slot bound m', the map output ratio
@@ -128,8 +60,9 @@ type Estimate struct {
 	T   float64 // Eq. 6: job makespan estimate
 }
 
-// Estimate evaluates the closed-form model for n reduce tasks.
-func (p Params) Estimate(jp JobProfile, n int) (Estimate, error) {
+// Evaluate is the closed-form model of the job with n reduce tasks,
+// priced by r.
+func Evaluate(r mr.Rates, jp JobProfile, n int) (Estimate, error) {
 	if err := jp.Validate(); err != nil {
 		return Estimate{}, err
 	}
@@ -141,13 +74,14 @@ func (p Params) Estimate(jp JobProfile, n int) (Estimate, error) {
 	mPrime := math.Min(float64(jp.MapSlots), m)
 	mapOut := jp.Alpha * si
 	mapOutPerTask := int64(mapOut / m)
-	pv := p.P(mapOutPerTask)
+	c1, c2, writeCost := 1/r.ReadBps, 1/r.NetBps, 1/r.WriteBps
+	pv := r.P(mapOutPerTask)
 	// Eq. 1: t_M = (C1 + p·α) · S_I/m, plus the fixed task overhead.
-	tM := p.TaskOverhead + (p.C1+pv*jp.Alpha)*si/m
+	tM := r.TaskOverhead + (c1+pv*jp.Alpha)*si/m
 	// Eq. 2: J_M = t_M · m/m'.
 	jM := tM * m / mPrime
 	// Eq. 3: t_CP = C2·α·S_I/(n·m) + q·n.
-	tCP := p.C2*mapOut/(float64(n)*m) + p.Q(n)*float64(n)
+	tCP := c2*mapOut/(float64(n)*m) + r.Q(n)*float64(n)
 	// Eq. 4: J_CP = (m/m')·t_CP.
 	jCP := tCP * m / mPrime
 	// S*_r = α·S_I/n + 3σ (three-sigma straggler bound).
@@ -158,7 +92,7 @@ func (p Params) Estimate(jp JobProfile, n int) (Estimate, error) {
 	// output at the write rate instead — the simulator's reducers
 	// physically write their output, and Fig. 8's estimate-vs-simulated
 	// agreement depends on the two sides pricing it identically.
-	jR := p.TaskOverhead + (p.P(int64(sr))+jp.Beta*p.WriteCost)*sr
+	jR := r.TaskOverhead + (r.P(int64(sr))+jp.Beta*writeCost)*sr
 	// Eq. 6: overlap of map and copy phases.
 	var t float64
 	if tM >= tCP {
@@ -171,13 +105,13 @@ func (p Params) Estimate(jp JobProfile, n int) (Estimate, error) {
 
 // BestReducers sweeps n ∈ [1, maxN] and returns the estimate with the
 // minimum makespan — the model's recommended RN(MRJ).
-func (p Params) BestReducers(jp JobProfile, maxN int) (Estimate, error) {
+func BestReducers(r mr.Rates, jp JobProfile, maxN int) (Estimate, error) {
 	if maxN < 1 {
 		return Estimate{}, fmt.Errorf("cost: maxN must be >= 1")
 	}
 	var best Estimate
 	for n := 1; n <= maxN; n++ {
-		e, err := p.Estimate(jp, n)
+		e, err := Evaluate(r, jp, n)
 		if err != nil {
 			return Estimate{}, err
 		}
@@ -230,6 +164,6 @@ func stddevInt64(xs []int64) float64 {
 // only has output keys or data IDs involved, therefore, it can be done
 // very efficiently": only ID columns (a small fraction of the tuple
 // width, modelled at 2%) are scanned and re-written.
-func (p Params) MergeCost(leftBytes, rightBytes int64) float64 {
-	return p.TaskOverhead + (p.C1+p.WriteCost)*float64(leftBytes+rightBytes)*0.02
+func MergeCost(r mr.Rates, leftBytes, rightBytes int64) float64 {
+	return r.TaskOverhead + (1/r.ReadBps+1/r.WriteBps)*float64(leftBytes+rightBytes)*0.02
 }

@@ -9,7 +9,7 @@ import (
 	"repro/internal/relation"
 )
 
-func params() Params { return FromConfig(mr.DefaultConfig()) }
+func rates() mr.Rates { return mr.DefaultConfig().Rates() }
 
 func profile(gb float64, alpha float64) JobProfile {
 	return JobProfile{
@@ -23,8 +23,8 @@ func profile(gb float64, alpha float64) JobProfile {
 }
 
 func TestEstimateComponentsPositive(t *testing.T) {
-	p := params()
-	e, err := p.Estimate(profile(10, 0.5), 16)
+	r := rates()
+	e, err := Evaluate(r, profile(10, 0.5), 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,28 +43,28 @@ func TestEstimateComponentsPositive(t *testing.T) {
 }
 
 func TestEstimateValidation(t *testing.T) {
-	p := params()
-	if _, err := p.Estimate(profile(1, 0.5), 0); err == nil {
+	r := rates()
+	if _, err := Evaluate(r, profile(1, 0.5), 0); err == nil {
 		t.Error("0 reducers accepted")
 	}
 	bad := profile(1, 0.5)
 	bad.MapTasks = 0
-	if _, err := p.Estimate(bad, 4); err == nil {
+	if _, err := Evaluate(r, bad, 4); err == nil {
 		t.Error("0 map tasks accepted")
 	}
 	bad = profile(1, 0.5)
 	bad.Alpha = -1
-	if _, err := p.Estimate(bad, 4); err == nil {
+	if _, err := Evaluate(r, bad, 4); err == nil {
 		t.Error("negative alpha accepted")
 	}
 	bad = profile(1, 0.5)
 	bad.MapSlots = 0
-	if _, err := p.Estimate(bad, 4); err == nil {
+	if _, err := Evaluate(r, bad, 4); err == nil {
 		t.Error("0 map slots accepted")
 	}
 	bad = profile(1, 0.5)
 	bad.InputBytes = -5
-	if _, err := p.Estimate(bad, 4); err == nil {
+	if _, err := Evaluate(r, bad, 4); err == nil {
 		t.Error("negative input accepted")
 	}
 }
@@ -73,16 +73,16 @@ func TestEstimateValidation(t *testing.T) {
 // helps a lot initially, then gains shrink (and eventually reverse as
 // connection overhead dominates).
 func TestReducerSweepShape(t *testing.T) {
-	p := params()
+	r := rates()
 	prof := profile(100, 1.0)
-	t2, _ := p.Estimate(prof, 2)
-	t16, _ := p.Estimate(prof, 16)
+	t2, _ := Evaluate(r, prof, 2)
+	t16, _ := Evaluate(r, prof, 16)
 	if t16.T >= t2.T {
 		t.Errorf("16 reducers (%v) not faster than 2 (%v) on 100GB", t16.T, t2.T)
 	}
 	// Gains flatten: marginal improvement 48→64 much smaller than 2→16.
-	t48, _ := p.Estimate(prof, 48)
-	t64, _ := p.Estimate(prof, 64)
+	t48, _ := Evaluate(r, prof, 48)
+	t64, _ := Evaluate(r, prof, 64)
 	gainEarly := t2.T - t16.T
 	gainLate := t48.T - t64.T
 	if gainLate > gainEarly/4 {
@@ -94,11 +94,11 @@ func TestReducerSweepShape(t *testing.T) {
 // the q·n connection overhead increases — producing the interior
 // optimum of Fig. 7a.
 func TestJRMonotoneAndInteriorOptimum(t *testing.T) {
-	p := params()
+	r := rates()
 	prof := profile(10, 1.0)
 	prev := math.Inf(1)
 	for n := 1; n <= 64; n *= 2 {
-		e, err := p.Estimate(prof, n)
+		e, err := Evaluate(r, prof, n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,7 +107,7 @@ func TestJRMonotoneAndInteriorOptimum(t *testing.T) {
 		}
 		prev = e.JR
 	}
-	best, err := p.BestReducers(prof, 512)
+	best, err := BestReducers(r, prof, 512)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,36 +118,43 @@ func TestJRMonotoneAndInteriorOptimum(t *testing.T) {
 
 // Fig. 7a: larger map output volume pushes the optimal reducer count up.
 func TestBestReducersGrowsWithVolume(t *testing.T) {
-	p := params()
-	small, err := p.BestReducers(profile(1, 1.0), 256)
+	r := rates()
+	small, err := BestReducers(r, profile(1, 1.0), 256)
 	if err != nil {
 		t.Fatal(err)
 	}
-	big, err := p.BestReducers(profile(200, 1.0), 256)
+	big, err := BestReducers(r, profile(200, 1.0), 256)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if big.N <= small.N {
 		t.Errorf("best kR for 200GB (%d) not above 1GB (%d)", big.N, small.N)
 	}
-	if _, err := p.BestReducers(profile(1, 1), 0); err == nil {
+	if _, err := BestReducers(r, profile(1, 1), 0); err == nil {
 		t.Error("maxN=0 accepted")
 	}
 }
 
+// p is the write cost inflated by the spill factor; q grows with the
+// reducer count and clamps to q(1) below one reducer.
 func TestPQBehaviour(t *testing.T) {
-	p := params()
-	if p.P(p.SortBufBytes/2) != p.WriteCost {
+	r := rates()
+	if r.P(r.SortBuf/2) != 1/r.WriteBps {
 		t.Error("p below sort buffer should equal write cost")
 	}
-	if p.P(p.SortBufBytes*100) <= p.P(p.SortBufBytes*2) {
+	for _, b := range []int64{r.SortBuf / 2, r.SortBuf * 3, r.SortBuf * 100} {
+		if got, want := r.P(b), r.SpillFactor(b)/r.WriteBps; math.Abs(got-want) > 1e-15*want {
+			t.Errorf("P(%d) = %v, want SpillFactor/WriteBps = %v", b, got, want)
+		}
+	}
+	if r.P(r.SortBuf*100) <= r.P(r.SortBuf*2) {
 		t.Error("p not growing with spill volume")
 	}
-	if p.Q(64) <= p.Q(4) {
+	if r.Q(64) <= r.Q(4) {
 		t.Error("q not growing with reducer count")
 	}
-	if p.Q(0) != p.Q(1) {
-		t.Error("q(0) should clamp to q(1)")
+	if r.Q(0) != r.Q(1) || r.Q(-3) != r.Q(1) {
+		t.Error("q should clamp to q(1) below one reducer")
 	}
 }
 
@@ -165,7 +172,7 @@ func TestModelTracksSimulator(t *testing.T) {
 		in.MustAppend(relation.Tuple{relation.Int(int64(i % 64))})
 	}
 	in.VolumeMultiplier = 50000 // model ~ a GB-scale input
-	p := FromConfig(cfg)
+	r := cfg.Rates()
 	job := &mr.Job{
 		Name:   "selfjoin-sample",
 		Inputs: []mr.Input{{Rel: in, Map: func(t relation.Tuple, emit mr.Emitter) { emit(uint64(t[0].Int64()), 0, t) }}},
@@ -177,12 +184,12 @@ func TestModelTracksSimulator(t *testing.T) {
 		OutputName:   "out",
 		OutputSchema: in.Schema,
 	}
-	res, err := mr.Run(context.Background(), cfg, p.Timer(), job)
+	res, err := mr.Run(context.Background(), cfg, job)
 	if err != nil {
 		t.Fatal(err)
 	}
 	prof := ProfileFromMetrics(res.Metrics, cfg)
-	est, err := p.Estimate(prof, 8)
+	est, err := Evaluate(r, prof, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,27 +228,14 @@ func TestProfileFromMetrics(t *testing.T) {
 }
 
 func TestMergeCostSmall(t *testing.T) {
-	p := params()
-	mc := p.MergeCost(1e9, 1e9)
-	full, _ := p.Estimate(profile(2, 1.0), 16)
+	r := rates()
+	mc := MergeCost(r, 1e9, 1e9)
+	full, _ := Evaluate(r, profile(2, 1.0), 16)
 	if mc >= full.T {
 		t.Errorf("merge cost %v not small vs full job %v", mc, full.T)
 	}
 	if mc <= 0 {
 		t.Error("merge cost not positive")
-	}
-}
-
-func TestTimerRoundTrip(t *testing.T) {
-	cfg := mr.DefaultConfig()
-	p := FromConfig(cfg)
-	tm, ok := p.Timer().(*mr.StdTimer)
-	if !ok {
-		t.Fatal("Timer() is not StdTimer")
-	}
-	ref := mr.NewStdTimer(cfg)
-	if math.Abs(tm.ReadBps-ref.ReadBps) > 1 || math.Abs(tm.WriteBps-ref.WriteBps) > 1 {
-		t.Error("timer rates do not round-trip")
 	}
 }
 

@@ -449,7 +449,7 @@ func TestFullyOutOfCoreJob(t *testing.T) {
 	}
 	cfg := mr.DefaultConfig()
 	cfg.TuplesPerMapTask = 128
-	base, err := mr.Run(context.Background(), cfg, nil, job(in))
+	base, err := mr.Run(context.Background(), cfg, job(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -462,7 +462,7 @@ func TestFullyOutOfCoreJob(t *testing.T) {
 	oocCfg := cfg
 	oocCfg.SpillBudgetBytes = 2048
 	oocCfg.Spill = store
-	ooc, err := mr.Run(context.Background(), oocCfg, nil, job(in))
+	ooc, err := mr.Run(context.Background(), oocCfg, job(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -547,7 +547,7 @@ func BenchmarkSpilledShuffle(b *testing.B) {
 	for i := 0; i < stations; i++ {
 		dim.MustAppend(relation.Tuple{relation.Str(name(uint64(i))), relation.Int(int64(i % 17)), relation.Int(int64(i))})
 	}
-	job, err := core.BuildHashEquiJob("fk", calls, dim, predicate.Conjunction{predicate.C("c", "bs", predicate.EQ, "s", "bs")}, 96)
+	job, err := core.BuildHashEquiJob("fk", calls, dim, predicate.Conjunction{predicate.C("c", "bs", predicate.EQ, "s", "bs")}, 96, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -562,7 +562,7 @@ func BenchmarkSpilledShuffle(b *testing.B) {
 		cfg := mr.DefaultConfig()
 		cfg.SpillBudgetBytes = 64 << 10
 		cfg.Spill = store
-		res, err := mr.Run(context.Background(), cfg, nil, job)
+		res, err := mr.Run(context.Background(), cfg, job)
 		if err != nil {
 			b.Fatal(err)
 		}

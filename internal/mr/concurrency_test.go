@@ -17,7 +17,7 @@ func TestRunCancelledContext(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := Run(ctx, smallConfig(), nil, countJob(in, 3))
+	res, err := Run(ctx, smallConfig(), countJob(in, 3))
 	if err == nil {
 		t.Fatalf("cancelled run returned %+v, want error", res)
 	}
@@ -30,7 +30,7 @@ func TestRunCancelledContext(t *testing.T) {
 func TestRunNilContext(t *testing.T) {
 	in := intsRelation("in")
 	in.MustAppend(relation.Tuple{relation.Int(1)})
-	if _, err := Run(nil, smallConfig(), nil, countJob(in, 2)); err != nil { //nolint:staticcheck
+	if _, err := Run(nil, smallConfig(), countJob(in, 2)); err != nil { //nolint:staticcheck
 		t.Fatal(err)
 	}
 }

@@ -78,9 +78,9 @@ type Config struct {
 	Faults *FaultPlan
 }
 
-// Defaults for the fault-tolerance knobs (applied when the field is
-// zero).
+// Defaults applied when the field is zero.
 const (
+	defaultSortFactor        = 300
 	defaultTaskAttempts      = 4
 	defaultSpeculativeFactor = 3.0
 )
@@ -94,7 +94,7 @@ func DefaultConfig() Config {
 		IoSortMB:         512,
 		IoSortRecordPct:  0.1,
 		IoSortSpillPct:   0.9,
-		IoSortFactor:     300,
+		IoSortFactor:     defaultSortFactor,
 		DFSReplication:   3,
 		MapSlots:         104,
 		ReduceSlots:      96,
@@ -110,7 +110,7 @@ func DefaultConfig() Config {
 }
 
 // Validate reports configuration errors. Every field the engine or
-// the timers divide by (BlockSizeMB, TuplesPerMapTask, the device
+// its Rates divide by (BlockSizeMB, TuplesPerMapTask, the device
 // rates, IoSortMB) must be positive; fields where zero means "use the
 // default" (MaxParallelWorkers, OutputCapRatio, IoSortFactor) reject
 // only negative values.
@@ -129,7 +129,7 @@ func (c Config) Validate() error {
 	case c.IoSortMB < 1:
 		return errConfig("IoSortMB must be >= 1")
 	case c.IoSortFactor != 0 && c.IoSortFactor < 2:
-		// The timer falls back to its default for any factor below 2
+		// Rates falls back to the default for any factor below 2
 		// (a <2-way merge is meaningless); only an explicit 0 may ask
 		// for that fallback.
 		return errConfig("IoSortFactor must be 0 (default) or >= 2")

@@ -8,7 +8,9 @@
 // round-by-round map waves over a bounded slot pool, spill cost as a
 // function of map output volume, copy cost over the network with
 // per-connection overhead, and the straggler reduce task that
-// dominates J_R.
+// dominates J_R. Every simulated second is priced by Config.Rates, the
+// one price list (Rates) that internal/cost's Eq. 1–6 estimate reads
+// too.
 //
 // The paper's experiments ran on a 13-node Hadoop 0.20.205 cluster
 // (104 cores, 10 GbE, measured 74.26 MB/s read and 14.69 MB/s write);

@@ -165,7 +165,7 @@ type mapTask struct {
 // tested in order.
 type run struct {
 	cfg     Config
-	timer   Timer
+	rates   Rates
 	job     *Job
 	o       *obs.Obs
 	shard   *obs.Shard // job-level spans
@@ -224,7 +224,7 @@ type run struct {
 // Cancelling ctx aborts the run between tasks and mid-merge; the first
 // error raised by any worker (or the context's error) is returned and
 // stops the remaining workers.
-func Run(ctx context.Context, cfg Config, timer Timer, job *Job) (*Result, error) {
+func Run(ctx context.Context, cfg Config, job *Job) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -234,12 +234,9 @@ func Run(ctx context.Context, cfg Config, timer Timer, job *Job) (*Result, error
 	if err := job.Validate(); err != nil {
 		return nil, err
 	}
-	if timer == nil {
-		timer = NewStdTimer(cfg)
-	}
 	wallStart := time.Now()
 	o := obs.FromContext(ctx)
-	r := &run{cfg: cfg, timer: timer, job: job, o: o, shard: o.Shard("mr:" + job.Name),
+	r := &run{cfg: cfg, rates: cfg.Rates(), job: job, o: o, shard: o.Shard("mr:" + job.Name),
 		workers: cfg.MaxParallelWorkers, nRed: job.NumReducers}
 	if r.workers <= 0 {
 		r.workers = runtime.NumCPU()
@@ -380,10 +377,6 @@ func (r *run) mapAttempt(actx context.Context, ti, attempt int, sh *obs.Shard) (
 	task, job, nRed := &r.tasks[ti], r.job, r.nRed
 	sp := sh.Start("map", obs.A("task", ti), obs.A("attempt", attempt), obs.A("tuples", len(task.tuples)))
 	mapFn := job.Inputs[task.inputIdx].Map
-	partition := job.Partition
-	if partition == nil {
-		partition = func(key uint64, n int) int { return int(key % uint64(n)) }
-	}
 	var spiller *taskSpiller
 	var routed *mapScratch
 	committable := false
@@ -425,7 +418,7 @@ func (r *run) mapAttempt(actx context.Context, ti, attempt int, sh *obs.Shard) (
 		if job.Partitioner != nil {
 			routeBuf = job.Partitioner.Route(routeBuf[:0], key, tag, value, nRed)
 		} else {
-			routeBuf = append(routeBuf[:0], partition(key, nRed))
+			routeBuf = append(routeBuf[:0], int(key%uint64(nRed)))
 		}
 		if len(routeBuf) > 1 {
 			replPairs += int64(len(routeBuf) - 1)
@@ -489,7 +482,7 @@ func (r *run) mapAttempt(actx context.Context, ti, attempt int, sh *obs.Shard) (
 		// instead of re-sorting their whole input. The sort is stable
 		// (emission order within a key is preserved) and skipped when
 		// the bucket is already ordered — the common case for jobs
-		// whose keys are reducer ordinals (identity partition).
+		// whose keys are reducer ordinals.
 		sortSp := sh.Start("spill-sort", obs.A("task", ti))
 		buckets = routed.partition(nRed)
 		for red := range buckets {
@@ -779,14 +772,14 @@ func (r *run) chargeClock() (sim SimTime, mapFailures, reduceFailures int) {
 	copyDur := make([]float64, len(r.tasks))
 	mapFail := make([]int, len(r.tasks))
 	for ti := range r.tasks {
-		copyDur[ti] = r.timer.CopyTime(r.taskOutBytes[ti], r.nRed)
-		mapDur[ti], mapFail[ti] = charge(phaseMap, ti, r.timer.MapTaskTime(r.tasks[ti].inputBytes, r.taskOutBytes[ti]))
+		copyDur[ti] = r.rates.CopyTime(r.taskOutBytes[ti], r.nRed)
+		mapDur[ti], mapFail[ti] = charge(phaseMap, ti, r.rates.MapTaskTime(r.tasks[ti].inputBytes, r.taskOutBytes[ti]))
 		mapFailures += mapFail[ti]
 	}
 	reduceDur := make([]float64, r.nRed)
 	reduceFail := make([]int, r.nRed)
 	for red := range reduceDur {
-		reduceDur[red], reduceFail[red] = charge(phaseReduce, red, r.timer.ReduceTime(r.reducerBytes[red], r.reducerOutBytes[red]))
+		reduceDur[red], reduceFail[red] = charge(phaseReduce, red, r.rates.ReduceTime(r.reducerBytes[red], r.reducerOutBytes[red]))
 		reduceFailures += reduceFail[red]
 	}
 	sim = simulate(r.cfg.MapSlots, r.cfg.ReduceSlots, mapDur, copyDur, mapFail, reduceDur, reduceFail)
@@ -936,8 +929,8 @@ func appendDoubling[T any](s []T, v T) []T {
 
 // sortBucket stable-sorts one spill bucket by key, preserving emission
 // order within a key. Buckets that are already ordered — every job
-// whose keys are reducer ordinals routed by the identity partition —
-// are detected in one linear pass and left untouched.
+// whose keys are reducer ordinals — are detected in one linear pass and
+// left untouched.
 func sortBucket(b []pair) {
 	sorted := true
 	for i := 1; i < len(b); i++ {

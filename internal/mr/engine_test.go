@@ -50,7 +50,7 @@ func countJob(in *relation.Relation, reducers int) *Job {
 
 func TestRunCountJob(t *testing.T) {
 	in := intsRelation("in", 1, 2, 2, 3, 3, 3, 7, 7, 7, 7)
-	res, err := Run(context.Background(), smallConfig(), nil, countJob(in, 3))
+	res, err := Run(context.Background(), smallConfig(), countJob(in, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestRunDeterministic(t *testing.T) {
 	}
 	var first *Result
 	for trial := 0; trial < 3; trial++ {
-		res, err := Run(context.Background(), smallConfig(), nil, countJob(in, 5))
+		res, err := Run(context.Background(), smallConfig(), countJob(in, 5))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,7 +151,7 @@ func TestMergeOrderingContract(t *testing.T) {
 		),
 	}
 	cfg.MaxParallelWorkers = 1
-	if _, err := Run(context.Background(), cfg, nil, job); err != nil {
+	if _, err := Run(context.Background(), cfg, job); err != nil {
 		t.Fatal(err)
 	}
 	if len(groups) != 7 {
@@ -210,7 +210,7 @@ func TestRunEquiJoin(t *testing.T) {
 		OutputName:   "joined",
 		OutputSchema: outSchema,
 	}
-	res, err := Run(context.Background(), smallConfig(), nil, job)
+	res, err := Run(context.Background(), smallConfig(), job)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,38 +228,38 @@ func TestRunValidation(t *testing.T) {
 	good := countJob(in, 2)
 	bad := *good
 	bad.Name = ""
-	if _, err := Run(context.Background(), smallConfig(), nil, &bad); err == nil {
+	if _, err := Run(context.Background(), smallConfig(), &bad); err == nil {
 		t.Error("empty name accepted")
 	}
 	bad = *good
 	bad.Inputs = nil
-	if _, err := Run(context.Background(), smallConfig(), nil, &bad); err == nil {
+	if _, err := Run(context.Background(), smallConfig(), &bad); err == nil {
 		t.Error("no inputs accepted")
 	}
 	bad = *good
 	bad.NumReducers = 0
-	if _, err := Run(context.Background(), smallConfig(), nil, &bad); err == nil {
+	if _, err := Run(context.Background(), smallConfig(), &bad); err == nil {
 		t.Error("0 reducers accepted")
 	}
 	bad = *good
 	bad.Reduce = nil
-	if _, err := Run(context.Background(), smallConfig(), nil, &bad); err == nil {
+	if _, err := Run(context.Background(), smallConfig(), &bad); err == nil {
 		t.Error("nil reduce accepted")
 	}
 	bad = *good
 	bad.OutputSchema = nil
-	if _, err := Run(context.Background(), smallConfig(), nil, &bad); err == nil {
+	if _, err := Run(context.Background(), smallConfig(), &bad); err == nil {
 		t.Error("nil schema accepted")
 	}
 	cfg := smallConfig()
 	cfg.MapSlots = 0
-	if _, err := Run(context.Background(), cfg, nil, good); err == nil {
+	if _, err := Run(context.Background(), cfg, good); err == nil {
 		t.Error("bad config accepted")
 	}
 }
 
 func TestRunEmptyInput(t *testing.T) {
-	res, err := Run(context.Background(), smallConfig(), nil, countJob(intsRelation("empty"), 2))
+	res, err := Run(context.Background(), smallConfig(), countJob(intsRelation("empty"), 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,20 +268,18 @@ func TestRunEmptyInput(t *testing.T) {
 	}
 }
 
-func TestIdentityPartition(t *testing.T) {
-	if IdentityPartition(3, 8) != 3 {
-		t.Error("identity partition wrong")
-	}
-	if got := IdentityPartition(12, 8); got < 0 || got >= 8 {
-		t.Errorf("out-of-range key mapped to %d", got)
-	}
+// routeTo sends every pair to one fixed reducer ordinal.
+type routeTo int
+
+func (r routeTo) Route(dst []int, _ uint64, _ uint8, _ relation.Tuple, _ int) []int {
+	return append(dst, int(r))
 }
 
 func TestBadPartitionRejected(t *testing.T) {
 	in := intsRelation("in", 1, 2, 3)
 	job := countJob(in, 2)
-	job.Partition = func(key uint64, n int) int { return 99 }
-	if _, err := Run(context.Background(), smallConfig(), nil, job); err == nil {
+	job.Partitioner = routeTo(99)
+	if _, err := Run(context.Background(), smallConfig(), job); err == nil {
 		t.Error("out-of-range partition accepted")
 	}
 }
@@ -292,20 +290,20 @@ func TestArityMismatchRejected(t *testing.T) {
 	job.Reduce = func(key uint64, groups [][]relation.Tuple, ctx *ReduceContext) {
 		ctx.Emit(relation.Tuple{relation.Int(1)}) // schema wants 2 columns
 	}
-	if _, err := Run(context.Background(), smallConfig(), nil, job); err == nil {
+	if _, err := Run(context.Background(), smallConfig(), job); err == nil {
 		t.Error("arity mismatch accepted")
 	}
 }
 
 func TestVolumeMultiplierScalesBytes(t *testing.T) {
 	in := intsRelation("in", 1, 2, 3, 4)
-	base, err := Run(context.Background(), smallConfig(), nil, countJob(in, 2))
+	base, err := Run(context.Background(), smallConfig(), countJob(in, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	in2 := in.Clone()
 	in2.VolumeMultiplier = 10
-	scaled, err := Run(context.Background(), smallConfig(), nil, countJob(in2, 2))
+	scaled, err := Run(context.Background(), smallConfig(), countJob(in2, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +327,7 @@ func TestFaultInjectionMapRetry(t *testing.T) {
 		in.MustAppend(relation.Tuple{relation.Int(i)})
 	}
 	job := countJob(in, 2)
-	clean, err := Run(context.Background(), smallConfig(), nil, job)
+	clean, err := Run(context.Background(), smallConfig(), job)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +337,7 @@ func TestFaultInjectionMapRetry(t *testing.T) {
 		{Kind: FaultKillMap, Task: 0, Attempt: 1},
 		{Kind: FaultKillReduce, Task: 1, Attempt: 0},
 	}}
-	faulty, err := Run(context.Background(), cfg, nil, job)
+	faulty, err := Run(context.Background(), cfg, job)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,7 +393,7 @@ func TestStragglerReducerDominates(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		in.MustAppend(relation.Tuple{relation.Int(int64(100 + i))})
 	}
-	res, err := Run(context.Background(), smallConfig(), nil, countJob(in, 4))
+	res, err := Run(context.Background(), smallConfig(), countJob(in, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,27 +412,47 @@ func TestStragglerReducerDominates(t *testing.T) {
 	}
 }
 
+// TestStdTimerMonotonicity checks that the standard price list's task
+// times grow with the bytes they move and its spill factor with the
+// spilled volume.
 func TestStdTimerMonotonicity(t *testing.T) {
-	tm := NewStdTimer(DefaultConfig())
-	if tm.MapTaskTime(1e9, 1e8) <= tm.MapTaskTime(1e8, 1e8) {
+	r := DefaultConfig().Rates()
+	if r.MapTaskTime(1e9, 1e8) <= r.MapTaskTime(1e8, 1e8) {
 		t.Error("map time not increasing in input")
 	}
-	if tm.ReduceTime(1e9, 0) <= tm.ReduceTime(1e8, 0) {
+	if r.MapTaskTime(1e8, 1e9) <= r.MapTaskTime(1e8, 1e8) {
+		t.Error("map time not increasing in output")
+	}
+	if r.ReduceTime(1e9, 0) <= r.ReduceTime(1e8, 0) {
 		t.Error("reduce time not increasing in input")
 	}
-	if tm.CopyTime(1e9, 4) <= tm.CopyTime(1e8, 4) {
+	if r.ReduceTime(1e8, 1e9) <= r.ReduceTime(1e8, 0) {
+		t.Error("reduce time not increasing in output")
+	}
+	if r.CopyTime(1e9, 4) <= r.CopyTime(1e8, 4) {
 		t.Error("copy time not increasing in bytes")
 	}
 	// q·n term grows with reducer count for fixed bytes.
-	if tm.CopyTime(1e6, 64) <= tm.CopyTime(1e6, 2) {
+	if r.CopyTime(1e6, 64) <= r.CopyTime(1e6, 2) {
 		t.Error("connection overhead not growing with reducers")
 	}
-	// Spill factor inflates beyond the sort buffer.
-	if tm.SpillFactor(tm.SortBuf*10) <= tm.SpillFactor(tm.SortBuf/2) {
-		t.Error("spill factor not inflating")
+	// The spill factor is 1 inside the sort buffer and inflates past it.
+	if r.SpillFactor(r.SortBuf/2) != 1 || r.SpillFactor(r.SortBuf) != 1 {
+		t.Error("spill factor within the sort buffer should be 1")
 	}
-	if tm.SpillFactor(tm.SortBuf/2) != 1 {
-		t.Error("spill factor below buffer should be 1")
+	if r.SpillFactor(r.SortBuf*2) <= 1 || r.SpillFactor(r.SortBuf*100) <= r.SpillFactor(r.SortBuf*2) {
+		t.Error("spill factor not growing past the sort buffer")
+	}
+}
+
+// TestRates checks that only Config.Rates resolves the io.sort.factor
+// default. The p and q laws are checked where the Eq. 1–6 model reads
+// them, in internal/cost.
+func TestRates(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.IoSortFactor = 0
+	if got := cfg.Rates().SortFactor; got != defaultSortFactor {
+		t.Errorf("IoSortFactor 0 resolved to %d, want %d", got, defaultSortFactor)
 	}
 }
 
@@ -455,7 +473,7 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.BlockSizeMB = -64 },
 		func(c *Config) { c.IoSortMB = 0 },
 		func(c *Config) { c.IoSortFactor = -1 },
-		func(c *Config) { c.IoSortFactor = 1 }, // timer would silently coerce to default
+		func(c *Config) { c.IoSortFactor = 1 }, // Rates would silently coerce to default
 		func(c *Config) { c.MaxParallelWorkers = -1 },
 		func(c *Config) { c.OutputCapRatio = -0.5 },
 	} {
@@ -475,7 +493,7 @@ func TestConfigValidate(t *testing.T) {
 		c := DefaultConfig()
 		mutate(&c)
 		job := countJob(intsRelation("vreject", 1, 2, 3), 2)
-		if _, err := Run(context.Background(), c, nil, job); err == nil {
+		if _, err := Run(context.Background(), c, job); err == nil {
 			t.Errorf("Run accepted invalid config: %+v", c)
 		}
 	}
@@ -509,7 +527,7 @@ func TestStringKeysViaHash(t *testing.T) {
 		OutputName:   "out",
 		OutputSchema: outSchema,
 	}
-	res, err := Run(context.Background(), smallConfig(), nil, job)
+	res, err := Run(context.Background(), smallConfig(), job)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -532,7 +550,7 @@ func TestMapTasksFollowModeledBlocks(t *testing.T) {
 		in.MustAppend(relation.Tuple{relation.Int(i)})
 	}
 	in.VolumeMultiplier = 10e9 / float64(in.EncodedSize()) // model 10 GB
-	res, err := Run(context.Background(), cfg, nil, countJob(in, 4))
+	res, err := Run(context.Background(), cfg, countJob(in, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -544,7 +562,7 @@ func TestMapTasksFollowModeledBlocks(t *testing.T) {
 	// Never more tasks than tuples.
 	in2 := intsRelation("tiny", 1, 2, 3)
 	in2.VolumeMultiplier = 1e12
-	res2, err := Run(context.Background(), cfg, nil, countJob(in2, 2))
+	res2, err := Run(context.Background(), cfg, countJob(in2, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -578,7 +596,7 @@ func TestOutputCapRatio(t *testing.T) {
 		OutputName:   "out",
 		OutputSchema: relation.MustSchema(relation.Column{Name: "x", Kind: relation.KindInt}),
 	}
-	res, err := Run(context.Background(), cfg, nil, job)
+	res, err := Run(context.Background(), cfg, job)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -591,7 +609,7 @@ func TestOutputCapRatio(t *testing.T) {
 	}
 	// Disabled cap: output bytes exceed input.
 	cfg.OutputCapRatio = 0
-	res2, err := Run(context.Background(), cfg, nil, job)
+	res2, err := Run(context.Background(), cfg, job)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -137,7 +137,7 @@ func TestConfigRejectsBadFaultKnobs(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := smallConfig()
 			tc.mut(&cfg)
-			_, err := Run(context.Background(), cfg, nil, countJob(in, 2))
+			_, err := Run(context.Background(), cfg, countJob(in, 2))
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("Run error = %v, want mention of %s", err, tc.want)
 			}
@@ -152,7 +152,7 @@ func TestRetryExhaustion(t *testing.T) {
 	cfg := smallConfig()
 	cfg.MaxTaskAttempts = 3
 	cfg.Faults = &FaultPlan{Faults: []Fault{{Kind: FaultKillMap, Task: 0, Attempt: -1}}}
-	_, err := Run(context.Background(), cfg, nil, groupJob(in, 2))
+	_, err := Run(context.Background(), cfg, groupJob(in, 2))
 	if err == nil {
 		t.Fatal("expected retry exhaustion")
 	}
@@ -241,7 +241,7 @@ func TestCancellationMidMerge(t *testing.T) {
 	}
 
 	before := runtime.NumGoroutine()
-	_, err = Run(ctx, cfg, nil, job)
+	_, err = Run(ctx, cfg, job)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("Run error = %v, want context.Canceled", err)
 	}
@@ -306,7 +306,7 @@ func TestPanickingTaskFailsTheRun(t *testing.T) {
 				}
 
 				before := runtime.NumGoroutine()
-				res, err := Run(context.Background(), cfg, nil, job)
+				res, err := Run(context.Background(), cfg, job)
 				where := fmt.Sprintf("%s panic, workers=%d budget=%d", phase, workers, budget)
 				if err == nil || res != nil {
 					t.Fatalf("%s: Run returned %v, %v; want the panic as an error", where, res, err)

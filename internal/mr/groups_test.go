@@ -163,7 +163,7 @@ func TestReduceGroupsMatchReferenceSplit(t *testing.T) {
 					cfg.SpillBudgetBytes = budget
 					cfg.Faults = faults
 					cfg.SpeculativeFactor = 1
-					res, err := Run(context.Background(), cfg, nil, probe.job)
+					res, err := Run(context.Background(), cfg, probe.job)
 					if err != nil {
 						t.Fatalf("trial %d workers=%d budget=%d faults=%v: %v", trial, workers, budget, faults != nil, err)
 					}
@@ -188,7 +188,7 @@ func TestOutOfRangeTagIsError(t *testing.T) {
 	for _, budget := range []int64{0, 64} {
 		cfg := smallConfig()
 		cfg.SpillBudgetBytes = budget
-		_, err := Run(context.Background(), cfg, nil, job)
+		_, err := Run(context.Background(), cfg, job)
 		if err == nil || !strings.HasPrefix(err.Error(), "mr: ") || !strings.Contains(err.Error(), "tag 1") {
 			t.Errorf("budget %d: err = %v, want an mr: error naming tag 1", budget, err)
 		}

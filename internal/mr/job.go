@@ -9,8 +9,9 @@ import (
 
 // Emitter receives map output. tag is the ordinal of the input that
 // produced the value (below len(Job.Inputs)), so join reducers get their
-// sides apart. Key routing is by the job's Partition function (default
-// key mod numReducers).
+// sides apart. A key goes to reducer key mod numReducers unless the
+// job sets a Partitioner; jobs whose keys are reducer ordinals rely on
+// that default.
 type Emitter func(key uint64, tag uint8, value relation.Tuple)
 
 // MapFunc transforms one input tuple into zero or more (key, tagged
@@ -110,7 +111,7 @@ func (rc *ReduceContext) AddWork(n int64) { rc.combinations += n }
 type ReduceFunc func(key uint64, groups [][]relation.Tuple, ctx *ReduceContext)
 
 // Partitioner routes one map-emitted pair to one or more reducers. It
-// generalises the Partition function for skew-resilient shuffles: a
+// replaces the default key mod numReducers for skew-resilient shuffles: a
 // heavy key's pairs can be split across sub-reducers by tuple content
 // while the matching other side replicates to all of them, so the
 // imbalance a value-skewed key distribution forces on a plain hash
@@ -136,12 +137,7 @@ type Job struct {
 	Reduce      ReduceFunc
 	NumReducers int
 
-	// Partition routes keys to reducers; nil means key % NumReducers.
-	// Jobs whose keys are already component IDs use an identity
-	// partition.
-	Partition func(key uint64, numReducers int) int
-
-	// Partitioner, when set, routes pairs instead of Partition
+	// Partitioner, when set, routes pairs instead of key % NumReducers
 	// (including one-to-many skew-resilient routing); see the
 	// interface doc.
 	Partitioner Partitioner
@@ -193,14 +189,4 @@ func (j *Job) Validate() error {
 		return fmt.Errorf("mr: job %s has nil output schema", j.Name)
 	}
 	return nil
-}
-
-// IdentityPartition treats the key itself as the reducer ordinal
-// (clamped); used when map keys are component IDs in [0, NumReducers).
-func IdentityPartition(key uint64, numReducers int) int {
-	r := int(key)
-	if r < 0 || r >= numReducers {
-		r = int(key % uint64(numReducers))
-	}
-	return r
 }

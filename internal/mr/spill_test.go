@@ -85,7 +85,7 @@ func groupJob(in *relation.Relation, reducers int) *Job {
 
 func mustRun(t *testing.T, cfg Config, job *Job) *Result {
 	t.Helper()
-	res, err := Run(context.Background(), cfg, nil, job)
+	res, err := Run(context.Background(), cfg, job)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,7 +412,7 @@ func TestSpillWriteFailureReleasesFile(t *testing.T) {
 	cfg.TuplesPerMapTask = 4000
 	cfg.SpillBudgetBytes = 1 << 20
 	cfg.Spill = failingSpillStore{store}
-	if _, err := Run(context.Background(), cfg, nil, groupJob(spillProbeRelation(t, 4000), 4)); err == nil || !strings.Contains(err.Error(), "disk full") {
+	if _, err := Run(context.Background(), cfg, groupJob(spillProbeRelation(t, 4000), 4)); err == nil || !strings.Contains(err.Error(), "disk full") {
 		t.Fatalf("Run error = %v, want the write failure", err)
 	}
 	if live := store.Live(); live != 0 {

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -17,7 +18,7 @@ import (
 	"repro/internal/relation"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/plans.golden from the current planner")
+var update = flag.Bool("update", false, "rewrite testdata/plans.golden and testdata/estimates.golden from the current planner")
 
 // goldenCase is one query the performance benchmark (benchmark/
 // workloads.go) or Fig. 12 plans, at the size it plans it.
@@ -123,6 +124,21 @@ func writePlan(w *bytes.Buffer, name string, plan *core.Plan) {
 	}
 }
 
+// writeEstimates renders the cost model's numbers for q at full float64
+// precision: the plan's makespan and merge estimates and, per job, its
+// scheduled time and the whole T(k) profile.
+func writeEstimates(w *bytes.Buffer, name string, plan *core.Plan) {
+	g := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+	fmt.Fprintf(w, "== %s: makespan=%s merge=%s ==\n", name, g(plan.EstimatedMakespan), g(plan.MergeEstimate))
+	for _, j := range plan.Jobs {
+		prof := make([]string, len(j.Profile))
+		for i, v := range j.Profile {
+			prof[i] = g(v)
+		}
+		fmt.Fprintf(w, "%s est=%s profile=[%s]\n", j.Name, g(j.EstTime), strings.Join(prof, " "))
+	}
+}
+
 func reportLine(rel, cols string, values []relation.Value, count int64, frac float64) string {
 	vs := make([]string, len(values))
 	for i, v := range values {
@@ -134,10 +150,11 @@ func reportLine(rel, cols string, values []relation.Value, count int64, frac flo
 // TestPlanGoldens pins whole plans — not one field of one — for the
 // ten benchmark queries and the Fig. 12 TPC-H queries, so a change to
 // the statistics or the cost model that moves any decision shows up as
-// a diff of testdata/plans.golden. Regenerate with
-// `go test ./internal/workloads -run TestPlanGoldens -update`.
+// a diff of testdata/plans.golden, and any change to a modeled second,
+// down to the last bit, as a diff of testdata/estimates.golden.
+// Regenerate with `go test ./internal/workloads -run TestPlanGoldens -update`.
 func TestPlanGoldens(t *testing.T) {
-	var got bytes.Buffer
+	var got, est bytes.Buffer
 	for _, gc := range goldenCases {
 		db, err := goldenMobileDB(gc)
 		if err != nil {
@@ -159,6 +176,7 @@ func TestPlanGoldens(t *testing.T) {
 			t.Fatalf("%s: %v", gc.name, err)
 		}
 		writePlan(&got, gc.name, plan)
+		writeEstimates(&est, gc.name, plan)
 	}
 	// Fig. 12 as bench.Suite.TPCHComparison(96) plans it at thetabench
 	// -quick size: the 200 GB volume, suite seed 1, the suite's engine
@@ -184,15 +202,24 @@ func TestPlanGoldens(t *testing.T) {
 		if err != nil {
 			t.Fatalf("tpch Q%d: %v", qn, err)
 		}
-		writePlan(&got, fmt.Sprintf("tpch_q%d_200GB", qn), plan)
+		name := fmt.Sprintf("tpch_q%d_200GB", qn)
+		writePlan(&got, name, plan)
+		writeEstimates(&est, name, plan)
 	}
+	checkGolden(t, "plans.golden", got.Bytes())
+	checkGolden(t, "estimates.golden", est.Bytes())
+}
 
-	path := filepath.Join("testdata", "plans.golden")
+// checkGolden compares got with testdata/name, or rewrites the file
+// under -update.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
@@ -201,7 +228,7 @@ func TestPlanGoldens(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got.Bytes(), want) {
-		t.Errorf("plans differ from %s (run with -update after checking the change is intended)\n--- got ---\n%s", path, got.String())
+	if !bytes.Equal(got, want) {
+		t.Errorf("output differs from %s (run with -update after checking the change is intended)\n--- got ---\n%s", path, got)
 	}
 }

@@ -419,13 +419,13 @@ func TestMobileInternedShuffleBytes(t *testing.T) {
 			predicate.C("t1", "bs", predicate.EQ, "t2", "bs"),
 			predicate.C("t1", "d", predicate.LT, "t2", "d"),
 		}
-		job, _, err := core.BuildThetaJob("mobile-bs", rels, conds, 4, 1<<12)
+		job, err := core.BuildThetaJob("mobile-bs", rels, conds, 4, 1<<12)
 		if err != nil {
 			t.Fatal(err)
 		}
 		mcfg := mr.DefaultConfig()
 		mcfg.TuplesPerMapTask = 64
-		res, err := mr.Run(context.Background(), mcfg, nil, job)
+		res, err := mr.Run(context.Background(), mcfg, job)
 		if err != nil {
 			t.Fatal(err)
 		}
