@@ -20,6 +20,7 @@ import (
 	"repro/internal/predicate"
 	"repro/internal/query"
 	"repro/internal/relation"
+	"repro/internal/skew"
 	"repro/internal/workloads"
 )
 
@@ -106,7 +107,7 @@ func BenchmarkSkewedShuffle(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	plan := core.SkewPlanFor(db.Catalog, core.KindHashEqui, conds, kr, 0)
+	plan := core.SkewPlanFor(db.Catalog, core.KindHashEqui, conds, kr, skew.DefaultThreshold)
 	if plan == nil {
 		b.Fatal("no skew plan on Zipf(1.2) keys")
 	}
@@ -185,7 +186,7 @@ func BenchmarkReduceJoin(b *testing.B) {
 		build func() (*mr.Job, error)
 	}{
 		{"theta-band/indexed", func() (*mr.Job, error) {
-			job, err := core.BuildThetaJob("rjbench-theta", []*relation.Relation{rel("A"), rel("B")}, thetaConds, 4, 1<<12)
+			job, err := core.BuildThetaJob("rjbench-theta", []*relation.Relation{rel("A"), rel("B")}, thetaConds, 4)
 			return job, err
 		}},
 		{"share-grid/indexed", func() (*mr.Job, error) {
@@ -241,7 +242,6 @@ func concurrentPlanFixture(b *testing.B, kp, units int) (*core.Planner, *core.Pl
 	cfg := mr.DefaultConfig()
 	cfg.TuplesPerMapTask = 256
 	pl := core.NewPlanner(cfg, kp)
-	pl.Opts.MaxCells = 1 << 12
 	// Band-join conjunctions (x < y AND x > y-4) keep the outputs and
 	// the final merge small, so the measurement is dominated by the two
 	// jobs' map/shuffle/reduce work.
@@ -352,7 +352,7 @@ func BenchmarkStringJoinJob(b *testing.B) {
 		{"string-band/fallback", false, 240, []string{"t1", "t2", "t3"}, bandConds},
 	} {
 		b.Run(v.name, func(b *testing.B) {
-			job, err := core.BuildThetaJob("sjbench", inputs(v.interned, v.tuples, v.rels), v.conds, 4, 1<<12)
+			job, err := core.BuildThetaJob("sjbench", inputs(v.interned, v.tuples, v.rels), v.conds, 4)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/predicate"
 	"repro/internal/query"
 	"repro/internal/relation"
+	"repro/internal/skew"
 	"repro/internal/workloads"
 )
 
@@ -33,16 +34,15 @@ func (s *Suite) AblationPartition() (*Table, error) {
 	if s.Quick {
 		krs = []int{4, 32}
 	}
-	maxCells := 1 << 12
 	for _, kr := range krs {
-		h, err := core.ScoreForKR(cards, kr, maxCells)
+		p, err := core.NewPartitioner(cards, kr, 1<<12)
 		if err != nil {
 			return nil, err
 		}
-		rm := scoreForLinearization(cards, kr, maxCells, linRowMajor)
-		rnd := scoreForLinearization(cards, kr, maxCells, linRandom(kr))
+		rm := scoreForLinearization(cards, kr, p.Eta(), linRowMajor)
+		rnd := scoreForLinearization(cards, kr, p.Eta(), linRandom(kr))
 		t.AddRow(fmt.Sprintf("%d", kr),
-			fmt.Sprintf("%.0f", h),
+			fmt.Sprintf("%.0f", p.Score()),
 			fmt.Sprintf("%.0f", rm),
 			fmt.Sprintf("%.0f", rnd),
 			fmt.Sprintf("%.0f", core.IdealScore(cards, kr)))
@@ -76,15 +76,11 @@ func linRandom(seed int) linFunc {
 	}
 }
 
-// scoreForLinearization computes Eq. 7 for an arbitrary cell ordering:
-// cells sorted by lin() are cut into kr contiguous segments.
-func scoreForLinearization(cards []int, kr, maxCells int, lin linFunc) float64 {
+// scoreForLinearization computes Eq. 7 for an arbitrary cell ordering
+// of the grid of side 2^eta, the Hilbert partition's resolution: cells
+// sorted by lin() are cut into kr contiguous segments.
+func scoreForLinearization(cards []int, kr, eta int, lin linFunc) float64 {
 	m := len(cards)
-	// Match the Hilbert partitioner's grid resolution.
-	eta := 1
-	for (m*(eta+1)) <= 62 && (uint64(1)<<uint(m*(eta+1))) <= uint64(maxCells) && eta+1 <= 16 {
-		eta++
-	}
 	side := uint32(1) << uint(eta)
 	nCells := uint64(1) << uint(m*eta)
 
@@ -142,10 +138,11 @@ func scoreForLinearization(cards []int, kr, maxCells int, lin linFunc) float64 {
 // AblationSingleVsCascade reproduces the paper's central observation:
 // "under certain conditions, evaluating a multi-way join with one
 // MapReduce job is much more efficient than with a sequence of
-// MapReduce jobs". A 3-relation chain theta-join runs (a) as the
-// planner's choice, (b) forced pairwise (MaxPathLen=1), across data
-// volumes — the intermediate-result I/O makes the cascade lose as
-// volume grows.
+// MapReduce jobs". A 3-relation chain theta-join runs as the planner's
+// choice, as the one job evaluating both conditions, and as one job per
+// condition joined by the rid-merge (the latter two through
+// Planner.PlanCover), across data volumes — the intermediate-result I/O
+// makes the cascade lose as volume grows.
 func (s *Suite) AblationSingleVsCascade() (*Table, error) {
 	t := &Table{
 		Title:   "Ablation: one-job multiway vs pairwise+merge vs Hive cascade",
@@ -175,37 +172,30 @@ func (s *Suite) AblationSingleVsCascade() (*Table, error) {
 		cfg := s.Cfg
 		cfg.ReduceSlots = kp
 
-		free := core.NewPlanner(cfg, kp)
-		free.Opts.MaxCells = 1 << 14
-		freePlan, err := free.Plan(q, db)
+		pl := core.NewPlanner(cfg, kp)
+		freePlan, err := pl.Plan(q, db)
 		if err != nil {
 			return nil, err
 		}
-		freeRes, err := free.ExecuteContext(s.ctx(), freePlan, db)
-		if err != nil {
-			return nil, err
-		}
-		single := core.NewPlanner(cfg, kp)
-		single.Opts.MaxCells = 1 << 14
-		single.Opts.ForceSingleJob = true
-		_, singleRes, err := single.RunContext(s.ctx(), q, db)
-		if err != nil {
-			return nil, err
-		}
-		pairwise := core.NewPlanner(cfg, kp)
-		pairwise.Opts.MaxCells = 1 << 14
-		pairwise.Opts.MaxPathLen = 1
-		_, pairRes, err := pairwise.RunContext(s.ctx(), q, db)
-		if err != nil {
-			return nil, err
+		row := []string{fmtGB(gb)}
+		for _, cover := range [][][]int{nil, {{1, 2}}, {{1}, {2}}} {
+			plan := freePlan
+			if cover != nil {
+				if plan, err = pl.PlanCover(q, db, cover); err != nil {
+					return nil, err
+				}
+			}
+			res, err := pl.ExecuteContext(s.ctx(), plan, db)
+			if err != nil {
+				return nil, err
+			}
+			row = append(row, fmtSec(res.Makespan))
 		}
 		cascade, err := baselines.Run(s.ctx(), baselines.Hive(), cfg, q, db, 0)
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow(fmtGB(gb), fmtSec(freeRes.Makespan), fmtSec(singleRes.Makespan),
-			fmtSec(pairRes.Makespan), fmtSec(cascade.TotalTime),
-			fmt.Sprintf("%d", len(freePlan.Jobs)))
+		t.AddRow(append(row, fmtSec(cascade.TotalTime), fmt.Sprintf("%d", len(freePlan.Jobs)))...)
 	}
 	return t, nil
 }
@@ -225,13 +215,14 @@ func chainRel(name string, n int, rng *rand.Rand) *relation.Relation {
 }
 
 // AblationFeedback probes the runtime feedback loop: a two-stage
-// cascade whose second job consumes a Zipf-hot intermediate runs with
-// static planning (pre-execution statistics only; the intermediate has
-// none, so the downstream job hashes plainly) and with feedback
-// re-planning (measured statistics re-derive its reducer count and
-// hot-key splits at dispatch). Reported per mode: the downstream job's
-// reducer balance, its reduce-task count, and the plan makespan — the
-// two modes produce identical join output by construction.
+// cascade whose second job consumes a Zipf-hot intermediate runs as
+// statically planned (pre-execution statistics only; the intermediate
+// has none, so the downstream job hashes plainly) and through the
+// executor, whose feedback re-planning re-derives the downstream job's
+// reducer count and hot-key splits from measured statistics at
+// dispatch. Reported per mode: the downstream job's reducer balance,
+// its reduce-task count, and the plan makespan — the two modes produce
+// identical join output by construction.
 func (s *Suite) AblationFeedback() (*Table, error) {
 	t := &Table{
 		Title:   "Ablation: static plan vs runtime feedback re-planning (Zipf cascade)",
@@ -254,26 +245,59 @@ func (s *Suite) AblationFeedback() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, mode := range []struct {
-			name    string
-			disable bool
-		}{{"static", true}, {"feedback", false}} {
-			pl := core.NewPlanner(s.Cfg, kr)
-			pl.Opts.DisableReplan = mode.disable
-			plan := cascadePlanFor(db, kr)
-			res, err := pl.ExecuteContext(s.ctx(), plan, db)
-			if err != nil {
-				return nil, err
-			}
-			m := res.JobMetrics["casc-j2"]
-			t.AddRow(fmt.Sprintf("%.1f", zs), mode.name,
-				fmt.Sprintf("%.2f", m.BalanceRatio),
-				fmt.Sprintf("%d", m.ReduceTasks),
-				fmtSec(res.Makespan),
-				fmt.Sprintf("%d", len(res.Replanned)))
+		addRow := func(mode string, j2 mr.Metrics, makespan float64, replanned int) {
+			t.AddRow(fmt.Sprintf("%.1f", zs), mode,
+				fmt.Sprintf("%.2f", j2.BalanceRatio),
+				fmt.Sprintf("%d", j2.ReduceTasks),
+				fmtSec(makespan),
+				fmt.Sprintf("%d", replanned))
 		}
+		plan := cascadePlanFor(db, kr)
+		j2, makespan, err := s.runAsBuilt(plan, db)
+		if err != nil {
+			return nil, err
+		}
+		addRow("static", j2, makespan, 0)
+		res, err := core.NewPlanner(s.Cfg, kr).ExecuteContext(s.ctx(), plan, db)
+		if err != nil {
+			return nil, err
+		}
+		addRow("feedback", res.JobMetrics["casc-j2"], res.Makespan, len(res.Replanned))
 	}
 	return t, nil
+}
+
+// runAsBuilt is AblationFeedback's static baseline: the plan's
+// hash-equi jobs run exactly as planned, in order, each on its planned
+// units and reading earlier jobs' outputs. The makespan is the sum of
+// their simulated times; the last job's metrics come with it.
+func (s *Suite) runAsBuilt(plan *core.Plan, db *core.DB) (last mr.Metrics, makespan float64, err error) {
+	produced := make(map[string]*relation.Relation, len(plan.Jobs))
+	for _, pj := range plan.Jobs {
+		rels := make([]*relation.Relation, len(pj.RelOrder))
+		for i, name := range pj.RelOrder {
+			if rels[i] = produced[name]; rels[i] == nil {
+				if rels[i], err = db.Relation(name); err != nil {
+					return last, 0, err
+				}
+			}
+		}
+		job, err := core.BuildHashEquiJob(pj.Name, rels[0], rels[1], pj.Conds, pj.Reducers, pj.Skew)
+		if err != nil {
+			return last, 0, err
+		}
+		cfg := s.Cfg
+		cfg.MapSlots = min(cfg.MapSlots, pj.Units)
+		cfg.ReduceSlots = min(cfg.ReduceSlots, pj.Units)
+		res, err := mr.Run(s.ctx(), cfg, job)
+		if err != nil {
+			return last, 0, err
+		}
+		produced[pj.Name] = res.Output
+		last = res.Metrics
+		makespan += res.Metrics.Sim.Total
+	}
+	return last, makespan, nil
 }
 
 // cascadePlanFor hand-builds the two-stage cascade plan (the planner
@@ -288,7 +312,7 @@ func cascadePlanFor(db *core.DB, kr int) *core.Plan {
 			{
 				Name: "casc-j1", Conds: j1Conds, RelOrder: []string{"L", "R"},
 				Kind: core.KindHashEqui, Reducers: kr, Units: kr,
-				Skew: core.SkewPlanFor(db.Catalog, core.KindHashEqui, j1Conds, kr, 0),
+				Skew: core.SkewPlanFor(db.Catalog, core.KindHashEqui, j1Conds, kr, skew.DefaultThreshold),
 			},
 			{
 				Name: "casc-j2", Conds: j2Conds, RelOrder: []string{"casc-j1", "S"},
@@ -358,7 +382,7 @@ func (s *Suite) AblationKR() (*Table, error) {
 
 		timeFor := func(kr int) (float64, error) {
 			job, err := core.BuildThetaJob(fmt.Sprintf("krab-%d", kr),
-				[]*relation.Relation{ra, rb}, conds, kr, 1<<14)
+				[]*relation.Relation{ra, rb}, conds, kr)
 			if err != nil {
 				return 0, err
 			}
@@ -370,7 +394,6 @@ func (s *Suite) AblationKR() (*Table, error) {
 		}
 		// Model choice: sweep via the planner profile (argmin of T(k)).
 		pl := core.NewPlanner(cfg, kp)
-		pl.Opts.MaxCells = 1 << 14
 		q := query.MustNew("krq", []string{"A", "B"}, conds)
 		plan, err := pl.Plan(q, db)
 		if err != nil {
@@ -420,7 +443,6 @@ func (s *Suite) AblationScheduling() (*Table, error) {
 		}
 		cfg.ReduceSlots = kp
 		pl := core.NewPlanner(cfg, kp)
-		pl.Opts.MaxCells = 1 << 14
 		plan, err := pl.Plan(q, db)
 		if err != nil {
 			return nil, err

@@ -108,7 +108,6 @@ func (s *Suite) comparisonRow(q *query.Query, db *core.DB, kp int) ([]float64, i
 	cfg.ReduceSlots = kp
 
 	pl := core.NewPlanner(cfg, kp)
-	pl.Opts.MaxCells = 1 << 14
 	_, res, err := pl.RunContext(s.ctx(), q, db)
 	if err != nil {
 		return nil, 0, fmt.Errorf("our method on %s: %w", q.Name, err)

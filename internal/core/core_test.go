@@ -188,7 +188,7 @@ func TestThetaJobMatchesNaive(t *testing.T) {
 		for i, n := range []string{"A", "B", "C"} {
 			rels[i], _ = db.Relation(n)
 		}
-		job, err := BuildThetaJob("t", rels, q.Conditions, kr, 1<<12)
+		job, err := BuildThetaJob("t", rels, q.Conditions, kr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -251,7 +251,7 @@ func TestThetaJobRandomQueries(t *testing.T) {
 			ordered[i], _ = db.Relation(n)
 		}
 		kr := 1 + rng.Intn(12)
-		job, err := BuildThetaJob("t", ordered, q.Conditions, kr, 1<<10)
+		job, err := BuildThetaJob("t", ordered, q.Conditions, kr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -275,7 +275,7 @@ func TestThetaJobEmptyInput(t *testing.T) {
 	ra, _ := db.Relation("A")
 	rb, _ := db.Relation("B")
 	conds := predicate.Conjunction{predicate.C("A", "a", predicate.LT, "B", "a")}
-	job, err := BuildThetaJob("t", []*relation.Relation{ra, rb}, conds, 4, 1<<10)
+	job, err := BuildThetaJob("t", []*relation.Relation{ra, rb}, conds, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,12 +351,12 @@ func TestMergeOutputs(t *testing.T) {
 	rb, _ := db.Relation("B")
 	rc, _ := db.Relation("C")
 	j1, err := BuildThetaJob("j1", []*relation.Relation{ra, rb},
-		predicate.Conjunction{q.Conditions[0]}, 4, 1<<10)
+		predicate.Conjunction{q.Conditions[0]}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	j2, err := BuildThetaJob("j2", []*relation.Relation{rb, rc},
-		predicate.Conjunction{q.Conditions[1]}, 4, 1<<10)
+		predicate.Conjunction{q.Conditions[1]}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,7 +421,7 @@ func TestNaiveDuplicateTuples(t *testing.T) {
 	}
 	ra, _ := db.Relation("A")
 	rb, _ := db.Relation("B")
-	job, err := BuildThetaJob("dup", []*relation.Relation{ra, rb}, q.Conditions, 3, 1<<10)
+	job, err := BuildThetaJob("dup", []*relation.Relation{ra, rb}, q.Conditions, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,7 +65,7 @@ func TestExecutionDeterminism(t *testing.T) {
 	}{
 		{"theta", func() (*mr.Job, error) {
 			job, err := BuildThetaJob("theta", []*relation.Relation{rel("A"), rel("B")},
-				predicate.Conjunction{predicate.C("A", "a", predicate.LT, "B", "a")}, 6, 1<<12)
+				predicate.Conjunction{predicate.C("A", "a", predicate.LT, "B", "a")}, 6)
 			return job, err
 		}},
 		{"hash-equi", func() (*mr.Job, error) {
@@ -150,7 +150,7 @@ func TestExecutionDeterminismSpill(t *testing.T) {
 	}{
 		{"theta", func() (*mr.Job, error) {
 			job, err := BuildThetaJob("theta-sp", []*relation.Relation{rel("A"), rel("B")},
-				predicate.Conjunction{predicate.C("A", "a", predicate.LT, "B", "a")}, 6, 1<<12)
+				predicate.Conjunction{predicate.C("A", "a", predicate.LT, "B", "a")}, 6)
 			return job, err
 		}},
 		{"hash-equi", func() (*mr.Job, error) {

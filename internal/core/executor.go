@@ -327,13 +327,11 @@ func (r *planRun) startJob(s execSlot, units int) error {
 	// statistics (the shared plan is never mutated — replan returns a
 	// copy).
 	runJob := pj
-	if !r.pl.Opts.DisableReplan {
-		if rj, ok := r.fb.replan(pj); ok {
-			runJob = rj
-			r.replanned[pj.Name] = rj
-			r.shard.Instant("replan", obs.A("job", pj.Name),
-				obs.A("reducers", pj.Reducers), obs.A("newReducers", rj.Reducers))
-		}
+	if rj, ok := r.fb.replan(pj); ok {
+		runJob = rj
+		r.replanned[pj.Name] = rj
+		r.shard.Instant("replan", obs.A("job", pj.Name),
+			obs.A("reducers", pj.Reducers), obs.A("newReducers", rj.Reducers))
 	}
 	buildStart := time.Now()
 	span := r.shard.Start("build-job", obs.A("job", pj.Name), obs.A("kind", runJob.Kind.String()))
@@ -424,9 +422,7 @@ func (r *planRun) complete(msg jobDone) {
 	}
 	// Measure only outputs a downstream job will actually read — the
 	// statistics pass is O(output) and pointless otherwise.
-	if !r.pl.Opts.DisableReplan {
-		r.fb.observe(pj.Name, msg.res)
-	}
+	r.fb.observe(pj.Name, msg.res)
 }
 
 // retime assembles the jobs' metrics deterministically in plan order
@@ -594,7 +590,7 @@ func (pl *Planner) buildPlannedJob(pj *PlannedJob, db *DB, produced map[string]*
 	case KindShareGrid:
 		job, err = BuildShareGridJob(pj.Name, rels, pj.Conds, pj.Reducers, pj.Skew)
 	default:
-		job, err = BuildThetaJob(pj.Name, rels, pj.Conds, pj.Reducers, pl.Opts.MaxCells)
+		job, err = BuildThetaJob(pj.Name, rels, pj.Conds, pj.Reducers)
 	}
 	if err != nil {
 		return nil, mr.Config{}, err

@@ -267,7 +267,7 @@ func BenchmarkThetaBandJob(b *testing.B) {
 	b.ResetTimer()
 	var pairs int64
 	for i := 0; i < b.N; i++ {
-		job, err := BuildThetaJob("band", []*relation.Relation{t1, t2}, conds, 16, 0)
+		job, err := BuildThetaJob("band", []*relation.Relation{t1, t2}, conds, 16)
 		if err != nil {
 			b.Fatal(err)
 		}

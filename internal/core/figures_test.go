@@ -26,27 +26,18 @@ import (
 func TestFig5NetworkVolume(t *testing.T) {
 	const n = 240
 	cards := []int{n, n, n}
-	base, err := ScoreForKR(cards, 1, 1<<12)
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := scoreFor(t, cards, 1, 1<<12)
 	if base != float64(3*n) {
 		t.Fatalf("1 reducer copies %v tuples, want %d", base, 3*n)
 	}
-	two, err := ScoreForKR(cards, 2, 1<<12)
-	if err != nil {
-		t.Fatal(err)
-	}
+	two := scoreFor(t, cards, 2, 1<<12)
 	// Fig. 5(b/c): the 2-component cut duplicates one dimension:
 	// volume between 4n/3·... and 5n/3 of base — loosely, strictly
 	// above base and at most 2× base.
 	if two <= base || two > 2*base {
 		t.Errorf("2 reducers copy %v, want in (%v, %v]", two, base, 2*base)
 	}
-	four, err := ScoreForKR(cards, 4, 1<<12)
-	if err != nil {
-		t.Fatal(err)
-	}
+	four := scoreFor(t, cards, 4, 1<<12)
 	// Fig. 5(d/e): 4 components spread between 2× and 3× base.
 	if four <= two || four > 3*base {
 		t.Errorf("4 reducers copy %v, want in (%v, %v]", four, two, 3*base)
@@ -91,7 +82,7 @@ func TestFig4MergePlan(t *testing.T) {
 		for i, n := range relNames {
 			rels[i], _ = db.Relation(n)
 		}
-		job, err := BuildThetaJob(name, rels, conds, 4, 1<<10)
+		job, err := BuildThetaJob(name, rels, conds, 4)
 		if err != nil {
 			t.Fatal(err)
 		}

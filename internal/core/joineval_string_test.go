@@ -107,7 +107,7 @@ func TestJoinEvalStringEquivalence(t *testing.T) {
 				for i, name := range tc.rels {
 					rels[i] = input(name)
 				}
-				job, err := BuildThetaJob("theta-"+tc.name, rels, q.Conditions, 5, 1<<12)
+				job, err := BuildThetaJob("theta-"+tc.name, rels, q.Conditions, 5)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -128,7 +128,7 @@ func TestJoinEvalThetaEquivalence(t *testing.T) {
 				}
 				rels[i] = r
 			}
-			job, err := BuildThetaJob("theta-"+tc.name, rels, q.Conditions, 5, 1<<12)
+			job, err := BuildThetaJob("theta-"+tc.name, rels, q.Conditions, 5)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -240,7 +240,7 @@ func TestJoinEvalIndexingPrunes(t *testing.T) {
 		job, err := BuildThetaJob("theta", []*relation.Relation{rel("A"), rel("B")}, predicate.Conjunction{
 			predicate.C("A", "a", predicate.LT, "B", "a"),
 			predicate.C("A", "a", predicate.GT, "B", "a").WithOffsets(0, -5),
-		}, 1, 1<<12)
+		}, 1)
 		check(t, job, err)
 	})
 }

@@ -43,15 +43,24 @@ type Partitioner struct {
 	comps [][][]int32
 }
 
-// MaxCellsDefault bounds the cube's resolution; η is chosen as the
-// largest recursion depth with 2^(m·η) ≤ MaxCells. No cell is ever
-// visited, so what η costs is the width of comps — m·2^η coordinate
-// lists — and what it buys is how finely a component's boundary follows
-// the curve.
-const MaxCellsDefault = 1 << 18
+// maxCubeCells bounds the resolution of every theta job's cube; η is
+// the largest recursion depth with 2^(m·η) ≤ maxCubeCells. No cell is
+// ever visited, so what η costs is the width of comps — m·2^η
+// coordinate lists — and what it buys is how finely a component's
+// boundary follows the curve. 2^14 and 2^18 were measured against each
+// other. At 2^18 these thetabench -quick cells move: Fig. 9 Q1 shuffle
+// 393.00 → 393.23 GB, Fig. 9 Q3 2798.4 → 2798.8 s, Fig. 10 Q1 1648.3 →
+// 1652.9 s and 329.19 → 333.21 GB, and the kR ablation's 10 GB row
+// 673.2 → 685.5 s; plans.golden, estimates.golden and model.golden do
+// not, since the planner never reads the bound. Going from
+// 2^18 to 2^14, no benchmark workload emits more pairs (q1_merge 9631
+// → 9617, band_scan 389 105 → 387 684) and none a different result. It
+// is an internal resolution of the partition (§5.1), not a setting.
+const maxCubeCells = 1 << 14
 
-// NewPartitioner builds the partition for the given relation
-// cardinalities and reducer count. maxCells ≤ 0 uses MaxCellsDefault.
+// NewPartitioner builds the partition of the cube with the given
+// relation cardinalities into kr components at the finest η that keeps
+// it within maxCells cells (and at η = 1 when even that exceeds them).
 func NewPartitioner(cards []int, kr int, maxCells int) (*Partitioner, error) {
 	m := len(cards)
 	if m < 1 {
@@ -64,9 +73,6 @@ func NewPartitioner(cards []int, kr int, maxCells int) (*Partitioner, error) {
 		if c < 1 {
 			return nil, fmt.Errorf("core: dimension %d has cardinality %d", i, c)
 		}
-	}
-	if maxCells <= 0 {
-		maxCells = MaxCellsDefault
 	}
 	eta := etaFor(m, maxCells)
 	curve, err := hilbert.New(m, eta)
@@ -218,17 +224,6 @@ func (p *Partitioner) Score() float64 {
 		}
 	}
 	return total
-}
-
-// ScoreForKR is Eq. 7's score for a hypothetical component count: it
-// builds that partition and scores it. Used by the partition-score
-// ablation.
-func ScoreForKR(cards []int, kr int, maxCells int) (float64, error) {
-	p, err := NewPartitioner(cards, kr, maxCells)
-	if err != nil {
-		return 0, err
-	}
-	return p.Score(), nil
 }
 
 // IdealScore is the analytic lower bound of the duplication volume for

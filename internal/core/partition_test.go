@@ -12,13 +12,13 @@ import (
 )
 
 func TestNewPartitionerValidation(t *testing.T) {
-	if _, err := NewPartitioner(nil, 4, 0); err == nil {
+	if _, err := NewPartitioner(nil, 4, 1<<12); err == nil {
 		t.Error("no dims accepted")
 	}
-	if _, err := NewPartitioner([]int{10}, 0, 0); err == nil {
+	if _, err := NewPartitioner([]int{10}, 0, 1<<12); err == nil {
 		t.Error("kr=0 accepted")
 	}
-	if _, err := NewPartitioner([]int{10, 0}, 4, 0); err == nil {
+	if _, err := NewPartitioner([]int{10, 0}, 4, 1<<12); err == nil {
 		t.Error("zero cardinality accepted")
 	}
 	p, err := NewPartitioner([]int{100, 200, 300}, 8, 1<<12)
@@ -154,24 +154,30 @@ func TestScoreNearIdeal(t *testing.T) {
 	}
 }
 
+// scoreFor is Eq. 7's score of the kr-component partition of cards.
+func scoreFor(t *testing.T, cards []int, kr, maxCells int) float64 {
+	t.Helper()
+	p, err := NewPartitioner(cards, kr, maxCells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p.Score()
+}
+
 // Fig. 5's monotonicity: the network volume (score) grows with the
 // number of reduce tasks.
 func TestScoreGrowsWithKR(t *testing.T) {
 	cards := []int{300, 300, 300}
 	prev := 0.0
 	for _, kr := range []int{1, 2, 4, 8, 16, 32, 64} {
-		s, err := ScoreForKR(cards, kr, 1<<15)
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := scoreFor(t, cards, kr, 1<<15)
 		if s < prev {
 			t.Errorf("score decreased at kr=%d: %v < %v", kr, s, prev)
 		}
 		prev = s
 	}
 	// kr=1: every tuple copied exactly once.
-	s1, _ := ScoreForKR(cards, 1, 1<<15)
-	if s1 != 900 {
+	if s1 := scoreFor(t, cards, 1, 1<<15); s1 != 900 {
 		t.Errorf("score at kr=1 = %v, want 900", s1)
 	}
 }
@@ -306,7 +312,7 @@ func TestMappingEqualsEnumeration(t *testing.T) {
 			for i := range cards {
 				cards[i] = 1000 + 37*i
 			}
-			for _, maxCells := range []int{0, 1 << 10, 1 << 14, 1 << 20} {
+			for _, maxCells := range []int{1 << 10, maxCubeCells, 1 << 18, 1 << 20} {
 				var cells []uint32
 				for _, kr := range krs {
 					p, err := NewPartitioner(cards, kr, maxCells)
@@ -373,14 +379,14 @@ func TestComponentBoundariesIn128Bits(t *testing.T) {
 }
 
 // BenchmarkBuildMapping times what every theta job pays before its first
-// map task: the component map of the default cube (two and three
+// map task: the component map of the job's cube (two and three
 // relations) at k_R 96, built from the components' aligned blocks.
 func BenchmarkBuildMapping(b *testing.B) {
 	for _, cards := range [][]int{{60000, 60000}, {400, 400, 400}} {
 		b.Run(fmt.Sprintf("dims=%d", len(cards)), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := NewPartitioner(cards, 96, 0); err != nil {
+				if _, err := NewPartitioner(cards, 96, maxCubeCells); err != nil {
 					b.Fatal(err)
 				}
 			}

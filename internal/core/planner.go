@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/cost"
 	"repro/internal/joinpath"
@@ -17,24 +17,6 @@ import (
 	"repro/internal/skew"
 )
 
-// PlanOptions tune the planner.
-type PlanOptions struct {
-	// MaxPathLen caps candidate path lengths in G'_JP (0 = all).
-	MaxPathLen int
-	// MaxCells bounds the Hilbert grid (0 = MaxCellsDefault).
-	MaxCells int
-	// ForceSingleJob restricts the cover to the single candidate
-	// evaluating every condition in one MapReduce job (used by the
-	// single-vs-multi ablation; errors if no such candidate survives).
-	ForceSingleJob bool
-	// DisableReplan turns off the runtime feedback loop: jobs that
-	// consume produced intermediates keep the reducer count and skew
-	// handling the static plan chose instead of re-deriving them from
-	// measured statistics at dispatch time (see replan.go; kept for
-	// the static-vs-feedback ablation).
-	DisableReplan bool
-}
-
 // Planner maps an N-join query onto a scheduled set of MapReduce jobs
 // (the paper's T_opt and execution plan P). Its jobs run with Config and
 // its cost model prices with Config.Rates, so the two cannot disagree
@@ -42,7 +24,6 @@ type PlanOptions struct {
 type Planner struct {
 	Config mr.Config
 	KP     int // available processing units
-	Opts   PlanOptions
 
 	// Pool arbitrates the processing units at execution time. Nil (the
 	// default) gives each execution a SharedUnitPool of its own K_P units
@@ -110,7 +91,7 @@ func (p *Plan) String() string {
 
 // candidate carries the costing of one G'_JP edge during planning.
 type candidate struct {
-	edge     joinpath.PathEdge
+	edgeIDs  []int // the condition IDs it evaluates, ascending
 	conds    predicate.Conjunction
 	relOrder []string
 	kind     JobKind
@@ -129,16 +110,16 @@ func (pl *Planner) Plan(q *query.Query, db *DB) (*Plan, error) {
 		return nil, fmt.Errorf("core: planner needs KP >= 1")
 	}
 	g := q.JoinGraph()
-	cands := make(map[string]*candidate)
+	cands := make(map[uint64]*candidate)
 	costFn := func(edgeIDs []int) (float64, int, error) {
 		c, err := pl.costEdge(q, g, db, edgeIDs)
 		if err != nil {
 			return 0, 0, err
 		}
-		cands[keyOfIDs(edgeIDs)] = c
+		cands[joinpath.IDsToMask(edgeIDs)] = c
 		return c.bestT, c.bestK, nil
 	}
-	edges, err := joinpath.Build(g, costFn, pl.Opts.MaxPathLen)
+	edges, err := joinpath.Build(g, costFn)
 	if err != nil {
 		return nil, err
 	}
@@ -149,38 +130,26 @@ func (pl *Planner) Plan(q *query.Query, db *DB) (*Plan, error) {
 	for i, e := range edges {
 		sets[i] = setcover.Set{ID: i, Elems: e.EdgeIDs, Weight: e.Weight}
 	}
-	var covers [][]int
-	if pl.Opts.ForceSingleJob {
-		full := joinpath.IDsToMask(universe)
-		found := -1
-		for i, e := range edges {
-			if joinpath.IDsToMask(e.EdgeIDs) == full {
-				found = i
-				break
-			}
-		}
-		if found < 0 {
-			return nil, fmt.Errorf("core: no single-job candidate covers all conditions of %s", q.Name)
-		}
-		covers = append(covers, []int{found})
-	} else {
-		greedyIDs, err := setcover.Greedy(universe, sets)
-		if err != nil {
-			return nil, err
-		}
-		covers = append(covers, greedyIDs)
-		// When G'_JP is small, also evaluate the exhaustive minimum-
-		// weight cover and keep whichever cover schedules faster.
-		if len(sets) <= 16 {
-			if exIDs, _, err := setcover.Exhaustive(universe, sets, 16); err == nil {
-				covers = append(covers, exIDs)
-			}
+	greedyIDs, err := setcover.Greedy(universe, sets)
+	if err != nil {
+		return nil, err
+	}
+	covers := [][]int{greedyIDs}
+	// When G'_JP is small, also evaluate the exhaustive minimum-
+	// weight cover and keep whichever cover schedules faster.
+	if len(sets) <= 16 {
+		if exIDs, _, err := setcover.Exhaustive(universe, sets, 16); err == nil {
+			covers = append(covers, exIDs)
 		}
 	}
 
 	var best *Plan
 	for _, cover := range covers {
-		plan, err := pl.scheduleCover(q, edges, cands, cover, db)
+		chosen := make([]*candidate, len(cover))
+		for i, setID := range cover {
+			chosen[i] = cands[joinpath.IDsToMask(edges[setID].EdgeIDs)]
+		}
+		plan, err := pl.scheduleCover(q, chosen, db)
 		if err != nil {
 			return nil, err
 		}
@@ -192,10 +161,40 @@ func (pl *Planner) Plan(q *query.Query, db *DB) (*Plan, error) {
 	return best, nil
 }
 
-func keyOfIDs(ids []int) string {
-	sorted := append([]int(nil), ids...)
-	sort.Ints(sorted)
-	return fmt.Sprint(sorted)
+// PlanCover schedules a cover of q's conditions chosen by the caller,
+// not by set cover: each set of condition IDs becomes one job, costed
+// and scheduled as Plan does its candidates (no G'_JP is built, so
+// CandidateEdges is 0). An empty set, an unknown condition ID or a
+// condition no set covers is an error.
+func (pl *Planner) PlanCover(q *query.Query, db *DB, cover [][]int) (*Plan, error) {
+	if pl.KP < 1 {
+		return nil, fmt.Errorf("core: planner needs KP >= 1")
+	}
+	covered := make([]bool, len(q.Conditions))
+	for i, set := range cover {
+		if len(set) == 0 {
+			return nil, fmt.Errorf("core: cover set %d of %s is empty", i+1, q.Name)
+		}
+		for _, id := range set {
+			if _, ok := q.Condition(id); !ok {
+				return nil, fmt.Errorf("core: cover set %d names condition %d, which %s lacks", i+1, id, q.Name)
+			}
+			covered[id-1] = true
+		}
+	}
+	if i := slices.Index(covered, false); i >= 0 {
+		return nil, fmt.Errorf("core: cover leaves condition %d of %s uncovered", i+1, q.Name)
+	}
+	g := q.JoinGraph()
+	chosen := make([]*candidate, len(cover))
+	for i, set := range cover {
+		c, err := pl.costEdge(q, g, db, slices.Compact(slices.Sorted(slices.Values(set))))
+		if err != nil {
+			return nil, err
+		}
+		chosen[i] = c
+	}
+	return pl.scheduleCover(q, chosen, db)
 }
 
 // costEdge profiles one candidate edge: T(k) for k = 1..KP using the
@@ -258,6 +257,7 @@ func (pl *Planner) costEdge(q *query.Query, g *query.JoinGraph, db *DB, edgeIDs 
 		return nil, err
 	}
 	return &candidate{
+		edgeIDs:  edgeIDs,
 		conds:    conds,
 		relOrder: relOrder,
 		kind:     kind,
@@ -506,21 +506,17 @@ func SkewPlanFor(cat *relation.Catalog, kind JobKind, conds predicate.Conjunctio
 	return plan
 }
 
-// scheduleCover turns one sufficient cover into a scheduled plan.
-func (pl *Planner) scheduleCover(q *query.Query, edges []joinpath.PathEdge, cands map[string]*candidate, cover []int, db *DB) (*Plan, error) {
+// scheduleCover turns the costed candidates of one sufficient cover
+// into a scheduled plan, one job per candidate in cover order.
+func (pl *Planner) scheduleCover(q *query.Query, cover []*candidate, db *DB) (*Plan, error) {
 	var jobs []PlannedJob
 	var tasks []schedule.Task
 	var mergeOps []mergeOperand
-	for i, setID := range cover {
-		e := edges[setID]
-		c, ok := cands[keyOfIDs(e.EdgeIDs)]
-		if !ok {
-			return nil, fmt.Errorf("core: no costing cached for edge %v", e.EdgeIDs)
-		}
+	for i, c := range cover {
 		name := fmt.Sprintf("%s-j%d", q.Name, i+1)
 		jobs = append(jobs, PlannedJob{
 			Name:     name,
-			EdgeIDs:  append([]int(nil), e.EdgeIDs...),
+			EdgeIDs:  append([]int(nil), c.edgeIDs...),
 			Conds:    c.conds,
 			RelOrder: append([]string(nil), c.relOrder...),
 			Kind:     c.kind,

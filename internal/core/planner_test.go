@@ -11,9 +11,7 @@ import (
 )
 
 func testPlanner(kp int) *Planner {
-	pl := NewPlanner(testConfig(), kp)
-	pl.Opts.MaxCells = 1 << 12
-	return pl
+	return NewPlanner(testConfig(), kp)
 }
 
 func TestPlanAndExecuteChain(t *testing.T) {
@@ -210,6 +208,46 @@ func TestPlannerValidation(t *testing.T) {
 	})
 	if _, err := pl.Plan(q2, db); err == nil {
 		t.Error("unknown relation accepted")
+	}
+}
+
+// TestPlanCoverRejectsBadCovers: a cover with an empty set, an unknown
+// condition ID or an uncovered condition is an error, never a partial
+// plan; a cover naming one condition twice, or a set out of order, is
+// the same cover.
+func TestPlanCoverRejectsBadCovers(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	db := newTestDB(t, randRelation("A", 20, 10, rng), randRelation("B", 20, 10, rng), randRelation("C", 20, 10, rng))
+	q := query.MustNew("cov", []string{"A", "B", "C"}, []predicate.Condition{
+		predicate.C("A", "a", predicate.LT, "B", "a"),
+		predicate.C("B", "b", predicate.GE, "C", "b"),
+	})
+	pl := testPlanner(8)
+	for _, tc := range []struct {
+		name  string
+		cover [][]int
+		want  string
+	}{
+		{"empty set", [][]int{{1, 2}, {}}, "empty"},
+		{"unknown id", [][]int{{1, 2, 3}}, "condition 3"},
+		{"zero id", [][]int{{0}, {1, 2}}, "condition 0"},
+		{"missed condition", [][]int{{1}}, "condition 2"},
+		{"no sets", nil, "condition 1"},
+	} {
+		plan, err := pl.PlanCover(q, db, tc.cover)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: PlanCover(%v) = %v, %v; want an error naming %q", tc.name, tc.cover, plan, err, tc.want)
+		}
+	}
+	if _, err := testPlanner(0).PlanCover(q, db, [][]int{{1, 2}}); err == nil {
+		t.Error("kp=0 accepted")
+	}
+	plan, err := pl.PlanCover(q, db, [][]int{{2, 1, 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plan.Jobs) != 1 || len(plan.Jobs[0].EdgeIDs) != 2 || plan.Jobs[0].EdgeIDs[0] != 1 {
+		t.Errorf("cover {2,1,2} planned %v, want one job over [1 2]", plan)
 	}
 }
 

@@ -66,28 +66,35 @@ func cascadePlan(t *testing.T, db *DB, kr int) *Plan {
 }
 
 // TestFeedbackReplanCascade is the tentpole acceptance criterion: on a
-// Zipf(1.2) cascade, feedback re-planning reduces the downstream job's
-// BalanceRatio versus the static plan while the sorted output stays
+// Zipf(1.2) cascade, the executor's feedback re-planning reduces the
+// downstream job's BalanceRatio versus the plan's jobs run exactly as
+// built, one after the other, while the sorted output stays
 // bit-identical, and the downstream job is reported as replanned.
 func TestFeedbackReplanCascade(t *testing.T) {
 	const kr = 16
 	db := cascadeDB(t)
+	pl := testPlanner(kr)
+	plan := cascadePlan(t, db, kr)
 
-	run := func(disable bool) *ExecResult {
-		pl := testPlanner(kr)
-		pl.Opts.DisableReplan = disable
-		res, err := pl.Execute(cascadePlan(t, db, kr), db)
+	// The static run: each job as planned, reading its predecessor's
+	// output; the last result is the cascade's.
+	produced := make(map[string]*relation.Relation)
+	var static *mr.Result
+	for i := range plan.Jobs {
+		job, cfg, err := pl.buildPlannedJob(&plan.Jobs[i], db, produced)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		if static, err = mr.Run(context.Background(), cfg, job); err != nil {
+			t.Fatal(err)
+		}
+		produced[plan.Jobs[i].Name] = static.Output
 	}
-	static := run(true)
-	feedback := run(false)
+	feedback, err := pl.Execute(plan, db)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	if got := static.Replanned; len(got) != 0 {
-		t.Errorf("static run replanned %v", got)
-	}
 	if got := feedback.Replanned; len(got) != 1 || got[0] != "casc-j2" {
 		t.Errorf("feedback run replanned %v, want [casc-j2]", got)
 	}
@@ -95,7 +102,7 @@ func TestFeedbackReplanCascade(t *testing.T) {
 		t.Errorf("outputs differ: static %d tuples, feedback %d tuples",
 			len(static.Output.Tuples), len(feedback.Output.Tuples))
 	}
-	sRatio := static.JobMetrics["casc-j2"].BalanceRatio
+	sRatio := static.Metrics.BalanceRatio
 	fRatio := feedback.JobMetrics["casc-j2"].BalanceRatio
 	if sRatio < 1.5*fRatio {
 		t.Errorf("downstream balance: static %.2f vs feedback %.2f — want >= 1.5x reduction", sRatio, fRatio)
@@ -217,7 +224,7 @@ func TestCompositeSkewPlanGates(t *testing.T) {
 		predicate.C("L", "k1", predicate.EQ, "R", "k1"),
 		predicate.C("L", "k2", predicate.EQ, "R", "k2"),
 	}
-	if p := SkewPlanFor(db.Catalog, KindHashEqui, conds, 16, 0); p != nil {
+	if p := SkewPlanFor(db.Catalog, KindHashEqui, conds, 16, skew.DefaultThreshold); p != nil {
 		t.Errorf("uniform composite keys produced a skew plan: %+v", p)
 	}
 }

@@ -281,20 +281,20 @@ func TestSkewPlanForGates(t *testing.T) {
 	v := randRelation("V", 400, 390, rng)
 	db := newTestDB(t, u, v)
 	conds := predicate.Conjunction{predicate.C("U", "a", predicate.EQ, "V", "a")}
-	if p := SkewPlanFor(db.Catalog, KindHashEqui, conds, 16, 0); p != nil {
+	if p := SkewPlanFor(db.Catalog, KindHashEqui, conds, 16, skew.DefaultThreshold); p != nil {
 		t.Errorf("uniform data produced a skew plan: %+v", p)
 	}
 	l := zipfKeyRelation("L", 1000, 1.3, 500, 62)
 	r := zipfKeyRelation("R", 300, 1.3, 500, 63)
 	db2 := newTestDB(t, l, r)
 	hot := predicate.Conjunction{predicate.C("L", "k", predicate.EQ, "R", "k")}
-	if p := SkewPlanFor(db2.Catalog, KindHilbertTheta, hot, 16, 0); p != nil {
+	if p := SkewPlanFor(db2.Catalog, KindHilbertTheta, hot, 16, skew.DefaultThreshold); p != nil {
 		t.Error("Hilbert job got a skew plan")
 	}
-	if p := SkewPlanFor(db2.Catalog, KindHashEqui, hot, 1, 0); p != nil {
+	if p := SkewPlanFor(db2.Catalog, KindHashEqui, hot, 1, skew.DefaultThreshold); p != nil {
 		t.Error("single-reducer job got a skew plan")
 	}
-	if p := SkewPlanFor(db2.Catalog, KindHashEqui, hot, 16, 0); p == nil {
+	if p := SkewPlanFor(db2.Catalog, KindHashEqui, hot, 16, skew.DefaultThreshold); p == nil {
 		t.Error("hot single-condition equi job got no plan")
 	}
 }

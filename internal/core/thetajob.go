@@ -14,7 +14,7 @@ import (
 // backtrack over the per-relation groups, verify the conditions, and
 // emit exactly the combinations whose hyper-cube cell falls inside
 // their own component.
-func BuildThetaJob(name string, rels []*relation.Relation, conds predicate.Conjunction, kr, maxCells int) (*mr.Job, error) {
+func BuildThetaJob(name string, rels []*relation.Relation, conds predicate.Conjunction, kr int) (*mr.Job, error) {
 	if len(rels) < 2 {
 		return nil, fmt.Errorf("core: theta job needs >= 2 relations")
 	}
@@ -32,7 +32,7 @@ func BuildThetaJob(name string, rels []*relation.Relation, conds predicate.Conju
 		}
 		ridIdx[i] = ri
 	}
-	part, err := NewPartitioner(cards, kr, maxCells)
+	part, err := NewPartitioner(cards, kr, maxCubeCells)
 	if err != nil {
 		return nil, err
 	}

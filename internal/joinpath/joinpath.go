@@ -48,9 +48,8 @@ type CostFunc func(edgeIDs []int) (weight float64, reducers int, err error)
 const maxCandidates = 100000
 
 // Build runs Algorithm 2 on the join graph and returns G'_JP.E, the
-// retained candidate jobs. maxPathLen caps L, the number of conditions
-// per candidate; 0 means the total condition count (all lengths).
-func Build(g *query.JoinGraph, cost CostFunc, maxPathLen int) ([]PathEdge, error) {
+// retained candidate jobs.
+func Build(g *query.JoinGraph, cost CostFunc) ([]PathEdge, error) {
 	n := len(g.Edges)
 	if n == 0 {
 		return nil, fmt.Errorf("joinpath: join graph has no edges")
@@ -58,12 +57,8 @@ func Build(g *query.JoinGraph, cost CostFunc, maxPathLen int) ([]PathEdge, error
 	if n > 63 {
 		return nil, fmt.Errorf("joinpath: %d conditions exceed the 63-condition limit", n)
 	}
-	maxLen := maxPathLen
-	if maxLen <= 0 || maxLen > n {
-		maxLen = n
-	}
 
-	cands, err := enumerate(g, maxLen, maxCandidates)
+	cands, err := enumerate(g, maxCandidates)
 	if err != nil {
 		return nil, err
 	}
@@ -137,22 +132,22 @@ func dominatedByGroup(c PathEdge, wl []PathEdge) bool {
 
 type dfsState struct {
 	g        *query.JoinGraph
-	maxLen   int
 	maxCand  int
 	seen     map[uint64]bool
 	cands    []PathEdge
 	overflow bool
 }
 
-// enumerate lists every no-edge-repeating path of length ≤ maxLen
-// between every vertex pair, deduplicated by (endpoints, condition
-// set) — the paper "only cares what edges are involved in a path".
-func enumerate(g *query.JoinGraph, maxLen, maxCand int) ([]PathEdge, error) {
-	st := &dfsState{g: g, maxLen: maxLen, maxCand: maxCand, seen: make(map[uint64]bool)}
+// enumerate lists every no-edge-repeating path between every vertex
+// pair, deduplicated by (endpoints, condition set) — the paper "only
+// cares what edges are involved in a path". A path repeats no edge, so
+// it ends after at most all of the graph's conditions.
+func enumerate(g *query.JoinGraph, maxCand int) ([]PathEdge, error) {
+	st := &dfsState{g: g, maxCand: maxCand, seen: make(map[uint64]bool)}
 	starts := append([]string(nil), g.Vertices...)
 	sort.Strings(starts)
 	for _, v := range starts {
-		st.dfs(v, v, 0, 0)
+		st.dfs(v, v, 0)
 		if st.overflow {
 			return nil, fmt.Errorf("joinpath: candidate explosion beyond %d", maxCand)
 		}
@@ -160,11 +155,11 @@ func enumerate(g *query.JoinGraph, maxLen, maxCand int) ([]PathEdge, error) {
 	return st.cands, nil
 }
 
-func (st *dfsState) dfs(start, cur string, mask uint64, depth int) {
+func (st *dfsState) dfs(start, cur string, mask uint64) {
 	if st.overflow {
 		return
 	}
-	if depth > 0 {
+	if mask != 0 {
 		u, v := start, cur
 		if u > v {
 			u, v = v, u
@@ -188,15 +183,12 @@ func (st *dfsState) dfs(start, cur string, mask uint64, depth int) {
 			}
 		}
 	}
-	if depth == st.maxLen {
-		return
-	}
 	for _, e := range st.g.Adjacent(cur) {
 		bit := uint64(1) << uint(e.ID-1)
 		if mask&bit != 0 {
 			continue // no-edge-repeating
 		}
-		st.dfs(start, e.Other(cur), mask|bit, depth+1)
+		st.dfs(start, e.Other(cur), mask|bit)
 	}
 }
 

@@ -36,9 +36,9 @@ func unitCost(ids []int) (float64, int, error) {
 }
 
 // allPaths enumerates every candidate of g without pruning.
-func allPaths(t *testing.T, g *query.JoinGraph, maxLen int) []PathEdge {
+func allPaths(t *testing.T, g *query.JoinGraph) []PathEdge {
 	t.Helper()
-	cands, err := enumerate(g, maxLen, maxCandidates)
+	cands, err := enumerate(g, maxCandidates)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func edgeSet(edges []PathEdge) map[string]PathEdge {
 }
 
 func TestEnumerateNoPruning(t *testing.T) {
-	g := allPaths(t, fig1(t), 6)
+	g := allPaths(t, fig1(t))
 	set := edgeSet(g)
 	// Fig. 1's adjacency matrix lists specific paths; spot-check a few.
 	// R1–R2 direct: {1}.
@@ -101,7 +101,7 @@ func TestEnumerateNoPruning(t *testing.T) {
 }
 
 func TestNoEdgeRepeating(t *testing.T) {
-	for _, e := range allPaths(t, fig1(t), 6) {
+	for _, e := range allPaths(t, fig1(t)) {
 		seen := map[int]bool{}
 		for _, id := range e.EdgeIDs {
 			if seen[id] {
@@ -109,25 +109,6 @@ func TestNoEdgeRepeating(t *testing.T) {
 			}
 			seen[id] = true
 		}
-	}
-}
-
-func TestMaxPathLen(t *testing.T) {
-	g := allPaths(t, fig1(t), 2)
-	for _, e := range g {
-		if len(e.EdgeIDs) > 2 {
-			t.Errorf("path %v longer than MaxPathLen", e.EdgeIDs)
-		}
-	}
-	// All six single edges must be present.
-	count1 := 0
-	for _, e := range g {
-		if len(e.EdgeIDs) == 1 {
-			count1++
-		}
-	}
-	if count1 != 6 {
-		t.Errorf("single-edge candidates = %d, want 6", count1)
 	}
 }
 
@@ -141,7 +122,7 @@ func TestLemma1Pruning(t *testing.T) {
 		}
 		return 1000 * float64(len(ids)), 64, nil
 	}
-	g, err := Build(fig1(t), expensive, 0)
+	g, err := Build(fig1(t), expensive)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +131,7 @@ func TestLemma1Pruning(t *testing.T) {
 			t.Errorf("expensive path %v survived pruning", e.EdgeIDs)
 		}
 	}
-	if len(g) == len(allPaths(t, fig1(t), 6)) {
+	if len(g) == len(allPaths(t, fig1(t))) {
 		t.Error("no candidates pruned")
 	}
 	// Single conditions must all survive (they are the cheapest cover).
@@ -172,7 +153,7 @@ func TestCheapMultiEdgesSurvive(t *testing.T) {
 	economies := func(ids []int) (float64, int, error) {
 		return 10 / float64(len(ids)), 1, nil
 	}
-	g, err := Build(fig1(t), economies, 0)
+	g, err := Build(fig1(t), economies)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +181,7 @@ func TestChainGraphPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := allPaths(t, q.JoinGraph(), 3)
+	g := allPaths(t, q.JoinGraph())
 	if len(g) != 6 {
 		var labels []string
 		for _, e := range g {
@@ -216,11 +197,11 @@ func TestBuildErrors(t *testing.T) {
 		[]predicate.Condition{predicate.C("A", "x", predicate.LT, "B", "x")})
 	if _, err := Build(q.JoinGraph(), func(ids []int) (float64, int, error) {
 		return 0, 0, errFake
-	}, 0); err == nil {
+	}); err == nil {
 		t.Error("cost error not propagated")
 	}
 	empty := &query.JoinGraph{Vertices: []string{"A"}}
-	if _, err := Build(empty, unitCost, 0); err == nil {
+	if _, err := Build(empty, unitCost); err == nil {
 		t.Error("empty graph accepted")
 	}
 }
@@ -243,7 +224,7 @@ func TestIDsToMask(t *testing.T) {
 func TestDeterministicOutput(t *testing.T) {
 	var prev []string
 	for trial := 0; trial < 3; trial++ {
-		g, err := Build(fig1(t), unitCost, 0)
+		g, err := Build(fig1(t), unitCost)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -266,7 +247,7 @@ func TestDeterministicOutput(t *testing.T) {
 }
 
 func TestCandidateOverflow(t *testing.T) {
-	if _, err := enumerate(fig1(t), 6, 3); err == nil {
+	if _, err := enumerate(fig1(t), 3); err == nil {
 		t.Error("overflow not reported")
 	}
 }
@@ -277,7 +258,7 @@ func TestCandidateOverflow(t *testing.T) {
 // {1..6} (the graph has all-even degrees, so E(G_JP) exists).
 func TestFig1JoinPathGraph(t *testing.T) {
 	set := map[string]bool{}
-	for _, e := range allPaths(t, fig1(t), 6) {
+	for _, e := range allPaths(t, fig1(t)) {
 		set[e.Label()] = true
 	}
 	// Entries read off Fig. 1's matrix (as condition-ID sets).

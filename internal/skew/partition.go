@@ -30,12 +30,8 @@ type JobPlan struct {
 	Reports map[string]map[string][]relation.HotKey
 }
 
-// NewJobPlan builds an empty plan with the given threshold (<= 0 uses
-// DefaultThreshold).
+// NewJobPlan builds an empty plan with the given threshold.
 func NewJobPlan(threshold float64) *JobPlan {
-	if threshold <= 0 {
-		threshold = DefaultThreshold
-	}
 	return &JobPlan{Threshold: threshold, Reports: make(map[string]map[string][]relation.HotKey)}
 }
 
@@ -98,9 +94,6 @@ func TupleHash(t relation.Tuple) uint64 {
 // its load stays within threshold × the mean reducer load, otherwise
 // enough sub-reducers to bring each fragment back to roughly the mean.
 func SplitFactor(frac float64, reducers int, threshold float64) int {
-	if threshold <= 0 {
-		threshold = DefaultThreshold
-	}
 	if frac <= 0 || reducers < 2 || frac*float64(reducers) <= threshold {
 		return 1
 	}
@@ -121,9 +114,6 @@ func SplitFactor(frac float64, reducers int, threshold float64) int {
 // residual-hash-variance floor rather than the pessimistic constants
 // used when no report exists.
 func SigmaFrac(pmax float64, parallelism int, threshold float64) float64 {
-	if threshold <= 0 {
-		threshold = DefaultThreshold
-	}
 	excess := pmax*float64(parallelism) - 1
 	if excess > threshold {
 		excess = threshold

@@ -247,7 +247,7 @@ func TestGridLayoutOverCapacity(t *testing.T) {
 // TestJobPlanJointRoundTrip: Add/Hot key on the ordered column vector
 // and are nil-safe.
 func TestJobPlanJointRoundTrip(t *testing.T) {
-	p := NewJobPlan(0)
+	p := NewJobPlan(DefaultThreshold)
 	g := []relation.HotKey{{Values: []relation.Value{relation.Int(7), relation.Int(8)}, Count: 10, Frac: 0.4}}
 	p.Add("L", []string{"a", "b"}, g)
 	if got := p.Hot("L", []string{"a", "b"}); len(got) != 1 || got[0].Frac != 0.4 {

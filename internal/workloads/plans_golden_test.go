@@ -147,14 +147,30 @@ func reportLine(rel, cols string, values []relation.Value, count int64, frac flo
 	return fmt.Sprintf("  hot %s(%s) values=(%s) count=%d frac=%v", rel, cols, strings.Join(vs, ","), count, frac)
 }
 
-// TestPlanGoldens pins whole plans — not one field of one — for the
-// ten benchmark queries and the Fig. 12 TPC-H queries, so a change to
-// the statistics or the cost model that moves any decision shows up as
-// a diff of testdata/plans.golden, and any change to a modeled second,
-// down to the last bit, as a diff of testdata/estimates.golden.
-// Regenerate with `go test ./internal/workloads -run TestPlanGoldens -update`.
-func TestPlanGoldens(t *testing.T) {
-	var got, est bytes.Buffer
+// goldenPlan is one query plans.golden pins, as planned, with the
+// planner and database that planned it.
+type goldenPlan struct {
+	name string
+	q    *query.Query
+	db   *core.DB
+	pl   *core.Planner
+	plan *core.Plan
+}
+
+// goldenPlans plans every query plans.golden pins: the ten benchmark
+// queries, then Fig. 12 as bench.Suite.TPCHComparison(96) plans it at
+// thetabench -quick size — the 200 GB volume, suite seed 1 and the
+// suite's engine configuration.
+func goldenPlans(t *testing.T) []goldenPlan {
+	t.Helper()
+	var out []goldenPlan
+	add := func(name string, q *query.Query, db *core.DB, pl *core.Planner) {
+		plan, err := pl.Plan(q, db)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		out = append(out, goldenPlan{name: name, q: q, db: db, pl: pl, plan: plan})
+	}
 	for _, gc := range goldenCases {
 		db, err := goldenMobileDB(gc)
 		if err != nil {
@@ -171,16 +187,8 @@ func TestPlanGoldens(t *testing.T) {
 				}
 			}
 		}
-		plan, err := goldenPlanner(mr.DefaultConfig()).Plan(q, db)
-		if err != nil {
-			t.Fatalf("%s: %v", gc.name, err)
-		}
-		writePlan(&got, gc.name, plan)
-		writeEstimates(&est, gc.name, plan)
+		add(gc.name, q, db, goldenPlanner(mr.DefaultConfig()))
 	}
-	// Fig. 12 as bench.Suite.TPCHComparison(96) plans it at thetabench
-	// -quick size: the 200 GB volume, suite seed 1, the suite's engine
-	// configuration and cube bound.
 	for _, qn := range []int{7, 17, 18, 21} {
 		q, err := TPCHQuery(qn)
 		if err != nil {
@@ -196,18 +204,65 @@ func TestPlanGoldens(t *testing.T) {
 		}
 		cfg := mr.DefaultConfig()
 		cfg.TuplesPerMapTask = 256
-		pl := goldenPlanner(cfg)
-		pl.Opts.MaxCells = 1 << 14
-		plan, err := pl.Plan(q, db)
-		if err != nil {
-			t.Fatalf("tpch Q%d: %v", qn, err)
-		}
-		name := fmt.Sprintf("tpch_q%d_200GB", qn)
-		writePlan(&got, name, plan)
-		writeEstimates(&est, name, plan)
+		add(fmt.Sprintf("tpch_q%d_200GB", qn), q, db, goldenPlanner(cfg))
+	}
+	return out
+}
+
+// TestPlanGoldens pins whole plans — not one field of one — for the
+// ten benchmark queries and the Fig. 12 TPC-H queries, so a change to
+// the statistics or the cost model that moves any decision shows up as
+// a diff of testdata/plans.golden, and any change to a modeled second,
+// down to the last bit, as a diff of testdata/estimates.golden.
+// Regenerate with `go test ./internal/workloads -run TestPlanGoldens -update`.
+func TestPlanGoldens(t *testing.T) {
+	var got, est bytes.Buffer
+	for _, gp := range goldenPlans(t) {
+		writePlan(&got, gp.name, gp.plan)
+		writeEstimates(&est, gp.name, gp.plan)
 	}
 	checkGolden(t, "plans.golden", got.Bytes())
 	checkGolden(t, "estimates.golden", est.Bytes())
+}
+
+// TestPlanCoverReproducesPlan: scheduling the cover Plan chose through
+// PlanCover yields the same plan — every job, k_R, unit count, skew
+// report and modeled second, as the goldens render them.
+func TestPlanCoverReproducesPlan(t *testing.T) {
+	for _, gp := range goldenPlans(t) {
+		cover := make([][]int, len(gp.plan.Jobs))
+		for i, j := range gp.plan.Jobs {
+			cover[i] = j.EdgeIDs
+		}
+		again, err := gp.pl.PlanCover(gp.q, gp.db, cover)
+		if err != nil {
+			t.Fatalf("%s: %v", gp.name, err)
+		}
+		var want, got bytes.Buffer
+		writePlan(&want, gp.name, gp.plan)
+		writeEstimates(&want, gp.name, gp.plan)
+		writePlan(&got, gp.name, again)
+		writeEstimates(&got, gp.name, again)
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Errorf("%s: PlanCover(%v) differs from Plan\n--- Plan ---\n%s--- PlanCover ---\n%s",
+				gp.name, cover, want.Bytes(), got.Bytes())
+		}
+	}
+}
+
+// TestGoldenPlansNeverReplan pins why re-planning needs no switch: the
+// planner emits only jobs over base relations, so executing any golden
+// plan re-derives nothing at dispatch time.
+func TestGoldenPlansNeverReplan(t *testing.T) {
+	for _, gp := range goldenPlans(t) {
+		res, err := gp.pl.Execute(gp.plan, gp.db)
+		if err != nil {
+			t.Fatalf("%s: %v", gp.name, err)
+		}
+		if len(res.Replanned) != 0 {
+			t.Errorf("%s: executing the plan replanned %v", gp.name, res.Replanned)
+		}
+	}
 }
 
 // checkGolden compares got with testdata/name, or rewrites the file

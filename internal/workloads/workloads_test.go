@@ -419,7 +419,7 @@ func TestMobileInternedShuffleBytes(t *testing.T) {
 			predicate.C("t1", "bs", predicate.EQ, "t2", "bs"),
 			predicate.C("t1", "d", predicate.LT, "t2", "d"),
 		}
-		job, err := core.BuildThetaJob("mobile-bs", rels, conds, 4, 1<<12)
+		job, err := core.BuildThetaJob("mobile-bs", rels, conds, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
