@@ -3,8 +3,11 @@ package core
 import (
 	"context"
 	"fmt"
+	"maps"
 	"runtime"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"repro/internal/cost"
@@ -342,11 +345,8 @@ func (r *planRun) startJob(s execSlot, units int) error {
 	}
 	span.End()
 	r.buildWall[pj.Name] = time.Since(buildStart)
-	// Hot-key routing decisions surface on the partitioner's own shard:
-	// the lazy grid layout runs under sync.Once inside one mr worker, so
-	// a dedicated shard stays single-writer (see skew.EquiPartitioner.Obs).
-	if ep, ok := job.Partitioner.(*skew.EquiPartitioner); ok && r.o.Tracing() {
-		ep.Obs = r.o.Shard("skew:" + pj.Name)
+	if r.o.Tracing() && runJob.Skew != nil {
+		r.traceHotKeys(pj.Name, runJob.Skew)
 	}
 	r.shard.Instant("dispatch", obs.A("job", pj.Name),
 		obs.A("units", units), obs.A("wave", s.wave))
@@ -360,6 +360,20 @@ func (r *planRun) startJob(s execSlot, units int) error {
 		r.done <- jobDone{idx: idx, units: units, res: res, err: err}
 	}()
 	return nil
+}
+
+// traceHotKeys records the job's hot-key handling: one "hot-key"
+// instant per value in its skew plan, by relation and column set.
+func (r *planRun) traceHotKeys(job string, plan *skew.JobPlan) {
+	for _, rel := range slices.Sorted(maps.Keys(plan.Reports)) {
+		for _, cols := range slices.Sorted(maps.Keys(plan.Reports[rel])) {
+			for _, hk := range plan.Reports[rel][cols] {
+				r.shard.Instant("hot-key", obs.A("job", job), obs.A("rel", rel),
+					obs.A("cols", strings.ReplaceAll(cols, "\x1f", ",")),
+					obs.A("value", fmt.Sprint(hk.Values)), obs.A("frac", hk.Frac))
+			}
+		}
+	}
 }
 
 // await blocks until a job of this run finishes (ok) or the pool frees

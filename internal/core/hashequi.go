@@ -12,24 +12,25 @@ import (
 // BuildHashEquiJob constructs the classic repartition equi-join for a
 // conjunction of equalities between exactly two relations: tuples hash
 // on the composite key, no duplication. A non-nil plan adds
-// heavy-hitter handling: for each hot join-key value in the plan, the
-// left side's tuples split across a Rows sub-grid of reducers by
-// content hash and the right side replicates across it (and
-// symmetrically with Cols when the right side is hot), per SharesSkew. Reducer-side logic is
-// unchanged — each sub-reducer joins its fragment against the
-// replicated side, and fragments are disjoint, so the output is the
-// same set of tuples with the hot key's work spread evenly. Splits come
-// from the plan's reports over each side's key columns, hashed with
-// the same composite key the map side shuffles on. A nil plan means no
-// hot-key handling.
+// heavy-hitter handling per SharesSkew: each hot join-key value gets a
+// skew.Run of reducers placed by skew.Overlay, whose left axis splits
+// the left side's tuples by content hash while the right side
+// replicates across it (and symmetrically when the right side is hot).
+// Reducer-side logic is unchanged — each sub-reducer joins its
+// fragment against the replicated side, and fragments are disjoint, so
+// the output is the same set of tuples with the hot key's work spread
+// evenly. Runs come from the plan's reports over each side's key
+// columns, keyed by the same composite hash the map side shuffles on.
+// A nil plan means no hot-key handling.
 func BuildHashEquiJob(name string, left, right *relation.Relation, conds predicate.Conjunction, kr int, plan *skew.JobPlan) (*mr.Job, error) {
 	if !AllEquiSamePair(conds) {
 		return nil, fmt.Errorf("core: conditions %s are not a two-relation equi conjunction", conds)
 	}
 	// Orient every condition left→right.
 	type keyCol struct {
-		col int
-		off float64
+		col  int
+		off  float64
+		name string
 	}
 	var lCols, rCols []keyCol
 	var codeKeys []bool
@@ -47,8 +48,8 @@ func BuildHashEquiJob(name string, left, right *relation.Relation, conds predica
 		if !ok {
 			return nil, fmt.Errorf("core: no column %s.%s", oc.Right, oc.RightColumn)
 		}
-		lCols = append(lCols, keyCol{lc, oc.LeftOffset})
-		rCols = append(rCols, keyCol{rc, oc.RightOffset})
+		lCols = append(lCols, keyCol{lc, oc.LeftOffset, oc.LeftColumn})
+		rCols = append(rCols, keyCol{rc, oc.RightOffset, oc.RightColumn})
 		// Interned shuffle keys: when both sides of a condition share
 		// the same dictionary (self-join aliases do), the 8-byte code
 		// replaces the string bytes in the composite hash. Distinct
@@ -58,7 +59,7 @@ func BuildHashEquiJob(name string, left, right *relation.Relation, conds predica
 		codeKeys = append(codeKeys, lD != nil && lD == rD)
 		oriented = append(oriented, oc)
 	}
-	// Map-side hashKey and the hot-key groupKey must agree byte for
+	// Map-side hashKey and the hot values' keys must agree byte for
 	// byte, so both fold their columns through foldKeyPart.
 	hashKey := func(t relation.Tuple, cols []keyCol) uint64 {
 		h := uint64(fnvOffset64)
@@ -67,27 +68,35 @@ func BuildHashEquiJob(name string, left, right *relation.Relation, conds predica
 		}
 		return h
 	}
+	rels := []*relation.Relation{left, right}
 	var partitioner mr.Partitioner
 	if plan != nil {
-		// A hot value combination's shuffle key: the same composite
-		// hash the map side emits (hashKey over the condition-ordered
-		// columns with their offsets applied).
-		groupKey := func(vals []relation.Value, leftSide bool) uint64 {
-			cols := rCols
-			if leftSide {
-				cols = lCols
-			}
-			h := uint64(fnvOffset64)
+		// A hot value combination routes by the composite hash the map
+		// side shuffles it on; the planner stored each side's report under
+		// its condition-ordered column vector. Member 0 is the left side.
+		var hots []skew.Hot
+		for side, cols := range [][]keyCol{lCols, rCols} {
+			names := make([]string, len(cols))
 			for i, kc := range cols {
-				h = foldKeyPart(h, vals[i].Add(kc.off), codeKeys[i])
+				names[i] = kc.name
 			}
-			return h
+			for _, hk := range plan.Hot(rels[side].Name, names) {
+				if len(hk.Values) != len(cols) {
+					continue
+				}
+				h := uint64(fnvOffset64)
+				for i, kc := range cols {
+					h = foldKeyPart(h, hk.Values[i].Add(kc.off), codeKeys[i])
+				}
+				fracs := make([]float64, 2)
+				fracs[side] = hk.Frac
+				hots = append(hots, skew.Hot{Key: h, Fracs: fracs})
+			}
 		}
-		if splits := equiSplits(plan, left.Name, right.Name, oriented, kr, groupKey); len(splits) > 0 {
-			partitioner = &skew.EquiPartitioner{Splits: splits}
+		if lay := skew.Overlay(kr, hots, plan.Threshold); lay.Len() > 0 {
+			partitioner = lay
 		}
 	}
-	rels := []*relation.Relation{left, right}
 	// Reducer-side verification through the shared indexed evaluator:
 	// within a reduce group (one composite key hash) the equality
 	// conditions compare normalized sort keys — or probe a per-group
@@ -164,60 +173,4 @@ func foldKeyPart(h uint64, v relation.Value, code bool) uint64 {
 		}
 	}
 	return (h ^ 0x1f) * fnvPrime64
-}
-
-// equiSplits turns the plan's hot join-key values into the sub-grid
-// each one spreads over, keyed by the composite hash the map side
-// shuffles on (keyOf, over one side's values in condition order): the
-// planner stored each side's report under its condition-ordered column
-// vector.
-func equiSplits(plan *skew.JobPlan, left, right string, oriented []predicate.Condition, kr int, keyOf func(vals []relation.Value, leftSide bool) uint64) map[uint64]skew.Split {
-	type frac2 struct{ l, r float64 }
-	hot := make(map[uint64]frac2)
-	lNames := make([]string, len(oriented))
-	rNames := make([]string, len(oriented))
-	for i, oc := range oriented {
-		lNames[i] = oc.LeftColumn
-		rNames[i] = oc.RightColumn
-	}
-	// raise records one side's fractions per hot key, keeping the larger
-	// when two reported values hash to the same key.
-	raise := func(rel string, cols []string, leftSide bool) {
-		for _, hk := range plan.Hot(rel, cols) {
-			if len(hk.Values) != len(oriented) {
-				continue
-			}
-			k := keyOf(hk.Values, leftSide)
-			f := hot[k]
-			if leftSide {
-				f.l = max(f.l, hk.Frac)
-			} else {
-				f.r = max(f.r, hk.Frac)
-			}
-			hot[k] = f
-		}
-	}
-	raise(left, lNames, true)
-	raise(right, rNames, false)
-	splits := make(map[uint64]skew.Split)
-	for k, f := range hot {
-		sp := skew.Split{
-			Rows: skew.SplitFactor(f.l, kr, plan.Threshold),
-			Cols: skew.SplitFactor(f.r, kr, plan.Threshold),
-		}
-		// Shrink the larger axis until the sub-grid fits in kr.
-		for sp.Cells() > kr {
-			if sp.Rows >= sp.Cols && sp.Rows > 1 {
-				sp.Rows--
-			} else if sp.Cols > 1 {
-				sp.Cols--
-			} else {
-				break
-			}
-		}
-		if sp.Cells() > 1 && sp.Cells() <= kr {
-			splits[k] = sp
-		}
-	}
-	return splits
 }

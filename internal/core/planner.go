@@ -233,23 +233,16 @@ func (pl *Planner) costEdge(q *query.Query, g *query.JoinGraph, db *DB, edgeIDs 
 	// Reducer skew: the Hilbert cube balances by construction
 	// (Theorem 2: tuples route by salted-hash global IDs, immune to
 	// value skew), while hash and share-grid partitioning follow the
-	// key distribution. When the catalog carries a heavy-hitter report
-	// the constant fudge factors are replaced by an estimate derived
-	// from the hottest detected key (capped at the threshold beyond
-	// which the runtime splits the key across sub-reducers); without a
-	// report the historical constants apply.
-	pmax, skewKnown := 0.0, false
-	if kind != KindHilbertTheta {
-		pmax, skewKnown = maxJoinHotFrac(db.Catalog, conds, kind)
-	}
+	// key distribution: their σ is estimated from the hottest detected
+	// key (capped at the threshold beyond which the runtime splits the
+	// key across sub-reducers).
 	profile, bestK, bestT, err := pl.sweepReducers(costSweepInputs{
 		kind:       kind,
 		inputBytes: inputBytes,
 		mapTasks:   mapTasks,
 		outBytes:   outBytes,
 		numRels:    m,
-		pmax:       pmax,
-		skewKnown:  skewKnown,
+		pmax:       maxJoinHotFrac(db.Catalog, conds, kind),
 		conds:      conds,
 		rels:       orderedRels,
 	}, pl.KP)
@@ -323,8 +316,7 @@ type costSweepInputs struct {
 	mapTasks   int
 	outBytes   int64
 	numRels    int     // m, for the Hilbert duplication exponent
-	pmax       float64 // hottest join-key fraction, when measured
-	skewKnown  bool
+	pmax       float64 // hottest join-key fraction
 	// Share-grid geometry hooks; only consulted for KindShareGrid.
 	conds predicate.Conjunction
 	rels  []*relation.Relation
@@ -375,7 +367,7 @@ func (pl *Planner) sweepReducers(in costSweepInputs, maxK int) ([]float64, int, 
 			MapSlots: min(pl.Config.MapSlots, k),
 			Alpha:    alpha,
 			Beta:     beta,
-			Sigma:    sigmaFracFor(in.kind, effectiveN, in.pmax, in.skewKnown) * shuffle / float64(effectiveN),
+			Sigma:    sigmaFracFor(in.kind, effectiveN, in.pmax) * shuffle / float64(effectiveN),
 		}
 		est, err := cost.Evaluate(rates, prof, effectiveN)
 		if err != nil {
@@ -390,34 +382,22 @@ func (pl *Planner) sweepReducers(in costSweepInputs, maxK int) ([]float64, int, 
 }
 
 // sigmaFracFor resolves the reducer-input variation coefficient: the
-// measured-skew estimate when a heavy-hitter report exists, else the
-// historical per-kind constants.
-func sigmaFracFor(kind JobKind, parallelism int, pmax float64, known bool) float64 {
-	switch kind {
-	case KindHashEqui:
-		if known {
-			return skew.SigmaFrac(pmax, parallelism, skew.DefaultThreshold)
-		}
-		return 0.3 // key-value hash distribution skews
-	case KindShareGrid:
-		if known {
-			return skew.SigmaFrac(pmax, parallelism, skew.DefaultThreshold)
-		}
-		return 0.15 // attribute-class hashing, moderate skew
-	default:
+// Hilbert cube's constant (it routes by salted random IDs, immune to
+// value skew), else the estimate from the hottest join-key fraction.
+func sigmaFracFor(kind JobKind, parallelism int, pmax float64) float64 {
+	if kind == KindHilbertTheta {
 		return 0.08
 	}
+	return skew.SigmaFrac(pmax, parallelism, skew.DefaultThreshold)
 }
 
 // maxJoinHotFrac scans the heavy-hitter reports of the conjunction's
-// equality endpoints and returns the hottest detected key fraction.
-// known reports whether any endpoint carried a (possibly empty)
-// report: an analyzed-but-uniform column legitimately yields pmax 0,
-// which SigmaFrac maps to a small residual-variance floor, whereas an
-// unanalyzed catalog keeps the pessimistic constants.
-func maxJoinHotFrac(cat *relation.Catalog, conds predicate.Conjunction, kind JobKind) (pmax float64, known bool) {
+// equality endpoints and returns the hottest detected key fraction: 0
+// when nothing is hot, which SigmaFrac maps to a small
+// residual-variance floor.
+func maxJoinHotFrac(cat *relation.Catalog, conds predicate.Conjunction, kind JobKind) (pmax float64) {
 	if cat == nil {
-		return 0, false
+		return 0
 	}
 	for _, c := range conds {
 		if !c.Op.IsEquality() {
@@ -428,20 +408,15 @@ func maxJoinHotFrac(cat *relation.Catalog, conds predicate.Conjunction, kind Job
 		}
 		for _, end := range [][2]string{{c.Left, c.LeftColumn}, {c.Right, c.RightColumn}} {
 			ts, err := cat.Stats(end[0])
-			if err != nil || ts.HotKeys == nil {
+			if err != nil {
 				continue
 			}
-			hks, ok := ts.HotKeys[end[1]]
-			if !ok {
-				continue
-			}
-			known = true
-			if len(hks) > 0 && hks[0].Frac > pmax {
+			if hks := ts.HotKeys[end[1]]; len(hks) > 0 && hks[0].Frac > pmax {
 				pmax = hks[0].Frac
 			}
 		}
 	}
-	return pmax, known
+	return pmax
 }
 
 // SkewPlanFor consults the catalog's heavy-hitter reports and returns
@@ -578,11 +553,11 @@ func (pl *Planner) scheduleCover(q *query.Query, cover []*candidate, db *DB) (*P
 	// count, so the execution report can print planned σ next to the
 	// measured balance ratio.
 	for i := range jobs {
-		pmax, known := 0.0, false
-		if db != nil && jobs[i].Kind != KindHilbertTheta {
-			pmax, known = maxJoinHotFrac(db.Catalog, jobs[i].Conds, jobs[i].Kind)
+		pmax := 0.0
+		if db != nil {
+			pmax = maxJoinHotFrac(db.Catalog, jobs[i].Conds, jobs[i].Kind)
 		}
-		jobs[i].SigmaFrac = sigmaFracFor(jobs[i].Kind, jobs[i].Reducers, pmax, known)
+		jobs[i].SigmaFrac = sigmaFracFor(jobs[i].Kind, jobs[i].Reducers, pmax)
 	}
 	return &Plan{
 		Query:             q,

@@ -116,11 +116,7 @@ func (fb *feedback) replan(pj *PlannedJob) (*PlannedJob, bool) {
 	// Refresh the recorded σ fraction from the measured distribution,
 	// so the execution report shows the re-derived model, not the
 	// static one it replaced.
-	pmax, known := 0.0, false
-	if rj.Kind != KindHilbertTheta {
-		pmax, known = maxJoinHotFrac(cat, rj.Conds, rj.Kind)
-	}
-	rj.SigmaFrac = sigmaFracFor(rj.Kind, rj.Reducers, pmax, known)
+	rj.SigmaFrac = sigmaFracFor(rj.Kind, rj.Reducers, maxJoinHotFrac(cat, rj.Conds, rj.Kind))
 	return &rj, true
 }
 
@@ -154,18 +150,13 @@ func (fb *feedback) rederiveReducers(pj *PlannedJob, cat *relation.Catalog) (int
 	if err != nil {
 		return 0, err
 	}
-	pmax, skewKnown := 0.0, false
-	if pj.Kind != KindHilbertTheta {
-		pmax, skewKnown = maxJoinHotFrac(cat, pj.Conds, pj.Kind)
-	}
 	_, bestK, _, err := pl.sweepReducers(costSweepInputs{
 		kind:       pj.Kind,
 		inputBytes: inputBytes,
 		mapTasks:   mapTasks,
 		outBytes:   outBytes,
 		numRels:    len(pj.RelOrder),
-		pmax:       pmax,
-		skewKnown:  skewKnown,
+		pmax:       maxJoinHotFrac(cat, pj.Conds, pj.Kind),
 		conds:      pj.Conds,
 	}, maxK)
 	if err != nil {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"sort"
 
@@ -278,128 +277,85 @@ func (g *shareGrid) cells() int {
 	return grid
 }
 
-// slotRange is the contiguous run of slots a value occupies along one
-// grid dimension: width 1 for cold values, the hot value's dedicated
-// sub-range otherwise.
-type slotRange struct{ lo, w int }
-
-// dimSlotter assigns grid-dimension slots to attribute values. Without
-// hot keys every value hashes uniformly over [0, share) — the plain
-// share-grid assignment. With hot keys, each heavy hitter owns a
-// dedicated sub-range of slots sized to its frequency ("finer cells"
-// for the hot row): the split relation's tuples pin one slot of the
-// range by content hash, the other member relations replicate across
-// it, and cold values hash into the remaining slots.
-type dimSlotter struct {
-	dim   int
-	share int
-	hot   map[string]slotRange
-	cold  slotRange // remaining slots for non-hot values
-	split int       // relation ordinal whose tuples pin within a hot range; -1 when no hot values
+// gridDim routes one grid dimension's values: its share, and the skew
+// layout that gives each hot value a run of consecutive slots
+// (skew.Carve) and hashes every other value over the remaining ones —
+// over all share slots when nothing is hot.
+type gridDim struct {
+	dim    int
+	share  int
+	layout *skew.Layout
 }
 
-// rangeOf returns the slot range of value v on this dimension.
-func (ds *dimSlotter) rangeOf(v relation.Value) slotRange {
-	// Called per candidate combination in the reducers: render into a
-	// stack buffer, not a string.
-	var scratch [32]byte
-	text := v.AppendString(scratch[:0])
-	if r, ok := ds.hot[string(text)]; ok {
-		return r
-	}
-	h := fnv.New64a()
-	h.Write([]byte{byte(ds.dim)})
-	h.Write(text)
-	return slotRange{ds.cold.lo + int(h.Sum64()%uint64(ds.cold.w)), 1}
-}
-
-// buildSlotter derives the slot assignment of one dimension from the
-// job's hot-key plan: hot values (frequency × share beyond the plan
-// threshold) receive sub-ranges proportional to their frequency, at
-// least one slot always remaining for cold values.
-func buildSlotter(dim int, cl *attrClass, rels []*relation.Relation, ordinal map[string]int, plan *skew.JobPlan) *dimSlotter {
-	ds := &dimSlotter{dim: dim, share: cl.share, cold: slotRange{0, cl.share}, split: -1}
-	if plan == nil || cl.share < 2 {
-		return ds
-	}
-	type hotv struct {
-		key  string
-		frac float64
-	}
-	agg := make(map[string]float64)
-	for relName, col := range cl.members {
-		i, ok := ordinal[relName]
-		if !ok {
-			continue
+// key is the 64-bit key a value routes by on this dimension: FNV-1a
+// of the dimension byte and the value's text. It runs per tuple on the
+// map side and per candidate combination in the reducers, so it
+// allocates nothing.
+func (g *gridDim) key(v relation.Value) uint64 {
+	h := (uint64(fnvOffset64) ^ uint64(byte(g.dim))) * fnvPrime64
+	if v.Kind() == relation.KindString {
+		for s, i := v.Str(), 0; i < len(s); i++ {
+			h = (h ^ uint64(s[i])) * fnvPrime64
 		}
-		colName := rels[i].Schema.Column(col).Name
-		for _, hk := range plan.Hot(relName, []string{colName}) {
-			k := hk.Values[0].String()
-			if hk.Frac > agg[k] {
-				agg[k] = hk.Frac
+		return h
+	}
+	var scratch [32]byte
+	for _, b := range v.AppendString(scratch[:0]) {
+		h = (h ^ uint64(b)) * fnvPrime64
+	}
+	return h
+}
+
+// newGridDim lays out one dimension from the job's hot-key plan. The
+// members of a run are the job's relations; the split member, whose
+// tuples pin within a hot value's run while the class's other members
+// replicate across it, is the largest member of the class: it carries
+// the dominant share of the hot value's tuples (ties broken by name).
+func newGridDim(dim int, cl *attrClass, rels []*relation.Relation, ordinal map[string]int, plan *skew.JobPlan) *gridDim {
+	g := &gridDim{dim: dim, share: cl.share}
+	var hots []skew.Hot
+	split, threshold := -1, 0.0
+	if plan != nil {
+		threshold = plan.Threshold
+		for relName, col := range cl.members {
+			i, ok := ordinal[relName]
+			if !ok {
+				continue
+			}
+			for _, hk := range plan.Hot(relName, []string{rels[i].Schema.Column(col).Name}) {
+				fracs := make([]float64, len(rels))
+				fracs[i] = hk.Frac
+				hots = append(hots, skew.Hot{Key: g.key(hk.Values[0]), Text: hk.Values[0].String(), Fracs: fracs})
+			}
+			if split < 0 || rels[i].Cardinality() > rels[split].Cardinality() ||
+				(rels[i].Cardinality() == rels[split].Cardinality() && rels[i].Name < rels[split].Name) {
+				split = i
 			}
 		}
 	}
-	var hots []hotv
-	for k, f := range agg {
-		if f*float64(cl.share) > plan.Threshold {
-			hots = append(hots, hotv{key: k, frac: f})
-		}
+	g.layout = skew.Carve(cl.share, hots, split, threshold)
+	return g
+}
+
+// pinHash is the TupleHash member's tuple pins its axis of run by; a
+// member with share 1 replicates across the run and needs none.
+func pinHash(run *skew.Run, member int, t relation.Tuple) uint64 {
+	if run.Share(member) < 2 {
+		return 0
 	}
-	if len(hots) == 0 {
-		return ds
-	}
-	sort.Slice(hots, func(i, j int) bool {
-		if hots[i].frac != hots[j].frac {
-			return hots[i].frac > hots[j].frac
-		}
-		return hots[i].key < hots[j].key
-	})
-	budget := cl.share - 1 // at least one cold slot
-	used := 0
-	ds.hot = make(map[string]slotRange, len(hots))
-	for _, hv := range hots {
-		w := int(math.Ceil(hv.frac * float64(cl.share)))
-		if w > budget-used {
-			w = budget - used
-		}
-		if w < 1 {
-			break
-		}
-		ds.hot[hv.key] = slotRange{used, w}
-		used += w
-	}
-	if len(ds.hot) == 0 {
-		ds.hot = nil
-		return ds
-	}
-	ds.cold = slotRange{used, cl.share - used}
-	// Split relation: the largest member carries the dominant share of
-	// a hot row's tuples, so its side fragments and the smaller member
-	// sides replicate (ties broken by name for determinism).
-	for relName := range cl.members {
-		i, ok := ordinal[relName]
-		if !ok {
-			continue
-		}
-		if ds.split < 0 ||
-			rels[i].Cardinality() > rels[ds.split].Cardinality() ||
-			(rels[i].Cardinality() == rels[ds.split].Cardinality() && rels[i].Name < rels[ds.split].Name) {
-			ds.split = i
-		}
-	}
-	return ds
+	return skew.TupleHash(t)
 }
 
 // BuildShareGridJob constructs the one-job share-based multiway join
 // for an equi-connected conjunction with optional theta residuals. A
 // non-nil plan adds heavy-hitter handling: grid dimensions whose
-// attribute classes carry hot keys give those keys dedicated slot
-// sub-ranges ("hot rows get finer cells") — the largest member
-// relation's hot tuples spread over the sub-range by content hash while
+// attribute classes carry hot keys give each such key a skew.Run of
+// consecutive slots ("hot rows get finer cells") — the largest member
+// relation's hot tuples spread over the run by content hash while
 // smaller members replicate across it, so matching combinations still
-// meet in exactly one cell and the cell-ownership check keeps the
-// output duplicate-free. A nil plan means no hot-key handling.
+// meet in exactly one cell and the cell-ownership check (Run.Owner)
+// keeps the output duplicate-free. A nil plan means no hot-key
+// handling.
 func BuildShareGridJob(name string, rels []*relation.Relation, conds predicate.Conjunction, kr int, plan *skew.JobPlan) (*mr.Job, error) {
 	if len(rels) < 2 {
 		return nil, fmt.Errorf("core: share grid needs >= 2 relations")
@@ -435,9 +391,9 @@ func BuildShareGridJob(name string, rels []*relation.Relation, conds predicate.C
 		ordinal[r.Name] = i
 	}
 	je := newJoinEval(rels, bound)
-	slotters := make([]*dimSlotter, nDims)
+	dims := make([]*gridDim, nDims)
 	for d, cl := range classes {
-		slotters[d] = buildSlotter(d, cl, rels, ordinal, plan)
+		dims[d] = newGridDim(d, cl, rels, ordinal, plan)
 	}
 	// Per relation: which dims it knows (column ordinal per dim).
 	knownCol := make([][]int, m) // knownCol[rel][dim] = col or -1
@@ -457,7 +413,7 @@ func BuildShareGridJob(name string, rels []*relation.Relation, conds predicate.C
 		inputs[i] = mr.Input{
 			Rel: rels[i],
 			Map: func(t relation.Tuple, emit mr.Emitter) {
-				emitGrid(t, uint8(i), i, knownCol[i], slotters, strides, 0, 0, emit)
+				emitGrid(t, uint8(i), i, knownCol[i], dims, strides, 0, 0, emit)
 			},
 		}
 	}
@@ -489,22 +445,29 @@ func BuildShareGridJob(name string, rels []*relation.Relation, conds predicate.C
 		// Backtracking via the shared indexed evaluator (joineval.go):
 		// equality conditions — the grid's defining predicates — probe
 		// per-group hash indexes instead of scanning the cross product.
+		var hashes []uint64 // per relation, for hot values' runs
 		ge := je.newGroupEval(groups)
 		ge.run(ctx, func(sel []int32) {
 			// The verified equality conditions guarantee every member
 			// of a dim's class carries the same value, so any owner is
-			// representative; for a hot value the split relation's
-			// tuple pins the slot within the sub-range, exactly as its
-			// map side routed it.
+			// representative; a hot value's run owns the combination at
+			// the slot its members' tuples share, exactly as their map
+			// side routed them.
 			cell := 0
-			for d := range slotters {
-				ds := slotters[d]
-				sr := ds.rangeOf(groups[dimOwner[d]][sel[dimOwner[d]]][dimOwnCol[d]])
-				c := sr.lo
-				if sr.w > 1 {
-					c = sr.lo + int(skew.TupleHash(groups[ds.split][sel[ds.split]])%uint64(sr.w))
+			for d, g := range dims {
+				key := g.key(groups[dimOwner[d]][sel[dimOwner[d]]][dimOwnCol[d]])
+				run := g.layout.Hot(key)
+				if run == nil {
+					cell += g.layout.Cold(key) * strides[d]
+					continue
 				}
-				cell += c * strides[d]
+				if hashes == nil {
+					hashes = make([]uint64, m)
+				}
+				for i, grp := range groups {
+					hashes[i] = pinHash(run, i, grp[sel[i]])
+				}
+				cell += run.Owner(hashes) * strides[d]
 			}
 			if uint64(cell) != key {
 				return // another reducer owns this combination
@@ -527,34 +490,29 @@ func BuildShareGridJob(name string, rels []*relation.Relation, conds predicate.C
 }
 
 // emitGrid recursively enumerates the reducer cells a tuple belongs
-// to: known dimensions pin a slot (or, for a hot value, pin within /
-// replicate across its sub-range depending on whether this relation is
-// the dimension's split side), unknown dimensions are swept.
-func emitGrid(t relation.Tuple, tag uint8, relOrd int, known []int, slotters []*dimSlotter, strides []int,
+// to: known dimensions pin a slot (or, for a hot value, the slots of
+// its run this relation's tuple reaches), unknown dimensions are swept.
+func emitGrid(t relation.Tuple, tag uint8, relOrd int, known []int, dims []*gridDim, strides []int,
 	dim, acc int, emit mr.Emitter) {
-	if dim == len(slotters) {
+	if dim == len(dims) {
 		emit(uint64(acc), tag, t)
 		return
 	}
-	ds := slotters[dim]
+	g := dims[dim]
 	col := known[dim]
 	if col < 0 {
-		for c := 0; c < ds.share; c++ {
-			emitGrid(t, tag, relOrd, known, slotters, strides, dim+1, acc+c*strides[dim], emit)
+		for c := 0; c < g.share; c++ {
+			emitGrid(t, tag, relOrd, known, dims, strides, dim+1, acc+c*strides[dim], emit)
 		}
 		return
 	}
-	sr := ds.rangeOf(t[col])
-	if sr.w <= 1 {
-		emitGrid(t, tag, relOrd, known, slotters, strides, dim+1, acc+sr.lo*strides[dim], emit)
+	key := g.key(t[col])
+	run := g.layout.Hot(key)
+	if run == nil {
+		emitGrid(t, tag, relOrd, known, dims, strides, dim+1, acc+g.layout.Cold(key)*strides[dim], emit)
 		return
 	}
-	if relOrd == ds.split {
-		c := sr.lo + int(skew.TupleHash(t)%uint64(sr.w))
-		emitGrid(t, tag, relOrd, known, slotters, strides, dim+1, acc+c*strides[dim], emit)
-		return
-	}
-	for c := sr.lo; c < sr.lo+sr.w; c++ {
-		emitGrid(t, tag, relOrd, known, slotters, strides, dim+1, acc+c*strides[dim], emit)
+	for _, c := range run.Slots(relOrd, pinHash(run, relOrd, t)) {
+		emitGrid(t, tag, relOrd, known, dims, strides, dim+1, acc+c*strides[dim], emit)
 	}
 }

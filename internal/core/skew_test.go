@@ -299,19 +299,19 @@ func TestSkewPlanForGates(t *testing.T) {
 	}
 }
 
-// TestMaxJoinHotFracKnown: "measured uniform" and "never analysed" are
-// different inputs to the σ model — an annotated catalog's empty report
-// is known with pmax 0, a catalog without reports is not known.
+// TestMaxJoinHotFracKnown: a measured-uniform catalog feeds the σ model
+// pmax 0, and a hot key its fraction.
 func TestMaxJoinHotFracKnown(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	u := randRelation("U", 400, 390, rng) // near-unique keys
 	v := randRelation("V", 400, 390, rng)
 	conds := predicate.Conjunction{predicate.C("U", "a", predicate.EQ, "V", "a")}
-	if pmax, known := maxJoinHotFrac(newTestDB(t, u, v).Catalog, conds, KindHashEqui); !known || pmax != 0 {
-		t.Errorf("annotated uniform catalog: pmax %v known %v, want 0 true", pmax, known)
+	if pmax := maxJoinHotFrac(newTestDB(t, u, v).Catalog, conds, KindHashEqui); pmax != 0 {
+		t.Errorf("annotated uniform catalog: pmax %v, want 0", pmax)
 	}
-	bare := relation.NewCatalog([]*relation.Relation{u, v}, 100, nil)
-	if pmax, known := maxJoinHotFrac(bare, conds, KindHashEqui); known || pmax != 0 {
-		t.Errorf("never-analysed catalog: pmax %v known %v, want 0 false", pmax, known)
+	hot := predicate.Conjunction{predicate.C("L", "k", predicate.EQ, "R", "k")}
+	db := newTestDB(t, zipfKeyRelation("L", 1000, 1.3, 500, 62), zipfKeyRelation("R", 300, 1.3, 500, 63))
+	if pmax := maxJoinHotFrac(db.Catalog, hot, KindHashEqui); pmax < skew.MinFrac {
+		t.Errorf("Zipf(1.3) catalog: pmax %v, want >= %v", pmax, skew.MinFrac)
 	}
 }

@@ -36,16 +36,20 @@
 //     tighter threshold when an upstream job's observed BalanceRatio
 //     exceeded the bound its threshold modeled.
 //
-//   - Routing: per SharesSkew (Afrati/Ullman et al.), a heavy hitter's
-//     tuples on one side are split across a Rows×Cols sub-grid of
-//     reducers by a deterministic content hash (TupleHash) while the
-//     matching other side replicates along the opposite axis, so every
-//     joining pair still meets exactly once. EquiPartitioner plugs this
-//     into the engine's shuffle for hash equi-joins — coordinating
-//     sub-grid placement across hot keys so simultaneous heavy
-//     hitters occupy disjoint reducer sets when capacity allows — and
-//     the share-grid operator gives hot rows of its grid finer cells
-//     the same way.
+//   - Routing: per SharesSkew (Afrati/Ullman et al.), a hot value is a
+//     residual join laid out as a Run — a sub-grid of reducers with one
+//     axis per member relation. A member's tuple pins its own axis by a
+//     deterministic content hash (TupleHash) and replicates along the
+//     others, so every joining combination still meets in exactly one
+//     slot, the one Run.Owner names. A Layout finds a value's run by
+//     the 64-bit key its operator already routes by, and each operator
+//     builds its layout with the job by one of two placements: Overlay
+//     for hash equi-joins (an axis per side sized to that side's
+//     fraction, runs of simultaneous hot values on the least-occupied
+//     reducers, cold keys on key mod k) and Carve for share-grid
+//     dimensions (consecutive slots split by the largest member, cold
+//     values hashed over the rest). Each rule alone regresses the other
+//     operator's workloads, so both stay.
 //
 // All routing decisions are pure functions of tuple content and the
 // plan, so execution stays deterministic for any worker count.

@@ -2,14 +2,12 @@ package skew
 
 import (
 	"encoding/binary"
-	"fmt"
 	"hash/fnv"
 	"math"
+	"slices"
 	"sort"
 	"strings"
-	"sync"
 
-	"repro/internal/obs"
 	"repro/internal/relation"
 )
 
@@ -21,8 +19,8 @@ const DefaultThreshold = 1.5
 
 // JobPlan is the skew handling chosen for one planned job: the
 // heavy-hitter reports of the job's join attributes plus the trigger
-// threshold. Operators derive their concrete split layout from it at
-// build time (hash-equi sub-grids, share-grid hot-row refinement).
+// threshold. Operators derive their Layout from it when they build
+// the job (Overlay for hash-equi, Carve for the share grid).
 type JobPlan struct {
 	Threshold float64
 	// Reports holds heavy hitters per relation per column set, keyed by
@@ -89,30 +87,14 @@ func TupleHash(t relation.Tuple) uint64 {
 	return h.Sum64()
 }
 
-// SplitFactor returns the number of sub-reducers a key carrying
-// fraction frac of one side's tuples warrants: 1 (no splitting) while
-// its load stays within threshold × the mean reducer load, otherwise
-// enough sub-reducers to bring each fragment back to roughly the mean.
-func SplitFactor(frac float64, reducers int, threshold float64) int {
-	if frac <= 0 || reducers < 2 || frac*float64(reducers) <= threshold {
-		return 1
-	}
-	f := int(math.Ceil(frac * float64(reducers)))
-	if f > reducers {
-		f = reducers
-	}
-	return f
-}
-
 // SigmaFrac estimates the reducer-input variation coefficient (stddev
 // as a fraction of the mean) the cost model should charge, from the
 // hottest join-key fraction pmax at the given parallelism. The
 // straggler term of the model reads mean + 3σ, so a key holding
 // fraction p implies σ ≈ (p·k − 1)/3 × mean; runtime hot-key splitting
 // bounds the hot reducer near threshold × mean, capping the estimate.
-// A distribution measured near-uniform (pmax ≈ 0) yields a small
-// residual-hash-variance floor rather than the pessimistic constants
-// used when no report exists.
+// A near-uniform distribution (pmax ≈ 0: nothing hot was reported)
+// yields a small residual-hash-variance floor.
 func SigmaFrac(pmax float64, parallelism int, threshold float64) float64 {
 	excess := pmax*float64(parallelism) - 1
 	if excess > threshold {
@@ -125,95 +107,153 @@ func SigmaFrac(pmax float64, parallelism int, threshold float64) float64 {
 	return cv
 }
 
-// Split is the sub-reducer grid one hot join key is spread over:
-// tuples of the row side land in one of Rows row-fragments by
-// TupleHash and replicate across the Cols columns; the column side
-// mirrors. Every joining pair meets in exactly one of the Rows×Cols
-// cells.
-type Split struct {
-	Rows, Cols int
+// Run is the slots one hot value owns, laid out as SharesSkew's
+// residual join: a sub-grid with one axis per member relation of the
+// job. A member's tuple pins its own axis by TupleHash and replicates
+// along every other axis, so the tuples of all members that carry the
+// value share exactly one slot.
+type Run struct {
+	shares  []int
+	strides []int
+	slots   []int // one per sub-grid cell, row-major over the members
+	// pinned[m][i] lists the slots of the cells whose axis m is i: what
+	// member m's tuple reaches, precomputed so routing allocates nothing.
+	pinned [][][]int
 }
 
-// Cells returns Rows×Cols.
-func (s Split) Cells() int { return s.Rows * s.Cols }
-
-// EquiPartitioner routes a repartition equi-join's shuffle with
-// heavy-hitter splitting: non-hot keys go to hash(key) mod n exactly
-// as the default partitioner would; a hot key's pairs spread over the
-// Cells reducers of its sub-grid. It implements mr.Partitioner.
-//
-// Sub-grid placement is coordinated across hot keys: the historical
-// layout placed every grid on the consecutive slots following the
-// key's base, so two hot keys whose base slots were close aliased
-// onto the same reducers and re-concentrated exactly the load the
-// split was meant to spread. gridLayout instead assigns each key's
-// cells to the reducers occupied by the fewest other hot grids
-// (orbiting the key's own base slot for tie-breaks), which is fully
-// disjoint whenever Σ Cells ≤ n and evens out grid occupancy beyond
-// that.
-type EquiPartitioner struct {
-	// Splits maps the job's shuffle key (the composite join-key hash)
-	// of each heavy hitter to its sub-grid.
-	Splits map[uint64]Split
-
-	// Obs, when set, records the hot-key routing layout as trace
-	// events: one "skew-layout" span around the grid computation plus a
-	// "hot-key" instant per split key. The layout is built exactly once
-	// (under layoutOnce, whichever map worker gets there first), so the
-	// shard has a single writer and recording stays race-free.
-	Obs *obs.Shard
-
-	layoutOnce sync.Once
-	layoutN    int
-	layout     map[uint64][]int
-}
-
-// layoutFor returns the slot assignment of every hot grid for n
-// reducers, computing it on first use. A partitioner serves exactly
-// one job (one n); the sync.Once makes the lazy build safe under the
-// engine's concurrent map tasks, and the layout is a pure function of
-// (Splits, n), preserving shuffle determinism.
-func (p *EquiPartitioner) layoutFor(n int) map[uint64][]int {
-	p.layoutOnce.Do(func() {
-		sp := p.Obs.Start("skew-layout", obs.A("hotKeys", len(p.Splits)), obs.A("reducers", n))
-		p.layoutN = n
-		p.layout = gridLayout(p.Splits, n)
-		for key, slots := range p.layout {
-			p.Obs.Instant("hot-key",
-				obs.A("key", fmt.Sprintf("%#x", key)),
-				obs.A("rows", p.Splits[key].Rows), obs.A("cols", p.Splits[key].Cols),
-				obs.A("slots", fmt.Sprint(slots)))
-		}
-		sp.End(obs.A("placed", len(p.layout)))
-	})
-	if p.layoutN != n {
-		// Out-of-contract caller probing a second n: stay correct,
-		// just without caching.
-		return gridLayout(p.Splits, n)
+func newRun(shares, slots []int) *Run {
+	r := &Run{shares: shares, strides: make([]int, len(shares)), slots: slots, pinned: make([][][]int, len(shares))}
+	stride := 1
+	for m := len(shares) - 1; m >= 0; m-- {
+		r.strides[m] = stride
+		stride *= shares[m]
 	}
-	return p.layout
+	for m, s := range shares {
+		r.pinned[m] = make([][]int, s)
+		for cell, slot := range slots {
+			i := cell / r.strides[m] % s
+			r.pinned[m][i] = append(r.pinned[m][i], slot)
+		}
+	}
+	return r
 }
 
-// gridLayout assigns each hot key's Cells() sub-grid slots. Keys are
-// processed in ascending key order (determinism); each picks the
-// slots currently covered by the fewest already-placed grids,
-// tie-breaking by ring distance from the key's own base slot so a
-// lone hot key keeps its historical consecutive run.
-func gridLayout(splits map[uint64]Split, n int) map[uint64][]int {
-	keys := make([]uint64, 0, len(splits))
-	for k := range splits {
-		keys = append(keys, k)
+// Share is the number of slots along member's axis; a member with
+// share 1 replicates over the whole run and needs no TupleHash.
+func (r *Run) Share(member int) int { return r.shares[member] }
+
+// Slots returns the slots a tuple of member with TupleHash hash is
+// routed to. The slice is shared: callers must not modify it.
+func (r *Run) Slots(member int, hash uint64) []int {
+	return r.pinned[member][hash%uint64(r.shares[member])]
+}
+
+// Owner returns the one slot the member tuples with the given hashes
+// (one per member) share: the slot whose reducer owns their
+// combination.
+func (r *Run) Owner(hashes []uint64) int {
+	cell := 0
+	for m, s := range r.shares {
+		cell += int(hashes[m]%uint64(s)) * r.strides[m]
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	occ := make([]int, n)
-	order := make([]int, n)
-	layout := make(map[uint64][]int, len(keys))
-	for _, key := range keys {
-		cells := splits[key].Cells()
-		if cells < 1 || cells > n {
-			continue // Route falls back to plain hashing for this key
+	return r.slots[cell]
+}
+
+// Layout routes one operator's values by the 64-bit key the operator
+// already routes them by: a hot value to its Run, any other value to
+// one cold slot.
+type Layout struct {
+	runs          map[uint64]*Run
+	coldLo, coldN int // cold values hash over [coldLo, coldLo+coldN)
+}
+
+// Hot returns the run of the value with this key, nil when it is cold.
+func (l *Layout) Hot(key uint64) *Run { return l.runs[key] }
+
+// Cold returns the slot of a cold value.
+func (l *Layout) Cold(key uint64) int { return l.coldLo + int(key%uint64(l.coldN)) }
+
+// Len is the number of hot values the layout placed.
+func (l *Layout) Len() int { return len(l.runs) }
+
+// Route implements mr.Partitioner for an operator whose shuffle key is
+// the layout's key and whose input tag is the member ordinal.
+func (l *Layout) Route(dst []int, key uint64, tag uint8, t relation.Tuple, _ int) []int {
+	if run := l.runs[key]; run != nil {
+		return append(dst, run.Slots(int(tag), TupleHash(t))...)
+	}
+	return append(dst, l.Cold(key))
+}
+
+// Hot is one reported heavy hitter as a router sees it: the key its
+// operator routes the value by, the value's text and, per member
+// relation, the fraction of that member's tuples carrying it. Reports
+// of one key from several members may arrive as separate Hots: the
+// placements merge them, keeping each member's largest fraction.
+type Hot struct {
+	Key   uint64
+	Text  string
+	Fracs []float64
+}
+
+// merged folds the reports of each key into one Hot, in ascending key
+// order.
+func merged(hots []Hot) []Hot {
+	at := make(map[uint64]int, len(hots))
+	var out []Hot
+	for _, h := range hots {
+		i, ok := at[h.Key]
+		if !ok {
+			at[h.Key] = len(out)
+			out = append(out, Hot{Key: h.Key, Text: h.Text, Fracs: slices.Clone(h.Fracs)})
+			continue
 		}
-		base := int(key % uint64(n))
+		for m, f := range h.Fracs {
+			out[i].Fracs[m] = max(out[i].Fracs[m], f)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	return out
+}
+
+// Overlay is the hash-equi placement over k reducers. A value whose
+// member fraction f loads a reducer past threshold × the mean (f·k >
+// threshold) gets ⌈f·k⌉ slots on that member's axis; the largest axis
+// shrinks until the run fits in k. Runs overlay the cold slots: in
+// ascending key order, each takes the slots the fewest placed runs
+// cover, ties broken by ring distance from key mod k, so simultaneous
+// hot values sit on disjoint reducers whenever they fit. Cold values
+// hash over all k slots.
+func Overlay(k int, hots []Hot, threshold float64) *Layout {
+	lay := &Layout{runs: make(map[uint64]*Run), coldN: max(k, 1)}
+	if k < 2 {
+		return lay
+	}
+	occ := make([]int, k)
+	order := make([]int, k)
+	for _, h := range merged(hots) {
+		shares := make([]int, len(h.Fracs))
+		for m, f := range h.Fracs {
+			shares[m] = 1
+			if f > 0 && f*float64(k) > threshold {
+				shares[m] = min(int(math.Ceil(f*float64(k))), k)
+			}
+		}
+		cells := product(shares)
+		for cells > k {
+			big := 0
+			for m := range shares {
+				if shares[m] > shares[big] {
+					big = m
+				}
+			}
+			shares[big]--
+			cells = product(shares)
+		}
+		if cells < 2 {
+			continue
+		}
+		base := int(h.Key % uint64(k))
 		for i := range order {
 			order[i] = i
 		}
@@ -222,44 +262,67 @@ func gridLayout(splits map[uint64]Split, n int) map[uint64][]int {
 			if occ[sa] != occ[sb] {
 				return occ[sa] < occ[sb]
 			}
-			return (sa-base+n)%n < (sb-base+n)%n
+			return (sa-base+k)%k < (sb-base+k)%k
 		})
-		slots := append([]int(nil), order[:cells]...)
+		slots := slices.Clone(order[:cells])
 		for _, s := range slots {
 			occ[s]++
 		}
-		layout[key] = slots
+		lay.runs[h.Key] = newRun(shares, slots)
 	}
-	return layout
+	return lay
 }
 
-// Route implements the skew-resilient routing. Tag 0 is the row side
-// (split), any other tag the column side (replicated); with both sides
-// hot the Rows×Cols grid splits each and every pair still meets in
-// exactly one cell — the grid-index → slot mapping is injective, so
-// the single shared cell of a (row, column) tuple pair is a single
-// shared reducer.
-func (p *EquiPartitioner) Route(dst []int, key uint64, tag uint8, t relation.Tuple, n int) []int {
-	base := int(key % uint64(n))
-	sp, ok := p.Splits[key]
-	if !ok || n < 2 || sp.Rows < 1 || sp.Cols < 1 || sp.Cells() > n {
-		return append(dst, base)
+// Carve is the share-grid placement along one grid dimension of share
+// slots. A value whose largest member fraction f passes f·share >
+// threshold gets ⌈f·share⌉ consecutive slots, carved from the front in
+// order of f descending, then text; at least one slot stays cold. Only
+// the split member pins within a run, every other member replicates
+// across it. Cold values hash over the slots left after the runs.
+func Carve(share int, hots []Hot, split int, threshold float64) *Layout {
+	type carved struct {
+		Hot
+		frac float64
 	}
-	slots := p.layoutFor(n)[key]
-	if len(slots) != sp.Cells() {
-		return append(dst, base)
-	}
-	th := TupleHash(t)
-	if tag == 0 {
-		row := int(th % uint64(sp.Rows))
-		for c := 0; c < sp.Cols; c++ {
-			dst = append(dst, slots[row*sp.Cols+c])
+	var hot []carved
+	for _, h := range merged(hots) {
+		if f := slices.Max(h.Fracs); f*float64(share) > threshold {
+			hot = append(hot, carved{h, f})
 		}
-		return dst
 	}
-	col := int(th % uint64(sp.Cols))
-	for r := 0; r < sp.Rows; r++ {
-		dst = append(dst, slots[r*sp.Cols+col])
+	sort.Slice(hot, func(i, j int) bool {
+		if hot[i].frac != hot[j].frac {
+			return hot[i].frac > hot[j].frac
+		}
+		return hot[i].Text < hot[j].Text
+	})
+	lay := &Layout{runs: make(map[uint64]*Run, len(hot))}
+	used := 0
+	for _, h := range hot {
+		w := min(int(math.Ceil(h.frac*float64(share))), share-1-used)
+		if w < 1 {
+			break
+		}
+		shares := make([]int, len(h.Fracs))
+		for m := range shares {
+			shares[m] = 1
+		}
+		shares[split] = w
+		slots := make([]int, w)
+		for i := range slots {
+			slots[i] = used + i
+		}
+		lay.runs[h.Key] = newRun(shares, slots)
+		used += w
 	}
-	return dst
+	lay.coldLo, lay.coldN = used, share-used
+	return lay
+}
+
+func product(xs []int) int {
+	p := 1
+	for _, x := range xs {
+		p *= x
+	}
+	return p
 }
