@@ -14,8 +14,8 @@ import (
 // intermediate does not even have: its input exists only once the
 // upstream job finishes, and a Zipf-hot join key is typically
 // amplified (quadratically, for an equi join) in the intermediate.
-// ExecuteContext therefore runs the skew sketch over every completed
-// job's output, installs the synthesized statistics in a
+// ExecuteContext therefore runs heavy-hitter detection over every
+// completed job's output, installs the synthesized statistics in a
 // per-execution overlay, and re-derives downstream jobs' parameters
 // from measured reality at dispatch time.
 //
@@ -32,10 +32,10 @@ import (
 const replanMinThreshold = 1.05
 
 // feedbackStatsSample bounds the rows Analyze retains when
-// synthesizing an intermediate's statistics. Matching the skew
-// package's exact-pass threshold means every intermediate at or below
-// it is counted exactly (the retained "sample" is the whole relation)
-// rather than sketched.
+// synthesizing an intermediate's statistics. It matches the skew
+// package's exact-pass threshold: heavy-hitter detection counts every
+// row of an intermediate at or below it (the retained "sample" is the
+// whole relation), and the retained rows of a larger one.
 const feedbackStatsSample = 4096
 
 // feedback accumulates the measured statistics of completed jobs: the
@@ -60,9 +60,9 @@ func newFeedback(pl *Planner, db *DB) *feedback {
 	}
 }
 
-// observe ingests a completed job: the statistics pass and the skew
-// sketch run over its output relation (exactly, when it is at most
-// skew.ExactThreshold tuples) and the synthesized TableStats is
+// observe ingests a completed job: the statistics pass and heavy-hitter
+// detection run over its output relation (every row of it, when it is
+// at most skew.ExactThreshold tuples) and the synthesized TableStats is
 // installed in the overlay under the job's name. The sampling rng is
 // seeded from the job name, so the overlay's content is a pure function
 // of the job's (deterministic) output.

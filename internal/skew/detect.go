@@ -16,12 +16,8 @@ const (
 	// below it cannot overload a reducer at any realistic parallelism.
 	MinFrac = 0.05
 	// ExactThreshold: relations with at most this many tuples are
-	// counted exactly instead of sketched from the sample.
+	// counted in full instead of from the retained sample.
 	ExactThreshold = 4096
-	// SketchCapacity is the Misra–Gries counter budget of the sampled
-	// path; the undercount is then at most sample/65, far below
-	// MinFrac × sample.
-	SketchCapacity = 64
 )
 
 // appendCountKey appends the bytes heavy-hitter counting buckets v
@@ -91,11 +87,12 @@ func Report(ts *relation.TableStats, cols []string) []relation.HotKey {
 // individually near-uniform columns can still share one dominant pair
 // that overloads the reducer hashing their composite key.
 //
-// When r is non-nil with at most ExactThreshold tuples — or the
-// retained sample already holds the whole relation — combinations are
-// counted exactly; otherwise the Misra–Gries sketch runs over the
-// seeded sample rows, so the report is deterministic across runs
-// either way. A row with a NULL in any of the columns carries no key.
+// When r is non-nil with at most ExactThreshold tuples, the whole
+// relation is counted; otherwise the seeded sample rows are, exactly,
+// and each count scales to the relation's cardinality (unless the
+// sample already holds the whole relation). The report is therefore
+// deterministic across runs either way. A row with a NULL in any of
+// the columns carries no key.
 // Unknown column names and an empty set yield nil.
 func HotKeys(ts *relation.TableStats, r *relation.Relation, cols []string) []relation.HotKey {
 	if ts == nil || len(cols) == 0 {
@@ -122,9 +119,9 @@ func HotKeys(ts *relation.TableStats, r *relation.Relation, cols []string) []rel
 		return nil
 	}
 	// seen is one distinct key: its interned bytes, the first row
-	// carrying it and, on the exact path, its count. Indexing with
-	// string(kb) allocates only on a key's first occurrence; every
-	// later row reuses the interned string.
+	// carrying it and its count. Indexing with string(kb) allocates
+	// only on a key's first occurrence; every later row reuses the
+	// interned string.
 	type seen struct {
 		key string
 		row int32
@@ -132,10 +129,6 @@ func HotKeys(ts *relation.TableStats, r *relation.Relation, cols []string) []rel
 	}
 	index := make(map[string]int32)
 	var keys []seen
-	var sk *Sketch
-	if !exact {
-		sk = NewSketch(SketchCapacity)
-	}
 	var kb []byte
 rows:
 	for ri, t := range rows {
@@ -152,19 +145,12 @@ rows:
 			keys = append(keys, seen{key: string(kb), row: int32(ri)})
 			index[keys[i].key] = i
 		}
-		if exact {
-			keys[i].n++
-		} else {
-			sk.Add(keys[i].key)
-		}
+		keys[i].n++
 	}
 	n := float64(len(rows))
 	var hot []relation.HotKey
 	for _, s := range keys {
 		c := s.n
-		if !exact {
-			c, _ = sk.Estimate(s.key)
-		}
 		frac := float64(c) / n
 		if frac < MinFrac || c < 2 {
 			continue

@@ -26,15 +26,15 @@ func zipfRel(name string, n int, s float64, seed int64) *relation.Relation {
 	return r
 }
 
-// TestAnnotateExactVsSampled: the sketch-over-sample path agrees with
-// the exact pass on which keys are heavy and roughly on their
+// TestAnnotateExactVsSampled: counting the sample agrees with counting
+// the whole relation on which keys are heavy and roughly on their
 // fractions.
 func TestAnnotateExactVsSampled(t *testing.T) {
 	r := zipfRel("Z", 3000, 1.2, 5)
 	exactTS := relation.Analyze(r, 3000, rand.New(rand.NewSource(1)))
 	AnnotateTable(exactTS, r) // cardinality ≤ ExactThreshold → exact pass
 	sampledTS := relation.Analyze(r, 600, rand.New(rand.NewSource(1)))
-	AnnotateTable(sampledTS, nil) // no relation → sketch over sample
+	AnnotateTable(sampledTS, nil) // no relation → count the sample
 
 	exact, sampled := exactTS.HotKeys["k"], sampledTS.HotKeys["k"]
 	if len(exact) == 0 || len(sampled) == 0 {
@@ -85,7 +85,7 @@ func TestAnnotateUniformColumn(t *testing.T) {
 // TestAnnotateDeterministic: two annotations from identically seeded
 // analyses produce identical reports.
 func TestAnnotateDeterministic(t *testing.T) {
-	r := zipfRel("D", 9000, 1.2, 13) // above ExactThreshold → sketch path
+	r := zipfRel("D", 9000, 1.2, 13) // above ExactThreshold → sample path
 	a := relation.Analyze(r, 500, rand.New(rand.NewSource(4)))
 	b := relation.Analyze(r, 500, rand.New(rand.NewSource(4)))
 	AnnotateTable(a, r)
@@ -208,7 +208,7 @@ func TestHotKeys(t *testing.T) {
 // the detector over that column as a set of one, down to Count and
 // Frac, and Report serves it from the cache.
 func TestHotKeysOneColumnIsASetOfOne(t *testing.T) {
-	for _, n := range []int{3000, 9000} { // exact, then sketched
+	for _, n := range []int{3000, 9000} { // whole relation, then sample
 		r := zipfRel("Z", n, 1.2, 5)
 		ts := relation.Analyze(r, 600, rand.New(rand.NewSource(1)))
 		AnnotateTable(ts, r)

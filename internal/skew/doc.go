@@ -13,11 +13,11 @@
 //
 //   - Detection: one detector (HotKeys) reports the heavy hitters of
 //     a column set as []relation.HotKey — hot value COMBINATIONS, a
-//     single column being a set of one. It counts exactly when the
-//     relation is small enough to scan (ExactThreshold) or the sample
-//     holds every row, and otherwise feeds a Misra–Gries summary
-//     (Sketch) from the sampled statistics pass; because the sampling
-//     RNG is seeded, the report is deterministic across runs.
+//     single column being a set of one. It counts every row when the
+//     relation is small enough to scan (ExactThreshold), and otherwise
+//     counts the sample rows the statistics pass retained, exactly,
+//     scaling each count to the relation; because the sampling RNG is
+//     seeded, the report is deterministic across runs.
 //     AnnotateCatalog runs it once per column and caches the results in
 //     the stats catalog; Report answers from that cache for one column
 //     and detects over the retained sample for any larger set, which
