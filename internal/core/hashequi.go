@@ -93,9 +93,7 @@ func BuildHashEquiJob(name string, left, right *relation.Relation, conds predica
 				hots = append(hots, skew.Hot{Key: h, Fracs: fracs})
 			}
 		}
-		if lay := skew.Overlay(kr, hots, plan.Threshold); lay.Len() > 0 {
-			partitioner = lay
-		}
+		partitioner = skew.Overlay(kr, hots, plan.Threshold)
 	}
 	// Reducer-side verification through the shared indexed evaluator:
 	// within a reduce group (one composite key hash) the equality

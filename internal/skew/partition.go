@@ -128,11 +128,24 @@ func newRun(shares, slots []int) *Run {
 		r.strides[m] = stride
 		stride *= shares[m]
 	}
+	// Every cell lies on exactly one list per member, so one backing
+	// array holds all of them.
+	n := 0
+	for _, s := range shares {
+		n += s
+	}
+	lists := make([][]int, n)
+	back := make([]int, 0, len(shares)*len(slots))
 	for m, s := range shares {
-		r.pinned[m] = make([][]int, s)
-		for cell, slot := range slots {
-			i := cell / r.strides[m] % s
-			r.pinned[m][i] = append(r.pinned[m][i], slot)
+		r.pinned[m], lists = lists[:s:s], lists[s:]
+		for i := range s {
+			start := len(back)
+			for cell, slot := range slots {
+				if cell/r.strides[m]%s == i {
+					back = append(back, slot)
+				}
+			}
+			r.pinned[m][i] = back[start:len(back):len(back)]
 		}
 	}
 	return r
@@ -172,9 +185,6 @@ func (l *Layout) Hot(key uint64) *Run { return l.runs[key] }
 
 // Cold returns the slot of a cold value.
 func (l *Layout) Cold(key uint64) int { return l.coldLo + int(key%uint64(l.coldN)) }
-
-// Len is the number of hot values the layout placed.
-func (l *Layout) Len() int { return len(l.runs) }
 
 // Route implements mr.Partitioner for an operator whose shuffle key is
 // the layout's key and whose input tag is the member ordinal.

@@ -193,8 +193,8 @@ func TestCarve(t *testing.T) {
 			t.Errorf("key %d: replicating member reaches %v, want the whole run", key, got)
 		}
 	}
-	if lay.Len() != 3 || lay.Hot(4) != nil {
-		t.Errorf("placed %d runs (key 4: %v), want 3 and key 4 cold", lay.Len(), lay.Hot(4))
+	if len(lay.runs) != 3 || lay.Hot(4) != nil {
+		t.Errorf("placed %d runs (key 4: %v), want 3 and key 4 cold", len(lay.runs), lay.Hot(4))
 	}
 	for key := uint64(0); key < 64; key++ {
 		if c := lay.Cold(key); c != 15 {
@@ -308,10 +308,10 @@ func TestOverlayMultiHotSpread(t *testing.T) {
 	t.Logf("multi-hot balance ratio: overlay %.2f vs consecutive %.2f", got, old)
 }
 
-// TestOverlayOverCapacity: three 8-cell runs on 16 slots cannot be
-// disjoint, but occupancy must stay even — no slot carries all three
-// runs while another carries none.
-func TestOverlayOverCapacity(t *testing.T) {
+// TestGridLayoutOverCapacity: three 8-cell Overlay runs on 16 slots
+// cannot be disjoint, but occupancy must stay even — no slot carries
+// all three runs while another carries none.
+func TestGridLayoutOverCapacity(t *testing.T) {
 	const n = 16
 	lay := Overlay(n, []Hot{hot2(3, 0.25, 0.125), hot2(4, 0.25, 0.125), hot2(5, 0.25, 0.125)}, DefaultThreshold)
 	occ := make([]int, n)
