@@ -37,7 +37,7 @@ func shuffleJob(n, fanout, reducers int) *mr.Job {
 		Inputs: []mr.Input{{Rel: in, Map: func(t relation.Tuple, emit mr.Emitter) {
 			v := uint64(t[0].Int64())
 			for f := 0; f < fanout; f++ {
-				emit(v*31+uint64(f), 0, t)
+				emit(v*31+uint64(f), 0)
 			}
 		}}},
 		Reduce: func(key uint64, groups [][]relation.Tuple, ctx *mr.ReduceContext) {

@@ -495,7 +495,7 @@ func BuildShareGridJob(name string, rels []*relation.Relation, conds predicate.C
 func emitGrid(t relation.Tuple, tag uint8, relOrd int, known []int, dims []*gridDim, strides []int,
 	dim, acc int, emit mr.Emitter) {
 	if dim == len(dims) {
-		emit(uint64(acc), tag, t)
+		emit(uint64(acc), tag)
 		return
 	}
 	g := dims[dim]

@@ -52,7 +52,7 @@ func BuildThetaJob(name string, rels []*relation.Relation, conds predicate.Conju
 			Map: func(t relation.Tuple, emit mr.Emitter) {
 				id := tupleGlobalID(t[rid], card, salt, dim)
 				for _, comp := range part.ComponentsOf(dim, id) {
-					emit(uint64(comp), uint8(dim), t)
+					emit(uint64(comp), uint8(dim))
 				}
 			},
 		}

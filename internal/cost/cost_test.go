@@ -175,7 +175,7 @@ func TestModelTracksSimulator(t *testing.T) {
 	r := cfg.Rates()
 	job := &mr.Job{
 		Name:   "selfjoin-sample",
-		Inputs: []mr.Input{{Rel: in, Map: func(t relation.Tuple, emit mr.Emitter) { emit(uint64(t[0].Int64()), 0, t) }}},
+		Inputs: []mr.Input{{Rel: in, Map: func(t relation.Tuple, emit mr.Emitter) { emit(uint64(t[0].Int64()), 0) }}},
 		Reduce: func(key uint64, groups [][]relation.Tuple, ctx *mr.ReduceContext) {
 			ctx.AddWork(int64(len(groups[0])) * int64(len(groups[0])))
 			ctx.Emit(relation.Tuple{groups[0][0][0]})

@@ -47,9 +47,9 @@ var errClosed = errors.New("dfs: block store closed")
 // how many of them sit in memory.
 //
 // It implements mr.SpillStore, and has one user: an engine run with
-// Config.SpillBudgetBytes set writes its sorted shuffle runs here, in
-// the raw tuple codec, and reducers stream-merge them back through the
-// page cache. Job inputs never come from here — they are always
+// Config.SpillBudgetBytes set writes its sorted shuffle runs here, as
+// records naming their rows, and reducers stream-merge them back
+// through the page cache. Job inputs never come from here — they are always
 // materialized relations.
 //
 // The cache is transparent: every read returns exactly the sealed

@@ -435,7 +435,7 @@ func TestFullyOutOfCoreJob(t *testing.T) {
 	job := func(rel *relation.Relation) *mr.Job {
 		return &mr.Job{
 			Name:   "count",
-			Inputs: []mr.Input{{Rel: rel, Map: func(tp relation.Tuple, emit mr.Emitter) { emit(uint64(tp[0].Int64()), 0, tp) }}},
+			Inputs: []mr.Input{{Rel: rel, Map: func(tp relation.Tuple, emit mr.Emitter) { emit(uint64(tp[0].Int64()), 0) }}},
 			Reduce: func(key uint64, groups [][]relation.Tuple, ctx *mr.ReduceContext) {
 				ctx.Emit(relation.Tuple{groups[0][0][0], relation.Int(int64(len(groups[0])))})
 			},

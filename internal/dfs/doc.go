@@ -25,19 +25,18 @@
 // through the page cache, so resident pair memory is bounded by the
 // budget instead of proportional to the shuffle volume.
 //
-// Spilled pairs are written in internal/relation's raw tuple codec
-// (AppendTupleRaw/DecodeTupleRaw), the one binary encoding in the tree.
+// A spilled pair is a record of a few bytes — key, tag and the ordinal
+// of its row in the producing map task's split — not the row's bytes.
 // Job inputs are always materialized relations: nothing is read from
 // the store as a job's input.
 //
 // # Bounded-memory contract and knobs
 //
 // The contract: results are bit-identical whether execution is
-// in-memory or out-of-core. Spilled pairs round-trip through the raw
-// tuple codec bit-identically (dictionary code slots included), and
-// the page cache is transparent — budget, page size, eviction order,
-// slot reuse and concurrency affect only CacheStats, never a returned
-// byte.
+// in-memory or out-of-core. A spilled record resolves to the very row
+// the in-memory path would have shuffled, and the page cache is
+// transparent — budget, page size, eviction order, slot reuse and
+// concurrency affect only CacheStats, never a returned byte.
 // mr.Metrics reports the difference instead: SpillBytes/SpillRuns
 // count what went to disk, PeakLiveBytes the accounted resident
 // high-water mark.

@@ -48,7 +48,7 @@ func TestAttemptsRunOnTheirWorker(t *testing.T) {
 		if n := int64(runtime.NumGoroutine()); n > peak.Load() {
 			peak.Store(n) // racing stores lose a sample, never invent one
 		}
-		emit(uint64(tu[0].Int64()), 0, tu)
+		emit(uint64(tu[0].Int64()), 0)
 	}
 	cfg := smallConfig()
 	cfg.TuplesPerMapTask = 1

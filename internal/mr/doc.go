@@ -77,11 +77,14 @@
 //
 // # A pair from emit to Reduce
 //
-// A pair is measured once: emit takes its tuple's EncodedSize, once
-// however many reducers the pair is routed to (a spilled pair is
-// measured again when it is decoded), and the spill budget, the shuffle
-// bytes and the residency accounting all read that number. It is copied
-// once on each side. A map attempt appends routed pairs to one flat
+// A pair's value is always the row being mapped: an Emitter takes a key
+// and a tag, and the engine pairs them with the tuple its MapFunc was
+// handed. The row is measured once, however many pairs it makes and
+// reducers they are routed to, and the spill budget, the shuffle bytes
+// and the residency accounting all read that number. A spilled pair
+// is not decoded but resolved: its record names the row by ordinal in
+// the producing task's split, and the reader re-measures that row. It
+// is copied once on each side. A map attempt appends routed pairs to one flat
 // buffer the run lends it, then deals them, stably, into a single
 // exactly sized block whose subslices are the per-reducer buckets. A
 // reduce attempt merges its runs and copies each tuple header into the
@@ -107,14 +110,17 @@
 //
 // # Spill integrity
 //
-// Spilled runs are written as checksummed frames (~32 KiB of pairs,
-// each with a CRC32 header; a pair never spans frames). Readers verify
-// every frame before decoding; a mismatch is counted
+// Spilled runs are written as checksummed frames (~32 KiB of records,
+// each frame with a CRC32 header; a record never spans frames, so one
+// read takes a whole frame, and a header promising more is corrupt).
+// Readers verify every frame before decoding; a mismatch is counted
 // (Metrics.ChecksumFailures, the mr.checksum_failures quarantine
 // counter) and the frame is re-read — failover to a surviving replica,
 // priced by Config.DFSReplication — before the attempt fails with a
 // retryable error. A transient corruption therefore costs a counter
 // tick and a failover read; only persistent corruption of every
 // replica can surface an error, and even that error is retried with a
-// fresh attempt.
+// fresh attempt. A checksum vouches for bytes, not for their writer: a
+// verified record whose row ordinal lies past its split is an error,
+// never an index.
 package mr

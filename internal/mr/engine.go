@@ -1,6 +1,7 @@
 package mr
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"runtime"
@@ -132,9 +133,10 @@ type Result struct {
 }
 
 // pair is one shuffled (key, tagged tuple). size is the tuple's
-// EncodedSize, measured once — at emit, or when a spilled pair is
-// decoded — and read by every byte count from there to the reducer. It
-// sits in the padding after tag: the struct stays 40 bytes.
+// EncodedSize, measured once — when its row is mapped, or when a
+// spilled record is resolved to its row — and read by every byte count
+// from there to the reducer. It sits in the padding after tag: the
+// struct stays 40 bytes.
 type pair struct {
 	key   uint64
 	tag   uint8
@@ -408,7 +410,11 @@ func (r *run) mapAttempt(actx context.Context, ti, attempt int, sh *obs.Shard) (
 	var replPairs int64
 	var emitErr error
 	var routeBuf []int
-	emit := func(key uint64, tag uint8, value relation.Tuple) {
+	// The row being mapped: every pair emit makes carries it.
+	var row int
+	var cur relation.Tuple
+	var size uint32
+	emit := func(key uint64, tag uint8) {
 		if int(tag) >= len(job.Inputs) {
 			if emitErr == nil {
 				emitErr = fmt.Errorf("mr: job %s: map emitted tag %d, the job has %d inputs", job.Name, tag, len(job.Inputs))
@@ -416,16 +422,14 @@ func (r *run) mapAttempt(actx context.Context, ti, attempt int, sh *obs.Shard) (
 			return
 		}
 		if job.Partitioner != nil {
-			routeBuf = job.Partitioner.Route(routeBuf[:0], key, tag, value, nRed)
+			routeBuf = job.Partitioner.Route(routeBuf[:0], key, tag, cur, nRed)
 		} else {
 			routeBuf = append(routeBuf[:0], int(key%uint64(nRed)))
 		}
 		if len(routeBuf) > 1 {
 			replPairs += int64(len(routeBuf) - 1)
 		}
-		// The tuple is measured here, once, however many reducers it is
-		// routed to.
-		p := pair{key: key, tag: tag, size: uint32(value.EncodedSize()), tuple: value}
+		p := pair{key: key, tag: tag, size: size, tuple: cur}
 		modeled := p.modeledBytes(task.multiplier)
 		for _, red := range routeBuf {
 			if red < 0 || red >= nRed {
@@ -435,7 +439,7 @@ func (r *run) mapAttempt(actx context.Context, ti, attempt int, sh *obs.Shard) (
 				return
 			}
 			if spiller != nil {
-				if err := spiller.add(red, p); err != nil && emitErr == nil {
+				if err := spiller.add(red, spillRec{key: key, row: uint32(row), size: size, tag: tag}); err != nil && emitErr == nil {
 					emitErr = err
 					return
 				}
@@ -461,6 +465,8 @@ func (r *run) mapAttempt(actx context.Context, ti, attempt int, sh *obs.Shard) (
 				return fail(err)
 			}
 		}
+		// The row is measured here, once, however many pairs it makes.
+		row, cur, size = i, t, uint32(t.EncodedSize())
 		mapFn(t, emit)
 		if emitErr != nil {
 			return fail(emitErr)
@@ -486,7 +492,7 @@ func (r *run) mapAttempt(actx context.Context, ti, attempt int, sh *obs.Shard) (
 		sortSp := sh.Start("spill-sort", obs.A("task", ti))
 		buckets = routed.partition(nRed)
 		for red := range buckets {
-			sortBucket(buckets[red])
+			sortBucket(buckets[red], pairByKey)
 		}
 		sortSp.End()
 	}
@@ -556,16 +562,29 @@ func (r *run) reducePhase(ctx context.Context) error {
 // gather collects reducer red's key-sorted runs from every committed
 // map task, in (task, flush) order, with their pair count, the
 // accounted bytes of the in-memory ones and how many of those carry
-// each tag. Spilled runs pass their read buffer on through spare.
-func (r *run) gather(red int, spare *[]byte) (srcs []*pairSource, n int, memReal int64, memTags []int) {
-	srcs = make([]*pairSource, 0, len(r.tasks))
+// each tag. The runs are counted first and go into one exactly sized
+// slice. Spilled runs pass their read buffer on through spare.
+func (r *run) gather(red int, spare *[]byte) (srcs []pairSource, n int, memReal int64, memTags []int) {
+	runs := 0
+	for ti := range r.tasks {
+		if ts := r.spills[ti]; ts != nil {
+			for _, fl := range ts.flushes {
+				if fl.segs[red].count > 0 {
+					runs++
+				}
+			}
+		}
+		if tb := r.buckets[ti]; tb != nil && len(tb[red]) > 0 {
+			runs++
+		}
+	}
+	srcs = make([]pairSource, 0, runs)
 	memTags = make([]int, len(r.job.Inputs))
 	for ti := range r.tasks {
-		mult := r.tasks[ti].multiplier
 		if ts := r.spills[ti]; ts != nil {
 			for _, fl := range ts.flushes {
 				if seg := fl.segs[red]; seg.count > 0 {
-					srcs = append(srcs, diskSource(fl.file, seg, mult, r.ft, ti, spare))
+					srcs = append(srcs, diskSource(fl.file, seg, ti, r.ft, spare))
 					n += seg.count
 				}
 			}
@@ -578,7 +597,7 @@ func (r *run) gather(red int, spare *[]byte) (srcs []*pairSource, n int, memReal
 				memReal += p.realBytes()
 				memTags[p.tag]++
 			}
-			srcs = append(srcs, memSource(b, mult))
+			srcs = append(srcs, memSource(b, ti))
 			n += len(b)
 		}
 	}
@@ -617,7 +636,7 @@ func (r *run) reduceAttempt(actx context.Context, red, attempt int, sh *obs.Shar
 	both := make([][]relation.Tuple, 2*nTags)
 	bufs, groups := both[:nTags], both[nTags:]
 	key := srcs[0].firstKey()
-	if !slices.ContainsFunc(srcs, func(s *pairSource) bool { return s.firstKey() != key || s.lastKey() != key }) {
+	if !slices.ContainsFunc(srcs, func(s pairSource) bool { return s.firstKey() != key || s.lastKey() != key }) {
 		for tag, c := range memTags {
 			bufs[tag] = make([]relation.Tuple, 0, c)
 		}
@@ -643,7 +662,7 @@ func (r *run) reduceAttempt(actx context.Context, red, attempt int, sh *obs.Shar
 		runLen, runReal = 0, 0
 	}
 	var merged int
-	err := mergeSources(srcs, func(p pair, s *pairSource) error {
+	err := mergeSources(srcs, r.tasks, func(p pair, task int) error {
 		// Cancellation check mid-merge: a cancelled run must not
 		// finish a large merge before noticing.
 		if merged++; merged&1023 == 0 {
@@ -651,7 +670,7 @@ func (r *run) reduceAttempt(actx context.Context, red, attempt int, sh *obs.Shar
 				return err
 			}
 		}
-		bytes += p.modeledBytes(s.mult)
+		bytes += p.modeledBytes(r.tasks[task].multiplier)
 		if runLen > 0 && p.key != curKey {
 			flushRun()
 		}
@@ -927,23 +946,17 @@ func appendDoubling[T any](s []T, v T) []T {
 	return append(s, v)
 }
 
-// sortBucket stable-sorts one spill bucket by key, preserving emission
-// order within a key. Buckets that are already ordered — every job
-// whose keys are reducer ordinals — are detected in one linear pass and
-// left untouched.
-func sortBucket(b []pair) {
-	sorted := true
-	for i := 1; i < len(b); i++ {
-		if b[i].key < b[i-1].key {
-			sorted = false
-			break
-		}
+// sortBucket stable-sorts one bucket — of in-memory pairs or of spill
+// records — with byKey, preserving emission order within a key. Buckets
+// that are already ordered — every job whose keys are reducer ordinals —
+// are detected in one linear pass and left untouched.
+func sortBucket[T any](b []T, byKey func(a, b T) int) {
+	if !slices.IsSortedFunc(b, byKey) {
+		slices.SortStableFunc(b, byKey)
 	}
-	if sorted {
-		return
-	}
-	sort.SliceStable(b, func(i, j int) bool { return b[i].key < b[j].key })
 }
+
+func pairByKey(a, b pair) int { return cmp.Compare(a.key, b.key) }
 
 // simulate advances the discrete-event clock: map tasks run in waves
 // over mapSlots (a task with f injected failures occupies its slot for

@@ -82,7 +82,7 @@ func newGroupProbe(rng *rand.Rand, nTags, nRed, keys int) groupProbe {
 			rel.MustAppend(relation.Tuple{relation.Int(k), relation.Int(int64(tag*1000 + i))})
 		}
 		tag := uint8(tag)
-		inputs[tag] = Input{Rel: rel, Map: func(t relation.Tuple, emit Emitter) { emit(keyOf(t), tag, t) }}
+		inputs[tag] = Input{Rel: rel, Map: func(t relation.Tuple, emit Emitter) { emit(keyOf(t), tag) }}
 		for _, t := range rel.Tuples {
 			route = fanOut{}.Route(route[:0], keyOf(t), tag, t, nRed)
 			for _, red := range route {
@@ -184,7 +184,7 @@ func TestReduceGroupsMatchReferenceSplit(t *testing.T) {
 // input for is reported, not indexed with.
 func TestOutOfRangeTagIsError(t *testing.T) {
 	job := countJob(intsRelation("in", 1, 2, 3), 2)
-	job.Inputs[0].Map = func(t relation.Tuple, emit Emitter) { emit(1, 1, t) }
+	job.Inputs[0].Map = func(t relation.Tuple, emit Emitter) { emit(1, 1) }
 	for _, budget := range []int64{0, 64} {
 		cfg := smallConfig()
 		cfg.SpillBudgetBytes = budget
@@ -195,46 +195,63 @@ func TestOutOfRangeTagIsError(t *testing.T) {
 	}
 }
 
-// sizeProbePairs covers what EncodedSize depends on: NULLs, numbers,
-// plain strings (length-priced) and interned ones (code-priced).
-func sizeProbePairs() []pair {
-	tuples := []relation.Tuple{
-		{},
+// sizeProbeSplit is a split whose rows cover what EncodedSize depends
+// on: NULLs, numbers, plain strings (length-priced) and interned ones
+// (code-priced).
+func sizeProbeSplit() []relation.Tuple {
+	return []relation.Tuple{
 		{relation.Null(), relation.Int(-7), relation.Float(2.5), relation.TimeUnix(99)},
 		{relation.Str(""), relation.Str("plain string"), relation.InternedStr("interned", 0)},
 		{relation.InternedStr("big code", 1<<21), relation.Null(), relation.Str(strings.Repeat("x", 300))},
 	}
-	ps := make([]pair, len(tuples))
-	for i, tp := range tuples {
-		ps[i] = pair{key: uint64(i) << 40, tag: uint8(i), size: uint32(tp.EncodedSize()), tuple: tp}
-	}
-	return ps
 }
 
-// encodePairs is the bytes appendPair produces for ps, back to back: one
-// frame's payload.
-func encodePairs(ps []pair) []byte {
+// sizeProbeRecords names every row of split once, with keys and tags
+// that reach the top bytes of their fields.
+func sizeProbeRecords(split []relation.Tuple) []spillRec {
+	recs := make([]spillRec, len(split))
+	for i, t := range split {
+		recs[i] = spillRec{key: uint64(i+1) << 60, row: uint32(i), size: uint32(t.EncodedSize()), tag: uint8(i << 7)}
+	}
+	return recs
+}
+
+// encodeRecords is the bytes appendRecord produces for recs, back to
+// back: one frame's payload.
+func encodeRecords(recs []spillRec) []byte {
 	var b []byte
-	for _, p := range ps {
-		b = appendPair(b, p)
+	for _, rec := range recs {
+		b = appendRecord(b, rec)
 	}
 	return b
 }
 
-// decodePairs decodes a whole payload.
-func decodePairs(b []byte) ([]pair, error) {
+// decodePairs decodes a whole payload against split and returns the
+// pairs decoded before any error, with the bytes they took.
+func decodePairs(b []byte, split []relation.Tuple) ([]pair, int, error) {
 	var ps []pair
-	for len(b) > 0 {
-		p, rest, err := decodePair(b)
+	n := 0
+	for n < len(b) {
+		p, rest, err := decodeRecord(b[n:], split)
 		if err != nil {
-			return ps, err
+			return ps, n, err
 		}
-		if len(rest) >= len(b) {
-			return ps, fmt.Errorf("decodePair consumed nothing of %d bytes", len(b))
+		if len(rest) >= len(b)-n {
+			return ps, n, fmt.Errorf("decodeRecord consumed nothing of %d bytes", len(b)-n)
 		}
-		ps, b = append(ps, p), rest
+		ps, n = append(ps, p), len(b)-len(rest)
 	}
-	return ps, nil
+	return ps, n, nil
+}
+
+// rowOf returns the ordinal of the split row t is, by identity, or -1.
+func rowOf(t relation.Tuple, split []relation.Tuple) int {
+	for i, row := range split {
+		if len(t) > 0 && len(row) == len(t) && &row[0] == &t[0] {
+			return i
+		}
+	}
+	return -1
 }
 
 func samePairs(a, b []pair) bool {
@@ -248,15 +265,17 @@ func samePairs(a, b []pair) bool {
 // that now read the field equal the ones that walked the tuple — pinned
 // here to the values the engine reported before pairs carried a size.
 func TestPairSizeMeasuredOnce(t *testing.T) {
-	want := sizeProbePairs()
-	got, err := decodePairs(encodePairs(want))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !samePairs(got, want) {
-		t.Fatalf("round trip changed the pairs:\n%v\nvs\n%v", got, want)
+	split := sizeProbeSplit()
+	recs := sizeProbeRecords(split)
+	got, _, err := decodePairs(encodeRecords(recs), split)
+	if err != nil || len(got) != len(recs) {
+		t.Fatalf("decoded %d of %d records: %v", len(got), len(recs), err)
 	}
 	for i, p := range got {
+		rec := recs[i]
+		if p.key != rec.key || p.tag != rec.tag || p.size != rec.size || rowOf(p.tuple, split) != int(rec.row) {
+			t.Errorf("record %+v came back as key %#x tag %d size %d row %d", rec, p.key, p.tag, p.size, rowOf(p.tuple, split))
+		}
 		if int(p.size) != p.tuple.EncodedSize() {
 			t.Errorf("pair %d: size %d, tuple measures %d", i, p.size, p.tuple.EncodedSize())
 		}
@@ -269,7 +288,7 @@ func TestPairSizeMeasuredOnce(t *testing.T) {
 		runs                      int
 	}{
 		{budget: 0, shuffle: 28718, peak: 35706, out: 984},
-		{budget: 512, shuffle: 28718, peak: 702, spill: 38514, runs: 57, out: 984},
+		{budget: 512, shuffle: 28718, peak: 702, spill: 11272, runs: 57, out: 984},
 	} {
 		cfg := smallConfig()
 		cfg.SpillBudgetBytes = pin.budget
@@ -318,31 +337,36 @@ func TestMapPartitionStable(t *testing.T) {
 	}
 }
 
-// FuzzSpillFrame: decodePair reads spill bytes back from disk. Whatever
-// the bytes are it must return pairs or an error — no panic, no read
-// past the payload, progress on every pair — and whatever it returns
-// must survive being written by appendPair and decoded again.
+// FuzzSpillFrame: decodeRecord reads spill records back from disk and
+// resolves them against a split. Whatever the bytes are it must return
+// pairs or an error — no panic, no read past the payload, no row outside
+// the split, progress on every record — and the bytes it accepts must be
+// exactly what appendRecord writes for the records it returns.
 func FuzzSpillFrame(f *testing.F) {
-	whole := encodePairs(sizeProbePairs())
+	split := sizeProbeSplit()
+	whole := encodeRecords(sizeProbeRecords(split))
 	f.Add(whole)
 	f.Add(whole[:len(whole)-3])
-	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, 2, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}) // arity far beyond the payload
+	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, 2, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}) // a row far past the split
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		// An exact-capacity copy: a read past the end is out of range.
-		ps, err := decodePairs(slices.Clip(slices.Clone(payload)))
-		if err != nil && len(ps) == 0 {
-			return
+		ps, n, err := decodePairs(slices.Clip(slices.Clone(payload)), split)
+		if err == nil && n != len(payload) {
+			t.Fatalf("decoded %d of %d bytes without an error", n, len(payload))
 		}
-		for _, p := range ps {
+		recs := make([]spillRec, len(ps))
+		for i, p := range ps {
+			row := rowOf(p.tuple, split)
+			if row < 0 {
+				t.Fatalf("pair %d is no row of the split: %v", i, p.tuple)
+			}
 			if int(p.size) != p.tuple.EncodedSize() {
 				t.Fatalf("decoded pair carries size %d, its tuple measures %d", p.size, p.tuple.EncodedSize())
 			}
+			recs[i] = spillRec{key: p.key, row: uint32(row), size: p.size, tag: p.tag}
 		}
-		// Compared as bytes: a decoded float may be a NaN, unequal to itself.
-		written := encodePairs(ps)
-		again, err := decodePairs(written)
-		if err != nil || len(again) != len(ps) || !bytes.Equal(encodePairs(again), written) {
-			t.Fatalf("pairs decoded from %x do not round-trip: %v\n%v\nvs\n%v", payload, err, again, ps)
+		if written := encodeRecords(recs); !bytes.Equal(written, payload[:n]) {
+			t.Fatalf("records decoded from %x re-encode as %x", payload[:n], written)
 		}
 	})
 }

@@ -7,15 +7,17 @@ import (
 	"repro/internal/relation"
 )
 
-// Emitter receives map output. tag is the ordinal of the input that
-// produced the value (below len(Job.Inputs)), so join reducers get their
-// sides apart. A key goes to reducer key mod numReducers unless the
-// job sets a Partitioner; jobs whose keys are reducer ordinals rely on
-// that default.
-type Emitter func(key uint64, tag uint8, value relation.Tuple)
+// Emitter receives map output: one call shuffles the tuple being mapped
+// under key. tag is the ordinal of the input that produced it (below
+// len(Job.Inputs)), so join reducers get their sides apart. A key goes
+// to reducer key mod numReducers unless the job sets a Partitioner; jobs
+// whose keys are reducer ordinals rely on that default.
+type Emitter func(key uint64, tag uint8)
 
-// MapFunc transforms one input tuple into zero or more (key, tagged
-// tuple) pairs.
+// MapFunc routes one input tuple: it emits it under zero or more (key,
+// tag) pairs. The value a pair carries is always t itself, a row of the
+// input relation, which is what lets a spilled pair name its row
+// instead of carrying its bytes.
 type MapFunc func(t relation.Tuple, emit Emitter)
 
 // ReduceContext lets reducers report work (candidate combinations

@@ -120,8 +120,8 @@ func concatJoinJob(left, right *relation.Relation, reducers int) *Job {
 	return &Job{
 		Name: "concat",
 		Inputs: []Input{
-			{Rel: left, Map: func(t relation.Tuple, emit Emitter) { emit(uint64(t[0].Int64()), 0, t) }},
-			{Rel: right, Map: func(t relation.Tuple, emit Emitter) { emit(uint64(t[0].Int64()), 1, t) }},
+			{Rel: left, Map: func(t relation.Tuple, emit Emitter) { emit(uint64(t[0].Int64()), 0) }},
+			{Rel: right, Map: func(t relation.Tuple, emit Emitter) { emit(uint64(t[0].Int64()), 1) }},
 		},
 		Reduce: func(key uint64, groups [][]relation.Tuple, ctx *ReduceContext) {
 			for _, a := range groups[0] {

@@ -2,12 +2,13 @@ package mr
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -25,9 +26,11 @@ import (
 // in-memory path. See Run for the determinism contract; the spill
 // layer preserves it because runs are merged in (key, source ordinal)
 // order with sources ordered (task, flush), exactly the global stable
-// sort order of the in-memory path, and because the pair codec
-// (relation.AppendTupleRaw) round-trips values bit-identically,
-// dictionary code slots included.
+// sort order of the in-memory path, and because a spilled pair names
+// its row instead of carrying its bytes: every value a map function
+// emits is the row it was handed, a row of a job input the run holds
+// for its whole length, so a reader resolves the record to that very
+// row and hands Reduce the slice the in-memory path would have.
 
 // SpillFile is one spill target: append-only while writing, random
 // access (io.ReaderAt) after Seal, reclaimed by Release. The engine
@@ -120,60 +123,84 @@ func (t *tempSpillFile) Release() error {
 	return os.Remove(name)
 }
 
-// ---- Pair codec -------------------------------------------------------
+// ---- Record codec -----------------------------------------------------
 
-// Spilled pair layout: u64 key (LE), u8 tag, tuple in the raw
-// self-describing layout (relation.AppendTupleRaw), which preserves
-// interned-string code slots so EncodedSize — and with it every
-// modeled byte metric — is unchanged by a disk round trip.
-
-func appendPair(dst []byte, p pair) []byte {
-	dst = append(binary.LittleEndian.AppendUint64(dst, p.key), p.tag)
-	return relation.AppendTupleRaw(dst, p.tuple)
+// spillRec is a routed pair as a spilling map task buffers it: the row
+// is the pair's tuple as its ordinal in the task's split, and size its
+// accounted EncodedSize, which the budget reads.
+type spillRec struct {
+	key  uint64
+	row  uint32
+	size uint32
+	tag  uint8
 }
 
-// decodePair decodes the pair at the front of a verified frame payload
-// and returns it, measured, with the rest of the payload.
-func decodePair(b []byte) (pair, []byte, error) {
-	if len(b) < 9 {
+func (s spillRec) realBytes() int64 { return int64(s.size) + 8 }
+
+func recByKey(a, b spillRec) int { return cmp.Compare(a.key, b.key) }
+
+// A spilled record is u64 key (LE) | u8 tag | uvarint row, at most
+// maxRecordLen bytes.
+const maxRecordLen = 8 + 1 + binary.MaxVarintLen32
+
+func appendRecord(dst []byte, s spillRec) []byte {
+	dst = append(binary.LittleEndian.AppendUint64(dst, s.key), s.tag)
+	return binary.AppendUvarint(dst, uint64(s.row))
+}
+
+// decodeRecord decodes the record at the front of a verified frame
+// payload, resolves it against split, the rows of the map task that
+// wrote it, and returns the pair, measured from its row, with the rest
+// of the payload. A row varint that is cut short, longer than it needs
+// to be or past the split is an error: checksums vouch for the bytes,
+// not for the writer.
+func decodeRecord(b []byte, split []relation.Tuple) (pair, []byte, error) {
+	if len(b) < 10 {
 		return pair{}, nil, io.ErrUnexpectedEOF
 	}
-	t, rest, err := relation.DecodeTupleRaw(b[9:])
-	return pair{key: binary.LittleEndian.Uint64(b), tag: b[8], size: uint32(t.EncodedSize()), tuple: t}, rest, err
+	row, w := binary.Uvarint(b[9:])
+	if w <= 0 || w > 1 && b[8+w] == 0 {
+		return pair{}, nil, errors.New("malformed row ordinal")
+	}
+	if row >= uint64(len(split)) {
+		return pair{}, nil, fmt.Errorf("row %d past its split of %d", row, len(split))
+	}
+	t := split[row]
+	return pair{key: binary.LittleEndian.Uint64(b), tag: b[8], size: uint32(t.EncodedSize()), tuple: t}, b[9+w:], nil
 }
 
 // ---- Checksummed frames -----------------------------------------------
 
 // Spilled segments are written as a sequence of frames: a u32 payload
 // length and u32 CRC32 (IEEE) header followed by ~spillFrameSize bytes
-// of encoded pairs; a pair never spans frames. Readers verify every
+// of records; a record never spans frames. Readers verify every
 // frame before decoding a byte of it, fail over to replica re-reads on
 // mismatch, and only surface a (retryable) error when every replica
 // disagrees with the checksum — the integrity half of the
 // fault-tolerance contract. Frame boundaries are a pure function of
-// the pair sequence, so the segment bytes — and SpillBytes — stay
+// the record sequence, so the segment bytes — and SpillBytes — stay
 // deterministic.
 
 const (
 	spillFrameSize   = 32 << 10
 	spillFrameHeader = 8
-	// spillFrameSlack is how far past a full frame a reader's first read
-	// reaches. A frame closes on the pair that takes it to spillFrameSize,
-	// so it overshoots by that pair less a byte; only a frame whose last
-	// pair is longer than the slack needs a second read for its tail.
-	spillFrameSlack = 1 << 10
+	// spillFrameSlack is how far past a full frame a reader's read
+	// reaches. A frame closes on the record that takes it to
+	// spillFrameSize, so it overshoots by less than one record: one read
+	// always takes the whole frame.
+	spillFrameSlack = maxRecordLen
 )
 
-// frameWriter appends pairs to the open frame and emits each frame with
-// its length+CRC header to dst.
+// frameWriter appends records to the open frame and emits each frame
+// with its length+CRC header to dst.
 type frameWriter struct {
 	dst    io.Writer
 	buf    []byte // the open frame's payload
 	frames int
 }
 
-func (fw *frameWriter) writePair(p pair) error {
-	fw.buf = appendPair(fw.buf, p)
+func (fw *frameWriter) writeRecord(rec spillRec) error {
+	fw.buf = appendRecord(fw.buf, rec)
 	if len(fw.buf) >= spillFrameSize {
 		return fw.emit()
 	}
@@ -224,7 +251,7 @@ type spillFlush struct {
 type taskSpiller struct {
 	store    SpillStore
 	budget   int64
-	buckets  [][]pair
+	buckets  [][]spillRec
 	frame    []byte // frame buffer, reused from flush to flush
 	buffered int64  // accounted bytes currently buffered
 	peak     int64  // high-water mark of buffered
@@ -233,20 +260,20 @@ type taskSpiller struct {
 }
 
 func newTaskSpiller(store SpillStore, nRed int, budget int64) *taskSpiller {
-	return &taskSpiller{store: store, budget: budget, buckets: make([][]pair, nRed)}
+	return &taskSpiller{store: store, budget: budget, buckets: make([][]spillRec, nRed)}
 }
 
 // add buffers one routed pair, flushing first when the budget is
 // exhausted. Flushing before (not after) appending keeps the buffer at
 // most one pair over budget.
-func (ts *taskSpiller) add(r int, p pair) error {
-	b := p.realBytes()
+func (ts *taskSpiller) add(r int, rec spillRec) error {
+	b := rec.realBytes()
 	if ts.buffered > 0 && ts.buffered+b > ts.budget {
 		if err := ts.flush(); err != nil {
 			return err
 		}
 	}
-	ts.buckets[r] = append(ts.buckets[r], p)
+	ts.buckets[r] = append(ts.buckets[r], rec)
 	ts.buffered += b
 	if ts.buffered > ts.peak {
 		ts.peak = ts.buffered
@@ -277,10 +304,10 @@ func (ts *taskSpiller) flush() (err error) {
 		if len(b) == 0 {
 			continue
 		}
-		sortBucket(b)
+		sortBucket(b, recByKey)
 		seg := spillSegment{off: cw.n, count: len(b), firstKey: b[0].key, lastKey: b[len(b)-1].key}
-		for _, p := range b {
-			if err := fw.writePair(p); err != nil {
+		for _, rec := range b {
+			if err := fw.writeRecord(rec); err != nil {
 				return err
 			}
 		}
@@ -338,18 +365,19 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 // Reading never mutates the run: a retried or speculative reduce
 // attempt re-reads the same committed bucket or segment, so the engine
 // releases buckets only once every attempt of the reducer has joined.
+// A segment's records name rows of its task's split, a relation the run
+// holds to its end, so every attempt resolves them to the same rows.
 type pairSource struct {
-	// Exactly one of bucket/seg is set.
+	// Exactly one of bucket/file is set.
 	bucket []pair
 	file   SpillFile
 	seg    spillSegment
-	mult   float64 // producing task's volume multiplier
-
-	// Integrity context for disk sources: ft carries the quarantine
-	// counters and the replica budget, task addresses the producing
-	// map task for fault targeting.
-	ft   *faultRuntime
+	// task is the producing map task: its multiplier prices the run's
+	// pairs, a spilled record's row is an ordinal in its split, and
+	// injected faults address it.
 	task int
+	// ft carries a disk source's quarantine counters and replica budget.
+	ft *faultRuntime
 
 	// cursor state
 	pos   int
@@ -362,12 +390,12 @@ type pairSource struct {
 	spare *[]byte
 }
 
-func memSource(bucket []pair, mult float64) *pairSource {
-	return &pairSource{bucket: bucket, mult: mult}
+func memSource(bucket []pair, task int) pairSource {
+	return pairSource{bucket: bucket, task: task}
 }
 
-func diskSource(file SpillFile, seg spillSegment, mult float64, ft *faultRuntime, task int, spare *[]byte) *pairSource {
-	return &pairSource{file: file, seg: seg, mult: mult, ft: ft, task: task, spare: spare}
+func diskSource(file SpillFile, seg spillSegment, task int, ft *faultRuntime, spare *[]byte) pairSource {
+	return pairSource{file: file, seg: seg, task: task, ft: ft, spare: spare}
 }
 
 func (s *pairSource) count() int {
@@ -391,9 +419,10 @@ func (s *pairSource) lastKey() uint64 {
 	return s.seg.lastKey
 }
 
-// next returns the run's next pair; disk sources decode from
-// checksum-verified frames loaded one at a time.
-func (s *pairSource) next() (pair, error) {
+// next returns the run's next pair; disk sources read records from
+// checksum-verified frames loaded one at a time and resolve them
+// against their task's split in tasks.
+func (s *pairSource) next(tasks []mapTask) (pair, error) {
 	if s.bucket != nil {
 		p := s.bucket[s.pos]
 		s.pos++
@@ -407,7 +436,7 @@ func (s *pairSource) next() (pair, error) {
 			return pair{}, fmt.Errorf("mr: read spilled pair: %w", err)
 		}
 	}
-	p, rest, err := decodePair(s.rest)
+	p, rest, err := decodeRecord(s.rest, tasks[s.task].tuples)
 	if err != nil {
 		return pair{}, fmt.Errorf("mr: read spilled pair: %w", err)
 	}
@@ -420,13 +449,12 @@ func (s *pairSource) next() (pair, error) {
 	return p, nil
 }
 
-// loadFrame reads and verifies the segment's next frame: one read takes
-// the header and the payload, unless the payload runs past the slack
-// and its tail takes a second. A checksum mismatch (real corruption or
-// an injected one) is counted and the payload re-read up to the replica
-// budget; only when every replica fails verification does the frame
-// surface a retryable error that fails — and re-runs — the whole reduce
-// attempt.
+// loadFrame reads and verifies the segment's next frame, header and
+// payload in one read. A header that promises more than that read took
+// is corrupt. A checksum mismatch (real corruption or an injected one)
+// is counted and the payload re-read up to the replica budget; only
+// when every replica fails verification does the frame surface a
+// retryable error that fails — and re-runs — the whole reduce attempt.
 func (s *pairSource) loadFrame() error {
 	if s.frOff == 0 {
 		s.frOff = s.seg.off
@@ -448,14 +476,8 @@ func (s *pairSource) loadFrame() error {
 	}
 	n := int64(binary.LittleEndian.Uint32(s.frame[:4]))
 	want := binary.LittleEndian.Uint32(s.frame[4:])
-	if n <= 0 || s.frOff+spillFrameHeader+n > end {
+	if n <= 0 || spillFrameHeader+n > got {
 		return retryable(fmt.Errorf("spill frame header corrupt at offset %d (len %d)", s.frOff, n))
-	}
-	if total := spillFrameHeader + n; total > got {
-		s.frame = slices.Grow(s.frame, int(total-got))[:total]
-		if _, err := s.file.ReadAt(s.frame[got:], s.frOff+got); err != nil {
-			return err
-		}
 	}
 	payload := s.frame[spillFrameHeader : spillFrameHeader+n]
 	if s.ft != nil && s.ft.inj.corruptSpill(s.task) {
@@ -480,40 +502,33 @@ func (s *pairSource) loadFrame() error {
 	return nil
 }
 
-func (s *pairSource) drained() bool { return s.pos == -1 || s.count() == 0 }
+func (s *pairSource) drained() bool { return s.pos == -1 }
 
-// mergeSources streams the k-way merge of key-sorted sources (ordered
-// by (task, flush) ordinal) to emit, in (key, source ordinal) order —
-// the same global order the in-memory engine's stable sort produced.
-// Memory held is one pair per live source.
-func mergeSources(srcs []*pairSource, emit func(pair, *pairSource) error) error {
-	live := srcs[:0]
-	for _, s := range srcs {
-		if s.count() > 0 {
-			live = append(live, s)
-		}
-	}
-	if len(live) == 0 {
-		return nil
-	}
+// mergeSources streams the k-way merge of non-empty key-sorted sources
+// (ordered by (task, flush) ordinal) to emit, with the producing task of
+// each pair, in (key, source ordinal) order — the same global order the
+// in-memory engine's stable sort produced. Spilled pairs are resolved
+// against tasks. Memory held is one pair per source.
+func mergeSources(srcs []pairSource, tasks []mapTask, emit func(p pair, task int) error) error {
 	// Fast path: concatenation in source order is already globally
 	// ordered (boundary ties are fine — source order is the desired
 	// order for equal keys).
 	ordered := true
-	for i := 1; i < len(live); i++ {
-		if live[i].firstKey() < live[i-1].lastKey() {
+	for i := 1; i < len(srcs); i++ {
+		if srcs[i].firstKey() < srcs[i-1].lastKey() {
 			ordered = false
 			break
 		}
 	}
 	if ordered {
-		for _, s := range live {
+		for i := range srcs {
+			s := &srcs[i]
 			for !s.drained() {
-				p, err := s.next()
+				p, err := s.next(tasks)
 				if err != nil {
 					return err
 				}
-				if err := emit(p, s); err != nil {
+				if err := emit(p, s.task); err != nil {
 					return err
 				}
 			}
@@ -521,15 +536,15 @@ func mergeSources(srcs []*pairSource, emit func(pair, *pairSource) error) error 
 		return nil
 	}
 	// Binary min-heap of source ordinals keyed by (head key, ordinal).
-	heads := make([]pair, len(live))
-	for i, s := range live {
-		p, err := s.next()
+	heads := make([]pair, len(srcs))
+	for i := range srcs {
+		p, err := srcs[i].next(tasks)
 		if err != nil {
 			return err
 		}
 		heads[i] = p
 	}
-	heap := make([]int, len(live))
+	heap := make([]int, len(srcs))
 	for i := range heap {
 		heap[i] = i
 	}
@@ -561,8 +576,8 @@ func mergeSources(srcs []*pairSource, emit func(pair, *pairSource) error) error 
 	}
 	for size > 0 {
 		b := heap[0]
-		s := live[b]
-		if err := emit(heads[b], s); err != nil {
+		s := &srcs[b]
+		if err := emit(heads[b], s.task); err != nil {
 			return err
 		}
 		if s.drained() {
@@ -570,7 +585,7 @@ func mergeSources(srcs []*pairSource, emit func(pair, *pairSource) error) error 
 			size--
 			heap[0] = heap[size]
 		} else {
-			p, err := s.next()
+			p, err := s.next(tasks)
 			if err != nil {
 				return err
 			}

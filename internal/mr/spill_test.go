@@ -28,8 +28,8 @@ func zeroWallM(m Metrics) Metrics {
 }
 
 // spillProbeRelation builds an interned-string relation whose shuffle
-// pairs exercise the raw pair codec end to end: dictionary code slots,
-// plain strings, NULLs and numeric payloads.
+// pairs carry every kind of value through the spill path: dictionary
+// code slots, plain strings, NULLs and numeric payloads.
 func spillProbeRelation(t testing.TB, rows int) *relation.Relation {
 	t.Helper()
 	r := relation.New("probe", relation.MustSchema(
@@ -64,7 +64,7 @@ func groupJob(in *relation.Relation, reducers int) *Job {
 	)
 	return &Job{
 		Name:   "group",
-		Inputs: []Input{{Rel: in, Map: func(t relation.Tuple, emit Emitter) { emit(uint64(t[0].Int64()), 0, t) }}},
+		Inputs: []Input{{Rel: in, Map: func(t relation.Tuple, emit Emitter) { emit(uint64(t[0].Int64()), 0) }}},
 		Reduce: func(key uint64, groups [][]relation.Tuple, ctx *ReduceContext) {
 			values := groups[0]
 			var city relation.Value
@@ -173,8 +173,8 @@ func TestSpillDeterministicAcrossWorkers(t *testing.T) {
 
 // TestSpillBoundedMemoryLargeWorkload drives the acceptance story: a
 // shuffle several times larger than the budget completes under it,
-// produces the identical result, and the accounted peak drops by more
-// than half.
+// produces the identical result with every pair on disk, and the
+// accounted peak drops by more than half.
 func TestSpillBoundedMemoryLargeWorkload(t *testing.T) {
 	in := spillProbeRelation(t, 4000)
 	cfg := smallConfig()
@@ -196,14 +196,37 @@ func TestSpillBoundedMemoryLargeWorkload(t *testing.T) {
 	if relation.ContentHash(spilled.Output) != relation.ContentHash(base.Output) {
 		t.Fatal("content hash differs under a bounded budget")
 	}
-	if spilled.Metrics.SpillBytes < basePeak {
-		t.Fatalf("expected the whole shuffle on disk: spilled %d, base peak %d",
-			spilled.Metrics.SpillBytes, basePeak)
+	if onDisk, inMemory := spilledPairCount(t, spillCfg, groupJob(in, 8)); onDisk != in.Cardinality() || inMemory != 0 {
+		t.Fatalf("expected the whole shuffle on disk: %d of %d emitted pairs in spilled segments, %d in memory",
+			onDisk, in.Cardinality(), inMemory)
 	}
 	if spilled.Metrics.PeakLiveBytes*2 > basePeak {
 		t.Fatalf("accounted peak dropped less than half: %d vs %d",
 			spilled.Metrics.PeakLiveBytes, basePeak)
 	}
+}
+
+// spilledPairCount runs job's map phase under cfg and counts the pairs
+// its committed spill segments hold and those left in in-memory buckets.
+func spilledPairCount(t *testing.T, cfg Config, job *Job) (onDisk, inMemory int) {
+	t.Helper()
+	r := &run{cfg: cfg, rates: cfg.Rates(), job: job, workers: 2, nRed: job.NumReducers}
+	r.planTasks()
+	defer r.releaseSpill()
+	if err := r.mapPhase(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	for ti := range r.tasks {
+		for _, fl := range r.spills[ti].flushes {
+			for _, seg := range fl.segs {
+				onDisk += seg.count
+			}
+		}
+		for _, b := range r.buckets[ti] {
+			inMemory += len(b)
+		}
+	}
+	return onDisk, inMemory
 }
 
 // TestMemSourceRereadable pins what retries rest on: merging in-memory
@@ -213,10 +236,12 @@ func TestMemSourceRereadable(t *testing.T) {
 	a := []pair{{key: 1, tuple: relation.Tuple{relation.Int(1)}}, {key: 5, tuple: relation.Tuple{relation.Int(5)}}}
 	b := []pair{{key: 2, tuple: relation.Tuple{relation.Int(2)}}, {key: 9, tuple: relation.Tuple{relation.Int(9)}}}
 	for attempt := 0; attempt < 2; attempt++ {
-		srcs := []*pairSource{memSource(a, 1), memSource(b, 1)}
+		srcs := []pairSource{memSource(a, 0), memSource(b, 1)}
 		var got []int64
-		if err := mergeSources(srcs, func(p pair, _ *pairSource) error {
+		var tasks []int
+		if err := mergeSources(srcs, nil, func(p pair, task int) error {
 			got = append(got, p.tuple[0].Int64())
+			tasks = append(tasks, task)
 			return nil
 		}); err != nil {
 			t.Fatal(err)
@@ -224,8 +249,11 @@ func TestMemSourceRereadable(t *testing.T) {
 		if want := []int64{1, 2, 5, 9}; !reflect.DeepEqual(got, want) {
 			t.Fatalf("attempt %d: merged %v, want %v", attempt, got, want)
 		}
-		for i, s := range srcs {
-			if !s.drained() {
+		if want := []int{0, 1, 0, 1}; !reflect.DeepEqual(tasks, want) {
+			t.Fatalf("attempt %d: merged from tasks %v, want %v", attempt, tasks, want)
+		}
+		for i := range srcs {
+			if !srcs[i].drained() {
 				t.Fatalf("attempt %d: source %d not drained", attempt, i)
 			}
 		}
@@ -243,18 +271,18 @@ func (c *countingSpillFile) ReadAt(p []byte, off int64) (int, error) {
 	return c.SpillFile.ReadAt(p, off)
 }
 
-// spilledSegment writes ps as one segment of checksummed frames, behind
+// spilledSegment writes recs as one segment of checksummed frames, behind
 // another segment's bytes, to a temp spill file, with edit free to
 // alter the segment's bytes first. It returns the file, counting its
 // reads, the segment and how many frames it holds.
-func spilledSegment(t *testing.T, ps []pair, edit func(seg []byte)) (*countingSpillFile, spillSegment, int) {
+func spilledSegment(t *testing.T, recs []spillRec, edit func(seg []byte)) (*countingSpillFile, spillSegment, int) {
 	t.Helper()
 	var buf bytes.Buffer
 	buf.WriteString("the previous reducer's segment")
 	off := int64(buf.Len())
 	fw := &frameWriter{dst: &buf}
-	for _, p := range ps {
-		if err := fw.writePair(p); err != nil {
+	for _, rec := range recs {
+		if err := fw.writeRecord(rec); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -282,17 +310,19 @@ func spilledSegment(t *testing.T, ps []pair, edit func(seg []byte)) (*countingSp
 	if err := f.Seal(); err != nil {
 		t.Fatal(err)
 	}
-	seg := spillSegment{off: off, n: int64(buf.Len()) - off, count: len(ps), firstKey: ps[0].key, lastKey: ps[len(ps)-1].key}
+	seg := spillSegment{off: off, n: int64(buf.Len()) - off, count: len(recs), firstKey: recs[0].key, lastKey: recs[len(recs)-1].key}
 	return &countingSpillFile{SpillFile: f}, seg, fw.frames
 }
 
-// drainSegment reads a segment's pairs back through a disk source.
-func drainSegment(f SpillFile, seg spillSegment) ([]pair, error) {
+// drainSegment reads a segment's pairs back through a disk source of a
+// task whose split is split.
+func drainSegment(f SpillFile, seg spillSegment, split []relation.Tuple) ([]pair, error) {
 	var spare []byte
-	src := diskSource(f, seg, 1, nil, 0, &spare)
+	src := diskSource(f, seg, 0, nil, &spare)
+	tasks := []mapTask{{tuples: split}}
 	var got []pair
 	for !src.drained() {
-		p, err := src.next()
+		p, err := src.next(tasks)
 		if err != nil {
 			return got, err
 		}
@@ -301,61 +331,47 @@ func drainSegment(f SpillFile, seg spillSegment) ([]pair, error) {
 	return got, nil
 }
 
-// framePairs returns n pairs of some 60 encoded bytes each, then, when
-// tail > 0, one pair carrying a tail-byte string placed so that it is
-// the pair that takes its frame past spillFrameSize, then n more.
-func framePairs(n, tail int) []pair {
-	var ps []pair
-	open := 0 // bytes of the frame a frameWriter would have open
-	add := func(tp relation.Tuple) {
-		p := pair{key: uint64(len(ps)), size: uint32(tp.EncodedSize()), tuple: tp}
-		ps = append(ps, p)
-		if open += len(appendPair(nil, p)); open >= spillFrameSize {
-			open = 0
-		}
+// frameRecords returns a split of rows rows and n records naming them in
+// turn, so that past the 128th row the ordinals take two bytes, with the
+// pairs the records stand for.
+func frameRecords(n, rows int) ([]relation.Tuple, []spillRec, []pair) {
+	split := make([]relation.Tuple, rows)
+	for i := range split {
+		split[i] = relation.Tuple{relation.Int(int64(i)), relation.Str(fmt.Sprintf("city-%08d", i)), relation.Float(float64(i) / 3)}
 	}
-	small := func() {
-		i := len(ps)
-		add(relation.Tuple{relation.Int(int64(i)), relation.Str(fmt.Sprintf("city-%08d", i)), relation.Float(float64(i) / 3)})
+	recs := make([]spillRec, n)
+	ps := make([]pair, n)
+	for i := range recs {
+		row := split[i%rows]
+		recs[i] = spillRec{key: uint64(i), row: uint32(i % rows), size: uint32(row.EncodedSize()), tag: uint8(i % 3)}
+		ps[i] = pair{key: uint64(i), tag: uint8(i % 3), size: recs[i].size, tuple: row}
 	}
-	for i := 0; i < n; i++ {
-		small()
-	}
-	if tail > 0 {
-		for open < spillFrameSize-100 {
-			small()
-		}
-		add(relation.Tuple{relation.Str(strings.Repeat("t", tail))})
-		for i := 0; i < n; i++ {
-			small()
-		}
-	}
-	return ps
+	return split, recs, ps
 }
 
 // TestSpillFrameReads: a segment costs one read per frame, header and
-// payload together — and one more for a frame whose last pair runs past
-// the slack a first read allows — and decodes exactly.
+// payload together, whatever length its last record has, and decodes
+// exactly.
 func TestSpillFrameReads(t *testing.T) {
 	for _, tc := range []struct {
-		name       string
-		ps         []pair
-		extraReads int
+		name    string
+		n, rows int
 	}{
-		{"small frames", framePairs(2000, 0), 0},
-		{"small frames, one short", framePairs(30, 0), 0},
-		{"a long last pair", framePairs(300, 3*spillFrameSlack), 1},
+		{"small frames", 12000, 300},
+		{"small frames, one short", 300, 300},
+		{"one-byte ordinals", 12000, 100},
 	} {
-		f, seg, frames := spilledSegment(t, tc.ps, nil)
-		got, err := drainSegment(f, seg)
+		split, recs, want := frameRecords(tc.n, tc.rows)
+		f, seg, frames := spilledSegment(t, recs, nil)
+		got, err := drainSegment(f, seg, split)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if !samePairs(got, tc.ps) {
+		if !samePairs(got, want) {
 			t.Fatalf("%s: the segment decodes to other pairs", tc.name)
 		}
-		if f.reads != frames+tc.extraReads {
-			t.Errorf("%s: %d frames took %d reads, want %d", tc.name, frames, f.reads, frames+tc.extraReads)
+		if f.reads != frames {
+			t.Errorf("%s: %d frames took %d reads", tc.name, frames, f.reads)
 		}
 	}
 }
@@ -368,15 +384,66 @@ func TestSpillFrameCorruptRetryable(t *testing.T) {
 		edit       func(seg []byte)
 	}{
 		{"length past the segment", "header corrupt", func(seg []byte) { binary.LittleEndian.PutUint32(seg, 1<<30) }},
+		{"length past one read", "header corrupt", func(seg []byte) {
+			binary.LittleEndian.PutUint32(seg, spillFrameSize+spillFrameSlack+1)
+		}},
 		{"zero length", "header corrupt", func(seg []byte) { binary.LittleEndian.PutUint32(seg, 0) }},
 		{"payload bit rot", "checksum mismatch", func(seg []byte) { seg[spillFrameHeader+5] ^= 0x10 }},
 	} {
-		f, seg, _ := spilledSegment(t, framePairs(50, 0), tc.edit)
-		_, err := drainSegment(f, seg)
+		split, recs, _ := frameRecords(9000, 300)
+		f, seg, _ := spilledSegment(t, recs, tc.edit)
+		_, err := drainSegment(f, seg, split)
 		if err == nil || !isRetryable(err) || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want a retryable %q", tc.name, err, tc.want)
 		}
 	}
+}
+
+// TestSpilledPairsAreTheirRows: a spilled pair is resolved to the very
+// row its map task read, not to a copy: under a tiny budget every tuple
+// a disk source returns, and every tuple Reduce is handed, is a row of
+// the input, and the output is identical to the in-memory run's. A
+// frame whose checksum holds but whose record names a row past its
+// split is an error.
+func TestSpilledPairsAreTheirRows(t *testing.T) {
+	split, recs, _ := frameRecords(5000, 300)
+	f, seg, _ := spilledSegment(t, recs, nil)
+	got, err := drainSegment(f, seg, split)
+	if err != nil || len(got) != len(recs) {
+		t.Fatalf("decoded %d of %d records: %v", len(got), len(recs), err)
+	}
+	for i, p := range got {
+		if want := split[recs[i].row]; &p.tuple[0] != &want[0] || len(p.tuple) != len(want) {
+			t.Fatalf("record %d: tuple %p is not its row %p", i, &p.tuple[0], &want[0])
+		}
+	}
+	if _, err := drainSegment(f, seg, split[:299]); err == nil || !strings.Contains(err.Error(), "past its split") {
+		t.Errorf("a row past the split: err = %v", err)
+	}
+
+	in := spillProbeRelation(t, 900)
+	isRow := make(map[*relation.Value]bool, len(in.Tuples))
+	for _, row := range in.Tuples {
+		isRow[&row[0]] = true
+	}
+	base := mustRun(t, smallConfig(), groupJob(in, 5))
+	job := groupJob(in, 5)
+	reduce := job.Reduce
+	job.Reduce = func(key uint64, groups [][]relation.Tuple, ctx *ReduceContext) {
+		for _, v := range groups[0] {
+			if !isRow[&v[0]] {
+				t.Errorf("key %d: Reduce was handed a copy of a row, %v", key, v)
+			}
+		}
+		reduce(key, groups, ctx)
+	}
+	cfg := smallConfig()
+	cfg.SpillBudgetBytes = 256
+	spilled := mustRun(t, cfg, job)
+	if spilled.Metrics.SpillRuns == 0 {
+		t.Fatal("the budgeted run did not spill")
+	}
+	requireSameOutput(t, base.Output, spilled.Output, "spilled rows")
 }
 
 // failingSpillStore hands out temp spill files whose writes fail once
@@ -409,10 +476,10 @@ func TestSpillWriteFailureReleasesFile(t *testing.T) {
 	}
 	defer store.Close()
 	cfg := smallConfig()
-	cfg.TuplesPerMapTask = 4000
+	cfg.TuplesPerMapTask = 12000
 	cfg.SpillBudgetBytes = 1 << 20
 	cfg.Spill = failingSpillStore{store}
-	if _, err := Run(context.Background(), cfg, groupJob(spillProbeRelation(t, 4000), 4)); err == nil || !strings.Contains(err.Error(), "disk full") {
+	if _, err := Run(context.Background(), cfg, groupJob(spillProbeRelation(t, 12000), 4)); err == nil || !strings.Contains(err.Error(), "disk full") {
 		t.Fatalf("Run error = %v, want the write failure", err)
 	}
 	if live := store.Live(); live != 0 {

@@ -2,7 +2,6 @@ package relation
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -583,78 +582,3 @@ func (p *csvParser) quoted(s string, pos int) (string, int, error) {
 	}
 	return "", pos, errCSVQuote
 }
-
-// The raw tuple codec is the one binary encoding, used for everything
-// the engine itself writes to disk: mr's spill runs. A tuple is
-// uvarint(arity) followed by its values, each
-// self-describing and needing no dictionary context:
-//
-//	u8 kind | int, time → u64 payload
-//	        | float     → u64 bits
-//	        | string    → uvarint code slot (0 = not interned),
-//	                      u32 length, bytes
-//
-// so a reloaded Value is bit-identical to the one written — kind,
-// payload and dictionary code slot, and with them EncodedSize, sort keys
-// and content hashes.
-
-// AppendTupleRaw appends t in the raw layout.
-func AppendTupleRaw(dst []byte, t Tuple) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(t)))
-	for _, v := range t {
-		dst = append(dst, byte(v.kind))
-		switch v.kind {
-		case KindInt, KindTime, KindFloat:
-			dst = binary.LittleEndian.AppendUint64(dst, v.w)
-		case KindString:
-			dst = binary.AppendUvarint(dst, v.w)
-			dst = binary.LittleEndian.AppendUint32(dst, v.n)
-			dst = append(dst, v.Str()...)
-		}
-	}
-	return dst
-}
-
-// DecodeTupleRaw decodes the tuple AppendTupleRaw wrote at the front of
-// b and returns it with the rest of b. Its callers hold the encoded
-// bytes in memory already (a spill frame's payload), so values are
-// sliced out of them with no reader in between. It never
-// reads past b; truncated or malformed bytes are an error.
-func DecodeTupleRaw(b []byte) (Tuple, []byte, error) {
-	arity, w := binary.Uvarint(b)
-	// A value is at least its kind byte, so an arity beyond the bytes
-	// left is corrupt; checked before it sizes an allocation.
-	if w <= 0 || arity > uint64(len(b)-w) {
-		return nil, nil, errRawTuple
-	}
-	b = b[w:]
-	t := make(Tuple, arity)
-	for i := range t {
-		if len(b) == 0 {
-			return nil, nil, errRawTuple
-		}
-		kind := Kind(b[0])
-		b = b[1:]
-		switch {
-		case kind == KindNull:
-		case kind == KindString:
-			slot, w := binary.Uvarint(b)
-			if w <= 0 || len(b)-w < 4 {
-				return nil, nil, errRawTuple
-			}
-			n := binary.LittleEndian.Uint32(b[w:])
-			if b = b[w+4:]; uint64(n) > uint64(len(b)) {
-				return nil, nil, errRawTuple
-			}
-			// string(...) copies: a Value never views its caller's buffer.
-			t[i], b = strValue(string(b[:n]), slot), b[n:]
-		case kind <= KindTime && len(b) >= 8: // int, float, time: 8 payload bytes
-			t[i], b = Value{kind: kind, w: binary.LittleEndian.Uint64(b)}, b[8:]
-		default:
-			return nil, nil, errRawTuple
-		}
-	}
-	return t, b, nil
-}
-
-var errRawTuple = errors.New("relation: raw tuple truncated or malformed")

@@ -29,13 +29,11 @@
 // # Encodings
 //
 // Rows ([]Tuple) are the only in-memory representation of a relation,
-// and it has exactly two encodings, both in codec.go: CSV with a typed
-// header (WriteCSV/ReadCSV) is what users load and save; the raw tuple
-// codec (AppendTupleRaw/DecodeTupleRaw) is what the engine writes to
-// disk, mr's spill runs. The raw codec round-trips
-// a Value bit-identically, dictionary code slot included; CSV carries
-// no dictionaries, which DB.Analyze rebuilds after a load. The CSV
-// codec works on bytes, in both directions a block at a time on up to
+// and it has exactly one encoding, in codec.go: CSV with a typed header
+// (WriteCSV/ReadCSV), what users load and save. Nothing else writes a
+// row out: mr's spill runs name rows of the resident inputs by ordinal.
+// CSV carries no dictionaries, which DB.Analyze rebuilds after a load.
+// The codec works on bytes, in both directions a block at a time on up to
 // GOMAXPROCS workers with the blocks kept in order, and is encoding/csv's
 // format exactly: that package is imported by the tests only, as the
 // reference the writer is held to byte for byte and the reader value
@@ -137,7 +135,7 @@ type Value struct {
 }
 
 // maxStringLen is the longest string a Value can hold: the layout keeps
-// the length in 32 bits, as the raw codec's u32 prefix always has.
+// the length in 32 bits.
 const maxStringLen = math.MaxUint32
 
 // Null returns the NULL value.
@@ -164,8 +162,8 @@ func Str(v string) Value { return strValue(v, 0) }
 // the dictionary key fast path.
 func InternedStr(s string, code int64) Value { return strValue(s, uint64(code)+1) }
 
-// strValue is the one place a string becomes a Value: s with the code
-// slot as the raw codec stores it.
+// strValue is the one place a string becomes a Value: s with its code
+// slot, 0 for a plain string and code+1 for an interned one.
 func strValue(s string, slot uint64) Value {
 	if uint64(len(s)) > maxStringLen {
 		panic("relation: string value longer than 4 GiB - 1")
