@@ -377,8 +377,8 @@ func buildStepJob(st Strategy, name string, inter, base *relation.Relation, cond
 		return &mr.Job{
 			Name: name,
 			Inputs: []mr.Input{
-				{Rel: inter, Map: func(t relation.Tuple, emit mr.Emitter) { emit(lKey(t), 0) }},
-				{Rel: base, Map: func(t relation.Tuple, emit mr.Emitter) { emit(rKey(t), 1) }},
+				{Rel: inter, Map: func(t relation.Tuple, emit mr.Emitter) { emit(lKey(t)) }},
+				{Rel: base, Map: func(t relation.Tuple, emit mr.Emitter) { emit(rKey(t)) }},
 			},
 			Reduce:       reduce,
 			NumReducers:  kr,
@@ -400,13 +400,13 @@ func buildStepJob(st Strategy, name string, inter, base *relation.Relation, cond
 			{Rel: inter, Map: func(t relation.Tuple, emit mr.Emitter) {
 				row := tupleHash(t) % uint64(rows)
 				for c := 0; c < cols; c++ {
-					emit(row*uint64(cols)+uint64(c), 0)
+					emit(row*uint64(cols) + uint64(c))
 				}
 			}},
 			{Rel: base, Map: func(t relation.Tuple, emit mr.Emitter) {
 				col := (tupleHash(t) >> 17) % uint64(cols)
 				for r := 0; r < rows; r++ {
-					emit(uint64(r)*uint64(cols)+col, 1)
+					emit(uint64(r)*uint64(cols) + col)
 				}
 			}},
 		},

@@ -150,7 +150,7 @@ func selfJoinJob(in *relation.Relation, kr int) *mr.Job {
 	)
 	return &mr.Job{
 		Name:   "sample-join",
-		Inputs: []mr.Input{{Rel: in, Map: func(t relation.Tuple, emit mr.Emitter) { emit(uint64(t[0].Int64()), 0) }}},
+		Inputs: []mr.Input{{Rel: in, Map: func(t relation.Tuple, emit mr.Emitter) { emit(uint64(t[0].Int64())) }}},
 		Reduce: func(key uint64, groups [][]relation.Tuple, ctx *mr.ReduceContext) {
 			n := int64(len(groups[0]))
 			ctx.AddWork(n * n)

@@ -108,8 +108,8 @@ func BuildHashEquiJob(name string, left, right *relation.Relation, conds predica
 	return &mr.Job{
 		Name: name,
 		Inputs: []mr.Input{
-			{Rel: left, Map: func(t relation.Tuple, emit mr.Emitter) { emit(hashKey(t, lCols), 0) }},
-			{Rel: right, Map: func(t relation.Tuple, emit mr.Emitter) { emit(hashKey(t, rCols), 1) }},
+			{Rel: left, Map: func(t relation.Tuple, emit mr.Emitter) { emit(hashKey(t, lCols)) }},
+			{Rel: right, Map: func(t relation.Tuple, emit mr.Emitter) { emit(hashKey(t, rCols)) }},
 		},
 		Reduce: func(key uint64, groups [][]relation.Tuple, ctx *mr.ReduceContext) {
 			ls, rs := groups[0], groups[1]

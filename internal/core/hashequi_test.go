@@ -129,12 +129,7 @@ func TestHashEquiMapKeys(t *testing.T) {
 				vals := []relation.Value{row[0], row[1].Add(off)}
 				want := referenceKeyHash(vals, []bool{tc.code, false})
 				var got uint64
-				job.Inputs[side].Map(row, func(key uint64, tag uint8) {
-					if int(tag) != side {
-						t.Fatalf("%s: side %d emitted tag %d", tc.name, side, tag)
-					}
-					got = key
-				})
+				job.Inputs[side].Map(row, func(key uint64) { got = key })
 				if got != want {
 					t.Fatalf("%s: side %d row %v: key %#x, hash/fnv gives %#x", tc.name, side, row, got, want)
 				}

@@ -413,7 +413,7 @@ func BuildShareGridJob(name string, rels []*relation.Relation, conds predicate.C
 		inputs[i] = mr.Input{
 			Rel: rels[i],
 			Map: func(t relation.Tuple, emit mr.Emitter) {
-				emitGrid(t, uint8(i), i, knownCol[i], dims, strides, 0, 0, emit)
+				emitGrid(t, i, knownCol[i], dims, strides, 0, 0, emit)
 			},
 		}
 	}
@@ -492,27 +492,27 @@ func BuildShareGridJob(name string, rels []*relation.Relation, conds predicate.C
 // emitGrid recursively enumerates the reducer cells a tuple belongs
 // to: known dimensions pin a slot (or, for a hot value, the slots of
 // its run this relation's tuple reaches), unknown dimensions are swept.
-func emitGrid(t relation.Tuple, tag uint8, relOrd int, known []int, dims []*gridDim, strides []int,
+func emitGrid(t relation.Tuple, relOrd int, known []int, dims []*gridDim, strides []int,
 	dim, acc int, emit mr.Emitter) {
 	if dim == len(dims) {
-		emit(uint64(acc), tag)
+		emit(uint64(acc))
 		return
 	}
 	g := dims[dim]
 	col := known[dim]
 	if col < 0 {
 		for c := 0; c < g.share; c++ {
-			emitGrid(t, tag, relOrd, known, dims, strides, dim+1, acc+c*strides[dim], emit)
+			emitGrid(t, relOrd, known, dims, strides, dim+1, acc+c*strides[dim], emit)
 		}
 		return
 	}
 	key := g.key(t[col])
 	run := g.layout.Hot(key)
 	if run == nil {
-		emitGrid(t, tag, relOrd, known, dims, strides, dim+1, acc+g.layout.Cold(key)*strides[dim], emit)
+		emitGrid(t, relOrd, known, dims, strides, dim+1, acc+g.layout.Cold(key)*strides[dim], emit)
 		return
 	}
 	for _, c := range run.Slots(relOrd, pinHash(run, relOrd, t)) {
-		emitGrid(t, tag, relOrd, known, dims, strides, dim+1, acc+c*strides[dim], emit)
+		emitGrid(t, relOrd, known, dims, strides, dim+1, acc+c*strides[dim], emit)
 	}
 }

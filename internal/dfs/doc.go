@@ -25,8 +25,8 @@
 // through the page cache, so resident pair memory is bounded by the
 // budget instead of proportional to the shuffle volume.
 //
-// A spilled pair is a record of a few bytes — key, tag and the ordinal
-// of its row in the producing map task's split — not the row's bytes.
+// A spilled pair is a record of a few bytes — key and the ordinal of
+// its row in the producing map task's split — not the row's bytes.
 // Job inputs are always materialized relations: nothing is read from
 // the store as a job's input.
 //

@@ -77,24 +77,26 @@
 //
 // # A pair from emit to Reduce
 //
-// A pair's value is always the row being mapped: an Emitter takes a key
-// and a tag, and the engine pairs them with the tuple its MapFunc was
-// handed. The row is measured once, however many pairs it makes and
-// reducers they are routed to, and the spill budget, the shuffle bytes
-// and the residency accounting all read that number. A spilled pair
-// is not decoded but resolved: its record names the row by ordinal in
-// the producing task's split, and the reader re-measures that row. It
-// is copied once on each side. A map attempt appends routed pairs to one flat
-// buffer the run lends it, then deals them, stably, into a single
-// exactly sized block whose subslices are the per-reducer buckets. A
-// reduce attempt merges its runs and copies each tuple header into the
-// buffer of its tag, and that is what a ReduceFunc receives:
-// groups[tag] holds the key's values from input tag, in task order and
-// emission order within a task — the slices every join reducer used to
-// build for itself. The buffers are the attempt's, reused for its next
-// key and sized from what the shuffle already knows, so groups are valid
-// only during the call and are capacity-limited; whatever a reducer does
-// to them reaches neither the next key run nor another attempt.
+// A pair's value is always the row being mapped and its tag the input
+// being mapped: an Emitter takes only a key, and the engine pairs it
+// with the tuple its MapFunc was handed. A pair is one 16-byte record,
+// in memory and in a spilling task's buffer alike — the key, the row's
+// ordinal in the producing task's split and the row's EncodedSize,
+// measured once however many pairs the row makes and reducers they are
+// routed to; the spill budget, the shuffle bytes and the residency
+// accounting all read that number. A spilled record is the key and the
+// ordinal, and the reader re-measures its row. A map attempt appends
+// routed records to one flat buffer the run lends it, then deals them,
+// stably, into a single exactly sized block whose subslices are the
+// per-reducer buckets. A reduce attempt merges its runs, resolves each
+// record to its task's row, and copies the tuple header into the buffer
+// of the task's input, and that is what a ReduceFunc receives:
+// groups[i] holds the key's rows of input i, in task order and emission
+// order within a task — the slices every join reducer used to build for
+// itself. The buffers are the attempt's, reused for its next key and
+// sized from what the shuffle already knows, so groups are valid only
+// during the call and are capacity-limited; whatever a reducer does to
+// them reaches neither the next key run nor another attempt.
 //
 // # Output rows
 //

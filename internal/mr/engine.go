@@ -132,26 +132,27 @@ type Result struct {
 	Metrics Metrics
 }
 
-// pair is one shuffled (key, tagged tuple). size is the tuple's
-// EncodedSize, measured once — when its row is mapped, or when a
-// spilled record is resolved to its row — and read by every byte count
-// from there to the reducer. It sits in the padding after tag: the
-// struct stays 40 bytes.
-type pair struct {
-	key   uint64
-	tag   uint8
-	size  uint32
-	tuple relation.Tuple
+// record is one shuffled pair, in memory and in a spilling map task's
+// buffer alike: its key, its row as an ordinal in the producing map
+// task's split, and that row's EncodedSize, measured once — when the row
+// is mapped, or when a spilled record is read back — and read by every
+// byte count from there to the reducer. The pair's tuple is
+// tasks[task].tuples[row] and its tag tasks[task].inputIdx, resolved
+// where the reducer merges it.
+type record struct {
+	key  uint64
+	row  uint32
+	size uint32
 }
 
 // realBytes is the accounted in-memory size of the pair: its tuple plus
 // 8 bytes of key framing — the raw quantity the modeled byte accounting
 // multiplies, so budget and metrics speak one unit.
-func (p pair) realBytes() int64 { return int64(p.size) + 8 }
+func (rec record) realBytes() int64 { return int64(rec.size) + 8 }
 
 // modeledBytes is the pair's shuffle volume under its task's multiplier,
 // converted to int64 pair by pair so that sums are order-independent.
-func (p pair) modeledBytes(mult float64) int64 { return int64(float64(p.realBytes()) * mult) }
+func (rec record) modeledBytes(mult float64) int64 { return int64(float64(rec.realBytes()) * mult) }
 
 // mapTask is one input split: a block of one input's tuples.
 type mapTask struct {
@@ -183,7 +184,7 @@ type run struct {
 	spill         SpillStore      // nil = in-memory shuffle
 	ownedSpill    *TempSpillStore // the fallback store, when Run created it
 	replicated    *obs.Counter
-	buckets       [][][]pair       // [task][reducer] sorted bucket (in-memory shuffle)
+	buckets       [][][]record     // [task][reducer] sorted bucket (in-memory shuffle)
 	scratch       chan *mapScratch // idle routed-pair buffers, handed from map attempt to map attempt
 	spills        []*taskSpiller   // [task] spilled runs (budgeted shuffle)
 	taskOutBytes  []int64          // modeled map output
@@ -340,7 +341,7 @@ func (r *run) mapPhase(ctx context.Context) error {
 	// A worker runs at most two attempts at a time, one a speculative
 	// backup, so this many buffers are ever in use.
 	r.scratch = make(chan *mapScratch, 2*r.workers)
-	r.buckets = make([][][]pair, n)
+	r.buckets = make([][][]record, n)
 	r.spills = make([]*taskSpiller, n)
 	r.taskOutBytes = make([]int64, n)
 	r.taskRealFinal = make([]int64, n)
@@ -396,7 +397,7 @@ func (r *run) mapAttempt(actx context.Context, ti, attempt int, sh *obs.Shard) (
 		idle := r.scratch
 		select {
 		case routed = <-idle:
-			routed.pairs, routed.dest = routed.pairs[:0], routed.dest[:0]
+			routed.recs, routed.dest = routed.recs[:0], routed.dest[:0]
 		default:
 			routed = &mapScratch{}
 		}
@@ -410,17 +411,12 @@ func (r *run) mapAttempt(actx context.Context, ti, attempt int, sh *obs.Shard) (
 	var replPairs int64
 	var emitErr error
 	var routeBuf []int
-	// The row being mapped: every pair emit makes carries it.
-	var row int
+	// Every pair emit makes is tagged with the task's input and carries
+	// the row being mapped, cur, as rec's ordinal and size.
+	tag := uint8(task.inputIdx)
 	var cur relation.Tuple
-	var size uint32
-	emit := func(key uint64, tag uint8) {
-		if int(tag) >= len(job.Inputs) {
-			if emitErr == nil {
-				emitErr = fmt.Errorf("mr: job %s: map emitted tag %d, the job has %d inputs", job.Name, tag, len(job.Inputs))
-			}
-			return
-		}
+	var rec record
+	emit := func(key uint64) {
 		if job.Partitioner != nil {
 			routeBuf = job.Partitioner.Route(routeBuf[:0], key, tag, cur, nRed)
 		} else {
@@ -429,8 +425,8 @@ func (r *run) mapAttempt(actx context.Context, ti, attempt int, sh *obs.Shard) (
 		if len(routeBuf) > 1 {
 			replPairs += int64(len(routeBuf) - 1)
 		}
-		p := pair{key: key, tag: tag, size: size, tuple: cur}
-		modeled := p.modeledBytes(task.multiplier)
+		rec.key = key
+		modeled := rec.modeledBytes(task.multiplier)
 		for _, red := range routeBuf {
 			if red < 0 || red >= nRed {
 				if emitErr == nil {
@@ -439,13 +435,13 @@ func (r *run) mapAttempt(actx context.Context, ti, attempt int, sh *obs.Shard) (
 				return
 			}
 			if spiller != nil {
-				if err := spiller.add(red, spillRec{key: key, row: uint32(row), size: size, tag: tag}); err != nil && emitErr == nil {
+				if err := spiller.add(red, rec); err != nil && emitErr == nil {
 					emitErr = err
 					return
 				}
 			} else {
-				routed.add(red, p)
-				realBytes += p.realBytes()
+				routed.add(red, rec)
+				realBytes += rec.realBytes()
 			}
 			// 8 bytes of key framing per shuffled pair; a replicated
 			// pair is copied (and charged) once per destination.
@@ -466,13 +462,13 @@ func (r *run) mapAttempt(actx context.Context, ti, attempt int, sh *obs.Shard) (
 			}
 		}
 		// The row is measured here, once, however many pairs it makes.
-		row, cur, size = i, t, uint32(t.EncodedSize())
+		cur, rec = t, record{row: uint32(i), size: uint32(t.EncodedSize())}
 		mapFn(t, emit)
 		if emitErr != nil {
 			return fail(emitErr)
 		}
 	}
-	var buckets [][]pair
+	var buckets [][]record
 	if spiller != nil {
 		// Final flush: the whole map output is on the store; the task
 		// retains no pairs.
@@ -492,7 +488,7 @@ func (r *run) mapAttempt(actx context.Context, ti, attempt int, sh *obs.Shard) (
 		sortSp := sh.Start("spill-sort", obs.A("task", ti))
 		buckets = routed.partition(nRed)
 		for red := range buckets {
-			sortBucket(buckets[red], pairByKey)
+			sortBucket(buckets[red])
 		}
 		sortSp.End()
 	}
@@ -561,10 +557,11 @@ func (r *run) reducePhase(ctx context.Context) error {
 
 // gather collects reducer red's key-sorted runs from every committed
 // map task, in (task, flush) order, with their pair count, the
-// accounted bytes of the in-memory ones and how many of those carry
-// each tag. The runs are counted first and go into one exactly sized
-// slice. Spilled runs pass their read buffer on through spare.
-func (r *run) gather(red int, spare *[]byte) (srcs []pairSource, n int, memReal int64, memTags []int) {
+// accounted bytes of the in-memory ones and how many pairs each input
+// contributes: a run's pairs all have its task's input as their tag. The
+// runs are counted first and go into one exactly sized slice. Spilled
+// runs pass their read buffer on through spare.
+func (r *run) gather(red int, spare *[]byte) (srcs []pairSource, n int, memReal int64, tags []int) {
 	runs := 0
 	for ti := range r.tasks {
 		if ts := r.spills[ti]; ts != nil {
@@ -579,13 +576,15 @@ func (r *run) gather(red int, spare *[]byte) (srcs []pairSource, n int, memReal 
 		}
 	}
 	srcs = make([]pairSource, 0, runs)
-	memTags = make([]int, len(r.job.Inputs))
+	tags = make([]int, len(r.job.Inputs))
 	for ti := range r.tasks {
+		in := r.tasks[ti].inputIdx
 		if ts := r.spills[ti]; ts != nil {
 			for _, fl := range ts.flushes {
 				if seg := fl.segs[red]; seg.count > 0 {
 					srcs = append(srcs, diskSource(fl.file, seg, ti, r.ft, spare))
 					n += seg.count
+					tags[in] += seg.count
 				}
 			}
 		}
@@ -593,27 +592,28 @@ func (r *run) gather(red int, spare *[]byte) (srcs []pairSource, n int, memReal 
 			continue
 		}
 		if b := r.buckets[ti][red]; len(b) > 0 {
-			for _, p := range b {
-				memReal += p.realBytes()
-				memTags[p.tag]++
+			for _, rec := range b {
+				memReal += rec.realBytes()
 			}
 			srcs = append(srcs, memSource(b, ti))
 			n += len(b)
+			tags[in] += len(b)
 		}
 	}
-	return srcs, n, memReal, memTags
+	return srcs, n, memReal, tags
 }
 
 // reduceAttempt runs one attempt of reducer red: gather its runs, merge
-// them, and feed each key run to Reduce split by tag. The split is the
-// one copy a pair's tuple header makes on the reduce side: it goes from
-// its source into the attempt's buffer for its tag, which every key run
-// reuses. Output stays private to the attempt until the returned outcome
+// them, and feed each key run to Reduce split by input. The split is
+// the one copy a pair's tuple header makes on the reduce side: its
+// record is resolved to its task's row, whose header goes into the
+// attempt's buffer for the task's input, which every key run reuses.
+// Output stays private to the attempt until the returned outcome
 // commits.
 func (r *run) reduceAttempt(actx context.Context, red, attempt int, sh *obs.Shard) (attemptOutcome, error) {
 	gatherSp := sh.Start("shuffle-copy", obs.A("reducer", red), obs.A("attempt", attempt))
 	var spare []byte
-	srcs, n, memReal, memTags := r.gather(red, &spare)
+	srcs, n, memReal, tags := r.gather(red, &spare)
 	gatherSp.End(obs.A("pairs", n), obs.A("runs", len(srcs)))
 	// Fault point: after the gather (partial state exists to discard),
 	// before the empty-reducer return — kills target empty reducers too.
@@ -629,15 +629,14 @@ func (r *run) reduceAttempt(actx context.Context, red, attempt int, sh *obs.Shar
 	// bufs[tag] collects the current key run's tuples; groups are the
 	// views of them Reduce is handed. When every run holds the same single
 	// key — any Hilbert component — the input is one key run and the
-	// gathered tag counts size the buffers exactly (spilled pairs, whose
-	// tags are unknown until read, grow them); otherwise a buffer doubles
-	// until it fits the reducer's longest run.
-	nTags := len(memTags)
+	// gathered tag counts size the buffers exactly; otherwise a buffer
+	// doubles until it fits the reducer's longest run.
+	nTags := len(tags)
 	both := make([][]relation.Tuple, 2*nTags)
 	bufs, groups := both[:nTags], both[nTags:]
 	key := srcs[0].firstKey()
 	if !slices.ContainsFunc(srcs, func(s pairSource) bool { return s.firstKey() != key || s.lastKey() != key }) {
-		for tag, c := range memTags {
+		for tag, c := range tags {
 			bufs[tag] = make([]relation.Tuple, 0, c)
 		}
 	}
@@ -662,7 +661,7 @@ func (r *run) reduceAttempt(actx context.Context, red, attempt int, sh *obs.Shar
 		runLen, runReal = 0, 0
 	}
 	var merged int
-	err := mergeSources(srcs, r.tasks, func(p pair, task int) error {
+	err := mergeSources(srcs, r.tasks, func(rec record, ti int) error {
 		// Cancellation check mid-merge: a cancelled run must not
 		// finish a large merge before noticing.
 		if merged++; merged&1023 == 0 {
@@ -670,14 +669,15 @@ func (r *run) reduceAttempt(actx context.Context, red, attempt int, sh *obs.Shar
 				return err
 			}
 		}
-		bytes += p.modeledBytes(r.tasks[task].multiplier)
-		if runLen > 0 && p.key != curKey {
+		task := &r.tasks[ti]
+		bytes += rec.modeledBytes(task.multiplier)
+		if runLen > 0 && rec.key != curKey {
 			flushRun()
 		}
-		curKey = p.key
-		bufs[p.tag] = appendDoubling(bufs[p.tag], p.tuple)
+		curKey = rec.key
+		bufs[task.inputIdx] = appendDoubling(bufs[task.inputIdx], task.tuples[rec.row])
 		runLen++
-		if runReal += p.realBytes(); runReal > maxRunReal {
+		if runReal += rec.realBytes(); runReal > maxRunReal {
 			maxRunReal = runReal
 		}
 		return nil
@@ -903,13 +903,13 @@ func (r *run) export(m *Metrics) {
 // attempt, so after the first few tasks a map attempt's only shuffle
 // allocation is its partitioned block.
 type mapScratch struct {
-	pairs []pair
+	recs  []record
 	dest  []int32
 	count []int // pairs per reducer
 }
 
-func (sc *mapScratch) add(red int, p pair) {
-	sc.pairs = appendDoubling(sc.pairs, p)
+func (sc *mapScratch) add(red int, rec record) {
+	sc.recs = appendDoubling(sc.recs, rec)
 	sc.dest = appendDoubling(sc.dest, int32(red))
 }
 
@@ -917,21 +917,21 @@ func (sc *mapScratch) add(red int, p pair) {
 // one exactly sized block and returns the per-reducer buckets, each a
 // capacity-limited subslice of it holding that reducer's pairs in
 // emission order.
-func (sc *mapScratch) partition(nRed int) [][]pair {
+func (sc *mapScratch) partition(nRed int) [][]record {
 	sc.count = slices.Grow(sc.count[:0], nRed)[:nRed]
 	clear(sc.count)
 	for _, d := range sc.dest {
 		sc.count[d]++
 	}
-	buckets := make([][]pair, nRed)
-	block := make([]pair, len(sc.pairs))
+	buckets := make([][]record, nRed)
+	block := make([]record, len(sc.recs))
 	off := 0
 	for red, n := range sc.count {
 		buckets[red] = block[off : off : off+n]
 		off += n
 	}
-	for i, p := range sc.pairs {
-		buckets[sc.dest[i]] = append(buckets[sc.dest[i]], p) // within its capacity
+	for i, rec := range sc.recs {
+		buckets[sc.dest[i]] = append(buckets[sc.dest[i]], rec) // within its capacity
 	}
 	return buckets
 }
@@ -946,17 +946,17 @@ func appendDoubling[T any](s []T, v T) []T {
 	return append(s, v)
 }
 
-// sortBucket stable-sorts one bucket — of in-memory pairs or of spill
-// records — with byKey, preserving emission order within a key. Buckets
-// that are already ordered — every job whose keys are reducer ordinals —
-// are detected in one linear pass and left untouched.
-func sortBucket[T any](b []T, byKey func(a, b T) int) {
-	if !slices.IsSortedFunc(b, byKey) {
-		slices.SortStableFunc(b, byKey)
+// sortBucket stable-sorts one bucket by key, preserving emission order
+// within a key. Buckets that are already ordered — every job whose keys
+// are reducer ordinals — are detected in one linear pass and left
+// untouched.
+func sortBucket(b []record) {
+	if !slices.IsSortedFunc(b, recByKey) {
+		slices.SortStableFunc(b, recByKey)
 	}
 }
 
-func pairByKey(a, b pair) int { return cmp.Compare(a.key, b.key) }
+func recByKey(a, b record) int { return cmp.Compare(a.key, b.key) }
 
 // simulate advances the discrete-event clock: map tasks run in waves
 // over mapSlots (a task with f injected failures occupies its slot for

@@ -38,7 +38,7 @@ func countJob(in *relation.Relation, reducers int) *Job {
 	)
 	return &Job{
 		Name:   "count",
-		Inputs: []Input{{Rel: in, Map: func(t relation.Tuple, emit Emitter) { emit(uint64(t[0].Int64()), 0) }}},
+		Inputs: []Input{{Rel: in, Map: func(t relation.Tuple, emit Emitter) { emit(uint64(t[0].Int64())) }}},
 		Reduce: func(key uint64, groups [][]relation.Tuple, ctx *ReduceContext) {
 			ctx.Emit(relation.Tuple{groups[0][0][0], relation.Int(int64(len(groups[0])))})
 		},
@@ -133,7 +133,7 @@ func TestMergeOrderingContract(t *testing.T) {
 	var groups []group
 	job := &Job{
 		Name:   "ordering",
-		Inputs: []Input{{Rel: in, Map: func(t relation.Tuple, emit Emitter) { emit(uint64(t[0].Int64()), 0) }}},
+		Inputs: []Input{{Rel: in, Map: func(t relation.Tuple, emit Emitter) { emit(uint64(t[0].Int64())) }}},
 		Reduce: func(key uint64, byTag [][]relation.Tuple, ctx *ReduceContext) {
 			values := byTag[0]
 			g := group{key: key}
@@ -192,8 +192,8 @@ func TestRunEquiJoin(t *testing.T) {
 	job := &Job{
 		Name: "equijoin",
 		Inputs: []Input{
-			{Rel: left, Map: func(t relation.Tuple, emit Emitter) { emit(uint64(t[0].Int64()), 0) }},
-			{Rel: right, Map: func(t relation.Tuple, emit Emitter) { emit(uint64(t[0].Int64()), 1) }},
+			{Rel: left, Map: func(t relation.Tuple, emit Emitter) { emit(uint64(t[0].Int64())) }},
+			{Rel: right, Map: func(t relation.Tuple, emit Emitter) { emit(uint64(t[0].Int64())) }},
 		},
 		Reduce: func(key uint64, groups [][]relation.Tuple, ctx *ReduceContext) {
 			ls, rs := groups[0], groups[1]
@@ -512,7 +512,7 @@ func TestStringKeysViaHash(t *testing.T) {
 	)
 	job := &Job{
 		Name:   "strcount",
-		Inputs: []Input{{Rel: in, Map: func(t relation.Tuple, emit Emitter) { emit(hashString(t[0].Str()), 0) }}},
+		Inputs: []Input{{Rel: in, Map: func(t relation.Tuple, emit Emitter) { emit(hashString(t[0].Str())) }}},
 		Reduce: func(key uint64, groups [][]relation.Tuple, ctx *ReduceContext) {
 			// Hash collisions are possible in principle: re-group by value.
 			byVal := map[string]int64{}
@@ -584,7 +584,7 @@ func TestOutputCapRatio(t *testing.T) {
 	// A job that explodes: emits n^2 output rows for the hot key.
 	job := &Job{
 		Name:   "explode",
-		Inputs: []Input{{Rel: in, Map: func(t relation.Tuple, emit Emitter) { emit(7, 0) }}},
+		Inputs: []Input{{Rel: in, Map: func(t relation.Tuple, emit Emitter) { emit(7) }}},
 		Reduce: func(key uint64, groups [][]relation.Tuple, ctx *ReduceContext) {
 			for range groups[0] {
 				for range groups[0] {

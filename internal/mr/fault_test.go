@@ -301,7 +301,7 @@ func TestPanickingTaskFailsTheRun(t *testing.T) {
 							calls.Add(1)
 							relation.MustSchema().MustLookup("no such column")
 						}
-						emit(uint64(tu[0].Int64()), 0)
+						emit(uint64(tu[0].Int64()))
 					}
 				}
 

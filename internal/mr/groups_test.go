@@ -9,8 +9,10 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/relation"
 )
@@ -82,7 +84,7 @@ func newGroupProbe(rng *rand.Rand, nTags, nRed, keys int) groupProbe {
 			rel.MustAppend(relation.Tuple{relation.Int(k), relation.Int(int64(tag*1000 + i))})
 		}
 		tag := uint8(tag)
-		inputs[tag] = Input{Rel: rel, Map: func(t relation.Tuple, emit Emitter) { emit(keyOf(t), tag) }}
+		inputs[tag] = Input{Rel: rel, Map: func(t relation.Tuple, emit Emitter) { emit(keyOf(t)) }}
 		for _, t := range rel.Tuples {
 			route = fanOut{}.Route(route[:0], keyOf(t), tag, t, nRed)
 			for _, red := range route {
@@ -180,17 +182,59 @@ func TestReduceGroupsMatchReferenceSplit(t *testing.T) {
 	}
 }
 
-// TestOutOfRangeTagIsError: a map function emitting a tag the job has no
-// input for is reported, not indexed with.
-func TestOutOfRangeTagIsError(t *testing.T) {
-	job := countJob(intsRelation("in", 1, 2, 3), 2)
-	job.Inputs[0].Map = func(t relation.Tuple, emit Emitter) { emit(1, 1) }
+// TestGroupsAreTheirInputs: a pair's tag is the input its row was
+// mapped from, so groups[i] holds input i's own rows — the very slices,
+// not copies — however a replicating Partitioner fans them out, in
+// memory and from spilled runs.
+func TestGroupsAreTheirInputs(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	const nInputs, nRed = 3, 4
+	inputOf := map[*relation.Value]int{}
+	var routed [nInputs]int64 // pairs each input routes
+	inputs := make([]Input, nInputs)
+	for i := range inputs {
+		rel := relation.New(fmt.Sprintf("in%d", i), relation.MustSchema(relation.Column{Name: "k", Kind: relation.KindInt}))
+		for j := 0; j < 40+rng.Intn(40); j++ {
+			k := int64(rng.Intn(9)) // few keys: every key run mixes the inputs
+			rel.MustAppend(relation.Tuple{relation.Int(k)})
+			routed[i] += int64(len(fanOut{}.Route(nil, uint64(k), uint8(i), nil, nRed)))
+		}
+		for _, row := range rel.Tuples {
+			inputOf[&row[0]] = i
+		}
+		inputs[i] = Input{Rel: rel, Map: func(t relation.Tuple, emit Emitter) { emit(uint64(t[0].Int64())) }}
+	}
 	for _, budget := range []int64{0, 64} {
+		var seen [nInputs]atomic.Int64
+		job := &Job{
+			Name:   "inputs",
+			Inputs: inputs,
+			Reduce: func(key uint64, groups [][]relation.Tuple, ctx *ReduceContext) {
+				for i, g := range groups {
+					for _, row := range g {
+						if in, ok := inputOf[&row[0]]; !ok || in != i {
+							t.Errorf("budget %d key %d: groups[%d] holds %v, a row of input %d (found %v)", budget, key, i, row, in, ok)
+						}
+					}
+					seen[i].Add(int64(len(g)))
+				}
+			},
+			NumReducers:  nRed,
+			Partitioner:  fanOut{},
+			OutputName:   "none",
+			OutputSchema: relation.MustSchema(relation.Column{Name: "k", Kind: relation.KindInt}),
+		}
 		cfg := smallConfig()
+		cfg.TuplesPerMapTask = 7
 		cfg.SpillBudgetBytes = budget
-		_, err := Run(context.Background(), cfg, job)
-		if err == nil || !strings.HasPrefix(err.Error(), "mr: ") || !strings.Contains(err.Error(), "tag 1") {
-			t.Errorf("budget %d: err = %v, want an mr: error naming tag 1", budget, err)
+		res := mustRun(t, cfg, job)
+		if budget > 0 && res.Metrics.SpillRuns == 0 {
+			t.Errorf("budget %d: nothing spilled", budget)
+		}
+		for i := range seen {
+			if got := seen[i].Load(); got != routed[i] {
+				t.Errorf("budget %d: Reduce saw %d rows of input %d, it routes %d", budget, got, i, routed[i])
+			}
 		}
 	}
 }
@@ -206,19 +250,19 @@ func sizeProbeSplit() []relation.Tuple {
 	}
 }
 
-// sizeProbeRecords names every row of split once, with keys and tags
-// that reach the top bytes of their fields.
-func sizeProbeRecords(split []relation.Tuple) []spillRec {
-	recs := make([]spillRec, len(split))
+// sizeProbeRecords names every row of split once, with keys that reach
+// the top byte of their field.
+func sizeProbeRecords(split []relation.Tuple) []record {
+	recs := make([]record, len(split))
 	for i, t := range split {
-		recs[i] = spillRec{key: uint64(i+1) << 60, row: uint32(i), size: uint32(t.EncodedSize()), tag: uint8(i << 7)}
+		recs[i] = record{key: uint64(i+1) << 60, row: uint32(i), size: uint32(t.EncodedSize())}
 	}
 	return recs
 }
 
 // encodeRecords is the bytes appendRecord produces for recs, back to
 // back: one frame's payload.
-func encodeRecords(recs []spillRec) []byte {
+func encodeRecords(recs []record) []byte {
 	var b []byte
 	for _, rec := range recs {
 		b = appendRecord(b, rec)
@@ -226,59 +270,50 @@ func encodeRecords(recs []spillRec) []byte {
 	return b
 }
 
-// decodePairs decodes a whole payload against split and returns the
-// pairs decoded before any error, with the bytes they took.
-func decodePairs(b []byte, split []relation.Tuple) ([]pair, int, error) {
-	var ps []pair
+// decodeRecords decodes a whole payload against split and returns the
+// records decoded before any error, with the bytes they took.
+func decodeRecords(b []byte, split []relation.Tuple) ([]record, int, error) {
+	var recs []record
 	n := 0
 	for n < len(b) {
-		p, rest, err := decodeRecord(b[n:], split)
+		rec, rest, err := decodeRecord(b[n:], split)
 		if err != nil {
-			return ps, n, err
+			return recs, n, err
 		}
 		if len(rest) >= len(b)-n {
-			return ps, n, fmt.Errorf("decodeRecord consumed nothing of %d bytes", len(b)-n)
+			return recs, n, fmt.Errorf("decodeRecord consumed nothing of %d bytes", len(b)-n)
 		}
-		ps, n = append(ps, p), len(b)-len(rest)
+		recs, n = append(recs, rec), len(b)-len(rest)
 	}
-	return ps, n, nil
+	return recs, n, nil
 }
 
-// rowOf returns the ordinal of the split row t is, by identity, or -1.
-func rowOf(t relation.Tuple, split []relation.Tuple) int {
-	for i, row := range split {
-		if len(t) > 0 && len(row) == len(t) && &row[0] == &t[0] {
-			return i
-		}
+// TestRecordLayout pins the shuffle record: 16 bytes in memory, at most
+// 13 on disk. A field added to it costs every in-memory pair its width.
+func TestRecordLayout(t *testing.T) {
+	if size := unsafe.Sizeof(record{}); size != 16 {
+		t.Errorf("record is %d bytes, want 16", size)
 	}
-	return -1
+	if maxRecordLen != 13 {
+		t.Errorf("maxRecordLen = %d, want 13", maxRecordLen)
+	}
+	if n := len(appendRecord(nil, record{key: ^uint64(0), row: ^uint32(0)})); n != maxRecordLen {
+		t.Errorf("the widest record encodes in %d bytes, maxRecordLen is %d", n, maxRecordLen)
+	}
 }
 
-func samePairs(a, b []pair) bool {
-	return slices.EqualFunc(a, b, func(x, y pair) bool {
-		return x.key == y.key && x.tag == y.tag && x.size == y.size && slices.EqualFunc(x.tuple, y.tuple, relation.Identical)
-	})
-}
-
-// TestPairSizeMeasuredOnce: the size a pair carries is its tuple's
+// TestPairSizeMeasuredOnce: the size a record carries is its row's
 // EncodedSize on both sides of a spill round trip, so the byte metrics
-// that now read the field equal the ones that walked the tuple — pinned
-// here to the values the engine reported before pairs carried a size.
+// that read the field equal the ones that walked the tuple — pinned
+// here to the values the engine reported before pairs carried a size,
+// except spill: a spilled record has since lost its tag byte, one byte
+// less for each of the 900 pairs.
 func TestPairSizeMeasuredOnce(t *testing.T) {
 	split := sizeProbeSplit()
 	recs := sizeProbeRecords(split)
-	got, _, err := decodePairs(encodeRecords(recs), split)
-	if err != nil || len(got) != len(recs) {
-		t.Fatalf("decoded %d of %d records: %v", len(got), len(recs), err)
-	}
-	for i, p := range got {
-		rec := recs[i]
-		if p.key != rec.key || p.tag != rec.tag || p.size != rec.size || rowOf(p.tuple, split) != int(rec.row) {
-			t.Errorf("record %+v came back as key %#x tag %d size %d row %d", rec, p.key, p.tag, p.size, rowOf(p.tuple, split))
-		}
-		if int(p.size) != p.tuple.EncodedSize() {
-			t.Errorf("pair %d: size %d, tuple measures %d", i, p.size, p.tuple.EncodedSize())
-		}
+	got, _, err := decodeRecords(encodeRecords(recs), split)
+	if err != nil || !slices.Equal(got, recs) {
+		t.Fatalf("records %+v decode as %+v: %v", recs, got, err)
 	}
 
 	in := spillProbeRelation(t, 900)
@@ -288,7 +323,7 @@ func TestPairSizeMeasuredOnce(t *testing.T) {
 		runs                      int
 	}{
 		{budget: 0, shuffle: 28718, peak: 35706, out: 984},
-		{budget: 512, shuffle: 28718, peak: 702, spill: 11272, runs: 57, out: 984},
+		{budget: 512, shuffle: 28718, peak: 702, spill: 10372, runs: 57, out: 984},
 	} {
 		cfg := smallConfig()
 		cfg.SpillBudgetBytes = pin.budget
@@ -301,28 +336,28 @@ func TestPairSizeMeasuredOnce(t *testing.T) {
 	}
 }
 
-// TestMapPartitionStable: dealing the routed pairs out of the flat buffer
-// gives every reducer what appending to its own bucket would have — the
-// same pairs in emission order — as exactly sized, capacity-limited
-// pieces of one block.
+// TestMapPartitionStable: dealing the routed records out of the flat
+// buffer gives every reducer what appending to its own bucket would
+// have — the same records in emission order — as exactly sized,
+// capacity-limited pieces of one block.
 func TestMapPartitionStable(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	var sc mapScratch
 	for trial := 0; trial < 50; trial++ {
 		nRed := 1 + rng.Intn(9)
-		sc.pairs, sc.dest = sc.pairs[:0], sc.dest[:0] // reused, as the run reuses it
-		want := make([][]pair, nRed)
+		sc.recs, sc.dest = sc.recs[:0], sc.dest[:0] // reused, as the run reuses it
+		want := make([][]record, nRed)
 		for i, n := 0, rng.Intn(400); i < n; i++ {
-			p := pair{key: uint64(rng.Intn(7)), tag: uint8(rng.Intn(3)), size: uint32(i)}
+			rec := record{key: uint64(rng.Intn(7)), row: uint32(i), size: uint32(rng.Intn(50))}
 			// Skewed routes: low reducers busy, some left empty.
 			red := rng.Intn(1 + rng.Intn(nRed))
-			sc.add(red, p)
-			want[red] = append(want[red], p)
+			sc.add(red, rec)
+			want[red] = append(want[red], rec)
 		}
 		got := sc.partition(nRed)
 		total := 0
 		for red := range want {
-			if !samePairs(got[red], want[red]) {
+			if !slices.Equal(got[red], want[red]) {
 				t.Fatalf("trial %d reducer %d: partition gives %v, appending gives %v", trial, red, got[red], want[red])
 			}
 			if cap(got[red]) != len(got[red]) {
@@ -331,39 +366,37 @@ func TestMapPartitionStable(t *testing.T) {
 			}
 			total += len(got[red])
 		}
-		if total != len(sc.pairs) {
-			t.Errorf("trial %d: buckets hold %d of %d pairs", trial, total, len(sc.pairs))
+		if total != len(sc.recs) {
+			t.Errorf("trial %d: buckets hold %d of %d records", trial, total, len(sc.recs))
 		}
 	}
 }
 
 // FuzzSpillFrame: decodeRecord reads spill records back from disk and
 // resolves them against a split. Whatever the bytes are it must return
-// pairs or an error — no panic, no read past the payload, no row outside
-// the split, progress on every record — and the bytes it accepts must be
-// exactly what appendRecord writes for the records it returns.
+// records or an error — no panic, no read past the payload, no row
+// outside the split, progress on every record — and the bytes it
+// accepts must be exactly what appendRecord writes for the records it
+// returns.
 func FuzzSpillFrame(f *testing.F) {
 	split := sizeProbeSplit()
 	whole := encodeRecords(sizeProbeRecords(split))
 	f.Add(whole)
 	f.Add(whole[:len(whole)-3])
-	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, 2, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}) // a row far past the split
+	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}) // a row far past the split
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		// An exact-capacity copy: a read past the end is out of range.
-		ps, n, err := decodePairs(slices.Clip(slices.Clone(payload)), split)
+		recs, n, err := decodeRecords(slices.Clip(slices.Clone(payload)), split)
 		if err == nil && n != len(payload) {
 			t.Fatalf("decoded %d of %d bytes without an error", n, len(payload))
 		}
-		recs := make([]spillRec, len(ps))
-		for i, p := range ps {
-			row := rowOf(p.tuple, split)
-			if row < 0 {
-				t.Fatalf("pair %d is no row of the split: %v", i, p.tuple)
+		for i, rec := range recs {
+			if int(rec.row) >= len(split) {
+				t.Fatalf("record %d names row %d of a split of %d", i, rec.row, len(split))
 			}
-			if int(p.size) != p.tuple.EncodedSize() {
-				t.Fatalf("decoded pair carries size %d, its tuple measures %d", p.size, p.tuple.EncodedSize())
+			if int(rec.size) != split[rec.row].EncodedSize() {
+				t.Fatalf("decoded record carries size %d, its row measures %d", rec.size, split[rec.row].EncodedSize())
 			}
-			recs[i] = spillRec{key: p.key, row: uint32(row), size: p.size, tag: p.tag}
 		}
 		if written := encodeRecords(recs); !bytes.Equal(written, payload[:n]) {
 			t.Fatalf("records decoded from %x re-encode as %x", payload[:n], written)

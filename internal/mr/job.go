@@ -8,16 +8,16 @@ import (
 )
 
 // Emitter receives map output: one call shuffles the tuple being mapped
-// under key. tag is the ordinal of the input that produced it (below
-// len(Job.Inputs)), so join reducers get their sides apart. A key goes
-// to reducer key mod numReducers unless the job sets a Partitioner; jobs
+// under key. The pair's tag is the ordinal of the input being mapped,
+// so groups[i] of a Reduce call holds input i's rows. A key goes to
+// reducer key mod numReducers unless the job sets a Partitioner; jobs
 // whose keys are reducer ordinals rely on that default.
-type Emitter func(key uint64, tag uint8)
+type Emitter func(key uint64)
 
-// MapFunc routes one input tuple: it emits it under zero or more (key,
-// tag) pairs. The value a pair carries is always t itself, a row of the
-// input relation, which is what lets a spilled pair name its row
-// instead of carrying its bytes.
+// MapFunc routes one input tuple: it emits it under zero or more keys.
+// The value a pair carries is always t itself, a row of the input
+// relation, which is what lets a shuffled pair name its row instead of
+// carrying it.
 type MapFunc func(t relation.Tuple, emit Emitter)
 
 // ReduceContext lets reducers report work (candidate combinations
@@ -102,10 +102,10 @@ func (rc *ReduceContext) AddWork(n int64) { rc.combinations += n }
 
 // ReduceFunc processes all values grouped under one key.
 //
-// groups has one entry per job input: groups[tag] holds the key's values
-// emitted with that tag (empty when there are none), in task order and,
-// within a task, map emission order — the engine's determinism contract.
-// The engine splits the merged run by tag because every join reducer
+// groups has one entry per job input: groups[i] holds the key's rows of
+// input i (empty when there are none), in task order and, within a
+// task, map emission order — the engine's determinism contract. The
+// engine splits the merged run by input because every join reducer
 // starts that way. The slices are views into buffers the attempt reuses
 // for its next key: valid only for the duration of the call, not to be
 // retained (copy what outlives it), and capacity-limited, so an append
@@ -120,7 +120,8 @@ type ReduceFunc func(key uint64, groups [][]relation.Tuple, ctx *ReduceContext)
 // partition disappears. Route appends the destination ordinals (each
 // in [0, numReducers)) to dst and returns the extended slice; it must
 // be a pure, deterministic function of its arguments — the engine's
-// determinism guarantee rests on it.
+// determinism guarantee rests on it. tag is the ordinal of the input t
+// is a row of.
 type Partitioner interface {
 	Route(dst []int, key uint64, tag uint8, t relation.Tuple, numReducers int) []int
 }

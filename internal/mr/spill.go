@@ -2,7 +2,6 @@ package mr
 
 import (
 	"bufio"
-	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -26,11 +25,12 @@ import (
 // in-memory path. See Run for the determinism contract; the spill
 // layer preserves it because runs are merged in (key, source ordinal)
 // order with sources ordered (task, flush), exactly the global stable
-// sort order of the in-memory path, and because a spilled pair names
-// its row instead of carrying its bytes: every value a map function
-// emits is the row it was handed, a row of a job input the run holds
-// for its whole length, so a reader resolves the record to that very
-// row and hands Reduce the slice the in-memory path would have.
+// sort order of the in-memory path, and because a spilled pair is the
+// same record an in-memory bucket holds, naming its row instead of
+// carrying its bytes: every value a map function emits is the row it
+// was handed, a row of a job input the run holds for its whole length,
+// so a reader resolves the record to that very row and hands Reduce the
+// slice the in-memory path would have.
 
 // SpillFile is one spill target: append-only while writing, random
 // access (io.ReaderAt) after Seal, reclaimed by Release. The engine
@@ -125,48 +125,34 @@ func (t *tempSpillFile) Release() error {
 
 // ---- Record codec -----------------------------------------------------
 
-// spillRec is a routed pair as a spilling map task buffers it: the row
-// is the pair's tuple as its ordinal in the task's split, and size its
-// accounted EncodedSize, which the budget reads.
-type spillRec struct {
-	key  uint64
-	row  uint32
-	size uint32
-	tag  uint8
-}
+// A spilled record is u64 key (LE) | uvarint row, at most maxRecordLen
+// bytes. Its size is not written: the reader re-measures the row, and
+// its tag is its task's input.
+const maxRecordLen = 8 + binary.MaxVarintLen32
 
-func (s spillRec) realBytes() int64 { return int64(s.size) + 8 }
-
-func recByKey(a, b spillRec) int { return cmp.Compare(a.key, b.key) }
-
-// A spilled record is u64 key (LE) | u8 tag | uvarint row, at most
-// maxRecordLen bytes.
-const maxRecordLen = 8 + 1 + binary.MaxVarintLen32
-
-func appendRecord(dst []byte, s spillRec) []byte {
-	dst = append(binary.LittleEndian.AppendUint64(dst, s.key), s.tag)
-	return binary.AppendUvarint(dst, uint64(s.row))
+func appendRecord(dst []byte, rec record) []byte {
+	dst = binary.LittleEndian.AppendUint64(dst, rec.key)
+	return binary.AppendUvarint(dst, uint64(rec.row))
 }
 
 // decodeRecord decodes the record at the front of a verified frame
-// payload, resolves it against split, the rows of the map task that
-// wrote it, and returns the pair, measured from its row, with the rest
-// of the payload. A row varint that is cut short, longer than it needs
-// to be or past the split is an error: checksums vouch for the bytes,
-// not for the writer.
-func decodeRecord(b []byte, split []relation.Tuple) (pair, []byte, error) {
-	if len(b) < 10 {
-		return pair{}, nil, io.ErrUnexpectedEOF
+// payload against split, the rows of the map task that wrote it, and
+// returns it, measured from its row, with the rest of the payload. A
+// row varint that is cut short, longer than it needs to be or past the
+// split is an error: checksums vouch for the bytes, not for the writer.
+func decodeRecord(b []byte, split []relation.Tuple) (record, []byte, error) {
+	if len(b) < 9 {
+		return record{}, nil, io.ErrUnexpectedEOF
 	}
-	row, w := binary.Uvarint(b[9:])
-	if w <= 0 || w > 1 && b[8+w] == 0 {
-		return pair{}, nil, errors.New("malformed row ordinal")
+	row, w := binary.Uvarint(b[8:])
+	if w <= 0 || w > 1 && b[7+w] == 0 {
+		return record{}, nil, errors.New("malformed row ordinal")
 	}
 	if row >= uint64(len(split)) {
-		return pair{}, nil, fmt.Errorf("row %d past its split of %d", row, len(split))
+		return record{}, nil, fmt.Errorf("row %d past its split of %d", row, len(split))
 	}
-	t := split[row]
-	return pair{key: binary.LittleEndian.Uint64(b), tag: b[8], size: uint32(t.EncodedSize()), tuple: t}, b[9+w:], nil
+	rec := record{key: binary.LittleEndian.Uint64(b), row: uint32(row), size: uint32(split[row].EncodedSize())}
+	return rec, b[8+w:], nil
 }
 
 // ---- Checksummed frames -----------------------------------------------
@@ -199,7 +185,7 @@ type frameWriter struct {
 	frames int
 }
 
-func (fw *frameWriter) writeRecord(rec spillRec) error {
+func (fw *frameWriter) writeRecord(rec record) error {
 	fw.buf = appendRecord(fw.buf, rec)
 	if len(fw.buf) >= spillFrameSize {
 		return fw.emit()
@@ -251,7 +237,7 @@ type spillFlush struct {
 type taskSpiller struct {
 	store    SpillStore
 	budget   int64
-	buckets  [][]spillRec
+	buckets  [][]record
 	frame    []byte // frame buffer, reused from flush to flush
 	buffered int64  // accounted bytes currently buffered
 	peak     int64  // high-water mark of buffered
@@ -260,13 +246,13 @@ type taskSpiller struct {
 }
 
 func newTaskSpiller(store SpillStore, nRed int, budget int64) *taskSpiller {
-	return &taskSpiller{store: store, budget: budget, buckets: make([][]spillRec, nRed)}
+	return &taskSpiller{store: store, budget: budget, buckets: make([][]record, nRed)}
 }
 
 // add buffers one routed pair, flushing first when the budget is
 // exhausted. Flushing before (not after) appending keeps the buffer at
 // most one pair over budget.
-func (ts *taskSpiller) add(r int, rec spillRec) error {
+func (ts *taskSpiller) add(r int, rec record) error {
 	b := rec.realBytes()
 	if ts.buffered > 0 && ts.buffered+b > ts.budget {
 		if err := ts.flush(); err != nil {
@@ -304,7 +290,7 @@ func (ts *taskSpiller) flush() (err error) {
 		if len(b) == 0 {
 			continue
 		}
-		sortBucket(b, recByKey)
+		sortBucket(b)
 		seg := spillSegment{off: cw.n, count: len(b), firstKey: b[0].key, lastKey: b[len(b)-1].key}
 		for _, rec := range b {
 			if err := fw.writeRecord(rec); err != nil {
@@ -357,19 +343,21 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 
 // ---- Reduce-side cursors and streaming merge --------------------------
 
-// pairSource is one key-sorted run feeding a reducer's merge: an
-// in-memory bucket or a spilled segment. Sources expose their key
-// bounds so the merge can take the sequential fast path when the
-// task-order concatenation is already globally sorted.
+// pairSource is one key-sorted run of records feeding a reducer's
+// merge: an in-memory bucket or a spilled segment. Both kinds yield
+// the same records, each naming a row of the source's task's split, and
+// the merge's caller resolves them one way for both. Sources expose
+// their key bounds so the merge can take the sequential fast path when
+// the task-order concatenation is already globally sorted.
 //
 // Reading never mutates the run: a retried or speculative reduce
 // attempt re-reads the same committed bucket or segment, so the engine
 // releases buckets only once every attempt of the reducer has joined.
-// A segment's records name rows of its task's split, a relation the run
-// holds to its end, so every attempt resolves them to the same rows.
+// A record's row is in its task's split, a relation the run holds to
+// its end, so every attempt resolves it to the same row.
 type pairSource struct {
 	// Exactly one of bucket/file is set.
-	bucket []pair
+	bucket []record
 	file   SpillFile
 	seg    spillSegment
 	// task is the producing map task: its multiplier prices the run's
@@ -390,19 +378,12 @@ type pairSource struct {
 	spare *[]byte
 }
 
-func memSource(bucket []pair, task int) pairSource {
+func memSource(bucket []record, task int) pairSource {
 	return pairSource{bucket: bucket, task: task}
 }
 
 func diskSource(file SpillFile, seg spillSegment, task int, ft *faultRuntime, spare *[]byte) pairSource {
 	return pairSource{file: file, seg: seg, task: task, ft: ft, spare: spare}
-}
-
-func (s *pairSource) count() int {
-	if s.bucket != nil {
-		return len(s.bucket)
-	}
-	return s.seg.count
 }
 
 func (s *pairSource) firstKey() uint64 {
@@ -419,26 +400,26 @@ func (s *pairSource) lastKey() uint64 {
 	return s.seg.lastKey
 }
 
-// next returns the run's next pair; disk sources read records from
-// checksum-verified frames loaded one at a time and resolve them
-// against their task's split in tasks.
-func (s *pairSource) next(tasks []mapTask) (pair, error) {
+// next returns the run's next record; disk sources decode theirs from
+// checksum-verified frames loaded one at a time, against their task's
+// split in tasks.
+func (s *pairSource) next(tasks []mapTask) (record, error) {
 	if s.bucket != nil {
-		p := s.bucket[s.pos]
+		rec := s.bucket[s.pos]
 		s.pos++
 		if s.pos == len(s.bucket) {
 			s.pos = -1
 		}
-		return p, nil
+		return rec, nil
 	}
 	if len(s.rest) == 0 {
 		if err := s.loadFrame(); err != nil {
-			return pair{}, fmt.Errorf("mr: read spilled pair: %w", err)
+			return record{}, fmt.Errorf("mr: read spilled pair: %w", err)
 		}
 	}
-	p, rest, err := decodeRecord(s.rest, tasks[s.task].tuples)
+	rec, rest, err := decodeRecord(s.rest, tasks[s.task].tuples)
 	if err != nil {
-		return pair{}, fmt.Errorf("mr: read spilled pair: %w", err)
+		return record{}, fmt.Errorf("mr: read spilled pair: %w", err)
 	}
 	s.rest = rest
 	s.pos++
@@ -446,7 +427,7 @@ func (s *pairSource) next(tasks []mapTask) (pair, error) {
 		*s.spare, s.frame, s.rest = s.frame, nil, nil // hand the read buffer on
 		s.pos = -1
 	}
-	return p, nil
+	return rec, nil
 }
 
 // loadFrame reads and verifies the segment's next frame, header and
@@ -506,10 +487,10 @@ func (s *pairSource) drained() bool { return s.pos == -1 }
 
 // mergeSources streams the k-way merge of non-empty key-sorted sources
 // (ordered by (task, flush) ordinal) to emit, with the producing task of
-// each pair, in (key, source ordinal) order — the same global order the
-// in-memory engine's stable sort produced. Spilled pairs are resolved
-// against tasks. Memory held is one pair per source.
-func mergeSources(srcs []pairSource, tasks []mapTask, emit func(p pair, task int) error) error {
+// each record, in (key, source ordinal) order — the same global order
+// the in-memory engine's stable sort produced. Spilled records are
+// decoded against tasks. Memory held is one record per source.
+func mergeSources(srcs []pairSource, tasks []mapTask, emit func(rec record, task int) error) error {
 	// Fast path: concatenation in source order is already globally
 	// ordered (boundary ties are fine — source order is the desired
 	// order for equal keys).
@@ -536,7 +517,7 @@ func mergeSources(srcs []pairSource, tasks []mapTask, emit func(p pair, task int
 		return nil
 	}
 	// Binary min-heap of source ordinals keyed by (head key, ordinal).
-	heads := make([]pair, len(srcs))
+	heads := make([]record, len(srcs))
 	for i := range srcs {
 		p, err := srcs[i].next(tasks)
 		if err != nil {
@@ -581,7 +562,7 @@ func mergeSources(srcs []pairSource, tasks []mapTask, emit func(p pair, task int
 			return err
 		}
 		if s.drained() {
-			heads[b] = pair{}
+			heads[b] = record{}
 			size--
 			heap[0] = heap[size]
 		} else {

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"slices"
 	"strings"
@@ -64,7 +65,7 @@ func groupJob(in *relation.Relation, reducers int) *Job {
 	)
 	return &Job{
 		Name:   "group",
-		Inputs: []Input{{Rel: in, Map: func(t relation.Tuple, emit Emitter) { emit(uint64(t[0].Int64()), 0) }}},
+		Inputs: []Input{{Rel: in, Map: func(t relation.Tuple, emit Emitter) { emit(uint64(t[0].Int64())) }}},
 		Reduce: func(key uint64, groups [][]relation.Tuple, ctx *ReduceContext) {
 			values := groups[0]
 			var city relation.Value
@@ -231,22 +232,23 @@ func spilledPairCount(t *testing.T, cfg Config, job *Job) (onDisk, inMemory int)
 
 // TestMemSourceRereadable pins what retries rest on: merging in-memory
 // buckets yields (key, source) order and leaves the buckets untouched,
-// so a second reduce attempt over the same buckets reads the same pairs.
+// so a second reduce attempt over the same buckets reads the same
+// records.
 func TestMemSourceRereadable(t *testing.T) {
-	a := []pair{{key: 1, tuple: relation.Tuple{relation.Int(1)}}, {key: 5, tuple: relation.Tuple{relation.Int(5)}}}
-	b := []pair{{key: 2, tuple: relation.Tuple{relation.Int(2)}}, {key: 9, tuple: relation.Tuple{relation.Int(9)}}}
+	a := []record{{key: 1, row: 0}, {key: 5, row: 1}}
+	b := []record{{key: 2, row: 0}, {key: 9, row: 1}}
 	for attempt := 0; attempt < 2; attempt++ {
 		srcs := []pairSource{memSource(a, 0), memSource(b, 1)}
-		var got []int64
+		var got []uint64
 		var tasks []int
-		if err := mergeSources(srcs, nil, func(p pair, task int) error {
-			got = append(got, p.tuple[0].Int64())
+		if err := mergeSources(srcs, nil, func(rec record, task int) error {
+			got = append(got, rec.key)
 			tasks = append(tasks, task)
 			return nil
 		}); err != nil {
 			t.Fatal(err)
 		}
-		if want := []int64{1, 2, 5, 9}; !reflect.DeepEqual(got, want) {
+		if want := []uint64{1, 2, 5, 9}; !reflect.DeepEqual(got, want) {
 			t.Fatalf("attempt %d: merged %v, want %v", attempt, got, want)
 		}
 		if want := []int{0, 1, 0, 1}; !reflect.DeepEqual(tasks, want) {
@@ -256,6 +258,115 @@ func TestMemSourceRereadable(t *testing.T) {
 			if !srcs[i].drained() {
 				t.Fatalf("attempt %d: source %d not drained", attempt, i)
 			}
+		}
+	}
+}
+
+// latticeJob is a random 2–3-input job over few keys, so key runs mix
+// inputs and distinct k values collide on one key, with an optional
+// replicating Partitioner. Its reducer emits every (first, other input)
+// row pair of the key run through EmitConcat and one summary row per
+// input, so the output depends on each group's contents and order.
+func latticeJob(rng *rand.Rand) *Job {
+	schema := relation.MustSchema(
+		relation.Column{Name: "k", Kind: relation.KindInt},
+		relation.Column{Name: "s", Kind: relation.KindString},
+	)
+	outSchema := relation.MustSchema(
+		relation.Column{Name: "k", Kind: relation.KindInt},
+		relation.Column{Name: "s", Kind: relation.KindString},
+		relation.Column{Name: "k2", Kind: relation.KindInt},
+		relation.Column{Name: "s2", Kind: relation.KindString},
+	)
+	keys := 2 + rng.Intn(12)
+	inputs := make([]Input, 2+rng.Intn(2))
+	for i := range inputs {
+		rel := relation.New(fmt.Sprintf("in%d", i), schema)
+		for j, n := 0, 20+rng.Intn(60); j < n; j++ {
+			rel.MustAppend(relation.Tuple{relation.Int(int64(rng.Intn(40))), relation.Str(fmt.Sprintf("r%d.%d", i, j))})
+		}
+		inputs[i] = Input{Rel: rel, Map: func(t relation.Tuple, emit Emitter) { emit(uint64(t[0].Int64()) % uint64(keys)) }}
+	}
+	job := &Job{
+		Name:   "lattice",
+		Inputs: inputs,
+		Reduce: func(key uint64, groups [][]relation.Tuple, ctx *ReduceContext) {
+			for _, other := range groups[1:] {
+				for _, a := range groups[0] {
+					for _, b := range other {
+						ctx.EmitConcat(a, b)
+					}
+				}
+			}
+			for i, g := range groups {
+				ctx.Emit(relation.Tuple{relation.Int(int64(key)), relation.Str(fmt.Sprint("input ", i)),
+					relation.Int(int64(len(g))), relation.Null()})
+			}
+		},
+		NumReducers:  1 + rng.Intn(6),
+		OutputName:   "lattice",
+		OutputSchema: outSchema,
+	}
+	if rng.Intn(2) == 0 {
+		job.Partitioner = fanOut{}
+	}
+	return job
+}
+
+// TestSpillModeLattice runs seeded random jobs in every cell of the
+// engine's mode lattice — spill budget 0, 64 B and 1 KiB, one worker or
+// four, and no faults or map and reduce kills plus stragglers under
+// speculation — and requires each cell's output to be identical row for
+// row, with equal ShuffleBytes and PairsEmitted, and an equal simulated
+// clock for each fault plan (the plan's kills are charged to it).
+func TestSpillModeLattice(t *testing.T) {
+	quickSpeculation(t)
+	rng := rand.New(rand.NewSource(41))
+	for trial := 0; trial < 5; trial++ {
+		job := latticeJob(rng)
+		plan, err := ParseFaultPlan(fmt.Sprintf("seed=%d,map-kills=2,reduce-kills=2,stragglers=2,delay=2ms", trial))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var first *Result
+		var sims [2]*SimTime
+		for f, faults := range []*FaultPlan{nil, plan} {
+			for _, workers := range []int{1, 4} {
+				for _, budget := range []int64{0, 64, 1 << 10} {
+					cfg := smallConfig()
+					cfg.TuplesPerMapTask = 5
+					cfg.MaxParallelWorkers = workers
+					cfg.SpillBudgetBytes = budget
+					cfg.Faults = faults
+					cfg.SpeculativeFactor = 1
+					res := mustRun(t, cfg, job)
+					cell := fmt.Sprintf("trial %d (%d inputs, %d reducers, partitioner %v) faults=%v workers=%d budget=%d",
+						trial, len(job.Inputs), job.NumReducers, job.Partitioner != nil, faults != nil, workers, budget)
+					if budget > 0 && res.Metrics.SpillRuns == 0 {
+						t.Errorf("%s: nothing spilled", cell)
+					}
+					if faults != nil && res.Metrics.MapFailures+res.Metrics.ReduceFailures == 0 {
+						t.Errorf("%s: the plan's kills were not charged", cell)
+					}
+					if sims[f] == nil {
+						sims[f] = &res.Metrics.Sim
+					} else if res.Metrics.Sim != *sims[f] {
+						t.Errorf("%s: simulated clock %+v, first cell of its plan %+v", cell, res.Metrics.Sim, *sims[f])
+					}
+					if first == nil {
+						first = res
+						continue
+					}
+					requireSameOutput(t, first.Output, res.Output, cell)
+					if m, w := res.Metrics, first.Metrics; m.ShuffleBytes != w.ShuffleBytes || m.PairsEmitted != w.PairsEmitted {
+						t.Errorf("%s: shuffle %d bytes in %d pairs, the first cell %d in %d",
+							cell, m.ShuffleBytes, m.PairsEmitted, w.ShuffleBytes, w.PairsEmitted)
+					}
+				}
+			}
+		}
+		if len(first.Output.Tuples) == 0 {
+			t.Errorf("trial %d: the job produced nothing", trial)
 		}
 	}
 }
@@ -275,7 +386,7 @@ func (c *countingSpillFile) ReadAt(p []byte, off int64) (int, error) {
 // another segment's bytes, to a temp spill file, with edit free to
 // alter the segment's bytes first. It returns the file, counting its
 // reads, the segment and how many frames it holds.
-func spilledSegment(t *testing.T, recs []spillRec, edit func(seg []byte)) (*countingSpillFile, spillSegment, int) {
+func spilledSegment(t *testing.T, recs []record, edit func(seg []byte)) (*countingSpillFile, spillSegment, int) {
 	t.Helper()
 	var buf bytes.Buffer
 	buf.WriteString("the previous reducer's segment")
@@ -314,39 +425,35 @@ func spilledSegment(t *testing.T, recs []spillRec, edit func(seg []byte)) (*coun
 	return &countingSpillFile{SpillFile: f}, seg, fw.frames
 }
 
-// drainSegment reads a segment's pairs back through a disk source of a
-// task whose split is split.
-func drainSegment(f SpillFile, seg spillSegment, split []relation.Tuple) ([]pair, error) {
+// drainSegment reads a segment's records back through a disk source of
+// a task whose split is split.
+func drainSegment(f SpillFile, seg spillSegment, split []relation.Tuple) ([]record, error) {
 	var spare []byte
 	src := diskSource(f, seg, 0, nil, &spare)
 	tasks := []mapTask{{tuples: split}}
-	var got []pair
+	var got []record
 	for !src.drained() {
-		p, err := src.next(tasks)
+		rec, err := src.next(tasks)
 		if err != nil {
 			return got, err
 		}
-		got = append(got, p)
+		got = append(got, rec)
 	}
 	return got, nil
 }
 
 // frameRecords returns a split of rows rows and n records naming them in
-// turn, so that past the 128th row the ordinals take two bytes, with the
-// pairs the records stand for.
-func frameRecords(n, rows int) ([]relation.Tuple, []spillRec, []pair) {
+// turn, so that past the 128th row the ordinals take two bytes.
+func frameRecords(n, rows int) ([]relation.Tuple, []record) {
 	split := make([]relation.Tuple, rows)
 	for i := range split {
 		split[i] = relation.Tuple{relation.Int(int64(i)), relation.Str(fmt.Sprintf("city-%08d", i)), relation.Float(float64(i) / 3)}
 	}
-	recs := make([]spillRec, n)
-	ps := make([]pair, n)
+	recs := make([]record, n)
 	for i := range recs {
-		row := split[i%rows]
-		recs[i] = spillRec{key: uint64(i), row: uint32(i % rows), size: uint32(row.EncodedSize()), tag: uint8(i % 3)}
-		ps[i] = pair{key: uint64(i), tag: uint8(i % 3), size: recs[i].size, tuple: row}
+		recs[i] = record{key: uint64(i), row: uint32(i % rows), size: uint32(split[i%rows].EncodedSize())}
 	}
-	return split, recs, ps
+	return split, recs
 }
 
 // TestSpillFrameReads: a segment costs one read per frame, header and
@@ -361,14 +468,14 @@ func TestSpillFrameReads(t *testing.T) {
 		{"small frames, one short", 300, 300},
 		{"one-byte ordinals", 12000, 100},
 	} {
-		split, recs, want := frameRecords(tc.n, tc.rows)
+		split, recs := frameRecords(tc.n, tc.rows)
 		f, seg, frames := spilledSegment(t, recs, nil)
 		got, err := drainSegment(f, seg, split)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if !samePairs(got, want) {
-			t.Fatalf("%s: the segment decodes to other pairs", tc.name)
+		if !slices.Equal(got, recs) {
+			t.Fatalf("%s: the segment decodes to other records", tc.name)
 		}
 		if f.reads != frames {
 			t.Errorf("%s: %d frames took %d reads", tc.name, frames, f.reads)
@@ -390,7 +497,7 @@ func TestSpillFrameCorruptRetryable(t *testing.T) {
 		{"zero length", "header corrupt", func(seg []byte) { binary.LittleEndian.PutUint32(seg, 0) }},
 		{"payload bit rot", "checksum mismatch", func(seg []byte) { seg[spillFrameHeader+5] ^= 0x10 }},
 	} {
-		split, recs, _ := frameRecords(9000, 300)
+		split, recs := frameRecords(9000, 300)
 		f, seg, _ := spilledSegment(t, recs, tc.edit)
 		_, err := drainSegment(f, seg, split)
 		if err == nil || !isRetryable(err) || !strings.Contains(err.Error(), tc.want) {
@@ -401,22 +508,12 @@ func TestSpillFrameCorruptRetryable(t *testing.T) {
 
 // TestSpilledPairsAreTheirRows: a spilled pair is resolved to the very
 // row its map task read, not to a copy: under a tiny budget every tuple
-// a disk source returns, and every tuple Reduce is handed, is a row of
-// the input, and the output is identical to the in-memory run's. A
-// frame whose checksum holds but whose record names a row past its
-// split is an error.
+// Reduce is handed is a row of the input, and the output is identical to
+// the in-memory run's. A frame whose checksum holds but whose record
+// names a row past its split is an error.
 func TestSpilledPairsAreTheirRows(t *testing.T) {
-	split, recs, _ := frameRecords(5000, 300)
+	split, recs := frameRecords(5000, 300)
 	f, seg, _ := spilledSegment(t, recs, nil)
-	got, err := drainSegment(f, seg, split)
-	if err != nil || len(got) != len(recs) {
-		t.Fatalf("decoded %d of %d records: %v", len(got), len(recs), err)
-	}
-	for i, p := range got {
-		if want := split[recs[i].row]; &p.tuple[0] != &want[0] || len(p.tuple) != len(want) {
-			t.Fatalf("record %d: tuple %p is not its row %p", i, &p.tuple[0], &want[0])
-		}
-	}
 	if _, err := drainSegment(f, seg, split[:299]); err == nil || !strings.Contains(err.Error(), "past its split") {
 		t.Errorf("a row past the split: err = %v", err)
 	}
