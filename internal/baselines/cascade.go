@@ -7,9 +7,11 @@
 // Every baseline executes on the same MapReduce simulator as the
 // paper's method, so comparisons reflect plan structure — number of
 // jobs, intermediate materialisation, shuffle volume, reducer counts —
-// rather than implementation folklore. Behavioural knobs that cannot
-// be reproduced structurally (Pig's serialisation overhead, YSmart's
-// merged-job I/O savings) are explicit, documented Strategy fields.
+// rather than implementation folklore. All three join the relations in
+// the order the query writes them and key each equi step on every
+// equality condition it has; behaviour that cannot be reproduced
+// structurally (Pig's serialisation overhead, YSmart's merged-job I/O
+// savings) is an explicit, documented Strategy field.
 package baselines
 
 import (
@@ -29,11 +31,6 @@ import (
 type Strategy struct {
 	Name string
 
-	// CompositeEquiKey joins on all available equality conditions at a
-	// step (Hive, YSmart); false uses only the first (Pig's single-key
-	// repartition join), verifying the rest in the reducer.
-	CompositeEquiKey bool
-
 	// SharedScan charges repeated scans of the same physical base
 	// table only once (YSmart's input correlation, important for the
 	// self-join mobile queries).
@@ -47,32 +44,27 @@ type Strategy struct {
 	// MaterializeFactor inflates every step's simulated time (Pig's
 	// heavier tuple serialisation; 1.0 = none).
 	MaterializeFactor float64
-
-	// ReorderBySize joins the two smallest connected relations first
-	// and extends with the smallest connected relation (Hive with
-	// statistics); false keeps the query's written order (Pig).
-	ReorderBySize bool
 }
 
 // Hive returns the HIVE-style strategy. Hive of the paper's vintage
 // (0.20-era, pre-CBO) joins tables in the order the query writes them,
 // with composite equi keys and as many reducers as the cluster allows.
 func Hive() Strategy {
-	return Strategy{Name: "Hive", CompositeEquiKey: true, ReorderBySize: false, MaterializeFactor: 1.0}
+	return Strategy{Name: "Hive", MaterializeFactor: 1.0}
 }
 
-// Pig returns the PIG-style strategy: the same written-order cascade
-// with Pig's heavier bag serialisation between stages.
+// Pig returns the PIG-style strategy: Hive's written-order cascade,
+// composite equi keys included, with Pig's heavier bag serialisation
+// between stages.
 func Pig() Strategy {
-	return Strategy{Name: "Pig", CompositeEquiKey: true, ReorderBySize: false, MaterializeFactor: 1.25}
+	return Strategy{Name: "Pig", MaterializeFactor: 1.25}
 }
 
 // YSmart returns the YSMART-style strategy [23]: Hive's plan plus
 // input-correlation shared scans and transit-correlation discounts.
 func YSmart() Strategy {
 	return Strategy{
-		Name: "YSmart", CompositeEquiKey: true, ReorderBySize: false,
-		SharedScan: true, TransitDiscount: 0.5, MaterializeFactor: 1.0,
+		Name: "YSmart", SharedScan: true, TransitDiscount: 0.5, MaterializeFactor: 1.0,
 	}
 }
 
@@ -102,24 +94,16 @@ type Result struct {
 // currently available k_P: when the experiment restricts processing
 // units below the request (Fig. 10/13's kP ≤ 64 vs the 96-task
 // request), the reduce phase runs in multiple waves — the k_P
-// obliviousness the paper's scheduler exploits. Pass 0 to default to
-// cfg.ReduceSlots.
+// obliviousness the paper's scheduler exploits.
 func Run(ctx context.Context, st Strategy, cfg mr.Config, q *query.Query, db *core.DB, requestedReducers int) (*Result, error) {
-	if st.MaterializeFactor <= 0 {
-		st.MaterializeFactor = 1
-	}
-	order, err := joinOrder(st, q, db)
+	order, err := joinOrder(q)
 	if err != nil {
 		return nil, err
-	}
-	kr := requestedReducers
-	if kr <= 0 {
-		kr = cfg.ReduceSlots
 	}
 	res := &Result{Strategy: st.Name}
 	scanned := map[string]bool{}
 	// Discounts price a skipped sequential read plus write per byte.
-	rates := cfg.Rates()
+	rates := mr.PaperRates()
 	readWrite := 1/rates.ReadBps + 1/rates.WriteBps
 
 	left, err := db.Relation(order[0])
@@ -143,7 +127,7 @@ func Run(ctx context.Context, st Strategy, cfg mr.Config, q *query.Query, db *co
 			return nil, fmt.Errorf("baselines: no condition links %s to the joined set", relName)
 		}
 		jobName := fmt.Sprintf("%s-%s-s%d", st.Name, q.Name, step)
-		job, err := buildStepJob(st, jobName, current, right, conds, kr)
+		job, err := buildStepJob(jobName, current, right, conds, requestedReducers)
 		if err != nil {
 			return nil, err
 		}
@@ -201,9 +185,10 @@ func Run(ctx context.Context, st Strategy, cfg mr.Config, q *query.Query, db *co
 	return res, nil
 }
 
-// joinOrder produces the left-deep order: written order (Pig) or
-// smallest-connected-first (Hive/YSmart).
-func joinOrder(st Strategy, q *query.Query, db *core.DB) ([]string, error) {
+// joinOrder produces the left-deep order: the query's written order,
+// except that each next relation must connect to those already joined
+// (the first connected one in written order goes next).
+func joinOrder(q *query.Query) ([]string, error) {
 	rels := q.Relations
 	if len(rels) < 2 {
 		return nil, fmt.Errorf("baselines: need >= 2 relations")
@@ -216,56 +201,23 @@ func joinOrder(st Strategy, q *query.Query, db *core.DB) ([]string, error) {
 		}
 		return false
 	}
-	if !st.ReorderBySize {
-		// Written order, but each next relation must connect; rotate
-		// until the first two connect.
-		order := append([]string(nil), rels...)
-		joined := map[string]bool{order[0]: true}
-		out := []string{order[0]}
-		remaining := order[1:]
-		for len(remaining) > 0 {
-			idx := -1
-			for i, r := range remaining {
-				if connected(joined, r) {
-					idx = i
-					break
-				}
-			}
-			if idx < 0 {
-				return nil, fmt.Errorf("baselines: query graph disconnected at %v", remaining)
-			}
-			out = append(out, remaining[idx])
-			joined[remaining[idx]] = true
-			remaining = append(remaining[:idx], remaining[idx+1:]...)
-		}
-		return out, nil
-	}
-	// Size-ordered: start with the smallest relation, repeatedly add
-	// the smallest connected one.
-	card := func(name string) int { return db.Catalog.Cardinality(name) }
-	start := rels[0]
-	for _, r := range rels {
-		if card(r) < card(start) {
-			start = r
-		}
-	}
-	out := []string{start}
-	joined := map[string]bool{start: true}
-	for len(out) < len(rels) {
-		best := ""
-		for _, r := range rels {
-			if joined[r] || !connected(joined, r) {
-				continue
-			}
-			if best == "" || card(r) < card(best) {
-				best = r
+	joined := map[string]bool{rels[0]: true}
+	out := []string{rels[0]}
+	remaining := append([]string(nil), rels[1:]...)
+	for len(remaining) > 0 {
+		idx := -1
+		for i, r := range remaining {
+			if connected(joined, r) {
+				idx = i
+				break
 			}
 		}
-		if best == "" {
-			return nil, fmt.Errorf("baselines: query graph disconnected")
+		if idx < 0 {
+			return nil, fmt.Errorf("baselines: query graph disconnected at %v", remaining)
 		}
-		out = append(out, best)
-		joined[best] = true
+		out = append(out, remaining[idx])
+		joined[remaining[idx]] = true
+		remaining = append(remaining[:idx], remaining[idx+1:]...)
 	}
 	return out, nil
 }
@@ -336,7 +288,7 @@ func bindStepConds(inter *relation.Relation, base *relation.Relation, conds pred
 // repartition hash join when equality keys exist, fragment-and-
 // replicate cross join otherwise (the practical Hive/Pig realisation
 // of an inequality join).
-func buildStepJob(st Strategy, name string, inter, base *relation.Relation, conds predicate.Conjunction, kr int) (*mr.Job, error) {
+func buildStepJob(name string, inter, base *relation.Relation, conds predicate.Conjunction, kr int) (*mr.Job, error) {
 	bound, err := bindStepConds(inter, base, conds)
 	if err != nil {
 		return nil, err
@@ -344,7 +296,7 @@ func buildStepJob(st Strategy, name string, inter, base *relation.Relation, cond
 	var equi []stepCond
 	var residual []stepCond
 	for _, bc := range bound {
-		if bc.op == predicate.EQ && (st.CompositeEquiKey || len(equi) == 0) {
+		if bc.op == predicate.EQ {
 			equi = append(equi, bc)
 		} else {
 			residual = append(residual, bc)

@@ -191,7 +191,7 @@ func (s *Suite) AblationSingleVsCascade() (*Table, error) {
 			}
 			row = append(row, fmtSec(res.Makespan))
 		}
-		cascade, err := baselines.Run(s.ctx(), baselines.Hive(), cfg, q, db, 0)
+		cascade, err := baselines.Run(s.ctx(), baselines.Hive(), cfg, q, db, cfg.ReduceSlots)
 		if err != nil {
 			return nil, err
 		}

@@ -111,13 +111,15 @@ func (s *Suite) Table1() *Table {
 		Title:   "Table 1: Hadoop parameter configuration",
 		Columns: []string{"Parameter Name", "Default", "Set"},
 	}
-	c := s.Cfg
-	t.AddRow("fs.blocksize", "64MB", fmt.Sprintf("%dMB", c.BlockSizeMB))
-	t.AddRow("io.sort.mb", "100M", fmt.Sprintf("%dMB", c.IoSortMB))
-	t.AddRow("io.sort.record.percentage", "0.05", fmt.Sprintf("%g", c.IoSortRecordPct))
-	t.AddRow("io.sort.spill.percentage", "0.8", fmt.Sprintf("%g", c.IoSortSpillPct))
-	t.AddRow("io.sort.factor", "100", fmt.Sprintf("%d", c.IoSortFactor))
-	t.AddRow("dfs.replication", "3", fmt.Sprintf("%d", c.DFSReplication))
+	r := mr.PaperRates()
+	t.AddRow("fs.blocksize", "64MB", fmt.Sprintf("%dMB", mr.BlockSize/1e6))
+	t.AddRow("io.sort.mb", "100M", fmt.Sprintf("%dMB", r.SortBuf/1e6))
+	// The two percentages shape Hadoop's in-memory sort buffer, which
+	// the price list folds into SortBuf; nothing else reads them.
+	t.AddRow("io.sort.record.percentage", "0.05", "0.1")
+	t.AddRow("io.sort.spill.percentage", "0.8", "0.9")
+	t.AddRow("io.sort.factor", "100", fmt.Sprintf("%d", r.SortFactor))
+	t.AddRow("dfs.replication", "3", fmt.Sprintf("%d", mr.Replication))
 	return t
 }
 
@@ -195,7 +197,7 @@ func (s *Suite) Fig7a() (*Table, error) {
 		Title:   "Fig 7a: best kR vs map output volume",
 		Columns: []string{"mapOutput", "best kR", "fit kR"},
 	}
-	r := s.Cfg.Rates()
+	r := mr.PaperRates()
 	volumes := []float64{1, 5, 10, 25, 50, 100, 150, 200}
 	if s.Quick {
 		volumes = []float64{1, 25, 200}
@@ -219,7 +221,7 @@ func (s *Suite) Fig7a() (*Table, error) {
 
 func fig7Profile(cfg mr.Config, outGB float64) cost.JobProfile {
 	inBytes := int64(outGB * 1e9) // alpha=1 sample join: output ≈ input
-	mt := int(inBytes / (int64(cfg.BlockSizeMB) * 1e6))
+	mt := int(inBytes / mr.BlockSize)
 	if mt < 1 {
 		mt = 1
 	}
@@ -241,7 +243,7 @@ func (s *Suite) Fig7b() (*Table, error) {
 		Title:   "Fig 7b: p and q vs map output volume",
 		Columns: []string{"mapOutput", "p (s/MB)", "q (s/conn)"},
 	}
-	r := s.Cfg.Rates()
+	r := mr.PaperRates()
 	volumes := []float64{0.1, 0.5, 1, 5, 10, 50, 100, 500}
 	if s.Quick {
 		volumes = []float64{0.1, 10, 500}
@@ -267,7 +269,7 @@ func (s *Suite) Fig8() (*Table, error) {
 		Title:   "Fig 8: cost model validation (self-join)",
 		Columns: []string{"mapOutput", "simulated(s)", "estimated(s)", "ratio"},
 	}
-	r := s.Cfg.Rates()
+	r := mr.PaperRates()
 	volumes := []float64{0.1, 0.5, 1, 5, 10, 50, 100}
 	if s.Quick {
 		volumes = []float64{0.5, 10, 100}

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/mr"
 	"repro/internal/relation"
 )
 
@@ -239,12 +238,11 @@ func loadRelation(n int, mult float64) *relation.Relation {
 // only at the table's: plain upload is cheapest, our method adds the
 // sampling pass, Hive's full parse costs the most.
 func TestLoadMethodOrdering(t *testing.T) {
-	cfg := mr.DefaultConfig()
 	for _, mult := range []float64{1e6, 1e7, 5e7} {
 		r := loadRelation(2000, mult)
-		plain := loadSeconds(cfg, 12, r, loadPlain, 500, 1)
-		hive := loadSeconds(cfg, 12, r, loadHive, 500, 1)
-		ours := loadSeconds(cfg, 12, r, loadOurs, 500, 1)
+		plain := loadSeconds(12, r, loadPlain, 500, 1)
+		hive := loadSeconds(12, r, loadHive, 500, 1)
+		ours := loadSeconds(12, r, loadOurs, 500, 1)
 		if !(plain < ours) {
 			t.Errorf("mult %g: plain (%v) not cheaper than ours (%v)", mult, plain, ours)
 		}
@@ -255,9 +253,8 @@ func TestLoadMethodOrdering(t *testing.T) {
 }
 
 func TestLoadScalesLinearly(t *testing.T) {
-	cfg := mr.DefaultConfig()
-	small := loadSeconds(cfg, 12, loadRelation(2000, 1e6), loadOurs, 500, 1)
-	big := loadSeconds(cfg, 12, loadRelation(2000, 1e7), loadOurs, 500, 1)
+	small := loadSeconds(12, loadRelation(2000, 1e6), loadOurs, 500, 1)
+	big := loadSeconds(12, loadRelation(2000, 1e7), loadOurs, 500, 1)
 	if ratio := big / small; ratio < 5 || ratio > 15 {
 		t.Errorf("10x volume gave %.1fx time", ratio)
 	}

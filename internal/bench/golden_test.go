@@ -44,7 +44,7 @@ func TestQuickTablesGolden(t *testing.T) {
 // with `go test ./internal/bench -run TestModelGolden -update`.
 func TestModelGolden(t *testing.T) {
 	s := NewSuite(true)
-	r := s.Cfg.Rates()
+	r := mr.PaperRates()
 	var got bytes.Buffer
 	g := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 	for _, gb := range []float64{100, 1} {

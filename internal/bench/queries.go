@@ -232,7 +232,7 @@ func (s *Suite) Fig11() (*Table, error) {
 			mcfg := workloads.DefaultMobileConfig()
 			mcfg.Tuples = 2000
 			mcfg.NominalGB = gb
-			secs[i] = loadSeconds(s.Cfg, 12, workloads.MobileTable(mcfg), m, 1000, 1)
+			secs[i] = loadSeconds(12, workloads.MobileTable(mcfg), m, 1000, 1)
 		}
 		t.AddRow(fmtGB(gb), fmtSec(secs[0]), fmtSec(secs[1]), fmtSec(secs[2]))
 	}
@@ -250,21 +250,20 @@ const (
 
 // loadSeconds prices loading r into an HDFS of nodes DataNodes by the
 // given method. Every node uploads its local shard in parallel and
-// writes DFSReplication copies through the replication pipeline,
+// writes mr.Replication copies through the replication pipeline,
 // charged at its bottleneck: one read and one write per node plus
 // (repl−1) network-priced writes. Hive adds a 0.6 read pass across the
 // nodes; our method draws a sampleSize sample (relation.Analyze, the
 // statistics the planner reads) and adds a 0.45 read pass and a small
 // index write — a little more than plain uploading, converging towards
 // Hive's cost at large volumes (§6.3, Fig. 11).
-func loadSeconds(cfg mr.Config, nodes int, r *relation.Relation, method loadMethod, sampleSize int, seed int64) float64 {
+func loadSeconds(nodes int, r *relation.Relation, method loadMethod, sampleSize int, seed int64) float64 {
 	bytes := r.ModeledSize()
-	repl := max(cfg.DFSReplication, 1)
-	writeBps := cfg.DiskWriteMBps * 1e6
-	readBps := cfg.DiskReadMBps * 1e6
+	rates := mr.PaperRates()
+	writeBps, readBps := rates.WriteBps, rates.ReadBps
 	perNode := float64(bytes) / float64(nodes)
 	seconds := perNode/readBps + perNode/writeBps
-	seconds += perNode * float64(repl-1) / (cfg.NetworkMBps * 1e6)
+	seconds += perNode * float64(mr.Replication-1) / rates.NetBps
 	switch method {
 	case loadHive:
 		seconds += 0.6 * float64(bytes) / readBps / float64(nodes)

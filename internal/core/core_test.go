@@ -19,6 +19,17 @@ func testConfig() mr.Config {
 	return cfg
 }
 
+// tempSpill returns a temp-file spill store, closed when the test ends.
+func tempSpill(t testing.TB) *mr.TempSpillStore {
+	t.Helper()
+	store, err := mr.NewTempSpillStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { store.Close() })
+	return store
+}
+
 // randRelation builds a relation of n tuples with integer columns a, b
 // drawn from [0, domain).
 func randRelation(name string, n, domain int, rng *rand.Rand) *relation.Relation {

@@ -177,6 +177,7 @@ func TestExecutionDeterminismSpill(t *testing.T) {
 				cfg := testConfig()
 				cfg.MaxParallelWorkers = w
 				cfg.SpillBudgetBytes = 2048
+				cfg.Spill = tempSpill(t)
 				res, err := mr.Run(context.Background(), cfg, job)
 				if err != nil {
 					t.Fatalf("workers=%d: %v", w, err)
@@ -426,6 +427,7 @@ func TestExecutePlanWithFaultPlan(t *testing.T) {
 
 	pl := testPlanner(8)
 	pl.Config.SpillBudgetBytes = 1 << 10
+	pl.Config.Spill = tempSpill(t)
 	faults, err := mr.ParseFaultPlan("seed=3,map-kills=1,reduce-kills=1,corrupt-frames=1,stragglers=1,delay=5ms")
 	if err != nil {
 		t.Fatal(err)

@@ -107,20 +107,6 @@ type execSlot struct {
 	wave  int
 }
 
-// effectiveUnits is the job's unit allotment with the shared fallback:
-// Units when set, else Reducers, clamped to >= 1. Every execution-side
-// consumer (dispatch, config derivation, re-timing) must agree on it.
-func (pj *PlannedJob) effectiveUnits() int {
-	u := pj.Units
-	if u < 1 {
-		u = pj.Reducers
-	}
-	if u < 1 {
-		u = 1
-	}
-	return u
-}
-
 // jobDone is what a job's goroutine hands back to the dispatch loop.
 type jobDone struct {
 	idx   int
@@ -478,12 +464,11 @@ func (r *planRun) retime() (*ExecResult, error) {
 		res.FailoverReads += m.FailoverReads
 		// Measured duration at the allotted units, scaled for the
 		// re-scheduling pass.
-		units := pj.effectiveUnits()
 		prof := make([]float64, kp)
 		for k := 1; k <= kp; k++ {
 			scale := 1.0
-			if k < units {
-				scale = float64(units) / float64(k)
+			if k < pj.Units {
+				scale = float64(pj.Units) / float64(k)
 			}
 			prof[k-1] = m.Sim.Total * scale
 		}
@@ -523,7 +508,7 @@ func (r *planRun) merge(res *ExecResult) error {
 	// Charge the merge off the tree MergeAll actually performed, step
 	// by step over the real operand sizes — matching the planner's
 	// estimateMergeSteps policy rather than a plan-order chain.
-	rates := r.pl.Config.Rates()
+	rates := mr.PaperRates()
 	for _, st := range steps {
 		res.MergeTime += cost.MergeCost(rates, st.LeftBytes, st.RightBytes)
 	}
@@ -540,9 +525,13 @@ func (r *planRun) merge(res *ExecResult) error {
 // intermediate results). Plans without a schedule dispatch in plan
 // order with data dependencies only.
 func execOrder(plan *Plan, jobIdx map[string]int) ([]execSlot, error) {
+	for i := range plan.Jobs {
+		if pj := &plan.Jobs[i]; pj.Units < 1 {
+			return nil, fmt.Errorf("core: job %s has %d units; must be >= 1", pj.Name, pj.Units)
+		}
+	}
 	slotFor := func(i int, schedDeps []string, wave int) execSlot {
 		pj := &plan.Jobs[i]
-		units := pj.effectiveUnits()
 		deps := append([]string(nil), schedDeps...)
 		seen := make(map[string]bool, len(deps))
 		for _, d := range deps {
@@ -554,7 +543,7 @@ func execOrder(plan *Plan, jobIdx map[string]int) ([]execSlot, error) {
 				seen[rel] = true
 			}
 		}
-		return execSlot{idx: i, units: units, deps: deps, wave: wave}
+		return execSlot{idx: i, units: pj.Units, deps: deps, wave: wave}
 	}
 	if plan.Schedule == nil {
 		order := make([]execSlot, 0, len(plan.Jobs))
@@ -610,7 +599,7 @@ func (pl *Planner) buildPlannedJob(pj *PlannedJob, db *DB, produced map[string]*
 		return nil, mr.Config{}, err
 	}
 	cfg := pl.Config
-	units := pj.effectiveUnits()
+	units := pj.Units
 	cfg.MapSlots = min(cfg.MapSlots, units)
 	cfg.ReduceSlots = min(cfg.ReduceSlots, units)
 	// Real goroutine budget: the job's share of the machine, scaled by

@@ -49,10 +49,8 @@ func TestExecuteErrorPaths(t *testing.T) {
 	}
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	mapKills, err := mr.ParseFaultPlan("seed=7,map-kills=1")
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Every attempt of map task 0 is killed: the budget runs out.
+	mapKills := &mr.FaultPlan{Faults: []mr.Fault{{Kind: mr.FaultKillMap, Task: 0, Attempt: -1}}}
 
 	cases := []struct {
 		name  string
@@ -75,6 +73,11 @@ func TestExecuteErrorPaths(t *testing.T) {
 			jobs: []PlannedJob{job("err-j1", "err-j2", "A"), job("err-j2", "err-j1", "B")},
 			want: "stalled with 0/2 jobs done",
 		},
+		{name: "job with no units", jobs: []PlannedJob{twoJobs[0], func() PlannedJob {
+			j := twoJobs[1]
+			j.Units = 0
+			return j
+		}()}, want: "job err-j2 has 0 units"},
 		{name: "schedule short of a job", jobs: twoJobs, sched: sched("err-j1"),
 			want: "schedule places 1 tasks for 2 planned jobs"},
 		{name: "schedule names an unknown job", jobs: twoJobs, sched: sched("err-j1", "ghost"),
@@ -85,7 +88,6 @@ func TestExecuteErrorPaths(t *testing.T) {
 			name: "task out of attempts",
 			jobs: twoJobs[:1],
 			setup: func(pl *Planner) {
-				pl.Config.MaxTaskAttempts = 1
 				pl.Config.Faults = mapKills
 			},
 			check: func(err error) bool { var te *mr.TaskError; return errors.As(err, &te) },

@@ -18,9 +18,9 @@ import (
 )
 
 // Planner maps an N-join query onto a scheduled set of MapReduce jobs
-// (the paper's T_opt and execution plan P). Its jobs run with Config and
-// its cost model prices with Config.Rates, so the two cannot disagree
-// on a rate.
+// (the paper's T_opt and execution plan P). Its jobs run on the engine
+// and its cost model prices with mr.PaperRates, the price list the
+// engine's clock reads, so the two cannot disagree on a rate.
 type Planner struct {
 	Config mr.Config
 	KP     int // available processing units
@@ -47,7 +47,7 @@ type PlannedJob struct {
 	RelOrder []string
 	Kind     JobKind
 	Reducers int // k_R to execute with (allotment-capped argmin of T(k))
-	Units    int // scheduler allotment
+	Units    int // scheduler allotment, >= 1
 	EstTime  float64
 	Profile  []float64 // T(k) for k = 1..KP
 
@@ -271,7 +271,6 @@ func (pl *Planner) costEdge(q *query.Query, g *query.JoinGraph, db *DB, edgeIDs 
 // from produced intermediates at replan time — so static costing and
 // runtime re-planning share one size model.
 func (pl *Planner) sizeJob(cat *relation.Catalog, relOrder []string, conds predicate.Conjunction, multOf func(string) float64) (inputBytes int64, mapTasks int, outBytes int64, estRows float64, err error) {
-	blockBytes := int64(pl.Config.BlockSizeMB) * 1e6
 	var rowBytes float64
 	cardProd := 1.0
 	maxMult := 1.0
@@ -281,7 +280,7 @@ func (pl *Planner) sizeJob(cat *relation.Catalog, relOrder []string, conds predi
 			return 0, 0, 0, 0, err
 		}
 		inputBytes += ts.ModeledSize
-		mt := int((ts.ModeledSize + blockBytes - 1) / blockBytes)
+		mt := int((ts.ModeledSize + mr.BlockSize - 1) / mr.BlockSize)
 		if mt < 1 {
 			mt = 1
 		}
@@ -298,10 +297,8 @@ func (pl *Planner) sizeJob(cat *relation.Catalog, relOrder []string, conds predi
 	}
 	estRows = cardProd * sel
 	outBytes = int64(estRows * rowBytes * maxMult)
-	if ratio := pl.Config.OutputCapRatio; ratio > 0 {
-		if cap := int64(ratio * float64(inputBytes)); outBytes > cap {
-			outBytes = cap
-		}
+	if cap := int64(mr.OutputCapRatio * float64(inputBytes)); outBytes > cap {
+		outBytes = cap
 	}
 	return inputBytes, mapTasks, outBytes, estRows, nil
 }
@@ -327,7 +324,7 @@ type costSweepInputs struct {
 func (pl *Planner) sweepReducers(in costSweepInputs, maxK int) ([]float64, int, float64, error) {
 	profile := make([]float64, maxK)
 	bestK, bestT := 1, math.Inf(1)
-	rates := pl.Config.Rates()
+	rates := mr.PaperRates()
 	var grid *shareGrid
 	if in.kind == KindShareGrid {
 		var err error
@@ -510,7 +507,7 @@ func (pl *Planner) scheduleCover(q *query.Query, cover []*candidate, db *DB) (*P
 	// Estimate the merge phase over the same pair-selection tree the
 	// executor's MergeAll will walk, rather than a plan-order chain.
 	var mergeEst float64
-	rates := pl.Config.Rates()
+	rates := mr.PaperRates()
 	for _, st := range estimateMergeSteps(mergeOps) {
 		mergeEst += cost.MergeCost(rates, st.LeftBytes, st.RightBytes)
 	}

@@ -129,7 +129,7 @@ func (fb *feedback) rederiveReducers(pj *PlannedJob, cat *relation.Catalog) (int
 	if pj.Kind == KindShareGrid {
 		return pj.Reducers, nil
 	}
-	maxK := pj.effectiveUnits()
+	maxK := pj.Units
 	if maxK < 2 {
 		return pj.Reducers, nil
 	}

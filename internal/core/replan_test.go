@@ -293,7 +293,7 @@ func TestMergeTreeAccounting(t *testing.T) {
 	}
 	var want float64
 	for _, st := range steps {
-		want += cost.MergeCost(pl.Config.Rates(), st.LeftBytes, st.RightBytes)
+		want += cost.MergeCost(mr.PaperRates(), st.LeftBytes, st.RightBytes)
 	}
 	if res.MergeCount != len(steps) {
 		t.Errorf("MergeCount = %d, want %d", res.MergeCount, len(steps))

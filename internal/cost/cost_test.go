@@ -9,7 +9,7 @@ import (
 	"repro/internal/relation"
 )
 
-func rates() mr.Rates { return mr.DefaultConfig().Rates() }
+func rates() mr.Rates { return mr.PaperRates() }
 
 func profile(gb float64, alpha float64) JobProfile {
 	return JobProfile{
@@ -172,7 +172,7 @@ func TestModelTracksSimulator(t *testing.T) {
 		in.MustAppend(relation.Tuple{relation.Int(int64(i % 64))})
 	}
 	in.VolumeMultiplier = 50000 // model ~ a GB-scale input
-	r := cfg.Rates()
+	r := mr.PaperRates()
 	job := &mr.Job{
 		Name:   "selfjoin-sample",
 		Inputs: []mr.Input{{Rel: in, Map: func(t relation.Tuple, emit mr.Emitter) { emit(uint64(t[0].Int64())) }}},

@@ -34,10 +34,6 @@ const pagesPerSlot = slotSize / DefaultPageSize
 // half a megabyte at most.
 const freeSlotBufs = 8
 
-// pageReplicas is how many total disk reads a checksum-failed page fill
-// may attempt: the dfs.replication default of Table 1.
-const pageReplicas = 3
-
 var errClosed = errors.New("dfs: block store closed")
 
 // BlockStore is the real (non-modeled) storage substrate of the
@@ -81,7 +77,7 @@ type BlockStore struct {
 
 	// Integrity: every sealed page carries a CRC32 computed at write
 	// time and verified on every cache fill; a mismatch triggers up to
-	// pageReplicas total disk reads (failover to a surviving replica)
+	// mr.Replication total disk reads (failover to a surviving replica)
 	// before the read fails. Counters are quarantine telemetry.
 	o                *obs.Obs
 	checksumFailures atomic.Int64
@@ -310,9 +306,9 @@ func (s *BlockStore) verifyPage(b *blockFile, page int64, data []byte, at int64,
 		// re-read while any remain.
 		s.checksumFailures.Add(1)
 		o.Counter("dfs.checksum_failures").Add(1)
-		if attempt >= pageReplicas {
+		if attempt >= mr.Replication {
 			return fmt.Errorf("dfs: file %d page %d: checksum mismatch on all %d replicas",
-				b.id, page, pageReplicas)
+				b.id, page, mr.Replication)
 		}
 		s.failoverReads.Add(1)
 		o.Counter("dfs.failover_reads").Add(1)

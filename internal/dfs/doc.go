@@ -60,8 +60,8 @@
 // of its pages before any is copied out or cached. A mismatch is
 // counted (IntegrityStats, the dfs.checksum_failures quarantine counter
 // of an attached obs registry) and that page falls back to a replica
-// re-read, up to three total reads (the Table 1 dfs.replication),
-// before the read fails. The failover contract mirrors the spill-frame
+// re-read, up to mr.Replication reads in all (Table 1's
+// dfs.replication, 3), before the read fails. The failover contract mirrors the spill-frame
 // checksums in internal/mr: transient corruption costs a counter tick
 // and a dfs.failover_reads re-read and is otherwise invisible; only
 // corruption of every replica surfaces an error, and a caller running

@@ -63,7 +63,7 @@ func TestPageChecksumFailover(t *testing.T) {
 
 // TestPageChecksumExhaustsReplicas: persistent corruption (every
 // replica read bad) of the first or a middle page of a run must surface
-// an error after pageReplicas reads, never silently decode bad bytes.
+// an error after mr.Replication reads, never silently decode bad bytes.
 func TestPageChecksumExhaustsReplicas(t *testing.T) {
 	for _, bad := range []int64{0, 1} {
 		store, err := NewBlockStore("", 1<<20)

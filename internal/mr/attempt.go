@@ -62,6 +62,19 @@ var (
 	specFloor      = time.Second
 )
 
+// The attempt budget and the straggler threshold. A task runs at most
+// maxTaskAttempts times before its first error propagates (Hadoop's
+// mapred.map.max.attempts); failed attempts charge the simulated clock
+// — the slot is held for the extra runs plus a capped doubling
+// backoff. A running attempt that exceeds speculativeFactor times the
+// phase's median completed attempt duration gets one speculative
+// backup, first finisher wins; speculation never changes results,
+// only wall clock.
+const (
+	maxTaskAttempts   = 4
+	speculativeFactor = 3.0
+)
+
 // Retry backoff charged to the simulated clock, in cluster seconds:
 // doubling from retryBackoffBase, capped at retryBackoffCap — the
 // scheduling gap between a failed attempt and its re-launch. Real
@@ -106,15 +119,12 @@ type attemptOutcome struct {
 type attemptFn func(ctx context.Context, attempt int, sh *obs.Shard) (attemptOutcome, error)
 
 // faultRuntime carries one Run's fault-tolerance state: the resolved
-// injector, the attempt budget, per-phase duration samples for the
-// straggler median, and the fault counters that roll into Metrics.
+// injector, per-phase duration samples for the straggler median, and
+// the fault counters that roll into Metrics.
 type faultRuntime struct {
-	job         string
-	maxAttempts int
-	specFactor  float64
-	replicas    int // spill-frame read attempts (DFSReplication)
-	inj         *injector
-	o           *obs.Obs
+	job string
+	inj *injector
+	o   *obs.Obs
 
 	mu   sync.Mutex
 	durs [numPhases][]time.Duration // completed attempt durations
@@ -127,26 +137,11 @@ type faultRuntime struct {
 	failoverReads    atomic.Int64
 }
 
-func newFaultRuntime(cfg Config, job *Job, nMap, nRed int, o *obs.Obs) *faultRuntime {
-	ma := cfg.MaxTaskAttempts
-	if ma == 0 {
-		ma = defaultTaskAttempts
-	}
-	sf := cfg.SpeculativeFactor
-	if sf == 0 {
-		sf = defaultSpeculativeFactor
-	}
-	reps := cfg.DFSReplication
-	if reps < 1 {
-		reps = 1
-	}
+func newFaultRuntime(plan *FaultPlan, job *Job, nMap, nRed int, o *obs.Obs) *faultRuntime {
 	return &faultRuntime{
-		job:         job.Name,
-		maxAttempts: ma,
-		specFactor:  sf,
-		replicas:    reps,
-		inj:         newInjector(cfg.Faults, job.Name, nMap, nRed),
-		o:           o,
+		job: job.Name,
+		inj: newInjector(plan, job.Name, nMap, nRed),
+		o:   o,
 	}
 }
 
@@ -188,21 +183,18 @@ func (ft *faultRuntime) recordDur(ph int, d time.Duration) {
 	ft.mu.Unlock()
 }
 
-// specThreshold returns the straggler cutoff for the phase — the
-// configured multiple of the median completed-attempt duration, never
+// specThreshold returns the straggler cutoff for the phase —
+// speculativeFactor times the median completed-attempt duration, never
 // below the floor — or 0 while too few attempts have completed to
 // call anything a straggler.
 func (ft *faultRuntime) specThreshold(ph int) time.Duration {
-	if ft.maxAttempts < 2 {
-		return 0
-	}
 	ft.mu.Lock()
 	defer ft.mu.Unlock()
 	n := len(ft.durs[ph])
 	if n < specMinSamples {
 		return 0
 	}
-	th := time.Duration(float64(ft.durs[ph][n/2]) * ft.specFactor)
+	th := time.Duration(float64(ft.durs[ph][n/2]) * speculativeFactor)
 	if th < specFloor {
 		th = specFloor
 	}
@@ -303,7 +295,7 @@ func (ft *faultRuntime) runTask(ctx context.Context, ph, task int, sh *obs.Shard
 		if !isRetryable(err) {
 			return err
 		}
-		if next >= ft.maxAttempts {
+		if next >= maxTaskAttempts {
 			return &TaskError{Job: ft.job, Phase: phaseName(ph), Task: task, Attempts: next, Err: firstErr}
 		}
 	}
@@ -322,7 +314,7 @@ func (r *taskRound) race(ctx context.Context, ph, task, first int, sh *obs.Shard
 	r.ctx, r.ph, r.task, r.first, r.fn = ctx, ph, task, first, fn
 	r.errs = [2]error{}
 	th := ft.specThreshold(ph)
-	if first+1 >= ft.maxAttempts {
+	if first+1 >= maxTaskAttempts {
 		th = 0
 	}
 	r.mu.Lock()

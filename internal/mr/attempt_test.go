@@ -12,11 +12,12 @@ import (
 	"repro/internal/relation"
 )
 
-// quickSpeculation makes a phase call an attempt a straggler after a
-// millisecond, from its first sample on.
-func quickSpeculation(t *testing.T) {
+// quickSpeculation lowers the straggler floor to floor and arms
+// speculation from a phase's first completed attempt on, for the rest
+// of the test.
+func quickSpeculation(t *testing.T, floor time.Duration) {
 	oldFloor, oldMin := specFloor, specMinSamples
-	specFloor, specMinSamples = time.Millisecond, 1
+	specFloor, specMinSamples = floor, 1
 	t.Cleanup(func() { specFloor, specMinSamples = oldFloor, oldMin })
 }
 
@@ -70,12 +71,9 @@ func TestAttemptsRunOnTheirWorker(t *testing.T) {
 // the task does not return until it has exited — so a loser never touches
 // the engine's state after its task is over.
 func TestRoundJoinsTheLoser(t *testing.T) {
-	quickSpeculation(t)
+	quickSpeculation(t, time.Millisecond)
 	for _, winner := range []int{0, 1} {
-		cfg := DefaultConfig()
-		cfg.MaxTaskAttempts = 2
-		cfg.SpeculativeFactor = 1
-		ft := newFaultRuntime(cfg, &Job{Name: "join"}, 1, 1, nil)
+		ft := newFaultRuntime(nil, &Job{Name: "join"}, 1, 1, nil)
 		ft.recordDur(phaseMap, time.Millisecond)
 
 		backupStarted, winnerCommitted := make(chan struct{}), make(chan struct{})
@@ -126,11 +124,9 @@ func TestRoundJoinsTheLoser(t *testing.T) {
 // wrapped in a TaskError — and leaves no goroutine, whether or not a
 // backup was running beside it.
 func TestCancellationDuringInlineAttempt(t *testing.T) {
-	quickSpeculation(t)
+	quickSpeculation(t, time.Millisecond)
 	for _, withBackup := range []bool{false, true} {
-		cfg := DefaultConfig()
-		cfg.SpeculativeFactor = 1
-		ft := newFaultRuntime(cfg, &Job{Name: "cancel"}, 1, 1, nil)
+		ft := newFaultRuntime(nil, &Job{Name: "cancel"}, 1, 1, nil)
 		if withBackup {
 			ft.recordDur(phaseReduce, time.Millisecond)
 		}
@@ -162,7 +158,7 @@ func TestCancellationDuringInlineAttempt(t *testing.T) {
 // times.
 func TestTaskAttemptAllocations(t *testing.T) {
 	for _, armed := range []bool{false, true} {
-		ft := newFaultRuntime(DefaultConfig(), &Job{Name: "allocs"}, 1, 1, nil)
+		ft := newFaultRuntime(nil, &Job{Name: "allocs"}, 1, 1, nil)
 		ft.durs[phaseMap] = make([]time.Duration, 0, 4096) // the baseline's growth is not per task
 		if armed {
 			for i := 0; i < specMinSamples; i++ {

@@ -8,14 +8,17 @@
 // round-by-round map waves over a bounded slot pool, spill cost as a
 // function of map output volume, copy cost over the network with
 // per-connection overhead, and the straggler reduce task that
-// dominates J_R. Every simulated second is priced by Config.Rates, the
+// dominates J_R. Every simulated second is priced by PaperRates, the
 // one price list (Rates) that internal/cost's Eq. 1–6 estimate reads
 // too.
 //
 // The paper's experiments ran on a 13-node Hadoop 0.20.205 cluster
-// (104 cores, 10 GbE, measured 74.26 MB/s read and 14.69 MB/s write);
-// the default configuration mirrors Table 1 and those measurements so
-// simulated times land in the paper's range.
+// (104 cores, 10 GbE, measured 74.26 MB/s read and 14.69 MB/s write).
+// That cluster is fixed, not configured: PaperRates, BlockSize,
+// Replication and OutputCapRatio hold Table 1 and those measurements,
+// so simulated times land in the paper's range, and Config carries
+// only what differs between runs — slots, split granularity, workers,
+// the spill budget and its store, and a fault plan.
 //
 // # One path through a job
 //
@@ -34,10 +37,9 @@
 //
 // MapReduce's defining runtime property — a job survives task failure
 // because tasks re-execute idempotently — is real here, not simulated.
-// Every map and reduce task runs as a sequence of ATTEMPTS, bounded by
-// Config.MaxTaskAttempts (a budget of 1 is one attempt through the
-// same machinery, not a separate code path), and the engine relies on
-// a strict idempotency contract:
+// Every map and reduce task runs as a sequence of ATTEMPTS, at most
+// four (Hadoop's mapred.map.max.attempts), and the engine relies on a
+// strict idempotency contract:
 //
 //   - Attempt isolation. An attempt derives its output only from
 //     attempt-scoped state it creates itself: its own per-reducer
@@ -68,10 +70,10 @@
 // workers, and a task costs the attempt layer no allocation.
 //
 // Speculative execution backs up stragglers: when a running attempt
-// exceeds Config.SpeculativeFactor times the phase's median completed
-// attempt duration, one backup attempt launches — the only attempt that
-// gets a goroutine of its own, started by the worker's straggler timer,
-// which the worker re-arms for each task — the first to finish commits
+// exceeds three times the phase's median completed attempt duration,
+// one backup attempt launches — the only attempt that gets a goroutine
+// of its own, started by the worker's straggler timer, which the
+// worker re-arms for each task — the first to finish commits
 // on the goroutine it ran on, and the loser is discarded atomically.
 // The worker does not leave the task until the backup has exited too.
 //
@@ -118,7 +120,7 @@
 // Readers verify every frame before decoding; a mismatch is counted
 // (Metrics.ChecksumFailures, the mr.checksum_failures quarantine
 // counter) and the frame is re-read — failover to a surviving replica,
-// priced by Config.DFSReplication — before the attempt fails with a
+// up to Replication reads in all — before the attempt fails with a
 // retryable error. A transient corruption therefore costs a counter
 // tick and a failover read; only persistent corruption of every
 // replica can surface an error, and even that error is retried with a

@@ -181,8 +181,7 @@ type run struct {
 
 	// mapPhase: what each map task's committed attempt left behind.
 	ft            *faultRuntime
-	spill         SpillStore      // nil = in-memory shuffle
-	ownedSpill    *TempSpillStore // the fallback store, when Run created it
+	spill         SpillStore // nil = in-memory shuffle
 	replicated    *obs.Counter
 	buckets       [][][]record     // [task][reducer] sorted bucket (in-memory shuffle)
 	scratch       chan *mapScratch // idle routed-pair buffers, handed from map attempt to map attempt
@@ -219,7 +218,7 @@ type run struct {
 // participates in this guarantee because routing is a pure function of
 // pair content.
 //
-// Every task runs as retryable attempts (Config.MaxTaskAttempts) with
+// Every task runs as retryable attempts (at most four) with
 // speculative backups for stragglers; see the package documentation
 // for the attempt-idempotency contract. The determinism guarantee
 // extends to any Config.Faults plan whose faults are all retryable.
@@ -239,7 +238,7 @@ func Run(ctx context.Context, cfg Config, job *Job) (*Result, error) {
 	}
 	wallStart := time.Now()
 	o := obs.FromContext(ctx)
-	r := &run{cfg: cfg, rates: cfg.Rates(), job: job, o: o, shard: o.Shard("mr:" + job.Name),
+	r := &run{cfg: cfg, rates: PaperRates(), job: job, o: o, shard: o.Shard("mr:" + job.Name),
 		workers: cfg.MaxParallelWorkers, nRed: job.NumReducers}
 	if r.workers <= 0 {
 		r.workers = runtime.NumCPU()
@@ -280,7 +279,6 @@ func Run(ctx context.Context, cfg Config, job *Job) (*Result, error) {
 // additionally bounds how many physical tuples one task may hold (the
 // binding constraint for unscaled relations).
 func (r *run) planTasks() {
-	blockBytes := int64(r.cfg.BlockSizeMB) * 1e6
 	for idx, in := range r.job.Inputs {
 		card := in.Rel.Cardinality()
 		if card == 0 {
@@ -291,7 +289,7 @@ func (r *run) planTasks() {
 			mult = 1
 		}
 		modeled := int64(float64(in.Rel.EncodedSize()) * mult)
-		nTasks := int((modeled + blockBytes - 1) / blockBytes)
+		nTasks := int((modeled + BlockSize - 1) / BlockSize)
 		if byTuples := (card + r.cfg.TuplesPerMapTask - 1) / r.cfg.TuplesPerMapTask; byTuples > nTasks {
 			nTasks = byTuples
 		}
@@ -327,16 +325,9 @@ func (r *run) mapPhase(ctx context.Context) error {
 	start := time.Now()
 	if r.cfg.SpillBudgetBytes > 0 {
 		r.spill = r.cfg.Spill
-		if r.spill == nil {
-			ts, err := NewTempSpillStore("")
-			if err != nil {
-				return err
-			}
-			r.ownedSpill, r.spill = ts, ts
-		}
 	}
 	n := len(r.tasks)
-	r.ft = newFaultRuntime(r.cfg, r.job, n, r.nRed, r.o)
+	r.ft = newFaultRuntime(r.cfg.Faults, r.job, n, r.nRed, r.o)
 	r.replicated = r.o.Counter("mr.replicated_pairs")
 	// A worker runs at most two attempts at a time, one a speculative
 	// backup, so this many buffers are ever in use.
@@ -360,16 +351,13 @@ func (r *run) mapPhase(ctx context.Context) error {
 	return err
 }
 
-// releaseSpill frees every committed spill run and the fallback store;
-// Run defers it so a failed or cancelled run leaks no spill file.
+// releaseSpill frees every committed spill run; Run defers it so a
+// failed or cancelled run leaks no spill file.
 func (r *run) releaseSpill() {
 	for _, ts := range r.spills {
 		if ts != nil {
 			ts.release()
 		}
-	}
-	if r.ownedSpill != nil {
-		r.ownedSpill.Close()
 	}
 }
 
@@ -700,24 +688,22 @@ func (r *run) reduceAttempt(actx context.Context, red, attempt int, sh *obs.Shar
 	}, nil
 }
 
-// outputMultiplier is the VolumeMultiplier of the output relation:
-// Job.OutputMultiplier or the largest input multiplier, shrunk so the
-// modeled output stays within OutputCapRatio × modeled input (see
-// Config).
+// outputMultiplier is the VolumeMultiplier of the output relation: the
+// largest input multiplier, which keeps modeled intermediate-result I/O
+// proportional to modeled inputs, shrunk so the modeled output stays
+// within OutputCapRatio × modeled input.
 func (r *run) outputMultiplier() float64 {
-	outMult := r.job.OutputMultiplier
-	if outMult <= 0 {
-		for _, in := range r.job.Inputs {
-			if in.Rel.VolumeMultiplier > outMult {
-				outMult = in.Rel.VolumeMultiplier
-			}
-		}
-		if outMult <= 0 {
-			outMult = 1
+	outMult := 0.0
+	for _, in := range r.job.Inputs {
+		if in.Rel.VolumeMultiplier > outMult {
+			outMult = in.Rel.VolumeMultiplier
 		}
 	}
-	if rawOut := r.outputRawBytes; r.cfg.OutputCapRatio > 0 && rawOut > 0 {
-		maxOut := r.cfg.OutputCapRatio * float64(r.inputBytes)
+	if outMult <= 0 {
+		outMult = 1
+	}
+	if rawOut := r.outputRawBytes; rawOut > 0 {
+		maxOut := OutputCapRatio * float64(r.inputBytes)
 		if float64(rawOut)*outMult > maxOut {
 			outMult = maxOut / float64(rawOut)
 			if outMult < 1 {
@@ -781,7 +767,7 @@ func (r *run) assemble() error {
 // per-attempt duration so slot time = dur*(fails+1) + total backoff.
 func (r *run) chargeClock() (sim SimTime, mapFailures, reduceFailures int) {
 	charge := func(ph, task int, dur float64) (float64, int) {
-		f := r.ft.inj.plannedKills(ph, task, r.ft.maxAttempts)
+		f := r.ft.inj.plannedKills(ph, task)
 		if f > 0 {
 			dur += backoffSeconds(f) / float64(f+1)
 		}

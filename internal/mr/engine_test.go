@@ -16,6 +16,17 @@ func smallConfig() Config {
 	return cfg
 }
 
+// tempSpill returns a temp-file spill store, closed when the test ends.
+func tempSpill(t testing.TB) *TempSpillStore {
+	t.Helper()
+	store, err := NewTempSpillStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { store.Close() })
+	return store
+}
+
 func intsRelation(name string, vals ...int64) *relation.Relation {
 	r := relation.New(name, relation.MustSchema(relation.Column{Name: "v", Kind: relation.KindInt}))
 	for _, v := range vals {
@@ -416,7 +427,7 @@ func TestStragglerReducerDominates(t *testing.T) {
 // times grow with the bytes they move and its spill factor with the
 // spilled volume.
 func TestStdTimerMonotonicity(t *testing.T) {
-	r := DefaultConfig().Rates()
+	r := PaperRates()
 	if r.MapTaskTime(1e9, 1e8) <= r.MapTaskTime(1e8, 1e8) {
 		t.Error("map time not increasing in input")
 	}
@@ -445,14 +456,21 @@ func TestStdTimerMonotonicity(t *testing.T) {
 	}
 }
 
-// TestRates checks that only Config.Rates resolves the io.sort.factor
-// default. The p and q laws are checked where the Eq. 1–6 model reads
-// them, in internal/cost.
+// TestRates pins PaperRates to Table 1's "Set" column and the device
+// speeds of §6.1, and checks that every call is a fresh value: a
+// caller that edits its copy moves no one else's prices. The p and q
+// laws are checked where the Eq. 1–6 model reads them, in
+// internal/cost.
 func TestRates(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.IoSortFactor = 0
-	if got := cfg.Rates().SortFactor; got != defaultSortFactor {
-		t.Errorf("IoSortFactor 0 resolved to %d, want %d", got, defaultSortFactor)
+	want := Rates{ReadBps: 74.26e6, WriteBps: 14.69e6, NetBps: 120e6,
+		SortBuf: 512e6, SortFactor: 300, QBase: 0.0005, TaskOverhead: 1}
+	r := PaperRates()
+	if r != want {
+		t.Fatalf("PaperRates() = %+v, want %+v", r, want)
+	}
+	r.SortFactor, r.WriteBps = 2, 1
+	if got := PaperRates(); got != want {
+		t.Errorf("editing one copy changed the next: %+v", got)
 	}
 }
 
@@ -464,18 +482,10 @@ func TestConfigValidate(t *testing.T) {
 	for _, mutate := range []func(*Config){
 		func(c *Config) { c.MapSlots = 0 },
 		func(c *Config) { c.ReduceSlots = 0 },
-		func(c *Config) { c.DiskReadMBps = 0 },
-		func(c *Config) { c.DiskWriteMBps = -1 },
-		func(c *Config) { c.NetworkMBps = 0 },
 		func(c *Config) { c.TuplesPerMapTask = 0 },
 		func(c *Config) { c.TuplesPerMapTask = -7 },
-		func(c *Config) { c.BlockSizeMB = 0 },
-		func(c *Config) { c.BlockSizeMB = -64 },
-		func(c *Config) { c.IoSortMB = 0 },
-		func(c *Config) { c.IoSortFactor = -1 },
-		func(c *Config) { c.IoSortFactor = 1 }, // Rates would silently coerce to default
 		func(c *Config) { c.MaxParallelWorkers = -1 },
-		func(c *Config) { c.OutputCapRatio = -0.5 },
+		func(c *Config) { c.SpillBudgetBytes = 1 << 10 }, // a budget with no store
 	} {
 		c := DefaultConfig()
 		mutate(&c)
@@ -483,12 +493,12 @@ func TestConfigValidate(t *testing.T) {
 			t.Errorf("invalid config accepted: %+v", c)
 		}
 	}
-	// The engine divides by TuplesPerMapTask and the BlockSizeMB-derived
-	// block size: a non-positive value must surface as a config error
-	// from Run, not a runtime panic.
+	// The engine divides by TuplesPerMapTask and spills a budgeted
+	// shuffle to Spill: a zero split size or a missing store must
+	// surface as a config error from Run, not a runtime panic.
 	for _, mutate := range []func(*Config){
 		func(c *Config) { c.TuplesPerMapTask = 0 },
-		func(c *Config) { c.BlockSizeMB = -1 },
+		func(c *Config) { c.SpillBudgetBytes = 1 << 10 },
 	} {
 		c := DefaultConfig()
 		mutate(&c)
@@ -572,10 +582,10 @@ func TestMapTasksFollowModeledBlocks(t *testing.T) {
 }
 
 // The output-volume cap bounds modeled output at OutputCapRatio × input
-// and adjusts the output relation's multiplier coherently.
+// and adjusts the output relation's multiplier coherently; an output
+// the cap does not bind keeps its input's multiplier.
 func TestOutputCapRatio(t *testing.T) {
 	cfg := smallConfig()
-	cfg.OutputCapRatio = 2
 	in := intsRelation("in")
 	for i := int64(0); i < 64; i++ {
 		in.MustAppend(relation.Tuple{relation.Int(7)}) // one hot key
@@ -603,19 +613,30 @@ func TestOutputCapRatio(t *testing.T) {
 	if res.Output.Cardinality() != 64*64 {
 		t.Fatalf("output rows = %d", res.Output.Cardinality())
 	}
-	if res.Metrics.OutputBytes > 2*res.Metrics.InputBytes+1 {
-		t.Errorf("output bytes %d exceed cap of 2x input %d",
-			res.Metrics.OutputBytes, res.Metrics.InputBytes)
+	if res.Metrics.OutputBytes > OutputCapRatio*res.Metrics.InputBytes+1 {
+		t.Errorf("output bytes %d exceed cap of %gx input %d",
+			res.Metrics.OutputBytes, OutputCapRatio, res.Metrics.InputBytes)
 	}
-	// Disabled cap: output bytes exceed input.
-	cfg.OutputCapRatio = 0
+	if res.Output.VolumeMultiplier >= in.VolumeMultiplier {
+		t.Errorf("capped output kept multiplier %g", res.Output.VolumeMultiplier)
+	}
+	// One output row per input row: the cap does not bind, and the
+	// output is priced at the input's multiplier.
+	job.Reduce = func(key uint64, groups [][]relation.Tuple, ctx *ReduceContext) {
+		for range groups[0] {
+			ctx.Emit(relation.Tuple{relation.Int(1)})
+		}
+	}
 	res2, err := Run(context.Background(), cfg, job)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res2.Metrics.OutputBytes <= 2*res2.Metrics.InputBytes {
-		t.Errorf("uncapped output %d not above 2x input %d",
-			res2.Metrics.OutputBytes, res2.Metrics.InputBytes)
+	if res2.Output.VolumeMultiplier != in.VolumeMultiplier {
+		t.Errorf("uncapped output multiplier %g, want the input's %g",
+			res2.Output.VolumeMultiplier, in.VolumeMultiplier)
+	}
+	if want := int64(float64(res2.Metrics.OutputRawBytes) * in.VolumeMultiplier); res2.Metrics.OutputBytes != want {
+		t.Errorf("uncapped output bytes %d, want %d", res2.Metrics.OutputBytes, want)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"sort"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -35,7 +34,7 @@ const (
 	FaultCorruptSpill
 )
 
-// String names the fault kind the way ParseFaultPlan spells it.
+// String names the fault kind.
 func (k FaultKind) String() string {
 	switch k {
 	case FaultKillMap:
@@ -150,23 +149,42 @@ func ParseFaultPlan(s string) (*FaultPlan, error) {
 	return plan, nil
 }
 
-// String renders the plan in the ParseFaultPlan syntax (summarised).
+// String renders the plan in the ParseFaultPlan syntax, so that for
+// every plan ParseFaultPlan returns, ParseFaultPlan(p.String()) returns
+// an equal one. A hand-built plan renders by the count of each kind
+// (a reduce delay as a straggler); a fixed task or attempt target and a
+// per-job restriction have no spelling there and are dropped.
 func (p *FaultPlan) String() string {
 	if p == nil {
 		return "<none>"
 	}
-	counts := map[string]int{}
+	var mapKills, reduceKills, stragglers, corrupt int
+	var delay time.Duration
 	for _, f := range p.Faults {
-		counts[f.Kind.String()]++
+		switch f.Kind {
+		case FaultKillMap:
+			mapKills++
+		case FaultKillReduce:
+			reduceKills++
+		case FaultDelayMap, FaultDelayReduce:
+			stragglers++
+			delay = f.Delay
+		case FaultCorruptSpill:
+			corrupt++
+		}
 	}
-	var kinds []string
-	for k := range counts {
-		kinds = append(kinds, k)
-	}
-	sort.Strings(kinds)
 	parts := []string{fmt.Sprintf("seed=%d", p.Seed)}
-	for _, k := range kinds {
-		parts = append(parts, fmt.Sprintf("%s=%d", k, counts[k]))
+	count := func(key string, n int) {
+		if n > 0 {
+			parts = append(parts, fmt.Sprintf("%s=%d", key, n))
+		}
+	}
+	count("map-kills", mapKills)
+	count("reduce-kills", reduceKills)
+	count("stragglers", stragglers)
+	count("corrupt-frames", corrupt)
+	if stragglers > 0 {
+		parts = append(parts, "delay="+delay.String())
 	}
 	return strings.Join(parts, ",")
 }
@@ -319,15 +337,15 @@ func (in *injector) corruptSpill(task int) bool {
 // of how real attempts interleave with speculation. A kill-every-
 // attempt fault burns the whole budget; the run then fails, so the
 // charge never surfaces.
-func (in *injector) plannedKills(ph, task, maxAttempts int) int {
+func (in *injector) plannedKills(ph, task int) int {
 	if in == nil {
 		return 0
 	}
 	if in.killAll[[2]int{ph, task}] {
-		return maxAttempts - 1
+		return maxTaskAttempts - 1
 	}
 	n := 0
-	for a := 0; a < maxAttempts-1; a++ {
+	for a := 0; a < maxTaskAttempts-1; a++ {
 		if in.kills[faultTarget{ph, task, a}] {
 			n++
 		}

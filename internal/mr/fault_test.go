@@ -32,9 +32,11 @@ func faultProbePlan(t testing.TB) *FaultPlan {
 // count — and the output matches the fault-free run.
 func TestFaultInjectionDeterminism(t *testing.T) {
 	in := spillProbeRelation(t, 3000)
+	store := tempSpill(t)
 	clean := mustRun(t, func() Config {
 		cfg := smallConfig()
 		cfg.SpillBudgetBytes = 4 << 10
+		cfg.Spill = store
 		return cfg
 	}(), groupJob(in, 4))
 
@@ -43,6 +45,7 @@ func TestFaultInjectionDeterminism(t *testing.T) {
 	for _, w := range []int{1, 2, runtime.NumCPU()} {
 		cfg := smallConfig()
 		cfg.SpillBudgetBytes = 4 << 10
+		cfg.Spill = store
 		cfg.MaxParallelWorkers = w
 		cfg.Faults = faultProbePlan(t)
 		res := mustRun(t, cfg, groupJob(in, 4))
@@ -68,19 +71,6 @@ func TestFaultInjectionDeterminism(t *testing.T) {
 	if first.Metrics.Sim.Total <= clean.Metrics.Sim.Total {
 		t.Errorf("injected kills did not extend simulated time: %v vs clean %v",
 			first.Metrics.Sim.Total, clean.Metrics.Sim.Total)
-	}
-
-	// MaxTaskAttempts = 1 is one round of the same attempt machinery,
-	// not a second engine: with nothing injected it matches the default
-	// budget bit for bit.
-	cfg := smallConfig()
-	cfg.SpillBudgetBytes = 4 << 10
-	cfg.MaxTaskAttempts = 1
-	single := mustRun(t, cfg, groupJob(in, 4))
-	requireSameOutput(t, clean.Output, single.Output, "single attempt vs default budget")
-	if !reflect.DeepEqual(zeroWallM(clean.Metrics), zeroWallM(single.Metrics)) {
-		t.Errorf("metrics diverged between the default budget and MaxTaskAttempts=1:\n%+v\nvs\n%+v",
-			zeroWallM(clean.Metrics), zeroWallM(single.Metrics))
 	}
 }
 
@@ -110,8 +100,26 @@ func TestParseFaultPlan(t *testing.T) {
 	if delay != 300*time.Millisecond {
 		t.Errorf("delay %v", delay)
 	}
-	if s := plan.String(); !strings.Contains(s, "seed=42") || !strings.Contains(s, "kill-map=2") {
-		t.Errorf("String() = %q", s)
+	// String speaks the syntax it was parsed from: every parsed plan
+	// parses back from its rendering to an equal plan.
+	for _, spec := range []string{
+		"seed=42,map-kills=2,reduce-kills=1,corrupt-frames=3,stragglers=1,delay=300ms",
+		"seed=7,map-kills=2,reduce-kills=1,corrupt-frames=1,stragglers=1,delay=300ms",
+		"", "seed=-3", "stragglers=2", "delay=1s", "delay=1m30s,stragglers=3,seed=9",
+		"corrupt-frames=1,reduce-kills=4", "stragglers=1,delay=0s",
+	} {
+		want, err := ParseFaultPlan(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := ParseFaultPlan(want.String())
+		if err != nil {
+			t.Errorf("%q renders as %q, which does not parse: %v", spec, want.String(), err)
+			continue
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%q renders as %q, which parses to %+v, want %+v", spec, want.String(), got, want)
+		}
 	}
 
 	for _, bad := range []string{"map-kills", "map-kills=-1", "map-kills=x", "seed=abc", "delay=xyz", "bogus=1"} {
@@ -121,36 +129,11 @@ func TestParseFaultPlan(t *testing.T) {
 	}
 }
 
-// TestConfigRejectsBadFaultKnobs exercises Validate through mr.Run, the
-// path every caller takes.
-func TestConfigRejectsBadFaultKnobs(t *testing.T) {
-	in := intsRelation("in", 1, 2, 3)
-	for _, tc := range []struct {
-		name string
-		mut  func(*Config)
-		want string
-	}{
-		{"negative-attempts", func(c *Config) { c.MaxTaskAttempts = -1 }, "MaxTaskAttempts"},
-		{"sub-1-speculation", func(c *Config) { c.SpeculativeFactor = 0.5 }, "SpeculativeFactor"},
-		{"negative-speculation", func(c *Config) { c.SpeculativeFactor = -3 }, "SpeculativeFactor"},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			cfg := smallConfig()
-			tc.mut(&cfg)
-			_, err := Run(context.Background(), cfg, countJob(in, 2))
-			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("Run error = %v, want mention of %s", err, tc.want)
-			}
-		})
-	}
-}
-
 // TestRetryExhaustion: a kill-every-attempt fault burns the whole
 // budget and surfaces the FIRST attempt's error wrapped in a TaskError.
 func TestRetryExhaustion(t *testing.T) {
 	in := spillProbeRelation(t, 500)
 	cfg := smallConfig()
-	cfg.MaxTaskAttempts = 3
 	cfg.Faults = &FaultPlan{Faults: []Fault{{Kind: FaultKillMap, Task: 0, Attempt: -1}}}
 	_, err := Run(context.Background(), cfg, groupJob(in, 2))
 	if err == nil {
@@ -160,7 +143,7 @@ func TestRetryExhaustion(t *testing.T) {
 	if !errors.As(err, &te) {
 		t.Fatalf("error %T %v is not a TaskError", err, err)
 	}
-	if te.Phase != "map" || te.Task != 0 || te.Attempts != 3 {
+	if te.Phase != "map" || te.Task != 0 || te.Attempts != maxTaskAttempts {
 		t.Errorf("TaskError = %+v", te)
 	}
 	if te.Err == nil || !strings.Contains(te.Err.Error(), "attempt 0") {
@@ -173,14 +156,8 @@ func TestRetryExhaustion(t *testing.T) {
 // committed, so the backup must win and the primary's outcome must be
 // discarded — exactly once, atomically.
 func TestSpeculativeBackupWins(t *testing.T) {
-	oldFloor, oldMin := specFloor, specMinSamples
-	specFloor, specMinSamples = time.Millisecond, 1
-	defer func() { specFloor, specMinSamples = oldFloor, oldMin }()
-
-	cfg := DefaultConfig()
-	cfg.MaxTaskAttempts = 2
-	cfg.SpeculativeFactor = 1
-	ft := newFaultRuntime(cfg, &Job{Name: "spec"}, 1, 1, nil)
+	quickSpeculation(t, time.Millisecond)
+	ft := newFaultRuntime(nil, &Job{Name: "spec"}, 1, 1, nil)
 	ft.recordDur(phaseMap, time.Millisecond) // establish the median
 
 	release := make(chan struct{})
@@ -279,7 +256,6 @@ func TestPanickingTaskFailsTheRun(t *testing.T) {
 				cfg.MaxParallelWorkers = workers
 				cfg.SpillBudgetBytes = budget
 				cfg.Spill = store
-				cfg.MaxTaskAttempts = 4
 
 				job := groupJob(in, 3)
 				var calls atomic.Int64

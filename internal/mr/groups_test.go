@@ -145,10 +145,9 @@ func TestReduceGroupsMatchReferenceSplit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oldFloor, oldMin := specFloor, specMinSamples
-	specFloor, specMinSamples = 2*time.Millisecond, 1
-	defer func() { specFloor, specMinSamples = oldFloor, oldMin }()
+	quickSpeculation(t, 2*time.Millisecond)
 
+	store := tempSpill(t)
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 12; trial++ {
 		nTags, nRed := 1+trial%4, 1+rng.Intn(5)
@@ -163,8 +162,8 @@ func TestReduceGroupsMatchReferenceSplit(t *testing.T) {
 					cfg := smallConfig()
 					cfg.MaxParallelWorkers = workers
 					cfg.SpillBudgetBytes = budget
+					cfg.Spill = store
 					cfg.Faults = faults
-					cfg.SpeculativeFactor = 1
 					res, err := Run(context.Background(), cfg, probe.job)
 					if err != nil {
 						t.Fatalf("trial %d workers=%d budget=%d faults=%v: %v", trial, workers, budget, faults != nil, err)
@@ -227,6 +226,7 @@ func TestGroupsAreTheirInputs(t *testing.T) {
 		cfg := smallConfig()
 		cfg.TuplesPerMapTask = 7
 		cfg.SpillBudgetBytes = budget
+		cfg.Spill = tempSpill(t)
 		res := mustRun(t, cfg, job)
 		if budget > 0 && res.Metrics.SpillRuns == 0 {
 			t.Errorf("budget %d: nothing spilled", budget)
@@ -327,6 +327,7 @@ func TestPairSizeMeasuredOnce(t *testing.T) {
 	} {
 		cfg := smallConfig()
 		cfg.SpillBudgetBytes = pin.budget
+		cfg.Spill = tempSpill(t)
 		m := mustRun(t, cfg, groupJob(in, 5)).Metrics
 		if m.ShuffleBytes != pin.shuffle || m.PeakLiveBytes != pin.peak || m.SpillBytes != pin.spill ||
 			m.SpillRuns != pin.runs || m.OutputBytes != pin.out {

@@ -156,11 +156,6 @@ type Job struct {
 	// valid codes in the produced relation and downstream jobs retain
 	// the dictionary key fast path.
 	OutputDicts []*relation.Dict
-
-	// OutputMultiplier sets the VolumeMultiplier of the output
-	// relation; 0 defaults to the max input multiplier, which keeps
-	// modeled intermediate-result I/O proportional to modeled inputs.
-	OutputMultiplier float64
 }
 
 // Validate reports specification errors.

@@ -164,14 +164,11 @@ func TestSlabOutputUnderFaultsAndSpeculation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oldFloor, oldMin := specFloor, specMinSamples
-	specFloor, specMinSamples = 5*time.Millisecond, 1
-	defer func() { specFloor, specMinSamples = oldFloor, oldMin }()
+	quickSpeculation(t, 5*time.Millisecond)
 	for _, w := range []int{1, runtime.NumCPU()} {
 		cfg := smallConfig()
 		cfg.MaxParallelWorkers = w
 		cfg.Faults = plan
-		cfg.SpeculativeFactor = 1
 		res := mustRun(t, cfg, concatJoinJob(left, right, 6))
 		requireSameOutput(t, clean.Output, res.Output, "faulted vs clean")
 		t.Logf("workers=%d: %d reduce attempts, %d speculative launched, %d won", w,

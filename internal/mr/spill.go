@@ -47,16 +47,15 @@ type SpillFile interface {
 // SpillStore creates spill files. Implementations must be safe for
 // concurrent use — map tasks spill in parallel. internal/dfs's
 // BlockStore implements it with an in-memory page cache over the spill
-// bytes; the engine falls back to plain temp files when
-// Config.Spill is nil.
+// bytes; TempSpillStore with plain temp files.
 type SpillStore interface {
 	CreateSpillFile() (SpillFile, error)
 }
 
-// ---- Default temp-file store ------------------------------------------
+// ---- Temp-file store --------------------------------------------------
 
-// TempSpillStore is the engine's fallback SpillStore: one plain file
-// per spill in a private temp directory, removed on Close.
+// TempSpillStore is the plain SpillStore: one file per spill in a
+// private temp directory, removed on Close.
 type TempSpillStore struct {
 	dir  string
 	mu   sync.Mutex
@@ -466,7 +465,7 @@ func (s *pairSource) loadFrame() error {
 	}
 	maxReads := 1
 	if s.ft != nil {
-		maxReads = s.ft.replicas
+		maxReads = Replication
 	}
 	for tries := 1; crc32.ChecksumIEEE(payload) != want; tries++ {
 		s.ft.checksumFailure()

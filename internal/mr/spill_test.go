@@ -11,6 +11,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/relation"
 )
@@ -129,6 +130,7 @@ func TestSpillEquivalence(t *testing.T) {
 
 	spillCfg := cfg
 	spillCfg.SpillBudgetBytes = 512 // force many flushes per task
+	spillCfg.Spill = tempSpill(t)
 	spilled := mustRun(t, spillCfg, groupJob(in, 5))
 
 	requireSameOutput(t, base.Output, spilled.Output, "spill on/off")
@@ -158,6 +160,7 @@ func TestSpillDeterministicAcrossWorkers(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
 		cfg := smallConfig()
 		cfg.SpillBudgetBytes = 1024
+		cfg.Spill = tempSpill(t)
 		cfg.MaxParallelWorkers = workers
 		res := mustRun(t, cfg, groupJob(in, 4))
 		if first == nil {
@@ -192,6 +195,7 @@ func TestSpillBoundedMemoryLargeWorkload(t *testing.T) {
 	}
 	spillCfg := cfg
 	spillCfg.SpillBudgetBytes = budget
+	spillCfg.Spill = tempSpill(t)
 	spilled := mustRun(t, spillCfg, groupJob(in, 8))
 
 	if relation.ContentHash(spilled.Output) != relation.ContentHash(base.Output) {
@@ -211,7 +215,7 @@ func TestSpillBoundedMemoryLargeWorkload(t *testing.T) {
 // its committed spill segments hold and those left in in-memory buckets.
 func spilledPairCount(t *testing.T, cfg Config, job *Job) (onDisk, inMemory int) {
 	t.Helper()
-	r := &run{cfg: cfg, rates: cfg.Rates(), job: job, workers: 2, nRed: job.NumReducers}
+	r := &run{cfg: cfg, rates: PaperRates(), job: job, workers: 2, nRed: job.NumReducers}
 	r.planTasks()
 	defer r.releaseSpill()
 	if err := r.mapPhase(context.Background()); err != nil {
@@ -320,7 +324,8 @@ func latticeJob(rng *rand.Rand) *Job {
 // row, with equal ShuffleBytes and PairsEmitted, and an equal simulated
 // clock for each fault plan (the plan's kills are charged to it).
 func TestSpillModeLattice(t *testing.T) {
-	quickSpeculation(t)
+	quickSpeculation(t, time.Millisecond)
+	store := tempSpill(t)
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 5; trial++ {
 		job := latticeJob(rng)
@@ -337,8 +342,8 @@ func TestSpillModeLattice(t *testing.T) {
 					cfg.TuplesPerMapTask = 5
 					cfg.MaxParallelWorkers = workers
 					cfg.SpillBudgetBytes = budget
+					cfg.Spill = store
 					cfg.Faults = faults
-					cfg.SpeculativeFactor = 1
 					res := mustRun(t, cfg, job)
 					cell := fmt.Sprintf("trial %d (%d inputs, %d reducers, partitioner %v) faults=%v workers=%d budget=%d",
 						trial, len(job.Inputs), job.NumReducers, job.Partitioner != nil, faults != nil, workers, budget)
@@ -536,6 +541,7 @@ func TestSpilledPairsAreTheirRows(t *testing.T) {
 	}
 	cfg := smallConfig()
 	cfg.SpillBudgetBytes = 256
+	cfg.Spill = tempSpill(t)
 	spilled := mustRun(t, cfg, job)
 	if spilled.Metrics.SpillRuns == 0 {
 		t.Fatal("the budgeted run did not spill")
@@ -584,7 +590,7 @@ func TestSpillWriteFailureReleasesFile(t *testing.T) {
 	}
 }
 
-// TestTempSpillStore: the fallback store round-trips bytes and cleans
+// TestTempSpillStore: the temp-file store round-trips bytes and cleans
 // up after itself.
 func TestTempSpillStore(t *testing.T) {
 	store, err := NewTempSpillStore(t.TempDir())

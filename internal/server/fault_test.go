@@ -31,7 +31,6 @@ func postQuery(t *testing.T, h http.Handler, body string) *httptest.ResponseReco
 func TestRetryExhaustedMapsTo503(t *testing.T) {
 	db := testDB(t)
 	cfg := testMRConfig()
-	cfg.MaxTaskAttempts = 2
 	cfg.Faults = &mr.FaultPlan{Faults: []mr.Fault{
 		{Kind: mr.FaultKillMap, Task: 0, Attempt: -1}, // every attempt: exhausts the budget
 	}}
