@@ -3,19 +3,12 @@
 #
 #   go test -race -count=COUNT -run PATTERN PKG...
 #
-# after checking that every |-separated alternative of PATTERN names at
-# least one test, example or fuzz target in PKG...: go test -run 'A|B'
-# passes when B matches nothing, so a renamed or deleted test would
-# otherwise drop out of a repeated race step unnoticed.
+# after check-alternatives.sh has made sure every |-separated
+# alternative of PATTERN names at least one test, example or fuzz
+# target in PKG..., so a renamed test cannot leave the repeated race
+# step unnoticed.
 set -euo pipefail
 count=$1 pattern=$2
 shift 2
-IFS='|' read -ra alts <<< "$pattern"
-for alt in "${alts[@]}"; do
-	listed=$(go test -list "$alt" "$@")
-	if ! grep -qE '^(Test|Example|Fuzz)' <<< "$listed"; then
-		echo "race-repeat: -run alternative '$alt' matches no test in $*" >&2
-		exit 1
-	fi
-done
+"$(dirname "$0")/check-alternatives.sh" 'Test|Example|Fuzz' "$pattern" "$@"
 go test -race -count="$count" -run "$pattern" "$@"

@@ -5,7 +5,6 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"repro/internal/predicate"
@@ -138,64 +137,6 @@ func TestHashEquiMapKeys(t *testing.T) {
 					t.Fatalf("%s: join value %q has keys %#x and %#x", tc.name, text, prev, got)
 				}
 				seen[text] = got
-			}
-		}
-	}
-}
-
-// keyRangeBySearch is keyRange as it stood on sort.Search.
-func keyRangeBySearch(keys []int64, op predicate.Op, pk int64) (int, int) {
-	n := len(keys)
-	switch op {
-	case predicate.LT:
-		return sort.Search(n, func(i int) bool { return keys[i] > pk }), n
-	case predicate.LE:
-		return sort.Search(n, func(i int) bool { return keys[i] >= pk }), n
-	case predicate.GT:
-		return 0, sort.Search(n, func(i int) bool { return keys[i] >= pk })
-	default:
-		return 0, sort.Search(n, func(i int) bool { return keys[i] > pk })
-	}
-}
-
-// TestKeyRangeMatchesSortSearch: on random ascending keys with
-// duplicates, NULL keys and both ends of int64, for every length from
-// empty up and every probe at, between and beyond the keys.
-func TestKeyRangeMatchesSortSearch(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	ops := []predicate.Op{predicate.LT, predicate.LE, predicate.GT, predicate.GE}
-	edge := []int64{relation.NullSortKey, relation.NullSortKey + 1, -1, 0, 1, math.MaxInt64 - 1, math.MaxInt64}
-	for n := 0; n <= 70; n++ {
-		for rep := 0; rep < 20; rep++ {
-			keys := make([]int64, n)
-			for i := range keys {
-				switch rng.Intn(8) {
-				case 0:
-					keys[i] = edge[rng.Intn(len(edge))]
-				case 1:
-					keys[i] = rng.Int63() - rng.Int63()
-				default:
-					keys[i] = int64(rng.Intn(2*n+1)) - int64(n) // duplicates
-				}
-			}
-			sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-			probes := append(append([]int64(nil), edge...), keys...)
-			for _, k := range keys {
-				if k > math.MinInt64 {
-					probes = append(probes, k-1)
-				}
-				if k < math.MaxInt64 {
-					probes = append(probes, k+1)
-				}
-			}
-			for _, pk := range probes {
-				for _, op := range ops {
-					lo, hi := keyRange(keys, op, pk)
-					wlo, whi := keyRangeBySearch(keys, op, pk)
-					if lo != wlo || hi != whi {
-						t.Fatalf("keys %v: %d %v key = [%d, %d), sort.Search gives [%d, %d)", keys, pk, op, lo, hi, wlo, whi)
-					}
-				}
 			}
 		}
 	}

@@ -38,10 +38,13 @@ import (
 //   - an equality condition indexes the step's candidates in a hash
 //     table keyed on the normalized key: a probe examines only the
 //     matching bucket;
-//   - range conditions keep the candidates key-sorted; all range
-//     conditions anchored on the same column (and offset) narrow the
-//     scan by binary search and intersect into a single subrange, so a
-//     band predicate (lo < x AND x < hi) costs two searches, not a scan;
+//   - range conditions keep the candidates key-sorted (a stable radix
+//     sort for all but short runs); all range conditions anchored on
+//     the same column (and offset) intersect into a single subrange:
+//     the first binary-searches the run, each later one gallops from
+//     the end of the window it leaves fixed, so a band predicate
+//     (lo < x AND x < hi) costs one search plus about log2 of the
+//     band's width, not a scan;
 //   - remaining non-keyable conditions (dictionary-less strings, mixed
 //     kinds) fall back to relation.Compare, with a Compare-sorted run
 //     (anchorRange) when they are the only handle on a step.
@@ -366,30 +369,91 @@ func (ge *groupEval) buildStep(j int) {
 	}
 }
 
+// radixMinSize is the run length from which sortedByKey radix-sorts;
+// below it the comparison sort is faster (BenchmarkSortedRun).
+const radixMinSize = 64
+
 // sortedByKey returns the candidate permutation sorted ascending by key,
 // equal keys keeping their original order, and the keys in that order.
-// It sorts (key, ordinal) pairs: the ordinal as tie-break makes an
-// unstable sort produce the stable permutation.
+// Runs of radixMinSize keys or more take a stable LSD radix sort, one
+// counting pass per byte of uint64(key)^1<<63 (int64 order as unsigned
+// order) in which the keys differ at all, so a run of, say, day-scale
+// timestamps costs three passes, not eight. Shorter runs sort (key,
+// ordinal) pairs: the ordinal as tie-break makes an unstable sort
+// produce the same stable permutation.
 func sortedByKey(keys []int64) (order []int32, sorted []int64) {
-	type keyOrd struct {
-		key int64
-		ord int32
-	}
-	ks := make([]keyOrd, len(keys))
-	for i, k := range keys {
-		ks[i] = keyOrd{k, int32(i)}
-	}
-	slices.SortFunc(ks, func(a, b keyOrd) int {
-		if c := cmp.Compare(a.key, b.key); c != 0 {
-			return c
+	n := len(keys)
+	if n < radixMinSize {
+		type keyOrd struct {
+			key int64
+			ord int32
 		}
-		return cmp.Compare(a.ord, b.ord)
-	})
-	order, sorted = make([]int32, len(ks)), make([]int64, len(ks))
-	for x, k := range ks {
-		order[x], sorted[x] = k.ord, k.key
+		ks := make([]keyOrd, n)
+		for i, k := range keys {
+			ks[i] = keyOrd{k, int32(i)}
+		}
+		slices.SortFunc(ks, func(a, b keyOrd) int {
+			if c := cmp.Compare(a.key, b.key); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.ord, b.ord)
+		})
+		order, sorted = make([]int32, n), make([]int64, n)
+		for x, k := range ks {
+			order[x], sorted[x] = k.ord, k.key
+		}
+		return order, sorted
 	}
-	return order, sorted
+	const sign = 1 << 63
+	var diff uint64
+	for _, k := range keys {
+		diff |= uint64(k ^ keys[0])
+	}
+	var shifts [8]uint
+	passes := 0
+	for s := uint(0); s < 64; s += 8 {
+		if diff>>s&0xff != 0 {
+			shifts[passes] = s
+			passes++
+		}
+	}
+	if passes == 0 { // every key equal: one pass still copies them out
+		passes = 1
+	}
+	// Two halves of one buffer per column: pass p scatters into half
+	// p&1 from the other, the first pass straight from keys.
+	ords, ks := make([]int32, 2*n), make([]int64, 2*n)
+	srcK, srcO := keys, []int32(nil)
+	for p, s := range shifts[:passes] {
+		h := p % 2 * n
+		dstK, dstO := ks[h:h+n], ords[h:h+n]
+		// Digit counts, read from keys since they do not depend on the
+		// order, turned into each digit's first slot in dst.
+		var next [256]int32
+		for _, k := range keys {
+			next[byte((uint64(k)^sign)>>s)]++
+		}
+		var sum int32
+		for d, c := range &next {
+			next[d] = sum
+			sum += c
+		}
+		if srcO == nil {
+			for i, k := range srcK {
+				d := byte((uint64(k) ^ sign) >> s)
+				dstK[next[d]], dstO[next[d]] = k, int32(i)
+				next[d]++
+			}
+		} else {
+			for i, k := range srcK {
+				d := byte((uint64(k) ^ sign) >> s)
+				dstK[next[d]], dstO[next[d]] = k, srcO[i]
+				next[d]++
+			}
+		}
+		srcK, srcO = dstK, dstO
+	}
+	return srcO, srcK
 }
 
 // candidates returns the ordinals of the step-j candidates compatible
@@ -461,11 +525,13 @@ func (ge *groupEval) candidates(j int, ctx *mr.ReduceContext) []int32 {
 		}
 	case si.order != nil:
 		// Intersect the subranges of every range condition anchored on
-		// the sorted column; the rest verify per candidate.
+		// the sorted column; the rest verify per candidate. The first
+		// searches the whole run, each later one only narrows the
+		// window it left.
 		a := &st.rng[0]
-		lo, hi := 0, len(si.order)
+		lo, hi := keyRange(si.skeys, a.bc.op, rngPK[0])
 		folded := true
-		for ci := range st.rng {
+		for ci := 1; ci < len(st.rng); ci++ {
 			c := &st.rng[ci]
 			pk := rngPK[ci]
 			if !c.hi.sameKey(&a.hi) {
@@ -488,16 +554,7 @@ func (ge *groupEval) candidates(j int, ctx *mr.ReduceContext) []int32 {
 					pk += int64(a.bc.hiOff) - int64(c.bc.hiOff)
 				}
 			}
-			l, h := keyRange(si.skeys, c.bc.op, pk)
-			if l > lo {
-				lo = l
-			}
-			if h < hi {
-				hi = h
-			}
-		}
-		if hi < lo {
-			hi = lo
+			lo, hi = narrow(si.skeys, lo, hi, c.bc.op, pk)
 		}
 		ctx.AddWork(int64(hi - lo))
 		if folded && len(st.eq) == 0 && len(st.ne) == 0 && len(st.gen) == 0 {
@@ -573,6 +630,71 @@ func keyRange(keys []int64, op predicate.Op, pk int64) (int, int) {
 		return bound, len(keys)
 	}
 	return 0, bound // pk > key, pk >= key: a prefix
+}
+
+// narrow intersects the window [lo, hi) of the ascending keys with
+// keyRange(keys, op, pk), returning an empty window at lo or hi when
+// they are disjoint. The condition moves one end of the window only —
+// the start for LT and LE, whose range is a suffix, the end for GT and
+// GE — so it gallops from the end that stays: probes 1, 2, 4, … keys
+// in, then a binary search between the last two probes. A band's
+// second bound thus costs about log2 of the band's width in the run,
+// not a search of the whole run.
+func narrow(keys []int64, lo, hi int, op predicate.Op, pk int64) (int, int) {
+	above := op == predicate.LT || op == predicate.GE
+	if above {
+		if pk == math.MaxInt64 { // no key is above pk
+			if op == predicate.LT {
+				return hi, hi
+			}
+			return lo, hi
+		}
+		pk++ // the first key above pk is the first not below pk+1
+	}
+	if op == predicate.LT || op == predicate.LE {
+		return firstNotBelowDown(keys, lo, hi, pk), hi
+	}
+	return lo, firstNotBelowUp(keys, lo, hi, pk)
+}
+
+// firstNotBelowUp returns the first index in [lo, hi) whose key is not
+// below t, or hi if there is none, galloping up from lo.
+func firstNotBelowUp(keys []int64, lo, hi int, t int64) int {
+	for step := 1; ; step *= 2 {
+		p := lo + step - 1
+		if p >= hi || keys[p] >= t {
+			end := min(p, hi)
+			for lo < end {
+				if m := int(uint(lo+end) >> 1); keys[m] < t {
+					lo = m + 1
+				} else {
+					end = m
+				}
+			}
+			return lo
+		}
+		lo = p + 1
+	}
+}
+
+// firstNotBelowDown returns the first index in [lo, hi) whose key is
+// not below t, or hi if there is none, galloping down from hi.
+func firstNotBelowDown(keys []int64, lo, hi int, t int64) int {
+	for step := 1; ; step *= 2 {
+		p := hi - step
+		if p < lo || keys[p] < t {
+			lo = max(p+1, lo)
+			for lo < hi {
+				if m := int(uint(lo+hi) >> 1); keys[m] < t {
+					lo = m + 1
+				} else {
+					hi = m
+				}
+			}
+			return lo
+		}
+		hi = p
+	}
 }
 
 // anchorRange narrows a Compare-sorted candidate value list (each with

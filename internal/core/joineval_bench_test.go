@@ -90,3 +90,27 @@ func BenchmarkStringJoin(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkSortedRun measures sortedByKey, the sorted-run index of a
+// reduce group's range step, on runs the size of a small group, a
+// band-scan group and a large one. The keys are the band-scan
+// workload's: seconds spread over 61 days, which differ in their low
+// three bytes.
+func BenchmarkSortedRun(b *testing.B) {
+	for _, n := range []int{64, 1024, 32768} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(int64(n)))
+			keys := make([]int64, n)
+			for i := range keys {
+				keys[i] = rng.Int63n(61 * 86400)
+			}
+			b.ReportAllocs()
+			for b.Loop() {
+				sortedRunSink, _ = sortedByKey(keys)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/key")
+		})
+	}
+}
+
+var sortedRunSink []int32

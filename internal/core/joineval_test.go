@@ -1,8 +1,13 @@
 package core
 
 import (
+	"cmp"
 	"context"
+	"fmt"
+	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/mr"
@@ -243,4 +248,170 @@ func TestJoinEvalIndexingPrunes(t *testing.T) {
 		}, 1)
 		check(t, job, err)
 	})
+}
+
+// keyRangeBySearch is keyRange as it stood on sort.Search.
+func keyRangeBySearch(keys []int64, op predicate.Op, pk int64) (int, int) {
+	n := len(keys)
+	switch op {
+	case predicate.LT:
+		return sort.Search(n, func(i int) bool { return keys[i] > pk }), n
+	case predicate.LE:
+		return sort.Search(n, func(i int) bool { return keys[i] >= pk }), n
+	case predicate.GT:
+		return 0, sort.Search(n, func(i int) bool { return keys[i] >= pk })
+	default:
+		return 0, sort.Search(n, func(i int) bool { return keys[i] > pk })
+	}
+}
+
+// TestKeyRangeMatchesSortSearch: on random ascending keys with
+// duplicates, NULL keys and both ends of int64, for every length from
+// empty up and every probe at, between and beyond the keys.
+func TestKeyRangeMatchesSortSearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	ops := []predicate.Op{predicate.LT, predicate.LE, predicate.GT, predicate.GE}
+	edge := []int64{relation.NullSortKey, relation.NullSortKey + 1, -1, 0, 1, math.MaxInt64 - 1, math.MaxInt64}
+	for n := 0; n <= 70; n++ {
+		for rep := 0; rep < 20; rep++ {
+			keys := make([]int64, n)
+			for i := range keys {
+				switch rng.Intn(8) {
+				case 0:
+					keys[i] = edge[rng.Intn(len(edge))]
+				case 1:
+					keys[i] = rng.Int63() - rng.Int63()
+				default:
+					keys[i] = int64(rng.Intn(2*n+1)) - int64(n) // duplicates
+				}
+			}
+			sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+			probes := append(append([]int64(nil), edge...), keys...)
+			for _, k := range keys {
+				if k > math.MinInt64 {
+					probes = append(probes, k-1)
+				}
+				if k < math.MaxInt64 {
+					probes = append(probes, k+1)
+				}
+			}
+			for _, pk := range probes {
+				for _, op := range ops {
+					lo, hi := keyRange(keys, op, pk)
+					wlo, whi := keyRangeBySearch(keys, op, pk)
+					if lo != wlo || hi != whi {
+						t.Fatalf("keys %v: %d %v key = [%d, %d), sort.Search gives [%d, %d)", keys, pk, op, lo, hi, wlo, whi)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSortedByKeyMatchesComparisonSort: the radix sort's permutation
+// and keys are those of the (key, ordinal) comparison sort, on random,
+// duplicate-heavy and negative keys, the NULL sentinel and both ends
+// of int64, keys differing in one byte position alone or in its top
+// bit alone, and every run length from empty to four times
+// radixMinSize.
+func TestSortedByKeyMatchesComparisonSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	edge := []int64{relation.NullSortKey, math.MinInt64 + 1, -1, 0, 1, math.MaxInt64}
+	type gen struct {
+		name string
+		key  func(i, n int) int64
+	}
+	gens := []gen{
+		{"random", func(int, int) int64 { return rng.Int63() - rng.Int63() }},
+		{"duplicates", func(_, n int) int64 { return int64(rng.Intn(n/8 + 1)) }},
+		{"negative", func(int, int) int64 { return -rng.Int63n(1 << 20) }},
+		{"edges", func(int, int) int64 { return edge[rng.Intn(len(edge))] }},
+		{"descending", func(i, _ int) int64 { return -int64(i) }},
+		{"equal", func(int, int) int64 { return 42 }},
+	}
+	for b := 0; b < 8; b++ {
+		shift := 8 * b
+		gens = append(gens, gen{fmt.Sprint("byte ", b), func(int, int) int64 {
+			return 0x5a5a5a5a5a5a5a5a ^ int64(uint64(rng.Intn(256))<<shift)
+		}}, gen{fmt.Sprint("top bit of byte ", b), func(int, int) int64 {
+			return 0x5a5a5a5a5a5a5a5a ^ int64(uint64(rng.Intn(2))<<(shift+7))
+		}})
+	}
+	for _, g := range gens {
+		for n := 0; n <= 4*radixMinSize; n++ {
+			keys := make([]int64, n)
+			for i := range keys {
+				keys[i] = g.key(i, n)
+			}
+			want := make([]int32, n)
+			for i := range want {
+				want[i] = int32(i)
+			}
+			slices.SortFunc(want, func(a, b int32) int {
+				if c := cmp.Compare(keys[a], keys[b]); c != 0 {
+					return c
+				}
+				return cmp.Compare(a, b)
+			})
+			order, sorted := sortedByKey(keys)
+			if !slices.Equal(order, want) {
+				t.Fatalf("%s, n=%d: order %v, comparison sort gives %v", g.name, n, order, want)
+			}
+			for x, i := range want {
+				if sorted[x] != keys[i] {
+					t.Fatalf("%s, n=%d: sorted[%d] = %d, want %d", g.name, n, x, sorted[x], keys[i])
+				}
+			}
+		}
+	}
+}
+
+// TestNarrowMatchesKeyRange: on random ascending keys, narrowing any
+// window by any range condition gives keyRange's subrange intersected
+// with the window, probes at MinInt64 and MaxInt64 included; when the
+// two are disjoint, narrow returns an empty window inside the old one.
+func TestNarrowMatchesKeyRange(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	ops := []predicate.Op{predicate.LT, predicate.LE, predicate.GT, predicate.GE}
+	edge := []int64{math.MinInt64, math.MinInt64 + 1, -1, 0, 1, math.MaxInt64 - 1, math.MaxInt64}
+	for n := 0; n <= 80; n++ {
+		for rep := 0; rep < 10; rep++ {
+			keys := make([]int64, n)
+			for i := range keys {
+				if rng.Intn(6) == 0 {
+					keys[i] = edge[rng.Intn(len(edge))]
+				} else {
+					keys[i] = int64(rng.Intn(2*n+1)) - int64(n)
+				}
+			}
+			slices.Sort(keys)
+			probes := append(append([]int64(nil), edge...), keys...)
+			for _, k := range keys {
+				if k > math.MinInt64 {
+					probes = append(probes, k-1)
+				}
+				if k < math.MaxInt64 {
+					probes = append(probes, k+1)
+				}
+			}
+			for w := 0; w < 6; w++ {
+				lo := rng.Intn(n + 1)
+				hi := lo + rng.Intn(n-lo+1)
+				for _, pk := range probes {
+					for _, op := range ops {
+						gl, gh := narrow(keys, lo, hi, op, pk)
+						l, h := keyRange(keys, op, pk)
+						wl, wh := max(l, lo), min(h, hi)
+						if wl < wh {
+							if gl != wl || gh != wh {
+								t.Fatalf("keys %v, window [%d, %d): %d %v key narrows to [%d, %d), want [%d, %d)", keys, lo, hi, pk, op, gl, gh, wl, wh)
+							}
+						} else if gl != gh || gl < lo || gl > hi {
+							t.Fatalf("keys %v, window [%d, %d): %d %v key narrows to [%d, %d), want an empty window inside", keys, lo, hi, pk, op, gl, gh)
+						}
+					}
+				}
+			}
+		}
+	}
 }

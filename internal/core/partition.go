@@ -8,12 +8,10 @@ package core
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"math/bits"
 
 	"repro/internal/hilbert"
-	"repro/internal/relation"
 )
 
 // Partitioner maps the m-dimensional hyper-cube S = R_1 × … × R_m onto
@@ -241,29 +239,4 @@ func IdealScore(cards []int, kr int) float64 {
 		total += float64(c) * dup
 	}
 	return total
-}
-
-// GlobalID deterministically assigns a tuple its "random" global ID in
-// [0, card): Algorithm 1 randomises because map tasks lack a global
-// view; a salted hash gives the same decorrelation while keeping runs
-// reproducible and, critically, assigning the same ID to the same
-// tuple in both the map (routing) and reduce (membership check)
-// phases.
-func GlobalID(t relation.Tuple, card int, salt uint64) uint64 {
-	if card <= 1 {
-		return 0
-	}
-	h := fnv.New64a()
-	var buf [8]byte
-	buf[0] = byte(salt)
-	buf[1] = byte(salt >> 8)
-	buf[2] = byte(salt >> 16)
-	buf[3] = byte(salt >> 24)
-	h.Write(buf[:4])
-	for _, v := range t {
-		h.Write([]byte{byte(v.Kind())})
-		h.Write([]byte(v.String()))
-		h.Write([]byte{0x1f})
-	}
-	return h.Sum64() % uint64(card)
 }

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
+	"math"
 	"math/big"
 	"math/rand"
 	"reflect"
@@ -210,54 +213,85 @@ func TestCellCoordRange(t *testing.T) {
 	}
 }
 
+// TestGlobalIDProperties: tupleGlobalID is a pure function of its
+// arguments, lands in [0, card), sends every rid to 0 when card ≤ 1,
+// spreads consecutive rids evenly, and a different job salt reshuffles
+// the assignment.
 func TestGlobalIDProperties(t *testing.T) {
-	tup := relation.Tuple{relation.Int(42), relation.Str("x")}
-	// Deterministic.
-	a := GlobalID(tup, 1000, 7)
-	b := GlobalID(tup, 1000, 7)
-	if a != b {
-		t.Error("GlobalID not deterministic")
+	if a, b := tupleGlobalID(relation.Int(42), 1000, 7, 0), tupleGlobalID(relation.Int(42), 1000, 7, 0); a != b {
+		t.Errorf("not deterministic: %d then %d", a, b)
 	}
-	// Salt changes the assignment (decorrelation).
-	c := GlobalID(tup, 1000, 8)
-	if a == c {
-		t.Log("salt collision (possible but unlikely)")
-	}
-	if GlobalID(tup, 1, 7) != 0 {
-		t.Error("card=1 must map to 0")
-	}
-	// Range.
-	for card := 2; card < 50; card += 7 {
-		if id := GlobalID(tup, card, 3); id >= uint64(card) {
-			t.Errorf("id %d out of range %d", id, card)
+	for _, card := range []int{-1, 0, 1} {
+		if id := tupleGlobalID(relation.Int(5), card, 7, 1); id != 0 {
+			t.Errorf("card=%d: id %d, want 0", card, id)
 		}
 	}
-	// Roughly uniform over many tuples.
+	for card := 2; card < 50; card += 7 {
+		for rid := int64(-20); rid < 20; rid++ {
+			if id := tupleGlobalID(relation.Int(rid), card, 3, 1); id >= uint64(card) {
+				t.Errorf("rid %d: id %d out of range %d", rid, id, card)
+			}
+		}
+	}
 	buckets := make([]int, 10)
 	for i := 0; i < 10000; i++ {
-		tt := relation.Tuple{relation.Int(int64(i))}
-		buckets[GlobalID(tt, 10, 1)]++
+		buckets[tupleGlobalID(relation.Int(int64(i)), 10, 1, 2)]++
 	}
 	for b, n := range buckets {
 		if n < 700 || n > 1300 {
 			t.Errorf("bucket %d has %d of 10000 (want ~1000)", b, n)
 		}
 	}
-}
-
-func TestTupleGlobalIDUniform(t *testing.T) {
-	buckets := make([]int, 8)
-	for i := 0; i < 8000; i++ {
-		id := tupleGlobalID(relation.Int(int64(i)), 8, 99, 2)
-		buckets[id]++
-	}
-	for b, n := range buckets {
-		if n < 700 || n > 1300 {
-			t.Errorf("bucket %d has %d of 8000", b, n)
+	// Another salt reassigns the rids independently: they agree on
+	// about 1/card of them. The card is odd because the parity of the
+	// hash before the modulus does not depend on the salt (FNV-1a's
+	// low bit is the XOR of its input bytes' low bits, and the salt's
+	// odd multiple flips it back), so under an even card the parity of
+	// an ID stays with the rid across salts.
+	same := 0
+	for i := 0; i < 10000; i++ {
+		if tupleGlobalID(relation.Int(int64(i)), 9, 7, 2) == tupleGlobalID(relation.Int(int64(i)), 9, 8, 2) {
+			same++
 		}
 	}
-	if tupleGlobalID(relation.Int(5), 1, 0, 0) != 0 {
-		t.Error("card=1 id != 0")
+	if same < 900 || same > 1350 {
+		t.Errorf("salts 7 and 8 agree on %d of 10000 rids (want ~1111)", same)
+	}
+}
+
+// referenceGlobalID is tupleGlobalID through hash/fnv over its ten
+// bytes: the oracle for the inlined arithmetic.
+func referenceGlobalID(rid int64, card int, salt uint64, dim int) uint64 {
+	var buf [10]byte
+	binary.LittleEndian.PutUint64(buf[:8], uint64(rid))
+	buf[8], buf[9] = byte(salt), byte(dim)
+	h := fnv.New64a()
+	h.Write(buf[:])
+	return (h.Sum64() ^ salt*0x9e3779b97f4a7c15) % uint64(card)
+}
+
+func TestTupleGlobalIDMatchesFNV(t *testing.T) {
+	rids := []int64{0, 1, -1, 255, 256, math.MinInt64, math.MaxInt64, 0x0102030405060708}
+	salts := []uint64{0, 1, 0xff, 0x100, 0xabcd, jobSalt("band"), math.MaxUint64}
+	dims := []int{0, 1, 2, 255, 256, 0x1234}
+	cards := []int{2, 7, 1000, 1 << 40, math.MaxInt}
+	for _, rid := range rids {
+		for _, salt := range salts {
+			for _, dim := range dims {
+				for _, card := range cards {
+					if got, want := tupleGlobalID(relation.Int(rid), card, salt, dim), referenceGlobalID(rid, card, salt, dim); got != want {
+						t.Errorf("rid %d salt %#x dim %d card %d: %d, hash/fnv gives %d", rid, salt, dim, card, got, want)
+					}
+				}
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		for _, rid := range rids {
+			benchKeySink += tupleGlobalID(relation.Int(rid), 1000, 0xabcd, 1)
+		}
+	}); n != 0 {
+		t.Errorf("tupleGlobalID allocates %v times over %d rids", n, len(rids))
 	}
 }
 

@@ -78,21 +78,22 @@ func jobSalt(name string) uint64 {
 
 // tupleGlobalID implements Algorithm 1's "GlobalID ← unified random
 // selection": a salted hash of the row ID, uniform over [0, card) and
-// identical in map and reduce phases.
+// identical in map and reduce phases. The hash is FNV-1a over ten
+// bytes — the rid's eight little-endian bytes, then the low bytes of
+// salt and dim — folded inline: it runs for every routed tuple, and
+// hash/fnv's interface value cost more than the arithmetic.
 func tupleGlobalID(rid relation.Value, card int, salt uint64, dim int) uint64 {
 	if card <= 1 {
 		return 0
 	}
-	h := fnv.New64a()
-	var buf [10]byte
+	h := uint64(fnvOffset64)
 	v := uint64(rid.Int64())
 	for i := 0; i < 8; i++ {
-		buf[i] = byte(v >> (8 * i))
+		h = (h ^ v>>(8*i)&0xff) * fnvPrime64
 	}
-	buf[8] = byte(salt)
-	buf[9] = byte(dim)
-	h.Write(buf[:])
-	x := h.Sum64() ^ (salt * 0x9e3779b97f4a7c15)
+	h = (h ^ salt&0xff) * fnvPrime64
+	h = (h ^ uint64(dim)&0xff) * fnvPrime64
+	x := h ^ (salt * 0x9e3779b97f4a7c15)
 	return x % uint64(card)
 }
 
@@ -103,7 +104,10 @@ func tupleGlobalID(rid relation.Value, card int, salt uint64, dim int) uint64 {
 // ranges on inequality conditions, comparing normalized int64 sort
 // keys instead of boxed values. The final membership check (does the
 // combination's cell belong to this component?) guarantees each result
-// is emitted by exactly one reducer.
+// is emitted by exactly one reducer. It needs each selected tuple's
+// cell coordinate, which costs a hash of its rid: the reducer computes
+// one the first time a match selects its tuple and keeps it, so a
+// tuple no match selects is never hashed.
 func makeThetaReducer(rels []*relation.Relation, bound []boundCond, part *Partitioner, ridIdx, cards []int, salt uint64) mr.ReduceFunc {
 	m := len(rels)
 	je := newJoinEval(rels, bound)
@@ -116,16 +120,13 @@ func makeThetaReducer(rels []*relation.Relation, bound []boundCond, part *Partit
 			}
 			total += len(g)
 		}
-		// Cell coordinates of every tuple, one exactly sized array cut
-		// per dimension, then the ownership check's two scratch vectors.
+		// Cell coordinates plus one, 0 until first needed: one exactly
+		// sized array cut per dimension, then the ownership check's two
+		// scratch vectors.
 		flat := make([]uint32, total+2*m)
 		coords := make([][]uint32, m)
 		for dim, g := range groups {
 			coords[dim], flat = flat[:len(g):len(g)], flat[len(g):]
-			for i, t := range g {
-				id := tupleGlobalID(t[ridIdx[dim]], cards[dim], salt, dim)
-				coords[dim][i] = part.CellCoord(dim, id)
-			}
 		}
 		axes, hbuf := flat[:m], flat[m:]
 		parts := make([]relation.Tuple, m)
@@ -134,7 +135,12 @@ func makeThetaReducer(rels []*relation.Relation, bound []boundCond, part *Partit
 			// Ownership check: emit only when this component owns the
 			// combination's cell.
 			for i := 0; i < m; i++ {
-				axes[i] = coords[i][sel[i]]
+				c := &coords[i][sel[i]]
+				if *c == 0 {
+					id := tupleGlobalID(groups[i][sel[i]][ridIdx[i]], cards[i], salt, i)
+					*c = part.CellCoord(i, id) + 1
+				}
+				axes[i] = *c - 1
 			}
 			if part.componentOfAxes(axes, hbuf) != comp {
 				return
