@@ -270,6 +270,22 @@ func referenceGlobalID(rid int64, card int, salt uint64, dim int) uint64 {
 	return (h.Sum64() ^ salt*0x9e3779b97f4a7c15) % uint64(card)
 }
 
+func TestTupleGlobalIDUniform(t *testing.T) {
+	buckets := make([]int, 8)
+	for i := 0; i < 8000; i++ {
+		id := tupleGlobalID(relation.Int(int64(i)), 8, 99, 2)
+		buckets[id]++
+	}
+	for b, n := range buckets {
+		if n < 700 || n > 1300 {
+			t.Errorf("bucket %d has %d of 8000", b, n)
+		}
+	}
+	if tupleGlobalID(relation.Int(5), 1, 0, 0) != 0 {
+		t.Error("card=1 id != 0")
+	}
+}
+
 func TestTupleGlobalIDMatchesFNV(t *testing.T) {
 	rids := []int64{0, 1, -1, 255, 256, math.MinInt64, math.MaxInt64, 0x0102030405060708}
 	salts := []uint64{0, 1, 0xff, 0x100, 0xabcd, jobSalt("band"), math.MaxUint64}
