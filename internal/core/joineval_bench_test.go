@@ -92,12 +92,12 @@ func BenchmarkStringJoin(b *testing.B) {
 }
 
 // BenchmarkSortedRun measures sortedByKey, the sorted-run index of a
-// reduce group's range step, on runs the size of a small group, a
-// band-scan group and a large one. The keys are the band-scan
-// workload's: seconds spread over 61 days, which differ in their low
-// three bytes.
+// reduce group's range step: runs on both sides of radixMinSize (most
+// of q1_merge's runs are shorter than it), a band-scan group and a
+// large one. The keys are the band-scan workload's: seconds spread
+// over 61 days, which differ in their low three bytes.
 func BenchmarkSortedRun(b *testing.B) {
-	for _, n := range []int{64, 1024, 32768} {
+	for _, n := range []int{16, 48, 64, 1024, 32768} {
 		b.Run(fmt.Sprint(n), func(b *testing.B) {
 			rng := rand.New(rand.NewSource(int64(n)))
 			keys := make([]int64, n)

@@ -214,14 +214,15 @@ func TestCellCoordRange(t *testing.T) {
 }
 
 // TestGlobalIDProperties: tupleGlobalID is a pure function of its
-// arguments, lands in [0, card), sends every rid to 0 when card ≤ 1,
-// spreads consecutive rids evenly, and a different job salt reshuffles
-// the assignment.
+// arguments, lands in [0, card), sends every rid to 0 when card < 1, and
+// a different job salt reshuffles the assignment — except for the
+// parity of the ID under an even card, which the salt does not reach
+// (ROADMAP open item 9). TestTupleGlobalIDUniform checks the spread.
 func TestGlobalIDProperties(t *testing.T) {
 	if a, b := tupleGlobalID(relation.Int(42), 1000, 7, 0), tupleGlobalID(relation.Int(42), 1000, 7, 0); a != b {
 		t.Errorf("not deterministic: %d then %d", a, b)
 	}
-	for _, card := range []int{-1, 0, 1} {
+	for _, card := range []int{-1, 0} {
 		if id := tupleGlobalID(relation.Int(5), card, 7, 1); id != 0 {
 			t.Errorf("card=%d: id %d, want 0", card, id)
 		}
@@ -233,21 +234,8 @@ func TestGlobalIDProperties(t *testing.T) {
 			}
 		}
 	}
-	buckets := make([]int, 10)
-	for i := 0; i < 10000; i++ {
-		buckets[tupleGlobalID(relation.Int(int64(i)), 10, 1, 2)]++
-	}
-	for b, n := range buckets {
-		if n < 700 || n > 1300 {
-			t.Errorf("bucket %d has %d of 10000 (want ~1000)", b, n)
-		}
-	}
-	// Another salt reassigns the rids independently: they agree on
-	// about 1/card of them. The card is odd because the parity of the
-	// hash before the modulus does not depend on the salt (FNV-1a's
-	// low bit is the XOR of its input bytes' low bits, and the salt's
-	// odd multiple flips it back), so under an even card the parity of
-	// an ID stays with the rid across salts.
+	// At an odd card another salt reassigns the rids independently:
+	// they agree on about 1/card of them.
 	same := 0
 	for i := 0; i < 10000; i++ {
 		if tupleGlobalID(relation.Int(int64(i)), 9, 7, 2) == tupleGlobalID(relation.Int(int64(i)), 9, 8, 2) {
@@ -255,7 +243,18 @@ func TestGlobalIDProperties(t *testing.T) {
 		}
 	}
 	if same < 900 || same > 1350 {
-		t.Errorf("salts 7 and 8 agree on %d of 10000 rids (want ~1111)", same)
+		t.Errorf("card 9: salts 7 and 8 agree on %d of 10000 rids (want ~1111)", same)
+	}
+	// At an even card the ID's parity stays with the rid: the hash's low
+	// bit before the modulus is the XOR of its input bytes' low bits,
+	// and the salt's odd multiple flips back the salt byte's. This pins
+	// the known defect of ROADMAP open item 9; a fix must turn this into
+	// a decorrelation check like the one above.
+	for i := 0; i < 10000; i++ {
+		a, b := tupleGlobalID(relation.Int(int64(i)), 10, 7, 2), tupleGlobalID(relation.Int(int64(i)), 10, 8, 2)
+		if a%2 != b%2 {
+			t.Fatalf("card 10, rid %d: salt 7 gives %d, salt 8 gives %d; the parity no longer follows the rid (ROADMAP open item 9 fixed?)", i, a, b)
+		}
 	}
 }
 
