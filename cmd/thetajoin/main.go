@@ -25,6 +25,11 @@
 // explicitly apart. -trace writes Chrome trace-event JSON (open at
 // ui.perfetto.dev), -metrics the structured counters/histograms, and
 // -pprof serves live net/http/pprof endpoints during execution.
+//
+// -limit bounds the result rows printed and, without -out, the rows the
+// execution materialises: the row count and result hash always cover
+// the full result, which the reducers hash and count as they emit it.
+// With -out every row is kept and written.
 package main
 
 import (
@@ -204,7 +209,12 @@ func run() error {
 		return err
 	}
 	fmt.Println(plan)
-	res, err := pl.ExecuteContext(obs.NewContext(context.Background(), o), plan, db)
+	// Only the printed rows are materialised, unless -out wants them all.
+	keep := *limit
+	if *outPath != "" {
+		keep = -1
+	}
+	res, err := pl.ExecuteLimit(obs.NewContext(context.Background(), o), plan, db, keep)
 	if werr := writeObs(o, *traceOut, *metricsOut); werr != nil && err == nil {
 		err = werr
 	}
@@ -215,7 +225,7 @@ func run() error {
 		fmt.Print(res.Report())
 	}
 	fmt.Printf("result: %d rows, simulated makespan %.1fs, %.2f GB shuffled\n",
-		res.Output.Cardinality(), res.Makespan, float64(res.ShuffleBytes)/1e9)
+		res.Rows, res.Makespan, float64(res.ShuffleBytes)/1e9)
 	if res.SpillBytes > 0 {
 		fmt.Printf("spill: %.2f MB in %d runs, peak live pair bytes %.2f MB\n",
 			float64(res.SpillBytes)/1e6, res.SpillRuns, float64(res.PeakLiveBytes)/1e6)
@@ -224,11 +234,13 @@ func run() error {
 	shown := 0
 	for _, t := range res.Output.Tuples {
 		if *limit >= 0 && shown >= *limit {
-			fmt.Printf("... (%d more rows)\n", res.Output.Cardinality()-shown)
 			break
 		}
 		fmt.Println(t)
 		shown++
+	}
+	if rest := res.Rows - shown; rest > 0 {
+		fmt.Printf("... (%d more rows)\n", rest)
 	}
 	if *outPath != "" {
 		err := writeFileWith(*outPath, func(w io.Writer) error { return relation.WriteCSV(w, res.Output) })

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -40,11 +41,34 @@ func zeroWallMap(ms map[string]mr.Metrics) map[string]mr.Metrics {
 	return out
 }
 
+// requireResultIdentity checks that a result job's reducers counted and
+// hashed exactly the rows of its output.
+func requireResultIdentity(t *testing.T, res *mr.Result, where string) {
+	t.Helper()
+	if res.Rows != res.Output.Cardinality() {
+		t.Errorf("%s: Rows = %d, output holds %d", where, res.Rows, res.Output.Cardinality())
+	}
+	if got, want := relation.ContentHashOf(res.Output.Schema, res.Rows, res.RowHashSum), relation.ContentHash(res.Output); got != want {
+		t.Errorf("%s: hash from the reducers %#016x, ContentHash %#016x", where, got, want)
+	}
+}
+
+// requireExecIdentity is requireResultIdentity for a whole execution.
+func requireExecIdentity(t *testing.T, res *ExecResult, where string) {
+	t.Helper()
+	if res.Rows != res.Output.Cardinality() || res.Hash != relation.ContentHash(res.Output) {
+		t.Errorf("%s: %d rows, hash %#016x; the output has %d, ContentHash %#016x",
+			where, res.Rows, res.Hash, res.Output.Cardinality(), relation.ContentHash(res.Output))
+	}
+}
+
 // TestExecutionDeterminism asserts the engine's core invariant: for a
 // fixed job specification, Result.Output and the byte-level Metrics
 // are identical across worker counts — the parallel partitioned
-// shuffle must not let goroutine interleaving leak into results. Run
-// under -race this also exercises the engine's synchronisation.
+// shuffle must not let goroutine interleaving leak into results. Each
+// job runs as a query's result, whose reducers' row count and hash must
+// be its output's cardinality and ContentHash. Run under -race this also
+// exercises the engine's synchronisation.
 func TestExecutionDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
 	a := randRelation("A", 90, 25, rng)
@@ -90,12 +114,14 @@ func TestExecutionDeterminism(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				job.Result, job.Keep = true, -1
 				cfg := testConfig()
 				cfg.MaxParallelWorkers = w
 				res, err := mr.Run(context.Background(), cfg, job)
 				if err != nil {
 					t.Fatalf("workers=%d: %v", w, err)
 				}
+				requireResultIdentity(t, res, fmt.Sprintf("workers=%d", w))
 				if ref == nil {
 					ref, refWorkers = res, w
 					continue
@@ -130,8 +156,9 @@ func TestExecutionDeterminism(t *testing.T) {
 // with out-of-core execution forced on: a tiny SpillBudgetBytes pushes
 // every map task's shuffle output through the spill store, and the
 // output plus all byte-level metrics must still be bit-identical to
-// the fully in-memory run, at every worker count. Run under -race this
-// also exercises the spill/merge synchronisation.
+// the fully in-memory run, at every worker count, and the reducers' row
+// count and hash those of the output. Run under -race this also
+// exercises the spill/merge synchronisation.
 func TestExecutionDeterminismSpill(t *testing.T) {
 	rng := rand.New(rand.NewSource(211))
 	a := randRelation("A", 90, 25, rng)
@@ -174,6 +201,7 @@ func TestExecutionDeterminismSpill(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				job.Result, job.Keep = true, -1
 				cfg := testConfig()
 				cfg.MaxParallelWorkers = w
 				cfg.SpillBudgetBytes = 2048
@@ -182,6 +210,7 @@ func TestExecutionDeterminismSpill(t *testing.T) {
 				if err != nil {
 					t.Fatalf("workers=%d: %v", w, err)
 				}
+				requireResultIdentity(t, res, fmt.Sprintf("spill, workers=%d", w))
 				if res.Metrics.SpillBytes <= 0 {
 					t.Fatalf("workers=%d: budget did not force a spill", w)
 				}
@@ -245,6 +274,7 @@ func TestExecutionDeterminismUnitPools(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s pool: %v", tc.name, err)
 		}
+		requireExecIdentity(t, res, tc.name+" pool")
 		if ref == nil {
 			ref, refName = res, tc.name
 			continue
@@ -337,6 +367,28 @@ func TestSharedPoolCrossPlanCap(t *testing.T) {
 // plan as a serial cascade, and that the concurrent execution still
 // matches the Naive reference result.
 func TestExecuteConcurrentIndependentJobs(t *testing.T) {
+	plan, db := independentPair(t)
+	res, err := testPlanner(8).Execute(plan, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.MaxConcurrentJobs < 2 {
+		t.Errorf("independent 2-job plan ran serially: MaxConcurrentJobs = %d", res.MaxConcurrentJobs)
+	}
+	want, err := Naive(plan.Query, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, wantRS := resultSet(res.Output), resultSet(want)
+	if !wantRS.Equal(got) {
+		t.Errorf("concurrent result mismatch: %d vs %d rows", got.Len(), wantRS.Len())
+	}
+}
+
+// independentPair builds a plan of two independent jobs, A ⋈ B and
+// B ⋈ C, whose outputs the rid-merge joins on B's row ids.
+func independentPair(t *testing.T) (*Plan, *DB) {
+	t.Helper()
 	rng := rand.New(rand.NewSource(7))
 	a := randRelation("A", 60, 18, rng)
 	b := randRelation("B", 50, 18, rng)
@@ -346,8 +398,7 @@ func TestExecuteConcurrentIndependentJobs(t *testing.T) {
 		predicate.C("A", "a", predicate.LT, "B", "a"),
 		predicate.C("B", "b", predicate.GE, "C", "b"),
 	})
-	pl := testPlanner(8)
-	plan := &Plan{
+	return &Plan{
 		Query: q,
 		Jobs: []PlannedJob{
 			{Name: "pair-j1", Conds: predicate.Conjunction{q.Conditions[0]}, RelOrder: []string{"A", "B"},
@@ -355,22 +406,7 @@ func TestExecuteConcurrentIndependentJobs(t *testing.T) {
 			{Name: "pair-j2", Conds: predicate.Conjunction{q.Conditions[1]}, RelOrder: []string{"B", "C"},
 				Kind: KindHilbertTheta, Reducers: 3, Units: 4},
 		},
-	}
-	res, err := pl.Execute(plan, db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.MaxConcurrentJobs < 2 {
-		t.Errorf("independent 2-job plan ran serially: MaxConcurrentJobs = %d", res.MaxConcurrentJobs)
-	}
-	want, err := Naive(q, db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, wantRS := resultSet(res.Output), resultSet(want)
-	if !wantRS.Equal(got) {
-		t.Errorf("concurrent result mismatch: %d vs %d rows", got.Len(), wantRS.Len())
-	}
+	}, db
 }
 
 // dependentCascade builds a two-job cascade: casc-j2 joins casc-j1's output
@@ -437,6 +473,8 @@ func TestExecutePlanWithFaultPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	requireExecIdentity(t, clean, "fault-free")
+	requireExecIdentity(t, res, "fault plan")
 	if !resultSet(clean.Output).Equal(resultSet(res.Output)) {
 		t.Error("fault plan changed the plan output")
 	}

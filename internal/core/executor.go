@@ -20,7 +20,15 @@ import (
 
 // ExecResult is the outcome of executing a plan.
 type ExecResult struct {
+	// Output holds the result's first rows, as many as ExecuteLimit was
+	// asked to keep — all of them from Execute and ExecuteContext.
 	Output *relation.Relation
+	// Rows counts the whole result and Hash is its
+	// relation.ContentHash, whatever Output keeps: both are computed
+	// where the rows are emitted, by the result job's reducers or the
+	// last rid-merge step.
+	Rows int
+	Hash uint64
 	// Makespan is the measured evaluation time: the job set re-timed
 	// with simulated durations plus the merge tree (Fig. 4 layout).
 	Makespan   float64
@@ -92,7 +100,13 @@ type ExecResult struct {
 
 // Execute runs the plan under a background context; see ExecuteContext.
 func (pl *Planner) Execute(plan *Plan, db *DB) (*ExecResult, error) {
-	return pl.ExecuteContext(context.Background(), plan, db)
+	return pl.ExecuteLimit(context.Background(), plan, db, -1)
+}
+
+// ExecuteContext runs the plan and keeps every result row; see
+// ExecuteLimit.
+func (pl *Planner) ExecuteContext(ctx context.Context, plan *Plan, db *DB) (*ExecResult, error) {
+	return pl.ExecuteLimit(ctx, plan, db, -1)
 }
 
 // execSlot is one dispatchable planned job: its index in plan.Jobs,
@@ -140,7 +154,13 @@ type planRun struct {
 	// for feedback re-planning, and the outputs that must not re-enter
 	// the final merge (their consumer's output subsumes them).
 	consumed map[string]bool
-	fb       *feedback
+	// keep is the result rows to materialise (< 0: all). resultJob names
+	// the plan's one non-consumed job, whose output is the result and
+	// whose reducers hash, count and cap it; "" when several outputs
+	// merge, and the last merge step does that instead.
+	keep      int
+	resultJob string
+	fb        *feedback
 	// replanned holds the feedback-revised copy of each replanned job.
 	replanned map[string]*PlannedJob
 
@@ -157,7 +177,7 @@ type planRun struct {
 	firstErr                     error
 }
 
-// ExecuteContext drives the planned jobs through the schedule
+// ExecuteLimit drives the planned jobs through the schedule
 // placement for real, concurrently, as phases over one planRun: until
 // every job is done, dispatch starts each placement whose dependencies
 // have completed and whose unit allotment fits the free capacity of
@@ -169,19 +189,25 @@ type planRun struct {
 // results. The first job error cancels the context, the jobs still in
 // flight are drained, and that error is returned.
 //
+// The result's Output keeps only its first keep rows (every row when
+// keep < 0), while Rows and Hash describe all of them: the job that
+// produces the result, or the merge step that does, hashes and counts
+// every row where it emits it and materialises only those it keeps.
+// Job metrics, Makespan and merge costs do not depend on keep.
+//
 // Execution is deterministic for a fixed plan: job outputs and metrics
 // are collected by plan position, outputs merge in plan order, and
 // each mr.Run is itself deterministic — so the result relation and the
 // byte-level metrics are identical regardless of how the jobs
 // interleave on the wall clock.
-func (pl *Planner) ExecuteContext(ctx context.Context, plan *Plan, db *DB) (*ExecResult, error) {
+func (pl *Planner) ExecuteLimit(ctx context.Context, plan *Plan, db *DB, keep int) (*ExecResult, error) {
 	if len(plan.Jobs) == 0 {
 		return nil, fmt.Errorf("core: empty plan")
 	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	r, err := newPlanRun(ctx, pl, plan, db)
+	r, err := newPlanRun(ctx, pl, plan, db, keep)
 	if err != nil {
 		return nil, err
 	}
@@ -215,12 +241,12 @@ func (pl *Planner) ExecuteContext(ctx context.Context, plan *Plan, db *DB) (*Exe
 		return nil, err
 	}
 	res.Wall = time.Since(r.start)
-	span.End(obs.A("makespan", res.Makespan), obs.A("outTuples", res.Output.Cardinality()))
+	span.End(obs.A("makespan", res.Makespan), obs.A("outTuples", res.Rows))
 	return res, nil
 }
 
 // newPlanRun validates the plan's schedule and sets up the run state.
-func newPlanRun(ctx context.Context, pl *Planner, plan *Plan, db *DB) (*planRun, error) {
+func newPlanRun(ctx context.Context, pl *Planner, plan *Plan, db *DB, keep int) (*planRun, error) {
 	jobIdx := make(map[string]int, len(plan.Jobs))
 	for i, pj := range plan.Jobs {
 		jobIdx[pj.Name] = i
@@ -239,6 +265,7 @@ func newPlanRun(ctx context.Context, pl *Planner, plan *Plan, db *DB) (*planRun,
 		pool:      pl.Pool,
 		order:     order,
 		consumed:  make(map[string]bool, n),
+		keep:      keep,
 		fb:        newFeedback(pl, db),
 		replanned: make(map[string]*PlannedJob),
 		done:      make(chan jobDone),
@@ -254,6 +281,13 @@ func newPlanRun(ctx context.Context, pl *Planner, plan *Plan, db *DB) (*planRun,
 		for _, rel := range plan.Jobs[i].RelOrder {
 			if _, ok := jobIdx[rel]; ok {
 				r.consumed[rel] = true
+			}
+		}
+	}
+	if n-len(r.consumed) == 1 {
+		for _, pj := range plan.Jobs {
+			if !r.consumed[pj.Name] {
+				r.resultJob = pj.Name
 			}
 		}
 	}
@@ -330,6 +364,9 @@ func (r *planRun) startJob(s execSlot, units int) error {
 		return err
 	}
 	span.End()
+	if pj.Name == r.resultJob {
+		job.Result, job.Keep = true, r.keep
+	}
 	r.buildWall[pj.Name] = time.Since(buildStart)
 	if r.o.Tracing() && runJob.Skew != nil {
 		r.traceHotKeys(pj.Name, runJob.Skew)
@@ -415,7 +452,7 @@ func (r *planRun) complete(msg jobDone) {
 	r.produced[pj.Name] = msg.res.Output
 	r.shard.Instant("complete", obs.A("job", pj.Name),
 		obs.A("shuffleBytes", msg.res.Metrics.ShuffleBytes),
-		obs.A("outTuples", msg.res.Output.Cardinality()))
+		obs.A("outTuples", msg.res.Rows))
 	r.nDone++
 	if !r.consumed[pj.Name] {
 		return
@@ -485,25 +522,32 @@ func (r *planRun) retime() (*ExecResult, error) {
 // merge joins the job outputs that are genuine partial results — a
 // consumed intermediate is already folded into its consumer's output:
 // it carries prefixed, not base-relation, rid columns and must not
-// re-enter the merge — and adds the merge tree's cost to Makespan.
+// re-enter the merge — and adds the merge tree's cost to Makespan. The
+// result's count and hash come from the result job when there is one,
+// and from the last merge step otherwise.
 func (r *planRun) merge(res *ExecResult) error {
 	var inputs []*relation.Relation
 	var sizes []int64 // each input's ModeledSize, off its job's metrics
+	var last *mr.Result
 	for i := range r.plan.Jobs {
 		if run := r.results[i]; !r.consumed[r.plan.Jobs[i].Name] {
 			inputs = append(inputs, run.Output)
 			sizes = append(sizes,
 				int64(float64(run.Metrics.OutputRawBytes)*run.Output.VolumeMultiplier))
+			last = run
 		}
 	}
 	mergeStart := time.Now()
 	span := r.shard.Start("plan-merge", obs.A("inputs", len(inputs)))
-	final, steps, err := mergeAll(r.plan.Query.Name, inputs, sizes, r.shard)
+	final, rows, rowSum, steps, err := mergeAll(r.plan.Query.Name, inputs, sizes, r.shard, r.keep)
 	if err != nil {
 		span.End(obs.A("error", err.Error()))
 		return err
 	}
-	span.End(obs.A("steps", len(steps)), obs.A("outTuples", final.Cardinality()))
+	if len(steps) == 0 { // the one output is the result job's
+		rows, rowSum = last.Rows, last.RowHashSum
+	}
+	span.End(obs.A("steps", len(steps)), obs.A("outTuples", rows))
 	res.MergeWall = time.Since(mergeStart)
 	// Charge the merge off the tree MergeAll actually performed, step
 	// by step over the real operand sizes — matching the planner's
@@ -513,6 +557,8 @@ func (r *planRun) merge(res *ExecResult) error {
 		res.MergeTime += cost.MergeCost(rates, st.LeftBytes, st.RightBytes)
 	}
 	res.Output = final
+	res.Rows = rows
+	res.Hash = relation.ContentHashOf(final.Schema, rows, rowSum)
 	res.MergeCount = len(steps)
 	res.Makespan += res.MergeTime
 	return nil

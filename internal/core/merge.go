@@ -56,20 +56,29 @@ func sharedRelations(a, b *relation.Relation) []string {
 // left's). Returns an error when the outputs share no relation — the
 // planner's merge ordering guarantees they always do.
 func MergeOutputs(name string, left, right *relation.Relation) (*relation.Relation, error) {
+	out, _, _, err := mergeOutputs(name, left, right, -1)
+	return out, err
+}
+
+// mergeOutputs is MergeOutputs keeping only the first keep merged rows
+// (every row when keep < 0). It also returns the count of all of them
+// and the RowHash sum of those it drops, each of which is built in one
+// reused row, hashed and dropped.
+func mergeOutputs(name string, left, right *relation.Relation, keep int) (out *relation.Relation, rows int, droppedSum uint64, err error) {
 	shared := sharedRelations(left, right)
 	if len(shared) == 0 {
-		return nil, fmt.Errorf("core: merge %s: outputs %s and %s share no relation", name, left.Name, right.Name)
+		return nil, 0, 0, fmt.Errorf("core: merge %s: outputs %s and %s share no relation", name, left.Name, right.Name)
 	}
 	// Key columns: shared relations' rid columns on both sides.
 	var lKey, rKey []int
 	for _, rel := range shared {
 		li, ok := left.Schema.Lookup(rel + "." + RowIDColumn)
 		if !ok {
-			return nil, fmt.Errorf("core: merge %s: %s lacks %s.%s", name, left.Name, rel, RowIDColumn)
+			return nil, 0, 0, fmt.Errorf("core: merge %s: %s lacks %s.%s", name, left.Name, rel, RowIDColumn)
 		}
 		ri, ok := right.Schema.Lookup(rel + "." + RowIDColumn)
 		if !ok {
-			return nil, fmt.Errorf("core: merge %s: %s lacks %s.%s", name, right.Name, rel, RowIDColumn)
+			return nil, 0, 0, fmt.Errorf("core: merge %s: %s lacks %s.%s", name, right.Name, rel, RowIDColumn)
 		}
 		lKey = append(lKey, li)
 		rKey = append(rKey, ri)
@@ -93,9 +102,9 @@ func MergeOutputs(name string, left, right *relation.Relation) (*relation.Relati
 	}
 	schema, err := relation.NewSchema(cols...)
 	if err != nil {
-		return nil, fmt.Errorf("core: merge %s: %w", name, err)
+		return nil, 0, 0, fmt.Errorf("core: merge %s: %w", name, err)
 	}
-	out := relation.New(name, schema)
+	out = relation.New(name, schema)
 	if left.VolumeMultiplier > right.VolumeMultiplier {
 		out.VolumeMultiplier = left.VolumeMultiplier
 	} else {
@@ -131,11 +140,11 @@ func MergeOutputs(name string, left, right *relation.Relation) (*relation.Relati
 	k := len(shared)
 	lRids, err := ridKeys(name, left, lKey)
 	if err != nil {
-		return nil, err
+		return nil, 0, 0, err
 	}
 	rRids, err := ridKeys(name, right, rKey)
 	if err != nil {
-		return nil, err
+		return nil, 0, 0, err
 	}
 	head := make(map[uint64]int32, len(right.Tuples)) // hash → its first right row + 1
 	next := make([]int32, len(right.Tuples))          // right row → the bucket's next row + 1
@@ -155,23 +164,38 @@ func MergeOutputs(name string, left, right *relation.Relation) (*relation.Relati
 			}
 		}
 	}
-	// Count first: the rows are carved from one exactly-sized slab.
-	matches := 0
-	eachMatch(func(_, _ relation.Tuple) { matches++ })
+	// Count first: the kept rows are carved from one exactly-sized slab.
+	eachMatch(func(_, _ relation.Tuple) { rows++ })
+	kept := rows
+	if keep >= 0 {
+		kept = min(rows, keep)
+	}
 	lw := left.Schema.Len()
 	width := lw + len(rKeep)
-	slab := make([]relation.Value, matches*width)
-	out.Tuples = make([]relation.Tuple, 0, matches)
+	slab := make([]relation.Value, kept*width)
+	out.Tuples = make([]relation.Tuple, 0, kept)
+	var spare relation.Tuple // a row past keep, rebuilt for each
+	if kept < rows {
+		spare = make(relation.Tuple, width)
+	}
 	eachMatch(func(lt, rt relation.Tuple) {
-		row := slab[:width:width]
-		slab = slab[width:]
+		keeps := len(out.Tuples) < kept
+		row := spare
+		if keeps {
+			row = slab[:width:width]
+			slab = slab[width:]
+		}
 		copy(row, lt)
 		for j, c := range rKeep {
 			row[lw+j] = rt[c]
 		}
-		out.Tuples = append(out.Tuples, row)
+		if keeps {
+			out.Tuples = append(out.Tuples, row)
+		} else {
+			droppedSum += relation.RowHash(row)
+		}
 	})
-	return out, nil
+	return out, rows, droppedSum, nil
 }
 
 // ridKeys flattens the rid columns cols of r's rows into one int64 per
@@ -275,27 +299,31 @@ func MergeAll(name string, outputs []*relation.Relation) (*relation.Relation, []
 	for i, r := range outputs {
 		sizes[i] = r.ModeledSize()
 	}
-	return mergeAll(name, outputs, sizes, nil)
+	final, _, _, steps, err := mergeAll(name, outputs, sizes, nil, -1)
+	return final, steps, err
 }
 
 // mergeAll is MergeAll given each output's ModeledSize — the executor
-// has it from the job's metrics — and a tracing shard: each executed
-// pair-merge records a "merge-step" span carrying operand names and
-// sizes. The executor passes its own shard; the exported MergeAll nil.
-func mergeAll(name string, outputs []*relation.Relation, sizes []int64, sh *obs.Shard) (*relation.Relation, []MergeStep, error) {
+// has it from the job's metrics — a tracing shard and the rows the
+// result keeps: each executed pair-merge records a "merge-step" span
+// carrying operand names and sizes, and the last one keeps only its
+// first keep rows (every row when keep < 0) and returns the count and
+// RowHash sum of all its rows. With one output no step runs, and rows
+// and rowSum are 0: that output's producer knows them. The executor
+// passes its own shard; the exported MergeAll nil.
+func mergeAll(name string, outputs []*relation.Relation, sizes []int64, sh *obs.Shard, keep int) (final *relation.Relation, rows int, rowSum uint64, steps []MergeStep, err error) {
 	if len(outputs) == 0 {
-		return nil, nil, fmt.Errorf("core: nothing to merge")
+		return nil, 0, 0, nil, fmt.Errorf("core: nothing to merge")
 	}
 	work := append([]*relation.Relation(nil), outputs...)
 	ops := make([]mergeOperand, len(work))
 	for i, r := range work {
 		ops[i] = operandOf(r, sizes[i])
 	}
-	var steps []MergeStep
 	for len(work) > 1 {
 		bi, bj, ok := pickMergePair(ops)
 		if !ok {
-			return nil, steps, fmt.Errorf("core: merge stalled; no pair of outputs shares a relation")
+			return nil, 0, 0, steps, fmt.Errorf("core: merge stalled; no pair of outputs shares a relation")
 		}
 		stepName := name
 		if len(work) > 2 {
@@ -305,12 +333,20 @@ func mergeAll(name string, outputs []*relation.Relation, sizes []int64, sh *obs.
 		sp := sh.Start("merge-step",
 			obs.A("left", work[bi].Name), obs.A("right", work[bj].Name),
 			obs.A("leftBytes", ops[bi].bytes), obs.A("rightBytes", ops[bj].bytes))
-		merged, err := MergeOutputs(stepName, work[bi], work[bj])
+		last, stepKeep := len(work) == 2, -1
+		if last {
+			stepKeep = keep
+		}
+		merged, n, dropped, err := mergeOutputs(stepName, work[bi], work[bj], stepKeep)
 		if err != nil {
 			sp.End(obs.A("error", err.Error()))
-			return nil, steps, err
+			return nil, 0, 0, steps, err
 		}
-		sp.End(obs.A("outTuples", merged.Cardinality()))
+		if last {
+			// The kept rows are hashed in GOMAXPROCS shards.
+			rows, rowSum = n, dropped+relation.SumRowHashes(merged.Tuples)
+		}
+		sp.End(obs.A("outTuples", n))
 		mergedOp := operandOf(merged, ops[bi].bytes+ops[bj].bytes)
 		// Remove j first (j > i), then i; append merged.
 		work = append(work[:bj], work[bj+1:]...)
@@ -321,7 +357,7 @@ func mergeAll(name string, outputs []*relation.Relation, sizes []int64, sh *obs.
 		ops = append(ops, mergedOp)
 	}
 	work[0].Name = name
-	return work[0], steps, nil
+	return work[0], rows, rowSum, steps, nil
 }
 
 // estimateMergeSteps predicts MergeAll's tree on estimated operands:

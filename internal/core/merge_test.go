@@ -163,7 +163,7 @@ func TestMergeAllTakesOperandSizesAsGiven(t *testing.T) {
 		fillOutput(o, 50, 8, rng)
 	}
 	// Sizes no walk would produce.
-	merged, steps, err := mergeAll("q", outs, []int64{1_000_003, 70_001, 13}, nil)
+	merged, _, _, steps, err := mergeAll("q", outs, []int64{1_000_003, 70_001, 13}, nil, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,19 +262,4 @@ func BenchmarkMergeOutputs(b *testing.B) {
 		rows += out.Cardinality()
 	}
 	b.ReportMetric(float64(rows)/b.Elapsed().Seconds(), "rows/s")
-}
-
-// BenchmarkReduceEmit times a reducer's output side alone: ~100 k rows
-// of three 7-value parts through EmitConcat into one attempt's slab.
-func BenchmarkReduceEmit(b *testing.B) {
-	left, right := resultShaped(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ctx := &mr.ReduceContext{}
-		for j, t := range left.Tuples {
-			ctx.EmitConcat(t[:7], t[7:], right.Tuples[j%len(right.Tuples)][7:])
-		}
-	}
-	b.ReportMetric(float64(len(left.Tuples))*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
 }

@@ -112,6 +112,19 @@
 // lives as long as any row carved from it, rows are valid for the life
 // of the output relation, and nothing writes to them after commit.
 //
+// A job marked as its query's result (Job.Result) keeps only the first
+// Job.Keep rows of its output, in reducer order. Its attempts add every
+// row's relation.RowHash to a sum and count and price every row in the
+// per-size counts, so Result.Rows, Result.RowHashSum and every byte
+// metric are the same at any Keep; what they do not keep is not
+// copied: EmitConcat takes such a row's size from its parts. An attempt
+// keeps at most Keep rows, and none once the reducers before its own
+// have all committed and together keep Keep or more — the run's
+// committed-prefix watermark, advanced as each reducer's task ends. The
+// first Keep rows are therefore those of the uncapped output whatever
+// the timing: a reducer's kept rows are a prefix of its rows, and the
+// watermark closes only on reducers none of whose rows come first.
+//
 // # Spill integrity
 //
 // Spilled runs are written as checksummed frames (~32 KiB of records,

@@ -128,8 +128,16 @@ type Metrics struct {
 
 // Result is a completed job: the output relation plus metrics.
 type Result struct {
-	Output  *relation.Relation
-	Metrics Metrics
+	Output *relation.Relation
+	// Rows counts every row the reducers emitted. Output holds all of
+	// them unless the job is a query's result (Job.Result) with a Keep
+	// below Rows; RowHashSum is then the wrapping sum of
+	// relation.RowHash over all Rows of them, kept or not (0 for any
+	// other job), so relation.ContentHashOf(Output.Schema, Rows,
+	// RowHashSum) is the full output's ContentHash.
+	Rows       int
+	RowHashSum uint64
+	Metrics    Metrics
 }
 
 // record is one shuffled pair, in memory and in a spilling map task's
@@ -194,13 +202,17 @@ type run struct {
 	keyRunLen       *obs.Histogram
 	reducerBytes    []int64 // modeled shuffle input
 	reducerPairs    []int64
-	reducerResident []int64         // accounted resident pair bytes during the merge
-	reduced         []ReduceContext // rows, row sizes and work of the committed attempt
+	reducerResident []int64          // accounted resident pair bytes during the merge
+	reduced         []*ReduceContext // rows, row sizes and work of the committed attempt
+
+	gate *keepGate // a result job's committed-prefix watermark
 
 	// assemble
 	output          *relation.Relation
-	outputRawBytes  int64 // the output's EncodedSize
-	outputBytes     int64 // modeled
+	rows            int    // every emitted row, kept or not
+	rowSum          uint64 // their RowHash sum (result job)
+	outputRawBytes  int64  // the output's EncodedSize
+	outputBytes     int64  // modeled
 	reducerOutBytes []int64
 	combinations    int64
 
@@ -266,7 +278,7 @@ func Run(ctx context.Context, cfg Config, job *Job) (*Result, error) {
 	}
 	res := r.metrics()
 	jobSpan.End(obs.A("shuffleBytes", res.Metrics.ShuffleBytes),
-		obs.A("outTuples", len(res.Output.Tuples)), obs.A("balance", res.Metrics.BalanceRatio))
+		obs.A("outTuples", res.Rows), obs.A("balance", res.Metrics.BalanceRatio))
 	res.Metrics.Wall.Total = time.Since(wallStart)
 	return res, nil
 }
@@ -519,7 +531,15 @@ func (r *run) reducePhase(ctx context.Context) error {
 	r.reducerBytes = make([]int64, r.nRed)
 	r.reducerPairs = make([]int64, r.nRed)
 	r.reducerResident = make([]int64, r.nRed)
-	r.reduced = make([]ReduceContext, r.nRed)
+	r.reduced = make([]*ReduceContext, r.nRed)
+	// A reducer with no input commits nothing; its entry stays empty.
+	empty := &ReduceContext{}
+	for red := range r.reduced {
+		r.reduced[red] = empty
+	}
+	if r.job.Result && r.job.Keep >= 0 {
+		r.gate = newKeepGate(r.job.Keep, r.nRed)
+	}
 	shards := workerShards(r.o, r.job.Name+"/reduce", r.workers)
 	err := forEach(ctx, r.workers, r.nRed, func(w, red int) error {
 		err := r.ft.runTask(ctx, phaseReduce, red, shards.get(r.o, w), func(actx context.Context, attempt int, sh *obs.Shard) (attemptOutcome, error) {
@@ -528,6 +548,7 @@ func (r *run) reducePhase(ctx context.Context) error {
 		if err != nil {
 			return err
 		}
+		r.gate.commit(red, len(r.reduced[red].out))
 		// A retried or speculative attempt re-reads the same buckets,
 		// so the reducer's share of each is only released here, once
 		// runTask has joined every attempt — no late speculative loser
@@ -614,6 +635,9 @@ func (r *run) reduceAttempt(actx context.Context, red, attempt int, sh *obs.Shar
 	reduceSp := sh.Start("reduce", obs.A("reducer", red), obs.A("pairs", n), obs.A("runs", len(srcs)))
 	reduce, keyRunLen := r.job.Reduce, r.keyRunLen
 	rctx := &ReduceContext{}
+	if r.job.Result {
+		*rctx = ReduceContext{result: true, keep: r.job.Keep, red: red, arity: r.job.OutputSchema.Len(), gate: r.gate}
+	}
 	// bufs[tag] collects the current key run's tuples; groups are the
 	// views of them Reduce is handed. When every run holds the same single
 	// key — any Hilbert component — the input is one key run and the
@@ -683,7 +707,7 @@ func (r *run) reduceAttempt(actx context.Context, red, attempt int, sh *obs.Shar
 			r.reducerPairs[red] = int64(n)
 			r.reducerBytes[red] = bytes
 			r.reducerResident[red] = memReal + maxRunReal
-			r.reduced[red] = *rctx
+			r.reduced[red] = rctx
 		},
 	}, nil
 }
@@ -717,7 +741,8 @@ func (r *run) outputMultiplier() float64 {
 // assemble concatenates the per-reducer outputs, in reducer order, into
 // the output relation and prices its modeled bytes from the reducers'
 // per-size row counts: the rows are checked for arity and handed over,
-// not measured again.
+// not measured again. A result job's output stops at Keep rows; the
+// reducers have priced, counted and hashed the rest.
 func (r *run) assemble() error {
 	job := r.job
 	start := time.Now()
@@ -725,9 +750,14 @@ func (r *run) assemble() error {
 	var totalOut int
 	for _, rc := range r.reduced {
 		totalOut += len(rc.out)
+		r.rowSum += rc.rowSum
 		for size, rows := range rc.sizes {
 			r.outputRawBytes += int64(size) * rows
+			r.rows += int(rows)
 		}
+	}
+	if job.Result && job.Keep >= 0 {
+		totalOut = min(totalOut, job.Keep)
 	}
 	outMult := r.outputMultiplier()
 	output := relation.New(job.OutputName, job.OutputSchema)
@@ -744,16 +774,16 @@ func (r *run) assemble() error {
 					job.Name, red, len(t), job.OutputSchema.Len())
 			}
 		}
-		output.Tuples = append(output.Tuples, rc.out...)
+		output.Tuples = append(output.Tuples, rc.out[:min(len(rc.out), totalOut-len(output.Tuples))]...)
 		for size, rows := range rc.sizes {
 			r.reducerOutBytes[red] += int64(float64(size)*outMult) * rows
 		}
 		r.outputBytes += r.reducerOutBytes[red]
 		r.combinations += rc.combinations
-		r.reduced[red] = ReduceContext{} // release the reducer's buffers
+		r.reduced[red] = nil // release the reducer's buffers
 	}
 	r.output = output
-	sp.End(obs.A("tuples", totalOut))
+	sp.End(obs.A("tuples", r.rows))
 	r.wall.Assemble = time.Since(start)
 	return nil
 }
@@ -830,7 +860,9 @@ func (r *run) metrics() *Result {
 		}
 	}
 	res := &Result{
-		Output: r.output,
+		Output:     r.output,
+		Rows:       r.rows,
+		RowHashSum: r.rowSum,
 		Metrics: Metrics{
 			MapTasks:            len(r.tasks),
 			ReduceTasks:         r.nRed,
@@ -872,7 +904,7 @@ func (r *run) export(m *Metrics) {
 	o.Counter("mr.pairs_emitted").Add(m.PairsEmitted)
 	o.Counter("mr.shuffle_bytes").Add(m.ShuffleBytes)
 	o.Counter("mr.combinations_checked").Add(m.CombinationsChecked)
-	o.Counter("mr.output_tuples").Add(int64(len(r.output.Tuples)))
+	o.Counter("mr.output_tuples").Add(int64(r.rows))
 	o.Counter("mr.spill_bytes").Add(m.SpillBytes)
 	o.Counter("mr.spill_runs").Add(int64(m.SpillRuns))
 	if h := o.Histogram("mr.peak_live_bytes"); h != nil {
@@ -880,6 +912,54 @@ func (r *run) export(m *Metrics) {
 	}
 	if n := m.MapFailures + m.ReduceFailures; n > 0 {
 		o.Counter("mr.task_retries").Add(int64(n))
+	}
+}
+
+// keepGate is a result job's committed-prefix watermark. Once reducers
+// 0 … p−1 have all committed and together keep at least keep rows, the
+// output's first keep rows are all theirs, so reducers p and above need
+// keep none: their attempts stop keeping rows from then on. Which rows an
+// attempt keeps may depend on when it reads the gate, but the output's
+// first keep rows cannot. forEach hands reducers out in ascending order,
+// which is what lets the prefix grow while later reducers still run.
+type keepGate struct {
+	keep int
+	from atomic.Int64 // the first reducer that keeps nothing; nRed while open
+
+	mu     sync.Mutex
+	kept   []int // by reducer: the rows its committed attempt kept, −1 before
+	prefix int   // reducers [0, prefix) have committed
+	sum    int   // and together keep this many rows
+}
+
+func newKeepGate(keep, nRed int) *keepGate {
+	g := &keepGate{keep: keep, kept: make([]int, nRed)}
+	for i := range g.kept {
+		g.kept[i] = -1
+	}
+	g.from.Store(int64(nRed))
+	return g
+}
+
+// closed reports whether reducer red may keep no more rows. Nil-safe:
+// a job with no gate keeps every row.
+func (g *keepGate) closed(red int) bool { return g != nil && int64(red) >= g.from.Load() }
+
+// commit records that reducer red's committed attempt kept kept rows and
+// moves the watermark past the committed prefix once it keeps enough.
+func (g *keepGate) commit(red, kept int) {
+	if g == nil {
+		return
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.kept[red] = kept
+	for g.sum < g.keep && g.prefix < len(g.kept) && g.kept[g.prefix] >= 0 {
+		g.sum += g.kept[g.prefix]
+		g.prefix++
+	}
+	if g.sum >= g.keep {
+		g.from.Store(int64(g.prefix))
 	}
 }
 

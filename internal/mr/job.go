@@ -34,17 +34,45 @@ type ReduceContext struct {
 	// priced as Σ int64(float64(size)·multiplier) over rows, with a
 	// multiplier known only once every reducer is done, and the counts
 	// let assemble form that exact sum without walking the rows again.
+	// They count every row, kept or not, so they also count the rows.
 	sizes map[int]int64
+
+	// A result job's attempt (Job.Result) also sums the RowHash of
+	// every row it emits, and keeps a row only while it holds fewer
+	// than keep rows (keep < 0: every row) and gate has not closed on
+	// its reducer red. A row it does not keep is counted in sizes and
+	// nothing else of it remains; a row whose arity is not the schema's
+	// is always kept, for assemble to report.
+	result bool
+	keep   int
+	red    int
+	arity  int
+	gate   *keepGate
+	rowSum uint64
 }
 
 // Emit appends an output tuple that the caller built and will not write
 // to again.
 func (rc *ReduceContext) Emit(t relation.Tuple) {
-	rc.out = append(rc.out, t)
+	if !rc.result || rc.keeps(relation.RowHash(t), len(t)) {
+		rc.out = append(rc.out, t)
+	}
+	rc.count(t.EncodedSize())
+}
+
+// count books an emitted row, kept or not, by its EncodedSize.
+func (rc *ReduceContext) count(size int) {
 	if rc.sizes == nil {
 		rc.sizes = make(map[int]int64)
 	}
-	rc.sizes[t.EncodedSize()]++
+	rc.sizes[size]++
+}
+
+// keeps adds a result row's hash to the attempt's sum and reports
+// whether the attempt keeps the row.
+func (rc *ReduceContext) keeps(hash uint64, arity int) bool {
+	rc.rowSum += hash
+	return rc.keep < 0 || len(rc.out) < rc.keep && !rc.gate.closed(rc.red) || arity != rc.arity
 }
 
 // EmitConcat emits the concatenation of parts, copied into the
@@ -55,11 +83,18 @@ func (rc *ReduceContext) Emit(t relation.Tuple) {
 // of the rest of it stay at a few percent of the output however small
 // that is.
 // The row's capacity ends with the row: appending to it reallocates
-// instead of running into its neighbour.
+// instead of running into its neighbour. A result job's row that is
+// not kept is not copied: its size is 4 + Σ (EncodedSize(part) − 4),
+// the EncodedSize of the row the parts would make.
 func (rc *ReduceContext) EmitConcat(parts ...relation.Tuple) {
-	n := 0
+	n, size := 0, 4
 	for _, p := range parts {
 		n += len(p)
+		size += p.EncodedSize() - 4
+	}
+	if rc.result && !rc.keeps(relation.RowHash(parts...), n) {
+		rc.count(size)
+		return
 	}
 	if cap(rc.slab)-len(rc.slab) < n {
 		// slices.Grow rounds up to the allocator's size class, which
@@ -71,7 +106,8 @@ func (rc *ReduceContext) EmitConcat(parts ...relation.Tuple) {
 	for _, p := range parts {
 		rc.slab = append(rc.slab, p...)
 	}
-	rc.Emit(rc.slab[a:len(rc.slab):len(rc.slab)])
+	rc.out = append(rc.out, rc.slab[a:len(rc.slab):len(rc.slab)])
+	rc.count(size)
 }
 
 // trim moves the rows of the last, partly filled chunk into an exactly
@@ -156,6 +192,15 @@ type Job struct {
 	// valid codes in the produced relation and downstream jobs retain
 	// the dictionary key fast path.
 	OutputDicts []*relation.Dict
+
+	// Result marks the job's output as its query's result. Its
+	// reducers hash and count every row they emit (Result.Rows,
+	// Result.RowHashSum) and price it as any job prices its output,
+	// but the output relation holds only the first Keep rows in
+	// reducer order: none when Keep is 0, every row when it is
+	// negative. Keep is read only when Result is set.
+	Result bool
+	Keep   int
 }
 
 // Validate reports specification errors.

@@ -1,6 +1,8 @@
 package mr
 
 import (
+	"fmt"
+	"math/rand"
 	"reflect"
 	"runtime"
 	"testing"
@@ -180,5 +182,51 @@ func TestSlabOutputUnderFaultsAndSpeculation(t *testing.T) {
 			!reflect.DeepEqual(res.Metrics.ReducerOutputBytes, clean.Metrics.ReducerOutputBytes) {
 			t.Errorf("workers=%d: output bytes diverged from the clean run: %+v vs %+v", w, zeroWallM(res.Metrics), zeroWallM(clean.Metrics))
 		}
+	}
+}
+
+// emitParts is BenchmarkReduceEmit's input, shaped like a 3-way join
+// result: 100 k rows of two 7-value parts (a rid, five ints and a
+// string) and 20 k rows whose second part is the third.
+func emitParts() (left, right []relation.Tuple) {
+	rng := rand.New(rand.NewSource(53))
+	rows := func(n int) []relation.Tuple {
+		out := make([]relation.Tuple, n)
+		for i := range out {
+			for p := 0; p < 2; p++ {
+				out[i] = append(out[i], relation.Int(int64(i)))
+				for c := 0; c < 5; c++ {
+					out[i] = append(out[i], relation.Int(rng.Int63n(1_000_000)))
+				}
+				out[i] = append(out[i], relation.Str(fmt.Sprintf("BS%05d", rng.Int63n(50))))
+			}
+		}
+		return out
+	}
+	return rows(100_000), rows(20_000)
+}
+
+// BenchmarkReduceEmit times a reducer's output side alone: 100 k rows of
+// three 7-value parts through one attempt's EmitConcat, as an ordinary
+// job's reducer emits them ("plain"), as a query result's that hashes
+// and keeps every row ("keep-all"), and as one that hashes every row
+// but keeps ten ("keep-10").
+func BenchmarkReduceEmit(b *testing.B) {
+	left, right := emitParts()
+	for _, bc := range []struct {
+		name   string
+		result bool
+		keep   int
+	}{{"plain", false, -1}, {"keep-all", true, -1}, {"keep-10", true, 10}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				ctx := &ReduceContext{result: bc.result, keep: bc.keep, arity: 21, gate: newKeepGate(bc.keep, 1)}
+				for j, t := range left {
+					ctx.EmitConcat(t[:7], t[7:], right[j%len(right)][7:])
+				}
+			}
+			b.ReportMetric(float64(len(left))*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
+		})
 	}
 }

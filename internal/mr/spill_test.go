@@ -322,13 +322,16 @@ func latticeJob(rng *rand.Rand) *Job {
 // four, and no faults or map and reduce kills plus stragglers under
 // speculation — and requires each cell's output to be identical row for
 // row, with equal ShuffleBytes and PairsEmitted, and an equal simulated
-// clock for each fault plan (the plan's kills are charged to it).
+// clock for each fault plan (the plan's kills are charged to it). The
+// job runs as a query's result, so each cell's reducers also count and
+// hash its rows, which must give the output's ContentHash.
 func TestSpillModeLattice(t *testing.T) {
 	quickSpeculation(t, time.Millisecond)
 	store := tempSpill(t)
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 5; trial++ {
 		job := latticeJob(rng)
+		job.Result, job.Keep = true, -1
 		plan, err := ParseFaultPlan(fmt.Sprintf("seed=%d,map-kills=2,reduce-kills=2,stragglers=2,delay=2ms", trial))
 		if err != nil {
 			t.Fatal(err)
@@ -349,6 +352,10 @@ func TestSpillModeLattice(t *testing.T) {
 						trial, len(job.Inputs), job.NumReducers, job.Partitioner != nil, faults != nil, workers, budget)
 					if budget > 0 && res.Metrics.SpillRuns == 0 {
 						t.Errorf("%s: nothing spilled", cell)
+					}
+					if res.Rows != len(res.Output.Tuples) || relation.ContentHashOf(res.Output.Schema, res.Rows, res.RowHashSum) != relation.ContentHash(res.Output) {
+						t.Errorf("%s: the reducers counted %d rows and hashed them other than the %d-row output's ContentHash",
+							cell, res.Rows, len(res.Output.Tuples))
 					}
 					if faults != nil && res.Metrics.MapFailures+res.Metrics.ReduceFailures == 0 {
 						t.Errorf("%s: the plan's kills were not charged", cell)

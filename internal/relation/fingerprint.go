@@ -132,31 +132,51 @@ func (c *Catalog) Fingerprint() uint64 {
 // letting a client compare a served query result against a one-shot
 // run without shipping the rows. Because the rows combine by wrapping
 // add, large relations are hashed in GOMAXPROCS shards; the value does
-// not depend on the shard count.
+// not depend on the shard count. It is ContentHashOf over the relation's
+// own rows; a producer that hashes its rows as it emits them
+// (RowHash) calls ContentHashOf itself and need not keep them.
 func ContentHash(r *Relation) uint64 {
 	if r == nil {
 		return 0
 	}
+	return ContentHashOf(r.Schema, r.Cardinality(), SumRowHashes(r.Tuples))
+}
+
+// ContentHashOf is ContentHash of a relation under schema holding rows
+// rows whose RowHash values wrap-sum to rowSum.
+func ContentHashOf(schema *Schema, rows int, rowSum uint64) uint64 {
 	f := newFPWriter()
-	f.u64(uint64(r.Schema.Len()))
-	for i := 0; i < r.Schema.Len(); i++ {
-		col := r.Schema.Column(i)
+	f.u64(uint64(schema.Len()))
+	for i := 0; i < schema.Len(); i++ {
+		col := schema.Column(i)
 		f.str(col.Name)
 		f.u64(uint64(col.Kind))
 	}
 	out := newFPWriter()
 	out.u64(f.sum64())
-	out.u64(uint64(r.Cardinality()))
-	out.u64(sumRowHashes(r.Tuples))
+	out.u64(uint64(rows))
+	out.u64(rowSum)
 	return out.sum64()
+}
+
+// RowHash is one row's term of ContentHash: the hash of the row that
+// concatenates parts, computed from the parts without building it.
+func RowHash(parts ...Tuple) uint64 {
+	f := fpWriter{h: fnvOffset64}
+	for _, p := range parts {
+		for _, v := range p {
+			f.value(v)
+		}
+	}
+	return f.h
 }
 
 // hashShardRows is the fewest rows worth a goroutine of their own.
 const hashShardRows = 4096
 
-// sumRowHashes is the wrapping sum of the rows' hashes, computed over
-// contiguous shards, one goroutine each.
-func sumRowHashes(rows []Tuple) uint64 {
+// SumRowHashes is the wrapping sum of the rows' RowHash values,
+// computed over contiguous shards, one goroutine each.
+func SumRowHashes(rows []Tuple) uint64 {
 	shards := min(runtime.GOMAXPROCS(0), len(rows)/hashShardRows)
 	if shards <= 1 {
 		return hashRows(rows)
@@ -177,11 +197,7 @@ func sumRowHashes(rows []Tuple) uint64 {
 func hashRows(rows []Tuple) uint64 {
 	var sum uint64
 	for _, t := range rows {
-		f := fpWriter{h: fnvOffset64}
-		for _, v := range t {
-			f.value(v)
-		}
-		sum += f.h
+		sum += RowHash(t)
 	}
 	return sum
 }

@@ -44,18 +44,30 @@ func referenceContentHash(r *relation.Relation) uint64 {
 	}
 	var rows uint64
 	for _, t := range r.Tuples {
-		tf := writer{fnv.New64a()}
-		for _, v := range t {
-			u64(tf, uint64(v.Kind()))
-			str(tf, v.String())
-		}
-		rows += tf.h.Sum64()
+		rows += referenceRowHash(t)
 	}
 	out := writer{fnv.New64a()}
 	u64(out, f.h.Sum64())
 	u64(out, uint64(r.Cardinality()))
 	u64(out, rows)
 	return out.h.Sum64()
+}
+
+// referenceRowHash is one row's term of referenceContentHash.
+func referenceRowHash(t relation.Tuple) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	u64 := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	for _, v := range t {
+		u64(uint64(v.Kind()))
+		s := v.String()
+		u64(uint64(len(s)))
+		h.Write([]byte(s))
+	}
+	return h.Sum64()
 }
 
 // referenceWriteCSV is WriteCSV as it stood on encoding/csv (with the
@@ -150,6 +162,37 @@ func TestContentHashGolden(t *testing.T) {
 		}
 		if got := relation.ContentHash(g.rel); got != g.want {
 			t.Errorf("%s: ContentHash = %#016x, pinned %#016x", g.name, got, g.want)
+		}
+	}
+}
+
+// TestRowHashOverParts pins RowHash, the row term a reducer sums as it
+// emits, to the row term of ContentHash: over a row cut into parts
+// anywhere, empty parts included, it is the reference hash of the whole
+// row, and ContentHashOf over the terms is the pinned ContentHash. The
+// goldens cover NULL, −0, NaN, strings (interned or not) and times.
+func TestRowHashOverParts(t *testing.T) {
+	if got := relation.RowHash(); got != referenceRowHash(nil) {
+		t.Errorf("RowHash of no parts = %#016x, reference %#016x", got, referenceRowHash(nil))
+	}
+	for _, g := range hashGoldens() {
+		var sum uint64
+		for i, row := range g.rel.Tuples {
+			want := referenceRowHash(row)
+			for a := 0; a <= len(row); a++ {
+				for b := a; b <= len(row); b++ {
+					if got := relation.RowHash(row[:a], row[a:b], relation.Tuple{}, row[b:]); got != want {
+						t.Errorf("%s row %d cut at %d, %d: RowHash = %#016x, reference %#016x", g.name, i, a, b, got, want)
+					}
+				}
+			}
+			sum += want
+		}
+		if got := relation.SumRowHashes(g.rel.Tuples); got != sum {
+			t.Errorf("%s: SumRowHashes = %#016x, Σ RowHash %#016x", g.name, got, sum)
+		}
+		if got := relation.ContentHashOf(g.rel.Schema, g.rel.Cardinality(), sum); got != g.want {
+			t.Errorf("%s: ContentHashOf = %#016x, pinned %#016x", g.name, got, g.want)
 		}
 	}
 }

@@ -9,14 +9,14 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/mr"
-	"repro/internal/relation"
 )
 
 // ResultHash renders the order-insensitive content hash of an
-// execution's output — the value both the daemon and one-shot
-// thetajoin print, so results are comparable across entry points.
+// execution's full result (ExecResult.Hash) — the value both the daemon
+// and one-shot thetajoin print, so results are comparable across entry
+// points.
 func ResultHash(res *core.ExecResult) string {
-	return fmt.Sprintf("%016x", relation.ContentHash(res.Output))
+	return fmt.Sprintf("%016x", res.Hash)
 }
 
 // Handler returns the service's HTTP API:

@@ -107,9 +107,13 @@ type Request struct {
 	// Spec is the query text, e.g.
 	// "FROM calls t1, calls t2 WHERE t1.bt <= t2.bt".
 	Spec string `json:"spec,omitempty"`
-	// Limit bounds the rendered result rows returned inline: 0 returns
-	// none (the content hash always identifies the full result), a
-	// negative value every row — thetajoin's "-limit -1".
+	// Limit bounds the result rows returned inline: 0 returns none, a
+	// negative value every row — thetajoin's "-limit -1". It also bounds
+	// the rows the execution materialises: the result job's reducers (or
+	// the last rid-merge step) hash and count every row but keep only
+	// the first Limit, in reducer order, so Rows and ResultHash always
+	// describe the full result and the returned rows are the same ones
+	// at any worker count or fault plan.
 	Limit int `json:"limit,omitempty"`
 }
 
@@ -124,7 +128,8 @@ type Response struct {
 	ExecNs   int64 `json:"execNs"`
 	// Budget is the unit budget the arbiter granted this execution.
 	Budget int `json:"budget"`
-	Rows   int `json:"rows"`
+	// Rows counts the full result, however few rows Tuples holds.
+	Rows int `json:"rows"`
 	// ResultHash is relation.ContentHash of the full result, printed
 	// %016x — order-insensitive, so any client can compare against a
 	// one-shot run.
@@ -239,11 +244,18 @@ func (s *Service) admit(ctx context.Context) error {
 // execution on the shared pool under the arbiter's budget. Safe for
 // concurrent use.
 func (s *Service) Submit(ctx context.Context, req Request) (*Response, error) {
+	resp, _, err := s.submit(ctx, req)
+	return resp, err
+}
+
+// submit is Submit, returning the execution's result beside its
+// rendering.
+func (s *Service) submit(ctx context.Context, req Request) (*Response, *core.ExecResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if req.Spec == "" {
-		return nil, fmt.Errorf("server: spec required")
+		return nil, nil, fmt.Errorf("server: spec required")
 	}
 	name := req.Name
 	if name == "" {
@@ -256,7 +268,7 @@ func (s *Service) Submit(ctx context.Context, req Request) (*Response, error) {
 
 	if err := s.admit(ctx); err != nil {
 		shard.Instant("reject", obs.A("err", err.Error()))
-		return nil, err
+		return nil, nil, err
 	}
 	defer func() {
 		<-s.sem
@@ -271,7 +283,7 @@ func (s *Service) Submit(ctx context.Context, req Request) (*Response, error) {
 	planStart := time.Now()
 	q, aliases, err := query.Parse(name, req.Spec)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	canonical := query.Canonical(q, aliases)
 	resp.Canonical = canonical
@@ -293,7 +305,7 @@ func (s *Service) Submit(ctx context.Context, req Request) (*Response, error) {
 		return p, view, nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	resp.CacheHit = hit
 	resp.PlanNs = time.Since(planStart).Nanoseconds()
@@ -313,7 +325,7 @@ func (s *Service) Submit(ctx context.Context, req Request) (*Response, error) {
 		execCtx, cancel = context.WithTimeout(execCtx, s.cfg.QueryTimeout)
 		defer cancel()
 	}
-	res, err := pl.ExecuteContext(execCtx, plan, execDB)
+	res, err := pl.ExecuteLimit(execCtx, plan, execDB, req.Limit)
 	if err != nil {
 		s.o.Counter("server.exec.errors").Add(1)
 		// Classify for telemetry: retry exhaustion (a task burned its
@@ -326,14 +338,14 @@ func (s *Service) Submit(ctx context.Context, req Request) (*Response, error) {
 		case errors.Is(err, context.DeadlineExceeded):
 			s.o.Counter("server.exec.deadline").Add(1)
 		}
-		return nil, &execError{err}
+		return nil, nil, &execError{err}
 	}
 	resp.ExecNs = time.Since(execStart).Nanoseconds()
 	s.o.Histogram("server.exec.ns").Observe(resp.ExecNs)
 
-	fillResult(resp, res, req.Limit)
+	fillResult(resp, res)
 	shard.Instant("complete", obs.A("rows", resp.Rows), obs.A("hash", resp.ResultHash))
-	return resp, nil
+	return resp, res, nil
 }
 
 // newPlanner builds the per-submission planner over the shared engine
@@ -344,9 +356,10 @@ func (s *Service) newPlanner() *core.Planner {
 	return core.NewPlanner(*s.cfg.MR, s.cfg.KP)
 }
 
-// fillResult renders the execution outcome into the response.
-func fillResult(resp *Response, res *core.ExecResult, limit int) {
-	resp.Rows = res.Output.Cardinality()
+// fillResult renders the execution outcome into the response: every
+// row the execution kept, which is what Request.Limit asked for.
+func fillResult(resp *Response, res *core.ExecResult) {
+	resp.Rows = res.Rows
 	resp.ResultHash = ResultHash(res)
 	resp.Makespan = res.Makespan
 	resp.ShuffleBytes = res.ShuffleBytes
@@ -358,14 +371,10 @@ func fillResult(resp *Response, res *core.ExecResult, limit int) {
 			resp.JobBalance[n] = m.BalanceRatio
 		}
 	}
-	if limit != 0 {
-		n := len(res.Output.Tuples)
-		if limit > 0 && n > limit {
-			n = limit
-		}
+	if n := len(res.Output.Tuples); n > 0 {
 		resp.Tuples = make([]string, n)
-		for i := 0; i < n; i++ {
-			resp.Tuples[i] = res.Output.Tuples[i].String()
+		for i, t := range res.Output.Tuples {
+			resp.Tuples[i] = t.String()
 		}
 	}
 }

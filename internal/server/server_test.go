@@ -145,6 +145,48 @@ func TestResultRowLimit(t *testing.T) {
 	}
 }
 
+// TestLimitCapsTheExecution: over a result of more than 100 k rows, a
+// Limit 10 request returns 10 rows, and its execution materialised no
+// more, while its row count and hash are those of a Limit −1 request;
+// Limit 0 returns the same count and hash and no rows. The returned rows
+// are the full result's first ten.
+func TestLimitCapsTheExecution(t *testing.T) {
+	db, err := core.NewDB(500, 1, randRel("A", 500, 1_000_000, 6), randRel("B", 500, 1_000_000, 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newTestService(t, db, Config{})
+	run := func(limit int) (*Response, *core.ExecResult) {
+		t.Helper()
+		resp, res, err := s.submit(context.Background(), Request{Spec: testSpec, Limit: limit})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp, res
+	}
+	full, fullRes := run(-1)
+	if full.Rows < 100_000 || len(full.Tuples) != full.Rows {
+		t.Fatalf("Limit -1: %d rows, %d returned; the test wants over 100 k, all returned", full.Rows, len(full.Tuples))
+	}
+	if want := fmt.Sprintf("%016x", relation.ContentHash(fullRes.Output)); full.ResultHash != want {
+		t.Errorf("Limit -1: ResultHash %s, ContentHash of the result %s", full.ResultHash, want)
+	}
+	for _, limit := range []int{10, 0} {
+		resp, res := run(limit)
+		if len(resp.Tuples) != limit || res.Output.Cardinality() > limit {
+			t.Errorf("Limit %d: %d rows returned, %d materialised", limit, len(resp.Tuples), res.Output.Cardinality())
+		}
+		if resp.Rows != full.Rows || resp.ResultHash != full.ResultHash {
+			t.Errorf("Limit %d: %d rows, hash %s; Limit -1: %d, %s", limit, resp.Rows, resp.ResultHash, full.Rows, full.ResultHash)
+		}
+		for i, row := range resp.Tuples {
+			if row != full.Tuples[i] {
+				t.Errorf("Limit %d: row %d is %s, the full result's %s", limit, i, row, full.Tuples[i])
+			}
+		}
+	}
+}
+
 // TestPlanCacheSemantics: identical re-submission hits, a catalog
 // version bump (re-analyze) misses and recompiles.
 func TestPlanCacheSemantics(t *testing.T) {
