@@ -34,7 +34,7 @@ type ReduceContext struct {
 	// priced as Σ int64(float64(size)·multiplier) over rows, with a
 	// multiplier known only once every reducer is done, and the counts
 	// let assemble form that exact sum without walking the rows again.
-	// They count every row, kept or not, so they also count the rows.
+	// They count every row, kept or not: their sum is the row count.
 	sizes map[int]int64
 
 	// A result job's attempt (Job.Result) also sums the RowHash of
