@@ -80,10 +80,6 @@ func TestCascadesMatchNaive(t *testing.T) {
 		if !wantRS.Equal(got) {
 			t.Errorf("%s: mismatch %d vs %d rows: %v", st.Name, got.Len(), wantRS.Len(), wantRS.Diff(got, 3))
 		}
-		if res.Rows != res.Output.Cardinality() || res.Hash != relation.ContentHash(res.Output) {
-			t.Errorf("%s: %d rows, hash %#016x; the output has %d, ContentHash %#016x",
-				st.Name, res.Rows, res.Hash, res.Output.Cardinality(), relation.ContentHash(res.Output))
-		}
 		if res.TotalTime <= 0 {
 			t.Errorf("%s: no time accounted", st.Name)
 		}

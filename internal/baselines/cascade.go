@@ -84,11 +84,6 @@ type Result struct {
 	Steps     []StepMetrics
 	// ShuffleBytes totals network volume across all stages.
 	ShuffleBytes int64
-	// Rows and Hash are the output's cardinality and
-	// relation.ContentHash, counted and hashed by the last stage's
-	// reducers as they emit it.
-	Rows int
-	Hash uint64
 }
 
 // Run evaluates the query with the given cascade strategy.
@@ -136,9 +131,6 @@ func Run(ctx context.Context, st Strategy, cfg mr.Config, q *query.Query, db *co
 		if err != nil {
 			return nil, err
 		}
-		// The last stage's output is the result: its reducers count
-		// and hash every row.
-		job.Result, job.Keep = step == len(order)-1, -1
 		run, err := mr.Run(ctx, cfg, job)
 		if err != nil {
 			return nil, err
@@ -186,9 +178,6 @@ func Run(ctx context.Context, st Strategy, cfg mr.Config, q *query.Query, db *co
 		res.TotalTime += simT
 		res.ShuffleBytes += run.Metrics.ShuffleBytes
 		current = run.Output
-		if job.Result {
-			res.Rows, res.Hash = run.Rows, relation.ContentHashOf(current.Schema, run.Rows, run.RowHashSum)
-		}
 		joined[relName] = true
 	}
 	current.Name = q.Name

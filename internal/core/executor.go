@@ -24,9 +24,9 @@ type ExecResult struct {
 	// asked to keep — all of them from Execute and ExecuteContext.
 	Output *relation.Relation
 	// Rows counts the whole result and Hash is its
-	// relation.ContentHash, whatever Output keeps: both are computed
-	// where the rows are emitted, by the result job's reducers or the
-	// last rid-merge step.
+	// relation.ContentHash, whatever Output keeps: the result job's
+	// reducers compute both as they emit the rows, or the rid-merge
+	// does over the merged relation.
 	Rows int
 	Hash uint64
 	// Makespan is the measured evaluation time: the job set re-timed
@@ -157,7 +157,7 @@ type planRun struct {
 	// keep is the result rows to materialise (< 0: all). resultJob names
 	// the plan's one non-consumed job, whose output is the result and
 	// whose reducers hash, count and cap it; "" when several outputs
-	// merge, and the last merge step does that instead.
+	// merge, and merge does that over the merged relation instead.
 	keep      int
 	resultJob string
 	fb        *feedback
@@ -191,8 +191,9 @@ type planRun struct {
 //
 // The result's Output keeps only its first keep rows (every row when
 // keep < 0), while Rows and Hash describe all of them: the job that
-// produces the result, or the merge step that does, hashes and counts
-// every row where it emits it and materialises only those it keeps.
+// produces the result hashes and counts every row where it emits it
+// and materialises only those it keeps; a merged result is hashed and
+// counted whole, then cut to its first keep rows.
 // Job metrics, Makespan and merge costs do not depend on keep.
 //
 // Execution is deterministic for a fixed plan: job outputs and metrics
@@ -524,7 +525,7 @@ func (r *planRun) retime() (*ExecResult, error) {
 // it carries prefixed, not base-relation, rid columns and must not
 // re-enter the merge — and adds the merge tree's cost to Makespan. The
 // result's count and hash come from the result job when there is one,
-// and from the last merge step otherwise.
+// and from the merged relation otherwise.
 func (r *planRun) merge(res *ExecResult) error {
 	var inputs []*relation.Relation
 	var sizes []int64 // each input's ModeledSize, off its job's metrics
@@ -539,13 +540,19 @@ func (r *planRun) merge(res *ExecResult) error {
 	}
 	mergeStart := time.Now()
 	span := r.shard.Start("plan-merge", obs.A("inputs", len(inputs)))
-	final, rows, rowSum, steps, err := mergeAll(r.plan.Query.Name, inputs, sizes, r.shard, r.keep)
+	final, steps, err := mergeAll(r.plan.Query.Name, inputs, sizes, r.shard)
 	if err != nil {
 		span.End(obs.A("error", err.Error()))
 		return err
 	}
-	if len(steps) == 0 { // the one output is the result job's
-		rows, rowSum = last.Rows, last.RowHashSum
+	rows, rowSum := last.Rows, last.RowHashSum // the one output is the result job's
+	if len(steps) > 0 {
+		// The merged relation is the result: hash and count all of it
+		// (in GOMAXPROCS shards), then keep its first rows.
+		rows, rowSum = final.Cardinality(), relation.SumRowHashes(final.Tuples)
+		if r.keep >= 0 && rows > r.keep {
+			final.Tuples = final.Tuples[:r.keep:r.keep]
+		}
 	}
 	span.End(obs.A("steps", len(steps)), obs.A("outTuples", rows))
 	res.MergeWall = time.Since(mergeStart)

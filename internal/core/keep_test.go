@@ -11,7 +11,7 @@ import (
 )
 
 // TestExecuteLimitKeepsFirstRows runs a two-job plan joined by the
-// rid-merge, whose last merge step caps the result, and a hand-built
+// rid-merge, whose merged result is hashed and cut, and a hand-built
 // cascade, whose final job's reducers cap it, at keep 0, 1, 7 and −1, on
 // one worker or four, with no faults or kills, corruption and stragglers.
 // Each run must keep exactly the first keep rows of the fault-free

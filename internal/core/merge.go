@@ -56,29 +56,20 @@ func sharedRelations(a, b *relation.Relation) []string {
 // left's). Returns an error when the outputs share no relation — the
 // planner's merge ordering guarantees they always do.
 func MergeOutputs(name string, left, right *relation.Relation) (*relation.Relation, error) {
-	out, _, _, err := mergeOutputs(name, left, right, -1)
-	return out, err
-}
-
-// mergeOutputs is MergeOutputs keeping only the first keep merged rows
-// (every row when keep < 0). It also returns the count of all of them
-// and the RowHash sum of those it drops, each of which is built in one
-// reused row, hashed and dropped.
-func mergeOutputs(name string, left, right *relation.Relation, keep int) (out *relation.Relation, rows int, droppedSum uint64, err error) {
 	shared := sharedRelations(left, right)
 	if len(shared) == 0 {
-		return nil, 0, 0, fmt.Errorf("core: merge %s: outputs %s and %s share no relation", name, left.Name, right.Name)
+		return nil, fmt.Errorf("core: merge %s: outputs %s and %s share no relation", name, left.Name, right.Name)
 	}
 	// Key columns: shared relations' rid columns on both sides.
 	var lKey, rKey []int
 	for _, rel := range shared {
 		li, ok := left.Schema.Lookup(rel + "." + RowIDColumn)
 		if !ok {
-			return nil, 0, 0, fmt.Errorf("core: merge %s: %s lacks %s.%s", name, left.Name, rel, RowIDColumn)
+			return nil, fmt.Errorf("core: merge %s: %s lacks %s.%s", name, left.Name, rel, RowIDColumn)
 		}
 		ri, ok := right.Schema.Lookup(rel + "." + RowIDColumn)
 		if !ok {
-			return nil, 0, 0, fmt.Errorf("core: merge %s: %s lacks %s.%s", name, right.Name, rel, RowIDColumn)
+			return nil, fmt.Errorf("core: merge %s: %s lacks %s.%s", name, right.Name, rel, RowIDColumn)
 		}
 		lKey = append(lKey, li)
 		rKey = append(rKey, ri)
@@ -102,9 +93,9 @@ func mergeOutputs(name string, left, right *relation.Relation, keep int) (out *r
 	}
 	schema, err := relation.NewSchema(cols...)
 	if err != nil {
-		return nil, 0, 0, fmt.Errorf("core: merge %s: %w", name, err)
+		return nil, fmt.Errorf("core: merge %s: %w", name, err)
 	}
-	out = relation.New(name, schema)
+	out := relation.New(name, schema)
 	if left.VolumeMultiplier > right.VolumeMultiplier {
 		out.VolumeMultiplier = left.VolumeMultiplier
 	} else {
@@ -140,11 +131,11 @@ func mergeOutputs(name string, left, right *relation.Relation, keep int) (out *r
 	k := len(shared)
 	lRids, err := ridKeys(name, left, lKey)
 	if err != nil {
-		return nil, 0, 0, err
+		return nil, err
 	}
 	rRids, err := ridKeys(name, right, rKey)
 	if err != nil {
-		return nil, 0, 0, err
+		return nil, err
 	}
 	head := make(map[uint64]int32, len(right.Tuples)) // hash → its first right row + 1
 	next := make([]int32, len(right.Tuples))          // right row → the bucket's next row + 1
@@ -164,38 +155,23 @@ func mergeOutputs(name string, left, right *relation.Relation, keep int) (out *r
 			}
 		}
 	}
-	// Count first: the kept rows are carved from one exactly-sized slab.
-	eachMatch(func(_, _ relation.Tuple) { rows++ })
-	kept := rows
-	if keep >= 0 {
-		kept = min(rows, keep)
-	}
+	// Count first: the rows are carved from one exactly-sized slab.
+	matches := 0
+	eachMatch(func(_, _ relation.Tuple) { matches++ })
 	lw := left.Schema.Len()
 	width := lw + len(rKeep)
-	slab := make([]relation.Value, kept*width)
-	out.Tuples = make([]relation.Tuple, 0, kept)
-	var spare relation.Tuple // a row past keep, rebuilt for each
-	if kept < rows {
-		spare = make(relation.Tuple, width)
-	}
+	slab := make([]relation.Value, matches*width)
+	out.Tuples = make([]relation.Tuple, 0, matches)
 	eachMatch(func(lt, rt relation.Tuple) {
-		keeps := len(out.Tuples) < kept
-		row := spare
-		if keeps {
-			row = slab[:width:width]
-			slab = slab[width:]
-		}
+		row := slab[:width:width]
+		slab = slab[width:]
 		copy(row, lt)
 		for j, c := range rKeep {
 			row[lw+j] = rt[c]
 		}
-		if keeps {
-			out.Tuples = append(out.Tuples, row)
-		} else {
-			droppedSum += relation.RowHash(row)
-		}
+		out.Tuples = append(out.Tuples, row)
 	})
-	return out, rows, droppedSum, nil
+	return out, nil
 }
 
 // ridKeys flattens the rid columns cols of r's rows into one int64 per
@@ -299,31 +275,27 @@ func MergeAll(name string, outputs []*relation.Relation) (*relation.Relation, []
 	for i, r := range outputs {
 		sizes[i] = r.ModeledSize()
 	}
-	final, _, _, steps, err := mergeAll(name, outputs, sizes, nil, -1)
-	return final, steps, err
+	return mergeAll(name, outputs, sizes, nil)
 }
 
 // mergeAll is MergeAll given each output's ModeledSize — the executor
-// has it from the job's metrics — a tracing shard and the rows the
-// result keeps: each executed pair-merge records a "merge-step" span
-// carrying operand names and sizes, and the last one keeps only its
-// first keep rows (every row when keep < 0) and returns the count and
-// RowHash sum of all its rows. With one output no step runs, and rows
-// and rowSum are 0: that output's producer knows them. The executor
-// passes its own shard; the exported MergeAll nil.
-func mergeAll(name string, outputs []*relation.Relation, sizes []int64, sh *obs.Shard, keep int) (final *relation.Relation, rows int, rowSum uint64, steps []MergeStep, err error) {
+// has it from the job's metrics — and a tracing shard: each executed
+// pair-merge records a "merge-step" span carrying operand names and
+// sizes. The executor passes its own shard; the exported MergeAll nil.
+func mergeAll(name string, outputs []*relation.Relation, sizes []int64, sh *obs.Shard) (*relation.Relation, []MergeStep, error) {
 	if len(outputs) == 0 {
-		return nil, 0, 0, nil, fmt.Errorf("core: nothing to merge")
+		return nil, nil, fmt.Errorf("core: nothing to merge")
 	}
 	work := append([]*relation.Relation(nil), outputs...)
 	ops := make([]mergeOperand, len(work))
 	for i, r := range work {
 		ops[i] = operandOf(r, sizes[i])
 	}
+	var steps []MergeStep
 	for len(work) > 1 {
 		bi, bj, ok := pickMergePair(ops)
 		if !ok {
-			return nil, 0, 0, steps, fmt.Errorf("core: merge stalled; no pair of outputs shares a relation")
+			return nil, steps, fmt.Errorf("core: merge stalled; no pair of outputs shares a relation")
 		}
 		stepName := name
 		if len(work) > 2 {
@@ -333,20 +305,12 @@ func mergeAll(name string, outputs []*relation.Relation, sizes []int64, sh *obs.
 		sp := sh.Start("merge-step",
 			obs.A("left", work[bi].Name), obs.A("right", work[bj].Name),
 			obs.A("leftBytes", ops[bi].bytes), obs.A("rightBytes", ops[bj].bytes))
-		last, stepKeep := len(work) == 2, -1
-		if last {
-			stepKeep = keep
-		}
-		merged, n, dropped, err := mergeOutputs(stepName, work[bi], work[bj], stepKeep)
+		merged, err := MergeOutputs(stepName, work[bi], work[bj])
 		if err != nil {
 			sp.End(obs.A("error", err.Error()))
-			return nil, 0, 0, steps, err
+			return nil, steps, err
 		}
-		if last {
-			// The kept rows are hashed in GOMAXPROCS shards.
-			rows, rowSum = n, dropped+relation.SumRowHashes(merged.Tuples)
-		}
-		sp.End(obs.A("outTuples", n))
+		sp.End(obs.A("outTuples", merged.Cardinality()))
 		mergedOp := operandOf(merged, ops[bi].bytes+ops[bj].bytes)
 		// Remove j first (j > i), then i; append merged.
 		work = append(work[:bj], work[bj+1:]...)
@@ -357,7 +321,7 @@ func mergeAll(name string, outputs []*relation.Relation, sizes []int64, sh *obs.
 		ops = append(ops, mergedOp)
 	}
 	work[0].Name = name
-	return work[0], rows, rowSum, steps, nil
+	return work[0], steps, nil
 }
 
 // estimateMergeSteps predicts MergeAll's tree on estimated operands:

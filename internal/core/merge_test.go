@@ -163,7 +163,7 @@ func TestMergeAllTakesOperandSizesAsGiven(t *testing.T) {
 		fillOutput(o, 50, 8, rng)
 	}
 	// Sizes no walk would produce.
-	merged, _, _, steps, err := mergeAll("q", outs, []int64{1_000_003, 70_001, 13}, nil, -1)
+	merged, steps, err := mergeAll("q", outs, []int64{1_000_003, 70_001, 13}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

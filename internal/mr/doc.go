@@ -123,7 +123,10 @@
 // committed-prefix watermark, advanced as each reducer's task ends. The
 // first Keep rows are therefore those of the uncapped output whatever
 // the timing: a reducer's kept rows are a prefix of its rows, and the
-// watermark closes only on reducers none of whose rows come first.
+// watermark closes only on reducers none of whose rows come first. How
+// many rows the reducers past it keep does depend on the timing, so an
+// attempt capped at 16 rows or fewer allocates room for all of them
+// with its first: how many it keeps does not change its allocations.
 //
 // # Spill integrity
 //

@@ -68,6 +68,18 @@ func (rc *ReduceContext) count(size int) {
 	rc.sizes[size]++
 }
 
+// fewKept reports whether the attempt keeps at most keepChunkRows rows:
+// EmitConcat then allocates room for all of them at the first, so that
+// how many it keeps, which depends on when the gate closes, does not
+// change how often it allocates, and trim leaves that room alone.
+func (rc *ReduceContext) fewKept() bool {
+	return rc.result && 0 <= rc.keep && rc.keep <= keepChunkRows
+}
+
+// keepChunkRows is the largest Keep whose rows a result attempt
+// allocates in one go.
+const keepChunkRows = 16
+
 // keeps adds a result row's hash to the attempt's sum and reports
 // whether the attempt keeps the row.
 func (rc *ReduceContext) keeps(hash uint64, arity int) bool {
@@ -84,22 +96,27 @@ func (rc *ReduceContext) keeps(hash uint64, arity int) bool {
 // that is.
 // The row's capacity ends with the row: appending to it reallocates
 // instead of running into its neighbour. A result job's row that is
-// not kept is not copied: its size is 4 + Σ (EncodedSize(part) − 4),
-// the EncodedSize of the row the parts would make.
+// not kept is not copied, and is priced from its parts; an attempt
+// that keeps keepChunkRows rows or fewer allocates room for all of
+// them with its first.
 func (rc *ReduceContext) EmitConcat(parts ...relation.Tuple) {
-	n, size := 0, 4
+	n, size := 0, relation.EncodedSizeOf(parts...)
 	for _, p := range parts {
 		n += len(p)
-		size += p.EncodedSize() - 4
 	}
 	if rc.result && !rc.keeps(relation.RowHash(parts...), n) {
 		rc.count(size)
 		return
 	}
 	if cap(rc.slab)-len(rc.slab) < n {
+		rows := len(rc.out) / 16
+		if rc.fewKept() && len(rc.out) == 0 {
+			rows = rc.keep
+			rc.out = make([]relation.Tuple, 0, rc.keep)
+		}
 		// slices.Grow rounds up to the allocator's size class, which
 		// turns its padding into room for rows.
-		rc.slab = slices.Grow([]relation.Value(nil), max(n, min(len(rc.out)/16*n, 1<<12)))
+		rc.slab = slices.Grow([]relation.Value(nil), max(n, min(rows*n, 1<<12)))
 		rc.slabRow0 = len(rc.out)
 	}
 	a := len(rc.slab)
@@ -116,7 +133,7 @@ func (rc *ReduceContext) EmitConcat(parts ...relation.Tuple) {
 // its last Reduce call.
 func (rc *ReduceContext) trim() {
 	used := rc.slab
-	if cap(used)-len(used) <= len(used)/64 {
+	if cap(used)-len(used) <= len(used)/64 || rc.fewKept() {
 		return
 	}
 	exact := slices.Clone(used)

@@ -154,3 +154,34 @@ func TestCappedEmitCopiesNothing(t *testing.T) {
 		t.Errorf("row-hash sum %#x, want %#x", rc.rowSum, want)
 	}
 }
+
+// TestCappedAttemptAllocationsFixed: a result attempt capped at ten
+// rows makes as many allocations whether the gate closes on it after
+// one kept row or after ten, so a run's allocations do not depend on
+// when its reducers read the watermark.
+func TestCappedAttemptAllocationsFixed(t *testing.T) {
+	l := relation.Tuple{relation.Int(1), relation.Str("left")}
+	r := relation.Tuple{relation.Float(-0.5), relation.Null(), relation.TimeUnix(60)}
+	allocs := func(kept int) float64 {
+		return testing.AllocsPerRun(20, func() {
+			gate := newKeepGate(10, 2)
+			rc := &ReduceContext{result: true, keep: 10, red: 1, arity: len(l) + len(r), gate: gate}
+			for i := 0; i < 40; i++ {
+				if i == kept {
+					gate.commit(0, 10)
+				}
+				rc.EmitConcat(l, r)
+			}
+			rc.trim()
+			if len(rc.out) != kept {
+				t.Fatalf("kept %d rows, want %d", len(rc.out), kept)
+			}
+		})
+	}
+	want := allocs(10)
+	for kept := 1; kept < 10; kept++ {
+		if got := allocs(kept); got != want {
+			t.Errorf("%d rows kept: %v allocations; ten kept: %v", kept, got, want)
+		}
+	}
+}

@@ -169,8 +169,9 @@ func TestContentHashGolden(t *testing.T) {
 // TestRowHashOverParts pins RowHash, the row term a reducer sums as it
 // emits, to the row term of ContentHash: over a row cut into parts
 // anywhere, empty parts included, it is the reference hash of the whole
-// row, and ContentHashOf over the terms is the pinned ContentHash. The
-// goldens cover NULL, −0, NaN, strings (interned or not) and times.
+// row, EncodedSizeOf the parts is the row's EncodedSize, and
+// ContentHashOf over the terms is the pinned ContentHash. The goldens
+// cover NULL, −0, NaN, strings (interned or not) and times.
 func TestRowHashOverParts(t *testing.T) {
 	if got := relation.RowHash(); got != referenceRowHash(nil) {
 		t.Errorf("RowHash of no parts = %#016x, reference %#016x", got, referenceRowHash(nil))
@@ -181,8 +182,12 @@ func TestRowHashOverParts(t *testing.T) {
 			want := referenceRowHash(row)
 			for a := 0; a <= len(row); a++ {
 				for b := a; b <= len(row); b++ {
-					if got := relation.RowHash(row[:a], row[a:b], relation.Tuple{}, row[b:]); got != want {
+					parts := []relation.Tuple{row[:a], row[a:b], {}, row[b:]}
+					if got := relation.RowHash(parts...); got != want {
 						t.Errorf("%s row %d cut at %d, %d: RowHash = %#016x, reference %#016x", g.name, i, a, b, got, want)
+					}
+					if got := relation.EncodedSizeOf(parts...); got != row.EncodedSize() {
+						t.Errorf("%s row %d cut at %d, %d: EncodedSizeOf = %d, EncodedSize %d", g.name, i, a, b, got, row.EncodedSize())
 					}
 				}
 			}

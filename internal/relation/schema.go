@@ -112,9 +112,22 @@ type Tuple []Value
 // EncodedSize returns the byte size charged for the tuple by the
 // simulator (sum of value sizes plus a 4-byte length header).
 func (t Tuple) EncodedSize() int {
-	n := 4
+	n := rowHeader
 	for _, v := range t {
 		n += v.EncodedSize()
+	}
+	return n
+}
+
+// rowHeader is the length header EncodedSize charges each row.
+const rowHeader = 4
+
+// EncodedSizeOf is the EncodedSize of the row that the concatenation
+// of parts would make, computed without building it.
+func EncodedSizeOf(parts ...Tuple) int {
+	n := rowHeader
+	for _, p := range parts {
+		n += p.EncodedSize() - rowHeader
 	}
 	return n
 }

@@ -110,10 +110,10 @@ type Request struct {
 	// Limit bounds the result rows returned inline: 0 returns none, a
 	// negative value every row — thetajoin's "-limit -1". It also bounds
 	// the rows the execution materialises: the result job's reducers (or
-	// the last rid-merge step) hash and count every row but keep only
-	// the first Limit, in reducer order, so Rows and ResultHash always
-	// describe the full result and the returned rows are the same ones
-	// at any worker count or fault plan.
+	// the rid-merge) hash and count every row but keep only the first
+	// Limit, in reducer order, so Rows and ResultHash always describe
+	// the full result and the returned rows are the same ones at any
+	// worker count or fault plan.
 	Limit int `json:"limit,omitempty"`
 }
 
@@ -244,18 +244,11 @@ func (s *Service) admit(ctx context.Context) error {
 // execution on the shared pool under the arbiter's budget. Safe for
 // concurrent use.
 func (s *Service) Submit(ctx context.Context, req Request) (*Response, error) {
-	resp, _, err := s.submit(ctx, req)
-	return resp, err
-}
-
-// submit is Submit, returning the execution's result beside its
-// rendering.
-func (s *Service) submit(ctx context.Context, req Request) (*Response, *core.ExecResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if req.Spec == "" {
-		return nil, nil, fmt.Errorf("server: spec required")
+		return nil, fmt.Errorf("server: spec required")
 	}
 	name := req.Name
 	if name == "" {
@@ -268,7 +261,7 @@ func (s *Service) submit(ctx context.Context, req Request) (*Response, *core.Exe
 
 	if err := s.admit(ctx); err != nil {
 		shard.Instant("reject", obs.A("err", err.Error()))
-		return nil, nil, err
+		return nil, err
 	}
 	defer func() {
 		<-s.sem
@@ -283,7 +276,7 @@ func (s *Service) submit(ctx context.Context, req Request) (*Response, *core.Exe
 	planStart := time.Now()
 	q, aliases, err := query.Parse(name, req.Spec)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	canonical := query.Canonical(q, aliases)
 	resp.Canonical = canonical
@@ -305,7 +298,7 @@ func (s *Service) submit(ctx context.Context, req Request) (*Response, *core.Exe
 		return p, view, nil
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	resp.CacheHit = hit
 	resp.PlanNs = time.Since(planStart).Nanoseconds()
@@ -338,14 +331,14 @@ func (s *Service) submit(ctx context.Context, req Request) (*Response, *core.Exe
 		case errors.Is(err, context.DeadlineExceeded):
 			s.o.Counter("server.exec.deadline").Add(1)
 		}
-		return nil, nil, &execError{err}
+		return nil, &execError{err}
 	}
 	resp.ExecNs = time.Since(execStart).Nanoseconds()
 	s.o.Histogram("server.exec.ns").Observe(resp.ExecNs)
 
 	fillResult(resp, res)
 	shard.Instant("complete", obs.A("rows", resp.Rows), obs.A("hash", resp.ResultHash))
-	return resp, res, nil
+	return resp, nil
 }
 
 // newPlanner builds the per-submission planner over the shared engine
