@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	thetajoin -rel A=a.csv -rel B=b.csv -cond "A.x < B.y" [-cond ...] \
+//	thetajoin -rel A=a.csv -rel B=b.csv -query "FROM A, B WHERE A.x < B.y" \
 //	          [-kp 96] [-explain] [-limit 20] [-out result.csv] \
 //	          [-trace f] [-metrics f] [-pprof addr] [-spill-budget-mb MB] \
 //	          [-faults "seed=7,map-kills=2,..."]
@@ -15,8 +15,10 @@
 // comparable across entry points.
 //
 // Each -rel flag registers a relation from a CSV file written in the
-// typed-header format (name:kind,...). Each -cond flag adds one theta
-// condition "Rel.col OP Rel.col" with OP ∈ {<, <=, =, >=, >, <>}.
+// typed-header format (name:kind,...). -query is the query grammar
+// thetad takes: "FROM A a, B b WHERE a.x + 5 < b.y AND ..." with
+// OP ∈ {<, <=, =, >=, >, <>}, an optional additive offset per side, and
+// aliases over the -rel names (one -rel serves a self-join).
 //
 // -explain prints the chosen plan, executes it, and renders the
 // per-job execution report: planned reducer counts and σ next to the
@@ -48,7 +50,6 @@ import (
 	"repro/internal/dfs"
 	"repro/internal/mr"
 	"repro/internal/obs"
-	"repro/internal/predicate"
 	"repro/internal/query"
 	"repro/internal/relation"
 	"repro/internal/server"
@@ -67,10 +68,9 @@ func main() {
 }
 
 func run() error {
-	var rels, conds multiFlag
+	var rels multiFlag
 	flag.Var(&rels, "rel", "relation as NAME=path.csv (repeatable)")
-	flag.Var(&conds, "cond", `condition "A.x < B.y" (repeatable)`)
-	queryStr := flag.String("query", "", `full query, e.g. "FROM a.csv t1, b.csv t2 WHERE t1.x < t2.y" (aliases resolve against -rel names)`)
+	queryStr := flag.String("query", "", `the query, e.g. "FROM A t1, B t2 WHERE t1.x < t2.y" (tables are -rel names)`)
 	kp := flag.Int("kp", 96, "available processing units")
 	explain := flag.Bool("explain", false, "print the plan, execute, and print the planned-vs-measured execution report")
 	limit := flag.Int("limit", 20, "max result rows to print (-1 = all)")
@@ -99,19 +99,15 @@ func run() error {
 		fmt.Fprintf(os.Stderr, "[pprof listening on http://%s/debug/pprof/]\n", *pprofAddr)
 	}
 
-	// A -query can alias one table several times (self-joins), so a
-	// single -rel suffices with it; -cond mode needs two relations.
-	if *queryStr != "" {
-		if len(rels) < 1 {
-			flag.Usage()
-			return fmt.Errorf("-query needs at least one -rel")
-		}
-	} else if len(rels) < 2 || len(conds) == 0 {
+	if *queryStr == "" || len(rels) == 0 {
 		flag.Usage()
-		return fmt.Errorf("need at least two -rel and one -cond (or a -query)")
+		return fmt.Errorf("need a -query and at least one -rel")
+	}
+	q, aliases, err := query.Parse("query", *queryStr)
+	if err != nil {
+		return err
 	}
 	var relations []*relation.Relation
-	var names []string
 	for _, spec := range rels {
 		eq := strings.IndexByte(spec, '=')
 		if eq <= 0 {
@@ -128,48 +124,14 @@ func run() error {
 			return fmt.Errorf("%s: %w", path, err)
 		}
 		relations = append(relations, r)
-		names = append(names, name)
 	}
-	db, err := core.NewDB(1000, 1, relations...)
+	base, err := core.NewDB(1000, 1, relations...)
 	if err != nil {
 		return err
 	}
-	var q *query.Query
-	if *queryStr != "" {
-		var aliases map[string]string
-		q, aliases, err = query.Parse("query", *queryStr)
-		if err != nil {
-			return err
-		}
-		// Register aliases against the loaded relations.
-		loaded := map[string]bool{}
-		for _, n := range names {
-			loaded[n] = true
-		}
-		for alias, table := range aliases {
-			if alias == table {
-				if !loaded[table] {
-					return fmt.Errorf("-query references unknown relation %q", table)
-				}
-				continue
-			}
-			if err := db.Alias(alias, table); err != nil {
-				return err
-			}
-		}
-	} else {
-		var parsed []predicate.Condition
-		for _, c := range conds {
-			pc, err := parseCondition(c)
-			if err != nil {
-				return err
-			}
-			parsed = append(parsed, pc)
-		}
-		q, err = query.New("query", names, parsed)
-		if err != nil {
-			return err
-		}
+	db, err := base.View(aliases)
+	if err != nil {
+		return fmt.Errorf("-query: %w", err)
 	}
 	// Observability sinks, both scoped to this one execution.
 	var o *obs.Obs
@@ -317,22 +279,4 @@ func writeFileWith(path string, write func(w io.Writer) error) error {
 		return err
 	}
 	return f.Close()
-}
-
-// parseCondition parses "A.x < B.y" (whitespace-separated).
-func parseCondition(s string) (predicate.Condition, error) {
-	fields := strings.Fields(s)
-	if len(fields) != 3 {
-		return predicate.Condition{}, fmt.Errorf("bad condition %q (want \"A.x OP B.y\")", s)
-	}
-	op, err := predicate.ParseOp(fields[1])
-	if err != nil {
-		return predicate.Condition{}, err
-	}
-	l := strings.SplitN(fields[0], ".", 2)
-	r := strings.SplitN(fields[2], ".", 2)
-	if len(l) != 2 || len(r) != 2 {
-		return predicate.Condition{}, fmt.Errorf("bad condition %q: operands must be Rel.col", s)
-	}
-	return predicate.C(l[0], l[1], op, r[0], r[1]), nil
 }

@@ -17,7 +17,6 @@ package baselines
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
 	"math"
 
 	"repro/internal/core"
@@ -404,7 +403,7 @@ func squarish(kr int) (rows, cols int) {
 }
 
 func hashCols(t relation.Tuple, conds []stepCond, leftSide bool) uint64 {
-	h := fnv.New64a()
+	h := relation.NewFNV()
 	for _, bc := range conds {
 		var v relation.Value
 		if leftSide {
@@ -412,20 +411,18 @@ func hashCols(t relation.Tuple, conds []stepCond, leftSide bool) uint64 {
 		} else {
 			v = t[bc.rightCol].Add(bc.rightOff)
 		}
-		h.Write([]byte(v.String()))
-		h.Write([]byte{0x1f})
+		h = h.Text(v).Byte(0x1f)
 	}
-	return h.Sum64()
+	return uint64(h)
 }
 
 // tupleHash mixes every value of a tuple into a partition key.
 func tupleHash(t relation.Tuple) uint64 {
-	h := fnv.New64a()
+	h := relation.NewFNV()
 	for _, v := range t {
-		h.Write([]byte(v.String()))
-		h.Write([]byte{0x1f})
+		h = h.Text(v).Byte(0x1f)
 	}
-	return h.Sum64()
+	return uint64(h)
 }
 
 // equiKeySignature canonicalises the equality-join attributes of a

@@ -156,7 +156,7 @@ func selfJoinJob(in *relation.Relation, kr int) *mr.Job {
 		Reduce: func(key uint64, groups [][]relation.Tuple, ctx *mr.ReduceContext) {
 			n := int64(len(groups[0]))
 			ctx.AddWork(n * n)
-			ctx.Emit(relation.Tuple{groups[0][0][0], relation.Int(n * n)})
+			ctx.EmitConcat(relation.Tuple{groups[0][0][0], relation.Int(n * n)})
 		},
 		NumReducers:  kr,
 		OutputName:   "sample-out",

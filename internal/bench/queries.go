@@ -108,7 +108,11 @@ func (s *Suite) comparisonRow(q *query.Query, db *core.DB, kp int) ([]float64, i
 	cfg.ReduceSlots = kp
 
 	pl := core.NewPlanner(cfg, kp)
-	_, res, err := pl.RunContext(s.ctx(), q, db)
+	plan, err := pl.Plan(q, db)
+	if err != nil {
+		return nil, 0, fmt.Errorf("our method on %s: %w", q.Name, err)
+	}
+	res, err := pl.ExecuteContext(s.ctx(), plan, db)
 	if err != nil {
 		return nil, 0, fmt.Errorf("our method on %s: %w", q.Name, err)
 	}

@@ -62,11 +62,11 @@ func BuildHashEquiJob(name string, left, right *relation.Relation, conds predica
 	// Map-side hashKey and the hot values' keys must agree byte for
 	// byte, so both fold their columns through foldKeyPart.
 	hashKey := func(t relation.Tuple, cols []keyCol) uint64 {
-		h := uint64(fnvOffset64)
+		h := relation.NewFNV()
 		for i, kc := range cols {
 			h = foldKeyPart(h, t[kc.col].Add(kc.off), codeKeys[i])
 		}
-		return h
+		return uint64(h)
 	}
 	rels := []*relation.Relation{left, right}
 	var partitioner mr.Partitioner
@@ -84,13 +84,13 @@ func BuildHashEquiJob(name string, left, right *relation.Relation, conds predica
 				if len(hk.Values) != len(cols) {
 					continue
 				}
-				h := uint64(fnvOffset64)
+				h := relation.NewFNV()
 				for i, kc := range cols {
 					h = foldKeyPart(h, hk.Values[i].Add(kc.off), codeKeys[i])
 				}
 				fracs := make([]float64, 2)
 				fracs[side] = hk.Frac
-				hots = append(hots, skew.Hot{Key: h, Fracs: fracs})
+				hots = append(hots, skew.Hot{Key: uint64(h), Fracs: fracs})
 			}
 		}
 		partitioner = skew.Overlay(kr, hots, plan.Threshold)
@@ -143,32 +143,17 @@ func BuildHashEquiJob(name string, left, right *relation.Relation, conds predica
 	}, nil
 }
 
-// FNV-1a, 64 bit, as hash/fnv computes it.
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
 // foldKeyPart folds one key column's contribution into the composite
 // FNV-1a shuffle key h: the eight little-endian bytes of the dictionary
 // code when the shared-dictionary fast path applies (code) and the value
 // is interned, the bytes of its textual form otherwise, and a 0x1f
 // separator. It runs once per key column of every mapped tuple, so it
-// allocates nothing: numbers are rendered into a stack buffer.
-func foldKeyPart(h uint64, v relation.Value, code bool) uint64 {
+// allocates nothing.
+func foldKeyPart(h relation.FNV, v relation.Value, code bool) relation.FNV {
 	if c, ok := v.DictCode(); code && ok {
-		for i := 0; i < 8; i++ {
-			h = (h ^ uint64(c)>>(8*i)&0xff) * fnvPrime64
-		}
-	} else if v.Kind() == relation.KindString {
-		for s, i := v.Str(), 0; i < len(s); i++ {
-			h = (h ^ uint64(s[i])) * fnvPrime64
-		}
+		h = h.U64(uint64(c))
 	} else {
-		var scratch [32]byte
-		for _, b := range v.AppendString(scratch[:0]) {
-			h = (h ^ uint64(b)) * fnvPrime64
-		}
+		h = h.Text(v)
 	}
-	return (h ^ 0x1f) * fnvPrime64
+	return h.Byte(0x1f)
 }

@@ -39,9 +39,9 @@ func TestFoldKeyPartMatchesFNV(t *testing.T) {
 		relation.InternedStr("member", 0), relation.InternedStr("member", 1<<40), relation.InternedStr("", 3), relation.InternedStr(long, 255),
 	}
 	for _, code := range []bool{false, true} {
-		var all uint64 = fnvOffset64
+		all := relation.NewFNV()
 		for _, v := range vals {
-			if got, want := foldKeyPart(fnvOffset64, v, code), referenceKeyHash([]relation.Value{v}, []bool{code}); got != want {
+			if got, want := uint64(foldKeyPart(relation.NewFNV(), v, code)), referenceKeyHash([]relation.Value{v}, []bool{code}); got != want {
 				t.Errorf("code=%v %v %q: %#x, hash/fnv gives %#x", code, v.Kind(), clipString(v.String()), got, want)
 			}
 			all = foldKeyPart(all, v, code)
@@ -50,13 +50,13 @@ func TestFoldKeyPartMatchesFNV(t *testing.T) {
 		for i := range codes {
 			codes[i] = code
 		}
-		if want := referenceKeyHash(vals, codes); all != want {
+		if want := referenceKeyHash(vals, codes); uint64(all) != want {
 			t.Errorf("code=%v, all %d parts in one key: %#x, hash/fnv gives %#x", code, len(vals), all, want)
 		}
 	}
 	if n := testing.AllocsPerRun(100, func() {
 		for _, v := range vals {
-			benchKeySink = foldKeyPart(benchKeySink, v, true)
+			benchKeySink = uint64(foldKeyPart(relation.FNV(benchKeySink), v, true))
 		}
 	}); n != 0 {
 		t.Errorf("foldKeyPart allocates %v times over %d values", n, len(vals))

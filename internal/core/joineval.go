@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sort"
 
 	"repro/internal/mr"
 	"repro/internal/predicate"
@@ -46,8 +45,8 @@ import (
 //     (lo < x AND x < hi) costs one search plus about log2 of the
 //     band's width, not a scan;
 //   - remaining non-keyable conditions (dictionary-less strings, mixed
-//     kinds) fall back to relation.Compare, with a Compare-sorted run
-//     (anchorRange) when they are the only handle on a step.
+//     kinds) fall back to relation.Compare over the step's candidates:
+//     the index's, or all of them when the step has no fast condition.
 //
 // Candidate iteration order is deterministic (original group order for
 // hash probes and linear scans; stable key order for sorted runs), so
@@ -97,9 +96,6 @@ type joinStep struct {
 	rng []ccond // fast ranges: sorted run on rng[0]'s column
 	ne  []ccond // fast inequalities (<>): key comparison only
 	gen []ccond // generic: relation.Compare fallback
-	// genAnchor indexes the first range-comparable generic condition
-	// (usable with anchorRange when no fast index exists); -1 if none.
-	genAnchor int
 	// exts are the step's deduplicated candidate-side key extractors;
 	// ccond.hiSlot indexes into them (and into the per-group key
 	// columns built from them).
@@ -137,9 +133,6 @@ type joinEval struct {
 // both), and everything else goes through the generic path.
 func newJoinEval(rels []*relation.Relation, bound []boundCond) *joinEval {
 	je := &joinEval{m: len(rels), steps: make([]joinStep, len(rels))}
-	for i := range je.steps {
-		je.steps[i].genAnchor = -1
-	}
 	for _, bc := range bound {
 		st := &je.steps[bc.hi]
 		loKind := rels[bc.lo].Schema.Column(bc.loCol).Kind
@@ -165,9 +158,6 @@ func newJoinEval(rels []*relation.Relation, bound []boundCond) *joinEval {
 		}
 		switch {
 		case mode == predicate.KeyGeneric:
-			if bc.op != predicate.NE && st.genAnchor < 0 {
-				st.genAnchor = len(st.gen)
-			}
 			st.gen = append(st.gen, c)
 		case bc.op == predicate.EQ:
 			st.eq = append(st.eq, c)
@@ -235,9 +225,6 @@ type stepIndex struct {
 	// candidate permutation, skeys the keys in that order.
 	order []int32
 	skeys []int64
-	// Compare-sorted run on genVals[genAnchor].
-	gorder  []int32
-	gsorted []relation.Value
 	// Probe-side buffers, reused across probes of this step (safe: the
 	// depth-first backtracker probes one partial per depth at a time).
 	pkEq, pkRng, pkNe []int64
@@ -354,18 +341,6 @@ func (ge *groupEval) buildStep(j int) {
 		si.hash = h
 	case len(st.rng) > 0:
 		si.order, si.skeys = sortedByKey(si.rngKeys[0])
-	case st.genAnchor >= 0:
-		vals := si.genVals[st.genAnchor]
-		order := make([]int32, n)
-		for i := range order {
-			order[i] = int32(i)
-		}
-		slices.SortStableFunc(order, func(a, b int32) int { return relation.Compare(vals[a], vals[b]) })
-		si.gorder = order
-		si.gsorted = make([]relation.Value, n)
-		for x, i := range order {
-			si.gsorted[x] = vals[i]
-		}
 	}
 }
 
@@ -567,16 +542,6 @@ func (ge *groupEval) candidates(j int, ctx *mr.ReduceContext) []int32 {
 				out = append(out, i)
 			}
 		}
-	case si.gorder != nil:
-		a := &st.gen[st.genAnchor]
-		pv := genPV[st.genAnchor]
-		lo, hi := anchorRange(si.gsorted, a.bc.op, pv)
-		ctx.AddWork(int64(hi - lo))
-		for _, i := range si.gorder[lo:hi] {
-			if verify(i, false, false) {
-				out = append(out, i)
-			}
-		}
 	default:
 		n := int32(len(ge.groups[j]))
 		ctx.AddWork(int64(n))
@@ -659,30 +624,4 @@ func narrow(keys []int64, lo, hi int, op predicate.Op, pk int64) (int, int) {
 	}
 	_, h := keyRange(keys[a:min(a+step-1, hi)], op, pk)
 	return lo, a + h
-}
-
-// anchorRange narrows a Compare-sorted candidate value list (each with
-// the anchor condition's offset already applied) to the subrange
-// satisfying "pv op vals[i]" (op oriented lo→hi). It is the generic-
-// path counterpart of keyRange, used when a step's only range handle
-// is a non-numeric condition.
-func anchorRange(vals []relation.Value, op predicate.Op, pv relation.Value) (int, int) {
-	cmpAt := func(i int) int { return relation.Compare(pv, vals[i]) }
-	n := len(vals)
-	switch op {
-	case predicate.LT: // pv < cand: suffix where cand > pv
-		return sort.Search(n, func(i int) bool { return cmpAt(i) < 0 }), n
-	case predicate.LE:
-		return sort.Search(n, func(i int) bool { return cmpAt(i) <= 0 }), n
-	case predicate.GT: // pv > cand: prefix where cand < pv
-		return 0, sort.Search(n, func(i int) bool { return cmpAt(i) <= 0 })
-	case predicate.GE:
-		return 0, sort.Search(n, func(i int) bool { return cmpAt(i) < 0 })
-	case predicate.EQ:
-		lo := sort.Search(n, func(i int) bool { return cmpAt(i) <= 0 })
-		hi := sort.Search(n, func(i int) bool { return cmpAt(i) < 0 })
-		return lo, hi
-	default: // NE is never installed as an anchor
-		return 0, n
-	}
 }

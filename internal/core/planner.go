@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"slices"
@@ -531,29 +530,20 @@ func (pl *Planner) scheduleCover(q *query.Query, cover []*candidate, db *DB) (*P
 	if len(jobs) == 1 && jobs[0].Units < pl.KP {
 		jobs[0].Units = pl.KP
 	}
-	// Share-grid jobs round their reducer grid down to a feasible share
-	// product, so ask with the full allotment: the operator itself
-	// derives the largest grid that fits, keeping reduce slots busy.
 	for i := range jobs {
+		// Share-grid jobs round their reducer grid down to a feasible
+		// share product, so ask with the full allotment: the operator
+		// itself derives the largest grid that fits, keeping reduce
+		// slots busy.
 		if jobs[i].Kind == KindShareGrid {
 			jobs[i].Reducers = jobs[i].Units
 		}
-	}
-	// With the reducer counts final, decide per-job hot-key handling
-	// from the catalog's heavy-hitter reports.
-	if db != nil {
-		for i := range jobs {
-			jobs[i].Skew = SkewPlanFor(db.Catalog, jobs[i].Kind, jobs[i].Conds, jobs[i].Reducers, skew.DefaultThreshold)
-		}
-	}
-	// Record the σ fraction the cost model charged at the final reducer
-	// count, so the execution report can print planned σ next to the
-	// measured balance ratio.
-	for i := range jobs {
-		pmax := 0.0
-		if db != nil {
-			pmax = maxJoinHotFrac(db.Catalog, jobs[i].Conds, jobs[i].Kind)
-		}
+		// With the reducer count final, decide the job's hot-key handling
+		// from the catalog's heavy-hitter reports, and record the σ
+		// fraction the cost model charged, so the execution report can
+		// print planned σ next to the measured balance ratio.
+		jobs[i].Skew = SkewPlanFor(db.Catalog, jobs[i].Kind, jobs[i].Conds, jobs[i].Reducers, skew.DefaultThreshold)
+		pmax := maxJoinHotFrac(db.Catalog, jobs[i].Conds, jobs[i].Kind)
 		jobs[i].SigmaFrac = sigmaFracFor(jobs[i].Kind, jobs[i].Reducers, pmax)
 	}
 	return &Plan{
@@ -563,24 +553,4 @@ func (pl *Planner) scheduleCover(q *query.Query, cover []*candidate, db *DB) (*P
 		MergeEstimate:     mergeEst,
 		Schedule:          sched,
 	}, nil
-}
-
-// Run is the one-call convenience: plan then execute.
-func (pl *Planner) Run(q *query.Query, db *DB) (*Plan, *ExecResult, error) {
-	return pl.RunContext(context.Background(), q, db)
-}
-
-// RunContext is Run under a caller context: cancellation propagates
-// into the executor, and an obs.Obs attached to ctx traces the whole
-// plan-and-execute pipeline.
-func (pl *Planner) RunContext(ctx context.Context, q *query.Query, db *DB) (*Plan, *ExecResult, error) {
-	plan, err := pl.Plan(q, db)
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := pl.ExecuteContext(ctx, plan, db)
-	if err != nil {
-		return plan, nil, err
-	}
-	return plan, res, nil
 }

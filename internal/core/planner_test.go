@@ -104,7 +104,11 @@ func TestPlannerRandomEndToEnd(t *testing.T) {
 		}
 		kp := 2 + rng.Intn(14)
 		pl := testPlanner(kp)
-		plan, res, err := pl.Run(q, db)
+		plan, err := pl.Plan(q, db)
+		if err != nil {
+			t.Fatalf("trial %d (%s, kp=%d): %v", trial, q, kp, err)
+		}
+		res, err := pl.Execute(plan, db)
 		if err != nil {
 			t.Fatalf("trial %d (%s, kp=%d): %v", trial, q, kp, err)
 		}
@@ -136,7 +140,11 @@ func TestPlannerSelfJoinAliases(t *testing.T) {
 		predicate.C("t1", "b", predicate.GE, "t2", "b"),
 	})
 	pl := testPlanner(8)
-	_, res, err := pl.Run(q, db)
+	plan, err := pl.Plan(q, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := pl.Execute(plan, db)
 	if err != nil {
 		t.Fatal(err)
 	}

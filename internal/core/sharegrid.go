@@ -292,18 +292,7 @@ type gridDim struct {
 // map side and per candidate combination in the reducers, so it
 // allocates nothing.
 func (g *gridDim) key(v relation.Value) uint64 {
-	h := (uint64(fnvOffset64) ^ uint64(byte(g.dim))) * fnvPrime64
-	if v.Kind() == relation.KindString {
-		for s, i := v.Str(), 0; i < len(s); i++ {
-			h = (h ^ uint64(s[i])) * fnvPrime64
-		}
-		return h
-	}
-	var scratch [32]byte
-	for _, b := range v.AppendString(scratch[:0]) {
-		h = (h ^ uint64(b)) * fnvPrime64
-	}
-	return h
+	return uint64(relation.NewFNV().Byte(byte(g.dim)).Text(v))
 }
 
 // newGridDim lays out one dimension from the job's hot-key plan. The

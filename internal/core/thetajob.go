@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"hash/fnv"
 
 	"repro/internal/mr"
 	"repro/internal/predicate"
@@ -70,31 +69,19 @@ func BuildThetaJob(name string, rels []*relation.Relation, conds predicate.Conju
 }
 
 // jobSalt derives the ID-randomisation salt from the job name.
-func jobSalt(name string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(name))
-	return h.Sum64()
-}
+func jobSalt(name string) uint64 { return uint64(relation.NewFNV().String(name)) }
 
 // tupleGlobalID implements Algorithm 1's "GlobalID ← unified random
 // selection": a salted hash of the row ID, uniform over [0, card) and
 // identical in map and reduce phases. The hash is FNV-1a over ten
-// bytes — the rid's eight little-endian bytes, then the low bytes of
-// salt and dim — folded inline: it runs for every routed tuple, and
-// hash/fnv's interface value cost more than the arithmetic.
+// bytes: the rid's eight little-endian bytes, then the low bytes of
+// salt and dim.
 func tupleGlobalID(rid relation.Value, card int, salt uint64, dim int) uint64 {
 	if card <= 1 {
 		return 0
 	}
-	h := uint64(fnvOffset64)
-	v := uint64(rid.Int64())
-	for i := 0; i < 8; i++ {
-		h = (h ^ v>>(8*i)&0xff) * fnvPrime64
-	}
-	h = (h ^ salt&0xff) * fnvPrime64
-	h = (h ^ uint64(dim)&0xff) * fnvPrime64
-	x := h ^ (salt * 0x9e3779b97f4a7c15)
-	return x % uint64(card)
+	h := relation.NewFNV().U64(uint64(rid.Int64())).Byte(byte(salt)).Byte(byte(dim))
+	return (uint64(h) ^ salt*0x9e3779b97f4a7c15) % uint64(card)
 }
 
 // makeThetaReducer compiles the backtracking join executed inside each

@@ -178,7 +178,7 @@ func TestModelTracksSimulator(t *testing.T) {
 		Inputs: []mr.Input{{Rel: in, Map: func(t relation.Tuple, emit mr.Emitter) { emit(uint64(t[0].Int64())) }}},
 		Reduce: func(key uint64, groups [][]relation.Tuple, ctx *mr.ReduceContext) {
 			ctx.AddWork(int64(len(groups[0])) * int64(len(groups[0])))
-			ctx.Emit(relation.Tuple{groups[0][0][0]})
+			ctx.EmitConcat(relation.Tuple{groups[0][0][0]})
 		},
 		NumReducers:  8,
 		OutputName:   "out",

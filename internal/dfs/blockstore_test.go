@@ -437,7 +437,7 @@ func TestFullyOutOfCoreJob(t *testing.T) {
 			Name:   "count",
 			Inputs: []mr.Input{{Rel: rel, Map: func(tp relation.Tuple, emit mr.Emitter) { emit(uint64(tp[0].Int64())) }}},
 			Reduce: func(key uint64, groups [][]relation.Tuple, ctx *mr.ReduceContext) {
-				ctx.Emit(relation.Tuple{groups[0][0][0], relation.Int(int64(len(groups[0])))})
+				ctx.EmitConcat(relation.Tuple{groups[0][0][0], relation.Int(int64(len(groups[0])))})
 			},
 			NumReducers: 6,
 			OutputName:  "counts",

@@ -102,10 +102,9 @@
 //
 // # Output rows
 //
-// A reducer emits a row either with Emit, handing over a tuple it built
-// and will not write to again, or with EmitConcat, which copies the
-// parts into the attempt's slab: chunks of values that grow with the
-// output up to 96 KiB, each row a capacity-limited subslice of one. An attempt's
+// A reducer emits a row with EmitConcat, which copies the row's parts
+// into the attempt's slab: chunks of values that grow with the output
+// up to 96 KiB, each row a capacity-limited subslice of one. An attempt's
 // slabs are its own until it commits; a failed or losing attempt's are
 // garbage. The committed rows become the output relation's tuples as
 // they are — assemble copies slice headers, not values — so a slab

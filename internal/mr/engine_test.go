@@ -51,7 +51,7 @@ func countJob(in *relation.Relation, reducers int) *Job {
 		Name:   "count",
 		Inputs: []Input{{Rel: in, Map: func(t relation.Tuple, emit Emitter) { emit(uint64(t[0].Int64())) }}},
 		Reduce: func(key uint64, groups [][]relation.Tuple, ctx *ReduceContext) {
-			ctx.Emit(relation.Tuple{groups[0][0][0], relation.Int(int64(len(groups[0])))})
+			ctx.EmitConcat(relation.Tuple{groups[0][0][0], relation.Int(int64(len(groups[0])))})
 		},
 		NumReducers:  reducers,
 		OutputName:   "counts",
@@ -152,7 +152,7 @@ func TestMergeOrderingContract(t *testing.T) {
 				g.pos = append(g.pos, v[1].Int64())
 			}
 			groups = append(groups, g)
-			ctx.Emit(relation.Tuple{values[0][0], relation.Int(int64(len(values)))})
+			ctx.EmitConcat(relation.Tuple{values[0][0], relation.Int(int64(len(values)))})
 		},
 		NumReducers: 1, // single reducer: observe the full merged run
 		OutputName:  "out",
@@ -212,7 +212,7 @@ func TestRunEquiJoin(t *testing.T) {
 			for _, l := range ls {
 				for _, r := range rs {
 					if l[0].Int64() == r[0].Int64() {
-						ctx.Emit(relation.Tuple{l[0], r[0]})
+						ctx.EmitConcat(relation.Tuple{l[0], r[0]})
 					}
 				}
 			}
@@ -299,7 +299,7 @@ func TestArityMismatchRejected(t *testing.T) {
 	in := intsRelation("in", 1)
 	job := countJob(in, 1)
 	job.Reduce = func(key uint64, groups [][]relation.Tuple, ctx *ReduceContext) {
-		ctx.Emit(relation.Tuple{relation.Int(1)}) // schema wants 2 columns
+		ctx.EmitConcat(relation.Tuple{relation.Int(1)}) // schema wants 2 columns
 	}
 	if _, err := Run(context.Background(), smallConfig(), job); err == nil {
 		t.Error("arity mismatch accepted")
@@ -530,7 +530,7 @@ func TestStringKeysViaHash(t *testing.T) {
 				byVal[v[0].Str()]++
 			}
 			for s, n := range byVal {
-				ctx.Emit(relation.Tuple{relation.Str(s), relation.Int(n)})
+				ctx.EmitConcat(relation.Tuple{relation.Str(s), relation.Int(n)})
 			}
 		},
 		NumReducers:  2,
@@ -598,7 +598,7 @@ func TestOutputCapRatio(t *testing.T) {
 		Reduce: func(key uint64, groups [][]relation.Tuple, ctx *ReduceContext) {
 			for range groups[0] {
 				for range groups[0] {
-					ctx.Emit(relation.Tuple{relation.Int(1)})
+					ctx.EmitConcat(relation.Tuple{relation.Int(1)})
 				}
 			}
 		},
@@ -624,7 +624,7 @@ func TestOutputCapRatio(t *testing.T) {
 	// output is priced at the input's multiplier.
 	job.Reduce = func(key uint64, groups [][]relation.Tuple, ctx *ReduceContext) {
 		for range groups[0] {
-			ctx.Emit(relation.Tuple{relation.Int(1)})
+			ctx.EmitConcat(relation.Tuple{relation.Int(1)})
 		}
 	}
 	res2, err := Run(context.Background(), cfg, job)

@@ -2,12 +2,13 @@ package mr
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math/rand"
 	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/relation"
 )
 
 // FaultKind enumerates the injectable fault types of a FaultPlan.
@@ -230,9 +231,7 @@ func newInjector(plan *FaultPlan, jobName string, nMap, nRed int) *injector {
 	if plan == nil || len(plan.Faults) == 0 {
 		return nil
 	}
-	h := fnv.New64a()
-	h.Write([]byte(jobName))
-	rng := rand.New(rand.NewSource(plan.Seed ^ int64(h.Sum64())))
+	rng := rand.New(rand.NewSource(plan.Seed ^ int64(relation.NewFNV().String(jobName))))
 	in := &injector{
 		kills:    map[faultTarget]bool{},
 		killAll:  map[[2]int]bool{},

@@ -114,11 +114,11 @@ func newGroupProbe(rng *rand.Rand, nTags, nRed, keys int) groupProbe {
 		Name:   "groups",
 		Inputs: inputs,
 		Reduce: func(key uint64, groups [][]relation.Tuple, ctx *ReduceContext) {
-			record(key, groups, ctx.Emit)
+			record(key, groups, func(t relation.Tuple) { ctx.EmitConcat(t) })
 			// None of this may reach the next key run or another attempt.
 			for tag, g := range groups {
 				if cap(g) != len(g) {
-					ctx.Emit(append(junk, junk...)) // a row no reference has
+					ctx.EmitConcat(junk, junk) // a row no reference has
 				}
 				for i := range g {
 					g[i] = junk

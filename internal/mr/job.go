@@ -27,7 +27,7 @@ type ReduceContext struct {
 	out          []relation.Tuple
 	combinations int64
 	// slab is the chunk EmitConcat carves rows from (len = values used);
-	// the rows carved from it so far are among out[slabRow0:].
+	// the rows carved from it so far are out[slabRow0:], in slab order.
 	slab     []relation.Value
 	slabRow0 int
 	// sizes counts the emitted rows by raw EncodedSize: the output is
@@ -49,15 +49,6 @@ type ReduceContext struct {
 	arity  int
 	gate   *keepGate
 	rowSum uint64
-}
-
-// Emit appends an output tuple that the caller built and will not write
-// to again.
-func (rc *ReduceContext) Emit(t relation.Tuple) {
-	if !rc.result || rc.keeps(relation.RowHash(t), len(t)) {
-		rc.out = append(rc.out, t)
-	}
-	rc.count(t.EncodedSize())
 }
 
 // count books an emitted row, kept or not, by its EncodedSize.
@@ -137,14 +128,10 @@ func (rc *ReduceContext) trim() {
 		return
 	}
 	exact := slices.Clone(used)
-	// The chunk's rows are in out[slabRow0:] in slab order, possibly with
-	// caller-built rows between them.
-	off := 0
-	for i := rc.slabRow0; off < len(used); i++ {
-		if row := rc.out[i]; len(row) > 0 && &row[0] == &used[off] {
-			rc.out[i] = exact[off : off+len(row) : off+len(row)]
-			off += len(row)
-		}
+	rows, off := rc.out[rc.slabRow0:], 0
+	for i, row := range rows {
+		rows[i] = exact[off : off+len(row) : off+len(row)]
+		off += len(row)
 	}
 	rc.slab = exact
 }

@@ -143,7 +143,7 @@ func TestCappedEmitCopiesNothing(t *testing.T) {
 	for i := 0; i < 97; i++ {
 		rc.EmitConcat(l, r)
 	}
-	rc.Emit(row)
+	rc.EmitConcat(row)
 	if len(rc.out) != 3 || len(rc.slab) != len(slab) || &rc.slab[0] != &slab[0] {
 		t.Errorf("kept %d rows, want 3; the slab moved or grew past the cap", len(rc.out))
 	}

@@ -12,7 +12,7 @@ import (
 )
 
 // emitMixed drives a ReduceContext the way reducers do — mostly
-// EmitConcat, of varying width, with caller-built Emit rows in between —
+// EmitConcat, of varying width and with one-part rows in between —
 // and returns a deep copy of what the rows must hold.
 func emitMixed(rc *ReduceContext, rows int) []relation.Tuple {
 	want := make([]relation.Tuple, 0, rows)
@@ -21,7 +21,7 @@ func emitMixed(rc *ReduceContext, rows int) []relation.Tuple {
 		r := relation.Tuple{relation.Float(float64(i) / 2), relation.Null(), relation.TimeUnix(int64(i))}
 		switch {
 		case i%7 == 3:
-			rc.Emit(relation.Tuple{relation.Int(int64(-i))})
+			rc.EmitConcat(relation.Tuple{relation.Int(int64(-i))})
 			want = append(want, relation.Tuple{relation.Int(int64(-i))})
 		case i%5 == 0:
 			rc.EmitConcat(l, r, l)
@@ -117,7 +117,7 @@ func TestSlabSlackBounded(t *testing.T) {
 }
 
 // concatJoinJob is an equi-join on column 0 whose reducer emits through
-// EmitConcat, with one caller-built row per key.
+// EmitConcat, plus one row per key that doubles the key's first tuple.
 func concatJoinJob(left, right *relation.Relation, reducers int) *Job {
 	return &Job{
 		Name: "concat",
@@ -132,7 +132,7 @@ func concatJoinJob(left, right *relation.Relation, reducers int) *Job {
 				}
 			}
 			first := append(groups[0], groups[1]...)[0]
-			ctx.Emit(append(first.Clone(), first...))
+			ctx.EmitConcat(first, first)
 		},
 		NumReducers:  reducers,
 		OutputName:   "joined",

@@ -76,7 +76,7 @@ func groupJob(in *relation.Relation, reducers int) *Job {
 					break
 				}
 			}
-			ctx.Emit(relation.Tuple{values[0][0], city, relation.Int(int64(len(values)))})
+			ctx.EmitConcat(relation.Tuple{values[0][0], city, relation.Int(int64(len(values)))})
 		},
 		NumReducers:  reducers,
 		OutputName:   "groups",
@@ -303,7 +303,7 @@ func latticeJob(rng *rand.Rand) *Job {
 				}
 			}
 			for i, g := range groups {
-				ctx.Emit(relation.Tuple{relation.Int(int64(key)), relation.Str(fmt.Sprint("input ", i)),
+				ctx.EmitConcat(relation.Tuple{relation.Int(int64(key)), relation.Str(fmt.Sprint("input ", i)),
 					relation.Int(int64(len(g))), relation.Null()})
 			}
 		},

@@ -1,8 +1,6 @@
 package skew
 
 import (
-	"encoding/binary"
-	"hash/fnv"
 	"math"
 	"slices"
 	"sort"
@@ -65,26 +63,20 @@ func (p *JobPlan) Hot(rel string, cols []string) []relation.HotKey {
 // the reduce-side ownership check, and independent of task or
 // goroutine interleaving.
 func TupleHash(t relation.Tuple) uint64 {
-	h := fnv.New64a()
-	var kb [2]byte
-	var cb [8]byte
-	var scratch [32]byte
-	kb[1] = 0x1e
+	h := relation.NewFNV()
 	for _, v := range t {
-		kb[0] = byte(v.Kind())
-		h.Write(kb[:1])
+		h = h.Byte(byte(v.Kind()))
 		// Interned strings hash their fixed-width dictionary code
 		// instead of the string bytes: within a column every value
 		// shares one dictionary, so the code determines the string.
 		if c, ok := v.DictCode(); ok {
-			binary.LittleEndian.PutUint64(cb[:], uint64(c))
-			h.Write(cb[:])
+			h = h.U64(uint64(c))
 		} else {
-			h.Write(v.AppendString(scratch[:0]))
+			h = h.Text(v)
 		}
-		h.Write(kb[1:])
+		h = h.Byte(0x1e)
 	}
-	return h.Sum64()
+	return uint64(h)
 }
 
 // SigmaFrac estimates the reducer-input variation coefficient (stddev
