@@ -197,18 +197,19 @@ func (db *DB) Alias(newName, existing string) error {
 	return nil
 }
 
-// EnsureRowIDs returns a relation guaranteed to carry a unique integer
-// RowIDColumn. If the column exists it is validated for uniqueness;
-// otherwise a copy with an appended sequence column is returned.
+// EnsureRowIDs returns a relation guaranteed to carry an integer
+// RowIDColumn that numbers its rows 0…n−1 in order, so that a rid is
+// its row's index — how the rid-merge finds a row. A relation that has
+// the column already must number its rows that way, or it is an error
+// naming the first row that does not; otherwise a copy with an
+// appended sequence column is returned.
 func EnsureRowIDs(r *relation.Relation) (*relation.Relation, error) {
 	if idx, ok := r.Schema.Lookup(RowIDColumn); ok {
-		seen := make(map[int64]bool, len(r.Tuples))
-		for _, t := range r.Tuples {
-			id := t[idx].Int64()
-			if seen[id] {
-				return nil, fmt.Errorf("core: relation %s has duplicate %s %d", r.Name, RowIDColumn, id)
+		for i, t := range r.Tuples {
+			if v := t[idx]; v.Kind() != relation.KindInt || v.Int64() != int64(i) {
+				return nil, fmt.Errorf("core: relation %s row %d has %s %v; a %s column must number the rows 0, 1, 2, … in order",
+					r.Name, i, RowIDColumn, v, RowIDColumn)
 			}
-			seen[id] = true
 		}
 		return r, nil
 	}

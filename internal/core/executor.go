@@ -25,8 +25,8 @@ type ExecResult struct {
 	Output *relation.Relation
 	// Rows counts the whole result and Hash is its
 	// relation.ContentHash, whatever Output keeps: the result job's
-	// reducers compute both as they emit the rows, or the rid-merge
-	// does over the merged relation.
+	// reducers compute both as they emit the rows, or the rid-merge's
+	// final step does as it gathers each row from its parts.
 	Rows int
 	Hash uint64
 	// Makespan is the measured evaluation time: the job set re-timed
@@ -157,7 +157,9 @@ type planRun struct {
 	// keep is the result rows to materialise (< 0: all). resultJob names
 	// the plan's one non-consumed job, whose output is the result and
 	// whose reducers hash, count and cap it; "" when several outputs
-	// merge, and merge does that over the merged relation instead.
+	// merge: each of those jobs then keeps only its rows' rids
+	// (projectRids), and merge's final step hashes, counts and cuts the
+	// result as it gathers it from the base relations.
 	keep      int
 	resultJob string
 	fb        *feedback
@@ -191,9 +193,9 @@ type planRun struct {
 //
 // The result's Output keeps only its first keep rows (every row when
 // keep < 0), while Rows and Hash describe all of them: the job that
-// produces the result hashes and counts every row where it emits it
-// and materialises only those it keeps; a merged result is hashed and
-// counted whole, then cut to its first keep rows.
+// produces the result, or the merge step that gathers it, hashes and
+// counts every row where it makes it and materialises only those it
+// keeps.
 // Job metrics, Makespan and merge costs do not depend on keep.
 //
 // Execution is deterministic for a fixed plan: job outputs and metrics
@@ -360,14 +362,20 @@ func (r *planRun) startJob(s execSlot, units int) error {
 	buildStart := time.Now()
 	span := r.shard.Start("build-job", obs.A("job", pj.Name), obs.A("kind", runJob.Kind.String()))
 	job, cfg, err := r.pl.buildPlannedJob(runJob, r.db, r.produced)
+	// The result job hashes and caps its output; a job feeding the
+	// rid-merge keeps only its rows' rids.
+	switch {
+	case err != nil:
+	case pj.Name == r.resultJob:
+		job.Result, job.Keep = true, r.keep
+	case r.resultJob == "" && !r.consumed[pj.Name]:
+		err = projectRids(job, r.db)
+	}
 	if err != nil {
 		span.End(obs.A("error", err.Error()))
 		return err
 	}
 	span.End()
-	if pj.Name == r.resultJob {
-		job.Result, job.Keep = true, r.keep
-	}
 	r.buildWall[pj.Name] = time.Since(buildStart)
 	if r.o.Tracing() && runJob.Skew != nil {
 		r.traceHotKeys(pj.Name, runJob.Skew)
@@ -524,8 +532,11 @@ func (r *planRun) retime() (*ExecResult, error) {
 // consumed intermediate is already folded into its consumer's output:
 // it carries prefixed, not base-relation, rid columns and must not
 // re-enter the merge — and adds the merge tree's cost to Makespan. The
-// result's count and hash come from the result job when there is one,
-// and from the merged relation otherwise.
+// result's count and hash come from the result job when there is one.
+// Otherwise the outputs hold only rids (projectRids): the tree's
+// earlier steps join rid tuples, and its last, gatherMerge, gathers
+// the result rows from the base relations, hashing and counting every
+// one and keeping the first keep.
 func (r *planRun) merge(res *ExecResult) error {
 	var inputs []*relation.Relation
 	var sizes []int64 // each input's ModeledSize, off its job's metrics
@@ -540,19 +551,19 @@ func (r *planRun) merge(res *ExecResult) error {
 	}
 	mergeStart := time.Now()
 	span := r.shard.Start("plan-merge", obs.A("inputs", len(inputs)))
-	final, steps, err := mergeAll(r.plan.Query.Name, inputs, sizes, r.shard)
+	var rowSum uint64
+	final, rows, steps, err := mergeTree(r.plan.Query.Name, inputs, sizes, r.shard,
+		func(name string, left, right *relation.Relation) (*relation.Relation, int, error) {
+			out, n, sum, err := gatherMerge(name, left, right, r.db, r.keep)
+			rowSum = sum
+			return out, n, err
+		})
 	if err != nil {
 		span.End(obs.A("error", err.Error()))
 		return err
 	}
-	rows, rowSum := last.Rows, last.RowHashSum // the one output is the result job's
-	if len(steps) > 0 {
-		// The merged relation is the result: hash and count all of it
-		// (in GOMAXPROCS shards), then keep its first rows.
-		rows, rowSum = final.Cardinality(), relation.SumRowHashes(final.Tuples)
-		if r.keep >= 0 && rows > r.keep {
-			final.Tuples = final.Tuples[:r.keep:r.keep]
-		}
+	if len(steps) == 0 { // the one output is the result job's
+		rows, rowSum = last.Rows, last.RowHashSum
 	}
 	span.End(obs.A("steps", len(steps)), obs.A("outTuples", rows))
 	res.MergeWall = time.Since(mergeStart)

@@ -127,6 +127,16 @@
 // attempt capped at 16 rows or fewer allocates room for all of them
 // with its first: how many it keeps does not change its allocations.
 //
+// A projected job (Job.Project) keeps only some columns of each row:
+// EmitConcat copies the projected columns of the parts' concatenation
+// into the slab, in ascending order, and OutputSchema names those
+// columns alone. The row is priced as the full row — its EncodedSize is
+// taken from the parts, as for a row a result job does not keep — so
+// the per-size counts, OutputBytes, the per-reducer output bytes and
+// the simulated clock are those of the unprojected job. A job whose
+// output feeds only its query's rid-merge is projected onto its rid
+// columns, and the merge gathers the full rows from the base relations.
+//
 // # Spill integrity
 //
 // Spilled runs are written as checksummed frames (~32 KiB of records,

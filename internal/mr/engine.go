@@ -634,9 +634,9 @@ func (r *run) reduceAttempt(actx context.Context, red, attempt int, sh *obs.Shar
 	}
 	reduceSp := sh.Start("reduce", obs.A("reducer", red), obs.A("pairs", n), obs.A("runs", len(srcs)))
 	reduce, keyRunLen := r.job.Reduce, r.keyRunLen
-	rctx := &ReduceContext{}
+	rctx := &ReduceContext{project: r.job.Project}
 	if r.job.Result {
-		*rctx = ReduceContext{result: true, keep: r.job.Keep, red: red, arity: r.job.OutputSchema.Len(), gate: r.gate}
+		*rctx = ReduceContext{project: r.job.Project, result: true, keep: r.job.Keep, red: red, arity: r.job.OutputSchema.Len(), gate: r.gate}
 	}
 	// bufs[tag] collects the current key run's tuples; groups are the
 	// views of them Reduce is handed. When every run holds the same single

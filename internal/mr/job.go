@@ -26,6 +26,9 @@ type MapFunc func(t relation.Tuple, emit Emitter)
 type ReduceContext struct {
 	out          []relation.Tuple
 	combinations int64
+	// project is the job's Project: the columns of each emitted row
+	// that EmitConcat copies (nil: all of them).
+	project []int
 	// slab is the chunk EmitConcat carves rows from (len = values used);
 	// the rows carved from it so far are out[slabRow0:], in slab order.
 	slab     []relation.Value
@@ -89,11 +92,14 @@ func (rc *ReduceContext) keeps(hash uint64, arity int) bool {
 // instead of running into its neighbour. A result job's row that is
 // not kept is not copied, and is priced from its parts; an attempt
 // that keeps keepChunkRows rows or fewer allocates room for all of
-// them with its first.
+// them with its first. A projected job (Job.Project) copies only the
+// projected columns, and prices the row from its parts too.
 func (rc *ReduceContext) EmitConcat(parts ...relation.Tuple) {
-	n, size := 0, relation.EncodedSizeOf(parts...)
-	for _, p := range parts {
-		n += len(p)
+	n, size := len(rc.project), relation.EncodedSizeOf(parts...)
+	if rc.project == nil {
+		for _, p := range parts {
+			n += len(p)
+		}
 	}
 	if rc.result && !rc.keeps(relation.RowHash(parts...), n) {
 		rc.count(size)
@@ -111,11 +117,30 @@ func (rc *ReduceContext) EmitConcat(parts ...relation.Tuple) {
 		rc.slabRow0 = len(rc.out)
 	}
 	a := len(rc.slab)
-	for _, p := range parts {
-		rc.slab = append(rc.slab, p...)
+	if rc.project == nil {
+		for _, p := range parts {
+			rc.slab = append(rc.slab, p...)
+		}
+	} else {
+		rc.slab = appendProjected(rc.slab, rc.project, parts)
 	}
 	rc.out = append(rc.out, rc.slab[a:len(rc.slab):len(rc.slab)])
 	rc.count(size)
+}
+
+// appendProjected appends to dst the columns cols, ascending, of the
+// row that the concatenation of parts would make. Parts too short for
+// cols leave the row short, which assemble reports as a wrong arity.
+func appendProjected(dst []relation.Value, cols []int, parts []relation.Tuple) []relation.Value {
+	off := 0
+	for _, p := range parts {
+		for len(cols) > 0 && cols[0] < off+len(p) {
+			dst = append(dst, p[cols[0]-off])
+			cols = cols[1:]
+		}
+		off += len(p)
+	}
+	return dst
 }
 
 // trim moves the rows of the last, partly filled chunk into an exactly
@@ -205,6 +230,13 @@ type Job struct {
 	// negative. Keep is read only when Result is set.
 	Result bool
 	Keep   int
+
+	// Project, when set, lists in ascending order the columns of the
+	// full row (the concatenation of EmitConcat's parts) that the
+	// output keeps, and OutputSchema describes those columns only.
+	// Every row is still priced as the full row, so every byte metric
+	// is that of the unprojected job.
+	Project []int
 }
 
 // Validate reports specification errors.
@@ -234,6 +266,16 @@ func (j *Job) Validate() error {
 	}
 	if j.OutputSchema == nil {
 		return fmt.Errorf("mr: job %s has nil output schema", j.Name)
+	}
+	if j.Project != nil {
+		if len(j.Project) != j.OutputSchema.Len() {
+			return fmt.Errorf("mr: job %s projects %d columns onto a %d-column schema", j.Name, len(j.Project), j.OutputSchema.Len())
+		}
+		for i, c := range j.Project {
+			if c < 0 || i > 0 && c <= j.Project[i-1] {
+				return fmt.Errorf("mr: job %s: projected columns %v are not ascending ordinals", j.Name, j.Project)
+			}
+		}
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package mr
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -209,24 +210,89 @@ func emitParts() (left, right []relation.Tuple) {
 // BenchmarkReduceEmit times a reducer's output side alone: 100 k rows of
 // three 7-value parts through one attempt's EmitConcat, as an ordinary
 // job's reducer emits them ("plain"), as a query result's that hashes
-// and keeps every row ("keep-all"), and as one that hashes every row
-// but keeps ten ("keep-10").
+// and keeps every row ("keep-all"), as one that hashes every row but
+// keeps ten ("keep-10"), and as a job feeding the rid-merge that keeps
+// one column of each part ("rids").
 func BenchmarkReduceEmit(b *testing.B) {
 	left, right := emitParts()
 	for _, bc := range []struct {
-		name   string
-		result bool
-		keep   int
-	}{{"plain", false, -1}, {"keep-all", true, -1}, {"keep-10", true, 10}} {
+		name    string
+		result  bool
+		keep    int
+		project []int
+	}{{"plain", false, -1, nil}, {"keep-all", true, -1, nil}, {"keep-10", true, 10, nil}, {"rids", false, -1, []int{0, 7, 14}}} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				ctx := &ReduceContext{result: bc.result, keep: bc.keep, arity: 21, gate: newKeepGate(bc.keep, 1)}
+				ctx := &ReduceContext{project: bc.project, result: bc.result, keep: bc.keep, arity: 21, gate: newKeepGate(bc.keep, 1)}
 				for j, t := range left {
 					ctx.EmitConcat(t[:7], t[7:], right[j%len(right)][7:])
 				}
 			}
 			b.ReportMetric(float64(len(left))*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
 		})
+	}
+}
+
+// TestProjectedJobPricesFullRows: a job with Project keeps only the
+// projected columns of each row, in the unprojected job's row order,
+// while every metric — output bytes per reducer included — is the one
+// the full rows give. Validate rejects a projection that does not fit
+// the output schema or is not ascending.
+func TestProjectedJobPricesFullRows(t *testing.T) {
+	rel := func(name string, n int) *relation.Relation {
+		r := relation.New(name, relation.MustSchema(relation.Column{Name: "k", Kind: relation.KindInt},
+			relation.Column{Name: "s", Kind: relation.KindString}, relation.Column{Name: "id", Kind: relation.KindInt}))
+		for i := 0; i < n; i++ {
+			r.MustAppend(relation.Tuple{relation.Int(int64(i % 7)), relation.Str(fmt.Sprintf("%s-payload-%d", name, i)), relation.Int(int64(i))})
+		}
+		return r
+	}
+	join := func(project []int, schema *relation.Schema) *Job {
+		key := func(t relation.Tuple, emit Emitter) { emit(uint64(t[0].Int64())) }
+		return &Job{
+			Name:   "join",
+			Inputs: []Input{{Rel: rel("L", 60), Map: key}, {Rel: rel("R", 45), Map: key}},
+			Reduce: func(_ uint64, groups [][]relation.Tuple, ctx *ReduceContext) {
+				for _, l := range groups[0] {
+					for _, r := range groups[1] {
+						ctx.EmitConcat(l, r)
+					}
+				}
+			},
+			NumReducers: 3, OutputName: "out", OutputSchema: schema, Project: project,
+		}
+	}
+	full := join(nil, relation.MustSchema(relation.Column{Name: "L.k", Kind: relation.KindInt},
+		relation.Column{Name: "L.s", Kind: relation.KindString}, relation.Column{Name: "L.id", Kind: relation.KindInt},
+		relation.Column{Name: "R.k", Kind: relation.KindInt}, relation.Column{Name: "R.s", Kind: relation.KindString},
+		relation.Column{Name: "R.id", Kind: relation.KindInt}))
+	ids := relation.MustSchema(relation.Column{Name: "L.id", Kind: relation.KindInt}, relation.Column{Name: "R.id", Kind: relation.KindInt})
+	want, err := Run(context.Background(), smallConfig(), full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Run(context.Background(), smallConfig(), join([]int{2, 5}, ids))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Output.Cardinality() != want.Output.Cardinality() || got.Output.Cardinality() == 0 {
+		t.Fatalf("projected job emits %d rows, the full one %d", got.Output.Cardinality(), want.Output.Cardinality())
+	}
+	for i, row := range got.Output.Tuples {
+		if w := want.Output.Tuples[i]; !sameRows([]relation.Tuple{row}, []relation.Tuple{{w[2], w[5]}}) {
+			t.Fatalf("row %d is %v, want the ids of %v", i, row, w)
+		}
+	}
+	if g, w := zeroWallM(got.Metrics), zeroWallM(want.Metrics); !reflect.DeepEqual(g, w) {
+		t.Errorf("projected job's metrics differ:\n%+v\n%+v", g, w)
+	}
+	if got.Rows != want.Rows {
+		t.Errorf("projected job counts %d rows, the full one %d", got.Rows, want.Rows)
+	}
+	for _, project := range [][]int{{2}, {5, 2}, {2, 2}, {-1, 5}} {
+		if err := join(project, ids).Validate(); err == nil {
+			t.Errorf("Project %v onto a 2-column schema accepted", project)
+		}
 	}
 }
