@@ -131,6 +131,7 @@ func BuildHashEquiJob(name string, left, right *relation.Relation, conds predica
 				return
 			}
 			ge := je.newGroupEval(groups)
+			defer je.release(ge)
 			ge.run(ctx, func(sel []int32) {
 				ctx.EmitConcat(ls[sel[0]], rs[sel[1]])
 			})

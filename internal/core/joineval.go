@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"sync"
 
 	"repro/internal/mr"
 	"repro/internal/predicate"
@@ -34,9 +35,9 @@ import (
 //     (column, offset, mode, dict) recipe into contiguous []int64
 //     columns shared by all conditions reading them (the struct-of-
 //     arrays cache of keycolumns.go);
-//   - an equality condition indexes the step's candidates in a hash
-//     table keyed on the normalized key: a probe examines only the
-//     matching bucket;
+//   - an equality condition indexes the step's candidates in a flat
+//     hash index keyed on the normalized key (hashIndex): a probe
+//     examines only the matching bucket;
 //   - range conditions keep the candidates key-sorted (a stable radix
 //     sort for all but short runs); all range conditions anchored on
 //     the same column (and offset) intersect into a single subrange:
@@ -47,6 +48,11 @@ import (
 //   - remaining non-keyable conditions (dictionary-less strings, mixed
 //     kinds) fall back to relation.Compare over the step's candidates:
 //     the index's, or all of them when the step has no fast condition.
+//
+// A groupEval and every buffer above are reused: the reducer hands its
+// groupEval back to the job's joinEval after the group, and the next
+// group rebuilds its indexes in the same arrays, so a run's reducers
+// allocate for their largest groups, not for every group.
 //
 // Candidate iteration order is deterministic (original group order for
 // hash probes and linear scans; stable key order for sorted runs), so
@@ -119,10 +125,16 @@ func (st *joinStep) slotFor(e keyExtractor) int {
 }
 
 // joinEval is the per-job compiled plan: one joinStep per relation
-// ordinal. It is immutable and shared by all reduce calls of the job.
+// ordinal, fixed once compiled and shared by all reduce calls of the
+// job, plus the groupEvals those calls have finished with. A joinEval
+// is built with its job, so the idle groupEvals, each with the buffers
+// its largest group grew, live as long as the job and no longer.
 type joinEval struct {
 	m     int
 	steps []joinStep
+
+	mu   sync.Mutex
+	idle []*groupEval
 }
 
 // newJoinEval compiles the bound conditions of a job over its ordered
@@ -205,11 +217,12 @@ func (je *joinEval) matchPair(l, r relation.Tuple) bool {
 }
 
 // stepIndex is the lazily built per-reduce-group index of one step.
+// Its arrays outlive the group: the next group's build overwrites them.
 type stepIndex struct {
 	built bool
-	// cols[x] is the contiguous key column of step extractor slot x
-	// (see keycolumns.go); all backed by one allocation.
-	cols [][]int64
+	// cols holds the contiguous key column of each step extractor slot
+	// (see keycolumns.go).
+	cols keyColumns
 	// Per-condition views into cols, aligned with the step's cond
 	// lists — conditions sharing a slot alias the same column.
 	eqKeys  [][]int64
@@ -218,13 +231,18 @@ type stepIndex struct {
 	// genVals[ci][i] is candidate i's hi-side value with the generic
 	// condition's offset applied (what relation.Compare sees).
 	genVals [][]relation.Value
-	all     []int32 // identity candidate list, for condition-free steps
-	// Hash index on eqKeys[0] (bucket lists keep candidate order).
-	hash map[int64][]int32
-	// Sorted run on rngKeys[0]: order is the stable key-sorted
-	// candidate permutation, skeys the keys in that order.
+	// ident's prefix of the group's size is the candidate list of a
+	// condition-free step: every candidate, in order.
+	ident []int32
+	// hash indexes the candidates on eqKeys[0] when hashed.
+	hashed bool
+	hash   hashIndex
+	// Sorted run on rngKeys[0], when order is non-nil: order is the
+	// stable key-sorted candidate permutation, skeys the keys in that
+	// order, both cut from run.
 	order []int32
 	skeys []int64
+	run   sortBuf
 	// Probe-side buffers, reused across probes of this step (safe: the
 	// depth-first backtracker probes one partial per depth at a time).
 	pkEq, pkRng, pkNe []int64
@@ -242,24 +260,72 @@ const directPairVerify = 16
 
 // groupEval evaluates one reduce group: the per-relation candidate
 // groups plus lazily built step indexes and per-depth scratch buffers.
+// The reducers built on it keep their own per-group scratch here too:
+// the matched combination's parts, the theta reducer's cell coordinates
+// (cells, cut into coords) and the share grid's pin hashes.
 type groupEval struct {
 	je      *joinEval
 	groups  [][]relation.Tuple
 	idx     []stepIndex
 	scratch [][]int32 // per-depth surviving-candidate buffers
 	sel     []int32
+
+	parts  []relation.Tuple
+	cells  []uint32
+	coords [][]uint32
+	hashes []uint64
 }
 
-// newGroupEval prepares evaluation over the group's relations. Every
-// groups[i] must be non-empty (callers return early otherwise).
+// newGroupEval prepares evaluation over the group's relations, on one of
+// the job's idle groupEvals when there is one. Every groups[i] must be
+// non-empty (callers return early otherwise). The groupEval is the
+// caller's alone until it hands it back with release.
 func (je *joinEval) newGroupEval(groups [][]relation.Tuple) *groupEval {
-	return &groupEval{
-		je:      je,
-		groups:  groups,
-		idx:     make([]stepIndex, je.m),
-		scratch: make([][]int32, je.m),
-		sel:     make([]int32, je.m),
+	je.mu.Lock()
+	var ge *groupEval
+	if n := len(je.idle); n > 0 {
+		ge = je.idle[n-1]
+		je.idle[n-1] = nil
+		je.idle = je.idle[:n-1]
 	}
+	je.mu.Unlock()
+	if ge == nil {
+		m := je.m
+		ge = &groupEval{
+			je:      je,
+			idx:     make([]stepIndex, m),
+			scratch: make([][]int32, m),
+			sel:     make([]int32, m),
+			parts:   make([]relation.Tuple, m),
+			coords:  make([][]uint32, m),
+			hashes:  make([]uint64, m),
+		}
+		for j := range je.steps {
+			st, si := &je.steps[j], &ge.idx[j]
+			si.eqKeys = make([][]int64, len(st.eq))
+			si.rngKeys = make([][]int64, len(st.rng))
+			si.neKeys = make([][]int64, len(st.ne))
+			si.genVals = make([][]relation.Value, len(st.gen))
+			si.pkEq = make([]int64, len(st.eq))
+			si.pkRng = make([]int64, len(st.rng))
+			si.pkNe = make([]int64, len(st.ne))
+			si.pvGen = make([]relation.Value, len(st.gen))
+		}
+	}
+	ge.groups = groups
+	for j := range ge.idx {
+		ge.idx[j].built = false
+	}
+	return ge
+}
+
+// release hands ge back for the job's next group; the caller must not
+// use it, or anything its methods returned, afterwards.
+func (je *joinEval) release(ge *groupEval) {
+	ge.groups = nil // the engine's group buffers are not ours to hold
+	je.mu.Lock()
+	je.idle = append(je.idle, ge)
+	je.mu.Unlock()
 }
 
 // run backtracks over the groups and invokes onMatch with the selected
@@ -267,19 +333,19 @@ func (je *joinEval) newGroupEval(groups [][]relation.Tuple) *groupEval {
 // satisfying all compiled conditions. sel is reused across calls; the
 // callback must not retain it.
 func (ge *groupEval) run(ctx *mr.ReduceContext, onMatch func(sel []int32)) {
-	m := ge.je.m
-	var rec func(j int)
-	rec = func(j int) {
-		if j == m {
-			onMatch(ge.sel)
-			return
-		}
-		for _, idx := range ge.candidates(j, ctx) {
-			ge.sel[j] = idx
-			rec(j + 1)
-		}
+	ge.extend(0, ctx, onMatch)
+}
+
+// extend binds depth j to each of its candidates in turn and recurses.
+func (ge *groupEval) extend(j int, ctx *mr.ReduceContext, onMatch func(sel []int32)) {
+	if j == ge.je.m {
+		onMatch(ge.sel)
+		return
 	}
-	rec(0)
+	for _, idx := range ge.candidates(j, ctx) {
+		ge.sel[j] = idx
+		ge.extend(j+1, ctx, onMatch)
+	}
 }
 
 // buildStep extracts the step's normalized keys and builds its index.
@@ -291,57 +357,119 @@ func (ge *groupEval) buildStep(j int) {
 	si.built = true
 	cands := ge.groups[j]
 	n := len(cands)
+	si.hashed, si.order, si.skeys = false, nil, nil
 	if st.empty() {
-		si.all = make([]int32, n)
-		for i := range si.all {
-			si.all[i] = int32(i)
+		for i := len(si.ident); i < n; i++ {
+			si.ident = append(si.ident, int32(i))
 		}
 		return
 	}
 	// Materialise each distinct extractor once (keycolumns.go), then
 	// alias the per-condition views into the shared columns.
-	si.cols = buildKeyColumns(st.exts, cands)
-	view := func(cs []ccond) [][]int64 {
-		if len(cs) == 0 {
-			return nil
-		}
-		out := make([][]int64, len(cs))
-		for ci := range cs {
-			out[ci] = si.cols[cs[ci].hiSlot]
-		}
-		return out
+	cols := si.cols.build(st.exts, cands)
+	for ci := range st.eq {
+		si.eqKeys[ci] = cols[st.eq[ci].hiSlot]
 	}
-	si.eqKeys = view(st.eq)
-	si.rngKeys = view(st.rng)
-	si.neKeys = view(st.ne)
-	if len(st.gen) > 0 {
-		si.genVals = make([][]relation.Value, len(st.gen))
-		for ci := range st.gen {
-			bc := &st.gen[ci].bc
-			vs := make([]relation.Value, n)
-			for i, t := range cands {
-				vs[i] = t[bc.hiCol].Add(bc.hiOff)
-			}
-			si.genVals[ci] = vs
-		}
+	for ci := range st.rng {
+		si.rngKeys[ci] = cols[st.rng[ci].hiSlot]
 	}
-	si.pkEq = make([]int64, len(st.eq))
-	si.pkRng = make([]int64, len(st.rng))
-	si.pkNe = make([]int64, len(st.ne))
-	si.pvGen = make([]relation.Value, len(st.gen))
+	for ci := range st.ne {
+		si.neKeys[ci] = cols[st.ne[ci].hiSlot]
+	}
+	for ci := range st.gen {
+		bc := &st.gen[ci].bc
+		vs := sized(si.genVals[ci], n)
+		for i, t := range cands {
+			vs[i] = t[bc.hiCol].Add(bc.hiOff)
+		}
+		si.genVals[ci] = vs
+	}
 	if n < indexMinSize {
 		return
 	}
 	switch {
 	case len(st.eq) > 0:
-		h := make(map[int64][]int32, n)
-		for i, k := range si.eqKeys[0] {
-			h[k] = append(h[k], int32(i))
-		}
-		si.hash = h
+		si.hash.build(si.eqKeys[0])
+		si.hashed = true
 	case len(st.rng) > 0:
-		si.order, si.skeys = sortedByKey(si.rngKeys[0])
+		si.order, si.skeys = sortedByKey(si.rngKeys[0], &si.run)
 	}
+}
+
+// sized returns s resliced to length n, reallocated only when its
+// capacity is short; the elements are whatever s held.
+func sized[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
+
+// hashIndex buckets a step's candidates by equality key in flat arrays:
+// ords holds every candidate ordinal grouped by key, in candidate order
+// within a bucket; bucket b has key keys[b] and spans
+// ords[start[b]:start[b+1]]; and slots, an open-addressing table of
+// twice the group's size rounded up to a power of two, maps a key to
+// its bucket. build counts, prefix-sums and fills, reusing every array,
+// and clears only the slots the group uses, so a key of an earlier,
+// larger group cannot be found.
+type hashIndex struct {
+	slots []int32 // bucket+1; 0 marks an empty slot
+	shift uint
+	keys  []int64
+	start []int32
+	ords  []int32
+	bid   []int32 // each candidate's bucket, for the fill
+}
+
+func (h *hashIndex) build(col []int64) {
+	n := len(col)
+	lg := bits.Len(uint(2*n - 1))
+	h.slots = sized(h.slots, 1<<lg)
+	clear(h.slots)
+	h.shift = uint(64 - lg)
+	h.keys, h.start = h.keys[:0], h.start[:0]
+	h.bid = sized(h.bid, n)
+	for i, k := range col {
+		s := h.slot(k)
+		b := h.slots[s] - 1
+		if b < 0 {
+			b = int32(len(h.keys))
+			h.slots[s] = b + 1
+			h.keys = append(h.keys, k)
+			h.start = append(h.start, 0)
+		}
+		h.start[b]++
+		h.bid[i] = b
+	}
+	// Counts to bucket ends, then a backward fill moves each end down
+	// to its bucket's start while keeping candidate order.
+	var end int32
+	for b, c := range h.start {
+		end += c
+		h.start[b] = end
+	}
+	h.start = append(h.start, end)
+	h.ords = sized(h.ords, n)
+	for i := n - 1; i >= 0; i-- {
+		b := h.bid[i]
+		h.start[b]--
+		h.ords[h.start[b]] = int32(i)
+	}
+}
+
+// slot returns the slot holding key k, or the empty slot it would take.
+func (h *hashIndex) slot(k int64) int {
+	mask := len(h.slots) - 1
+	for s := int(uint64(k) * 0x9e3779b97f4a7c15 >> h.shift); ; s = (s + 1) & mask {
+		if b := h.slots[s]; b == 0 || h.keys[b-1] == k {
+			return s
+		}
+	}
+}
+
+// bucket returns the candidates whose key is k, in candidate order.
+func (h *hashIndex) bucket(k int64) []int32 {
+	b := h.slots[h.slot(k)] - 1
+	if b < 0 {
+		return nil
+	}
+	return h.ords[h.start[b]:h.start[b+1]]
 }
 
 // radixMinSize is the run length from which sortedByKey radix-sorts.
@@ -357,15 +485,13 @@ const radixMinSize = 64
 // order) in which the keys differ at all, so a run of, say, day-scale
 // timestamps costs three passes, not eight. Shorter runs sort (key,
 // ordinal) pairs: the ordinal as tie-break makes an unstable sort
-// produce the same stable permutation.
-func sortedByKey(keys []int64) (order []int32, sorted []int64) {
+// produce the same stable permutation. Both results are cut from buf
+// and valid until its next use.
+func sortedByKey(keys []int64, buf *sortBuf) (order []int32, sorted []int64) {
 	n := len(keys)
 	if n < radixMinSize {
-		type keyOrd struct {
-			key int64
-			ord int32
-		}
-		ks := make([]keyOrd, n)
+		ks := sized(buf.pairs, n)
+		buf.pairs = ks
 		for i, k := range keys {
 			ks[i] = keyOrd{k, int32(i)}
 		}
@@ -375,7 +501,8 @@ func sortedByKey(keys []int64) (order []int32, sorted []int64) {
 			}
 			return cmp.Compare(a.ord, b.ord)
 		})
-		order, sorted = make([]int32, n), make([]int64, n)
+		order, sorted = sized(buf.ords, n), sized(buf.keys, n)
+		buf.ords, buf.keys = order, sorted
 		for x, k := range ks {
 			order[x], sorted[x] = k.ord, k.key
 		}
@@ -399,7 +526,8 @@ func sortedByKey(keys []int64) (order []int32, sorted []int64) {
 	}
 	// Two halves of one buffer per column: pass p scatters into half
 	// p&1 from the other, the first pass straight from keys.
-	ords, ks := make([]int32, 2*n), make([]int64, 2*n)
+	ords, ks := sized(buf.ords, 2*n), sized(buf.keys, 2*n)
+	buf.ords, buf.keys = ords, ks
 	srcK, srcO := keys, []int32(nil)
 	for p, s := range shifts[:passes] {
 		h := p % 2 * n
@@ -433,6 +561,21 @@ func sortedByKey(keys []int64) (order []int32, sorted []int64) {
 	return srcO, srcK
 }
 
+// sortBuf is sortedByKey's working memory, kept from group to group:
+// the comparison path's (key, ordinal) pairs, and the ordinals and keys
+// both paths return — the radix path's as two halves it alternates
+// between.
+type sortBuf struct {
+	pairs []keyOrd
+	ords  []int32
+	keys  []int64
+}
+
+type keyOrd struct {
+	key int64
+	ord int32
+}
+
 // candidates returns the ordinals of the step-j candidates compatible
 // with the bound partial (ge.sel[:j]), charging one work unit per
 // candidate examined. The returned slice is valid until the next
@@ -444,7 +587,7 @@ func (ge *groupEval) candidates(j int, ctx *mr.ReduceContext) []int32 {
 		ge.buildStep(j)
 	}
 	if st.empty() {
-		return si.all
+		return si.ident[:len(ge.groups[j])]
 	}
 	// Probe-side values, computed once per partial into the step's
 	// reusable buffers.
@@ -489,8 +632,8 @@ func (ge *groupEval) candidates(j int, ctx *mr.ReduceContext) []int32 {
 	}
 	out := ge.scratch[j][:0]
 	switch {
-	case si.hash != nil:
-		bucket := si.hash[eqPK[0]]
+	case si.hashed:
+		bucket := si.hash.bucket(eqPK[0])
 		ctx.AddWork(int64(len(bucket)))
 		if len(st.eq) == 1 && len(st.rng) == 0 && len(st.ne) == 0 && len(st.gen) == 0 {
 			return bucket // single equality: the bucket is the answer

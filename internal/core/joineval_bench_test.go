@@ -85,6 +85,7 @@ func BenchmarkStringJoin(b *testing.B) {
 				matches = 0
 				ge := je.newGroupEval(groups)
 				ge.run(&mr.ReduceContext{}, func([]int32) { matches++ })
+				je.release(ge)
 			}
 			b.ReportMetric(float64(matches), "matches")
 		})
@@ -104,9 +105,10 @@ func BenchmarkSortedRun(b *testing.B) {
 			for i := range keys {
 				keys[i] = rng.Int63n(61 * 86400)
 			}
+			var buf sortBuf
 			b.ReportAllocs()
 			for b.Loop() {
-				sortedRunSink, _ = sortedByKey(keys)
+				sortedRunSink, _ = sortedByKey(keys, &buf)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/key")
 		})

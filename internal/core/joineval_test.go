@@ -353,7 +353,7 @@ func TestSortedByKeyMatchesComparisonSort(t *testing.T) {
 				}
 				return cmp.Compare(a, b)
 			})
-			order, sorted := sortedByKey(keys)
+			order, sorted := sortedByKey(keys, &sortBuf{})
 			if !slices.Equal(order, want) {
 				t.Fatalf("%s, n=%d: order %v, comparison sort gives %v", g.name, n, order, want)
 			}

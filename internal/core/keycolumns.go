@@ -13,10 +13,11 @@ import (
 // two conditions reading the same column with the same offset and mode
 // share one extraction; at group-build time (groupEval.buildStep) the
 // step's slots are materialised once into contiguous []int64 columns
-// backed by a single allocation. Probe loops and binary searches then
-// read sequential memory instead of re-deriving keys from boxed
-// tuples. The cache is shared by the theta, share-grid and hash-equi
-// reducers, which all evaluate through joineval.go.
+// cut from one backing array, reused from group to group. Probe loops
+// and binary searches then read sequential memory instead of
+// re-deriving keys from boxed tuples. The cache is shared by the
+// theta, share-grid and hash-equi reducers, which all evaluate through
+// joineval.go.
 
 // keyExtractor derives the normalized sort key of one condition side:
 // column ordinal, additive offset and key mode, plus — in dictionary
@@ -60,23 +61,27 @@ func (e *keyExtractor) sameKey(o *keyExtractor) bool {
 	return e.mode == o.mode && e.col == o.col && e.off == o.off && e.dict == o.dict
 }
 
-// buildKeyColumns materialises every extractor's keys over the
-// candidate list into per-slot columns sharing one contiguous backing
-// array.
-func buildKeyColumns(exts []keyExtractor, cands []relation.Tuple) [][]int64 {
-	if len(exts) == 0 {
-		return nil
-	}
+// keyColumns is a step's materialised key cache: one column per
+// extractor slot, all cut from one contiguous backing array that the
+// step index keeps for its next group.
+type keyColumns struct {
+	flat []int64
+	cols [][]int64
+}
+
+// build materialises every extractor's keys over the candidate list and
+// returns the columns, valid until the next build.
+func (kc *keyColumns) build(exts []keyExtractor, cands []relation.Tuple) [][]int64 {
 	n := len(cands)
-	flat := make([]int64, len(exts)*n)
-	cols := make([][]int64, len(exts))
+	kc.flat = sized(kc.flat, len(exts)*n)
+	kc.cols = sized(kc.cols, len(exts))
 	for x := range exts {
-		col := flat[x*n : (x+1)*n : (x+1)*n]
+		col := kc.flat[x*n : (x+1)*n : (x+1)*n]
 		e := &exts[x]
 		for i, t := range cands {
 			col[i] = e.key(t)
 		}
-		cols[x] = col
+		kc.cols[x] = col
 	}
-	return cols
+	return kc.cols
 }

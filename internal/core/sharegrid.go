@@ -425,7 +425,6 @@ func BuildShareGridJob(name string, rels []*relation.Relation, conds predicate.C
 		}
 	}
 	reduce := func(key uint64, groups [][]relation.Tuple, ctx *mr.ReduceContext) {
-		parts := make([]relation.Tuple, m)
 		for _, g := range groups {
 			if len(g) == 0 {
 				return
@@ -434,8 +433,9 @@ func BuildShareGridJob(name string, rels []*relation.Relation, conds predicate.C
 		// Backtracking via the shared indexed evaluator (joineval.go):
 		// equality conditions — the grid's defining predicates — probe
 		// per-group hash indexes instead of scanning the cross product.
-		var hashes []uint64 // per relation, for hot values' runs
 		ge := je.newGroupEval(groups)
+		defer je.release(ge)
+		parts, hashes := ge.parts, ge.hashes // hashes: per relation, for hot values' runs
 		ge.run(ctx, func(sel []int32) {
 			// The verified equality conditions guarantee every member
 			// of a dim's class carries the same value, so any owner is
@@ -449,9 +449,6 @@ func BuildShareGridJob(name string, rels []*relation.Relation, conds predicate.C
 				if run == nil {
 					cell += g.layout.Cold(key) * strides[d]
 					continue
-				}
-				if hashes == nil {
-					hashes = make([]uint64, m)
 				}
 				for i, grp := range groups {
 					hashes[i] = pinHash(run, i, grp[sel[i]])

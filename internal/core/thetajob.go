@@ -107,17 +107,18 @@ func makeThetaReducer(rels []*relation.Relation, bound []boundCond, part *Partit
 			}
 			total += len(g)
 		}
-		// Cell coordinates plus one, 0 until first needed: one exactly
-		// sized array cut per dimension, then the ownership check's two
-		// scratch vectors.
-		flat := make([]uint32, total+2*m)
-		coords := make([][]uint32, m)
+		ge := je.newGroupEval(groups)
+		defer je.release(ge)
+		// Cell coordinates plus one, 0 until first needed: one array
+		// cut per dimension, then the ownership check's two scratch
+		// vectors, all reused with the groupEval.
+		ge.cells = sized(ge.cells, total+2*m)
+		flat, coords, parts := ge.cells, ge.coords, ge.parts
+		clear(flat)
 		for dim, g := range groups {
 			coords[dim], flat = flat[:len(g):len(g)], flat[len(g):]
 		}
 		axes, hbuf := flat[:m], flat[m:]
-		parts := make([]relation.Tuple, m)
-		ge := je.newGroupEval(groups)
 		ge.run(ctx, func(sel []int32) {
 			// Ownership check: emit only when this component owns the
 			// combination's cell.

@@ -95,10 +95,14 @@
 // of the task's input, and that is what a ReduceFunc receives:
 // groups[i] holds the key's rows of input i, in task order and emission
 // order within a task — the slices every join reducer used to build for
-// itself. The buffers are the attempt's, reused for its next key and
-// sized from what the shuffle already knows, so groups are valid only
-// during the call and are capacity-limited; whatever a reducer does to
-// them reaches neither the next key run nor another attempt.
+// itself. The buffers are sized from what the shuffle already knows and
+// reused for the attempt's next key; when the attempt returns, on any
+// path, they go back to the run, whose next reduce attempt starts on
+// them with the capacity they grew, and they die with the run. So
+// groups are valid only during the call and are capacity-limited;
+// whatever a reducer does to them reaches neither the next key run nor
+// another attempt, and an attempt and its speculative backup never hold
+// the same buffers.
 //
 // # Output rows
 //

@@ -200,7 +200,8 @@ type run struct {
 
 	// reducePhase: what each reducer's committed attempt produced.
 	keyRunLen       *obs.Histogram
-	reducerBytes    []int64 // modeled shuffle input
+	reduceScratch   chan *reduceScratch // idle reduce-attempt buffers, handed from attempt to attempt
+	reducerBytes    []int64             // modeled shuffle input
 	reducerPairs    []int64
 	reducerResident []int64          // accounted resident pair bytes during the merge
 	reduced         []*ReduceContext // rows, row sizes and work of the committed attempt
@@ -540,6 +541,8 @@ func (r *run) reducePhase(ctx context.Context) error {
 	if r.job.Result && r.job.Keep >= 0 {
 		r.gate = newKeepGate(r.job.Keep, r.nRed)
 	}
+	// As on the map side, at most two attempts per worker hold a buffer.
+	r.reduceScratch = make(chan *reduceScratch, 2*r.workers)
 	shards := workerShards(r.o, r.job.Name+"/reduce", r.workers)
 	err := forEach(ctx, r.workers, r.nRed, func(w, red int) error {
 		err := r.ft.runTask(ctx, phaseReduce, red, shards.get(r.o, w), func(actx context.Context, attempt int, sh *obs.Shard) (attemptOutcome, error) {
@@ -560,38 +563,26 @@ func (r *run) reducePhase(ctx context.Context) error {
 		}
 		return nil
 	})
+	r.reduceScratch = nil // the buffers die with the phase
 	r.wall.Reduce = time.Since(start)
 	return err
 }
 
 // gather collects reducer red's key-sorted runs from every committed
-// map task, in (task, flush) order, with their pair count, the
-// accounted bytes of the in-memory ones and how many pairs each input
-// contributes: a run's pairs all have its task's input as their tag. The
-// runs are counted first and go into one exactly sized slice. Spilled
-// runs pass their read buffer on through spare.
-func (r *run) gather(red int, spare *[]byte) (srcs []pairSource, n int, memReal int64, tags []int) {
-	runs := 0
-	for ti := range r.tasks {
-		if ts := r.spills[ti]; ts != nil {
-			for _, fl := range ts.flushes {
-				if fl.segs[red].count > 0 {
-					runs++
-				}
-			}
-		}
-		if tb := r.buckets[ti]; tb != nil && len(tb[red]) > 0 {
-			runs++
-		}
-	}
-	srcs = make([]pairSource, 0, runs)
-	tags = make([]int, len(r.job.Inputs))
+// map task, in (task, flush) order, into sc.srcs, with their pair count,
+// the accounted bytes of the in-memory ones and, in sc.tags, how many
+// pairs each input contributes: a run's pairs all have its task's input
+// as their tag. Spilled runs pass their read buffer on through sc.spare.
+func (r *run) gather(red int, sc *reduceScratch) (n int, memReal int64) {
+	srcs := sc.srcs[:0]
+	tags := slices.Grow(sc.tags[:0], len(r.job.Inputs))[:len(r.job.Inputs)]
+	clear(tags)
 	for ti := range r.tasks {
 		in := r.tasks[ti].inputIdx
 		if ts := r.spills[ti]; ts != nil {
 			for _, fl := range ts.flushes {
 				if seg := fl.segs[red]; seg.count > 0 {
-					srcs = append(srcs, diskSource(fl.file, seg, ti, r.ft, spare))
+					srcs = append(srcs, diskSource(fl.file, seg, ti, r.ft, &sc.spare))
 					n += seg.count
 					tags[in] += seg.count
 				}
@@ -609,7 +600,21 @@ func (r *run) gather(red int, spare *[]byte) (srcs []pairSource, n int, memReal 
 			tags[in] += len(b)
 		}
 	}
-	return srcs, n, memReal, tags
+	sc.srcs, sc.tags = srcs, tags
+	return n, memReal
+}
+
+// reduceScratch is a reduce attempt's working memory: gather's sources
+// and per-input pair counts, the spilled runs' frame buffer, the
+// per-input tuple buffers a key run is split into and the views of them
+// Reduce is handed. The run hands these from attempt to attempt, so a
+// reducer starts with the capacity its predecessors grew; an attempt
+// holds its scratch alone, from its start until it returns.
+type reduceScratch struct {
+	srcs         []pairSource
+	tags         []int
+	spare        []byte
+	bufs, groups [][]relation.Tuple
 }
 
 // reduceAttempt runs one attempt of reducer red: gather its runs, merge
@@ -621,8 +626,22 @@ func (r *run) gather(red int, spare *[]byte) (srcs []pairSource, n int, memReal 
 // commits.
 func (r *run) reduceAttempt(actx context.Context, red, attempt int, sh *obs.Shard) (attemptOutcome, error) {
 	gatherSp := sh.Start("shuffle-copy", obs.A("reducer", red), obs.A("attempt", attempt))
-	var spare []byte
-	srcs, n, memReal, tags := r.gather(red, &spare)
+	idle := r.reduceScratch
+	var sc *reduceScratch
+	select {
+	case sc = <-idle:
+	default:
+		sc = &reduceScratch{}
+	}
+	// Back on every path — error, cancellation, a panic in Reduce — once
+	// nothing of this attempt reads it. The sources drop their buckets
+	// and files, so a parked scratch holds none of them.
+	defer func() {
+		clear(sc.srcs)
+		idle <- sc
+	}()
+	n, memReal := r.gather(red, sc)
+	srcs, tags := sc.srcs, sc.tags
 	gatherSp.End(obs.A("pairs", n), obs.A("runs", len(srcs)))
 	// Fault point: after the gather (partial state exists to discard),
 	// before the empty-reducer return — kills target empty reducers too.
@@ -642,14 +661,19 @@ func (r *run) reduceAttempt(actx context.Context, red, attempt int, sh *obs.Shar
 	// views of them Reduce is handed. When every run holds the same single
 	// key — any Hilbert component — the input is one key run and the
 	// gathered tag counts size the buffers exactly; otherwise a buffer
-	// doubles until it fits the reducer's longest run.
+	// doubles until it fits the reducer's longest run. Either way a
+	// buffer keeps the capacity an earlier attempt left it.
 	nTags := len(tags)
-	both := make([][]relation.Tuple, 2*nTags)
-	bufs, groups := both[:nTags], both[nTags:]
+	bufs := slices.Grow(sc.bufs[:0], nTags)[:nTags]
+	groups := slices.Grow(sc.groups[:0], nTags)[:nTags]
+	sc.bufs, sc.groups = bufs, groups
+	for tag := range bufs {
+		bufs[tag] = bufs[tag][:0] // an attempt that failed mid-merge left part of a run
+	}
 	key := srcs[0].firstKey()
 	if !slices.ContainsFunc(srcs, func(s pairSource) bool { return s.firstKey() != key || s.lastKey() != key }) {
 		for tag, c := range tags {
-			bufs[tag] = make([]relation.Tuple, 0, c)
+			bufs[tag] = slices.Grow(bufs[tag], c)
 		}
 	}
 	runs := 0

@@ -172,9 +172,10 @@ func (rc *ReduceContext) AddWork(n int64) { rc.combinations += n }
 // task, map emission order — the engine's determinism contract. The
 // engine splits the merged run by input because every join reducer
 // starts that way. The slices are views into buffers the attempt reuses
-// for its next key: valid only for the duration of the call, not to be
-// retained (copy what outlives it), and capacity-limited, so an append
-// allocates instead of reaching the buffer.
+// for its next key, and the run's next reduce attempt after it: valid
+// only for the duration of the call, not to be retained (copy what
+// outlives it), and capacity-limited, so an append allocates instead of
+// reaching the buffer.
 type ReduceFunc func(key uint64, groups [][]relation.Tuple, ctx *ReduceContext)
 
 // Partitioner routes one map-emitted pair to one or more reducers. It
