@@ -290,37 +290,22 @@ func BenchmarkConcurrentPlan(b *testing.B) {
 }
 
 // BenchmarkStringJoinJob is the end-to-end companion of
-// internal/core's BenchmarkStringJoin: the same interned vs Compare
-// fallback comparison run as whole MapReduce jobs on the mobile
-// workload, so the shuffle-byte win shows up alongside the reducer
-// speedup (shuffle-MB/op reports the per-iteration network volume).
-// The fallback legs join the generated table before any Analyze has
-// interned it.
-// Job ns/op mixes map, shuffle and output materialisation with the
-// condition evaluation; the reducer-only factor is what
-// BenchmarkStringJoin isolates.
+// internal/core's BenchmarkStringJoin: dictionary-keyed string joins run
+// as whole MapReduce jobs on the interned mobile workload, so the
+// interned shuffle volume shows up beside the job time (shuffle-MB/op
+// reports the per-iteration network volume). Job ns/op mixes map,
+// shuffle and output materialisation with the condition evaluation;
+// BenchmarkStringJoin isolates the reducer.
 func BenchmarkStringJoinJob(b *testing.B) {
-	inputs := func(interned bool, tuples int, names []string) []*relation.Relation {
+	inputs := func(tuples int, names []string) []*relation.Relation {
 		cfg := workloads.DefaultMobileConfig()
 		cfg.Tuples = tuples
 		cfg.Stations = 200
-		rels := make([]*relation.Relation, len(names))
-		if !interned {
-			table, err := core.EnsureRowIDs(workloads.MobileTable(cfg))
-			if err != nil {
-				b.Fatal(err)
-			}
-			for i, name := range names {
-				alias := *table
-				alias.Name = name
-				rels[i] = &alias
-			}
-			return rels
-		}
 		db, err := workloads.MobileDB(cfg, 1000)
 		if err != nil {
 			b.Fatal(err)
 		}
+		rels := make([]*relation.Relation, len(names))
 		for i, name := range names {
 			if rels[i], err = db.Relation(name); err != nil {
 				b.Fatal(err)
@@ -338,21 +323,18 @@ func BenchmarkStringJoinJob(b *testing.B) {
 		predicate.C("t1", "d", predicate.EQ, "t2", "d"),
 	}
 	for _, v := range []struct {
-		name     string
-		interned bool
-		tuples   int
-		rels     []string
-		conds    predicate.Conjunction
+		name   string
+		tuples int
+		rels   []string
+		conds  predicate.Conjunction
 	}{
 		// The 3-way band touches cubically many combinations, so it
 		// runs on a smaller table than the pairwise equi-join.
-		{"string-equi/interned", true, 3000, []string{"t1", "t2"}, equiConds},
-		{"string-equi/fallback", false, 3000, []string{"t1", "t2"}, equiConds},
-		{"string-band/interned", true, 240, []string{"t1", "t2", "t3"}, bandConds},
-		{"string-band/fallback", false, 240, []string{"t1", "t2", "t3"}, bandConds},
+		{"string-equi/interned", 3000, []string{"t1", "t2"}, equiConds},
+		{"string-band/interned", 240, []string{"t1", "t2", "t3"}, bandConds},
 	} {
 		b.Run(v.name, func(b *testing.B) {
-			job, err := core.BuildThetaJob("sjbench", inputs(v.interned, v.tuples, v.rels), v.conds, 4)
+			job, err := core.BuildThetaJob("sjbench", inputs(v.tuples, v.rels), v.conds, 4)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -41,7 +41,7 @@ func (db *DB) BaseName(name string) string {
 
 // NewDB registers relations, adding a unique RowIDColumn to any
 // relation lacking one, and analyzes them (sample size and seed as
-// given; sampleSize <= 0 uses 1000).
+// given; sampleSize <= 0 uses 1000). Analyze's load error is NewDB's.
 func NewDB(sampleSize int, seed int64, rels ...*relation.Relation) (*DB, error) {
 	db := &DB{
 		rels:    make(map[string]*relation.Relation, len(rels)),
@@ -60,7 +60,9 @@ func NewDB(sampleSize int, seed int64, rels ...*relation.Relation) (*DB, error) 
 		}
 		db.rels[r.Name] = withID
 	}
-	db.Analyze(sampleSize, seed)
+	if err := db.Analyze(sampleSize, seed); err != nil {
+		return nil, err
+	}
 	return db, nil
 }
 
@@ -70,8 +72,9 @@ func NewDB(sampleSize int, seed int64, rels ...*relation.Relation) (*DB, error) 
 // derived from them — deterministic across runs. String columns are
 // interned first (relation.InternStrings builds their order-preserving
 // dictionaries), so the retained sample rows and hot-key values carry
-// dictionary codes consistent with the relation's.
-func (db *DB) Analyze(sampleSize int, seed int64) {
+// dictionary codes consistent with the relation's. A non-string value
+// in a string column is an error, and the catalog stays as it was.
+func (db *DB) Analyze(sampleSize int, seed int64) error {
 	all := make([]*relation.Relation, 0, len(db.rels))
 	for _, r := range db.rels {
 		all = append(all, r)
@@ -81,12 +84,15 @@ func (db *DB) Analyze(sampleSize int, seed int64) {
 	// iteration order would otherwise leak into the statistics).
 	sort.Slice(all, func(i, j int) bool { return all[i].Name < all[j].Name })
 	for _, r := range all {
-		relation.InternStrings(r)
+		if err := relation.InternStrings(r); err != nil {
+			return err
+		}
 	}
 	db.Catalog = relation.NewCatalog(all, sampleSize, rand.New(rand.NewSource(seed)))
 	skew.AnnotateCatalog(db.Catalog, all)
 	db.analyzeGen++
 	db.version = catalogVersion(db.Catalog.Fingerprint(), db.analyzeGen)
+	return nil
 }
 
 // catalogVersion mixes the statistics fingerprint with the analyze

@@ -75,8 +75,8 @@ func clipString(s string) string {
 // TestHashEquiMapKeys: the keys the job's map functions emit are the
 // hash/fnv reference over the condition-ordered key columns with their
 // offsets applied — by dictionary code where both sides share one
-// dictionary, by text where they do not (distinct dictionaries, or
-// none), so equal join values meet on one key either way.
+// dictionary, by text where they have distinct ones, so equal join
+// values meet on one key either way.
 func TestHashEquiMapKeys(t *testing.T) {
 	names := []string{"delta", "alpha", "", "charlie", "bravo"}
 	mk := func(name string, n int, seed int64) *relation.Relation {
@@ -100,23 +100,32 @@ func TestHashEquiMapKeys(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name   string
-		intern func(l, r *relation.Relation)
+		intern func(l, r *relation.Relation) error
 		code   bool
 	}{
-		{"no dictionaries", func(l, r *relation.Relation) {}, false},
-		{"distinct dictionaries", func(l, r *relation.Relation) { relation.InternStrings(l); relation.InternStrings(r) }, false},
-		{"one shared dictionary", func(l, r *relation.Relation) {
-			relation.InternStrings(l)
+		{"distinct dictionaries", func(l, r *relation.Relation) error {
+			if err := relation.InternStrings(l); err != nil {
+				return err
+			}
+			return relation.InternStrings(r)
+		}, false},
+		{"one shared dictionary", func(l, r *relation.Relation) error {
+			if err := relation.InternStrings(l); err != nil {
+				return err
+			}
 			r.Dicts = l.Dicts
 			for _, row := range r.Tuples {
 				if c, ok := l.Dicts[0].Code(row[0].Str()); ok && !row[0].IsNull() {
 					row[0] = relation.InternedStr(row[0].Str(), c)
 				}
 			}
+			return nil
 		}, true},
 	} {
 		l, r := mk("L", 200, 1), mk("R", 200, 2)
-		tc.intern(l, r)
+		if err := tc.intern(l, r); err != nil {
+			t.Fatal(err)
+		}
 		job, err := BuildHashEquiJob("j", l, r, conds, 8, nil)
 		if err != nil {
 			t.Fatal(err)

@@ -21,16 +21,15 @@ import (
 // indexes lazily the first time an extension step is probed
 // (groupEval):
 //
-//   - every numeric condition gets a normalized sort key per candidate
-//     tuple — an int64 extracted once (relation.SortKeyInt/SortKeyFloat,
-//     mode from predicate.CondKeyMode) — so the inner loop compares raw
-//     integers instead of calling relation.Compare(Value.Add(...), ...)
-//     per candidate;
-//   - string conditions ride the same indexes when a side's column
-//     carries an order-preserving dictionary (predicate.KeyDict):
-//     interned values key on their embedded codes, the other side
-//     probes the reference dictionary (see keycolumns.go and
-//     relation.Dict);
+//   - every condition gets a normalized sort key per candidate tuple —
+//     an int64 extracted once (relation.SortKeyInt/SortKeyFloat, mode
+//     from predicate.CondKeyMode, decided by bindConditions) — so the
+//     inner loop compares raw integers instead of calling
+//     relation.Compare(Value.Add(...), ...) per candidate;
+//   - string conditions ride the same indexes through a side's
+//     order-preserving dictionary (predicate.KeyDict): interned values
+//     key on their embedded codes, the other side probes the reference
+//     dictionary (see keycolumns.go and relation.Dict);
 //   - per step, candidate keys are extracted once per distinct
 //     (column, offset, mode, dict) recipe into contiguous []int64
 //     columns shared by all conditions reading them (the struct-of-
@@ -45,9 +44,8 @@ import (
 //     the end of the window it leaves fixed, so a band predicate
 //     (lo < x AND x < hi) costs one search plus about log2 of the
 //     band's width, not a scan;
-//   - remaining non-keyable conditions (dictionary-less strings, mixed
-//     kinds) fall back to relation.Compare over the step's candidates:
-//     the index's, or all of them when the step has no fast condition.
+//   - the remaining conditions compare keys per candidate the index
+//     returns, or per candidate of the step when it has no index.
 //
 // A groupEval and every buffer above are reused: the reducer hands its
 // groupEval back to the job's joinEval after the group, and the next
@@ -65,13 +63,12 @@ import (
 // CombinationsChecked whenever it prunes candidates the nested loop
 // used to enumerate.
 
-// ccond is one compiled condition: a boundCond, its key mode and the
-// two key-extraction recipes (probe side lo, candidate side hi). hiSlot
+// ccond is one compiled condition: a boundCond and the two
+// key-extraction recipes (probe side lo, candidate side hi). hiSlot
 // indexes the candidate extractor within its step's shared key-column
-// cache. The extractors are unset for KeyGeneric conditions.
+// cache.
 type ccond struct {
 	bc     boundCond
-	mode   predicate.KeyMode
 	lo, hi keyExtractor
 	hiSlot int
 }
@@ -98,10 +95,9 @@ func (c *ccond) evalKeys(lo, hi int64) bool {
 // conditions whose later relation ordinal is this step, split by
 // evaluation strategy.
 type joinStep struct {
-	eq  []ccond // fast equalities: hash index on eq[0]
-	rng []ccond // fast ranges: sorted run on rng[0]'s column
-	ne  []ccond // fast inequalities (<>): key comparison only
-	gen []ccond // generic: relation.Compare fallback
+	eq  []ccond // equalities: hash index on eq[0]
+	rng []ccond // ranges: sorted run on rng[0]'s column
+	ne  []ccond // inequalities (<>): key comparison only
 	// exts are the step's deduplicated candidate-side key extractors;
 	// ccond.hiSlot indexes into them (and into the per-group key
 	// columns built from them).
@@ -109,7 +105,7 @@ type joinStep struct {
 }
 
 func (st *joinStep) empty() bool {
-	return len(st.eq) == 0 && len(st.rng) == 0 && len(st.ne) == 0 && len(st.gen) == 0
+	return len(st.eq) == 0 && len(st.rng) == 0 && len(st.ne) == 0
 }
 
 // slotFor registers a candidate-side extractor, returning the slot of
@@ -138,39 +134,32 @@ type joinEval struct {
 }
 
 // newJoinEval compiles the bound conditions of a job over its ordered
-// relations. Column kinds come from the relation schemas; a condition
-// between numeric columns gets a fast key mode, string conditions get
-// dictionary keys when either side's column carries a dictionary
-// (which then covers that whole side, making it a sound reference for
-// both), and everything else goes through the generic path.
+// relations, each with the key mode bindConditions gave it. A
+// dictionary-keyed condition keys both sides against one side's
+// dictionary, which covers that whole side and so is a sound reference
+// for both.
 func newJoinEval(rels []*relation.Relation, bound []boundCond) *joinEval {
 	je := &joinEval{m: len(rels), steps: make([]joinStep, len(rels))}
 	for _, bc := range bound {
 		st := &je.steps[bc.hi]
-		loKind := rels[bc.lo].Schema.Column(bc.loCol).Kind
-		hiKind := rels[bc.hi].Schema.Column(bc.hiCol).Kind
-		loDict := rels[bc.lo].DictOf(bc.loCol)
-		hiDict := rels[bc.hi].DictOf(bc.hiCol)
-		// The candidate side's dictionary is the preferred reference:
-		// it makes every candidate key a direct code read.
-		ref := hiDict
-		if ref == nil {
-			ref = loDict
+		c := ccond{
+			bc: bc,
+			lo: keyExtractor{mode: bc.mode, col: bc.loCol, off: bc.loOff},
+			hi: keyExtractor{mode: bc.mode, col: bc.hiCol, off: bc.hiOff},
 		}
-		mode := predicate.CondKeyModeDict(loKind, bc.loOff, hiKind, bc.hiOff, ref != nil)
-		c := ccond{bc: bc, mode: mode}
-		if mode != predicate.KeyGeneric {
-			c.lo = keyExtractor{mode: mode, col: bc.loCol, off: bc.loOff}
-			c.hi = keyExtractor{mode: mode, col: bc.hiCol, off: bc.hiOff}
-			if mode == predicate.KeyDict {
-				c.lo.dict, c.lo.direct = ref, loDict == ref
-				c.hi.dict, c.hi.direct = ref, hiDict == ref
+		if bc.mode == predicate.KeyDict {
+			// The candidate side's dictionary is the preferred
+			// reference: it makes every candidate key a direct code read.
+			loDict, hiDict := rels[bc.lo].DictOf(bc.loCol), rels[bc.hi].DictOf(bc.hiCol)
+			ref := hiDict
+			if ref == nil {
+				ref = loDict
 			}
-			c.hiSlot = st.slotFor(c.hi)
+			c.lo.dict, c.lo.direct = ref, loDict == ref
+			c.hi.dict, c.hi.direct = ref, hiDict == ref
 		}
+		c.hiSlot = st.slotFor(c.hi)
 		switch {
-		case mode == predicate.KeyGeneric:
-			st.gen = append(st.gen, c)
 		case bc.op == predicate.EQ:
 			st.eq = append(st.eq, c)
 		case bc.op == predicate.NE:
@@ -207,12 +196,6 @@ func (je *joinEval) matchPair(l, r relation.Tuple) bool {
 			return false
 		}
 	}
-	for ci := range st.gen {
-		bc := &st.gen[ci].bc
-		if !bc.op.Eval(relation.Compare(l[bc.loCol].Add(bc.loOff), r[bc.hiCol].Add(bc.hiOff))) {
-			return false
-		}
-	}
 	return true
 }
 
@@ -228,9 +211,6 @@ type stepIndex struct {
 	eqKeys  [][]int64
 	rngKeys [][]int64
 	neKeys  [][]int64
-	// genVals[ci][i] is candidate i's hi-side value with the generic
-	// condition's offset applied (what relation.Compare sees).
-	genVals [][]relation.Value
 	// ident's prefix of the group's size is the candidate list of a
 	// condition-free step: every candidate, in order.
 	ident []int32
@@ -246,7 +226,6 @@ type stepIndex struct {
 	// Probe-side buffers, reused across probes of this step (safe: the
 	// depth-first backtracker probes one partial per depth at a time).
 	pkEq, pkRng, pkNe []int64
-	pvGen             []relation.Value
 }
 
 // indexMinSize is the group size below which building a hash table or
@@ -305,11 +284,9 @@ func (je *joinEval) newGroupEval(groups [][]relation.Tuple) *groupEval {
 			si.eqKeys = make([][]int64, len(st.eq))
 			si.rngKeys = make([][]int64, len(st.rng))
 			si.neKeys = make([][]int64, len(st.ne))
-			si.genVals = make([][]relation.Value, len(st.gen))
 			si.pkEq = make([]int64, len(st.eq))
 			si.pkRng = make([]int64, len(st.rng))
 			si.pkNe = make([]int64, len(st.ne))
-			si.pvGen = make([]relation.Value, len(st.gen))
 		}
 	}
 	ge.groups = groups
@@ -375,14 +352,6 @@ func (ge *groupEval) buildStep(j int) {
 	}
 	for ci := range st.ne {
 		si.neKeys[ci] = cols[st.ne[ci].hiSlot]
-	}
-	for ci := range st.gen {
-		bc := &st.gen[ci].bc
-		vs := sized(si.genVals[ci], n)
-		for i, t := range cands {
-			vs[i] = t[bc.hiCol].Add(bc.hiOff)
-		}
-		si.genVals[ci] = vs
 	}
 	if n < indexMinSize {
 		return
@@ -591,14 +560,10 @@ func (ge *groupEval) candidates(j int, ctx *mr.ReduceContext) []int32 {
 	}
 	// Probe-side values, computed once per partial into the step's
 	// reusable buffers.
-	eqPK, rngPK, nePK, genPV := si.pkEq, si.pkRng, si.pkNe, si.pvGen
+	eqPK, rngPK, nePK := si.pkEq, si.pkRng, si.pkNe
 	ge.fillProbeKeys(st.eq, eqPK)
 	ge.fillProbeKeys(st.rng, rngPK)
 	ge.fillProbeKeys(st.ne, nePK)
-	for ci := range st.gen {
-		bc := &st.gen[ci].bc
-		genPV[ci] = ge.groups[bc.lo][ge.sel[bc.lo]][bc.loCol].Add(bc.loOff)
-	}
 	// verify checks every condition of the step except the skipped
 	// ones (already guaranteed by the index probe).
 	verify := func(i int32, skipEq0, skipRng bool) bool {
@@ -623,11 +588,6 @@ func (ge *groupEval) candidates(j int, ctx *mr.ReduceContext) []int32 {
 				return false
 			}
 		}
-		for ci := range st.gen {
-			if !st.gen[ci].bc.op.Eval(relation.Compare(genPV[ci], si.genVals[ci][i])) {
-				return false
-			}
-		}
 		return true
 	}
 	out := ge.scratch[j][:0]
@@ -635,7 +595,7 @@ func (ge *groupEval) candidates(j int, ctx *mr.ReduceContext) []int32 {
 	case si.hashed:
 		bucket := si.hash.bucket(eqPK[0])
 		ctx.AddWork(int64(len(bucket)))
-		if len(st.eq) == 1 && len(st.rng) == 0 && len(st.ne) == 0 && len(st.gen) == 0 {
+		if len(st.eq) == 1 && len(st.rng) == 0 && len(st.ne) == 0 {
 			return bucket // single equality: the bucket is the answer
 		}
 		for _, i := range bucket {
@@ -666,7 +626,7 @@ func (ge *groupEval) candidates(j int, ctx *mr.ReduceContext) []int32 {
 				// at all but also no distinct offsets (sameKey ignores
 				// nothing they can differ by except the dictionary
 				// itself, which must match for keys to be comparable).
-				if c.mode != predicate.KeyInt || a.mode != predicate.KeyInt || c.bc.hiCol != a.bc.hiCol {
+				if c.bc.mode != predicate.KeyInt || a.bc.mode != predicate.KeyInt || c.bc.hiCol != a.bc.hiCol {
 					folded = false
 					continue
 				}
@@ -677,7 +637,7 @@ func (ge *groupEval) candidates(j int, ctx *mr.ReduceContext) []int32 {
 			lo, hi = narrow(si.skeys, lo, hi, c.bc.op, pk)
 		}
 		ctx.AddWork(int64(hi - lo))
-		if folded && len(st.eq) == 0 && len(st.ne) == 0 && len(st.gen) == 0 {
+		if folded && len(st.eq) == 0 && len(st.ne) == 0 {
 			return si.order[lo:hi] // anchors cover every condition
 		}
 		for _, i := range si.order[lo:hi] {
@@ -698,7 +658,7 @@ func (ge *groupEval) candidates(j int, ctx *mr.ReduceContext) []int32 {
 	return out
 }
 
-// fillProbeKeys extracts the partial-side normalized key of each fast
+// fillProbeKeys extracts the partial-side normalized key of each
 // condition for the current selection into dst.
 func (ge *groupEval) fillProbeKeys(cs []ccond, dst []int64) {
 	for ci := range cs {

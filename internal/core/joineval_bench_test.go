@@ -30,16 +30,13 @@ func benchStationRelation(name string, n, stations int, seed int64) *relation.Re
 	return r
 }
 
-// BenchmarkStringJoin measures the dictionary-keyed string condition
-// fast path against the pre-interning relation.Compare path, on the
-// reduce-side join evaluation itself: one reduce group per iteration,
-// matches counted rather than materialised, so condition evaluation —
-// not output construction — dominates the timing. string-equi is a
-// station-name equality probe; string-band anchors two range
-// conditions on one relation (strings admit no offsets, so a band
-// needs a third relation: t1.bs ≤ t3.bs AND t2.bs ≥ t3.bs). The
-// fallback variants skip InternStrings, so the string conditions
-// compile to the generic Compare path exactly as before interning.
+// BenchmarkStringJoin measures dictionary-keyed string conditions on
+// the reduce-side join evaluation itself: one reduce group per
+// iteration, matches counted rather than materialised, so condition
+// evaluation — not output construction — dominates the timing.
+// string-equi is a station-name equality probe; string-band anchors two
+// range conditions on one relation (strings admit no offsets, so a band
+// needs a third relation: t1.bs ≤ t3.bs AND t2.bs ≥ t3.bs).
 func BenchmarkStringJoin(b *testing.B) {
 	equiConds := predicate.Conjunction{
 		predicate.C("A", "bs", predicate.EQ, "B", "bs"),
@@ -49,26 +46,23 @@ func BenchmarkStringJoin(b *testing.B) {
 		predicate.C("B", "bs", predicate.GE, "C", "bs"),
 	}
 	for _, v := range []struct {
-		name     string
-		interned bool
-		n        int
-		rels     []string
-		conds    predicate.Conjunction
+		name  string
+		n     int
+		rels  []string
+		conds predicate.Conjunction
 	}{
 		// The band scans cubically many combinations, so it runs on
 		// smaller groups than the equi probe.
-		{"string-equi/interned", true, 4000, []string{"A", "B"}, equiConds},
-		{"string-equi/fallback", false, 4000, []string{"A", "B"}, equiConds},
-		{"string-band/interned", true, 250, []string{"A", "B", "C"}, bandConds},
-		{"string-band/fallback", false, 250, []string{"A", "B", "C"}, bandConds},
+		{"string-equi/interned", 4000, []string{"A", "B"}, equiConds},
+		{"string-band/interned", 250, []string{"A", "B", "C"}, bandConds},
 	} {
 		b.Run(v.name, func(b *testing.B) {
 			rels := make([]*relation.Relation, len(v.rels))
 			groups := make([][]relation.Tuple, len(v.rels))
 			for i, name := range v.rels {
 				r := benchStationRelation(name, v.n, 500, int64(i+1))
-				if v.interned {
-					relation.InternStrings(r)
+				if err := relation.InternStrings(r); err != nil {
+					b.Fatal(err)
 				}
 				rels[i] = r
 				groups[i] = r.Tuples

@@ -36,11 +36,9 @@ func stringRelation(name string, n, lo, hi int, rng *rand.Rand) *relation.Relati
 }
 
 // TestJoinEvalStringEquivalence checks the dictionary-keyed string
-// fast path against the Naive oracle for every condition kind the
-// KeyDict mode compiles — equality, inequality, range and a 3-way
-// band — and repeats each case over copies of the same rows that no
-// Analyze has interned, so the KeyDict path and the generic Compare
-// fallback provably agree.
+// path against the Naive oracle, which compares with relation.Compare,
+// for every condition kind the KeyDict mode compiles — equality,
+// inequality, range and a 3-way band.
 func TestJoinEvalStringEquivalence(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -76,55 +74,35 @@ func TestJoinEvalStringEquivalence(t *testing.T) {
 		"C": stringRelation("C", 40, 2, 13, rng),
 	}
 	db := newTestDB(t, plain["A"], plain["B"], plain["C"])
-	for _, interned := range []bool{true, false} {
-		// NewDB interned its own row-id-widened copies; widening the
-		// originals again yields the same rows and rids, dictionary-less.
-		input := func(name string) *relation.Relation {
-			r, err := db.Relation(name)
-			if !interned {
-				r, err = EnsureRowIDs(plain[name])
-			}
+	for _, tc := range cases {
+		t.Run("interned/"+tc.name, func(t *testing.T) {
+			q := query.MustNew("q-"+tc.name, tc.rels, tc.conds)
+			want, err := Naive(q, db)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return r
-		}
-		if got := input("A").DictOf(0) != nil; got != interned {
-			t.Fatalf("interned=%v but dict present=%v", interned, got)
-		}
-		label := "interned"
-		if !interned {
-			label = "fallback"
-		}
-		for _, tc := range cases {
-			t.Run(label+"/"+tc.name, func(t *testing.T) {
-				q := query.MustNew("q-"+tc.name, tc.rels, tc.conds)
-				want, err := Naive(q, db)
-				if err != nil {
+			rels := make([]*relation.Relation, len(tc.rels))
+			for i, name := range tc.rels {
+				if rels[i], err = db.Relation(name); err != nil {
 					t.Fatal(err)
 				}
-				rels := make([]*relation.Relation, len(tc.rels))
-				for i, name := range tc.rels {
-					rels[i] = input(name)
-				}
-				job, err := BuildThetaJob("theta-"+tc.name, rels, q.Conditions, 5)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got := resultSet(runEvalJob(t, job).Output)
-				wantRS := resultSet(want)
-				if !wantRS.Equal(got) {
-					t.Errorf("result mismatch: got %d rows, want %d\ndiff: %v",
-						got.Len(), wantRS.Len(), wantRS.Diff(got, 5))
-				}
-			})
-		}
+			}
+			job, err := BuildThetaJob("theta-"+tc.name, rels, q.Conditions, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := resultSet(runEvalJob(t, job).Output)
+			wantRS := resultSet(want)
+			if !wantRS.Equal(got) {
+				t.Errorf("result mismatch: got %d rows, want %d\ndiff: %v",
+					got.Len(), wantRS.Len(), wantRS.Diff(got, 5))
+			}
+		})
 	}
 }
 
-// TestStringConditionsCompileToDictMode asserts the fast path actually
-// engages on interned inputs: every string condition of the band case
-// classifies KeyDict, none fall back to the generic bucket.
+// TestStringConditionsCompileToDictMode asserts the dictionary keys
+// engage on interned inputs: every string condition classifies KeyDict.
 func TestStringConditionsCompileToDictMode(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	a := stringRelation("A", 30, 0, 10, rng)
@@ -143,16 +121,13 @@ func TestStringConditionsCompileToDictMode(t *testing.T) {
 	}
 	je := newJoinEval([]*relation.Relation{ra, rb}, bound)
 	st := je.steps[1]
-	if len(st.gen) != 0 {
-		t.Fatalf("%d string conditions fell back to the generic path", len(st.gen))
-	}
-	if len(st.eq) != 1 || st.eq[0].mode != predicate.KeyDict {
+	if len(st.eq) != 1 || st.eq[0].bc.mode != predicate.KeyDict {
 		t.Errorf("eq condition mode = %v", st.eq)
 	}
-	if len(st.rng) != 1 || st.rng[0].mode != predicate.KeyDict {
+	if len(st.rng) != 1 || st.rng[0].bc.mode != predicate.KeyDict {
 		t.Errorf("range condition mode = %v", st.rng)
 	}
-	if len(st.ne) != 1 || st.ne[0].mode != predicate.KeyDict {
+	if len(st.ne) != 1 || st.ne[0].bc.mode != predicate.KeyDict {
 		t.Errorf("ne condition mode = %v", st.ne)
 	}
 }

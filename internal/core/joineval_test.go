@@ -49,8 +49,8 @@ func runEvalJob(t *testing.T, job *mr.Job) *mr.Result {
 // TestJoinEvalThetaEquivalence checks the indexed theta reducer
 // against the Naive oracle across every condition shape the evaluator
 // compiles differently: equalities, single and band ranges, NE,
-// fractional offsets (int→float promotion), string columns (the
-// generic path) and time columns.
+// fractional offsets (int→float promotion), string columns
+// (dictionary keys) and time columns.
 func TestJoinEvalThetaEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	a := mixedRelation("A", 70, 12, rng)

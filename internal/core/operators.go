@@ -178,8 +178,13 @@ type boundCond struct {
 	// oriented lo→hi.
 	loOff, hiOff float64
 	op           predicate.Op
+	// mode is the key mode both sides extract with
+	// (predicate.CondKeyMode).
+	mode predicate.KeyMode
 }
 
+// bindConditions orients each condition over the job's relation order
+// and decides its key mode, refusing a condition no mode evaluates.
 func bindConditions(conds predicate.Conjunction, rels []*relation.Relation) ([]boundCond, error) {
 	ordinal := make(map[string]int, len(rels))
 	for i, r := range rels {
@@ -209,11 +214,22 @@ func bindConditions(conds predicate.Conjunction, rels []*relation.Relation) ([]b
 		if !ok {
 			return nil, fmt.Errorf("core: condition %s: no column %s.%s", c, oriented.Right, oriented.RightColumn)
 		}
+		loKind, hiKind := rels[lo].Schema.Column(loCol).Kind, rels[hi].Schema.Column(hiCol).Kind
+		hasDict := rels[lo].DictOf(loCol) != nil || rels[hi].DictOf(hiCol) != nil
+		mode, err := predicate.CondKeyMode(loKind, oriented.LeftOffset, hiKind, oriented.RightOffset, hasDict)
+		if err != nil {
+			lk, rk := loKind, hiKind
+			if li > ri {
+				lk, rk = rk, lk
+			}
+			return nil, fmt.Errorf("core: condition %s: %s.%s (%s) and %s.%s (%s): %w",
+				c, c.Left, c.LeftColumn, lk, c.Right, c.RightColumn, rk, err)
+		}
 		out = append(out, boundCond{
 			cond: c, lo: lo, hi: hi,
 			loCol: loCol, hiCol: hiCol,
 			loOff: oriented.LeftOffset, hiOff: oriented.RightOffset,
-			op: oriented.Op,
+			op: oriented.Op, mode: mode,
 		})
 	}
 	return out, nil

@@ -103,10 +103,10 @@ type candidate struct {
 
 // Plan runs the full §5 pipeline: construct G'_JP with the cost model,
 // select a sufficient T by weighted set cover, and schedule it on K_P
-// units.
+// units. A condition no key mode evaluates fails it first (bindQuery).
 func (pl *Planner) Plan(q *query.Query, db *DB) (*Plan, error) {
-	if pl.KP < 1 {
-		return nil, fmt.Errorf("core: planner needs KP >= 1")
+	if err := pl.bindQuery(q, db); err != nil {
+		return nil, err
 	}
 	g := q.JoinGraph()
 	cands := make(map[uint64]*candidate)
@@ -163,11 +163,11 @@ func (pl *Planner) Plan(q *query.Query, db *DB) (*Plan, error) {
 // PlanCover schedules a cover of q's conditions chosen by the caller,
 // not by set cover: each set of condition IDs becomes one job, costed
 // and scheduled as Plan does its candidates (no G'_JP is built, so
-// CandidateEdges is 0). An empty set, an unknown condition ID or a
-// condition no set covers is an error.
+// CandidateEdges is 0). An empty set, an unknown condition ID, a
+// condition no set covers or one bindQuery refuses is an error.
 func (pl *Planner) PlanCover(q *query.Query, db *DB, cover [][]int) (*Plan, error) {
-	if pl.KP < 1 {
-		return nil, fmt.Errorf("core: planner needs KP >= 1")
+	if err := pl.bindQuery(q, db); err != nil {
+		return nil, err
 	}
 	covered := make([]bool, len(q.Conditions))
 	for i, set := range cover {
@@ -194,6 +194,26 @@ func (pl *Planner) PlanCover(q *query.Query, db *DB, cover [][]int) (*Plan, erro
 		chosen[i] = c
 	}
 	return pl.scheduleCover(q, chosen, db)
+}
+
+// bindQuery checks KP and binds q's conditions against db's relations
+// once, so a condition no key mode evaluates — a string compared with a
+// number, or strings with no dictionary — is refused before any job is
+// costed, with an error naming both columns.
+func (pl *Planner) bindQuery(q *query.Query, db *DB) error {
+	if pl.KP < 1 {
+		return fmt.Errorf("core: planner needs KP >= 1")
+	}
+	rels := make([]*relation.Relation, len(q.Relations))
+	for i, name := range q.Relations {
+		r, err := db.Relation(name)
+		if err != nil {
+			return err
+		}
+		rels[i] = r
+	}
+	_, err := bindConditions(q.Conditions, rels)
+	return err
 }
 
 // costEdge profiles one candidate edge: T(k) for k = 1..KP using the

@@ -169,14 +169,21 @@ func bigSmallBig(sizes []int) bool {
 
 // TestGroupEvalReuse: a groupEval handed back after a group serves the
 // next one without allocating when that group is no larger — through
-// key columns, a hash index, both sorted-run paths, generic values and
+// key columns, a hash index, both sorted-run paths, dictionary keys and
 // the probe buffers — and the idle groupEvals die with their joinEval:
 // nothing outside the job keeps them.
 func TestGroupEvalReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for _, n := range []int{indexMinSize, radixMinSize / 2, 4 * radixMinSize} {
-		a, b, c := mixedRelation("A", n, 12, rng), mixedRelation("B", n, 12, rng), mixedRelation("C", n, 12, rng)
-		rels := []*relation.Relation{a, b, c}
+		db := newTestDB(t, mixedRelation("A", n, 12, rng), mixedRelation("B", n, 12, rng), mixedRelation("C", n, 12, rng))
+		rels := make([]*relation.Relation, 3)
+		for i, name := range []string{"A", "B", "C"} {
+			var err error
+			if rels[i], err = db.Relation(name); err != nil {
+				t.Fatal(err)
+			}
+		}
+		a, b, c := rels[0], rels[1], rels[2]
 		bound, err := bindConditions(predicate.Conjunction{
 			predicate.C("A", "i", predicate.EQ, "B", "i"),
 			predicate.C("A", "f", predicate.LT, "C", "f"),

@@ -28,7 +28,9 @@ func TestCatalogVersionChanges(t *testing.T) {
 	// Analyze re-run: version must bump even with identical statistics.
 	v0 := db1.CatalogVersion()
 	fp0 := db1.Catalog.Fingerprint()
-	db1.Analyze(500, 1)
+	if err := db1.Analyze(500, 1); err != nil {
+		t.Fatal(err)
+	}
 	if db1.CatalogVersion() == v0 {
 		t.Error("Analyze re-run kept the old CatalogVersion")
 	}
@@ -38,7 +40,9 @@ func TestCatalogVersionChanges(t *testing.T) {
 
 	// Different sampling parameters: the fingerprint itself moves (a
 	// sub-cardinality sample makes the retained rows seed-dependent).
-	db1.Analyze(20, 2)
+	if err := db1.Analyze(20, 2); err != nil {
+		t.Fatal(err)
+	}
 	if db1.Catalog.Fingerprint() == fp0 {
 		t.Error("different sampling parameters left the fingerprint unchanged")
 	}

@@ -404,7 +404,8 @@ func TestBlockStoreCloseWithLiveFiles(t *testing.T) {
 
 // probeRelation mirrors the mr spill tests' fixture: interned strings,
 // NULLs and floats, so dictionary code slots go through disk.
-func probeRelation(rows int) *relation.Relation {
+func probeRelation(t testing.TB, rows int) *relation.Relation {
+	t.Helper()
 	r := relation.New("probe", relation.MustSchema(
 		relation.Column{Name: "k", Kind: relation.KindInt},
 		relation.Column{Name: "city", Kind: relation.KindString},
@@ -422,7 +423,9 @@ func probeRelation(rows int) *relation.Relation {
 			relation.Float(float64(i) * 1.25),
 		})
 	}
-	relation.InternStrings(r)
+	if err := relation.InternStrings(r); err != nil {
+		t.Fatal(err)
+	}
 	return r
 }
 
@@ -431,7 +434,7 @@ func probeRelation(rows int) *relation.Relation {
 // under a tiny budget and a tiny page cache — and the result is
 // bit-identical to the fully in-memory run.
 func TestFullyOutOfCoreJob(t *testing.T) {
-	in := probeRelation(1200)
+	in := probeRelation(t, 1200)
 	job := func(rel *relation.Relation) *mr.Job {
 		return &mr.Job{
 			Name:   "count",
@@ -522,7 +525,9 @@ func BenchmarkBlockStoreSequentialRead(b *testing.B) {
 
 // BenchmarkSpilledShuffle runs a foreign-key join fully out of core, the
 // way the engine uses this store: 60 k fact rows with a Zipf-skewed
-// string key against 2 k dimension rows on 96 reducers, under a 64 KiB
+// string key against 2 k dimension rows on 96 reducers — both sides
+// interned, as core.NewDB leaves them, so the shuffle carries
+// dictionary codes — under a 64 KiB
 // spill budget and a 64 KiB page cache — some 60 spill files in the
 // slots of one backing file, each reducer's segment of one read back
 // through the one or two 4 KiB pages it covers and its CRC frames.
@@ -546,6 +551,11 @@ func BenchmarkSpilledShuffle(b *testing.B) {
 	))
 	for i := 0; i < stations; i++ {
 		dim.MustAppend(relation.Tuple{relation.Str(name(uint64(i))), relation.Int(int64(i % 17)), relation.Int(int64(i))})
+	}
+	for _, r := range []*relation.Relation{calls, dim} {
+		if err := relation.InternStrings(r); err != nil {
+			b.Fatal(err)
+		}
 	}
 	job, err := core.BuildHashEquiJob("fk", calls, dim, predicate.Conjunction{predicate.C("c", "bs", predicate.EQ, "s", "bs")}, 96, nil)
 	if err != nil {

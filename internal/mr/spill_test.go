@@ -51,7 +51,9 @@ func spillProbeRelation(t testing.TB, rows int) *relation.Relation {
 			relation.Float(float64(i) * 0.75),
 		})
 	}
-	relation.InternStrings(r)
+	if err := relation.InternStrings(r); err != nil {
+		t.Fatal(err)
+	}
 	return r
 }
 

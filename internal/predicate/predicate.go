@@ -205,19 +205,17 @@ func (c Condition) Bound(leftSchema, rightSchema *relation.Schema) (func(l, r re
 	}, nil
 }
 
-// KeyMode classifies how a condition between two typed columns can be
-// evaluated on normalized sort keys (relation.SortKeyInt/SortKeyFloat):
-// the compilation step of the indexed reducer-side join evaluator.
+// KeyMode classifies how a condition between two typed columns is
+// evaluated on normalized sort keys (relation.SortKeyInt/SortKeyFloat,
+// dictionary keys): the compilation step of the indexed reducer-side
+// join evaluator.
 type KeyMode uint8
 
 const (
-	// KeyGeneric: no key extraction applies (a string column, or any
-	// non-numeric kind); evaluation falls back to relation.Compare.
-	KeyGeneric KeyMode = iota
 	// KeyInt: both sides stay integer-valued after their additive
 	// offsets (int/time columns, integral offsets); both sides extract
 	// with relation.SortKeyInt and compare as raw int64.
-	KeyInt
+	KeyInt KeyMode = iota
 	// KeyFloat: both sides numeric, at least one float-valued after
 	// its offset (a float column, or an int column with a fractional
 	// offset — relation.Value.Add's promotion rule); both sides
@@ -228,9 +226,7 @@ const (
 	// its values. Both sides key against that reference dictionary —
 	// member strings via their even code keys, absent probe strings
 	// via the odd gap keys — so string equality, inequality and range
-	// conditions ride the same int64 indexes as numeric ones. Only
-	// CondKeyModeDict, which knows dictionary availability, assigns
-	// this mode.
+	// conditions ride the same int64 indexes as numeric ones.
 	KeyDict
 )
 
@@ -252,35 +248,35 @@ func shiftedKind(k relation.Kind, off float64) relation.Kind {
 	}
 }
 
-// CondKeyMode classifies a condition between a left column of kind l
-// (shifted by lOff) and a right column of kind r (shifted by rOff).
-// The chosen mode reproduces relation.Compare's dispatch exactly:
-// integer comparison when both shifted sides are integer-valued, float
-// comparison when either is a float, no fast path otherwise. NULL
-// values are handled by the extractors, not the mode.
-func CondKeyMode(l relation.Kind, lOff float64, r relation.Kind, rOff float64) KeyMode {
+// CondKeyMode returns the key mode of a condition between a left column
+// of kind l (shifted by lOff) and a right column of kind r (shifted by
+// rOff), hasDict telling whether either column has a dictionary.
+// Numeric modes reproduce relation.Compare's dispatch exactly; string
+// pairs take dictionary keys (offsets are no-ops on strings). A
+// null-kind column, all NULLs that every mode keys as NullSortKey,
+// takes the other side's mode (KeyInt if both are null). A string
+// compared with another kind, or a string pair with no dictionary, is
+// refused.
+func CondKeyMode(l relation.Kind, lOff float64, r relation.Kind, rOff float64, hasDict bool) (KeyMode, error) {
 	lk, rk := shiftedKind(l, lOff), shiftedKind(r, rOff)
-	numeric := func(k relation.Kind) bool { return k == relation.KindInt || k == relation.KindFloat }
-	if !numeric(lk) || !numeric(rk) {
-		return KeyGeneric
+	if lk == relation.KindNull {
+		lk = rk
 	}
-	if lk == relation.KindFloat || rk == relation.KindFloat {
-		return KeyFloat
+	if rk == relation.KindNull {
+		rk = lk
 	}
-	return KeyInt
-}
-
-// CondKeyModeDict is CondKeyMode extended with dictionary awareness:
-// hasDict reports whether a reference dictionary covering one full
-// side of the condition is available. String-string conditions then
-// classify as KeyDict (additive offsets are no-ops on strings, so they
-// do not block the fast path); everything else falls back to
-// CondKeyMode.
-func CondKeyModeDict(l relation.Kind, lOff float64, r relation.Kind, rOff float64, hasDict bool) KeyMode {
-	if hasDict && l == relation.KindString && r == relation.KindString {
-		return KeyDict
+	switch {
+	case lk == relation.KindString && rk == relation.KindString:
+		if !hasDict {
+			return 0, fmt.Errorf("neither string column has a dictionary")
+		}
+		return KeyDict, nil
+	case lk == relation.KindString || rk == relation.KindString:
+		return 0, fmt.Errorf("a string compares only with a string")
+	case lk == relation.KindFloat || rk == relation.KindFloat:
+		return KeyFloat, nil
 	}
-	return CondKeyMode(l, lOff, r, rOff)
+	return KeyInt, nil
 }
 
 // Conjunction is a set of conditions that must all hold; the predicate

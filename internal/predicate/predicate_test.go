@@ -333,6 +333,7 @@ func TestEstimateSelectivityErrors(t *testing.T) {
 }
 
 func TestCondKeyMode(t *testing.T) {
+	const refused = KeyMode(255)
 	cases := []struct {
 		l    relation.Kind
 		lOff float64
@@ -347,13 +348,23 @@ func TestCondKeyMode(t *testing.T) {
 		{relation.KindInt, 0.5, relation.KindInt, 0, KeyFloat}, // fractional offset promotes
 		{relation.KindFloat, 0, relation.KindInt, 0, KeyFloat},
 		{relation.KindFloat, 1.25, relation.KindFloat, 0, KeyFloat},
-		{relation.KindString, 0, relation.KindInt, 0, KeyGeneric},
-		{relation.KindInt, 0, relation.KindString, 0, KeyGeneric},
-		{relation.KindNull, 0, relation.KindInt, 0, KeyGeneric},
+		{relation.KindString, 0, relation.KindInt, 0, refused},
+		{relation.KindInt, 0, relation.KindString, 0, refused},
+		{relation.KindTime, 0, relation.KindString, 0, refused},
+		// A null-kind column takes the other side's mode.
+		{relation.KindNull, 0, relation.KindInt, 0, KeyInt},
+		{relation.KindNull, 0.5, relation.KindInt, 0, KeyInt},
+		{relation.KindInt, 0.5, relation.KindNull, 0, KeyFloat},
+		{relation.KindFloat, 0, relation.KindNull, 0, KeyFloat},
+		{relation.KindNull, 0, relation.KindNull, 0, KeyInt},
 	}
 	for _, tc := range cases {
-		if got := CondKeyMode(tc.l, tc.lOff, tc.r, tc.rOff); got != tc.want {
-			t.Errorf("CondKeyMode(%v%+g, %v%+g) = %d, want %d", tc.l, tc.lOff, tc.r, tc.rOff, got, tc.want)
+		got, err := CondKeyMode(tc.l, tc.lOff, tc.r, tc.rOff, true)
+		if err != nil {
+			got = refused
+		}
+		if got != tc.want {
+			t.Errorf("CondKeyMode(%v%+g, %v%+g) = %d (%v), want %d", tc.l, tc.lOff, tc.r, tc.rOff, got, err, tc.want)
 		}
 	}
 }
@@ -383,7 +394,10 @@ func TestCondKeyModeAgreesWithCompare(t *testing.T) {
 		if rng.Intn(10) == 0 {
 			lv = relation.Null()
 		}
-		mode := CondKeyMode(lk, lOff, rk, rOff)
+		mode, err := CondKeyMode(lk, lOff, rk, rOff, false)
+		if err != nil {
+			t.Fatalf("numeric kinds %v %v refused: %v", lk, rk, err)
+		}
 		var lkey, rkey int64
 		switch mode {
 		case KeyInt:
@@ -391,7 +405,7 @@ func TestCondKeyModeAgreesWithCompare(t *testing.T) {
 		case KeyFloat:
 			lkey, rkey = relation.SortKeyFloat(lv, lOff), relation.SortKeyFloat(rv, rOff)
 		default:
-			t.Fatalf("numeric kinds classified generic: %v %v", lk, rk)
+			t.Fatalf("numeric kinds %v %v classified %d", lk, rk, mode)
 		}
 		got := 0
 		if lkey < rkey {
@@ -405,23 +419,34 @@ func TestCondKeyModeAgreesWithCompare(t *testing.T) {
 	}
 }
 
-func TestCondKeyModeDict(t *testing.T) {
-	s, i, f := relation.KindString, relation.KindInt, relation.KindFloat
+// TestCondKeyModeStrings: a string pair takes dictionary keys when either
+// side has a dictionary and is refused otherwise, a null-kind column
+// beside a string takes them too, and numeric pairs ignore hasDict.
+func TestCondKeyModeStrings(t *testing.T) {
+	s, i, f, n := relation.KindString, relation.KindInt, relation.KindFloat, relation.KindNull
+	const refused = KeyMode(255)
 	cases := []struct {
 		l, r    relation.Kind
 		hasDict bool
 		want    KeyMode
 	}{
 		{s, s, true, KeyDict},
-		{s, s, false, KeyGeneric}, // no dictionary: generic fallback
-		{s, i, true, KeyGeneric},  // mixed kinds never take dict keys
-		{i, s, true, KeyGeneric},
+		{s, s, false, refused}, // no dictionary on either side
+		{s, i, true, refused},  // mixed kinds never take dict keys
+		{i, s, true, refused},
+		{n, s, true, KeyDict},
+		{s, n, false, refused},
 		{i, i, true, KeyInt}, // numeric pairs ignore hasDict
+		{i, i, false, KeyInt},
 		{f, i, true, KeyFloat},
 	}
 	for _, tc := range cases {
-		if got := CondKeyModeDict(tc.l, 0, tc.r, 0, tc.hasDict); got != tc.want {
-			t.Errorf("CondKeyModeDict(%v, %v, dict=%v) = %d, want %d", tc.l, tc.r, tc.hasDict, got, tc.want)
+		got, err := CondKeyMode(tc.l, 0, tc.r, 0, tc.hasDict)
+		if err != nil {
+			got = refused
+		}
+		if got != tc.want {
+			t.Errorf("CondKeyMode(%v, %v, dict=%v) = %d (%v), want %d", tc.l, tc.r, tc.hasDict, got, err, tc.want)
 		}
 	}
 }

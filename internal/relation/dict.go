@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"fmt"
 	"sort"
 	"strings"
 )
@@ -26,9 +27,9 @@ import (
 // two distinct absent strings falling in the same gap collide on the
 // same odd key. Both hazards are avoided by construction: a condition
 // only compiles to dictionary keys when one side's column carries a
-// dictionary covering all of that side's values (predicate.KeyDict,
-// see CondKeyModeDict), so every compared pair has at most one absent
-// side and both sides key against the same reference dictionary.
+// dictionary covering all of that side's values (predicate.KeyDict),
+// so every compared pair has at most one absent side and both sides key
+// against the same reference dictionary.
 type Dict struct {
 	strs []string
 	code map[string]int64
@@ -113,32 +114,30 @@ func (d *Dict) Key(v Value) int64 {
 // to carry their dictionary codes (see InternedStr). Interning changes
 // no comparison result — Compare, Equal and Tuple.Key stay
 // string-based — but shrinks EncodedSize to the varint code width and
-// unlocks the predicate.KeyDict fast path in the join evaluator.
-// Columns containing non-NULL, non-string values are skipped.
-func InternStrings(r *Relation) {
+// is what lets a string condition compile to predicate.KeyDict keys. A
+// column with no non-NULL value gets an empty dictionary; a non-string
+// value in a string column is an error naming relation, column and row.
+func InternStrings(r *Relation) error {
 	if r.Schema == nil {
-		return
+		return nil
 	}
 	n := r.Schema.Len()
 	for ci := 0; ci < n; ci++ {
-		if r.Schema.Column(ci).Kind != KindString || r.DictOf(ci) != nil {
+		col := r.Schema.Column(ci)
+		if col.Kind != KindString || r.DictOf(ci) != nil {
 			continue
 		}
 		distinct := make(map[string]struct{})
-		ok := true
-		for _, t := range r.Tuples {
+		for i, t := range r.Tuples {
 			v := t[ci]
 			if v.IsNull() {
 				continue
 			}
 			if v.Kind() != KindString {
-				ok = false
-				break
+				return fmt.Errorf("relation: %s.%s row %d holds %s %v; a string column holds only strings and NULLs",
+					r.Name, col.Name, i, v.Kind(), v)
 			}
 			distinct[v.Str()] = struct{}{}
-		}
-		if !ok || len(distinct) == 0 {
-			continue
 		}
 		strs := make([]string, 0, len(distinct))
 		for s := range distinct {
@@ -150,12 +149,11 @@ func InternStrings(r *Relation) {
 		}
 		r.Dicts[ci] = d
 		for _, t := range r.Tuples {
-			v := t[ci]
-			if v.Kind() != KindString {
-				continue
+			if v := t[ci]; !v.IsNull() {
+				c, _ := d.Code(v.Str())
+				t[ci] = InternedStr(d.At(c), c)
 			}
-			c, _ := d.Code(v.Str())
-			t[ci] = InternedStr(d.At(c), c)
 		}
 	}
+	return nil
 }

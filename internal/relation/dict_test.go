@@ -2,6 +2,7 @@ package relation
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -136,7 +137,9 @@ func TestInternStrings(t *testing.T) {
 	}
 	r.MustAppend(Tuple{Null(), Int(99)})
 	plainSize := r.EncodedSize()
-	InternStrings(r)
+	if err := InternStrings(r); err != nil {
+		t.Fatal(err)
+	}
 	d := r.DictOf(0)
 	if d == nil || d.Len() != 3 {
 		t.Fatalf("dict = %v", d)
@@ -164,8 +167,35 @@ func TestInternStrings(t *testing.T) {
 		t.Errorf("interning did not shrink encoded size: %d -> %d", plainSize, r.EncodedSize())
 	}
 	// Idempotent: a second pass keeps the same dictionary.
-	InternStrings(r)
+	if err := InternStrings(r); err != nil {
+		t.Fatal(err)
+	}
 	if r.DictOf(0) != d {
 		t.Fatal("re-interning replaced the dictionary")
+	}
+}
+
+// TestInternStringsEmptyAndMistyped: a string column with no non-NULL
+// value, and every string column of an empty relation, gets an empty
+// dictionary; a non-string value in a string column is an error naming
+// the relation, column and row.
+func TestInternStringsEmptyAndMistyped(t *testing.T) {
+	schema := MustSchema(Column{Name: "s", Kind: KindString}, Column{Name: "n", Kind: KindInt})
+	nulls := New("nulls", schema)
+	nulls.MustAppend(Tuple{Null(), Int(1)})
+	for _, r := range []*Relation{nulls, New("empty", schema)} {
+		if err := InternStrings(r); err != nil {
+			t.Fatal(err)
+		}
+		if d := r.DictOf(0); d == nil || d.Len() != 0 {
+			t.Errorf("%s: string column has dictionary %v, want an empty one", r.Name, d)
+		}
+	}
+	bad := New("bad", schema)
+	bad.MustAppend(Tuple{Str("a"), Int(1)})
+	bad.MustAppend(Tuple{Float(2.5), Int(2)})
+	err := InternStrings(bad)
+	if err == nil || !strings.Contains(err.Error(), "bad.s row 1") {
+		t.Fatalf("InternStrings over a float in a string column: %v", err)
 	}
 }

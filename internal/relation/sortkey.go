@@ -12,9 +12,9 @@ import "math"
 // NULL maps to math.MinInt64, below every proper value, mirroring
 // Compare's NULL-sorts-first rule. The encoding cannot distinguish
 // NULL from the extreme key itself (int64 math.MinInt64 in int mode, a
-// negative NaN in float mode); no workload produces either, and the
-// generic Compare path remains available for data that does. Float
-// NaNs are unsupported: Compare treats a NaN as equal to everything
+// negative NaN in float mode); no workload produces either, and a join
+// over data that does treats that value as NULL. Float NaNs are
+// unsupported: Compare treats a NaN as equal to everything
 // (both orderings fail), which no total-order key can express.
 
 // NullSortKey is the key both extractors assign to NULL values.

@@ -20,11 +20,11 @@
 // contract is order preservation — for members a, b of one dictionary,
 // sign(Key(a)−Key(b)) == sign(Compare(a, b)) — extended to absent
 // probe strings and NULL by the even/odd key scheme documented on
-// Dict. The generic relation.Compare fallback still applies whenever
-// the contract cannot be established: neither side of a condition
-// carries a dictionary (interning disabled, or a relation built
-// outside Analyze), the two sides have mixed kinds, or a
-// nominally-string column holds non-string values.
+// Dict. Every string column of a DB has a dictionary — an all-NULL
+// column gets an empty one, and a non-string value in a string column
+// is a load error — and planning refuses a condition the contract
+// cannot cover: a string compared with another kind, or two strings of
+// which neither has a dictionary.
 //
 // # Encodings
 //
@@ -274,8 +274,8 @@ func numericComparable(a, b Value) bool {
 // Compare orders two values. It returns -1, 0, or +1. NULL sorts before
 // everything; numeric kinds (int, float, time) compare by magnitude;
 // strings compare lexicographically. Comparing a string with a numeric
-// kind orders the numeric kind first (deterministic but arbitrary, as
-// the planner never produces such comparisons for well-typed queries).
+// kind orders the numeric kind first (deterministic but arbitrary:
+// Plan refuses such comparisons).
 func Compare(a, b Value) int {
 	switch {
 	case a.kind == KindNull && b.kind == KindNull:

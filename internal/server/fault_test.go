@@ -11,7 +11,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/mr"
+	"repro/internal/relation"
 )
 
 // postQuery drives the HTTP handler with one request body and returns
@@ -138,6 +140,44 @@ func TestExecutionErrorMapsTo500(t *testing.T) {
 		if rec := postQuery(t, h, body); rec.Code != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400; body %q", body, rec.Code, rec.Body.String())
 		}
+	}
+}
+
+// TestMixedKindConditionMapsTo400: a condition comparing a string with
+// a number is refused in planning, a client error naming both columns,
+// and the service keeps serving well-typed queries over the same table.
+func TestMixedKindConditionMapsTo400(t *testing.T) {
+	calls := relation.New("calls", relation.MustSchema(
+		relation.Column{Name: "bs", Kind: relation.KindString},
+		relation.Column{Name: "d", Kind: relation.KindInt},
+	))
+	for i, bs := range []string{"owl", "ant", "fox", "ant", "eel"} {
+		calls.MustAppend(relation.Tuple{relation.Str(bs), relation.Int(int64(i))})
+	}
+	db, err := core.NewDB(100, 1, calls)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := newTestService(t, db, Config{}).Handler()
+	rec := postQuery(t, h, `{"spec": "FROM calls t1, calls t2 WHERE t1.bs > t2.d"}`)
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400; body %q", rec.Code, rec.Body.String())
+	}
+	for _, col := range []string{"t1.bs", "t2.d"} {
+		if !strings.Contains(rec.Body.String(), col) {
+			t.Errorf("body %q does not name %s", rec.Body.String(), col)
+		}
+	}
+	rec = postQuery(t, h, `{"spec": "FROM calls t1, calls t2 WHERE t1.bs = t2.bs"}`)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("well-typed query after it: status %d, body %q", rec.Code, rec.Body.String())
+	}
+	var resp Response
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.Rows != 7 { // ant×ant twice, owl, fox, eel with themselves
+		t.Errorf("string self-join returned %d rows, want 7", resp.Rows)
 	}
 }
 

@@ -222,7 +222,9 @@ func TestPlanCacheSemantics(t *testing.T) {
 
 	// Re-analyze: same statistics content, but the catalog version bumps
 	// and the cached plan must not be reused.
-	db.Analyze(500, 1)
+	if err := db.Analyze(500, 1); err != nil {
+		t.Fatal(err)
+	}
 	r3, err := s.Submit(context.Background(), Request{Spec: testSpec})
 	if err != nil {
 		t.Fatal(err)

@@ -388,7 +388,9 @@ func TestZipfSkewKnobs(t *testing.T) {
 // station-name codes replace ~29-byte strings in every shuffled tuple.
 // NominalGB stays 0 so VolumeMultiplier is 1 and the metric reflects
 // real encoded bytes. The plain leg shuffles the same generated table,
-// row ids added, that no Analyze has interned.
+// row ids added, that no Analyze has interned. Both legs join on bsc,
+// the code bs names, not on bs itself: a Hilbert job's map side ignores
+// its conditions, and a string condition needs a dictionary.
 func TestMobileInternedShuffleBytes(t *testing.T) {
 	cfg := DefaultMobileConfig()
 	cfg.Tuples = 400
@@ -416,7 +418,7 @@ func TestMobileInternedShuffleBytes(t *testing.T) {
 			rels[i] = r
 		}
 		conds := []predicate.Condition{
-			predicate.C("t1", "bs", predicate.EQ, "t2", "bs"),
+			predicate.C("t1", "bsc", predicate.EQ, "t2", "bsc"),
 			predicate.C("t1", "d", predicate.LT, "t2", "d"),
 		}
 		job, err := core.BuildThetaJob("mobile-bs", rels, conds, 4)
