@@ -2,12 +2,15 @@ package baselines
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/mr"
+	"repro/internal/obs"
 	"repro/internal/predicate"
 	"repro/internal/query"
 	"repro/internal/relation"
@@ -114,23 +117,72 @@ func TestCascadeEquiAndMixed(t *testing.T) {
 	}
 }
 
-// Random query property: all cascade baselines agree with naive.
+// typedRelation draws a relation with one column of each joinable kind
+// — i (int), f (float), ts (time), s (string) — over small domains, so
+// values repeat, with about one value in eight NULL. f holds -0 and +0
+// both; NaN is left out (relation/sortkey.go does not order it).
+func typedRelation(name string, n int, rng *rand.Rand) *relation.Relation {
+	r := relation.New(name, relation.MustSchema(
+		relation.Column{Name: "i", Kind: relation.KindInt},
+		relation.Column{Name: "f", Kind: relation.KindFloat},
+		relation.Column{Name: "ts", Kind: relation.KindTime},
+		relation.Column{Name: "s", Kind: relation.KindString},
+	))
+	floats := []float64{-2.5, math.Copysign(0, -1), 0, 1, 1.5, 3}
+	strs := []string{"", "a", "ab", "b", "ba", "c"}
+	orNull := func(v relation.Value) relation.Value {
+		if rng.Intn(8) == 0 {
+			return relation.Null()
+		}
+		return v
+	}
+	for i := 0; i < n; i++ {
+		r.MustAppend(relation.Tuple{
+			orNull(relation.Int(int64(rng.Intn(6) - 2))),
+			orNull(relation.Float(floats[rng.Intn(len(floats))])),
+			orNull(relation.TimeUnix(1_700_000_000 + int64(rng.Intn(6)))),
+			orNull(relation.Str(strs[rng.Intn(len(strs))])),
+		})
+	}
+	return r
+}
+
+// randCondition joins left with right on columns a key mode evaluates:
+// a string with a string, or any two of int, float and time, with a
+// whole offset on a side when neither column is a float.
+func randCondition(left, right string, rng *rand.Rand) predicate.Condition {
+	ops := []predicate.Op{predicate.LT, predicate.LE, predicate.EQ, predicate.GE, predicate.GT, predicate.NE}
+	numeric := []string{"i", "f", "ts"}
+	c := predicate.Condition{Left: left, Right: right, Op: ops[rng.Intn(len(ops))]}
+	if rng.Intn(4) == 0 {
+		c.LeftColumn, c.RightColumn = "s", "s"
+		return c
+	}
+	c.LeftColumn, c.RightColumn = numeric[rng.Intn(3)], numeric[rng.Intn(3)]
+	if c.LeftColumn != "f" && c.RightColumn != "f" && rng.Intn(2) == 0 {
+		c.LeftOffset, c.RightOffset = float64(rng.Intn(5)-2), float64(rng.Intn(3)-1)
+	}
+	return c
+}
+
+// Random query property: all cascade baselines agree with naive, over
+// every joinable kind pairing, NULLs, duplicates, offsets and all six
+// operators, one to three conditions per step (several equalities make
+// a composite equi key).
 func TestCascadesRandomQueries(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
-	ops := []predicate.Op{predicate.LT, predicate.LE, predicate.EQ, predicate.GE, predicate.GT, predicate.NE}
-	for trial := 0; trial < 12; trial++ {
+	for trial := 0; trial < 40; trial++ {
 		m := 2 + rng.Intn(2)
 		names := []string{"A", "B", "C"}[:m]
 		rels := make([]*relation.Relation, m)
 		for i := range rels {
-			rels[i] = randRelation(names[i], 15+rng.Intn(20), 8, rng)
+			rels[i] = typedRelation(names[i], 12+rng.Intn(20), rng)
 		}
 		var conds []predicate.Condition
-		for i := 0; i+1 < m; i++ {
-			conds = append(conds, predicate.Condition{
-				Left: names[i], LeftColumn: "a", Op: ops[rng.Intn(len(ops))],
-				Right: names[i+1], RightColumn: "b",
-			})
+		for i := 1; i < m; i++ {
+			for k := 1 + rng.Intn(3); k > 0; k-- {
+				conds = append(conds, randCondition(names[rng.Intn(i)], names[i], rng))
+			}
 		}
 		db := newDB(t, rels...)
 		q, err := query.New("rq", names, conds)
@@ -148,8 +200,59 @@ func TestCascadesRandomQueries(t *testing.T) {
 				t.Fatalf("trial %d %s: %v", trial, st.Name, err)
 			}
 			if got := resultSet(res.Output); !wantRS.Equal(got) {
-				t.Fatalf("trial %d %s (%s): mismatch %d vs %d",
-					trial, st.Name, q, got.Len(), wantRS.Len())
+				t.Fatalf("trial %d %s (%s): mismatch %d vs %d rows: %v",
+					trial, st.Name, q, got.Len(), wantRS.Len(), wantRS.Diff(got, 3))
+			}
+		}
+	}
+}
+
+// A condition comparing a string with a number is refused before any
+// cascade step runs, with an error naming both columns — also when the
+// condition joins only at the second step.
+func TestCascadesRefuseMixedKinds(t *testing.T) {
+	calls := relation.New("calls", relation.MustSchema(
+		relation.Column{Name: "bs", Kind: relation.KindString},
+		relation.Column{Name: "d", Kind: relation.KindInt},
+	))
+	for i := 0; i < 5; i++ {
+		calls.MustAppend(relation.Tuple{relation.Str(string(rune('a' + i))), relation.Int(int64(i))})
+	}
+	db := newDB(t, calls)
+	for _, alias := range []string{"t1", "t2", "t3"} {
+		if err := db.Alias(alias, "calls"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	queries := []*query.Query{
+		query.MustNew("mixed", []string{"t1", "t2"}, []predicate.Condition{
+			predicate.C("t1", "bs", predicate.GT, "t2", "d"),
+		}),
+		query.MustNew("mixed3", []string{"t1", "t3", "t2"}, []predicate.Condition{
+			predicate.C("t1", "d", predicate.EQ, "t3", "d"),
+			predicate.C("t1", "bs", predicate.GT, "t2", "d"),
+		}),
+	}
+	// The tracer sees every step that runs.
+	tr := obs.NewTracer()
+	ok := query.MustNew("ok", []string{"t1", "t2"}, []predicate.Condition{predicate.C("t1", "d", predicate.LT, "t2", "d")})
+	if _, err := Run(obs.NewContext(context.Background(), &obs.Obs{Tracer: tr}), Hive(), testConfig(), ok, db, 4); err != nil || len(tr.Events()) == 0 {
+		t.Fatalf("control query: err %v, %d trace events", err, len(tr.Events()))
+	}
+	for _, q := range queries {
+		for _, st := range []Strategy{Hive(), Pig(), YSmart()} {
+			tr := obs.NewTracer()
+			ctx := obs.NewContext(context.Background(), &obs.Obs{Tracer: tr})
+			res, err := Run(ctx, st, testConfig(), q, db, testConfig().ReduceSlots)
+			if err == nil {
+				t.Errorf("%s %s: accepted, %d rows", q.Name, st.Name, res.Output.Cardinality())
+				continue
+			}
+			if msg := err.Error(); !strings.Contains(msg, "t1.bs") || !strings.Contains(msg, "t2.d") {
+				t.Errorf("%s %s: error %q does not name t1.bs and t2.d", q.Name, st.Name, msg)
+			}
+			if ev := tr.Events(); len(ev) != 0 {
+				t.Errorf("%s %s: refused after a step ran (%d trace events)", q.Name, st.Name, len(ev))
 			}
 		}
 	}

@@ -12,12 +12,19 @@
 // equality condition it has; behaviour that cannot be reproduced
 // structurally (Pig's serialisation overhead, YSmart's merged-job I/O
 // savings) is an explicit, documented Strategy field.
+//
+// A cascade binds and evaluates its conditions with the paper's method's
+// own code: core.CheckConditions refuses the query before any step runs
+// when a condition has no key mode, and every step's nested-loop reducer
+// compares the int64 keys core.PairMatcher extracts. relation.Compare
+// is left to the oracle (core.Naive) and internal/predicate's sampler.
 package baselines
 
 import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/mr"
@@ -94,7 +101,14 @@ type Result struct {
 // units below the request (Fig. 10/13's kP ≤ 64 vs the 96-task
 // request), the reduce phase runs in multiple waves — the k_P
 // obliviousness the paper's scheduler exploits.
+//
+// A condition no key mode evaluates — a string compared with a number —
+// fails Run before its first step, with core.CheckConditions' error
+// naming both columns.
 func Run(ctx context.Context, st Strategy, cfg mr.Config, q *query.Query, db *core.DB, requestedReducers int) (*Result, error) {
+	if err := core.CheckConditions(q, db); err != nil {
+		return nil, err
+	}
 	order, err := joinOrder(q)
 	if err != nil {
 		return nil, err
@@ -105,28 +119,26 @@ func Run(ctx context.Context, st Strategy, cfg mr.Config, q *query.Query, db *co
 	rates := mr.PaperRates()
 	readWrite := 1/rates.ReadBps + 1/rates.WriteBps
 
-	left, err := db.Relation(order[0])
-	if err != nil {
-		return nil, err
-	}
-	current := prefixBase(left)
-	joined := map[string]bool{order[0]: true}
-	scanned[db.BaseName(order[0])] = true
+	var current *relation.Relation
+	joined := map[string]bool{}
 	var prevOutBytes int64
 	var prevKeySig map[string]bool
 
-	for step := 1; step < len(order); step++ {
-		relName := order[step]
+	for step, relName := range order {
 		right, err := db.Relation(relName)
 		if err != nil {
 			return nil, err
 		}
-		conds := condsBetween(q, joined, relName)
-		if len(conds) == 0 {
-			return nil, fmt.Errorf("baselines: no condition links %s to the joined set", relName)
+		if step == 0 {
+			current = prefixBase(right)
+			joined[relName] = true
+			scanned[db.BaseName(relName)] = true
+			continue
 		}
+		// joinOrder put relName next because a condition links it.
+		conds := condsBetween(q, joined, relName)
 		jobName := fmt.Sprintf("%s-%s-s%d", st.Name, q.Name, step)
-		job, err := buildStepJob(jobName, current, right, conds, requestedReducers)
+		job, err := buildStepJob(jobName, current, prefixBase(right), conds, requestedReducers)
 		if err != nil {
 			return nil, err
 		}
@@ -192,21 +204,13 @@ func joinOrder(q *query.Query) ([]string, error) {
 	if len(rels) < 2 {
 		return nil, fmt.Errorf("baselines: need >= 2 relations")
 	}
-	connected := func(joined map[string]bool, r string) bool {
-		for _, c := range q.Conditions {
-			if other, ok := c.Other(r); ok && joined[other] {
-				return true
-			}
-		}
-		return false
-	}
 	joined := map[string]bool{rels[0]: true}
 	out := []string{rels[0]}
 	remaining := append([]string(nil), rels[1:]...)
 	for len(remaining) > 0 {
 		idx := -1
 		for i, r := range remaining {
-			if connected(joined, r) {
+			if len(condsBetween(q, joined, r)) > 0 {
 				idx = i
 				break
 			}
@@ -233,109 +237,71 @@ func condsBetween(q *query.Query, joined map[string]bool, relName string) predic
 	return out
 }
 
-// prefixBase renames a base relation's columns to "rel.col" so cascade
-// intermediates share the join-output naming convention.
+// prefixBase renames a base relation's columns to "rel.col", the
+// naming of every cascade intermediate's columns.
 func prefixBase(r *relation.Relation) *relation.Relation {
-	cols := make([]relation.Column, r.Schema.Len())
-	for i := 0; i < r.Schema.Len(); i++ {
-		c := r.Schema.Column(i)
-		cols[i] = relation.Column{Name: r.Name + "." + c.Name, Kind: c.Kind}
+	cols := r.Schema.Columns()
+	for i := range cols {
+		cols[i].Name = r.Name + "." + cols[i].Name
 	}
-	out := relation.New(r.Name, relation.MustSchema(cols...))
-	out.VolumeMultiplier = r.VolumeMultiplier
-	out.Tuples = r.Tuples
-	return out
+	out := *r
+	out.Schema = relation.MustSchema(cols...)
+	return &out
 }
 
-// condSides resolves a step condition: left side against the
-// intermediate (prefixed columns), right side against the incoming
-// base relation.
-type stepCond struct {
-	leftCol, rightCol int
-	leftOff, rightOff float64
-	op                predicate.Op
-}
-
-func bindStepConds(inter *relation.Relation, base *relation.Relation, conds predicate.Conjunction) ([]stepCond, error) {
-	var out []stepCond
-	for _, c := range conds {
-		oc := c
-		if oc.Right != base.Name {
-			oc = c.Reversed()
-		}
-		if oc.Right != base.Name {
-			return nil, fmt.Errorf("baselines: condition %s does not touch %s", c, base.Name)
-		}
-		li, ok := inter.Schema.Lookup(oc.Left + "." + oc.LeftColumn)
-		if !ok {
-			return nil, fmt.Errorf("baselines: intermediate lacks column %s.%s", oc.Left, oc.LeftColumn)
-		}
-		ri, ok := base.Schema.Lookup(oc.RightColumn)
-		if !ok {
-			return nil, fmt.Errorf("baselines: %s lacks column %s", base.Name, oc.RightColumn)
-		}
-		out = append(out, stepCond{
-			leftCol: li, rightCol: ri,
-			leftOff: oc.LeftOffset, rightOff: oc.RightOffset,
-			op: oc.Op,
-		})
-	}
-	return out, nil
-}
-
-// buildStepJob creates the pairwise join job for one cascade stage:
+// buildStepJob creates the pairwise join job for one cascade stage,
+// joining the intermediate with a prefixBase'd base relation:
 // repartition hash join when equality keys exist, fragment-and-
 // replicate cross join otherwise (the practical Hive/Pig realisation
-// of an inequality join).
+// of an inequality join). Either way the reducer is a nested loop over
+// its two groups, charged len(ls)·len(rs), that tests every pair against
+// all conditions, hash-collided equalities included (core.PairMatcher).
 func buildStepJob(name string, inter, base *relation.Relation, conds predicate.Conjunction, kr int) (*mr.Job, error) {
-	bound, err := bindStepConds(inter, base, conds)
+	// Orient each condition so that its right side is base, and name
+	// both columns "rel.col" with the intermediate as the left relation,
+	// as core's cascades name an intermediate's columns.
+	conds = slices.Clone(conds)
+	for i, c := range conds {
+		if c.Right != base.Name {
+			c = c.Reversed()
+		}
+		c.Left, c.LeftColumn, c.RightColumn = inter.Name, c.Left+"."+c.LeftColumn, c.Right+"."+c.RightColumn
+		conds[i] = c
+	}
+	pm, err := core.NewPairMatcher(inter, base, conds)
 	if err != nil {
 		return nil, err
 	}
-	var equi []stepCond
-	var residual []stepCond
-	for _, bc := range bound {
-		if bc.op == predicate.EQ {
-			equi = append(equi, bc)
-		} else {
-			residual = append(residual, bc)
+	var lCols, rCols []int
+	var lOffs, rOffs []float64
+	for _, c := range conds {
+		if c.Op == predicate.EQ { // NewPairMatcher resolved both columns
+			lCols = append(lCols, inter.Schema.MustLookup(c.LeftColumn))
+			rCols = append(rCols, base.Schema.MustLookup(c.RightColumn))
+			lOffs = append(lOffs, c.LeftOffset)
+			rOffs = append(rOffs, c.RightOffset)
 		}
 	}
-	outSchema := concatPrefixed(inter, base)
-	reduce := func(key uint64, groups [][]relation.Tuple, ctx *mr.ReduceContext) {
-		ls, rs := groups[0], groups[1]
-		ctx.AddWork(int64(len(ls)) * int64(len(rs)))
-		for _, l := range ls {
-			for _, r := range rs {
-				ok := true
-				for _, bc := range bound { // verify ALL conditions (incl. hash-collided equi)
-					lv := l[bc.leftCol].Add(bc.leftOff)
-					rv := r[bc.rightCol].Add(bc.rightOff)
-					if !bc.op.Eval(relation.Compare(lv, rv)) {
-						ok = false
-						break
-					}
-				}
-				if ok {
-					ctx.EmitConcat(l, r)
-				}
-			}
-		}
+	dicts := make([]*relation.Dict, inter.Schema.Len(), inter.Schema.Len()+len(base.Dicts))
+	copy(dicts, inter.Dicts)
+	job := &mr.Job{
+		Name: name,
+		Reduce: func(key uint64, groups [][]relation.Tuple, ctx *mr.ReduceContext) {
+			ls, rs := groups[0], groups[1]
+			ctx.AddWork(int64(len(ls)) * int64(len(rs)))
+			pm.Join(ls, rs, func(l, r relation.Tuple) { ctx.EmitConcat(l, r) })
+		},
+		NumReducers:  kr,
+		OutputName:   name,
+		OutputSchema: relation.MustSchema(slices.Concat(inter.Schema.Columns(), base.Schema.Columns())...),
+		OutputDicts:  append(dicts, base.Dicts...),
 	}
-	if len(equi) > 0 {
-		lKey := func(t relation.Tuple) uint64 { return hashCols(t, equi, true) }
-		rKey := func(t relation.Tuple) uint64 { return hashCols(t, equi, false) }
-		return &mr.Job{
-			Name: name,
-			Inputs: []mr.Input{
-				{Rel: inter, Map: func(t relation.Tuple, emit mr.Emitter) { emit(lKey(t)) }},
-				{Rel: base, Map: func(t relation.Tuple, emit mr.Emitter) { emit(rKey(t)) }},
-			},
-			Reduce:       reduce,
-			NumReducers:  kr,
-			OutputName:   name,
-			OutputSchema: outSchema,
-		}, nil
+	if len(lCols) > 0 {
+		job.Inputs = []mr.Input{
+			{Rel: inter, Map: func(t relation.Tuple, emit mr.Emitter) { emit(hashCols(t, lCols, lOffs)) }},
+			{Rel: base, Map: func(t relation.Tuple, emit mr.Emitter) { emit(hashCols(t, rCols, rOffs)) }},
+		}
+		return job, nil
 	}
 	// Inequality-only step: 1-Bucket-style cross partition — the
 	// practical realisation of a theta join in Hive/Pig-era systems
@@ -344,38 +310,22 @@ func buildStepJob(name string, inter, base *relation.Relation, conds predicate.C
 	// column's (map tasks run concurrently, so assignment is a pure
 	// hash of the tuple).
 	rows, cols := squarish(kr)
-	grid := rows * cols
-	return &mr.Job{
-		Name: name,
-		Inputs: []mr.Input{
-			{Rel: inter, Map: func(t relation.Tuple, emit mr.Emitter) {
-				row := tupleHash(t) % uint64(rows)
-				for c := 0; c < cols; c++ {
-					emit(row*uint64(cols) + uint64(c))
-				}
-			}},
-			{Rel: base, Map: func(t relation.Tuple, emit mr.Emitter) {
-				col := (tupleHash(t) >> 17) % uint64(cols)
-				for r := 0; r < rows; r++ {
-					emit(uint64(r)*uint64(cols) + col)
-				}
-			}},
-		},
-		Reduce:       reduce,
-		NumReducers:  grid,
-		OutputName:   name,
-		OutputSchema: outSchema,
-	}, nil
-}
-
-func concatPrefixed(inter, base *relation.Relation) *relation.Schema {
-	var cols []relation.Column
-	cols = append(cols, inter.Schema.Columns()...)
-	for i := 0; i < base.Schema.Len(); i++ {
-		c := base.Schema.Column(i)
-		cols = append(cols, relation.Column{Name: base.Name + "." + c.Name, Kind: c.Kind})
+	job.NumReducers = rows * cols
+	job.Inputs = []mr.Input{
+		{Rel: inter, Map: func(t relation.Tuple, emit mr.Emitter) {
+			row := tupleHash(t) % uint64(rows)
+			for c := 0; c < cols; c++ {
+				emit(row*uint64(cols) + uint64(c))
+			}
+		}},
+		{Rel: base, Map: func(t relation.Tuple, emit mr.Emitter) {
+			col := (tupleHash(t) >> 17) % uint64(cols)
+			for r := 0; r < rows; r++ {
+				emit(uint64(r)*uint64(cols) + col)
+			}
+		}},
 	}
-	return relation.MustSchema(cols...)
+	return job, nil
 }
 
 // squarish factors kr into rows×cols with rows·cols ≤ kr and the
@@ -402,16 +352,12 @@ func squarish(kr int) (rows, cols int) {
 	return rows, cols
 }
 
-func hashCols(t relation.Tuple, conds []stepCond, leftSide bool) uint64 {
+// hashCols folds the equi-key columns of one step input, each plus its
+// offset, into the tuple's partition key.
+func hashCols(t relation.Tuple, cols []int, offs []float64) uint64 {
 	h := relation.NewFNV()
-	for _, bc := range conds {
-		var v relation.Value
-		if leftSide {
-			v = t[bc.leftCol].Add(bc.leftOff)
-		} else {
-			v = t[bc.rightCol].Add(bc.rightOff)
-		}
-		h = h.Text(v).Byte(0x1f)
+	for i, ci := range cols {
+		h = h.Text(t[ci].Add(offs[i])).Byte(0x1f)
 	}
 	return uint64(h)
 }

@@ -24,8 +24,8 @@ import (
 //   - every condition gets a normalized sort key per candidate tuple —
 //     an int64 extracted once (relation.SortKeyInt/SortKeyFloat, mode
 //     from predicate.CondKeyMode, decided by bindConditions) — so the
-//     inner loop compares raw integers instead of calling
-//     relation.Compare(Value.Add(...), ...) per candidate;
+//     inner loop compares raw integers instead of shifting and
+//     comparing Values (Value.Add, relation.Compare) per candidate;
 //   - string conditions ride the same indexes through a side's
 //     order-preserving dictionary (predicate.KeyDict): interned values
 //     key on their embedded codes, the other side probes the reference
@@ -197,6 +197,54 @@ func (je *joinEval) matchPair(l, r relation.Tuple) bool {
 		}
 	}
 	return true
+}
+
+// A PairMatcher is the nested-loop join of two relations under
+// conditions that each join one with the other, evaluated with the same
+// binding, key modes and key comparisons as every planned job. The
+// baselines' cascade steps join through it; concurrent reducers share
+// one.
+type PairMatcher struct{ conds []ccond }
+
+// NewPairMatcher compiles conds over (left, right), refusing a
+// condition no key mode evaluates as bindConditions does.
+func NewPairMatcher(left, right *relation.Relation, conds predicate.Conjunction) (*PairMatcher, error) {
+	rels := []*relation.Relation{left, right}
+	bound, err := bindConditions(conds, rels)
+	if err != nil {
+		return nil, err
+	}
+	st := &newJoinEval(rels, bound).steps[1]
+	return &PairMatcher{conds: slices.Concat(st.eq, st.rng, st.ne)}, nil
+}
+
+// Join calls emit(l, r) for every pair of ls×rs, l-major, that
+// satisfies every condition. It tests every pair — no index prunes or
+// reorders them — but extracts each tuple's keys once, not once per
+// pair.
+func (m *PairMatcher) Join(ls, rs []relation.Tuple, emit func(l, r relation.Tuple)) {
+	n := len(m.conds)
+	rk := make([]int64, len(rs)*n)
+	for j, r := range rs {
+		for ci := range m.conds {
+			rk[j*n+ci] = m.conds[ci].hiKey(r)
+		}
+	}
+	lk := make([]int64, n)
+	for _, l := range ls {
+		for ci := range m.conds {
+			lk[ci] = m.conds[ci].loKey(l)
+		}
+	pairs:
+		for j, r := range rs {
+			for ci := range m.conds {
+				if !m.conds[ci].evalKeys(lk[ci], rk[j*n+ci]) {
+					continue pairs
+				}
+			}
+			emit(l, r)
+		}
+	}
 }
 
 // stepIndex is the lazily built per-reduce-group index of one step.

@@ -103,9 +103,9 @@ type candidate struct {
 
 // Plan runs the full §5 pipeline: construct G'_JP with the cost model,
 // select a sufficient T by weighted set cover, and schedule it on K_P
-// units. A condition no key mode evaluates fails it first (bindQuery).
+// units. A condition no key mode evaluates fails it first (CheckConditions).
 func (pl *Planner) Plan(q *query.Query, db *DB) (*Plan, error) {
-	if err := pl.bindQuery(q, db); err != nil {
+	if err := pl.checkQuery(q, db); err != nil {
 		return nil, err
 	}
 	g := q.JoinGraph()
@@ -164,9 +164,9 @@ func (pl *Planner) Plan(q *query.Query, db *DB) (*Plan, error) {
 // not by set cover: each set of condition IDs becomes one job, costed
 // and scheduled as Plan does its candidates (no G'_JP is built, so
 // CandidateEdges is 0). An empty set, an unknown condition ID, a
-// condition no set covers or one bindQuery refuses is an error.
+// condition no set covers or one CheckConditions refuses is an error.
 func (pl *Planner) PlanCover(q *query.Query, db *DB, cover [][]int) (*Plan, error) {
-	if err := pl.bindQuery(q, db); err != nil {
+	if err := pl.checkQuery(q, db); err != nil {
 		return nil, err
 	}
 	covered := make([]bool, len(q.Conditions))
@@ -196,14 +196,19 @@ func (pl *Planner) PlanCover(q *query.Query, db *DB, cover [][]int) (*Plan, erro
 	return pl.scheduleCover(q, chosen, db)
 }
 
-// bindQuery checks KP and binds q's conditions against db's relations
-// once, so a condition no key mode evaluates — a string compared with a
-// number, or strings with no dictionary — is refused before any job is
-// costed, with an error naming both columns.
-func (pl *Planner) bindQuery(q *query.Query, db *DB) error {
+// checkQuery is Plan's and PlanCover's prologue: KP, then CheckConditions.
+func (pl *Planner) checkQuery(q *query.Query, db *DB) error {
 	if pl.KP < 1 {
 		return fmt.Errorf("core: planner needs KP >= 1")
 	}
+	return CheckConditions(q, db)
+}
+
+// CheckConditions binds q's conditions against db's relations, so the
+// planner and the baselines' cascades refuse a condition no key mode
+// evaluates — a string compared with a number, or strings with no
+// dictionary — before any job is costed or run, naming both columns.
+func CheckConditions(q *query.Query, db *DB) error {
 	rels := make([]*relation.Relation, len(q.Relations))
 	for i, name := range q.Relations {
 		r, err := db.Relation(name)

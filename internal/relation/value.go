@@ -276,6 +276,9 @@ func numericComparable(a, b Value) bool {
 // strings compare lexicographically. Comparing a string with a numeric
 // kind orders the numeric kind first (deterministic but arbitrary:
 // Plan refuses such comparisons).
+//
+// No join evaluates with Compare (joins compare sortkey.go's keys): its
+// callers are the oracle, core.Naive, and internal/predicate's sampler.
 func Compare(a, b Value) int {
 	switch {
 	case a.kind == KindNull && b.kind == KindNull:
@@ -317,13 +320,10 @@ func Compare(a, b Value) int {
 	return -1
 }
 
-// Equal reports whether two values are equal under Compare semantics.
-func Equal(a, b Value) bool { return Compare(a, b) == 0 }
-
-// Identical reports bit identity, which is stricter than Equal: the same
-// kind, the same payload word (so -0 is not +0, and a NaN is itself),
-// the same dictionary code slot (interned is not plain) and the same
-// string bytes, wherever each copy of them lives. It is what tests
+// Identical reports bit identity, stricter than Compare(a, b) == 0: the
+// same kind, the same payload word (so -0 is not +0, and a NaN is
+// itself), the same dictionary code slot (interned is not plain) and the
+// same string bytes, wherever each copy of them lives. It is what tests
 // compare rows with; == would compare the strings' addresses.
 func Identical(a, b Value) bool {
 	return a.kind == b.kind && a.w == b.w && a.Str() == b.Str()

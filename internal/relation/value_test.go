@@ -304,7 +304,7 @@ func TestIdentical(t *testing.T) {
 		t.Errorf("abc vs abd: Identical %v (want false), reflect.DeepEqual %v (true: why tests must not use it)",
 			Identical(a, b), reflect.DeepEqual(a, b))
 	}
-	if !Equal(differ[0][0], differ[0][1]) || !Equal(differ[3][0], differ[3][1]) {
+	if Compare(differ[0][0], differ[0][1]) != 0 || Compare(differ[3][0], differ[3][1]) != 0 {
 		t.Error("-0 vs +0 and interned vs plain must stay Equal under Compare")
 	}
 }
