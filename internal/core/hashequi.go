@@ -116,20 +116,6 @@ func BuildHashEquiJob(name string, left, right *relation.Relation, conds predica
 			if len(ls) == 0 || len(rs) == 0 {
 				return
 			}
-			// Tiny groups (the common case when keys are near-unique)
-			// verify pair-by-pair on normalized keys with zero group
-			// setup; larger groups get the per-group indexes.
-			if len(ls)*len(rs) <= directPairVerify {
-				ctx.AddWork(int64(len(ls)) * int64(len(rs)))
-				for _, l := range ls {
-					for _, r := range rs {
-						if je.matchPair(l, r) {
-							ctx.EmitConcat(l, r)
-						}
-					}
-				}
-				return
-			}
 			ge := je.newGroupEval(groups)
 			defer je.release(ge)
 			ge.run(ctx, func(sel []int32) {

@@ -171,34 +171,6 @@ func newJoinEval(rels []*relation.Relation, bound []boundCond) *joinEval {
 	return je
 }
 
-// matchPair reports whether (l, r) satisfies every condition of a
-// two-relation evaluator, comparing normalized keys pair-by-pair
-// without any per-group setup. It is the cheap path for the tiny
-// reduce groups a high-cardinality equi-join produces, where building
-// key arrays and indexes would dominate the handful of comparisons.
-func (je *joinEval) matchPair(l, r relation.Tuple) bool {
-	st := &je.steps[1]
-	for ci := range st.eq {
-		c := &st.eq[ci]
-		if c.loKey(l) != c.hiKey(r) {
-			return false
-		}
-	}
-	for ci := range st.rng {
-		c := &st.rng[ci]
-		if !c.evalKeys(c.loKey(l), c.hiKey(r)) {
-			return false
-		}
-	}
-	for ci := range st.ne {
-		c := &st.ne[ci]
-		if c.loKey(l) == c.hiKey(r) {
-			return false
-		}
-	}
-	return true
-}
-
 // A PairMatcher is the nested-loop join of two relations under
 // conditions that each join one with the other, evaluated with the same
 // binding, key modes and key comparisons as every planned job. The
@@ -279,11 +251,6 @@ type stepIndex struct {
 // indexMinSize is the group size below which building a hash table or
 // sorted run costs more than linear scans over the extracted keys.
 const indexMinSize = 8
-
-// directPairVerify is the |ls|×|rs| bound below which a two-relation
-// reduce group verifies pairs directly (matchPair) instead of paying
-// groupEval's per-group slice setup.
-const directPairVerify = 16
 
 // groupEval evaluates one reduce group: the per-relation candidate
 // groups plus lazily built step indexes and per-depth scratch buffers.
