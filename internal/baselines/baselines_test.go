@@ -119,8 +119,11 @@ func TestCascadeEquiAndMixed(t *testing.T) {
 
 // typedRelation draws a relation with one column of each joinable kind
 // — i (int), f (float), ts (time), s (string) — over small domains, so
-// values repeat, with about one value in eight NULL. f holds -0 and +0
-// both; NaN is left out (relation/sortkey.go does not order it).
+// values repeat, with about one value in eight NULL. The numeric
+// domains meet at small values, at values from 10^6 up, which an int
+// and a float print differently ("1000000", "1e+06"), and at 2^53,
+// which a float shares with the int 2^53+1. f holds -0 and +0 both;
+// NaN is left out (relation/sortkey.go does not order it).
 func typedRelation(name string, n int, rng *rand.Rand) *relation.Relation {
 	r := relation.New(name, relation.MustSchema(
 		relation.Column{Name: "i", Kind: relation.KindInt},
@@ -128,7 +131,9 @@ func typedRelation(name string, n int, rng *rand.Rand) *relation.Relation {
 		relation.Column{Name: "ts", Kind: relation.KindTime},
 		relation.Column{Name: "s", Kind: relation.KindString},
 	))
-	floats := []float64{-2.5, math.Copysign(0, -1), 0, 1, 1.5, 3}
+	ints := []int64{-2, -1, 0, 1, 2, 3, 1_000_000, 1_700_000_001, 1 << 53, 1<<53 + 1}
+	floats := []float64{-2.5, math.Copysign(0, -1), 0, 1, 1.5, 3, 1e6, 1_700_000_001, 1 << 53}
+	times := []int64{1_000_000, 1_700_000_000, 1_700_000_001, 1_700_000_002, 1 << 53, 1<<53 + 1}
 	strs := []string{"", "a", "ab", "b", "ba", "c"}
 	orNull := func(v relation.Value) relation.Value {
 		if rng.Intn(8) == 0 {
@@ -138,9 +143,9 @@ func typedRelation(name string, n int, rng *rand.Rand) *relation.Relation {
 	}
 	for i := 0; i < n; i++ {
 		r.MustAppend(relation.Tuple{
-			orNull(relation.Int(int64(rng.Intn(6) - 2))),
+			orNull(relation.Int(ints[rng.Intn(len(ints))])),
 			orNull(relation.Float(floats[rng.Intn(len(floats))])),
-			orNull(relation.TimeUnix(1_700_000_000 + int64(rng.Intn(6)))),
+			orNull(relation.TimeUnix(times[rng.Intn(len(times))])),
 			orNull(relation.Str(strs[rng.Intn(len(strs))])),
 		})
 	}
@@ -202,6 +207,89 @@ func TestCascadesRandomQueries(t *testing.T) {
 			if got := resultSet(res.Output); !wantRS.Equal(got) {
 				t.Fatalf("trial %d %s (%s): mismatch %d vs %d rows: %v",
 					trial, st.Name, q, got.Len(), wantRS.Len(), wantRS.Diff(got, 3))
+			}
+		}
+	}
+}
+
+// An int and a float equal as join keys meet in one reducer however
+// they print: ints 999 999, 10^6, 1 234 567 and 5 join the same values
+// as floats, and int 2^53+1 joins float 2^53 (equal as the floats the
+// condition compares). The hash-equi job, a three-way share grid whose
+// equality class holds the float column, and all three cascades return
+// core.Naive's rows.
+func TestIntFloatEquiJoinsMatchNaive(t *testing.T) {
+	ints := []int64{999_999, 1_000_000, 1_234_567, 5, 1<<53 + 1}
+	mk := func(name string, kind relation.Kind) *relation.Relation {
+		r := relation.New(name, relation.MustSchema(
+			relation.Column{Name: "x", Kind: kind},
+			relation.Column{Name: "w", Kind: relation.KindInt},
+		))
+		for i, x := range ints {
+			v := relation.Int(x)
+			if kind == relation.KindFloat {
+				v = relation.Float(float64(x))
+			}
+			r.MustAppend(relation.Tuple{v, relation.Int(int64(i))})
+		}
+		return r
+	}
+	db := newDB(t, mk("A", relation.KindInt), mk("B", relation.KindFloat), mk("C", relation.KindInt))
+	rels := func(names ...string) []*relation.Relation {
+		out := make([]*relation.Relation, len(names))
+		for i, n := range names {
+			r, err := db.Relation(n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[i] = r
+		}
+		return out
+	}
+	const kr = 16
+	pair := query.MustNew("pair", []string{"A", "B"}, []predicate.Condition{
+		predicate.C("A", "x", predicate.EQ, "B", "x"),
+	})
+	grid := query.MustNew("grid", []string{"A", "B", "C"}, []predicate.Condition{
+		predicate.C("A", "x", predicate.EQ, "B", "x"),
+		predicate.C("B", "x", predicate.EQ, "C", "x"),
+		predicate.C("A", "w", predicate.LE, "C", "w"),
+	})
+	ab := rels("A", "B")
+	hashEqui, err := core.BuildHashEquiJob("pair", ab[0], ab[1], pair.Conditions, kr, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shareGrid, err := core.BuildShareGridJob("grid", rels("A", "B", "C"), grid.Conditions, kr, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		q   *query.Query
+		job *mr.Job
+	}{{pair, hashEqui}, {grid, shareGrid}} {
+		want, err := core.Naive(tc.q, db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.Cardinality() != len(ints) {
+			t.Fatalf("%s: naive returns %d rows, want %d", tc.q.Name, want.Cardinality(), len(ints))
+		}
+		wantRS := resultSet(want)
+		res, err := mr.Run(context.Background(), testConfig(), tc.job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := resultSet(res.Output); !wantRS.Equal(got) {
+			t.Errorf("%s job: %d rows, naive %d: %v", tc.q.Name, got.Len(), wantRS.Len(), wantRS.Diff(got, 3))
+		}
+		for _, st := range []Strategy{Hive(), Pig(), YSmart()} {
+			res, err := Run(context.Background(), st, testConfig(), tc.q, db, kr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := resultSet(res.Output); !wantRS.Equal(got) {
+				t.Errorf("%s %s: %d rows, naive %d: %v", tc.q.Name, st.Name, got.Len(), wantRS.Len(), wantRS.Diff(got, 3))
 			}
 		}
 	}

@@ -13,11 +13,13 @@
 // structurally (Pig's serialisation overhead, YSmart's merged-job I/O
 // savings) is an explicit, documented Strategy field.
 //
-// A cascade binds and evaluates its conditions with the paper's method's
-// own code: core.CheckConditions refuses the query before any step runs
-// when a condition has no key mode, and every step's nested-loop reducer
-// compares the int64 keys core.PairMatcher extracts. relation.Compare
-// is left to the oracle (core.Naive) and internal/predicate's sampler.
+// A cascade binds, routes and evaluates its conditions with the paper's
+// method's own code: core.CheckConditions refuses the query before any
+// step runs when a condition has no key mode, an equi step shuffles each
+// side on the int64 keys of its equalities (core.PairMatcher.ShuffleKey,
+// the hash-equi job's key), and every step's nested-loop reducer
+// compares the keys core.PairMatcher extracts. relation.Compare is left
+// to the oracle (core.Naive) and internal/predicate's sampler.
 package baselines
 
 import (
@@ -251,11 +253,12 @@ func prefixBase(r *relation.Relation) *relation.Relation {
 
 // buildStepJob creates the pairwise join job for one cascade stage,
 // joining the intermediate with a prefixBase'd base relation:
-// repartition hash join when equality keys exist, fragment-and-
-// replicate cross join otherwise (the practical Hive/Pig realisation
-// of an inequality join). Either way the reducer is a nested loop over
-// its two groups, charged len(ls)·len(rs), that tests every pair against
-// all conditions, hash-collided equalities included (core.PairMatcher).
+// repartition hash join on the equalities' join keys when the step has
+// any, fragment-and-replicate cross join otherwise (the practical
+// Hive/Pig realisation of an inequality join). Either way the reducer
+// is a nested loop over its two groups, charged len(ls)·len(rs), that
+// tests every pair against all conditions, hash-collided equalities
+// included (core.PairMatcher).
 func buildStepJob(name string, inter, base *relation.Relation, conds predicate.Conjunction, kr int) (*mr.Job, error) {
 	// Orient each condition so that its right side is base, and name
 	// both columns "rel.col" with the intermediate as the left relation,
@@ -272,16 +275,6 @@ func buildStepJob(name string, inter, base *relation.Relation, conds predicate.C
 	if err != nil {
 		return nil, err
 	}
-	var lCols, rCols []int
-	var lOffs, rOffs []float64
-	for _, c := range conds {
-		if c.Op == predicate.EQ { // NewPairMatcher resolved both columns
-			lCols = append(lCols, inter.Schema.MustLookup(c.LeftColumn))
-			rCols = append(rCols, base.Schema.MustLookup(c.RightColumn))
-			lOffs = append(lOffs, c.LeftOffset)
-			rOffs = append(rOffs, c.RightOffset)
-		}
-	}
 	dicts := make([]*relation.Dict, inter.Schema.Len(), inter.Schema.Len()+len(base.Dicts))
 	copy(dicts, inter.Dicts)
 	job := &mr.Job{
@@ -296,10 +289,10 @@ func buildStepJob(name string, inter, base *relation.Relation, conds predicate.C
 		OutputSchema: relation.MustSchema(slices.Concat(inter.Schema.Columns(), base.Schema.Columns())...),
 		OutputDicts:  append(dicts, base.Dicts...),
 	}
-	if len(lCols) > 0 {
+	if pm.Keyed() {
 		job.Inputs = []mr.Input{
-			{Rel: inter, Map: func(t relation.Tuple, emit mr.Emitter) { emit(hashCols(t, lCols, lOffs)) }},
-			{Rel: base, Map: func(t relation.Tuple, emit mr.Emitter) { emit(hashCols(t, rCols, rOffs)) }},
+			{Rel: inter, Map: func(t relation.Tuple, emit mr.Emitter) { emit(pm.ShuffleKey(0, t)) }},
+			{Rel: base, Map: func(t relation.Tuple, emit mr.Emitter) { emit(pm.ShuffleKey(1, t)) }},
 		}
 		return job, nil
 	}
@@ -350,16 +343,6 @@ func squarish(kr int) (rows, cols int) {
 		return s, s
 	}
 	return rows, cols
-}
-
-// hashCols folds the equi-key columns of one step input, each plus its
-// offset, into the tuple's partition key.
-func hashCols(t relation.Tuple, cols []int, offs []float64) uint64 {
-	h := relation.NewFNV()
-	for i, ci := range cols {
-		h = h.Text(t[ci].Add(offs[i])).Byte(0x1f)
-	}
-	return uint64(h)
 }
 
 // tupleHash mixes every value of a tuple into a partition key.

@@ -10,106 +10,72 @@ import (
 )
 
 // BuildHashEquiJob constructs the classic repartition equi-join for a
-// conjunction of equalities between exactly two relations: tuples hash
-// on the composite key, no duplication. A non-nil plan adds
-// heavy-hitter handling per SharesSkew: each hot join-key value gets a
-// skew.Run of reducers placed by skew.Overlay, whose left axis splits
-// the left side's tuples by content hash while the right side
-// replicates across it (and symmetrically when the right side is hot).
-// Reducer-side logic is unchanged — each sub-reducer joins its
-// fragment against the replicated side, and fragments are disjoint, so
-// the output is the same set of tuples with the hot key's work spread
-// evenly. Runs come from the plan's reports over each side's key
-// columns, keyed by the same composite hash the map side shuffles on.
-// A nil plan means no hot-key handling.
+// conjunction of equalities between exactly two relations: each tuple
+// shuffles once, on the join keys of its side of the conditions
+// (shuffleKey), so a matching pair meets on one key, and the reducer
+// compares those same keys. A non-nil plan adds heavy-hitter handling
+// per SharesSkew: each hot join-key value gets a skew.Run of reducers
+// placed by skew.Overlay, whose left axis splits the left side's
+// tuples by content hash while the right side replicates across it
+// (and symmetrically when the right side is hot). Reducer-side logic
+// is unchanged — each sub-reducer joins its fragment against the
+// replicated side, and fragments are disjoint, so the output is the
+// same set of tuples with the hot key's work spread evenly. Runs come
+// from the plan's reports over each side's key columns, keyed by the
+// same extractors the map side shuffles by. A nil plan means no
+// hot-key handling.
 func BuildHashEquiJob(name string, left, right *relation.Relation, conds predicate.Conjunction, kr int, plan *skew.JobPlan) (*mr.Job, error) {
 	if !AllEquiSamePair(conds) {
 		return nil, fmt.Errorf("core: conditions %s are not a two-relation equi conjunction", conds)
 	}
 	// Orient every condition left→right.
-	type keyCol struct {
-		col  int
-		off  float64
-		name string
-	}
-	var lCols, rCols []keyCol
-	var codeKeys []bool
-	var oriented []predicate.Condition
-	for _, c := range conds {
-		oc := c
-		if oc.Left != left.Name {
-			oc = c.Reversed()
+	oriented := make(predicate.Conjunction, len(conds))
+	for i, c := range conds {
+		if c.Left != left.Name {
+			c = c.Reversed()
 		}
-		lc, ok := resolveColumn(left, oc.Left, oc.LeftColumn)
-		if !ok {
-			return nil, fmt.Errorf("core: no column %s.%s", oc.Left, oc.LeftColumn)
-		}
-		rc, ok := resolveColumn(right, oc.Right, oc.RightColumn)
-		if !ok {
-			return nil, fmt.Errorf("core: no column %s.%s", oc.Right, oc.RightColumn)
-		}
-		lCols = append(lCols, keyCol{lc, oc.LeftOffset, oc.LeftColumn})
-		rCols = append(rCols, keyCol{rc, oc.RightOffset, oc.RightColumn})
-		// Interned shuffle keys: when both sides of a condition share
-		// the same dictionary (self-join aliases do), the 8-byte code
-		// replaces the string bytes in the composite hash. Distinct
-		// dictionaries assign unrelated codes to equal strings, so the
-		// fast path is gated on pointer identity.
-		lD, rD := left.DictOf(lc), right.DictOf(rc)
-		codeKeys = append(codeKeys, lD != nil && lD == rD)
-		oriented = append(oriented, oc)
-	}
-	// Map-side hashKey and the hot values' keys must agree byte for
-	// byte, so both fold their columns through foldKeyPart.
-	hashKey := func(t relation.Tuple, cols []keyCol) uint64 {
-		h := relation.NewFNV()
-		for i, kc := range cols {
-			h = foldKeyPart(h, t[kc.col].Add(kc.off), codeKeys[i])
-		}
-		return uint64(h)
+		oriented[i] = c
 	}
 	rels := []*relation.Relation{left, right}
-	var partitioner mr.Partitioner
-	if plan != nil {
-		// A hot value combination routes by the composite hash the map
-		// side shuffles it on; the planner stored each side's report under
-		// its condition-ordered column vector. Member 0 is the left side.
-		var hots []skew.Hot
-		for side, cols := range [][]keyCol{lCols, rCols} {
-			names := make([]string, len(cols))
-			for i, kc := range cols {
-				names[i] = kc.name
-			}
-			for _, hk := range plan.Hot(rels[side].Name, names) {
-				if len(hk.Values) != len(cols) {
-					continue
-				}
-				h := relation.NewFNV()
-				for i, kc := range cols {
-					h = foldKeyPart(h, hk.Values[i].Add(kc.off), codeKeys[i])
-				}
-				fracs := make([]float64, 2)
-				fracs[side] = hk.Frac
-				hots = append(hots, skew.Hot{Key: uint64(h), Fracs: fracs})
-			}
-		}
-		partitioner = skew.Overlay(kr, hots, plan.Threshold)
-	}
-	// Reducer-side verification through the shared indexed evaluator:
-	// within a reduce group (one composite key hash) the equality
-	// conditions compare normalized sort keys — or probe a per-group
-	// hash index when hash collisions mix several key values — instead
-	// of boxed Compare(Value.Add(...)) per (l, r) pair.
 	bound, err := bindConditions(oriented, rels)
 	if err != nil {
 		return nil, err
 	}
+	// Within a reduce group the equality conditions probe a per-group
+	// hash index on the same keys, which also separates the key values
+	// a shuffle-key collision mixes.
 	je := newJoinEval(rels, bound)
+	sides := je.equiSides()
+	var partitioner mr.Partitioner
+	if plan != nil {
+		// The planner stored each side's report under its
+		// condition-ordered column vector. Member 0 is the left side.
+		var hots []skew.Hot
+		for side, exts := range sides {
+			names := make([]string, len(oriented))
+			for i, c := range oriented {
+				names[i] = [2]string{c.LeftColumn, c.RightColumn}[side]
+			}
+			for _, hk := range plan.Hot(rels[side].Name, names) {
+				if len(hk.Values) != len(exts) {
+					continue
+				}
+				h := relation.NewFNV()
+				for i := range exts {
+					h = h.U64(uint64(exts[i].valueKey(hk.Values[i])))
+				}
+				fracs := make([]float64, 2)
+				fracs[side] = hk.Frac
+				hots = append(hots, skew.Hot{Key: mix(h), Fracs: fracs})
+			}
+		}
+		partitioner = skew.Overlay(kr, hots, plan.Threshold)
+	}
 	return &mr.Job{
 		Name: name,
 		Inputs: []mr.Input{
-			{Rel: left, Map: func(t relation.Tuple, emit mr.Emitter) { emit(hashKey(t, lCols)) }},
-			{Rel: right, Map: func(t relation.Tuple, emit mr.Emitter) { emit(hashKey(t, rCols)) }},
+			{Rel: left, Map: func(t relation.Tuple, emit mr.Emitter) { emit(shuffleKey(sides[0], t)) }},
+			{Rel: right, Map: func(t relation.Tuple, emit mr.Emitter) { emit(shuffleKey(sides[1], t)) }},
 		},
 		Reduce: func(key uint64, groups [][]relation.Tuple, ctx *mr.ReduceContext) {
 			ls, rs := groups[0], groups[1]
@@ -128,19 +94,4 @@ func BuildHashEquiJob(name string, left, right *relation.Relation, conds predica
 		OutputSchema: prefixedSchema(rels),
 		OutputDicts:  prefixedDicts(rels),
 	}, nil
-}
-
-// foldKeyPart folds one key column's contribution into the composite
-// FNV-1a shuffle key h: the eight little-endian bytes of the dictionary
-// code when the shared-dictionary fast path applies (code) and the value
-// is interned, the bytes of its textual form otherwise, and a 0x1f
-// separator. It runs once per key column of every mapped tuple, so it
-// allocates nothing.
-func foldKeyPart(h relation.FNV, v relation.Value, code bool) relation.FNV {
-	if c, ok := v.DictCode(); code && ok {
-		h = h.U64(uint64(c))
-	} else {
-		h = h.Text(v)
-	}
-	return h.Byte(0x1f)
 }

@@ -171,12 +171,27 @@ func newJoinEval(rels []*relation.Relation, bound []boundCond) *joinEval {
 	return je
 }
 
+// equiSides returns, for a two-relation job, each side's extractors of
+// its equality conditions in condition order: what that side shuffles
+// by (shuffleKey).
+func (je *joinEval) equiSides() [2][]keyExtractor {
+	var sides [2][]keyExtractor
+	for _, c := range je.steps[1].eq {
+		sides[0] = append(sides[0], c.lo)
+		sides[1] = append(sides[1], c.hi)
+	}
+	return sides
+}
+
 // A PairMatcher is the nested-loop join of two relations under
 // conditions that each join one with the other, evaluated with the same
 // binding, key modes and key comparisons as every planned job. The
-// baselines' cascade steps join through it; concurrent reducers share
-// one.
-type PairMatcher struct{ conds []ccond }
+// baselines' cascade steps join through it, and shuffle by the keys it
+// gives each side; concurrent reducers share one.
+type PairMatcher struct {
+	conds []ccond
+	sides [2][]keyExtractor
+}
 
 // NewPairMatcher compiles conds over (left, right), refusing a
 // condition no key mode evaluates as bindConditions does.
@@ -186,8 +201,20 @@ func NewPairMatcher(left, right *relation.Relation, conds predicate.Conjunction)
 	if err != nil {
 		return nil, err
 	}
-	st := &newJoinEval(rels, bound).steps[1]
-	return &PairMatcher{conds: slices.Concat(st.eq, st.rng, st.ne)}, nil
+	je := newJoinEval(rels, bound)
+	st := &je.steps[1]
+	return &PairMatcher{conds: slices.Concat(st.eq, st.rng, st.ne), sides: je.equiSides()}, nil
+}
+
+// Keyed reports whether the conditions include an equality, on whose
+// keys the two sides can shuffle.
+func (m *PairMatcher) Keyed() bool { return len(m.sides[0]) > 0 }
+
+// ShuffleKey is the key a tuple of the given side (0 left, 1 right)
+// shuffles by: the hash-equi job's shuffle key over the equality
+// conditions, so a pair that satisfies them meets on one key.
+func (m *PairMatcher) ShuffleKey(side int, t relation.Tuple) uint64 {
+	return shuffleKey(m.sides[side], t)
 }
 
 // Join calls emit(l, r) for every pair of ls×rs, l-major, that

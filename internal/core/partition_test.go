@@ -303,7 +303,7 @@ func TestTupleGlobalIDMatchesFNV(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() {
 		for _, rid := range rids {
-			benchKeySink += tupleGlobalID(relation.Int(rid), 1000, 0xabcd, 1)
+			keySink += tupleGlobalID(relation.Int(rid), 1000, 0xabcd, 1)
 		}
 	}); n != 0 {
 		t.Errorf("tupleGlobalID allocates %v times over %d rids", n, len(rids))

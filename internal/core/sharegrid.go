@@ -277,22 +277,44 @@ func (g *shareGrid) cells() int {
 	return grid
 }
 
-// gridDim routes one grid dimension's values: its share, and the skew
-// layout that gives each hot value a run of consecutive slots
-// (skew.Carve) and hashes every other value over the remaining ones —
-// over all share slots when nothing is hot.
+// gridDim routes one grid dimension: its share, the key extractor of
+// each member relation of its equality class, and the skew layout that
+// gives each hot value a run of consecutive slots (skew.Carve) and
+// hashes every other value over the remaining ones — over all share
+// slots when nothing is hot.
+//
+// The whole class keys in one mode, so a value routes alike from every
+// member: float if any member is a float column (an int or time value
+// then keys as the float its condition compares it as), dictionary
+// keys against one member's dictionary if the members are strings, int
+// otherwise. The conditions' own modes may be finer — int between two
+// int members of a class with a float member — but a coarser routing
+// key only lets more tuples meet, while a finer one, such as each
+// value's text, splits tuples that satisfy the class's equalities.
 type gridDim struct {
-	dim    int
-	share  int
+	dim   int
+	share int
+	// exts[i] keys relation i's member column; col < 0 marks a
+	// relation outside the class, which replicates along the
+	// dimension.
+	exts []keyExtractor
+	// owner is the first member relation: the reducer keys a
+	// combination's cell by its tuple.
+	owner  int
 	layout *skew.Layout
 }
 
-// key is the 64-bit key a value routes by on this dimension: FNV-1a
-// of the dimension byte and the value's text. It runs per tuple on the
-// map side and per candidate combination in the reducers, so it
-// allocates nothing.
-func (g *gridDim) key(v relation.Value) uint64 {
-	return uint64(relation.NewFNV().Byte(byte(g.dim)).Text(v))
+// key is the 64-bit key relation rel's tuple t routes by on this
+// dimension. It runs per tuple on the map side and per candidate
+// combination in the reducers, so it allocates nothing.
+func (g *gridDim) key(rel int, t relation.Tuple) uint64 {
+	return g.slotKey(g.exts[rel].key(t))
+}
+
+// slotKey routes one join key: its fold with the dimension byte, so
+// dimensions over the same values do not pick correlated slots.
+func (g *gridDim) slotKey(k int64) uint64 {
+	return mix(relation.NewFNV().Byte(byte(g.dim)).U64(uint64(k)))
 }
 
 // newGridDim lays out one dimension from the job's hot-key plan. The
@@ -300,24 +322,50 @@ func (g *gridDim) key(v relation.Value) uint64 {
 // tuples pin within a hot value's run while the class's other members
 // replicate across it, is the largest member of the class: it carries
 // the dominant share of the hot value's tuples (ties broken by name).
-func newGridDim(dim int, cl *attrClass, rels []*relation.Relation, ordinal map[string]int, plan *skew.JobPlan) *gridDim {
-	g := &gridDim{dim: dim, share: cl.share}
+func newGridDim(dim int, cl *attrClass, rels []*relation.Relation, plan *skew.JobPlan) *gridDim {
+	g := &gridDim{dim: dim, share: cl.share, exts: make([]keyExtractor, len(rels)), owner: -1}
+	mode, ref := predicate.KeyInt, (*relation.Dict)(nil)
+	for i, r := range rels {
+		g.exts[i].col = -1
+		col, ok := cl.members[r.Name]
+		if !ok {
+			continue
+		}
+		g.exts[i].col = col
+		if g.owner < 0 {
+			g.owner = i
+		}
+		switch r.Schema.Column(col).Kind {
+		case relation.KindFloat:
+			mode = predicate.KeyFloat
+		case relation.KindString:
+			mode = predicate.KeyDict
+			if ref == nil {
+				ref = r.DictOf(col)
+			}
+		}
+	}
+	for i := range g.exts {
+		if e := &g.exts[i]; e.col >= 0 {
+			e.mode, e.dict, e.direct = mode, ref, ref != nil && rels[i].DictOf(e.col) == ref
+		}
+	}
 	var hots []skew.Hot
 	split, threshold := -1, 0.0
 	if plan != nil {
 		threshold = plan.Threshold
-		for relName, col := range cl.members {
-			i, ok := ordinal[relName]
-			if !ok {
+		for i, r := range rels {
+			e := &g.exts[i]
+			if e.col < 0 {
 				continue
 			}
-			for _, hk := range plan.Hot(relName, []string{rels[i].Schema.Column(col).Name}) {
+			for _, hk := range plan.Hot(r.Name, []string{r.Schema.Column(e.col).Name}) {
 				fracs := make([]float64, len(rels))
 				fracs[i] = hk.Frac
-				hots = append(hots, skew.Hot{Key: g.key(hk.Values[0]), Text: hk.Values[0].String(), Fracs: fracs})
+				hots = append(hots, skew.Hot{Key: g.slotKey(e.valueKey(hk.Values[0])), Text: hk.Values[0].String(), Fracs: fracs})
 			}
-			if split < 0 || rels[i].Cardinality() > rels[split].Cardinality() ||
-				(rels[i].Cardinality() == rels[split].Cardinality() && rels[i].Name < rels[split].Name) {
+			if split < 0 || r.Cardinality() > rels[split].Cardinality() ||
+				(r.Cardinality() == rels[split].Cardinality() && r.Name < rels[split].Name) {
 				split = i
 			}
 		}
@@ -375,53 +423,18 @@ func BuildShareGridJob(name string, rels []*relation.Relation, conds predicate.C
 		return nil, err
 	}
 	m := len(rels)
-	ordinal := make(map[string]int, m)
-	for i, r := range rels {
-		ordinal[r.Name] = i
-	}
 	je := newJoinEval(rels, bound)
 	dims := make([]*gridDim, nDims)
 	for d, cl := range classes {
-		dims[d] = newGridDim(d, cl, rels, ordinal, plan)
-	}
-	// Per relation: which dims it knows (column ordinal per dim).
-	knownCol := make([][]int, m) // knownCol[rel][dim] = col or -1
-	for i, r := range rels {
-		knownCol[i] = make([]int, nDims)
-		for d, cl := range classes {
-			if col, ok := cl.members[r.Name]; ok {
-				knownCol[i][d] = col
-			} else {
-				knownCol[i][d] = -1
-			}
-		}
+		dims[d] = newGridDim(d, cl, rels, plan)
 	}
 	inputs := make([]mr.Input, m)
 	for i := range rels {
-		i := i
 		inputs[i] = mr.Input{
 			Rel: rels[i],
 			Map: func(t relation.Tuple, emit mr.Emitter) {
-				emitGrid(t, i, knownCol[i], dims, strides, 0, 0, emit)
+				emitGrid(t, i, dims, strides, 0, 0, emit)
 			},
-		}
-	}
-	// canonicalCell computes the owning cell of a full combination:
-	// every dim's class has ≥2 member relations in the job, so some
-	// member of the combination knows each dim.
-	dimOwner := make([]int, nDims)  // relation ordinal knowing dim
-	dimOwnCol := make([]int, nDims) // its column
-	for d, cl := range classes {
-		found := false
-		for i, r := range rels {
-			if col, ok := cl.members[r.Name]; ok {
-				dimOwner[d], dimOwnCol[d] = i, col
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("core: share grid: dimension %d has no owner", d)
 		}
 	}
 	reduce := func(key uint64, groups [][]relation.Tuple, ctx *mr.ReduceContext) {
@@ -438,13 +451,13 @@ func BuildShareGridJob(name string, rels []*relation.Relation, conds predicate.C
 		parts, hashes := ge.parts, ge.hashes // hashes: per relation, for hot values' runs
 		ge.run(ctx, func(sel []int32) {
 			// The verified equality conditions guarantee every member
-			// of a dim's class carries the same value, so any owner is
-			// representative; a hot value's run owns the combination at
-			// the slot its members' tuples share, exactly as their map
-			// side routed them.
+			// of a dim's class carries the same key, so the owner's
+			// tuple is representative; a hot value's run owns the
+			// combination at the slot its members' tuples share,
+			// exactly as their map side routed them.
 			cell := 0
 			for d, g := range dims {
-				key := g.key(groups[dimOwner[d]][sel[dimOwner[d]]][dimOwnCol[d]])
+				key := g.key(g.owner, groups[g.owner][sel[g.owner]])
 				run := g.layout.Hot(key)
 				if run == nil {
 					cell += g.layout.Cold(key) * strides[d]
@@ -478,27 +491,25 @@ func BuildShareGridJob(name string, rels []*relation.Relation, conds predicate.C
 // emitGrid recursively enumerates the reducer cells a tuple belongs
 // to: known dimensions pin a slot (or, for a hot value, the slots of
 // its run this relation's tuple reaches), unknown dimensions are swept.
-func emitGrid(t relation.Tuple, relOrd int, known []int, dims []*gridDim, strides []int,
-	dim, acc int, emit mr.Emitter) {
+func emitGrid(t relation.Tuple, relOrd int, dims []*gridDim, strides []int, dim, acc int, emit mr.Emitter) {
 	if dim == len(dims) {
 		emit(uint64(acc))
 		return
 	}
 	g := dims[dim]
-	col := known[dim]
-	if col < 0 {
+	if g.exts[relOrd].col < 0 {
 		for c := 0; c < g.share; c++ {
-			emitGrid(t, relOrd, known, dims, strides, dim+1, acc+c*strides[dim], emit)
+			emitGrid(t, relOrd, dims, strides, dim+1, acc+c*strides[dim], emit)
 		}
 		return
 	}
-	key := g.key(t[col])
+	key := g.key(relOrd, t)
 	run := g.layout.Hot(key)
 	if run == nil {
-		emitGrid(t, relOrd, known, dims, strides, dim+1, acc+g.layout.Cold(key)*strides[dim], emit)
+		emitGrid(t, relOrd, dims, strides, dim+1, acc+g.layout.Cold(key)*strides[dim], emit)
 		return
 	}
 	for _, c := range run.Slots(relOrd, pinHash(run, relOrd, t)) {
-		emitGrid(t, relOrd, known, dims, strides, dim+1, acc+c*strides[dim], emit)
+		emitGrid(t, relOrd, dims, strides, dim+1, acc+c*strides[dim], emit)
 	}
 }

@@ -143,8 +143,9 @@ func TestShareGridRandomQueries(t *testing.T) {
 		m := 2 + rng.Intn(2)
 		names := []string{"X", "Y", "Z"}[:m]
 		rels := make([]*relation.Relation, m)
+		floatAt := rng.Intn(m) // the equality class holds one float column
 		for i := range rels {
-			rels[i] = randRelation(names[i], 20+rng.Intn(20), 5+rng.Intn(5), rng)
+			rels[i] = inMillions(randRelation(names[i], 20+rng.Intn(20), 5+rng.Intn(5), rng), i == floatAt)
 		}
 		var conds predicate.Conjunction
 		for i := 0; i+1 < m; i++ {
@@ -183,6 +184,28 @@ func TestShareGridRandomQueries(t *testing.T) {
 			t.Fatalf("trial %d (%s, kr=%d): mismatch %d vs %d", trial, q, kr, got.Len(), wantRS.Len())
 		}
 	}
+}
+
+// inMillions returns r with a moved into the millions, where an int and
+// a float of one value print differently ("1000003", "1.000003e+06"),
+// as a float column when asFloat.
+func inMillions(r *relation.Relation, asFloat bool) *relation.Relation {
+	kind := relation.KindInt
+	if asFloat {
+		kind = relation.KindFloat
+	}
+	out := relation.New(r.Name, relation.MustSchema(
+		relation.Column{Name: "a", Kind: kind},
+		relation.Column{Name: "b", Kind: relation.KindInt},
+	))
+	for _, t := range r.Tuples {
+		a := relation.Int(t[0].Int64() + 1_000_000)
+		if asFloat {
+			a = relation.Float(float64(t[0].Int64() + 1_000_000))
+		}
+		out.MustAppend(relation.Tuple{a, t[1]})
+	}
+	return out
 }
 
 func min2(a, b int) int {

@@ -181,30 +181,6 @@ func (c Condition) Other(rel string) (string, bool) {
 	}
 }
 
-// Bound resolves the condition against concrete schemas, producing an
-// evaluator closure over tuples of the two relations. It returns an
-// error when a referenced column is missing.
-func (c Condition) Bound(leftSchema, rightSchema *relation.Schema) (func(l, r relation.Tuple) bool, error) {
-	li, ok := leftSchema.Lookup(c.LeftColumn)
-	if !ok {
-		return nil, fmt.Errorf("predicate: %s: relation %s has no column %q", c, c.Left, c.LeftColumn)
-	}
-	ri, ok := rightSchema.Lookup(c.RightColumn)
-	if !ok {
-		return nil, fmt.Errorf("predicate: %s: relation %s has no column %q", c, c.Right, c.RightColumn)
-	}
-	op := c.Op
-	lo, ro := c.LeftOffset, c.RightOffset
-	if lo == 0 && ro == 0 {
-		return func(l, r relation.Tuple) bool {
-			return op.Eval(relation.Compare(l[li], r[ri]))
-		}, nil
-	}
-	return func(l, r relation.Tuple) bool {
-		return op.Eval(relation.Compare(l[li].Add(lo), r[ri].Add(ro)))
-	}, nil
-}
-
 // KeyMode classifies how a condition between two typed columns is
 // evaluated on normalized sort keys (relation.SortKeyInt/SortKeyFloat,
 // dictionary keys): the compilation step of the indexed reducer-side

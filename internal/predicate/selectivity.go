@@ -104,25 +104,3 @@ func EstimateConjunction(cj Conjunction, cat *relation.Catalog) (float64, error)
 	}
 	return sel, nil
 }
-
-// ExactSelectivity computes the true fraction of the cross product
-// satisfying the condition. Exponential in data size; used only in
-// tests and by Table 2/3 harnesses over generated data.
-func ExactSelectivity(c Condition, left, right *relation.Relation) (float64, error) {
-	eval, err := c.Bound(left.Schema, right.Schema)
-	if err != nil {
-		return 0, err
-	}
-	if left.Cardinality() == 0 || right.Cardinality() == 0 {
-		return 0, nil
-	}
-	match := 0
-	for _, lt := range left.Tuples {
-		for _, rt := range right.Tuples {
-			if eval(lt, rt) {
-				match++
-			}
-		}
-	}
-	return float64(match) / (float64(left.Cardinality()) * float64(right.Cardinality())), nil
-}
