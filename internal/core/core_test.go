@@ -379,7 +379,7 @@ func TestMergeOutputs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	merged, steps, err := MergeAll("m3", []*relation.Relation{r1.Output, r2.Output})
+	merged, steps, err := mergeFullWidth("m3", []*relation.Relation{r1.Output, r2.Output})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,7 +405,7 @@ func TestMergeNoSharedRelation(t *testing.T) {
 	if _, err := MergeOutputs("x", oa, ob); err == nil {
 		t.Error("disjoint merge accepted")
 	}
-	if _, _, err := MergeAll("x", nil); err == nil {
+	if _, _, err := mergeFullWidth("x", nil); err == nil {
 		t.Error("empty merge accepted")
 	}
 }

@@ -35,7 +35,7 @@ type ExecResult struct {
 	JobMetrics map[string]mr.Metrics
 	MergeCount int
 	// MergeTime is the merge component of Makespan, charged per
-	// MergeAll's actual pair-merge tree (one MergeCost per executed
+	// mergeTree's actual pair-merge tree (one MergeCost per executed
 	// step over that step's real operand sizes).
 	MergeTime float64
 	// ShuffleBytes totals network copy volume across jobs.
@@ -567,7 +567,7 @@ func (r *planRun) merge(res *ExecResult) error {
 	}
 	span.End(obs.A("steps", len(steps)), obs.A("outTuples", rows))
 	res.MergeWall = time.Since(mergeStart)
-	// Charge the merge off the tree MergeAll actually performed, step
+	// Charge the merge off the tree mergeTree actually performed, step
 	// by step over the real operand sizes — matching the planner's
 	// estimateMergeSteps policy rather than a plan-order chain.
 	rates := mr.PaperRates()

@@ -96,7 +96,7 @@ func TestFig4MergePlan(t *testing.T) {
 	ej := runJob("ej", []string{"R3", "R4"}, predicate.Conjunction{q.Conditions[2]})
 	ek := runJob("ek", []string{"R4", "R5"}, predicate.Conjunction{q.Conditions[3]})
 
-	merged, steps, err := MergeAll("fig4", []*relation.Relation{ei, ej, ek})
+	merged, steps, err := mergeFullWidth("fig4", []*relation.Relation{ei, ej, ek})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -358,6 +358,10 @@ func gatherMerge(name string, left, right *relation.Relation, db *DB, keep int) 
 	inShards(shards, func(s int) {
 		lo, hi := span(s)
 		pos, parts := first[s], make([]relation.Tuple, len(g.bases))
+		// A left row's matches share its base rows as their leading
+		// parts: the hasher folds them once per left row, and only the
+		// right side's parts per match.
+		var h relation.RowHasher
 		var sum uint64
 		j.eachMatch(lo, hi, func(lt, rt relation.Tuple) {
 			for c, v := range lt {
@@ -366,7 +370,7 @@ func gatherMerge(name string, left, right *relation.Relation, db *DB, keep int) 
 			for i, c := range j.rKeep {
 				parts[lw+i] = g.bases[lw+i].Tuples[rt[c].Int64()]
 			}
-			sum += relation.RowHash(parts...)
+			sum += h.Hash(parts...)
 			if pos < kept {
 				row := slab[pos*width : pos*width : (pos+1)*width]
 				for _, p := range parts {
@@ -448,7 +452,7 @@ type MergeStep struct {
 
 // mergeOperand is the pair-selection view of one partial result:
 // which base relations its columns cover, its cardinality, and its
-// modeled bytes. MergeAll builds operands from real relations; the
+// modeled bytes. mergeTree builds operands from real relations; the
 // planner's merge estimate builds them from candidate estimates, so
 // both sides walk the same tree-selection policy (pickMergePair).
 type mergeOperand struct {
@@ -497,32 +501,6 @@ func pickMergePair(ops []mergeOperand) (bi, bj int, ok bool) {
 	return bi, bj, bi >= 0
 }
 
-// MergeAll combines every job output into the final query result,
-// repeatedly merging the pair of partial results sharing the most
-// relations (pickMergePair). Section 3.2's connectivity argument
-// guarantees a sharing pair always exists for a sufficient T over a
-// connected join graph. The returned steps record the operand sizes
-// of every merge actually performed, for tree-true cost accounting:
-// a merged node re-enters later steps priced at the sum of its
-// constituents — the ID payload it carries forward, per the paper's
-// "only output keys or data IDs involved" merge argument — not at its
-// materialized width, mirroring estimateMergeSteps' recurrence.
-func MergeAll(name string, outputs []*relation.Relation) (*relation.Relation, []MergeStep, error) {
-	sizes := make([]int64, len(outputs))
-	for i, r := range outputs {
-		sizes[i] = r.ModeledSize()
-	}
-	return mergeAll(name, outputs, sizes, nil)
-}
-
-// mergeAll is MergeAll given each output's ModeledSize and a tracing
-// shard: each executed pair-merge records a "merge-step" span carrying
-// operand names and sizes. The exported MergeAll passes nil.
-func mergeAll(name string, outputs []*relation.Relation, sizes []int64, sh *obs.Shard) (*relation.Relation, []MergeStep, error) {
-	merged, _, steps, err := mergeTree(name, outputs, sizes, sh, mergeStep)
-	return merged, steps, err
-}
-
 // mergeStep is MergeOutputs as a mergeTree step.
 func mergeStep(name string, left, right *relation.Relation) (*relation.Relation, int, error) {
 	out, err := MergeOutputs(name, left, right)
@@ -532,11 +510,24 @@ func mergeStep(name string, left, right *relation.Relation) (*relation.Relation,
 	return out, out.Cardinality(), nil
 }
 
-// mergeTree walks MergeAll's tree: every step but the last is
-// MergeOutputs, and the last is last, which returns the result and its
-// row count — more than the result's own rows when it keeps only the
-// first. With a single output there is no step, and the count is that
-// output's cardinality.
+// mergeTree combines every job output into the final query result,
+// repeatedly merging the pair of partial results sharing the most
+// relations (pickMergePair). Section 3.2's connectivity argument
+// guarantees a sharing pair always exists for a sufficient T over a
+// connected join graph. Every step but the last is MergeOutputs, and
+// the last is last, which returns the result and its row count — more
+// than the result's own rows when it keeps only the first. With a
+// single output there is no step, and the count is that output's
+// cardinality.
+//
+// The returned steps record the operand sizes (sizes, for the
+// outputs) of every merge actually performed, for tree-true cost
+// accounting: a merged node re-enters later steps priced at the sum of
+// its constituents — the ID payload it carries forward, per the
+// paper's "only output keys or data IDs involved" merge argument — not
+// at its materialized width, mirroring estimateMergeSteps' recurrence.
+// Each step records a "merge-step" span on sh carrying its operands'
+// names and sizes.
 func mergeTree(name string, outputs []*relation.Relation, sizes []int64, sh *obs.Shard,
 	last func(name string, left, right *relation.Relation) (*relation.Relation, int, error)) (*relation.Relation, int, []MergeStep, error) {
 	if len(outputs) == 0 {
@@ -582,7 +573,7 @@ func mergeTree(name string, outputs []*relation.Relation, sizes []int64, sh *obs
 	return work[0], rows, steps, nil
 }
 
-// estimateMergeSteps predicts MergeAll's tree on estimated operands:
+// estimateMergeSteps predicts mergeTree's tree on estimated operands:
 // the same pair selection, with the merged operand approximated as the
 // relation-set union carrying the summed bytes and the smaller
 // cardinality (an ID-keyed merge keeps at most the matching rows of

@@ -152,18 +152,30 @@ func TestMergeRejectsNonIntRid(t *testing.T) {
 	}
 }
 
-// TestMergeAllTakesOperandSizesAsGiven: the merge tree is priced from
+// mergeFullWidth merges job outputs full-width: mergeTree with every
+// step MergeOutputs, each output priced at its ModeledSize. It is the
+// oracle for the executor's merge, whose last step gathers the rows.
+func mergeFullWidth(name string, outputs []*relation.Relation) (*relation.Relation, []MergeStep, error) {
+	sizes := make([]int64, len(outputs))
+	for i, r := range outputs {
+		sizes[i] = r.ModeledSize()
+	}
+	merged, _, steps, err := mergeTree(name, outputs, sizes, nil, mergeStep)
+	return merged, steps, err
+}
+
+// TestMergeTreeTakesOperandSizesAsGiven: the merge tree is priced from
 // the sizes its caller hands in — a merged node re-enters at the sum of
 // its constituents and takes its relation set from its columns — and
 // never from a walk over a relation's values.
-func TestMergeAllTakesOperandSizesAsGiven(t *testing.T) {
+func TestMergeTreeTakesOperandSizesAsGiven(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	outs := []*relation.Relation{jobOutput("ab", "A", "B"), jobOutput("bc", "B", "C"), jobOutput("cd", "C", "D")}
 	for _, o := range outs {
 		fillOutput(o, 50, 8, rng)
 	}
 	// Sizes no walk would produce.
-	merged, steps, err := mergeAll("q", outs, []int64{1_000_003, 70_001, 13}, nil)
+	merged, rows, steps, err := mergeTree("q", outs, []int64{1_000_003, 70_001, 13}, nil, mergeStep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,14 +186,17 @@ func TestMergeAllTakesOperandSizesAsGiven(t *testing.T) {
 	if got := relationsOfOutput(merged); !reflect.DeepEqual(got, []string{"C", "D", "A", "B"}) {
 		t.Errorf("merged result covers %v", got)
 	}
-	// The exported form prices the same tree from ModeledSize.
-	_, steps, err = MergeAll("q", outs)
+	if rows != merged.Cardinality() {
+		t.Errorf("mergeTree counts %d rows, its result holds %d", rows, merged.Cardinality())
+	}
+	// Priced from ModeledSize, the same tree.
+	_, steps, err = mergeFullWidth("q", outs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ab, bc, cd := outs[0].ModeledSize(), outs[1].ModeledSize(), outs[2].ModeledSize()
 	if want := []MergeStep{{ab, bc}, {cd, ab + bc}}; !reflect.DeepEqual(steps, want) {
-		t.Errorf("MergeAll steps = %+v, want %+v", steps, want)
+		t.Errorf("steps from ModeledSize = %+v, want %+v", steps, want)
 	}
 }
 

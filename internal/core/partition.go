@@ -167,9 +167,6 @@ func (p *Partitioner) componentOfIndex(h uint64) int32 {
 	return int32(hi<<(64-shift) | lo>>shift)
 }
 
-// Components returns the number of components (= reduce tasks).
-func (p *Partitioner) Components() int { return p.kr }
-
 // Eta returns the recursion depth η.
 func (p *Partitioner) Eta() int { return p.curve.Bits() }
 
@@ -190,20 +187,10 @@ func (p *Partitioner) ComponentsOf(dim int, globalID uint64) []int32 {
 	return p.comps[dim][p.CellCoord(dim, globalID)]
 }
 
-// ComponentOfCombination returns the unique component owning the cell
-// addressed by the given per-dimension global IDs.
-func (p *Partitioner) ComponentOfCombination(globalIDs []uint64) int32 {
-	m := len(globalIDs)
-	axes := make([]uint32, 2*m)
-	for i, g := range globalIDs {
-		axes[i] = p.CellCoord(i, g)
-	}
-	return p.componentOfAxes(axes[:m], axes[m:])
-}
-
-// componentOfAxes is ComponentOfCombination on precomputed coordinates;
-// buf is the curve transform's scratch, as long as axes. The reducers
-// call it once per verified combination.
+// componentOfAxes returns the component owning the cell at the given
+// per-dimension coordinates (CellCoord of each tuple's global ID); buf
+// is the curve transform's scratch, as long as axes. The reducers call
+// it once per verified combination.
 func (p *Partitioner) componentOfAxes(axes, buf []uint32) int32 {
 	return p.componentOfIndex(p.curve.AxesToIndex(axes, buf))
 }

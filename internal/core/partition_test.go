@@ -28,8 +28,8 @@ func TestNewPartitionerValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Components() != 8 {
-		t.Errorf("components = %d", p.Components())
+	if p.kr != 8 {
+		t.Errorf("components = %d", p.kr)
 	}
 	if p.Eta() < 1 {
 		t.Errorf("eta = %d", p.Eta())
@@ -63,10 +63,10 @@ func TestPartitionCoverage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	counts := make([]int, p.Components())
+	counts := make([]int, p.kr)
 	for h := uint64(0); h < p.nCells; h++ {
 		comp := p.componentOfIndex(h)
-		if comp < 0 || int(comp) >= p.Components() {
+		if comp < 0 || int(comp) >= p.kr {
 			t.Fatalf("cell %d in component %d", h, comp)
 		}
 		counts[comp]++
@@ -110,13 +110,17 @@ func TestCombinationMeetsAtOwner(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(5))
+	axes, buf := make([]uint32, len(cards)), make([]uint32, len(cards))
 	for trial := 0; trial < 3000; trial++ {
 		ids := []uint64{
 			uint64(rng.Intn(cards[0])),
 			uint64(rng.Intn(cards[1])),
 			uint64(rng.Intn(cards[2])),
 		}
-		owner := p.ComponentOfCombination(ids)
+		for dim, id := range ids {
+			axes[dim] = p.CellCoord(dim, id)
+		}
+		owner := p.componentOfAxes(axes, buf)
 		for dim, id := range ids {
 			found := false
 			for _, c := range p.ComponentsOf(dim, id) {

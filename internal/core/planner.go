@@ -529,7 +529,7 @@ func (pl *Planner) scheduleCover(q *query.Query, cover []*candidate, db *DB) (*P
 		mergeOps = append(mergeOps, mergeOperand{rels: rels, card: card, bytes: c.outBytes})
 	}
 	// Estimate the merge phase over the same pair-selection tree the
-	// executor's MergeAll will walk, rather than a plan-order chain.
+	// executor's mergeTree will walk, rather than a plan-order chain.
 	var mergeEst float64
 	rates := mr.PaperRates()
 	for _, st := range estimateMergeSteps(mergeOps) {

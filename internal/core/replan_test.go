@@ -231,7 +231,7 @@ func TestCompositeSkewPlanGates(t *testing.T) {
 
 // TestMergeTreeAccounting is the merge-cost regression: the measured
 // makespan's merge component must equal MergeCost summed over the
-// merge tree MergeAll actually performs — not a plan-order chain.
+// merge tree mergeTree actually performs — not a plan-order chain.
 func TestMergeTreeAccounting(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	a := randRelation("A", 60, 12, rng)
@@ -271,7 +271,7 @@ func TestMergeTreeAccounting(t *testing.T) {
 	}
 
 	// Reproduce the outputs independently (the engine is deterministic
-	// for a fixed job spec) and walk MergeAll's tree.
+	// for a fixed job spec) and walk mergeTree's tree.
 	var outputs []*relation.Relation
 	for _, pj := range plan.Jobs {
 		job, err := BuildHashEquiJob(pj.Name, rel(pj.RelOrder[0]), rel(pj.RelOrder[1]), pj.Conds, pj.Reducers, nil)
@@ -284,7 +284,7 @@ func TestMergeTreeAccounting(t *testing.T) {
 		}
 		outputs = append(outputs, run.Output)
 	}
-	_, steps, err := MergeAll("mtree", outputs)
+	_, steps, err := mergeFullWidth("mtree", outputs)
 	if err != nil {
 		t.Fatal(err)
 	}

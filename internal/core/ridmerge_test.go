@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -110,7 +111,7 @@ func twoKeyChain(t *testing.T) (*Plan, *DB) {
 // the CI fault plan (kills, a corrupt spill frame and a straggler, its
 // delay cut to 2 ms) under a 1 KiB spill budget. The kept rows and
 // their order, the row count and the hash must be those of the same
-// jobs run unprojected and merged full-width by MergeAll, and so must
+// jobs run unprojected and merged full-width (mergeFullWidth), and so must
 // every job's metrics and the merge's step count and cost; the makespan
 // must not depend on keep. A traced cell's last merge-step span still
 // names both operands and their sizes, and counts every result row.
@@ -138,7 +139,7 @@ func TestKeysOnlyMergeMatchesFullWidth(t *testing.T) {
 					pl.Config.SpillBudgetBytes = 1 << 10
 					pl.Config.Spill = tempSpill(t)
 				}
-				// The oracle: every job as built, unprojected, then MergeAll.
+				// The oracle: every job as built, unprojected, merged full-width.
 				outputs := make([]*relation.Relation, len(plan.Jobs))
 				metrics := make(map[string]mr.Metrics, len(plan.Jobs))
 				for i := range plan.Jobs {
@@ -152,7 +153,7 @@ func TestKeysOnlyMergeMatchesFullWidth(t *testing.T) {
 					}
 					outputs[i], metrics[job.Name] = res.Output, zeroWall(res.Metrics)
 				}
-				want, steps, err := MergeAll(plan.Query.Name, outputs)
+				want, steps, err := mergeFullWidth(plan.Query.Name, outputs)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -254,6 +255,79 @@ func TestKeysOnlyMergeRefusesForeignRows(t *testing.T) {
 		right.MustAppend(relation.Tuple{relation.Int(0), relation.Int(0)})
 		if _, _, _, err := gatherMerge("q", left, right, db, -1); err == nil || !strings.Contains(err.Error(), "not a row of A") {
 			t.Errorf("rid %d of A: err = %v, want one saying it is not a row of A", bad, err)
+		}
+	}
+}
+
+// TestGatherMergeHashesAsMergeOutputs: the rid-merge's final step,
+// which hashes each left row's base rows once for all its matches,
+// counts and hashes the rows MergeOutputs gathers from the full-width
+// outputs, and keeps the first of them in its order. Every left row
+// matches ~20 right rows, and there are enough left rows for four
+// shards.
+func TestGatherMergeHashesAsMergeOutputs(t *testing.T) {
+	rng := rand.New(rand.NewSource(67))
+	db := newTestDB(t, randRelation("A", 90, 1000, rng), randRelation("B", 30, 1000, rng), randRelation("C", 80, 1000, rng))
+	var base []*relation.Relation
+	for _, name := range []string{"A", "B", "C"} {
+		r, err := db.Relation(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base = append(base, r)
+	}
+	// ridRel returns a rid-only output over rels and its full-width form.
+	ridRel := func(name string, rels ...*relation.Relation) (rids, full *relation.Relation) {
+		var cols []relation.Column
+		for _, r := range rels {
+			cols = append(cols, relation.Column{Name: r.Name + "." + RowIDColumn, Kind: relation.KindInt})
+		}
+		return relation.New(name, relation.MustSchema(cols...)), relation.New(name, prefixedSchema(rels))
+	}
+	add := func(rids, full *relation.Relation, rels []*relation.Relation, ids ...int) {
+		row, wide := relation.Tuple{}, relation.Tuple{}
+		for i, id := range ids {
+			row = append(row, relation.Int(int64(id)))
+			wide = append(wide, rels[i].Tuples[id]...)
+		}
+		rids.MustAppend(row)
+		full.MustAppend(wide)
+	}
+	left, fullLeft := ridRel("l", base[0], base[1])
+	right, fullRight := ridRel("r", base[1], base[2])
+	for i := 0; i < 600; i++ {
+		add(left, fullLeft, base[:2], rng.Intn(90), rng.Intn(30))
+	}
+	for i := 0; i < 600; i++ {
+		add(right, fullRight, base[1:], rng.Intn(30), rng.Intn(80))
+	}
+	want, err := MergeOutputs("q", fullLeft, fullRight)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantSum := relation.SumRowHashes(want.Tuples)
+	if want.Cardinality() < 10*len(left.Tuples) {
+		t.Fatalf("%d merged rows from %d left rows; the test wants many matches per left row", want.Cardinality(), len(left.Tuples))
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		for _, keep := range []int{-1, 7} {
+			out, rows, sum, err := gatherMerge("q", left, right, db, keep)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rows != want.Cardinality() || sum != wantSum {
+				t.Errorf("GOMAXPROCS %d keep %d: %d rows, row-hash sum %#x; MergeOutputs gathers %d, %#x",
+					procs, keep, rows, sum, want.Cardinality(), wantSum)
+			}
+			kept := want.Tuples
+			if keep >= 0 {
+				kept = kept[:keep]
+			}
+			if !sameRows(out.Tuples, kept) {
+				t.Errorf("GOMAXPROCS %d keep %d: the kept rows are not MergeOutputs' first %d", procs, keep, len(kept))
+			}
 		}
 	}
 }

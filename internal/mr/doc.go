@@ -131,6 +131,15 @@
 // attempt capped at 16 rows or fewer allocates room for all of them
 // with its first: how many it keeps does not change its allocations.
 //
+// A result attempt hashes its rows through a relation.RowHasher held in
+// its reduce scratch, which the engine resets before every Reduce call.
+// A row's hash resumes from the state after the leading parts it shares
+// with the call's previous row — the same address and length at the
+// same position — so a depth-first join hashes each shared prefix once.
+// That is why a reducer must not rewrite the values of a part it has
+// emitted until its Reduce call returns; the groups it is handed are
+// read-only already.
+//
 // A projected job (Job.Project) keeps only some columns of each row:
 // EmitConcat copies the projected columns of the parts' concatenation
 // into the slab, in ascending order, and OutputSchema names those

@@ -606,8 +606,9 @@ func (r *run) gather(red int, sc *reduceScratch) (n int, memReal int64) {
 
 // reduceScratch is a reduce attempt's working memory: gather's sources
 // and per-input pair counts, the spilled runs' frame buffer, the
-// per-input tuple buffers a key run is split into and the views of them
-// Reduce is handed. The run hands these from attempt to attempt, so a
+// per-input tuple buffers a key run is split into, the views of them
+// Reduce is handed, and the hasher a result attempt's EmitConcat hashes
+// its rows through. The run hands these from attempt to attempt, so a
 // reducer starts with the capacity its predecessors grew; an attempt
 // holds its scratch alone, from its start until it returns.
 type reduceScratch struct {
@@ -615,6 +616,7 @@ type reduceScratch struct {
 	tags         []int
 	spare        []byte
 	bufs, groups [][]relation.Tuple
+	hasher       relation.RowHasher // reset before every Reduce call
 }
 
 // reduceAttempt runs one attempt of reducer red: gather its runs, merge
@@ -635,9 +637,11 @@ func (r *run) reduceAttempt(actx context.Context, red, attempt int, sh *obs.Shar
 	}
 	// Back on every path — error, cancellation, a panic in Reduce — once
 	// nothing of this attempt reads it. The sources drop their buckets
-	// and files, so a parked scratch holds none of them.
+	// and files, and the hasher the rows it remembers, so a parked
+	// scratch holds none of them.
 	defer func() {
 		clear(sc.srcs)
+		sc.hasher = relation.RowHasher{}
 		idle <- sc
 	}()
 	n, memReal := r.gather(red, sc)
@@ -655,7 +659,7 @@ func (r *run) reduceAttempt(actx context.Context, red, attempt int, sh *obs.Shar
 	reduce, keyRunLen := r.job.Reduce, r.keyRunLen
 	rctx := &ReduceContext{project: r.job.Project}
 	if r.job.Result {
-		*rctx = ReduceContext{project: r.job.Project, result: true, keep: r.job.Keep, red: red, arity: r.job.OutputSchema.Len(), gate: r.gate}
+		*rctx = ReduceContext{project: r.job.Project, hasher: &sc.hasher, keep: r.job.Keep, red: red, arity: r.job.OutputSchema.Len(), gate: r.gate}
 	}
 	// bufs[tag] collects the current key run's tuples; groups are the
 	// views of them Reduce is handed. When every run holds the same single
@@ -693,6 +697,7 @@ func (r *run) reduceAttempt(actx context.Context, red, attempt int, sh *obs.Shar
 			groups[tag] = b[:len(b):len(b)]
 			bufs[tag] = b[:0]
 		}
+		sc.hasher.Reset()
 		reduce(curKey, groups, rctx)
 		runLen, runReal = 0, 0
 	}

@@ -40,13 +40,14 @@ type ReduceContext struct {
 	// They count every row, kept or not: their sum is the row count.
 	sizes map[int]int64
 
-	// A result job's attempt (Job.Result) also sums the RowHash of
-	// every row it emits, and keeps a row only while it holds fewer
-	// than keep rows (keep < 0: every row) and gate has not closed on
-	// its reducer red. A row it does not keep is counted in sizes and
-	// nothing else of it remains; a row whose arity is not the schema's
-	// is always kept, for assemble to report.
-	result bool
+	// A result job's attempt (Job.Result) has a hasher, its reduce
+	// scratch's, through which it sums the RowHash of every row it
+	// emits, and keeps a row only while it holds fewer than keep rows
+	// (keep < 0: every row) and gate has not closed on its reducer red.
+	// A row it does not keep is counted in sizes and nothing else of it
+	// remains; a row whose arity is not the schema's is always kept, for
+	// assemble to report.
+	hasher *relation.RowHasher
 	keep   int
 	red    int
 	arity  int
@@ -67,7 +68,7 @@ func (rc *ReduceContext) count(size int) {
 // how many it keeps, which depends on when the gate closes, does not
 // change how often it allocates, and trim leaves that room alone.
 func (rc *ReduceContext) fewKept() bool {
-	return rc.result && 0 <= rc.keep && rc.keep <= keepChunkRows
+	return rc.hasher != nil && 0 <= rc.keep && rc.keep <= keepChunkRows
 }
 
 // keepChunkRows is the largest Keep whose rows a result attempt
@@ -94,6 +95,14 @@ func (rc *ReduceContext) keeps(hash uint64, arity int) bool {
 // that keeps keepChunkRows rows or fewer allocates room for all of
 // them with its first. A projected job (Job.Project) copies only the
 // projected columns, and prices the row from its parts too.
+//
+// A result job hashes the row from where it stops sharing parts with
+// the previous row of the same Reduce call (relation.RowHasher): a part
+// is the same part when it starts at the same address with the same
+// length. So within one Reduce call a caller must not rewrite the
+// values of a part it has passed to EmitConcat: pass a group's tuples,
+// which Reduce may only read, or rows of its own that it leaves as they
+// are until the call returns.
 func (rc *ReduceContext) EmitConcat(parts ...relation.Tuple) {
 	n, size := len(rc.project), relation.EncodedSizeOf(parts...)
 	if rc.project == nil {
@@ -101,7 +110,7 @@ func (rc *ReduceContext) EmitConcat(parts ...relation.Tuple) {
 			n += len(p)
 		}
 	}
-	if rc.result && !rc.keeps(relation.RowHash(parts...), n) {
+	if rc.hasher != nil && !rc.keeps(rc.hasher.Hash(parts...), n) {
 		rc.count(size)
 		return
 	}

@@ -135,7 +135,7 @@ func TestCappedEmitCopiesNothing(t *testing.T) {
 	l := relation.Tuple{relation.Int(1), relation.Str("left")}
 	r := relation.Tuple{relation.Float(-0.5), relation.Null(), relation.TimeUnix(60)}
 	row := append(l.Clone(), r...)
-	rc := &ReduceContext{result: true, keep: 3, arity: len(row)}
+	rc := &ReduceContext{hasher: new(relation.RowHasher), keep: 3, arity: len(row)}
 	for i := 0; i < 3; i++ {
 		rc.EmitConcat(l, r)
 	}
@@ -165,7 +165,7 @@ func TestCappedAttemptAllocationsFixed(t *testing.T) {
 	allocs := func(kept int) float64 {
 		return testing.AllocsPerRun(20, func() {
 			gate := newKeepGate(10, 2)
-			rc := &ReduceContext{result: true, keep: 10, red: 1, arity: len(l) + len(r), gate: gate}
+			rc := &ReduceContext{hasher: new(relation.RowHasher), keep: 10, red: 1, arity: len(l) + len(r), gate: gate}
 			for i := 0; i < 40; i++ {
 				if i == kept {
 					gate.commit(0, 10)
@@ -182,6 +182,67 @@ func TestCappedAttemptAllocationsFixed(t *testing.T) {
 	for kept := 1; kept < 10; kept++ {
 		if got := allocs(kept); got != want {
 			t.Errorf("%d rows kept: %v allocations; ten kept: %v", kept, got, want)
+		}
+	}
+}
+
+// TestResultHashResumesSharedPrefixes: a result job's reducer emits
+// many rows per shared prefix, as a depth-first join does — a head part
+// it builds per key, then each row of the key's group, then each row
+// again — over several keys per reducer. The head is one buffer per
+// reducer, rewritten for every key, so the row hasher must start each
+// Reduce call afresh. At every Keep, on one worker or four, the
+// row-hash sum is SumRowHashes of the rows the uncapped run keeps.
+func TestResultHashResumesSharedPrefixes(t *testing.T) {
+	const nRed, keys = 3, 12
+	var vals []int64
+	for v := int64(0); v < 60; v++ {
+		vals = append(vals, v)
+	}
+	job := &Job{
+		Name:   "prefixes",
+		Inputs: []Input{{Rel: intsRelation("in", vals...), Map: func(t relation.Tuple, emit Emitter) { emit(uint64(t[0].Int64() % keys)) }}},
+		OutputSchema: relation.MustSchema(relation.Column{Name: "k", Kind: relation.KindInt}, relation.Column{Name: "label", Kind: relation.KindString},
+			relation.Column{Name: "a", Kind: relation.KindInt}, relation.Column{Name: "b", Kind: relation.KindInt}),
+		OutputName:  "prefixes",
+		NumReducers: nRed,
+		Result:      true,
+	}
+	var mu [nRed]sync.Mutex // an attempt and its backup share a head
+	var heads [nRed]relation.Tuple
+	job.Reduce = func(key uint64, groups [][]relation.Tuple, ctx *ReduceContext) {
+		red := key % nRed
+		mu[red].Lock()
+		defer mu[red].Unlock()
+		if heads[red] == nil {
+			heads[red] = make(relation.Tuple, 2)
+		}
+		head := heads[red]
+		head[0], head[1] = relation.Int(int64(key)), relation.Str(fmt.Sprintf("key %d", key))
+		for _, a := range groups[0] {
+			for _, b := range groups[0] {
+				ctx.EmitConcat(head, a, b)
+			}
+		}
+	}
+	for _, workers := range []int{1, 4} {
+		cfg := smallConfig()
+		cfg.MaxParallelWorkers = workers
+		all := *job
+		all.Keep = -1
+		ref := mustRun(t, cfg, &all)
+		want := relation.SumRowHashes(ref.Output.Tuples)
+		if ref.Rows != 60*5 || len(ref.Output.Tuples) != ref.Rows {
+			t.Fatalf("workers=%d: %d rows, %d kept; want 300 of each", workers, ref.Rows, len(ref.Output.Tuples))
+		}
+		for _, keep := range []int{-1, 0, 10} {
+			capped := *job
+			capped.Keep = keep
+			res := mustRun(t, cfg, &capped)
+			if res.Rows != ref.Rows || res.RowHashSum != want {
+				t.Errorf("workers=%d keep=%d: %d rows, row-hash sum %#x; want %d, %#x",
+					workers, keep, res.Rows, res.RowHashSum, ref.Rows, want)
+			}
 		}
 	}
 }

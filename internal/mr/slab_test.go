@@ -224,7 +224,10 @@ func BenchmarkReduceEmit(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				ctx := &ReduceContext{project: bc.project, result: bc.result, keep: bc.keep, arity: 21, gate: newKeepGate(bc.keep, 1)}
+				ctx := &ReduceContext{project: bc.project, keep: bc.keep, arity: 21, gate: newKeepGate(bc.keep, 1)}
+				if bc.result {
+					ctx.hasher = new(relation.RowHasher)
+				}
 				for j, t := range left {
 					ctx.EmitConcat(t[:7], t[7:], right[j%len(right)][7:])
 				}

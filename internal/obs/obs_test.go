@@ -98,6 +98,29 @@ func TestTracerEventsMonotonic(t *testing.T) {
 	}
 }
 
+// TestNilShardAllocatesNothing: with tracing off, a span's arguments
+// cost nothing — Start copies them only for a live shard, so the
+// caller's argument slice stays on its stack — and a live span keeps
+// its own copy of them.
+func TestNilShardAllocatesNothing(t *testing.T) {
+	var sh *Shard
+	if n := testing.AllocsPerRun(100, func() {
+		sp := sh.Start("reduce", A("reducer", 300), A("pairs", 1<<20))
+		sp.End(A("keys", 7))
+	}); n != 0 {
+		t.Errorf("a nil shard's span allocates %v times, want 0", n)
+	}
+
+	tr := NewTracer()
+	args := []Arg{A("in", 10)}
+	sp := tr.Shard("s").Start("work", args...)
+	args[0] = A("in", 11)
+	sp.End()
+	if evs := tr.Events(); len(evs) != 1 || evs[0].Args["in"] != 10 {
+		t.Errorf("events %v, want one with in=10 as Start was given", evs)
+	}
+}
+
 func TestSpanArgsAndDuration(t *testing.T) {
 	tr := NewTracer()
 	sh := tr.Shard("s")

@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -73,12 +74,18 @@ type Span struct {
 	args  []Arg
 }
 
-// Start opens a span. Nil-safe.
+// Start opens a span. Nil-safe. The span keeps a copy of args, so the
+// caller's argument slice does not escape: a nil shard's Start
+// allocates nothing.
 func (s *Shard) Start(name string, args ...Arg) *Span {
 	if s == nil {
 		return nil
 	}
-	return &Span{sh: s, name: name, start: time.Now(), args: args}
+	return s.start(name, args)
+}
+
+func (s *Shard) start(name string, args []Arg) *Span {
+	return &Span{sh: s, name: name, start: time.Now(), args: slices.Clone(args)}
 }
 
 // End closes the span, appending extra args recorded during the work.
@@ -95,12 +102,13 @@ func (sp *Span) End(args ...Arg) {
 	})
 }
 
-// Instant records a zero-duration event. Nil-safe.
+// Instant records a zero-duration event. Nil-safe; like Start, it keeps
+// a copy of args.
 func (s *Shard) Instant(name string, args ...Arg) {
 	if s == nil {
 		return
 	}
-	s.events = append(s.events, event{name: name, ph: 'i', start: time.Now(), args: args})
+	s.events = append(s.events, event{name: name, ph: 'i', start: time.Now(), args: slices.Clone(args)})
 }
 
 // TraceEvent is one exported Chrome trace-event JSON object.

@@ -360,47 +360,3 @@ func tryDeadline(tasks []Task, byID map[string]*Task, kP int, deadline float64) 
 	}
 	return &Plan{Placements: placements, Makespan: makespan}, true
 }
-
-// LowerBound returns max(critical-path, total-work/kP): no schedule
-// can beat it. Work uses each task's most efficient point (minimum
-// units·time product); the critical path uses each task's fastest time.
-func LowerBound(tasks []Task, kP int) float64 {
-	byID := make(map[string]*Task, len(tasks))
-	for i := range tasks {
-		byID[tasks[i].ID] = &tasks[i]
-	}
-	// Critical path on fastest times.
-	memo := make(map[string]float64, len(tasks))
-	var cp func(id string) float64
-	cp = func(id string) float64 {
-		if v, ok := memo[id]; ok {
-			return v
-		}
-		t := byID[id]
-		best, _ := t.bestTime(kP)
-		longest := 0.0
-		for _, d := range t.DependsOn {
-			if l := cp(d); l > longest {
-				longest = l
-			}
-		}
-		memo[id] = longest + best
-		return memo[id]
-	}
-	var maxCP float64
-	var work float64
-	for _, t := range tasks {
-		if v := cp(t.ID); v > maxCP {
-			maxCP = v
-		}
-		// Most efficient area point.
-		bestArea := math.Inf(1)
-		for k := 1; k <= len(t.Profile) && k <= kP; k++ {
-			if a := t.Profile[k-1] * float64(k); a < bestArea {
-				bestArea = a
-			}
-		}
-		work += bestArea
-	}
-	return math.Max(maxCP, work/float64(kP))
-}

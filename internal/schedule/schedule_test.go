@@ -6,6 +6,51 @@ import (
 	"testing"
 )
 
+// lowerBound returns max(critical-path, total-work/kP): no schedule
+// can beat it, which makes it the oracle Schedule's makespans are
+// checked against. Work uses each task's most efficient point (minimum
+// units·time product); the critical path uses each task's fastest time.
+func lowerBound(tasks []Task, kP int) float64 {
+	byID := make(map[string]*Task, len(tasks))
+	for i := range tasks {
+		byID[tasks[i].ID] = &tasks[i]
+	}
+	// Critical path on fastest times.
+	memo := make(map[string]float64, len(tasks))
+	var cp func(id string) float64
+	cp = func(id string) float64 {
+		if v, ok := memo[id]; ok {
+			return v
+		}
+		t := byID[id]
+		best, _ := t.bestTime(kP)
+		longest := 0.0
+		for _, d := range t.DependsOn {
+			if l := cp(d); l > longest {
+				longest = l
+			}
+		}
+		memo[id] = longest + best
+		return memo[id]
+	}
+	var maxCP float64
+	var work float64
+	for _, t := range tasks {
+		if v := cp(t.ID); v > maxCP {
+			maxCP = v
+		}
+		// Most efficient area point.
+		bestArea := math.Inf(1)
+		for k := 1; k <= len(t.Profile) && k <= kP; k++ {
+			if a := t.Profile[k-1] * float64(k); a < bestArea {
+				bestArea = a
+			}
+		}
+		work += bestArea
+	}
+	return math.Max(maxCP, work/float64(kP))
+}
+
 // constProfile returns a profile with the same time for every allotment.
 func constProfile(t float64, maxK int) []float64 {
 	p := make([]float64, maxK)
@@ -149,7 +194,7 @@ func TestResourceContention(t *testing.T) {
 	if narrow.Makespan < wide.Makespan {
 		t.Errorf("narrow (%v) beat wide (%v)", narrow.Makespan, wide.Makespan)
 	}
-	if narrow.Makespan < LowerBound(tasks, 8)-1e-9 {
+	if narrow.Makespan < lowerBound(tasks, 8)-1e-9 {
 		t.Error("makespan below lower bound")
 	}
 }
@@ -188,8 +233,8 @@ func TestConcurrentUnitsBounded(t *testing.T) {
 				t.Fatalf("trial %d: %d units used at t=%v with kP=%d", trial, used, mid, kP)
 			}
 		}
-		if plan.Makespan < LowerBound(tasks, kP)-1e-9 {
-			t.Fatalf("trial %d: makespan %v below lower bound %v", trial, plan.Makespan, LowerBound(tasks, kP))
+		if plan.Makespan < lowerBound(tasks, kP)-1e-9 {
+			t.Fatalf("trial %d: makespan %v below lower bound %v", trial, plan.Makespan, lowerBound(tasks, kP))
 		}
 	}
 }
@@ -230,7 +275,7 @@ func TestNearOptimalMalleable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lb := LowerBound(tasks, kP)
+		lb := lowerBound(tasks, kP)
 		if plan.Makespan > 2*lb+1e-9 {
 			t.Errorf("trial %d: makespan %v > 2x lower bound %v", trial, plan.Makespan, lb)
 		}
@@ -242,7 +287,7 @@ func TestLowerBound(t *testing.T) {
 		{ID: "a", Profile: speedupProfile(8, 4)},
 		{ID: "b", Profile: speedupProfile(8, 4), DependsOn: []string{"a"}},
 	}
-	lb := LowerBound(tasks, 4)
+	lb := lowerBound(tasks, 4)
 	// Critical path: 2 + 2 = 4; work bound: (8+8)/4 = 4.
 	if math.Abs(lb-4) > 1e-9 {
 		t.Errorf("lower bound = %v, want 4", lb)

@@ -167,19 +167,6 @@ func Exhaustive(universe []int, sets []Set, maxSets int) ([]int, float64, error)
 	return ids, bestWeight, nil
 }
 
-// TotalWeight sums the weights of the identified sets.
-func TotalWeight(sets []Set, ids []int) float64 {
-	byID := make(map[int]float64, len(sets))
-	for _, s := range sets {
-		byID[s.ID] = s.Weight
-	}
-	var w float64
-	for _, id := range ids {
-		w += byID[id]
-	}
-	return w
-}
-
 // Covers reports whether the identified sets cover the universe.
 func Covers(universe []int, sets []Set, ids []int) bool {
 	byID := make(map[int]uint64, len(sets))

@@ -6,6 +6,19 @@ import (
 	"testing"
 )
 
+// totalWeight sums the weights of the identified sets.
+func totalWeight(sets []Set, ids []int) float64 {
+	byID := make(map[int]float64, len(sets))
+	for _, s := range sets {
+		byID[s.ID] = s.Weight
+	}
+	var w float64
+	for _, id := range ids {
+		w += byID[id]
+	}
+	return w
+}
+
 func TestGreedyBasic(t *testing.T) {
 	universe := []int{1, 2, 3, 4, 5}
 	sets := []Set{
@@ -58,7 +71,7 @@ func TestGreedyZeroWeightPreferred(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := TotalWeight(sets, ids)
+	w := totalWeight(sets, ids)
 	if w != 0 {
 		t.Errorf("greedy weight %v, want 0 (chose %v)", w, ids)
 	}
@@ -134,7 +147,7 @@ func TestGreedyApproximationRatio(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gw := TotalWeight(sets, greedyIDs)
+		gw := totalWeight(sets, greedyIDs)
 		if gw > optW*hn+1e-9 {
 			t.Errorf("trial %d: greedy %v exceeds Hn bound %v (opt %v)", trial, gw, optW*hn, optW)
 		}
@@ -180,7 +193,7 @@ func TestCoversAndTotalWeight(t *testing.T) {
 	if !Covers(universe, sets, []int{7, 8}) {
 		t.Error("complete cover reported partial")
 	}
-	if w := TotalWeight(sets, []int{7, 8}); math.Abs(w-4) > 1e-12 {
-		t.Errorf("TotalWeight = %v", w)
+	if w := totalWeight(sets, []int{7, 8}); math.Abs(w-4) > 1e-12 {
+		t.Errorf("totalWeight = %v", w)
 	}
 }
