@@ -148,9 +148,9 @@ func run() error {
 	cfg.ReduceSlots = *kp
 	if *spillMB > 0 {
 		cfg.SpillBudgetBytes = int64(*spillMB) << 20
-		// Serve spilled runs back through a page cache bounded at the
-		// same budget; the store lives in a temp dir removed on exit.
-		store, err := dfs.NewBlockStore("", cfg.SpillBudgetBytes)
+		// Spilled runs go to a block store in a temp dir removed on
+		// exit; each reducer reads its segment of a run straight back.
+		store, err := dfs.NewBlockStore("", 0)
 		if err != nil {
 			return err
 		}

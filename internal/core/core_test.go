@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/dfs"
 	"repro/internal/mr"
 	"repro/internal/predicate"
 	"repro/internal/query"
@@ -19,10 +20,11 @@ func testConfig() mr.Config {
 	return cfg
 }
 
-// tempSpill returns a temp-file spill store, closed when the test ends.
-func tempSpill(t testing.TB) *mr.TempSpillStore {
+// tempSpill returns a block store in a temp directory, closed when the
+// test ends.
+func tempSpill(t testing.TB) *dfs.BlockStore {
 	t.Helper()
-	store, err := mr.NewTempSpillStore(t.TempDir())
+	store, err := dfs.NewBlockStore(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

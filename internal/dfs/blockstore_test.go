@@ -19,78 +19,49 @@ import (
 )
 
 // TestBlockStoreRoundTrip: bytes written to a sealed file read back
-// identically through the page cache at any budget, including one too
-// small to hold a single page and one of zero (caching disabled).
+// identically — the whole file, a slice across slot edges, and a read
+// past its end, cut there with io.EOF — and a read before Seal fails.
 func TestBlockStoreRoundTrip(t *testing.T) {
-	payload := make([]byte, 3*DefaultPageSize+257) // straddles page edges
-	rng := rand.New(rand.NewSource(11))
-	for i := range payload {
-		payload[i] = byte(rng.Intn(256))
+	store, err := NewBlockStore("", 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, budget := range []int64{0, 100, DefaultPageSize, 1 << 20} {
-		store, err := NewBlockStore("", budget)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f, err := store.CreateSpillFile()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := f.Write(payload); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := f.ReadAt(make([]byte, 1), 0); err == nil {
-			t.Fatal("read before Seal accepted")
-		}
-		if err := f.Seal(); err != nil {
-			t.Fatal(err)
-		}
-		// Whole file, unaligned slices, and a read past EOF.
-		got := make([]byte, len(payload))
-		if _, err := f.ReadAt(got, 0); err != nil {
-			t.Fatalf("budget %d: %v", budget, err)
-		}
-		if !bytes.Equal(got, payload) {
-			t.Fatalf("budget %d: full read differs", budget)
-		}
-		slice := make([]byte, 1000)
-		off := int64(DefaultPageSize - 500)
-		if _, err := f.ReadAt(slice, off); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(slice, payload[off:off+1000]) {
-			t.Fatalf("budget %d: unaligned read differs", budget)
-		}
-		tail := make([]byte, 512)
-		n, err := f.ReadAt(tail, int64(len(payload))-100)
-		if err != io.EOF || n != 100 {
-			t.Fatalf("budget %d: tail read n=%d err=%v", budget, n, err)
-		}
-
-		hits, misses, resident := store.CacheStats()
-		if budget == 0 {
-			if hits != 0 || resident != 0 {
-				t.Fatalf("budget 0 cached: hits=%d resident=%d", hits, resident)
-			}
-		} else if misses == 0 {
-			t.Fatalf("budget %d: no cache activity: hits=%d misses=%d", budget, hits, misses)
-		}
-		if budget > int64(3*DefaultPageSize) && hits == 0 {
-			// Every page fits, so the re-reads must hit.
-			t.Fatalf("budget %d: re-reads did not hit the cache", budget)
-		}
-		if resident > budget {
-			t.Fatalf("budget %d exceeded: %d resident", budget, resident)
-		}
-		if err := f.Release(); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, resident := store.CacheStats(); resident != 0 {
-			t.Fatal("pages survive Release")
-		}
-		if err := store.Close(); err != nil {
-			t.Fatal(err)
-		}
+	payload := patterned(11, 3*slotSize+257) // straddles slot edges
+	f, err := store.CreateSpillFile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(payload); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.ReadAt(make([]byte, 1), 0); err == nil {
+		t.Fatal("read before Seal accepted")
+	}
+	if err := f.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, len(payload))
+	if _, err := f.ReadAt(got, 0); err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("full read: %v, or other bytes", err)
+	}
+	slice := make([]byte, slotSize+1000)
+	off := int64(slotSize - 500)
+	if _, err := f.ReadAt(slice, off); err != nil || !bytes.Equal(slice, payload[off:off+int64(len(slice))]) {
+		t.Fatalf("read across two slot edges: %v, or other bytes", err)
+	}
+	tail := make([]byte, 512)
+	n, err := f.ReadAt(tail, int64(len(payload))-100)
+	if err != io.EOF || n != 100 || !bytes.Equal(tail[:n], payload[len(payload)-100:]) {
+		t.Fatalf("tail read n=%d err=%v", n, err)
+	}
+	if _, err := f.ReadAt(tail, int64(len(payload))); err == nil {
+		t.Fatal("a read at the file's end accepted")
+	}
+	if err := f.Release(); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -200,17 +171,17 @@ func TestSlotReuseBoundsBackingFile(t *testing.T) {
 }
 
 // TestRecycledSlotReadsOwnBytes: a file written onto a released file's
-// slots — with that file's pages cached until its release — reads back
-// its own bytes only, up to its own size.
+// slots — read until its release — reads back its own bytes only, up to
+// its own size.
 func TestRecycledSlotReadsOwnBytes(t *testing.T) {
-	store, err := NewBlockStore(t.TempDir(), 1<<20)
+	store, err := NewBlockStore(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer store.Close()
 	old := patterned(1, 2*slotSize+500)
 	a := writeSealed(t, store, old)
-	readAll(t, a, old) // caches a's pages
+	readAll(t, a, old)
 	if err := a.Release(); err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +207,7 @@ func TestRecycledSlotReadsOwnBytes(t *testing.T) {
 // each per round so their slots interleave in the backing file, read
 // back exactly — and concurrently — in any order.
 func TestBlockStoreConcurrentWriters(t *testing.T) {
-	store, err := NewBlockStore(t.TempDir(), 8*DefaultPageSize)
+	store, err := NewBlockStore(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,56 +273,72 @@ func TestBlockStoreConcurrentWriters(t *testing.T) {
 	wg.Wait()
 }
 
-// countDiskReads attaches a metrics registry to the store and returns
-// its dfs.disk_reads counter.
-func countDiskReads(store *BlockStore) *obs.Counter {
+// readCounters attaches a metrics registry to the store and returns
+// its dfs.disk_reads and dfs.read_bytes counters.
+func readCounters(store *BlockStore) (reads, bytes *obs.Counter) {
 	o := &obs.Obs{Metrics: obs.NewRegistry()}
 	store.AttachObs(o)
-	return o.Counter("dfs.disk_reads")
+	return o.Counter("dfs.disk_reads"), o.Counter("dfs.read_bytes")
 }
 
-// TestBlockStoreRunFill: a miss fills the pages the read covers and no
-// more, with one disk read per slot its missing pages span, stopping at
-// a page already cached; Release drops every cached page of the file.
-func TestBlockStoreRunFill(t *testing.T) {
-	store, err := NewBlockStore(t.TempDir(), 1<<20)
+// TestBlockStoreExactRead: a read takes exactly the bytes it asks for
+// from the backing file, with one disk read per slot they span, and
+// CacheStats counts those reads as misses and holds nothing.
+func TestBlockStoreExactRead(t *testing.T) {
+	store, err := NewBlockStore(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	reads := countDiskReads(store)
+	reads, read := readCounters(store)
 	payload := patterned(7, 4*slotSize)
 	f := writeSealed(t, store, payload)
-	read := func(off, n int, wantReads, wantMisses int64) {
-		t.Helper()
-		reads0 := reads.Value()
+	for _, tc := range []struct{ off, n, slots int }{
+		{0, 70, 1},                          // a small segment
+		{slotSize - 300, 700, 2},            // across a slot edge
+		{5000, slotSize - 5000, 1},          // to a slot's end
+		{slotSize + 100, 2 * slotSize, 3},   // from inside slot 1 to inside slot 3
+		{3*slotSize + 17, slotSize - 17, 1}, // the file's last bytes
+	} {
+		reads0, read0 := reads.Value(), read.Value()
 		_, misses0, _ := store.CacheStats()
-		got := make([]byte, n)
-		if _, err := f.ReadAt(got, int64(off)); err != nil || !bytes.Equal(got, payload[off:off+n]) {
-			t.Fatalf("read %d at %d: %v, or other bytes", n, off, err)
+		got := make([]byte, tc.n)
+		if _, err := f.ReadAt(got, int64(tc.off)); err != nil || !bytes.Equal(got, payload[tc.off:tc.off+tc.n]) {
+			t.Fatalf("read %d at %d: %v, or other bytes", tc.n, tc.off, err)
 		}
-		_, misses, _ := store.CacheStats()
-		if r, m := reads.Value()-reads0, misses-misses0; r != wantReads || m != wantMisses {
-			t.Fatalf("read %d at %d: %d disk reads, %d page misses; want %d, %d", n, off, r, m, wantReads, wantMisses)
+		hits, misses, resident := store.CacheStats()
+		if r, b := reads.Value()-reads0, read.Value()-read0; r != int64(tc.slots) || b != int64(tc.n) || misses-misses0 != r {
+			t.Errorf("read %d at %d: %d disk reads of %d bytes, %d misses; want %d reads of %d bytes, one miss each",
+				tc.n, tc.off, r, b, misses-misses0, tc.slots, tc.n)
+		}
+		if hits != 0 || resident != 0 {
+			t.Errorf("CacheStats reports %d hits and %d resident bytes of a store with no cache", hits, resident)
 		}
 	}
+}
 
-	// 700 bytes across a page boundary: two pages in one read.
-	read(DefaultPageSize-300, 700, 1, 2)
-	if _, _, resident := store.CacheStats(); resident != 2*DefaultPageSize {
-		t.Fatalf("%d bytes cached after a two-page read", resident)
-	}
-	// Page 5 alone, then all of slot 0: the run splits at page 5.
-	read(5*DefaultPageSize+10, 10, 1, 1)
-	read(0, slotSize, 2, pagesPerSlot-3)
-	// From inside slot 1 to inside slot 3: one read per slot.
-	read(slotSize+100, 2*slotSize, 3, 2*pagesPerSlot+1)
-
-	if err := f.Release(); err != nil {
+// TestBlockStoreReadAllocatesNothing: reading a segment back costs no
+// allocation, with counters attached or not.
+func TestBlockStoreReadAllocatesNothing(t *testing.T) {
+	store, err := NewBlockStore(t.TempDir(), 0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, resident := store.CacheStats(); resident != 0 {
-		t.Fatalf("Release left %d bytes of the file cached", resident)
+	defer store.Close()
+	payload := patterned(9, 2*slotSize)
+	f := writeSealed(t, store, payload)
+	buf := make([]byte, 3000)
+	read := func() {
+		if _, err := f.ReadAt(buf, slotSize-1000); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := testing.AllocsPerRun(50, read); n != 0 {
+		t.Errorf("a read allocates %v times", n)
+	}
+	readCounters(store)
+	if n := testing.AllocsPerRun(50, read); n != 0 {
+		t.Errorf("a counted read allocates %v times", n)
 	}
 }
 
@@ -359,7 +346,7 @@ func TestBlockStoreRunFill(t *testing.T) {
 // written, sealed or released returns cleanly, and what those files do
 // afterwards fails or does nothing — never panics.
 func TestBlockStoreCloseWithLiveFiles(t *testing.T) {
-	store, err := NewBlockStore("", 1<<20)
+	store, err := NewBlockStore("", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,8 +418,8 @@ func probeRelation(t testing.TB, rows int) *relation.Relation {
 
 // TestFullyOutOfCoreJob is the package's end-to-end acceptance check
 // of BlockStore as the engine's SpillStore: the shuffle spilled to it
-// under a tiny budget and a tiny page cache — and the result is
-// bit-identical to the fully in-memory run.
+// under a tiny budget — and the result is bit-identical to the fully
+// in-memory run.
 func TestFullyOutOfCoreJob(t *testing.T) {
 	in := probeRelation(t, 1200)
 	job := func(rel *relation.Relation) *mr.Job {
@@ -457,7 +444,7 @@ func TestFullyOutOfCoreJob(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	store, err := NewBlockStore(t.TempDir(), 8192)
+	store, err := NewBlockStore(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -486,20 +473,19 @@ func TestFullyOutOfCoreJob(t *testing.T) {
 	}
 }
 
-// BenchmarkBlockStoreSequentialRead streams a sealed 4 MiB file through
-// a 64 KiB page cache the way a reducer reads a spilled segment of full
-// frames: each read starts at a frame (an 8-byte header and a payload
-// just past 32 KiB) and reaches 1 KiB beyond it. It reports the disk
-// reads per MiB, and fails if a read costs more than one disk read per
-// slot it touches.
+// BenchmarkBlockStoreSequentialRead streams a sealed 4 MiB file the way
+// a reducer reads a spilled segment of full frames: each read starts at
+// a frame (an 8-byte header and a payload just past 32 KiB) and reaches
+// 1 KiB beyond it. It reports the disk reads per MiB, and fails if a
+// read costs more than one disk read per slot it touches.
 func BenchmarkBlockStoreSequentialRead(b *testing.B) {
 	const frameLen, readLen = 8 + 32<<10 + 100, 8 + 32<<10 + 1<<10
-	store, err := NewBlockStore("", 64<<10)
+	store, err := NewBlockStore("", 0)
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer store.Close()
-	reads := countDiskReads(store)
+	reads, _ := readCounters(store)
 	payload := patterned(5, 4<<20)
 	f := writeSealed(b, store, payload)
 	buf := make([]byte, readLen)
@@ -528,44 +514,16 @@ func BenchmarkBlockStoreSequentialRead(b *testing.B) {
 // string key against 2 k dimension rows on 96 reducers — both sides
 // interned, as core.NewDB leaves them, so the shuffle carries
 // dictionary codes — under a 64 KiB
-// spill budget and a 64 KiB page cache — some 60 spill files in the
-// slots of one backing file, each reducer's segment of one read back
-// through the one or two 4 KiB pages it covers and its CRC frames.
+// spill budget: some 60 spill files in the slots of one backing file,
+// each reducer's segment of one read back with one read of exactly its
+// bytes and checked by its frame's CRC.
 func BenchmarkSpilledShuffle(b *testing.B) {
-	const stations = 2000
-	name := func(i uint64) string { return fmt.Sprintf("bs-%05d", i) }
-	calls := relation.New("c", relation.MustSchema(
-		relation.Column{Name: "bs", Kind: relation.KindString},
-		relation.Column{Name: "len", Kind: relation.KindInt},
-		relation.Column{Name: core.RowIDColumn, Kind: relation.KindInt},
-	))
-	rng := rand.New(rand.NewSource(29))
-	zipf := rand.NewZipf(rng, 1.3, 1, stations-1)
-	for i := 0; i < 60000; i++ {
-		calls.MustAppend(relation.Tuple{relation.Str(name(zipf.Uint64())), relation.Int(rng.Int63n(3600)), relation.Int(int64(i))})
-	}
-	dim := relation.New("s", relation.MustSchema(
-		relation.Column{Name: "bs", Kind: relation.KindString},
-		relation.Column{Name: "region", Kind: relation.KindInt},
-		relation.Column{Name: core.RowIDColumn, Kind: relation.KindInt},
-	))
-	for i := 0; i < stations; i++ {
-		dim.MustAppend(relation.Tuple{relation.Str(name(uint64(i))), relation.Int(int64(i % 17)), relation.Int(int64(i))})
-	}
-	for _, r := range []*relation.Relation{calls, dim} {
-		if err := relation.InternStrings(r); err != nil {
-			b.Fatal(err)
-		}
-	}
-	job, err := core.BuildHashEquiJob("fk", calls, dim, predicate.Conjunction{predicate.C("c", "bs", predicate.EQ, "s", "bs")}, 96, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
+	job := fkJob(b, 60000, 96)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var spilled int64
 	for i := 0; i < b.N; i++ {
-		store, err := NewBlockStore("", 64<<10)
+		store, err := NewBlockStore("", 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -585,4 +543,70 @@ func BenchmarkSpilledShuffle(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(spilled)/1e6/b.Elapsed().Seconds(), "spilledMB/s")
+}
+
+// fkJob is a hash-equi foreign-key join of calls fact rows, with a
+// Zipf-skewed string key, against 2 000 station rows on the given
+// number of reducers: every call has one station.
+func fkJob(tb testing.TB, calls, reducers int) *mr.Job {
+	const stations = 2000
+	name := func(i uint64) string { return fmt.Sprintf("bs-%05d", i) }
+	fact := relation.New("c", relation.MustSchema(
+		relation.Column{Name: "bs", Kind: relation.KindString},
+		relation.Column{Name: "len", Kind: relation.KindInt},
+		relation.Column{Name: core.RowIDColumn, Kind: relation.KindInt},
+	))
+	rng := rand.New(rand.NewSource(29))
+	zipf := rand.NewZipf(rng, 1.3, 1, stations-1)
+	for i := 0; i < calls; i++ {
+		fact.MustAppend(relation.Tuple{relation.Str(name(zipf.Uint64())), relation.Int(rng.Int63n(3600)), relation.Int(int64(i))})
+	}
+	dim := relation.New("s", relation.MustSchema(
+		relation.Column{Name: "bs", Kind: relation.KindString},
+		relation.Column{Name: "region", Kind: relation.KindInt},
+		relation.Column{Name: core.RowIDColumn, Kind: relation.KindInt},
+	))
+	for i := 0; i < stations; i++ {
+		dim.MustAppend(relation.Tuple{relation.Str(name(uint64(i))), relation.Int(int64(i % 17)), relation.Int(int64(i))})
+	}
+	for _, r := range []*relation.Relation{fact, dim} {
+		if err := relation.InternStrings(r); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	job, err := core.BuildHashEquiJob("fk", fact, dim, predicate.Conjunction{predicate.C("c", "bs", predicate.EQ, "s", "bs")}, reducers, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return job
+}
+
+// TestSpilledJobReadsItsSpillBytes: a spilled foreign-key join reads
+// back from the backing file exactly the bytes it spilled — each
+// reducer's segment of each file once, with one read of exactly its
+// bytes — as counted by dfs.read_bytes.
+func TestSpilledJobReadsItsSpillBytes(t *testing.T) {
+	store, err := NewBlockStore(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	reads, read := readCounters(store)
+	cfg := mr.DefaultConfig()
+	cfg.SpillBudgetBytes = 4 << 10
+	cfg.Spill = store
+	res, err := mr.Run(context.Background(), cfg, fkJob(t, 6000, 24))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := res.Metrics
+	if m.SpillBytes == 0 || m.SpillRuns < 10 {
+		t.Fatalf("%d bytes spilled in %d runs; want many runs", m.SpillBytes, m.SpillRuns)
+	}
+	if m.ReduceAttempts != m.ReduceTasks {
+		t.Skipf("%d reduce attempts for %d reducers: a backup re-read segments", m.ReduceAttempts, m.ReduceTasks)
+	}
+	if read.Value() != m.SpillBytes {
+		t.Errorf("%d bytes read back in %d disk reads; %d were spilled", read.Value(), reads.Value(), m.SpillBytes)
+	}
 }

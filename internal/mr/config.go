@@ -32,9 +32,8 @@ type Config struct {
 	SpillBudgetBytes int64
 
 	// Spill receives spill runs; a budget needs one. internal/dfs's
-	// BlockStore serves reads through its page cache;
-	// NewTempSpillStore keeps plain temp files. Implementations must
-	// be concurrency-safe.
+	// BlockStore keeps them in the slots of one backing file.
+	// Implementations must be concurrency-safe.
 	Spill SpillStore
 
 	// Faults injects deterministic failures for testing and CI: seeded
@@ -50,7 +49,7 @@ const (
 	// modeled input.
 	BlockSize int64 = 64e6
 	// Replication is dfs.replication: the copies a loaded file is
-	// written in, and so the reads a checksum-failed frame or page may
+	// written in, and so the reads a checksum-failed spill frame may
 	// take before the read fails.
 	Replication = 3
 	// OutputCapRatio bounds a job's modeled output volume at this

@@ -87,10 +87,16 @@
 // measured once however many pairs the row makes and reducers they are
 // routed to; the spill budget, the shuffle bytes and the residency
 // accounting all read that number. A spilled record is the key and the
-// ordinal, and the reader re-measures its row. A map attempt appends
-// routed records to one flat buffer the run lends it, then deals them,
-// stably, into a single exactly sized block whose subslices are the
-// per-reducer buckets. A reduce attempt merges its runs, resolves each
+// ordinal; a spilling run measures every row once, when it splits the
+// input, and its map tasks and the readers of their records take the
+// size from there. A map attempt appends routed records to one flat
+// buffer the run lends it, then deals them, stably, into a single
+// exactly sized block whose subslices are the per-reducer buckets — or,
+// when it spills, into a block of the same buffer's, reused from flush
+// to flush, whose buckets it sorts and writes out at once. A reduce
+// attempt carves the frame buffers of its spilled runs from its scratch
+// too, so spilling a pair and reading it back allocate nothing once the
+// run's buffers have grown. A reduce attempt merges its runs, resolves each
 // record to its task's row, and copies the tuple header into the buffer
 // of the task's input, and that is what a ReduceFunc receives:
 // groups[i] holds the key's rows of input i, in task order and emission
@@ -155,6 +161,8 @@
 // Spilled runs are written as checksummed frames (~32 KiB of records,
 // each frame with a CRC32 header; a record never spans frames, so one
 // read takes a whole frame, and a header promising more is corrupt).
+// The frame CRC is the only check spilled bytes get, and its re-read
+// the only retry: the store under them checks nothing itself.
 // Readers verify every frame before decoding; a mismatch is counted
 // (Metrics.ChecksumFailures, the mr.checksum_failures quarantine
 // counter) and the frame is re-read — failover to a surviving replica,

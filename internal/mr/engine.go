@@ -143,8 +143,9 @@ type Result struct {
 // record is one shuffled pair, in memory and in a spilling map task's
 // buffer alike: its key, its row as an ordinal in the producing map
 // task's split, and that row's EncodedSize, measured once — when the row
-// is mapped, or when a spilled record is read back — and read by every
-// byte count from there to the reducer. The pair's tuple is
+// is mapped, or, in a spilling run, when the input is split, for the
+// map task and the readers of its spilled records alike — and read by
+// every byte count from there to the reducer. The pair's tuple is
 // tasks[task].tuples[row] and its tag tasks[task].inputIdx, resolved
 // where the reducer merges it.
 type record struct {
@@ -185,7 +186,8 @@ type run struct {
 
 	// planTasks
 	tasks      []mapTask
-	inputBytes int64 // modeled S_I
+	inputBytes int64      // modeled S_I
+	sizes      [][]uint32 // [task] each row's EncodedSize; kept only by a spilling run
 
 	// mapPhase: what each map task's committed attempt left behind.
 	ft            *faultRuntime
@@ -290,8 +292,18 @@ func Run(ctx context.Context, cfg Config, job *Job) (*Result, error) {
 // yields ~156 tasks of ~13 tuples each, so wave counts and per-task
 // spill volumes match the modeled cluster. TuplesPerMapTask
 // additionally bounds how many physical tuples one task may hold (the
-// binding constraint for unscaled relations).
+// binding constraint for unscaled relations). The rows are measured
+// here; a spilling run keeps their sizes, all in one array, for its map
+// tasks and for the readers of their spilled records.
 func (r *run) planTasks() {
+	var sizes []uint32 // every task's, in one array
+	if r.cfg.SpillBudgetBytes > 0 {
+		rows := 0
+		for _, in := range r.job.Inputs {
+			rows += in.Rel.Cardinality()
+		}
+		sizes = make([]uint32, 0, rows)
+	}
 	for idx, in := range r.job.Inputs {
 		card := in.Rel.Cardinality()
 		if card == 0 {
@@ -314,11 +326,19 @@ func (r *run) planTasks() {
 		}
 		for _, blk := range in.Rel.Blocks((card + nTasks - 1) / nTasks) {
 			var raw int64
+			at := len(sizes)
 			for _, t := range blk {
-				raw += int64(t.EncodedSize())
+				n := t.EncodedSize()
+				raw += int64(n)
+				if sizes != nil {
+					sizes = append(sizes, uint32(n))
+				}
 			}
 			mb := int64(float64(raw) * mult)
 			r.tasks = append(r.tasks, mapTask{inputIdx: idx, tuples: blk, multiplier: mult, inputBytes: mb})
+			if sizes != nil {
+				r.sizes = append(r.sizes, sizes[at:len(sizes):len(sizes)])
+			}
 			r.inputBytes += mb
 		}
 	}
@@ -381,11 +401,19 @@ func (r *run) mapAttempt(actx context.Context, ti, attempt int, sh *obs.Shard) (
 	task, job, nRed := &r.tasks[ti], r.job, r.nRed
 	sp := sh.Start("map", obs.A("task", ti), obs.A("attempt", attempt), obs.A("tuples", len(task.tuples)))
 	mapFn := job.Inputs[task.inputIdx].Map
-	var spiller *taskSpiller
+	idle := r.scratch
 	var routed *mapScratch
+	select {
+	case routed = <-idle:
+		routed.recs, routed.dest = routed.recs[:0], routed.dest[:0]
+	default:
+		routed = &mapScratch{}
+	}
+	defer func() { idle <- routed }()
+	var spiller *taskSpiller
 	committable := false
 	if r.spill != nil {
-		spiller = newTaskSpiller(r.spill, nRed, r.cfg.SpillBudgetBytes)
+		spiller = &taskSpiller{store: r.spill, budget: r.cfg.SpillBudgetBytes, nRed: nRed, sc: routed}
 		// An attempt that ends any other way than by handing back its
 		// outcome — an error below, or a panic in the Map function —
 		// discards its partial runs; they are never merged.
@@ -394,15 +422,6 @@ func (r *run) mapAttempt(actx context.Context, ti, attempt int, sh *obs.Shard) (
 				spiller.release()
 			}
 		}()
-	} else {
-		idle := r.scratch
-		select {
-		case routed = <-idle:
-			routed.recs, routed.dest = routed.recs[:0], routed.dest[:0]
-		default:
-			routed = &mapScratch{}
-		}
-		defer func() { idle <- routed }()
 	}
 	fail := func(err error) (attemptOutcome, error) {
 		sp.End(obs.A("error", err.Error()))
@@ -462,8 +481,14 @@ func (r *run) mapAttempt(actx context.Context, ti, attempt int, sh *obs.Shard) (
 				return fail(err)
 			}
 		}
-		// The row is measured here, once, however many pairs it makes.
-		cur, rec = t, record{row: uint32(i), size: uint32(t.EncodedSize())}
+		// The row is measured once, however many pairs it makes: here,
+		// or by planTasks in a spilling run.
+		cur, rec = t, record{row: uint32(i)}
+		if r.sizes != nil {
+			rec.size = r.sizes[ti][i]
+		} else {
+			rec.size = uint32(t.EncodedSize())
+		}
 		mapFn(t, emit)
 		if emitErr != nil {
 			return fail(emitErr)
@@ -572,7 +597,7 @@ func (r *run) reducePhase(ctx context.Context) error {
 // map task, in (task, flush) order, into sc.srcs, with their pair count,
 // the accounted bytes of the in-memory ones and, in sc.tags, how many
 // pairs each input contributes: a run's pairs all have its task's input
-// as their tag. Spilled runs pass their read buffer on through sc.spare.
+// as their tag.
 func (r *run) gather(red int, sc *reduceScratch) (n int, memReal int64) {
 	srcs := sc.srcs[:0]
 	tags := slices.Grow(sc.tags[:0], len(r.job.Inputs))[:len(r.job.Inputs)]
@@ -582,7 +607,7 @@ func (r *run) gather(red int, sc *reduceScratch) (n int, memReal int64) {
 		if ts := r.spills[ti]; ts != nil {
 			for _, fl := range ts.flushes {
 				if seg := fl.segs[red]; seg.count > 0 {
-					srcs = append(srcs, diskSource(fl.file, seg, ti, r.ft, &sc.spare))
+					srcs = append(srcs, diskSource(fl.file, seg, ti, r.ft))
 					n += seg.count
 					tags[in] += seg.count
 				}
@@ -605,7 +630,7 @@ func (r *run) gather(red int, sc *reduceScratch) (n int, memReal int64) {
 }
 
 // reduceScratch is a reduce attempt's working memory: gather's sources
-// and per-input pair counts, the spilled runs' frame buffer, the
+// and per-input pair counts, the merge's frame buffers and heap, the
 // per-input tuple buffers a key run is split into, the views of them
 // Reduce is handed, and the hasher a result attempt's EmitConcat hashes
 // its rows through. The run hands these from attempt to attempt, so a
@@ -614,7 +639,7 @@ func (r *run) gather(red int, sc *reduceScratch) (n int, memReal int64) {
 type reduceScratch struct {
 	srcs         []pairSource
 	tags         []int
-	spare        []byte
+	merge        merger
 	bufs, groups [][]relation.Tuple
 	hasher       relation.RowHasher // reset before every Reduce call
 }
@@ -702,7 +727,7 @@ func (r *run) reduceAttempt(actx context.Context, red, attempt int, sh *obs.Shar
 		runLen, runReal = 0, 0
 	}
 	var merged int
-	err := mergeSources(srcs, r.tasks, func(rec record, ti int) error {
+	err := sc.merge.merge(srcs, r.sizes, func(rec record, ti int) error {
 		// Cancellation check mid-merge: a cancelled run must not
 		// finish a large merge before noticing.
 		if merged++; merged&1023 == 0 {
@@ -992,15 +1017,25 @@ func (g *keepGate) commit(red, kept int) {
 	}
 }
 
-// mapScratch is where an in-memory map attempt collects its routed
-// pairs, in emission order with each pair's destination beside it, until
-// partition deals them out. The run hands these buffers from attempt to
-// attempt, so after the first few tasks a map attempt's only shuffle
-// allocation is its partitioned block.
+// mapScratch is where a map attempt collects its routed pairs, in
+// emission order with each pair's destination beside it, until they are
+// dealt out by reducer: once at the end of an in-memory attempt, into a
+// block the run keeps, or at every flush of a spilling one, into the
+// scratch's own block, which the flush writes out before the next pair
+// is collected. The run hands these buffers from attempt to attempt, so
+// after the first few tasks an in-memory attempt's only shuffle
+// allocation is its partitioned block, and a spilling attempt's only
+// what it commits.
 type mapScratch struct {
 	recs  []record
 	dest  []int32
 	count []int // pairs per reducer
+
+	// A spilling attempt's flushes: the dealt pairs, the per-reducer
+	// views of them, and the frame buffer they are written through.
+	block   []record
+	buckets [][]record
+	frame   []byte
 }
 
 func (sc *mapScratch) add(red int, rec record) {
@@ -1013,13 +1048,18 @@ func (sc *mapScratch) add(red int, rec record) {
 // capacity-limited subslice of it holding that reducer's pairs in
 // emission order.
 func (sc *mapScratch) partition(nRed int) [][]record {
+	return sc.deal(make([]record, len(sc.recs)), make([][]record, nRed))
+}
+
+// deal is partition into a block of len(sc.recs) records and one bucket
+// header per reducer that the caller provides.
+func (sc *mapScratch) deal(block []record, buckets [][]record) [][]record {
+	nRed := len(buckets)
 	sc.count = slices.Grow(sc.count[:0], nRed)[:nRed]
 	clear(sc.count)
 	for _, d := range sc.dest {
 		sc.count[d]++
 	}
-	buckets := make([][]record, nRed)
-	block := make([]record, len(sc.recs))
 	off := 0
 	for red, n := range sc.count {
 		buckets[red] = block[off : off : off+n]

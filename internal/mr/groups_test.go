@@ -270,13 +270,23 @@ func encodeRecords(recs []record) []byte {
 	return b
 }
 
+// rowSizes measures each row of split, as planTasks does for a spilling
+// run's readers.
+func rowSizes(split []relation.Tuple) []uint32 {
+	sizes := make([]uint32, len(split))
+	for i, t := range split {
+		sizes[i] = uint32(t.EncodedSize())
+	}
+	return sizes
+}
+
 // decodeRecords decodes a whole payload against split and returns the
 // records decoded before any error, with the bytes they took.
 func decodeRecords(b []byte, split []relation.Tuple) ([]record, int, error) {
 	var recs []record
-	n := 0
+	n, sizes := 0, rowSizes(split)
 	for n < len(b) {
-		rec, rest, err := decodeRecord(b[n:], split)
+		rec, rest, err := decodeRecord(b[n:], sizes)
 		if err != nil {
 			return recs, n, err
 		}

@@ -1,7 +1,10 @@
 package mr
 
 import (
+	"io"
+	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -63,32 +66,43 @@ func TestReduceScratchLivesForOneRun(t *testing.T) {
 }
 
 // TestRetriedReducerStartsOnCleanScratch: a reduce attempt that fails
-// mid-merge leaves part of a key run in its buffers; the retry, which
-// takes the same buffers, must reduce the run from its first pair.
-// Every row has one key and a 64-byte budget spills each map task many
-// times, so the reducer merges many runs; one run's frame reads back
-// corrupt from every replica, failing the first attempt after it has
-// buffered the runs before it.
+// mid-merge leaves part of a key run in its buffers and frames of its
+// runs in its frame buffers; the retry, which takes the same scratch,
+// must reduce the run from its first pair and read every frame afresh.
+// A 64-byte budget spills each map task many times, so the reducer
+// merges many runs; one run's frame reads back corrupt from every
+// replica, failing the first attempt after it has buffered the runs
+// before it. Every row has one key (a single key run), or the keys are
+// ordered across the runs (read one after another, through one frame
+// buffer) or interleave (merged, each run through a buffer of its own).
 func TestRetriedReducerStartsOnCleanScratch(t *testing.T) {
-	vals := make([]int64, 400)
-	in := intsRelation("in", vals...)
-	store, err := NewTempSpillStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store.Close()
-	rot := &rottingSpillStore{TempSpillStore: store, from: 3, to: 3 + Replication}
-	cfg := smallConfig()
-	cfg.MaxParallelWorkers = 1
-	cfg.SpillBudgetBytes = 64
-	cfg.Spill = rot
-	res := mustRun(t, cfg, countJob(in, 1))
-	if got := res.Output.Tuples[0][1].Int64(); res.Rows != 1 || got != int64(len(vals)) {
-		t.Errorf("%d rows, the key counted %d times; want 1 row counting %d", res.Rows, got, len(vals))
-	}
-	if m := res.Metrics; m.ChecksumFailures != Replication || m.ReduceAttempts < 2 {
-		t.Errorf("%d checksum failures over %d reduce attempts; want %d failures failing an attempt",
-			m.ChecksumFailures, m.ReduceAttempts, Replication)
+	for _, keys := range []string{"one", "ordered", "interleaved"} {
+		vals := make([]int64, 400)
+		for i := range vals {
+			switch keys {
+			case "ordered":
+				vals[i] = int64(i / 8)
+			case "interleaved":
+				vals[i] = int64(i % 50)
+			}
+		}
+		in := intsRelation("in", vals...)
+		cfg := smallConfig()
+		cfg.MaxParallelWorkers = 1
+		base := mustRun(t, cfg, countJob(in, 1))
+		store, err := NewTempSpillStore(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer store.Close()
+		cfg.SpillBudgetBytes = 64
+		cfg.Spill = &rottingSpillStore{TempSpillStore: store, from: 3, to: 3 + Replication}
+		res := mustRun(t, cfg, countJob(in, 1))
+		requireSameOutput(t, base.Output, res.Output, keys+" keys: retried reducer")
+		if m := res.Metrics; m.ChecksumFailures != Replication || m.ReduceAttempts < 2 {
+			t.Errorf("%s keys: %d checksum failures over %d reduce attempts; want %d failures failing an attempt",
+				keys, m.ChecksumFailures, m.ReduceAttempts, Replication)
+		}
 	}
 }
 
@@ -119,4 +133,133 @@ func (f rottingSpillFile) ReadAt(p []byte, off int64) (int, error) {
 		p[min(spillFrameHeader, n-1)] ^= 0xFF
 	}
 	return n, err
+}
+
+// reusedSpillFile is an in-memory spill file that a reusedSpillStore
+// hands out again and again, so that a spill costs the file nothing.
+type reusedSpillFile struct{ buf []byte }
+
+func (f *reusedSpillFile) Write(p []byte) (int, error) {
+	f.buf = append(f.buf, p...)
+	return len(p), nil
+}
+
+func (f *reusedSpillFile) ReadAt(p []byte, off int64) (int, error) {
+	n := copy(p, f.buf[off:])
+	if n < len(p) {
+		return n, io.EOF
+	}
+	return n, nil
+}
+
+func (f *reusedSpillFile) Seal() error    { return nil }
+func (f *reusedSpillFile) Release() error { return nil }
+
+type reusedSpillStore struct{ f *reusedSpillFile }
+
+func (s reusedSpillStore) CreateSpillFile() (SpillFile, error) { return s.f, nil }
+
+// TestSpillFlushAllocatesNothing: once its scratch has grown, a spilling
+// map attempt collects a full budget of pairs and flushes them as sorted
+// runs without an allocation.
+func TestSpillFlushAllocatesNothing(t *testing.T) {
+	const nRed, budget = 96, 64 << 10
+	rng := rand.New(rand.NewSource(5))
+	var recs []record
+	var dest []int
+	for used := int64(0); ; {
+		rec := record{key: rng.Uint64() % 500, row: uint32(len(recs)), size: uint32(20 + rng.Intn(40))}
+		if used += rec.realBytes(); used > budget {
+			break
+		}
+		recs, dest = append(recs, rec), append(dest, rng.Intn(nRed))
+	}
+	file := &reusedSpillFile{}
+	ts := &taskSpiller{store: reusedSpillStore{file}, budget: budget, nRed: nRed, sc: &mapScratch{}}
+	spill := func() {
+		ts.flushes, ts.segs, file.buf = ts.flushes[:0], ts.segs[:0], file.buf[:0]
+		for i, rec := range recs {
+			if err := ts.add(dest[i], rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := ts.flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := testing.AllocsPerRun(20, spill); n != 0 {
+		t.Errorf("adding and flushing %d pairs allocates %v times", len(recs), n)
+	}
+	if len(ts.flushes) != 1 || ts.spilled == 0 {
+		t.Fatalf("%d flushes of %d bytes; want the budget in one", len(ts.flushes), ts.spilled)
+	}
+}
+
+// spilledRuns writes runs, each a key-sorted list of records of task 0,
+// as segments of one spill file and returns their sources and the
+// task's row sizes.
+func spilledRuns(t *testing.T, runs [][]record, rows int) ([]pairSource, [][]uint32) {
+	t.Helper()
+	file := &reusedSpillFile{}
+	fw := &frameWriter{dst: file}
+	srcs := make([]pairSource, len(runs))
+	for i, run := range runs {
+		seg := spillSegment{off: fw.n, count: len(run), firstKey: run[0].key, lastKey: run[len(run)-1].key}
+		for _, rec := range run {
+			if err := fw.writeRecord(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := fw.finish(); err != nil {
+			t.Fatal(err)
+		}
+		seg.n = fw.n - seg.off
+		srcs[i] = diskSource(file, seg, 0, nil)
+	}
+	sizes := make([]uint32, rows)
+	for i := range sizes {
+		sizes[i] = uint32(10 + i%7)
+	}
+	return srcs, [][]uint32{sizes}
+}
+
+// TestSpilledMergeAllocatesNothing: once its scratch has grown, a
+// reduce attempt merges spilled segments — one after another when their
+// keys are ordered, through the heap when they interleave — without an
+// allocation.
+func TestSpilledMergeAllocatesNothing(t *testing.T) {
+	const rows, perRun = 3000, 4000 // two frames a run
+	for _, interleaved := range []bool{false, true} {
+		rng := rand.New(rand.NewSource(9))
+		runs := make([][]record, 12)
+		for i := range runs {
+			for j := 0; j < perRun; j++ {
+				key := uint64(i*perRun + j)
+				if interleaved {
+					key = uint64(rng.Intn(1000))
+				}
+				runs[i] = append(runs[i], record{key: key, row: uint32(rng.Intn(rows))})
+			}
+			sortBucket(runs[i])
+		}
+		srcs, sizes := spilledRuns(t, runs, rows)
+		fresh := slices.Clone(srcs)
+		var m merger
+		merged := 0
+		merge := func() {
+			copy(srcs, fresh)
+			if err := m.merge(srcs, sizes, func(rec record, task int) error {
+				merged++
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n := testing.AllocsPerRun(10, merge); n != 0 {
+			t.Errorf("interleaved %v: merging %d spilled runs allocates %v times", interleaved, len(runs), n)
+		}
+		if merged != 11*len(runs)*perRun {
+			t.Errorf("interleaved %v: %d records merged in 11 merges of %d", interleaved, merged, len(runs)*perRun)
+		}
+	}
 }

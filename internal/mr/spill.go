@@ -1,36 +1,34 @@
 package mr
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
-	"os"
-	"sync"
-	"sync/atomic"
-
-	"repro/internal/relation"
+	"slices"
 )
 
 // Out-of-core shuffle: when Config.SpillBudgetBytes is set, a map task
-// buffers at most that many accounted bytes of emitted pairs before
-// sorting its per-reducer buckets and writing them to a SpillFile as
-// key-sorted runs (Hadoop's io.sort.mb spill, made real). Reducers
-// then k-way merge the spilled runs straight from disk through
-// streaming cursors instead of holding every bucket live, so the
-// engine's resident pair memory is bounded by the budget — while every
-// byte-level metric and the output stay bit-identical to the
-// in-memory path. See Run for the determinism contract; the spill
-// layer preserves it because runs are merged in (key, source ordinal)
-// order with sources ordered (task, flush), exactly the global stable
-// sort order of the in-memory path, and because a spilled pair is the
-// same record an in-memory bucket holds, naming its row instead of
-// carrying its bytes: every value a map function emits is the row it
-// was handed, a row of a job input the run holds for its whole length,
-// so a reader resolves the record to that very row and hands Reduce the
-// slice the in-memory path would have.
+// collects at most that many accounted bytes of emitted pairs in the
+// routed-pair buffer the in-memory path uses, then deals them out by
+// reducer into a block reused from flush to flush, sorts each reducer's
+// slice and writes them to a SpillFile as key-sorted runs (Hadoop's
+// io.sort.mb spill, made real). Reducers then k-way merge the spilled
+// runs straight from disk through streaming cursors, each reading its
+// segment of a file with one read of exactly its bytes into a frame
+// buffer carved from the attempt's scratch, so the engine's resident
+// pair memory is bounded by the budget — while every byte-level metric
+// and the output stay bit-identical to the in-memory path. See Run for
+// the determinism contract; the spill layer preserves it because runs
+// are merged in (key, source ordinal) order with sources ordered (task,
+// flush), exactly the global stable sort order of the in-memory path,
+// and because a spilled pair is the same record an in-memory bucket
+// holds, naming its row instead of carrying its bytes: every value a map
+// function emits is the row it was handed, a row of a job input the run
+// holds for its whole length, so a reader resolves the record to that
+// very row, and its size to the one the run measured when it split the
+// input, and hands Reduce the slice the in-memory path would have.
 
 // SpillFile is one spill target: append-only while writing, random
 // access (io.ReaderAt) after Seal, reclaimed by Release. The engine
@@ -46,87 +44,16 @@ type SpillFile interface {
 
 // SpillStore creates spill files. Implementations must be safe for
 // concurrent use — map tasks spill in parallel. internal/dfs's
-// BlockStore implements it with an in-memory page cache over the spill
-// bytes; TempSpillStore with plain temp files.
+// BlockStore implements it over the slots of one backing file.
 type SpillStore interface {
 	CreateSpillFile() (SpillFile, error)
-}
-
-// ---- Temp-file store --------------------------------------------------
-
-// TempSpillStore is the plain SpillStore: one file per spill in a
-// private temp directory, removed on Close.
-type TempSpillStore struct {
-	dir  string
-	mu   sync.Mutex
-	n    int
-	live atomic.Int64
-}
-
-// Live reports the spill files created but not yet released — 0 after
-// a Run returns, success or not: the engine discards failed attempts'
-// runs immediately and releases committed runs before returning, so a
-// nonzero count after Run is a leak. Cancellation-hygiene tests assert
-// on it.
-func (s *TempSpillStore) Live() int { return int(s.live.Load()) }
-
-// NewTempSpillStore creates a temp-file spill store rooted in dir (""
-// = the system temp directory).
-func NewTempSpillStore(dir string) (*TempSpillStore, error) {
-	d, err := os.MkdirTemp(dir, "mr-spill-*")
-	if err != nil {
-		return nil, fmt.Errorf("mr: spill store: %w", err)
-	}
-	return &TempSpillStore{dir: d}, nil
-}
-
-// CreateSpillFile opens a fresh spill file.
-func (s *TempSpillStore) CreateSpillFile() (SpillFile, error) {
-	s.mu.Lock()
-	name := fmt.Sprintf("%s/spill-%06d", s.dir, s.n)
-	s.n++
-	s.mu.Unlock()
-	f, err := os.OpenFile(name, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o600)
-	if err != nil {
-		return nil, fmt.Errorf("mr: spill store: %w", err)
-	}
-	s.live.Add(1)
-	return &tempSpillFile{f: f, bw: bufio.NewWriter(f), store: s}, nil
-}
-
-// Close removes the store's directory and every remaining file.
-func (s *TempSpillStore) Close() error { return os.RemoveAll(s.dir) }
-
-type tempSpillFile struct {
-	f     *os.File
-	bw    *bufio.Writer
-	store *TempSpillStore
-}
-
-func (t *tempSpillFile) Write(p []byte) (int, error) { return t.bw.Write(p) }
-
-func (t *tempSpillFile) Seal() error { return t.bw.Flush() }
-
-func (t *tempSpillFile) ReadAt(p []byte, off int64) (int, error) { return t.f.ReadAt(p, off) }
-
-func (t *tempSpillFile) Release() error {
-	if t.store != nil {
-		t.store.live.Add(-1)
-		t.store = nil
-	}
-	name := t.f.Name()
-	if err := t.f.Close(); err != nil {
-		os.Remove(name)
-		return err
-	}
-	return os.Remove(name)
 }
 
 // ---- Record codec -----------------------------------------------------
 
 // A spilled record is u64 key (LE) | uvarint row, at most maxRecordLen
-// bytes. Its size is not written: the reader re-measures the row, and
-// its tag is its task's input.
+// bytes. Its size is not written: the reader takes it from the sizes
+// the run measured, and its tag is its task's input.
 const maxRecordLen = 8 + binary.MaxVarintLen32
 
 func appendRecord(dst []byte, rec record) []byte {
@@ -135,11 +62,11 @@ func appendRecord(dst []byte, rec record) []byte {
 }
 
 // decodeRecord decodes the record at the front of a verified frame
-// payload against split, the rows of the map task that wrote it, and
-// returns it, measured from its row, with the rest of the payload. A
-// row varint that is cut short, longer than it needs to be or past the
+// payload against sizes, the EncodedSize of each row of the map task
+// that wrote it, and returns it with the rest of the payload. A row
+// varint that is cut short, longer than it needs to be or past the
 // split is an error: checksums vouch for the bytes, not for the writer.
-func decodeRecord(b []byte, split []relation.Tuple) (record, []byte, error) {
+func decodeRecord(b []byte, sizes []uint32) (record, []byte, error) {
 	if len(b) < 9 {
 		return record{}, nil, io.ErrUnexpectedEOF
 	}
@@ -147,10 +74,10 @@ func decodeRecord(b []byte, split []relation.Tuple) (record, []byte, error) {
 	if w <= 0 || w > 1 && b[7+w] == 0 {
 		return record{}, nil, errors.New("malformed row ordinal")
 	}
-	if row >= uint64(len(split)) {
-		return record{}, nil, fmt.Errorf("row %d past its split of %d", row, len(split))
+	if row >= uint64(len(sizes)) {
+		return record{}, nil, fmt.Errorf("row %d past its split of %d", row, len(sizes))
 	}
-	rec := record{key: binary.LittleEndian.Uint64(b), row: uint32(row), size: uint32(split[row].EncodedSize())}
+	rec := record{key: binary.LittleEndian.Uint64(b), row: uint32(row), size: sizes[row]}
 	return rec, b[8+w:], nil
 }
 
@@ -162,9 +89,9 @@ func decodeRecord(b []byte, split []relation.Tuple) (record, []byte, error) {
 // frame before decoding a byte of it, fail over to replica re-reads on
 // mismatch, and only surface a (retryable) error when every replica
 // disagrees with the checksum — the integrity half of the
-// fault-tolerance contract. Frame boundaries are a pure function of
-// the record sequence, so the segment bytes — and SpillBytes — stay
-// deterministic.
+// fault-tolerance contract, and the only check spilled bytes get.
+// Frame boundaries are a pure function of the record sequence, so the
+// segment bytes — and SpillBytes — stay deterministic.
 
 const (
 	spillFrameSize   = 32 << 10
@@ -174,19 +101,26 @@ const (
 	// spillFrameSize, so it overshoots by less than one record: one read
 	// always takes the whole frame.
 	spillFrameSlack = maxRecordLen
+	// maxFrameRead is the longest read a frame takes.
+	maxFrameRead = spillFrameHeader + spillFrameSize + spillFrameSlack
 )
 
-// frameWriter appends records to the open frame and emits each frame
-// with its length+CRC header to dst.
+// frameWriter appends records to the open frame, behind room for its
+// header, and writes each frame to dst in one Write once the header is
+// filled in. n counts the bytes written.
 type frameWriter struct {
 	dst    io.Writer
-	buf    []byte // the open frame's payload
+	buf    []byte // the open frame: header room, then payload
 	frames int
+	n      int64
 }
 
 func (fw *frameWriter) writeRecord(rec record) error {
+	if len(fw.buf) == 0 {
+		fw.buf = append(fw.buf, make([]byte, spillFrameHeader)...)
+	}
 	fw.buf = appendRecord(fw.buf, rec)
-	if len(fw.buf) >= spillFrameSize {
+	if len(fw.buf)-spillFrameHeader >= spillFrameSize {
 		return fw.emit()
 	}
 	return nil
@@ -196,13 +130,12 @@ func (fw *frameWriter) emit() error {
 	if len(fw.buf) == 0 {
 		return nil
 	}
-	var hdr [spillFrameHeader]byte
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(fw.buf)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(fw.buf))
-	if _, err := fw.dst.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := fw.dst.Write(fw.buf); err != nil {
+	payload := fw.buf[spillFrameHeader:]
+	binary.LittleEndian.PutUint32(fw.buf[:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(fw.buf[4:], crc32.ChecksumIEEE(payload))
+	n, err := fw.dst.Write(fw.buf)
+	fw.n += int64(n)
+	if err != nil {
 		return err
 	}
 	fw.frames++
@@ -231,44 +164,43 @@ type spillFlush struct {
 	segs []spillSegment
 }
 
-// taskSpiller buffers one map task's per-reducer buckets under the
-// byte budget and flushes them to the spill store as sorted runs.
+// taskSpiller collects one map attempt's routed pairs under the byte
+// budget in the attempt's mapScratch and flushes them to the spill
+// store as sorted runs. The scratch is the attempt's until finish; the
+// flushes are what the task commits.
 type taskSpiller struct {
 	store    SpillStore
 	budget   int64
-	buckets  [][]record
-	frame    []byte // frame buffer, reused from flush to flush
-	buffered int64  // accounted bytes currently buffered
-	peak     int64  // high-water mark of buffered
+	nRed     int
+	sc       *mapScratch
+	buffered int64 // accounted bytes currently collected
+	peak     int64 // high-water mark of buffered
 	flushes  []spillFlush
-	spilled  int64 // total bytes written to the store
+	segs     []spillSegment // every flush's segments, nRed each; a flush's are a window of it
+	spilled  int64          // total bytes written to the store
 }
 
-func newTaskSpiller(store SpillStore, nRed int, budget int64) *taskSpiller {
-	return &taskSpiller{store: store, budget: budget, buckets: make([][]record, nRed)}
-}
-
-// add buffers one routed pair, flushing first when the budget is
-// exhausted. Flushing before (not after) appending keeps the buffer at
+// add collects one routed pair, flushing first when the budget is
+// exhausted. Flushing before (not after) collecting keeps the buffer at
 // most one pair over budget.
-func (ts *taskSpiller) add(r int, rec record) error {
+func (ts *taskSpiller) add(red int, rec record) error {
 	b := rec.realBytes()
 	if ts.buffered > 0 && ts.buffered+b > ts.budget {
 		if err := ts.flush(); err != nil {
 			return err
 		}
 	}
-	ts.buckets[r] = append(ts.buckets[r], rec)
+	ts.sc.add(red, rec)
 	ts.buffered += b
-	if ts.buffered > ts.peak {
-		ts.peak = ts.buffered
-	}
+	ts.peak = max(ts.peak, ts.buffered)
 	return nil
 }
 
-// flush sorts every non-empty bucket and writes one spill file with a
-// segment per reducer, then empties the buckets. A file that fails to
-// be written is released at once.
+// flush deals the collected pairs out by reducer, sorts each reducer's
+// and writes one spill file with a segment per reducer, then empties
+// the collection. Its block, bucket headers and frame buffer are the
+// scratch's, so a flush allocates only what it commits. A file that
+// fails to be written is released at once.
 func (ts *taskSpiller) flush() (err error) {
 	if ts.buffered == 0 {
 		return nil
@@ -282,15 +214,22 @@ func (ts *taskSpiller) flush() (err error) {
 			f.Release()
 		}
 	}()
-	cw := &countingWriter{w: f}
-	fw := &frameWriter{dst: cw, buf: ts.frame[:0]}
-	segs := make([]spillSegment, len(ts.buckets))
-	for r, b := range ts.buckets {
+	sc := ts.sc
+	n := len(sc.recs)
+	sc.block = slices.Grow(sc.block[:0], n)[:n]
+	sc.buckets = slices.Grow(sc.buckets[:0], ts.nRed)[:ts.nRed]
+	buckets := sc.deal(sc.block, sc.buckets)
+	at := len(ts.segs)
+	ts.segs = slices.Grow(ts.segs, ts.nRed)[:at+ts.nRed]
+	segs := ts.segs[at : at+ts.nRed : at+ts.nRed]
+	clear(segs)
+	fw := frameWriter{dst: f, buf: sc.frame[:0]}
+	for r, b := range buckets {
 		if len(b) == 0 {
 			continue
 		}
 		sortBucket(b)
-		seg := spillSegment{off: cw.n, count: len(b), firstKey: b[0].key, lastKey: b[len(b)-1].key}
+		seg := spillSegment{off: fw.n, count: len(b), firstKey: b[0].key, lastKey: b[len(b)-1].key}
 		for _, rec := range b {
 			if err := fw.writeRecord(rec); err != nil {
 				return err
@@ -299,25 +238,25 @@ func (ts *taskSpiller) flush() (err error) {
 		if err := fw.finish(); err != nil {
 			return err
 		}
-		seg.n = cw.n - seg.off
+		seg.n = fw.n - seg.off
 		segs[r] = seg
-		ts.buckets[r] = b[:0] // the next flush fills the same capacity
 	}
+	sc.frame = fw.buf
 	if err := f.Seal(); err != nil {
 		return err
 	}
-	ts.frame = fw.buf
 	ts.flushes = append(ts.flushes, spillFlush{file: f, segs: segs})
-	ts.spilled += cw.n
+	ts.spilled += fw.n
 	ts.buffered = 0
+	sc.recs, sc.dest = sc.recs[:0], sc.dest[:0]
 	return nil
 }
 
-// finish flushes the remaining buffer and drops the buckets, so the task
-// retains no pairs in memory; every run is on the store.
+// finish flushes the remaining collection and gives the scratch up, so
+// the task retains no pairs in memory; every run is on the store.
 func (ts *taskSpiller) finish() error {
 	err := ts.flush()
-	ts.buckets, ts.frame = nil, nil
+	ts.sc = nil
 	return err
 }
 
@@ -327,17 +266,6 @@ func (ts *taskSpiller) release() {
 		fl.file.Release()
 	}
 	ts.flushes = nil
-}
-
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
 }
 
 // ---- Reduce-side cursors and streaming merge --------------------------
@@ -369,20 +297,16 @@ type pairSource struct {
 	// cursor state
 	pos   int
 	frOff int64  // next unread file offset (frame-aligned)
-	frame []byte // the loaded frame, header included
+	frame []byte // the frame buffer the merge carved; the loaded frame, header included
 	rest  []byte // its undecoded tail
-	// spare is the attempt's idle frame buffer: a drained run leaves its
-	// own here for the next run to load into, so a sequential merge reads
-	// every run through one buffer.
-	spare *[]byte
 }
 
 func memSource(bucket []record, task int) pairSource {
 	return pairSource{bucket: bucket, task: task}
 }
 
-func diskSource(file SpillFile, seg spillSegment, task int, ft *faultRuntime, spare *[]byte) pairSource {
-	return pairSource{file: file, seg: seg, task: task, ft: ft, spare: spare}
+func diskSource(file SpillFile, seg spillSegment, task int, ft *faultRuntime) pairSource {
+	return pairSource{file: file, seg: seg, task: task, ft: ft}
 }
 
 func (s *pairSource) firstKey() uint64 {
@@ -399,10 +323,14 @@ func (s *pairSource) lastKey() uint64 {
 	return s.seg.lastKey
 }
 
+// frameLen is the longest read a disk source takes: its whole segment,
+// or one full frame of a longer one.
+func (s *pairSource) frameLen() int { return int(min(s.seg.n, maxFrameRead)) }
+
 // next returns the run's next record; disk sources decode theirs from
 // checksum-verified frames loaded one at a time, against their task's
-// split in tasks.
-func (s *pairSource) next(tasks []mapTask) (record, error) {
+// row sizes, sizes[task].
+func (s *pairSource) next(sizes [][]uint32) (record, error) {
 	if s.bucket != nil {
 		rec := s.bucket[s.pos]
 		s.pos++
@@ -416,25 +344,26 @@ func (s *pairSource) next(tasks []mapTask) (record, error) {
 			return record{}, fmt.Errorf("mr: read spilled pair: %w", err)
 		}
 	}
-	rec, rest, err := decodeRecord(s.rest, tasks[s.task].tuples)
+	rec, rest, err := decodeRecord(s.rest, sizes[s.task])
 	if err != nil {
 		return record{}, fmt.Errorf("mr: read spilled pair: %w", err)
 	}
 	s.rest = rest
 	s.pos++
 	if s.pos == s.seg.count {
-		*s.spare, s.frame, s.rest = s.frame, nil, nil // hand the read buffer on
+		s.frame, s.rest = nil, nil
 		s.pos = -1
 	}
 	return rec, nil
 }
 
 // loadFrame reads and verifies the segment's next frame, header and
-// payload in one read. A header that promises more than that read took
-// is corrupt. A checksum mismatch (real corruption or an injected one)
-// is counted and the payload re-read up to the replica budget; only
-// when every replica fails verification does the frame surface a
-// retryable error that fails — and re-runs — the whole reduce attempt.
+// payload in one read, into the source's frame buffer. A header that
+// promises more than that read took is corrupt. A checksum mismatch
+// (real corruption or an injected one) is counted and the payload
+// re-read up to the replica budget; only when every replica fails
+// verification does the frame surface a retryable error that fails —
+// and re-runs — the whole reduce attempt.
 func (s *pairSource) loadFrame() error {
 	if s.frOff == 0 {
 		s.frOff = s.seg.off
@@ -443,13 +372,7 @@ func (s *pairSource) loadFrame() error {
 	if s.frOff+spillFrameHeader > end {
 		return fmt.Errorf("spill segment truncated at offset %d", s.frOff)
 	}
-	if s.frame == nil {
-		s.frame, *s.spare = *s.spare, nil
-	}
-	got := min(end-s.frOff, spillFrameHeader+spillFrameSize+spillFrameSlack)
-	if int64(cap(s.frame)) < got {
-		s.frame = make([]byte, got)
-	}
+	got := min(end-s.frOff, maxFrameRead)
 	s.frame = s.frame[:got]
 	if _, err := s.file.ReadAt(s.frame, s.frOff); err != nil {
 		return err
@@ -484,12 +407,57 @@ func (s *pairSource) loadFrame() error {
 
 func (s *pairSource) drained() bool { return s.pos == -1 }
 
-// mergeSources streams the k-way merge of non-empty key-sorted sources
+// merger is a reduce attempt's merge state — the frame buffers of its
+// spilled runs and the heap over its runs' heads — kept in the
+// attempt's scratch, so a merge allocates only to grow it past what the
+// run's earlier attempts needed.
+type merger struct {
+	frames []byte
+	heads  []record
+	heap   []int
+}
+
+// carve hands every disk source its frame buffer out of m.frames: one
+// buffer all of them share when they are read one after another
+// (shared), a piece of its own each when they are merged. Every buffer
+// is carved anew, so no source reads into one an earlier attempt or
+// source left behind.
+func (m *merger) carve(srcs []pairSource, shared bool) {
+	need := 0
+	for i := range srcs {
+		if srcs[i].file == nil {
+			continue
+		}
+		if n := srcs[i].frameLen(); shared {
+			need = max(need, n)
+		} else {
+			need += n
+		}
+	}
+	if cap(m.frames) < need {
+		m.frames = make([]byte, need)
+	}
+	buf := m.frames[:need]
+	for i := range srcs {
+		s := &srcs[i]
+		if s.file == nil {
+			continue
+		}
+		n := s.frameLen()
+		s.frame = buf[:n:n]
+		if !shared {
+			buf = buf[n:]
+		}
+	}
+}
+
+// merge streams the k-way merge of non-empty key-sorted sources
 // (ordered by (task, flush) ordinal) to emit, with the producing task of
 // each record, in (key, source ordinal) order — the same global order
 // the in-memory engine's stable sort produced. Spilled records are
-// decoded against tasks. Memory held is one record per source.
-func mergeSources(srcs []pairSource, tasks []mapTask, emit func(rec record, task int) error) error {
+// decoded against their task's row sizes, sizes[task]. Memory held is
+// one record and one frame buffer per source.
+func (m *merger) merge(srcs []pairSource, sizes [][]uint32, emit func(rec record, task int) error) error {
 	// Fast path: concatenation in source order is already globally
 	// ordered (boundary ties are fine — source order is the desired
 	// order for equal keys).
@@ -500,11 +468,12 @@ func mergeSources(srcs []pairSource, tasks []mapTask, emit func(rec record, task
 			break
 		}
 	}
+	m.carve(srcs, ordered)
 	if ordered {
 		for i := range srcs {
 			s := &srcs[i]
 			for !s.drained() {
-				p, err := s.next(tasks)
+				p, err := s.next(sizes)
 				if err != nil {
 					return err
 				}
@@ -516,43 +485,20 @@ func mergeSources(srcs []pairSource, tasks []mapTask, emit func(rec record, task
 		return nil
 	}
 	// Binary min-heap of source ordinals keyed by (head key, ordinal).
-	heads := make([]record, len(srcs))
+	k := len(srcs)
+	heads := slices.Grow(m.heads[:0], k)[:k]
+	heap := slices.Grow(m.heap[:0], k)[:k]
+	m.heads, m.heap = heads, heap
 	for i := range srcs {
-		p, err := srcs[i].next(tasks)
+		p, err := srcs[i].next(sizes)
 		if err != nil {
 			return err
 		}
-		heads[i] = p
+		heads[i], heap[i] = p, i
 	}
-	heap := make([]int, len(srcs))
-	for i := range heap {
-		heap[i] = i
-	}
-	less := func(a, b int) bool {
-		ka, kb := heads[a].key, heads[b].key
-		return ka < kb || (ka == kb && a < b)
-	}
-	var siftDown func(i, size int)
-	siftDown = func(i, size int) {
-		for {
-			l, r := 2*i+1, 2*i+2
-			small := i
-			if l < size && less(heap[l], heap[small]) {
-				small = l
-			}
-			if r < size && less(heap[r], heap[small]) {
-				small = r
-			}
-			if small == i {
-				return
-			}
-			heap[i], heap[small] = heap[small], heap[i]
-			i = small
-		}
-	}
-	size := len(heap)
+	size := k
 	for i := size/2 - 1; i >= 0; i-- {
-		siftDown(i, size)
+		siftDown(heap[:size], heads, i)
 	}
 	for size > 0 {
 		b := heap[0]
@@ -565,13 +511,37 @@ func mergeSources(srcs []pairSource, tasks []mapTask, emit func(rec record, task
 			size--
 			heap[0] = heap[size]
 		} else {
-			p, err := s.next(tasks)
+			p, err := s.next(sizes)
 			if err != nil {
 				return err
 			}
 			heads[b] = p
 		}
-		siftDown(0, size)
+		siftDown(heap[:size], heads, 0)
 	}
 	return nil
+}
+
+// siftDown restores the heap order of source ordinals below position i,
+// ordered by (head key, ordinal).
+func siftDown(heap []int, heads []record, i int) {
+	less := func(a, b int) bool {
+		ka, kb := heads[a].key, heads[b].key
+		return ka < kb || (ka == kb && a < b)
+	}
+	for {
+		l, r := 2*i+1, 2*i+2
+		small := i
+		if l < len(heap) && less(heap[l], heap[small]) {
+			small = l
+		}
+		if r < len(heap) && less(heap[r], heap[small]) {
+			small = r
+		}
+		if small == i {
+			return
+		}
+		heap[i], heap[small] = heap[small], heap[i]
+		i = small
+	}
 }

@@ -247,7 +247,7 @@ func TestMemSourceRereadable(t *testing.T) {
 		srcs := []pairSource{memSource(a, 0), memSource(b, 1)}
 		var got []uint64
 		var tasks []int
-		if err := mergeSources(srcs, nil, func(rec record, task int) error {
+		if err := new(merger).merge(srcs, nil, func(rec record, task int) error {
 			got = append(got, rec.key)
 			tasks = append(tasks, task)
 			return nil
@@ -442,12 +442,13 @@ func spilledSegment(t *testing.T, recs []record, edit func(seg []byte)) (*counti
 // drainSegment reads a segment's records back through a disk source of
 // a task whose split is split.
 func drainSegment(f SpillFile, seg spillSegment, split []relation.Tuple) ([]record, error) {
-	var spare []byte
-	src := diskSource(f, seg, 0, nil, &spare)
-	tasks := []mapTask{{tuples: split}}
+	srcs := []pairSource{diskSource(f, seg, 0, nil)}
+	new(merger).carve(srcs, true)
+	src := &srcs[0]
+	sizes := [][]uint32{rowSizes(split)}
 	var got []record
 	for !src.drained() {
-		rec, err := src.next(tasks)
+		rec, err := src.next(sizes)
 		if err != nil {
 			return got, err
 		}

@@ -43,6 +43,7 @@ package relation
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -256,13 +257,57 @@ func (v Value) AppendString(dst []byte) []byte {
 	case KindNull:
 		return dst
 	case KindInt, KindTime:
-		return strconv.AppendInt(dst, v.int(), 10)
+		return appendInt(dst, v.int())
 	case KindFloat:
 		return strconv.AppendFloat(dst, v.float(), 'g', -1, 64)
 	default:
 		return append(dst, v.String()...)
 	}
 }
+
+// appendInt appends the bytes strconv.AppendInt(dst, v, 10) does,
+// written two digits at a time straight into dst: strconv renders into
+// a 65-byte stack buffer it zeroes per value, whose cost follows the
+// callers' stack alignment (see FNV.decimal).
+func appendInt(dst []byte, v int64) []byte {
+	u := uint64(v)
+	if v < 0 {
+		dst = append(dst, '-')
+		u = -u
+	}
+	n := 1
+	for x := u; x >= 10; x /= 10 {
+		n++
+	}
+	dst = slices.Grow(dst, n)
+	i := len(dst) + n
+	dst = dst[:i]
+	for u >= 100 {
+		q := u / 100
+		r := u - q*100
+		i -= 2
+		dst[i], dst[i+1] = digitPairs[2*r], digitPairs[2*r+1]
+		u = q
+	}
+	if u >= 10 {
+		dst[i-2], dst[i-1] = digitPairs[2*u], digitPairs[2*u+1]
+	} else {
+		dst[i-1] = '0' + byte(u)
+	}
+	return dst
+}
+
+// digitPairs holds 00 to 99, two bytes each.
+const digitPairs = "00010203040506070809" +
+	"10111213141516171819" +
+	"20212223242526272829" +
+	"30313233343536373839" +
+	"40414243444546474849" +
+	"50515253545556575859" +
+	"60616263646566676869" +
+	"70717273747576777879" +
+	"80818283848586878889" +
+	"90919293949596979899"
 
 // numericKinds reports whether both values can be compared numerically.
 func numericComparable(a, b Value) bool {

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strconv"
 	"testing"
 	"testing/quick"
 	"time"
@@ -306,5 +307,36 @@ func TestIdentical(t *testing.T) {
 	}
 	if Compare(differ[0][0], differ[0][1]) != 0 || Compare(differ[3][0], differ[3][1]) != 0 {
 		t.Error("-0 vs +0 and interned vs plain must stay Equal under Compare")
+	}
+}
+
+// TestAppendIntMatchesStrconv: ints and times render as
+// strconv.AppendInt renders them, at every length and both signs, at the
+// extremes, and behind existing bytes of dst, with or without room.
+func TestAppendIntMatchesStrconv(t *testing.T) {
+	vals := []int64{0, 1, -1, 9, -9, 10, -10, math.MaxInt64, math.MinInt64, math.MaxInt64 - 1, math.MinInt64 + 1}
+	for p, d := int64(10), 2; d <= 19; p, d = p*10, d+1 { // both sides of every length
+		vals = append(vals, p-1, p, p+1, -(p - 1), -p, -(p + 1))
+	}
+	rng := rand.New(rand.NewSource(17))
+	for lo, d := int64(1), 1; d <= 19; lo, d = lo*10, d+1 { // 50 values of every length
+		for i := 0; i < 50; i++ {
+			v := lo + rng.Int63n(min(9*lo, math.MaxInt64-lo))
+			vals = append(vals, v, -v)
+		}
+	}
+	for _, v := range vals {
+		want := strconv.AppendInt([]byte("x,"), v, 10)
+		for _, val := range []Value{Int(v), TimeUnix(v)} {
+			for _, room := range []int{0, 40} { // grown, or written in place
+				dst := append(make([]byte, 0, 2+room), "x,"...)
+				if got := val.AppendString(dst); !bytes.Equal(got, want) {
+					t.Fatalf("%v renders %q, strconv %q", val.Kind(), got, want)
+				}
+			}
+			if got := val.String(); got != string(want[2:]) {
+				t.Fatalf("%v: String %q, AppendString %q", val.Kind(), got, want[2:])
+			}
+		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/dfs"
 	"repro/internal/mr"
 	"repro/internal/relation"
 )
@@ -195,17 +196,39 @@ func TestRequestBodyLimit(t *testing.T) {
 }
 
 // panicOnceStore is a spill store with a bug: its first CreateSpillFile
-// panics, inside whichever map attempt spills first.
+// panics, inside whichever map attempt spills first. It counts the files
+// created and not yet released.
 type panicOnceStore struct {
 	mr.SpillStore
 	fired atomic.Bool
+	live  atomic.Int64
 }
 
 func (p *panicOnceStore) CreateSpillFile() (mr.SpillFile, error) {
 	if p.fired.CompareAndSwap(false, true) {
 		panic("spill store bug")
 	}
-	return p.SpillStore.CreateSpillFile()
+	f, err := p.SpillStore.CreateSpillFile()
+	if err != nil {
+		return nil, err
+	}
+	p.live.Add(1)
+	return &liveFile{SpillFile: f, live: &p.live}, nil
+}
+
+// liveFile takes itself off its store's live count when released.
+type liveFile struct {
+	mr.SpillFile
+	live     *atomic.Int64
+	released bool
+}
+
+func (f *liveFile) Release() error {
+	if !f.released {
+		f.released = true
+		f.live.Add(-1)
+	}
+	return f.SpillFile.Release()
 }
 
 // TestTaskPanicMapsTo500: a panic inside a task attempt fails that
@@ -213,14 +236,15 @@ func (p *panicOnceStore) CreateSpillFile() (mr.SpillFile, error) {
 // daemon survives it, the shared pool gets its units back, and the next
 // request is served.
 func TestTaskPanicMapsTo500(t *testing.T) {
-	files, err := mr.NewTempSpillStore("")
+	files, err := dfs.NewBlockStore(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer files.Close()
+	store := &panicOnceStore{SpillStore: files}
 	cfg := testMRConfig()
 	cfg.SpillBudgetBytes = 1 << 10
-	cfg.Spill = &panicOnceStore{SpillStore: files}
+	cfg.Spill = store
 	s := newTestService(t, testDB(t), Config{MR: cfg})
 	h := s.Handler()
 
@@ -231,7 +255,7 @@ func TestTaskPanicMapsTo500(t *testing.T) {
 	if n := s.pool.InUse(); n != 0 {
 		t.Errorf("%d units still held after the failed query", n)
 	}
-	if live := files.Live(); live != 0 {
+	if live := store.live.Load(); live != 0 {
 		t.Errorf("%d spill files left by the failed query", live)
 	}
 	if rec := postQuery(t, h, `{"spec": "FROM A, B WHERE A.a < B.a"}`); rec.Code != http.StatusOK {
