@@ -40,7 +40,8 @@ func (db *DB) BaseName(name string) string {
 }
 
 // NewDB registers relations, adding a unique RowIDColumn to any
-// relation lacking one, and analyzes them (sample size and seed as
+// relation lacking one (EnsureRowIDs: in place, for the rows
+// relation.ReadCSV returns), and analyzes them (sample size and seed as
 // given; sampleSize <= 0 uses 1000). Analyze's load error is NewDB's.
 func NewDB(sampleSize int, seed int64, rels ...*relation.Relation) (*DB, error) {
 	db := &DB{
@@ -207,8 +208,20 @@ func (db *DB) Alias(newName, existing string) error {
 // RowIDColumn that numbers its rows 0…n−1 in order, so that a rid is
 // its row's index — how the rid-merge finds a row. A relation that has
 // the column already must number its rows that way, or it is an error
-// naming the first row that does not; otherwise a copy with an
-// appended sequence column is returned.
+// naming the first row that does not, and it is returned as it is.
+//
+// Otherwise the result has r's rows widened by their rid, and a row's
+// capacity decides how. When every row has room for exactly one Value
+// more (cap == len+1, as relation.ReadCSV leaves them) and that spare
+// slot is NULL or holds the row's own index already, the rid is written
+// into the slot and the result's rows are r's own: no Value is copied,
+// and a relation loaded once registers again in the same row order at
+// no cost. r and the result then share their rows: what the DB does to
+// them in place, such as interning their strings, r sees too, and an
+// append to one of r's rows would overwrite its rid. Any other relation
+// — built by hand, with a row a caller appended, or reordered since an
+// earlier call claimed its slots — is copied into one slab. No slot
+// that holds a rid is ever changed.
 func EnsureRowIDs(r *relation.Relation) (*relation.Relation, error) {
 	if idx, ok := r.Schema.Lookup(RowIDColumn); ok {
 		for i, t := range r.Tuples {
@@ -227,6 +240,9 @@ func EnsureRowIDs(r *relation.Relation) (*relation.Relation, error) {
 	out := relation.New(r.Name, schema)
 	out.VolumeMultiplier = r.VolumeMultiplier
 	out.Tuples = make([]relation.Tuple, len(r.Tuples))
+	if claimRowIDSlots(r.Tuples, out.Tuples) {
+		return out, nil
+	}
 	// One slab for every widened row, each a capacity-limited subslice:
 	// an allocation per relation instead of one per row.
 	total := len(r.Tuples)
@@ -240,4 +256,33 @@ func EnsureRowIDs(r *relation.Relation) (*relation.Relation, error) {
 		out.Tuples[i] = slab[a:len(slab):len(slab)]
 	}
 	return out, nil
+}
+
+// claimRowIDSlots writes each row's index into its spare slot and the
+// widened row into out, and reports whether every row had such a slot.
+// It writes nothing unless every row has room for exactly one Value
+// more, so rows cut from one slab without a capacity limit, whose room
+// is their neighbour's, are left alone. It then stops at the first slot
+// that is neither NULL nor the row's own index. A slot is written only
+// when it is NULL, so a row listed twice fails at its second index, and
+// the rids of a relation that an earlier call shares rows with never
+// change; the slots written before a failure hold their rows' own
+// indexes, past the rows' ends.
+func claimRowIDSlots(rows, out []relation.Tuple) bool {
+	for _, t := range rows {
+		if cap(t) != len(t)+1 {
+			return false
+		}
+	}
+	for i, t := range rows {
+		w := t[:len(t)+1]
+		switch slot := &w[len(t)]; {
+		case slot.IsNull():
+			*slot = relation.Int(int64(i))
+		case slot.Kind() != relation.KindInt || slot.Int64() != int64(i):
+			return false
+		}
+		out[i] = w
+	}
+	return true
 }

@@ -221,13 +221,19 @@ var csvMustQuote = [256]bool{',': true, '"': true, '\r': true, '\n': true}
 // workers parse the blocks, and the calling goroutine collects them in
 // file order. A record longer than a block grows the buffer it is in.
 //
-// Fields become Values straight from the text. A block's rows share one
-// slab of exactly rows × columns Values and one string, a copy of the
-// block, which its string Values are pieces of and which they alone
-// keep alive (a relation without strings drops it at once). Each row's
-// capacity ends with the row, so that an append to it reallocates
-// instead of reaching its neighbour. A row costs no allocation of its
-// own; a block costs two.
+// Fields become Values straight from the text. A block's string Values
+// are pieces of one string, a copy of the block, which they alone keep
+// alive (a relation without strings drops it at once).
+//
+// Every row has capacity for exactly one Value more than it holds, and
+// that spare Value is NULL: cap(row) == len(row)+1. It is the slot
+// core.EnsureRowIDs writes a row's rid into, so that registering a
+// loaded relation copies no row. An append of one Value to a row stays
+// in the row's own slot; a second reallocates, and neither reaches a
+// neighbour. Rows are packed into chunks that each ring slot keeps open
+// across its blocks: a block's rows first fill what its slot's chunk
+// has left, and the rest go into one new chunk sized for them. A row
+// costs no allocation of its own; a block costs about two.
 func ReadCSV(rd io.Reader, name string) (*Relation, error) {
 	return readCSV(rd, name, csvBlockSize, runtime.GOMAXPROCS(0))
 }
@@ -238,11 +244,14 @@ type csvBlock struct {
 	recs []byte // the whole records of buf still to be parsed
 	text string // a copy of recs, if the header's parser has made one
 	p    csvParser
+	open []Value // the slot's chunk, whose room past its length the slot's next rows fill
 
-	// What parsing recs gave: the values of n records, ncols each, or err.
-	vals []Value
-	n    int
-	err  *csvRecordError
+	// What parsing recs gave: the rows of n records, ncols+1 Values each,
+	// at the end of the slot's previous chunk (head) and in a new one
+	// (tail); or err.
+	head, tail []Value
+	n          int
+	err        *csvRecordError
 }
 
 func readCSV(rd io.Reader, name string, blockSize, workers int) (*Relation, error) {
@@ -251,8 +260,8 @@ func readCSV(rd io.Reader, name string, blockSize, workers int) (*Relation, erro
 		ring    = make([]csvBlock, max(workers, 1)+1)
 		rel     *Relation
 		hdr     csvParser // the header's; its columns are every block's
-		slabs   [][]Value
-		records = 1 // the number of the next block's first record
+		pieces  [][]Value // every block's head and tail, in file order
+		records = 1       // the number of the next block's first record
 	)
 	err := inOrder(workers, len(ring),
 		func(slot int) (bool, error) {
@@ -279,7 +288,7 @@ func readCSV(rd io.Reader, name string, blockSize, workers int) (*Relation, erro
 				b.err.record += records
 				return fmt.Errorf("relation: read csv: %w", b.err)
 			}
-			slabs = append(slabs, b.vals)
+			pieces = append(pieces, b.head, b.tail)
 			records += b.n
 			return nil
 		})
@@ -290,15 +299,15 @@ func readCSV(rd io.Reader, name string, blockSize, workers int) (*Relation, erro
 		return nil, err
 	}
 	ncols, rows := rel.Schema.Len(), 0
-	for _, s := range slabs {
-		rows += len(s) / ncols
+	for _, s := range pieces {
+		rows += len(s) / (ncols + 1)
 	}
 	if rows > 0 {
 		rel.Tuples = make([]Tuple, 0, rows)
 	}
-	for _, s := range slabs {
-		for ; len(s) > 0; s = s[ncols:] {
-			rel.Tuples = append(rel.Tuples, s[:ncols:ncols])
+	for _, s := range pieces {
+		for ; len(s) > 0; s = s[ncols+1:] {
+			rel.Tuples = append(rel.Tuples, s[:ncols:ncols+1])
 		}
 	}
 	return rel, nil
@@ -420,30 +429,43 @@ func (p *csvParser) header(recs []byte) (*Schema, string, error) {
 	return schema, text[n:], err
 }
 
-// parse parses b.recs into a slab of its own. Its string values are cut
-// from one string, a copy of b.recs, that they alone keep alive.
+// parse parses b.recs into its slot's chunks: as many rows as fit into
+// what the open chunk has left, and the rest into one new chunk that
+// becomes the open one. A row is its ncols Values and the NULL slot after
+// them. Its string values are cut from one string, a copy of b.recs, that
+// they alone keep alive.
 func (b *csvBlock) parse() {
-	// A line is a record unless it is blank or inside quotes, and a value
-	// takes at least the byte that ends it (but for the input's last).
-	lines := bytes.Count(b.recs, []byte{'\n'})
-	if n := len(b.recs); n > 0 && b.recs[n-1] != '\n' {
-		lines++
-	}
-	vals := make([]Value, 0, min(lines*len(b.p.cols), len(b.recs)+1))
 	if b.text == "" {
 		b.text = string(b.recs)
 	}
-	vals, _, b.n, b.err = b.p.parse(b.text, -1, vals)
-	if len(vals) < cap(vals) {
-		vals = append(make([]Value, 0, len(vals)), vals...)
+	stride := len(b.p.cols) + 1
+	from := len(b.open)
+	var pos int
+	b.open, pos, b.n, b.err = b.p.parse(b.text, (cap(b.open)-from)/stride, b.open)
+	b.head, b.tail = b.open[from:], nil
+	if rest := b.text[pos:]; b.err == nil && rest != "" {
+		// A line is a record unless it is blank or inside quotes, and a
+		// value takes at least the byte that ends it (but for the input's
+		// last). slices.Grow's padding is room for the slot's next block.
+		lines := strings.Count(rest, "\n")
+		if rest[len(rest)-1] != '\n' {
+			lines++
+		}
+		var n int
+		b.tail, _, n, b.err = b.p.parse(rest, -1, slices.Grow([]Value(nil), min(lines*stride, len(rest)+1+lines)))
+		if b.err != nil {
+			b.err.record += b.n
+		}
+		b.open, b.n = b.tail, b.n+n
 	}
-	b.vals, b.text = vals, ""
+	b.text = ""
 }
 
 // parse appends the values of up to limit records of s (all, if
 // negative) to vals and returns them with the bytes taken and the
 // records seen. s ends with a record's end; string values are pieces of
-// it.
+// it. A row's values are followed by one NULL, its spare slot (the
+// header's are not).
 func (p *csvParser) parse(s string, limit int, vals []Value) (_ []Value, pos, recs int, _ *csvRecordError) {
 	cols := p.cols
 	for pos < len(s) && recs != limit {
@@ -526,8 +548,11 @@ func (p *csvParser) parse(s string, limit int, vals []Value) (_ []Value, pos, re
 				break
 			}
 		}
-		if cols != nil && col+1 != len(cols) {
-			return vals, pos, recs, &csvRecordError{recs - 1, fmt.Errorf("%d fields, want %d", col+1, len(cols))}
+		if cols != nil {
+			if col+1 != len(cols) {
+				return vals, pos, recs, &csvRecordError{recs - 1, fmt.Errorf("%d fields, want %d", col+1, len(cols))}
+			}
+			vals = append(vals, Value{})
 		}
 	}
 	return vals, pos, recs, nil
