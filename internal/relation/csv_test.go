@@ -205,11 +205,23 @@ func TestReadCSVErrorsSayWhere(t *testing.T) {
 			fmt.Fprintf(&rows, "%d,\"n\n%d\",%d.5\n\n", i, i, i)
 		}
 	}
+	// Rows without blank lines or quoted breaks, whose blocks start by
+	// filling the room their ring slot's last chunk has left.
+	var plain strings.Builder
+	plain.WriteString("a:int,b:int\n")
+	for i := 1; i <= 700; i++ {
+		if i == 450 {
+			plain.WriteString("450,x\n")
+			continue
+		}
+		fmt.Fprintf(&plain, "%d,%d\n", i, i)
+	}
 	for _, c := range []struct {
 		in   string
 		want []string
 	}{
 		{rows.String(), []string{"record 137", `column "score"`, `"not-a-float"`}},
+		{plain.String(), []string{"record 450", `column "b"`, `parse int "x"`}},
 		{"a:int,b:int\n1,2\n\n3,x\n", []string{"record 2", `column "b"`, `parse int "x"`}},
 		{"a:int,b:int\n1,2\n3,4\n5\n", []string{"record 3", "1 fields, want 2"}},
 		{"a:int,b:int\n1,2,3\n", []string{"record 1", "3 fields, want 2"}},
