@@ -27,9 +27,11 @@
 // assemble → simulate and roll up metrics. Each phase is a method that
 // reads what the phases before it left and can be read, timed and
 // tested on its own. There is one input layout (a relation's
-// materialized rows, split into block-sized map tasks), one residency
-// knob (Config.SpillBudgetBytes: 0 keeps map output in memory, > 0
-// spills it as sorted runs to Config.Spill and stream-merges it back)
+// materialized rows, split into block-sized map tasks), one map-side
+// path (a task's pairs are collected and cut into key-sorted runs), one
+// residency knob (Config.SpillBudgetBytes: 0 keeps a task's one run in
+// memory, > 0 cuts a run whenever the budget fills and writes every run
+// to Config.Spill, to be stream-merged back)
 // and one fault-injection mechanism (Config.Faults); output and every
 // byte-level metric are bit-identical whichever way they are set.
 //
@@ -82,19 +84,22 @@
 // A pair's value is always the row being mapped and its tag the input
 // being mapped: an Emitter takes only a key, and the engine pairs it
 // with the tuple its MapFunc was handed. A pair is one 16-byte record,
-// in memory and in a spilling task's buffer alike — the key, the row's
+// in a map attempt's collector and in a resident run alike — the key, the row's
 // ordinal in the producing task's split and the row's EncodedSize,
 // measured once however many pairs the row makes and reducers they are
 // routed to; the spill budget, the shuffle bytes and the residency
 // accounting all read that number. A spilled record is the key and the
 // ordinal; a spilling run measures every row once, when it splits the
 // input, and its map tasks and the readers of their records take the
-// size from there. A map attempt appends routed records to one flat
-// buffer the run lends it, then deals them, stably, into a single
-// exactly sized block whose subslices are the per-reducer buckets — or,
-// when it spills, into a block of the same buffer's, reused from flush
-// to flush, whose buckets it sorts and writes out at once. A reduce
-// attempt carves the frame buffers of its spilled runs from its scratch
+// size from there. A map attempt maps into a collector the run lends
+// it, whose emit method is the Emitter every Map call gets, and appends
+// routed records to its one flat buffer. Every run is cut the same way:
+// the records are dealt, stably, into a block whose subslices are the
+// per-reducer buckets, and each bucket is sorted. Only where the run
+// lives differs. Without a budget a task's one run stays resident, in
+// an exactly sized block of its own; with one, each run is dealt into a
+// block of the collector's, reused from flush to flush, and written out
+// at once. A reduce attempt carves the frame buffers of its spilled runs from its scratch
 // too, so spilling a pair and reading it back allocate nothing once the
 // run's buffers have grown. A reduce attempt merges its runs, resolves each
 // record to its task's row, and copies the tuple header into the buffer

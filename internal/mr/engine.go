@@ -140,8 +140,8 @@ type Result struct {
 	Metrics    Metrics
 }
 
-// record is one shuffled pair, in memory and in a spilling map task's
-// buffer alike: its key, its row as an ordinal in the producing map
+// record is one shuffled pair, in a map attempt's collector and in a
+// resident run alike: its key, its row as an ordinal in the producing map
 // task's split, and that row's EncodedSize, measured once — when the row
 // is mapped, or, in a spilling run, when the input is split, for the
 // map task and the readers of its spilled records alike — and read by
@@ -190,15 +190,11 @@ type run struct {
 	sizes      [][]uint32 // [task] each row's EncodedSize; kept only by a spilling run
 
 	// mapPhase: what each map task's committed attempt left behind.
-	ft            *faultRuntime
-	spill         SpillStore // nil = in-memory shuffle
-	replicated    *obs.Counter
-	buckets       [][][]record     // [task][reducer] sorted bucket (in-memory shuffle)
-	scratch       chan *mapScratch // idle routed-pair buffers, handed from map attempt to map attempt
-	spills        []*taskSpiller   // [task] spilled runs (budgeted shuffle)
-	taskOutBytes  []int64          // modeled map output
-	taskRealFinal []int64          // accounted pair bytes resident after the task
-	taskRealPeak  []int64          // accounted high-water mark while mapping
+	ft         *faultRuntime
+	spill      SpillStore // nil = every task's one run stays resident
+	replicated *obs.Counter
+	scratch    chan *mapScratch // idle collectors, handed from map attempt to map attempt
+	mapped     []taskRuns       // [task] the committed attempt's runs and accounting
 
 	// reducePhase: what each reducer's committed attempt produced.
 	keyRunLen       *obs.Histogram
@@ -345,15 +341,13 @@ func (r *run) planTasks() {
 }
 
 // mapPhase really executes the map tasks, each as retryable attempts.
-// A task partitions its output locally into per-reducer buckets as it
-// emits — the local "spill partitioning" a Hadoop mapper performs — so
-// the shuffle never funnels all pairs through one goroutine.
-//
-// With a spill budget, each task spills its sorted buckets to the spill
-// store whenever the buffered pair bytes exceed the budget (and once
-// more at task end), so no pairs survive the map phase in memory;
-// reducers then stream-merge the runs from the store. Without a budget
-// the buckets stay resident.
+// An attempt's pairs take the one path §4.1 prices: a collector the run
+// lends it, then key-sorted runs partitioned locally by reducer — a
+// Hadoop mapper's "spill partitioning" — so the shuffle never funnels
+// all pairs through one goroutine. With a spill budget a run is cut
+// whenever the budget fills, and every run goes to the spill store, so
+// no pairs survive the map phase in memory; without one a task's one
+// run stays resident.
 func (r *run) mapPhase(ctx context.Context) error {
 	start := time.Now()
 	if r.cfg.SpillBudgetBytes > 0 {
@@ -363,13 +357,9 @@ func (r *run) mapPhase(ctx context.Context) error {
 	r.ft = newFaultRuntime(r.cfg.Faults, r.job, n, r.nRed, r.o)
 	r.replicated = r.o.Counter("mr.replicated_pairs")
 	// A worker runs at most two attempts at a time, one a speculative
-	// backup, so this many buffers are ever in use.
+	// backup, so this many collectors are ever in use.
 	r.scratch = make(chan *mapScratch, 2*r.workers)
-	r.buckets = make([][][]record, n)
-	r.spills = make([]*taskSpiller, n)
-	r.taskOutBytes = make([]int64, n)
-	r.taskRealFinal = make([]int64, n)
-	r.taskRealPeak = make([]int64, n)
+	r.mapped = make([]taskRuns, n)
 	// Tracing shards are per worker goroutine: each worker owns its
 	// shard exclusively (forEach hands every index to exactly one
 	// worker), so span recording takes no lock and cannot race.
@@ -379,7 +369,7 @@ func (r *run) mapPhase(ctx context.Context) error {
 			return r.mapAttempt(actx, ti, attempt, sh)
 		})
 	})
-	r.scratch = nil // the map phase's buffers are not needed past it
+	r.scratch = nil // the map phase's collectors are not needed past it
 	r.wall.Map = time.Since(start)
 	return err
 }
@@ -387,86 +377,34 @@ func (r *run) mapPhase(ctx context.Context) error {
 // releaseSpill frees every committed spill run; Run defers it so a
 // failed or cancelled run leaks no spill file.
 func (r *run) releaseSpill() {
-	for _, ts := range r.spills {
-		if ts != nil {
-			ts.release()
-		}
+	for _, m := range r.mapped {
+		m.release()
 	}
 }
 
-// mapAttempt runs one attempt of map task ti over attempt-scoped
-// output — its own buckets or its own spill namespace — and publishes
+// mapAttempt runs one attempt of map task ti into a collector of its
+// own — its own buckets or its own spill namespace — and publishes
 // nothing until the returned outcome commits.
 func (r *run) mapAttempt(actx context.Context, ti, attempt int, sh *obs.Shard) (attemptOutcome, error) {
-	task, job, nRed := &r.tasks[ti], r.job, r.nRed
+	task := &r.tasks[ti]
 	sp := sh.Start("map", obs.A("task", ti), obs.A("attempt", attempt), obs.A("tuples", len(task.tuples)))
-	mapFn := job.Inputs[task.inputIdx].Map
+	mapFn := r.job.Inputs[task.inputIdx].Map
 	idle := r.scratch
-	var routed *mapScratch
+	var sc *mapScratch
 	select {
-	case routed = <-idle:
-		routed.recs, routed.dest = routed.recs[:0], routed.dest[:0]
+	case sc = <-idle:
 	default:
-		routed = &mapScratch{}
+		sc = &mapScratch{job: r.job, nRed: r.nRed, store: r.spill, budget: r.cfg.SpillBudgetBytes}
+		sc.emitFn = sc.emit
 	}
-	defer func() { idle <- routed }()
-	var spiller *taskSpiller
-	committable := false
-	if r.spill != nil {
-		spiller = &taskSpiller{store: r.spill, budget: r.cfg.SpillBudgetBytes, nRed: nRed, sc: routed}
-		// An attempt that ends any other way than by handing back its
-		// outcome — an error below, or a panic in the Map function —
-		// discards its partial runs; they are never merged.
-		defer func() {
-			if !committable {
-				spiller.release()
-			}
-		}()
-	}
+	sc.task = task
+	// Back on every path. An attempt that ends any other way than by
+	// handing back its outcome — an error below, or a panic in the Map
+	// function — discards its partial runs there; they are never merged.
+	defer sc.park(idle)
 	fail := func(err error) (attemptOutcome, error) {
 		sp.End(obs.A("error", err.Error()))
 		return attemptOutcome{}, err
-	}
-	var outBytes, realBytes int64
-	var replPairs int64
-	var emitErr error
-	var routeBuf []int
-	// Every pair emit makes is tagged with the task's input and carries
-	// the row being mapped, cur, as rec's ordinal and size.
-	tag := uint8(task.inputIdx)
-	var cur relation.Tuple
-	var rec record
-	emit := func(key uint64) {
-		if job.Partitioner != nil {
-			routeBuf = job.Partitioner.Route(routeBuf[:0], key, tag, cur, nRed)
-		} else {
-			routeBuf = append(routeBuf[:0], int(key%uint64(nRed)))
-		}
-		if len(routeBuf) > 1 {
-			replPairs += int64(len(routeBuf) - 1)
-		}
-		rec.key = key
-		modeled := rec.modeledBytes(task.multiplier)
-		for _, red := range routeBuf {
-			if red < 0 || red >= nRed {
-				if emitErr == nil {
-					emitErr = fmt.Errorf("mr: job %s: partition returned %d for %d reducers", job.Name, red, nRed)
-				}
-				return
-			}
-			if spiller != nil {
-				if err := spiller.add(red, rec); err != nil && emitErr == nil {
-					emitErr = err
-					return
-				}
-			} else {
-				routed.add(red, rec)
-				realBytes += rec.realBytes()
-			}
-			// 8 bytes of key framing per shuffled pair; a replicated
-			// pair is copied (and charged) once per destination.
-			outBytes += modeled
-		}
 	}
 	// Injected faults fire at the halfway point of the task's input, so
 	// a killed attempt leaves real partial state (buffered pairs,
@@ -483,61 +421,34 @@ func (r *run) mapAttempt(actx context.Context, ti, attempt int, sh *obs.Shard) (
 		}
 		// The row is measured once, however many pairs it makes: here,
 		// or by planTasks in a spilling run.
-		cur, rec = t, record{row: uint32(i)}
+		sc.cur, sc.rec = t, record{row: uint32(i)}
 		if r.sizes != nil {
-			rec.size = r.sizes[ti][i]
+			sc.rec.size = r.sizes[ti][i]
 		} else {
-			rec.size = uint32(t.EncodedSize())
+			sc.rec.size = uint32(t.EncodedSize())
 		}
-		mapFn(t, emit)
-		if emitErr != nil {
-			return fail(emitErr)
+		mapFn(t, sc.emitFn)
+		if sc.err != nil {
+			return fail(sc.err)
 		}
 	}
-	var buckets [][]record
-	if spiller != nil {
-		// Final flush: the whole map output is on the store; the task
-		// retains no pairs.
-		sortSp := sh.Start("spill", obs.A("task", ti))
-		if err := spiller.finish(); err != nil {
-			sortSp.End(obs.A("error", err.Error()))
-			return fail(err)
-		}
-		sortSp.End(obs.A("runs", len(spiller.flushes)), obs.A("spilledBytes", spiller.spilled))
-	} else {
-		// Map-side sort: order each spill bucket by key before it is
-		// handed to the shuffle, so reducers merge pre-sorted runs
-		// instead of re-sorting their whole input. The sort is stable
-		// (emission order within a key is preserved) and skipped when
-		// the bucket is already ordered — the common case for jobs
-		// whose keys are reducer ordinals.
-		sortSp := sh.Start("spill-sort", obs.A("task", ti))
-		buckets = routed.partition(nRed)
-		for red := range buckets {
-			sortBucket(buckets[red])
-		}
-		sortSp.End()
+	// Map-side sort: the last run is cut and each of its buckets ordered
+	// by key before it is handed to the shuffle, so reducers merge
+	// pre-sorted runs instead of re-sorting their whole input.
+	spillSp := sh.Start("spill", obs.A("task", ti))
+	out, err := sc.finish()
+	if err != nil {
+		spillSp.End(obs.A("error", err.Error()))
+		return fail(err)
 	}
-	sp.End(obs.A("outBytes", outBytes))
-	committable = true
+	spillSp.End(obs.A("runs", len(out.flushes)), obs.A("spilledBytes", out.spilled))
+	sp.End(obs.A("outBytes", out.outBytes))
 	return attemptOutcome{
 		commit: func() {
-			if spiller != nil {
-				r.spills[ti] = spiller
-				r.taskRealPeak[ti] = spiller.peak
-			} else {
-				r.buckets[ti] = buckets
-				r.taskRealFinal[ti] = realBytes
-				r.taskRealPeak[ti] = realBytes
-			}
-			r.taskOutBytes[ti] = outBytes
-			r.replicated.Add(replPairs)
+			r.mapped[ti] = out
+			r.replicated.Add(out.replicated)
 		},
-		discard: func() {
-			if spiller != nil {
-				spiller.release()
-			}
-		},
+		discard: out.release,
 	}, nil
 }
 
@@ -581,9 +492,9 @@ func (r *run) reducePhase(ctx context.Context) error {
 		// so the reducer's share of each is only released here, once
 		// runTask has joined every attempt — no late speculative loser
 		// can still be reading it.
-		for _, tb := range r.buckets {
-			if tb != nil {
-				tb[red] = nil
+		for _, m := range r.mapped {
+			if m.buckets != nil {
+				m.buckets[red] = nil
 			}
 		}
 		return nil
@@ -594,29 +505,27 @@ func (r *run) reducePhase(ctx context.Context) error {
 }
 
 // gather collects reducer red's key-sorted runs from every committed
-// map task, in (task, flush) order, into sc.srcs, with their pair count,
-// the accounted bytes of the in-memory ones and, in sc.tags, how many
+// map task, in (task, run) order, into sc.srcs, with their pair count,
+// the accounted bytes of the resident ones and, in sc.tags, how many
 // pairs each input contributes: a run's pairs all have its task's input
 // as their tag.
 func (r *run) gather(red int, sc *reduceScratch) (n int, memReal int64) {
 	srcs := sc.srcs[:0]
 	tags := slices.Grow(sc.tags[:0], len(r.job.Inputs))[:len(r.job.Inputs)]
 	clear(tags)
-	for ti := range r.tasks {
+	for ti, m := range r.mapped {
 		in := r.tasks[ti].inputIdx
-		if ts := r.spills[ti]; ts != nil {
-			for _, fl := range ts.flushes {
-				if seg := fl.segs[red]; seg.count > 0 {
-					srcs = append(srcs, diskSource(fl.file, seg, ti, r.ft))
-					n += seg.count
-					tags[in] += seg.count
-				}
+		for _, fl := range m.flushes {
+			if seg := fl.segs[red]; seg.count > 0 {
+				srcs = append(srcs, diskSource(fl.file, seg, ti, r.ft))
+				n += seg.count
+				tags[in] += seg.count
 			}
 		}
-		if r.buckets[ti] == nil {
+		if m.buckets == nil {
 			continue
 		}
-		if b := r.buckets[ti][red]; len(b) > 0 {
+		if b := m.buckets[red]; len(b) > 0 {
 			for _, rec := range b {
 				memReal += rec.realBytes()
 			}
@@ -860,9 +769,9 @@ func (r *run) chargeClock() (sim SimTime, mapFailures, reduceFailures int) {
 	mapDur := make([]float64, len(r.tasks))
 	copyDur := make([]float64, len(r.tasks))
 	mapFail := make([]int, len(r.tasks))
-	for ti := range r.tasks {
-		copyDur[ti] = r.rates.CopyTime(r.taskOutBytes[ti], r.nRed)
-		mapDur[ti], mapFail[ti] = charge(phaseMap, ti, r.rates.MapTaskTime(r.tasks[ti].inputBytes, r.taskOutBytes[ti]))
+	for ti, m := range r.mapped {
+		copyDur[ti] = r.rates.CopyTime(m.outBytes, r.nRed)
+		mapDur[ti], mapFail[ti] = charge(phaseMap, ti, r.rates.MapTaskTime(r.tasks[ti].inputBytes, m.outBytes))
 		mapFailures += mapFail[ti]
 	}
 	reduceDur := make([]float64, r.nRed)
@@ -898,15 +807,11 @@ func (r *run) metrics() *Result {
 	var spillBytes int64
 	var spillRuns int
 	var residentFloor, peakExtra int64
-	for ti := range r.tasks {
-		residentFloor += r.taskRealFinal[ti]
-		if extra := r.taskRealPeak[ti] - r.taskRealFinal[ti]; extra > peakExtra {
-			peakExtra = extra
-		}
-		if ts := r.spills[ti]; ts != nil {
-			spillBytes += ts.spilled
-			spillRuns += len(ts.flushes)
-		}
+	for _, m := range r.mapped {
+		residentFloor += m.final
+		peakExtra = max(peakExtra, m.peak-m.final)
+		spillBytes += m.spilled
+		spillRuns += len(m.flushes)
 	}
 	for _, resident := range r.reducerResident {
 		if resident > peakExtra {
@@ -1017,42 +922,158 @@ func (g *keepGate) commit(red, kept int) {
 	}
 }
 
-// mapScratch is where a map attempt collects its routed pairs, in
-// emission order with each pair's destination beside it, until they are
-// dealt out by reducer: once at the end of an in-memory attempt, into a
-// block the run keeps, or at every flush of a spilling one, into the
-// scratch's own block, which the flush writes out before the next pair
-// is collected. The run hands these buffers from attempt to attempt, so
-// after the first few tasks an in-memory attempt's only shuffle
-// allocation is its partitioned block, and a spilling attempt's only
-// what it commits.
+// taskRuns is what a map task's committed attempt leaves the run: its
+// key-sorted runs — the one resident run as per-reducer buckets, or the
+// spill files of its flushes — and what it accounted while mapping.
+type taskRuns struct {
+	buckets    [][]record     // [reducer] the resident run; nil under a spill budget
+	flushes    []spillFlush   // the spilled runs, in flush order
+	segs       []spillSegment // every flush's segments, nRed each; a flush's are a window of it
+	outBytes   int64          // modeled map output
+	final      int64          // accounted pair bytes resident after the task
+	peak       int64          // accounted high-water mark while mapping
+	spilled    int64          // bytes written to the spill store
+	replicated int64          // pairs routed to more than one reducer, past the first copy
+}
+
+// release frees the task's spill files.
+func (m taskRuns) release() {
+	for _, fl := range m.flushes {
+		fl.file.Release()
+	}
+}
+
+// mapScratch is the collector a map attempt routes its pairs into. It
+// holds the attempt's state, so emit, the Emitter every Map call is
+// handed, is a method value bound once per collector, and the run lends
+// collectors from attempt to attempt: after the first few tasks an
+// attempt allocates only what it commits. Every pair goes through add,
+// and every run is cut by flush — when the budget fills, and at task
+// end — which deals the pairs out by reducer and sorts each bucket.
 type mapScratch struct {
+	// Fixed for the run.
+	job    *Job
+	nRed   int
+	store  SpillStore // nil: the task's one run stays resident
+	budget int64      // 0: no flush before task end
+	emitFn Emitter    // emit, bound to this collector
+
+	// The attempt: its task, the row being mapped, emit's route buffer
+	// and first error, the collected bytes and what it will hand over.
+	task     *mapTask
+	cur      relation.Tuple
+	rec      record
+	route    []int
+	err      error
+	buffered int64
+	out      taskRuns
+
 	recs  []record
 	dest  []int32
 	count []int // pairs per reducer
 
-	// A spilling attempt's flushes: the dealt pairs, the per-reducer
-	// views of them, and the frame buffer they are written through.
+	// A spilled run's block, the per-reducer views of it and the frame
+	// buffer they are written through.
 	block   []record
 	buckets [][]record
 	frame   []byte
 }
 
-func (sc *mapScratch) add(red int, rec record) {
+// park hands the collector back once its attempt is over. Runs the
+// attempt did not hand over are released, and the attempt's rows and
+// pairs forgotten.
+func (sc *mapScratch) park(idle chan *mapScratch) {
+	sc.out.release()
+	sc.task, sc.cur, sc.err, sc.buffered, sc.out = nil, nil, nil, 0, taskRuns{}
+	sc.recs, sc.dest = sc.recs[:0], sc.dest[:0]
+	idle <- sc
+}
+
+// emit routes the row being mapped under key and collects one pair per
+// destination: a replicated pair is copied, and charged, once per
+// destination.
+func (sc *mapScratch) emit(key uint64) {
+	job, nRed := sc.job, sc.nRed
+	if job.Partitioner != nil {
+		sc.route = job.Partitioner.Route(sc.route[:0], key, uint8(sc.task.inputIdx), sc.cur, nRed)
+	} else {
+		sc.route = append(sc.route[:0], int(key%uint64(nRed)))
+	}
+	if len(sc.route) > 1 {
+		sc.out.replicated += int64(len(sc.route) - 1)
+	}
+	sc.rec.key = key
+	modeled := sc.rec.modeledBytes(sc.task.multiplier)
+	for _, red := range sc.route {
+		if red < 0 || red >= nRed {
+			sc.err = cmp.Or(sc.err, fmt.Errorf("mr: job %s: partition returned %d for %d reducers", job.Name, red, nRed))
+			return
+		}
+		if err := sc.add(red, sc.rec); err != nil {
+			sc.err = cmp.Or(sc.err, err)
+			return
+		}
+		sc.out.outBytes += modeled
+	}
+}
+
+// add collects one routed pair, cutting a run first when the budget is
+// exhausted. Flushing before (not after) collecting keeps the
+// collection at most one pair over budget.
+func (sc *mapScratch) add(red int, rec record) error {
+	b := rec.realBytes()
+	if sc.budget > 0 && sc.buffered > 0 && sc.buffered+b > sc.budget {
+		if err := sc.flush(); err != nil {
+			return err
+		}
+	}
 	sc.recs = appendDoubling(sc.recs, rec)
 	sc.dest = appendDoubling(sc.dest, int32(red))
+	sc.buffered += b
+	return nil
 }
 
-// partition stable-partitions the collected pairs by destination into
-// one exactly sized block and returns the per-reducer buckets, each a
-// capacity-limited subslice of it holding that reducer's pairs in
-// emission order.
-func (sc *mapScratch) partition(nRed int) [][]record {
-	return sc.deal(make([]record, len(sc.recs)), make([][]record, nRed))
+// flush cuts the collected pairs into one run — dealt out by reducer,
+// each reducer's bucket sorted — and empties the collection. The run
+// stays resident, or goes to the store.
+func (sc *mapScratch) flush() error {
+	if sc.buffered == 0 {
+		return nil
+	}
+	// The collection only grows between flushes: its high-water mark is
+	// what each flush finds.
+	sc.out.peak = max(sc.out.peak, sc.buffered)
+	n := len(sc.recs)
+	if sc.store == nil {
+		sc.out.buckets = sortRun(sc.deal(make([]record, n), make([][]record, sc.nRed)))
+		sc.out.final = sc.buffered
+	} else {
+		sc.block = slices.Grow(sc.block[:0], n)[:n]
+		sc.buckets = slices.Grow(sc.buckets[:0], sc.nRed)[:sc.nRed]
+		if err := sc.spill(sortRun(sc.deal(sc.block, sc.buckets))); err != nil {
+			return err
+		}
+	}
+	sc.buffered = 0
+	sc.recs, sc.dest = sc.recs[:0], sc.dest[:0]
+	return nil
 }
 
-// deal is partition into a block of len(sc.recs) records and one bucket
-// header per reducer that the caller provides.
+// finish cuts the attempt's last run and hands over its runs and
+// accounting; the collector keeps none of them.
+func (sc *mapScratch) finish() (taskRuns, error) {
+	if err := sc.flush(); err != nil {
+		return taskRuns{}, err
+	}
+	out := sc.out
+	sc.out = taskRuns{}
+	return out, nil
+}
+
+// deal stable-partitions the collected pairs by destination into block,
+// of len(sc.recs) records, and returns buckets, one header per reducer
+// that the caller provides, each set to a capacity-limited subslice of
+// block holding that reducer's pairs in emission order.
 func (sc *mapScratch) deal(block []record, buckets [][]record) [][]record {
 	nRed := len(buckets)
 	sc.count = slices.Grow(sc.count[:0], nRed)[:nRed]
@@ -1092,6 +1113,14 @@ func sortBucket(b []record) {
 }
 
 func recByKey(a, b record) int { return cmp.Compare(a.key, b.key) }
+
+// sortRun sorts every bucket of a run and returns the run.
+func sortRun(buckets [][]record) [][]record {
+	for _, b := range buckets {
+		sortBucket(b)
+	}
+	return buckets
+}
 
 // simulate advances the discrete-event clock: map tasks run in waves
 // over mapSlots (a task with f injected failures occupies its slot for

@@ -362,10 +362,12 @@ func TestMapPartitionStable(t *testing.T) {
 			rec := record{key: uint64(rng.Intn(7)), row: uint32(i), size: uint32(rng.Intn(50))}
 			// Skewed routes: low reducers busy, some left empty.
 			red := rng.Intn(1 + rng.Intn(nRed))
-			sc.add(red, rec)
+			if err := sc.add(red, rec); err != nil {
+				t.Fatal(err)
+			}
 			want[red] = append(want[red], rec)
 		}
-		got := sc.partition(nRed)
+		got := sc.deal(make([]record, len(sc.recs)), make([][]record, nRed))
 		total := 0
 		for red := range want {
 			if !slices.Equal(got[red], want[red]) {

@@ -1,6 +1,7 @@
 package mr
 
 import (
+	"context"
 	"io"
 	"math/rand"
 	"runtime"
@@ -159,6 +160,42 @@ type reusedSpillStore struct{ f *reusedSpillFile }
 
 func (s reusedSpillStore) CreateSpillFile() (SpillFile, error) { return s.f, nil }
 
+// TestMapTaskAllocations: one job over the same rows, split into 1, 10
+// and 60 map tasks on one worker. An extra map task costs the run what
+// it commits — its resident run's block and bucket headers, its
+// outcome's commit and discard — the closure that schedules it and the
+// boxed byte count of its span; the collector it maps into, emit
+// included, is lent by the run. A closure over the attempt's state costs
+// about nine more per task.
+func TestMapTaskAllocations(t *testing.T) {
+	const rows, perTaskPin = 960, 6.5
+	vals := make([]int64, rows)
+	for i := range vals {
+		vals[i] = int64(i % 97)
+	}
+	in := intsRelation("in", vals...)
+	allocs := func(tasks int) float64 {
+		cfg := smallConfig()
+		cfg.MaxParallelWorkers = 1
+		cfg.TuplesPerMapTask = rows / tasks
+		job := countJob(in, 8)
+		return testing.AllocsPerRun(20, func() {
+			res, err := Run(context.Background(), cfg, job)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Metrics.MapTasks != tasks || res.Rows != 97 {
+				t.Fatalf("%d map tasks, %d rows; want %d and 97", res.Metrics.MapTasks, res.Rows, tasks)
+			}
+		})
+	}
+	one, ten, sixty := allocs(1), allocs(10), allocs(60)
+	if perTask := (sixty - one) / 59; perTask > perTaskPin {
+		t.Errorf("%v, %v and %v allocations at 1, 10 and 60 map tasks: %.2f per extra task, pinned at most %v",
+			one, ten, sixty, perTask, perTaskPin)
+	}
+}
+
 // TestSpillFlushAllocatesNothing: once its scratch has grown, a spilling
 // map attempt collects a full budget of pairs and flushes them as sorted
 // runs without an allocation.
@@ -175,23 +212,23 @@ func TestSpillFlushAllocatesNothing(t *testing.T) {
 		recs, dest = append(recs, rec), append(dest, rng.Intn(nRed))
 	}
 	file := &reusedSpillFile{}
-	ts := &taskSpiller{store: reusedSpillStore{file}, budget: budget, nRed: nRed, sc: &mapScratch{}}
+	sc := &mapScratch{nRed: nRed, store: reusedSpillStore{file}, budget: budget}
 	spill := func() {
-		ts.flushes, ts.segs, file.buf = ts.flushes[:0], ts.segs[:0], file.buf[:0]
+		sc.out.flushes, sc.out.segs, file.buf = sc.out.flushes[:0], sc.out.segs[:0], file.buf[:0]
 		for i, rec := range recs {
-			if err := ts.add(dest[i], rec); err != nil {
+			if err := sc.add(dest[i], rec); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if err := ts.flush(); err != nil {
+		if err := sc.flush(); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if n := testing.AllocsPerRun(20, spill); n != 0 {
 		t.Errorf("adding and flushing %d pairs allocates %v times", len(recs), n)
 	}
-	if len(ts.flushes) != 1 || ts.spilled == 0 {
-		t.Fatalf("%d flushes of %d bytes; want the budget in one", len(ts.flushes), ts.spilled)
+	if len(sc.out.flushes) != 1 || sc.out.spilled == 0 {
+		t.Fatalf("%d flushes of %d bytes; want the budget in one", len(sc.out.flushes), sc.out.spilled)
 	}
 }
 

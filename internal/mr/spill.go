@@ -9,26 +9,29 @@ import (
 	"slices"
 )
 
-// Out-of-core shuffle: when Config.SpillBudgetBytes is set, a map task
-// collects at most that many accounted bytes of emitted pairs in the
-// routed-pair buffer the in-memory path uses, then deals them out by
-// reducer into a block reused from flush to flush, sorts each reducer's
-// slice and writes them to a SpillFile as key-sorted runs (Hadoop's
-// io.sort.mb spill, made real). Reducers then k-way merge the spilled
-// runs straight from disk through streaming cursors, each reading its
-// segment of a file with one read of exactly its bytes into a frame
-// buffer carved from the attempt's scratch, so the engine's resident
-// pair memory is bounded by the budget — while every byte-level metric
-// and the output stay bit-identical to the in-memory path. See Run for
-// the determinism contract; the spill layer preserves it because runs
-// are merged in (key, source ordinal) order with sources ordered (task,
-// flush), exactly the global stable sort order of the in-memory path,
-// and because a spilled pair is the same record an in-memory bucket
-// holds, naming its row instead of carrying its bytes: every value a map
+// Out-of-core shuffle: a map attempt's output always takes one path —
+// its collector, then key-sorted runs — and Config.SpillBudgetBytes
+// only decides where the runs live. With a budget, the collector cuts a
+// run whenever the next pair would take its accounted bytes past the
+// budget, and once more at task end; each run, dealt out by reducer
+// into a block reused from flush to flush with every reducer's slice
+// sorted, is written to a SpillFile as key-sorted segments (Hadoop's
+// io.sort.mb spill, made real). Without one, the task's one run stays
+// resident. Reducers k-way merge spilled runs straight from disk
+// through streaming cursors, each reading its segment of a file with
+// one read of exactly its bytes into a frame buffer carved from the
+// attempt's scratch, so the engine's resident pair memory is bounded by
+// the budget — while every byte-level metric and the output stay
+// bit-identical to a run without one. See Run for the determinism
+// contract; the spill layer preserves it because runs are merged in
+// (key, source ordinal) order with sources ordered (task, flush),
+// exactly the global stable sort order of a resident run per task, and
+// because a spilled pair is the same record a resident bucket holds,
+// naming its row instead of carrying its bytes: every value a map
 // function emits is the row it was handed, a row of a job input the run
 // holds for its whole length, so a reader resolves the record to that
 // very row, and its size to the one the run measured when it split the
-// input, and hands Reduce the slice the in-memory path would have.
+// input, and hands Reduce the slice a resident run would have.
 
 // SpillFile is one spill target: append-only while writing, random
 // access (io.ReaderAt) after Seal, reclaimed by Release. The engine
@@ -146,7 +149,7 @@ func (fw *frameWriter) emit() error {
 // finish emits the final partial frame.
 func (fw *frameWriter) finish() error { return fw.emit() }
 
-// ---- Map-side spiller -------------------------------------------------
+// ---- Map-side spill runs ----------------------------------------------
 
 // spillSegment locates one reducer's key-sorted run inside a sealed
 // spill file.
@@ -164,48 +167,14 @@ type spillFlush struct {
 	segs []spillSegment
 }
 
-// taskSpiller collects one map attempt's routed pairs under the byte
-// budget in the attempt's mapScratch and flushes them to the spill
-// store as sorted runs. The scratch is the attempt's until finish; the
-// flushes are what the task commits.
-type taskSpiller struct {
-	store    SpillStore
-	budget   int64
-	nRed     int
-	sc       *mapScratch
-	buffered int64 // accounted bytes currently collected
-	peak     int64 // high-water mark of buffered
-	flushes  []spillFlush
-	segs     []spillSegment // every flush's segments, nRed each; a flush's are a window of it
-	spilled  int64          // total bytes written to the store
-}
-
-// add collects one routed pair, flushing first when the budget is
-// exhausted. Flushing before (not after) collecting keeps the buffer at
-// most one pair over budget.
-func (ts *taskSpiller) add(red int, rec record) error {
-	b := rec.realBytes()
-	if ts.buffered > 0 && ts.buffered+b > ts.budget {
-		if err := ts.flush(); err != nil {
-			return err
-		}
-	}
-	ts.sc.add(red, rec)
-	ts.buffered += b
-	ts.peak = max(ts.peak, ts.buffered)
-	return nil
-}
-
-// flush deals the collected pairs out by reducer, sorts each reducer's
-// and writes one spill file with a segment per reducer, then empties
-// the collection. Its block, bucket headers and frame buffer are the
-// scratch's, so a flush allocates only what it commits. A file that
-// fails to be written is released at once.
-func (ts *taskSpiller) flush() (err error) {
-	if ts.buffered == 0 {
-		return nil
-	}
-	f, err := ts.store.CreateSpillFile()
+// spill writes one sorted run, dealt into the collector's block, to a
+// new spill file with a segment per reducer, and adds the file to the
+// attempt's runs. The frame buffer is the collector's, and the segments
+// are windows of one array the attempt's flushes share, so once the
+// run's collectors have grown a spill allocates only what it commits. A
+// file that fails to be written is released at once.
+func (sc *mapScratch) spill(buckets [][]record) (err error) {
+	f, err := sc.store.CreateSpillFile()
 	if err != nil {
 		return err
 	}
@@ -214,21 +183,16 @@ func (ts *taskSpiller) flush() (err error) {
 			f.Release()
 		}
 	}()
-	sc := ts.sc
-	n := len(sc.recs)
-	sc.block = slices.Grow(sc.block[:0], n)[:n]
-	sc.buckets = slices.Grow(sc.buckets[:0], ts.nRed)[:ts.nRed]
-	buckets := sc.deal(sc.block, sc.buckets)
-	at := len(ts.segs)
-	ts.segs = slices.Grow(ts.segs, ts.nRed)[:at+ts.nRed]
-	segs := ts.segs[at : at+ts.nRed : at+ts.nRed]
+	out, nRed := &sc.out, len(buckets)
+	at := len(out.segs)
+	out.segs = slices.Grow(out.segs, nRed)[:at+nRed]
+	segs := out.segs[at : at+nRed : at+nRed]
 	clear(segs)
 	fw := frameWriter{dst: f, buf: sc.frame[:0]}
 	for r, b := range buckets {
 		if len(b) == 0 {
 			continue
 		}
-		sortBucket(b)
 		seg := spillSegment{off: fw.n, count: len(b), firstKey: b[0].key, lastKey: b[len(b)-1].key}
 		for _, rec := range b {
 			if err := fw.writeRecord(rec); err != nil {
@@ -245,27 +209,9 @@ func (ts *taskSpiller) flush() (err error) {
 	if err := f.Seal(); err != nil {
 		return err
 	}
-	ts.flushes = append(ts.flushes, spillFlush{file: f, segs: segs})
-	ts.spilled += fw.n
-	ts.buffered = 0
-	sc.recs, sc.dest = sc.recs[:0], sc.dest[:0]
+	out.flushes = append(out.flushes, spillFlush{file: f, segs: segs})
+	out.spilled += fw.n
 	return nil
-}
-
-// finish flushes the remaining collection and gives the scratch up, so
-// the task retains no pairs in memory; every run is on the store.
-func (ts *taskSpiller) finish() error {
-	err := ts.flush()
-	ts.sc = nil
-	return err
-}
-
-// release frees every spill file of the task.
-func (ts *taskSpiller) release() {
-	for _, fl := range ts.flushes {
-		fl.file.Release()
-	}
-	ts.flushes = nil
 }
 
 // ---- Reduce-side cursors and streaming merge --------------------------

@@ -223,13 +223,13 @@ func spilledPairCount(t *testing.T, cfg Config, job *Job) (onDisk, inMemory int)
 	if err := r.mapPhase(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	for ti := range r.tasks {
-		for _, fl := range r.spills[ti].flushes {
+	for _, m := range r.mapped {
+		for _, fl := range m.flushes {
 			for _, seg := range fl.segs {
 				onDisk += seg.count
 			}
 		}
-		for _, b := range r.buckets[ti] {
+		for _, b := range m.buckets {
 			inMemory += len(b)
 		}
 	}

@@ -183,21 +183,3 @@ func (g *JoinGraph) SubgraphConditions(ids []int) (predicate.Conjunction, error)
 	}
 	return cj, nil
 }
-
-// Chain builds the chain query R_1 ⋈ R_2 ⋈ … ⋈ R_m with the supplied
-// conditions linking consecutive relations. It is a convenience used by
-// workload generators and tests.
-func Chain(name string, relations []string, conds []predicate.Condition) (*Query, error) {
-	if len(conds) != len(relations)-1 {
-		return nil, fmt.Errorf("query: chain needs %d conditions for %d relations, got %d",
-			len(relations)-1, len(relations), len(conds))
-	}
-	for i, c := range conds {
-		if !(c.Left == relations[i] && c.Right == relations[i+1]) &&
-			!(c.Left == relations[i+1] && c.Right == relations[i]) {
-			return nil, fmt.Errorf("query: chain condition %d (%s) does not link %s and %s",
-				i, c, relations[i], relations[i+1])
-		}
-	}
-	return New(name, relations, conds)
-}

@@ -119,30 +119,6 @@ func TestSubgraphConditions(t *testing.T) {
 	}
 }
 
-func TestChainConstructor(t *testing.T) {
-	conds := []predicate.Condition{
-		predicate.C("A", "x", predicate.LT, "B", "y"),
-		predicate.C("C", "z", predicate.GT, "B", "y"), // reversed orientation still links B,C
-	}
-	q, err := Chain("c", []string{"A", "B", "C"}, conds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(q.Conditions) != 2 {
-		t.Fatalf("conditions = %d", len(q.Conditions))
-	}
-	if _, err := Chain("c", []string{"A", "B", "C"}, conds[:1]); err == nil {
-		t.Error("wrong condition count accepted")
-	}
-	bad := []predicate.Condition{
-		predicate.C("A", "x", predicate.LT, "C", "y"),
-		predicate.C("B", "y", predicate.GT, "C", "y"),
-	}
-	if _, err := Chain("c", []string{"A", "B", "C"}, bad); err == nil {
-		t.Error("non-adjacent chain condition accepted")
-	}
-}
-
 func TestQueryString(t *testing.T) {
 	q := chain3(t)
 	s := q.String()

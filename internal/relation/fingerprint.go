@@ -2,10 +2,7 @@ package relation
 
 import (
 	"math"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 )
 
 // str hashes s framed by its length, so adjacent fields cannot alias
@@ -125,9 +122,7 @@ func (c *Catalog) Fingerprint() uint64 {
 // per-tuple hashes. Two relations holding the same multiset of rows
 // under the same schema hash identically regardless of row order —
 // letting a client compare a served query result against a one-shot
-// run without shipping the rows. Because the rows combine by wrapping
-// add, large relations are hashed in GOMAXPROCS shards; the value does
-// not depend on the shard count. It is ContentHashOf over the relation's
+// run without shipping the rows. It is ContentHashOf over the relation's
 // own rows; a producer that hashes its rows as it emits them
 // (RowHash) calls ContentHashOf itself and need not keep them.
 func ContentHash(r *Relation) uint64 {
@@ -225,30 +220,8 @@ func (h *RowHasher) Hash(parts ...Tuple) uint64 {
 // reads; the zero value drops them too.
 func (h *RowHasher) Reset() { h.n = 0 }
 
-// hashShardRows is the fewest rows worth a goroutine of their own.
-const hashShardRows = 4096
-
-// SumRowHashes is the wrapping sum of the rows' RowHash values,
-// computed over contiguous shards, one goroutine each.
+// SumRowHashes is the wrapping sum of the rows' RowHash values.
 func SumRowHashes(rows []Tuple) uint64 {
-	shards := min(runtime.GOMAXPROCS(0), len(rows)/hashShardRows)
-	if shards <= 1 {
-		return hashRows(rows)
-	}
-	var sum atomic.Uint64
-	var wg sync.WaitGroup
-	for w := 0; w < shards; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sum.Add(hashRows(rows[w*len(rows)/shards : (w+1)*len(rows)/shards]))
-		}()
-	}
-	wg.Wait()
-	return sum.Load()
-}
-
-func hashRows(rows []Tuple) uint64 {
 	var sum uint64
 	for _, t := range rows {
 		sum += RowHash(t)

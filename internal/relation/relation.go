@@ -173,9 +173,6 @@ func (rs *ResultSet) AddAll(ts []Tuple) {
 // Len returns the total number of tuple occurrences.
 func (rs *ResultSet) Len() int { return rs.size }
 
-// Distinct returns the number of distinct tuples.
-func (rs *ResultSet) Distinct() int { return len(rs.counts) }
-
 // Equal reports whether two result sets hold the same multiset of tuples.
 func (rs *ResultSet) Equal(o *ResultSet) bool {
 	if rs.size != o.size || len(rs.counts) != len(o.counts) {

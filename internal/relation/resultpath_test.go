@@ -19,7 +19,7 @@ import (
 // referenceContentHash is ContentHash as it stood before the result
 // path was made allocation-free: hash/fnv behind an interface, one
 // writer per row, one Value.String() per value. It is kept as the
-// oracle the inlined, sharded implementation must equal bit for bit.
+// oracle the inlined implementation must equal bit for bit.
 func referenceContentHash(r *relation.Relation) uint64 {
 	type writer struct {
 		h interface {
@@ -219,9 +219,8 @@ func mobileRows(n int) *relation.Relation {
 }
 
 // TestContentHashSharded: the value equals the per-row reference on
-// generated rows, whatever GOMAXPROCS (hence the shard count) is and
-// whatever order the rows are in. The relation is large enough to be
-// hashed in shards; the race detector watches the workers.
+// generated rows, whatever GOMAXPROCS is and whatever order the rows
+// are in.
 func TestContentHashSharded(t *testing.T) {
 	r := mobileRows(20000)
 	want := referenceContentHash(r)

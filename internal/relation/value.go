@@ -230,9 +230,6 @@ func (v Value) Float64() float64 {
 // Str returns the string payload (empty for non-string kinds).
 func (v Value) Str() string { return unsafe.String(v.p, v.n) }
 
-// AsTime returns the time payload for KindTime values.
-func (v Value) AsTime() time.Time { return time.Unix(v.int(), 0).UTC() }
-
 // String renders the value the way the CSV codec writes it.
 func (v Value) String() string {
 	switch v.kind {

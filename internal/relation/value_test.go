@@ -9,7 +9,6 @@ import (
 	"strconv"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestValueKinds(t *testing.T) {
@@ -48,10 +47,6 @@ func TestValueAccessors(t *testing.T) {
 	}
 	if got := Str("hi").Str(); got != "hi" {
 		t.Errorf("Str() = %q", got)
-	}
-	now := time.Date(2012, 8, 1, 0, 0, 0, 0, time.UTC)
-	if got := Time(now).AsTime(); !got.Equal(now) {
-		t.Errorf("AsTime() = %v, want %v", got, now)
 	}
 }
 
